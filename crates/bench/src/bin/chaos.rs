@@ -28,16 +28,8 @@ use etrain_chaos::{
 };
 use etrain_sim::{CasePlan, EngineKind, SchedulerKind};
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} needs a value"))
-            .clone()
-    })
-}
-
 fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    flag_value(args, flag).map_or(default, |raw| {
+    etrain_bench::flag_value(args, flag).map_or(default, |raw| {
         raw.parse()
             .unwrap_or_else(|_| panic!("{flag} {raw:?}: expected a number"))
     })
@@ -47,7 +39,7 @@ fn main() {
     etrain_bench::validate_env_knobs();
     let args: Vec<String> = std::env::args().collect();
 
-    if let Some(path) = flag_value(&args, "--repro") {
+    if let Some(path) = etrain_bench::flag_value(&args, "--repro") {
         std::process::exit(replay(&path));
     }
 
@@ -57,7 +49,8 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let self_test = !args.iter().any(|a| a == "--no-self-test");
     let jobs: usize = numeric_flag(&args, "--jobs", etrain_bench::default_jobs());
-    let out_dir = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_chaos_repros".to_owned());
+    let out_dir =
+        etrain_bench::flag_value(&args, "--out").unwrap_or_else(|| "BENCH_chaos_repros".to_owned());
     std::fs::create_dir_all(&out_dir).expect("creating the output directory");
 
     let mut problems = 0usize;

@@ -1,6 +1,7 @@
 //! CI performance gate: compares a freshly produced `BENCH_repro.json`
 //! against a committed baseline and fails (exit 1) when any experiment —
-//! or the suite total — regressed past the allowed factor.
+//! or the suite total — regressed past the allowed factor, or when a
+//! baseline experiment is missing from the fresh report.
 //!
 //! ```text
 //! cargo run -p etrain-bench --release --bin repro_all -- --quick --json fresh.json
@@ -15,22 +16,14 @@
 /// Per-experiment baselines under this many seconds never trip the gate.
 const FLOOR_S: f64 = 0.05;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} needs a value"))
-            .clone()
-    })
-}
-
 fn main() {
     etrain_bench::validate_env_knobs();
     let args: Vec<String> = std::env::args().collect();
-    let baseline_path =
-        flag_value(&args, "--baseline").unwrap_or_else(|| "BENCH_repro.json".to_owned());
-    let current_path =
-        flag_value(&args, "--current").expect("--current <fresh BENCH_repro.json> is required");
-    let factor: f64 = flag_value(&args, "--factor")
+    let baseline_path = etrain_bench::flag_value(&args, "--baseline")
+        .unwrap_or_else(|| "BENCH_repro.json".to_owned());
+    let current_path = etrain_bench::flag_value(&args, "--current")
+        .expect("--current <fresh BENCH_repro.json> is required");
+    let factor: f64 = etrain_bench::flag_value(&args, "--factor")
         .map(|v| v.parse().expect("--factor needs a number"))
         .unwrap_or(2.0);
     assert!(
@@ -70,13 +63,18 @@ fn main() {
         return;
     }
     for r in &regressions {
-        eprintln!(
-            "error: {} regressed {:.3} s -> {:.3} s ({:.2}x, allowed {factor}x)",
-            r.name,
-            r.baseline_s,
-            r.current_s,
-            r.current_s / r.baseline_s
-        );
+        match r.current_s {
+            Some(current_s) => eprintln!(
+                "error: {} regressed {:.3} s -> {current_s:.3} s ({:.2}x, allowed {factor}x)",
+                r.name,
+                r.baseline_s,
+                current_s / r.baseline_s
+            ),
+            None => eprintln!(
+                "error: {} is in the baseline but missing from {current_path}",
+                r.name
+            ),
+        }
     }
     std::process::exit(1);
 }

@@ -4,7 +4,12 @@
 //! headline metrics.
 //!
 //! Flags:
+//! - `--only NAME[,NAME...]` — run just the named experiments (see
+//!   `etrain_bench::registry`); an unknown name exits with status 2. A
+//!   partial run writes no JSON report, trajectory point or artifact;
 //! - `--quick` — reduced horizons/sweeps for a CI-speed smoke run;
+//! - `--csv DIR` — also write each table as `DIR/<experiment>_<index>.csv`
+//!   for plotting;
 //! - `--jobs N` — worker count (default: `ETRAIN_JOBS` env, then the
 //!   machine's available parallelism);
 //! - `--json PATH` — where to write the report (default
@@ -29,6 +34,33 @@
 
 use std::time::Instant;
 
+/// The experiments `--only` names, in registry order; exits with status 2
+/// on an empty list or an unknown name.
+fn select(list: &str) -> Vec<etrain_bench::Experiment> {
+    let names: Vec<&str> = list
+        .split(',')
+        .map(str::trim)
+        .filter(|name| !name.is_empty())
+        .collect();
+    let unknown: Vec<&str> = names
+        .iter()
+        .copied()
+        .filter(|name| etrain_bench::find(name).is_none())
+        .collect();
+    if names.is_empty() || !unknown.is_empty() {
+        let known: Vec<&str> = etrain_bench::registry().iter().map(|e| e.name).collect();
+        eprintln!(
+            "error: --only: unknown experiment(s) {unknown:?}; known: {}",
+            known.join(", ")
+        );
+        std::process::exit(2);
+    }
+    etrain_bench::registry()
+        .into_iter()
+        .filter(|e| names.contains(&e.name))
+        .collect()
+}
+
 fn main() {
     etrain_bench::validate_env_knobs();
     let args: Vec<String> = std::env::args().collect();
@@ -45,7 +77,10 @@ fn main() {
         etrain_obs::prof::set_enabled(true);
     }
     let quick = args.iter().any(|a| a == "--quick");
-    let no_json = args.iter().any(|a| a == "--no-json");
+    let only = etrain_bench::flag_value(&args, "--only");
+    // A partial run must never overwrite the full report or its history.
+    let no_json = only.is_some() || args.iter().any(|a| a == "--no-json");
+    let csv_dir = etrain_bench::flag_value(&args, "--csv");
     let jobs = args
         .iter()
         .position(|a| a == "--jobs")
@@ -56,26 +91,15 @@ fn main() {
                 .expect("--jobs needs a positive integer")
         })
         .unwrap_or_else(etrain_bench::default_jobs);
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--json needs a file path")
-                .to_owned()
-        })
-        .unwrap_or_else(|| "BENCH_repro.json".to_owned());
-    let trajectory_label = args
-        .iter()
-        .position(|a| a == "--trajectory-label")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--trajectory-label needs a value")
-                .to_owned()
-        })
+    let json_path =
+        etrain_bench::flag_value(&args, "--json").unwrap_or_else(|| "BENCH_repro.json".to_owned());
+    let trajectory_label = etrain_bench::flag_value(&args, "--trajectory-label")
         .unwrap_or_else(|| if quick { "quick" } else { "full" }.to_owned());
 
-    let registry = etrain_bench::registry();
+    let registry = match &only {
+        Some(list) => select(list),
+        None => etrain_bench::registry(),
+    };
     eprintln!(
         "# running {} experiments on {} worker(s){}",
         registry.len(),
@@ -99,6 +123,16 @@ fn main() {
         }
         println!("# wall-clock: {:.2} s", run.record.wall_s);
         println!();
+    }
+    if let Some(dir) = &csv_dir {
+        std::fs::create_dir_all(dir).expect("creating the --csv directory");
+        for run in &runs {
+            for (index, table) in run.result.tables.iter().enumerate() {
+                let path = format!("{dir}/{}_{index}.csv", run.record.name);
+                std::fs::write(&path, table.to_csv()).expect("writing the CSV file");
+                eprintln!("# wrote {path}");
+            }
+        }
     }
     let serial_s: f64 = runs.iter().map(|r| r.record.wall_s).sum();
     eprintln!(

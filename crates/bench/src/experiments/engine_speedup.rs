@@ -41,8 +41,8 @@ pub fn run(quick: bool) -> ExperimentResult {
         let mut result = None;
         for _ in 0..REPS {
             let started = Instant::now();
-            let (report, output) = run
-                .try_run_with_output_on(&traces)
+            let (report, output, _) = run
+                .try_run_journaled_on(&traces)
                 .expect("the standby scenario validates");
             best_wall = best_wall.min(started.elapsed().as_secs_f64());
             result = Some((report, output.events_processed));

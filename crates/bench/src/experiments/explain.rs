@@ -43,8 +43,9 @@ pub struct ExplainRun {
 ///
 /// Panics if the paper-default scenario fails validation (it cannot).
 pub fn run_with_journal(quick: bool) -> ExplainRun {
-    let (report, output, journal) = scenario(quick)
-        .try_run_journaled()
+    let scenario = scenario(quick);
+    let (report, output, journal) = scenario
+        .try_run_journaled_on(&scenario.generate_traces())
         .expect("paper-default scenario is valid");
     let journal = journal.expect("observability forced on");
     let metrics = report.metrics.clone().expect("metrics recorded");

@@ -2,12 +2,12 @@
 //!
 //! One experiment module per table and figure of the paper's evaluation,
 //! each printing the same rows/series the paper reports. Every experiment
-//! is exposed both as a library function (so integration tests can
-//! smoke-run it) and as a binary:
+//! is a library function (so integration tests can smoke-run it) listed
+//! in [`registry`], and the `repro_all` binary runs any subset of them:
 //!
 //! ```text
-//! cargo run -p etrain-bench --release --bin fig7a          # full fidelity
-//! cargo run -p etrain-bench --release --bin fig7a -- --quick
+//! cargo run -p etrain-bench --release --bin repro_all -- --only fig7a
+//! cargo run -p etrain-bench --release --bin repro_all -- --only fig7a,fig4 --quick
 //! cargo run -p etrain-bench --release --bin repro_all      # everything
 //! ```
 //!
@@ -112,7 +112,7 @@ impl ExperimentResult {
 /// An experiment that reproduces one paper artifact.
 #[derive(Clone, Copy)]
 pub struct Experiment {
-    /// Short name (`fig7a`, `table1`, ...) — also the binary name.
+    /// Short name (`fig7a`, `table1`, ...), as `repro_all --only` takes it.
     pub name: &'static str,
     /// The paper artifact it reproduces.
     pub description: &'static str,
@@ -335,24 +335,17 @@ pub struct ReproRun {
 }
 
 /// Validates every `ETRAIN_*` environment knob a bench binary honors
-/// (`ETRAIN_ORACLE`, `ETRAIN_OBS`, `ETRAIN_ENGINE`, `ETRAIN_JOBS`,
-/// `ETRAIN_REFERENCE_COST`, `ETRAIN_FLEET_SIZE`, `ETRAIN_WAL`,
-/// `ETRAIN_SVC_ADDR`, `ETRAIN_WAL_FAULT`), exiting with status 2 and one message per
-/// bad knob. Binaries call this first: a typo like `ETRAIN_ORACLE=stric`
-/// must abort the run, not silently audit nothing (library contexts keep
-/// the lenient warn-once fallback instead).
+/// (`ETRAIN_ORACLE`, `ETRAIN_OBS`, `ETRAIN_JOBS`, `ETRAIN_FLEET_SIZE`,
+/// `ETRAIN_WAL`, `ETRAIN_SVC_ADDR`, `ETRAIN_WAL_FAULT`), exiting with
+/// status 2 and one message per bad knob. Binaries call this first: a
+/// typo like `ETRAIN_ORACLE=stric` must abort the run, not silently audit
+/// nothing (library contexts keep the lenient warn-once fallback instead).
 pub fn validate_env_knobs() {
     let mut problems = Vec::new();
     if let Err(reason) = etrain_sim::OracleMode::try_from_env() {
         problems.push(reason);
     }
     if let Err(reason) = etrain_obs::ObsMode::try_from_env() {
-        problems.push(reason);
-    }
-    if let Err(reason) = etrain_sim::EngineKind::try_from_env() {
-        problems.push(reason);
-    }
-    if let Err(reason) = etrain_sched::try_reference_cost_from_env() {
         problems.push(reason);
     }
     let jobs_raw = std::env::var(etrain_sim::JOBS_ENV).ok();
@@ -378,6 +371,19 @@ pub fn validate_env_knobs() {
         }
         std::process::exit(2);
     }
+}
+
+/// The value following `flag` in a binary's `args`, if the flag is given.
+///
+/// # Panics
+///
+/// Panics if `flag` is the last argument (it needs a value).
+pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter().position(|a| a == flag).map(|i| {
+        args.get(i + 1)
+            .unwrap_or_else(|| panic!("{flag} needs a value"))
+            .clone()
+    })
 }
 
 /// The number of workers `repro_all` uses by default: the `ETRAIN_JOBS`
@@ -589,24 +595,27 @@ pub fn load_experiment_walls(json: &str) -> Vec<ExperimentWall> {
         .unwrap_or_default()
 }
 
-/// One wall-clock regression found by [`perf_regressions`].
+/// One gate failure found by [`perf_regressions`]: a wall-clock
+/// regression, or a baseline experiment the current report lacks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfRegression {
     /// The experiment name, or `"(total)"` for the suite-wide sum.
     pub name: String,
     /// Baseline wall-clock seconds (floored; see [`perf_regressions`]).
     pub baseline_s: f64,
-    /// Current wall-clock seconds.
-    pub current_s: f64,
+    /// Current wall-clock seconds; `None` when the current report has no
+    /// record of the experiment.
+    pub current_s: Option<f64>,
 }
 
 /// Compares per-experiment wall-clocks (matched by name) and the matched
 /// totals, reporting every current time exceeding `factor ×` its
 /// baseline. Baselines are floored at `floor_s` first, so sub-floor
-/// experiments never trip the gate on scheduler noise. Experiments
-/// present on only one side are skipped entirely — including from the
-/// totals — so a legitimately grown registry never reads as a
-/// regression.
+/// experiments never trip the gate on scheduler noise. Every baseline
+/// experiment missing from `current` is a failure too, so a partial
+/// report cannot pass vacuously. Experiments new in `current` are
+/// skipped — including from the totals — so a legitimately grown
+/// registry never reads as a regression.
 pub fn perf_regressions(
     baseline: &[ExperimentWall],
     current: &[ExperimentWall],
@@ -617,19 +626,24 @@ pub fn perf_regressions(
     let mut base_total = 0.0f64;
     let mut cur_total = 0.0f64;
     let mut matched = 0usize;
-    for cur in current {
-        let Some(base) = baseline.iter().find(|b| b.name == cur.name) else {
+    for base in baseline {
+        let floored = base.wall_s.max(floor_s);
+        let Some(cur) = current.iter().find(|c| c.name == base.name) else {
+            regressions.push(PerfRegression {
+                name: base.name.clone(),
+                baseline_s: floored,
+                current_s: None,
+            });
             continue;
         };
         matched += 1;
         base_total += base.wall_s;
         cur_total += cur.wall_s;
-        let floored = base.wall_s.max(floor_s);
         if cur.wall_s > factor * floored {
             regressions.push(PerfRegression {
                 name: cur.name.clone(),
                 baseline_s: floored,
-                current_s: cur.wall_s,
+                current_s: Some(cur.wall_s),
             });
         }
     }
@@ -638,7 +652,7 @@ pub fn perf_regressions(
         regressions.push(PerfRegression {
             name: "(total)".to_owned(),
             baseline_s: floored_total,
-            current_s: cur_total,
+            current_s: Some(cur_total),
         });
     }
     regressions
@@ -677,50 +691,6 @@ pub fn repro_report_json(runs: &[ReproRun], trajectory: Vec<TrajectoryPoint>) ->
         trajectory,
     };
     serde_json::to_string_pretty(&report).expect("plain-data records serialize")
-}
-
-/// Binary entry point shared by all `src/bin/*.rs` wrappers: runs the
-/// experiment and prints its tables and headlines. CLI flags: `--quick`
-/// shrinks the run; `--csv DIR` additionally writes each table as
-/// `DIR/<experiment>_<index>.csv` for plotting.
-///
-/// # Panics
-///
-/// Panics if `name` is not in the registry (binaries are generated from
-/// it), or if `--csv` is given without a directory or the directory cannot
-/// be written.
-pub fn run_binary(name: &str) {
-    validate_env_knobs();
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv_dir = args
-        .iter()
-        .position(|a| a == "--csv")
-        .map(|i| args.get(i + 1).expect("--csv needs a directory").clone());
-
-    let experiment = find(name).unwrap_or_else(|| panic!("unknown experiment `{name}`"));
-    println!("# {} — {}", experiment.name, experiment.description);
-    if quick {
-        println!("# (quick mode: reduced horizons/sweeps)");
-    }
-    let result = (experiment.run)(quick);
-    for table in &result.tables {
-        println!("{table}");
-    }
-    for headline in &result.headlines {
-        println!(
-            "# headline {} = {} {}",
-            headline.metric, headline.value, headline.unit
-        );
-    }
-    if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(&dir).expect("creating the --csv directory");
-        for (index, table) in result.tables.iter().enumerate() {
-            let path = format!("{dir}/{name}_{index}.csv");
-            std::fs::write(&path, table.to_csv()).expect("writing the CSV file");
-            println!("# wrote {path}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -880,7 +850,17 @@ mod tests {
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].name, "b");
         assert_eq!(found[0].baseline_s, 1.0);
-        assert_eq!(found[0].current_s, 3.0);
+        assert_eq!(found[0].current_s, Some(3.0));
+    }
+
+    #[test]
+    fn perf_regressions_fail_on_missing_experiments() {
+        // A partial report (say, from `repro_all --only a`) must not pass
+        // the gate just because the experiments it skipped were not slow.
+        let baseline = [wall("a", 1.0), wall("b", 1.0), wall("c", 0.001)];
+        let found = perf_regressions(&baseline, &[wall("a", 1.0)], 2.0, 0.05);
+        let names: Vec<&str> = found.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, vec!["b", "c"], "every missing experiment fails");
     }
 
     #[test]

@@ -271,10 +271,10 @@ impl ChaosCase {
         }
         let traces = scenario.generate_traces();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scenario.try_run_with_output_on(&traces)
+            scenario.try_run_journaled_on(&traces)
         }));
         let (report, mut output) = match outcome {
-            Ok(Ok(pair)) => pair,
+            Ok(Ok((report, output, _))) => (report, output),
             Ok(Err(error)) => {
                 return Some(CaseFailure::InvalidScenario {
                     reason: error.to_string(),

@@ -155,7 +155,7 @@ pub struct FleetConfig {
     pub session_secs: u64,
     /// The constant channel bandwidth, in bits per second.
     pub bandwidth_bps: f64,
-    /// Which simulation kernel devices run on (fleet default:
+    /// Which simulation kernel devices run on (default
     /// [`EngineKind::Event`], the faster of the two bit-identical
     /// kernels).
     pub engine: EngineKind,
@@ -165,17 +165,17 @@ pub struct FleetConfig {
     /// the machine's available parallelism.
     pub jobs: Option<usize>,
     /// Route scheduler decisions through the reference cost path instead
-    /// of the cached hot path (the `ETRAIN_REFERENCE_COST` escape hatch;
-    /// both paths are decision-identical).
+    /// of the cached hot path (default `false`; both paths are
+    /// decision-identical).
     pub reference_cost: bool,
 }
 
 impl FleetConfig {
     /// The Fig. 11 operating point over `devices` devices (see the type
-    /// docs). Honors the `ETRAIN_REFERENCE_COST` escape hatch like
-    /// [`Scenario::paper_default`] does; the oracle and observability
-    /// knobs are deliberately *not* read — fleet workers run with both
-    /// off, and journaled fleet tiers opt in explicitly.
+    /// docs), on the cached decision path like
+    /// [`Scenario::paper_default`]. The oracle and observability knobs are
+    /// deliberately *not* read — fleet workers run with both off, and
+    /// journaled fleet tiers opt in explicitly.
     pub fn paper_default(devices: u64) -> FleetConfig {
         FleetConfig {
             devices,
@@ -190,7 +190,7 @@ impl FleetConfig {
             engine: EngineKind::Event,
             shard_devices: 4096,
             jobs: None,
-            reference_cost: etrain_sched::reference_cost_from_env(),
+            reference_cost: false,
         }
     }
 

@@ -10,8 +10,7 @@
 //!
 //! The format is deliberately dumb: no compression, no index, no
 //! self-describing schema — the payload is whatever the caller framed
-//! (for [`DurableRecorder`], one [`EventRecord`] as JSON; for the
-//! service WAL, one serialized command). What the framing *does* buy is
+//! (for the service WAL, one serialized command). What the framing *does* buy is
 //! crash safety: a reader can always classify the tail of a segment as
 //! clean, torn (an append that died partway), or corrupt (bit rot or a
 //! misdirected write), and truncate to the last frame whose checksum
@@ -23,8 +22,6 @@
 //! so the detection path is exercised by the same code that writes real
 //! segments.
 
-use crate::recorder::Recorder;
-use crate::EventRecord;
 use std::io::Write;
 
 /// Magic bytes opening every WAL segment (8 bytes, versioned).
@@ -352,87 +349,9 @@ pub fn scan_segment(bytes: &[u8]) -> SegmentScan {
     }
 }
 
-/// Streams each [`EventRecord`] as one checksummed frame (JSON payload)
-/// into a byte sink — the durable sibling of
-/// [`JsonLinesRecorder`](crate::JsonLinesRecorder).
-///
-/// Like every recorder, I/O errors are counted rather than propagated:
-/// observability must never abort a run. Callers that need the journal
-/// durably (the service WAL does) check [`DurableRecorder::write_errors`]
-/// after flushing.
-#[derive(Debug)]
-pub struct DurableRecorder<W: Write + Send> {
-    writer: FrameWriter<W>,
-    write_errors: usize,
-}
-
-impl<W: Write + Send> DurableRecorder<W> {
-    /// Starts a fresh framed segment on `writer` (writes the magic).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the magic-write error.
-    pub fn create(writer: W) -> std::io::Result<Self> {
-        Ok(DurableRecorder {
-            writer: FrameWriter::create(writer)?,
-            write_errors: 0,
-        })
-    }
-
-    /// Records (or flushes) dropped due to I/O errors.
-    pub fn write_errors(&self) -> usize {
-        self.write_errors
-    }
-
-    /// Frames successfully appended.
-    pub fn frames(&self) -> u64 {
-        self.writer.frames()
-    }
-
-    /// Consumes the recorder, returning the underlying sink.
-    pub fn into_inner(self) -> W {
-        self.writer.into_inner()
-    }
-}
-
-impl<W: Write + Send> Recorder for DurableRecorder<W> {
-    fn record(&mut self, record: &EventRecord) {
-        let payload = serde_json::to_string(record).expect("event records serialize infallibly");
-        if self.writer.append(payload.as_bytes()).is_err() {
-            self.write_errors += 1;
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.writer.flush().is_err() {
-            self.write_errors += 1;
-        }
-    }
-}
-
-/// Decodes a scanned segment's payloads back into [`EventRecord`]s,
-/// skipping (and counting) any payload that verified its checksum but is
-/// not valid record JSON — possible only if the segment was written by
-/// something other than [`DurableRecorder`].
-pub fn decode_event_records(scan: &SegmentScan) -> (Vec<EventRecord>, usize) {
-    let mut records = Vec::with_capacity(scan.payloads.len());
-    let mut undecodable = 0;
-    for payload in &scan.payloads {
-        match std::str::from_utf8(payload)
-            .ok()
-            .and_then(|s| serde_json::from_str::<EventRecord>(s).ok())
-        {
-            Some(record) => records.push(record),
-            None => undecodable += 1,
-        }
-    }
-    (records, undecodable)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Event, Journal};
 
     fn frame_up(payloads: &[&[u8]]) -> Vec<u8> {
         let mut writer = FrameWriter::create(Vec::new()).unwrap();
@@ -566,25 +485,6 @@ mod tests {
         let scan = scan_segment(&buf);
         assert_eq!(scan.tail, TailStatus::Clean);
         assert_eq!(scan.payloads.len(), 2);
-    }
-
-    #[test]
-    fn durable_recorder_round_trips_event_records() {
-        let mut journal = Journal::new();
-        journal.push(1.0, Event::HeartbeatFired { size_bytes: 120 });
-        journal.push(2.5, Event::HeartbeatFired { size_bytes: 64 });
-        let mut recorder = DurableRecorder::create(Vec::new()).unwrap();
-        journal.replay(&mut recorder);
-        assert_eq!(recorder.write_errors(), 0);
-        assert_eq!(recorder.frames(), 2);
-        let bytes = recorder.into_inner();
-        let scan = scan_segment(&bytes);
-        assert!(scan.tail.is_clean());
-        let (records, undecodable) = decode_event_records(&scan);
-        assert_eq!(undecodable, 0);
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].time_s, 1.0);
-        assert_eq!(records[1].time_s, 2.5);
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub mod prof;
 mod recorder;
 
 pub use durable::{
-    crc32, decode_event_records, scan_segment, AppendFault, DurableRecorder, FrameWriter,
-    SegmentScan, TailStatus, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, WAL_MAGIC,
+    crc32, scan_segment, AppendFault, FrameWriter, SegmentScan, TailStatus, FRAME_HEADER_BYTES,
+    MAX_FRAME_BYTES, WAL_MAGIC,
 };
 pub use event::{Event, EventRecord, Journal};
 pub use fleet::{ClassSnapshot, FleetSnapshot, FleetTally};

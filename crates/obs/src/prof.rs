@@ -17,7 +17,8 @@ use std::time::Instant;
 /// A profiled phase of the harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// One full engine run (`run_engine_with_faults` and variants).
+    /// One full engine run, from `Engine::new` until the engine is
+    /// finished or dropped.
     EngineRun,
     /// `Scheduler::on_slot` calls (the per-slot piggyback decision).
     SchedulerSlot,

@@ -24,55 +24,6 @@ use serde::{Deserialize, Serialize};
 use crate::api::{Scheduler, SchedulerError, SlotContext};
 use crate::queue::{AppProfile, WaitingQueues};
 
-/// Environment variable selecting the retained from-scratch reference
-/// decision path (`ETRAIN_REFERENCE_COST=1`): every scenario-built
-/// scheduler then recomputes the Lyapunov/cost terms from scratch each
-/// slot instead of using the cached hot path. The escape hatch for the
-/// equivalence harness (DESIGN.md §17); both paths are bit-for-bit
-/// interchangeable.
-pub const REFERENCE_COST_ENV: &str = "ETRAIN_REFERENCE_COST";
-
-fn parse_reference_cost(raw: &str) -> Result<bool, String> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "reference" => Ok(true),
-        "0" | "false" | "off" | "cached" => Ok(false),
-        other => Err(format!(
-            "unrecognized {REFERENCE_COST_ENV} value {other:?} \
-             (expected 1/true/on/reference or 0/false/off/cached)"
-        )),
-    }
-}
-
-/// Strict read of [`REFERENCE_COST_ENV`]: unset or empty means the cached
-/// path, anything else must parse. Binaries fail fast on the `Err`.
-///
-/// # Errors
-///
-/// Returns a description of the unrecognized value.
-pub fn try_reference_cost_from_env() -> Result<bool, String> {
-    match std::env::var(REFERENCE_COST_ENV) {
-        Err(_) => Ok(false),
-        Ok(raw) if raw.trim().is_empty() => Ok(false),
-        Ok(raw) => parse_reference_cost(&raw),
-    }
-}
-
-/// Lenient read of [`REFERENCE_COST_ENV`] for library contexts: an
-/// unrecognized value warns once on stderr and falls back to the cached
-/// path.
-pub fn reference_cost_from_env() -> bool {
-    match try_reference_cost_from_env() {
-        Ok(reference) => reference,
-        Err(message) => {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!("warning: {message}; using the cached decision path");
-            });
-            false
-        }
-    }
-}
-
 /// Configuration of [`ETrainScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ETrainConfig {
@@ -139,7 +90,8 @@ pub struct ETrainScheduler {
     obs_events: Vec<(f64, etrain_obs::Event)>,
     /// When `true`, `on_slot` takes the retained from-scratch reference
     /// decision path instead of the cached one (the equivalence harness
-    /// and the `hotpath_speedup` denominator; see [`REFERENCE_COST_ENV`]).
+    /// and the `hotpath_speedup` denominator; see
+    /// [`ETrainScheduler::set_reference_decisions`]).
     reference_decisions: bool,
     /// Persistent scratch buffers for the cached greedy selection,
     /// reused across slots so steady-state decisions allocate nothing.
@@ -248,7 +200,7 @@ impl ETrainScheduler {
     }
 
     /// Whether the retained from-scratch reference decision path is
-    /// active (see [`REFERENCE_COST_ENV`]).
+    /// active.
     pub fn reference_decisions(&self) -> bool {
         self.reference_decisions
     }
@@ -455,8 +407,8 @@ impl ETrainScheduler {
     /// The retained from-scratch slot decision (the pre-campaign code
     /// path): O(n) queue recounts, an unconditional full `P(t)` sum, and
     /// [`ETrainScheduler::select_reference`]. Dispatched to when
-    /// [`ETrainScheduler::set_reference_decisions`] (or
-    /// [`REFERENCE_COST_ENV`]) selects the reference path.
+    /// [`ETrainScheduler::set_reference_decisions`] selects the reference
+    /// path.
     fn on_slot_reference(&mut self, ctx: &SlotContext) -> Vec<Packet> {
         // Paper Sec. V-3: with no train app alive, stop deferring so cargo
         // apps never wait indefinitely. The latch clears as soon as a slot
@@ -794,17 +746,6 @@ mod tests {
     #[should_panic(expected = "k must be at least 1")]
     fn zero_k_rejected() {
         let _ = scheduler(0.1, Some(0));
-    }
-
-    #[test]
-    fn reference_cost_spellings_parse() {
-        for on in ["1", "true", "ON", " reference "] {
-            assert_eq!(parse_reference_cost(on), Ok(true), "{on:?}");
-        }
-        for off in ["0", "false", "OFF", "cached"] {
-            assert_eq!(parse_reference_cost(off), Ok(false), "{off:?}");
-        }
-        assert!(parse_reference_cost("sometimes").is_err());
     }
 
     #[test]

@@ -68,10 +68,7 @@ pub use api::{Scheduler, SchedulerError, SlotContext};
 pub use baseline::BaselineScheduler;
 pub use cost::CostProfile;
 pub use etime::{ETimeConfig, ETimeScheduler};
-pub use etrain::{
-    reference_cost_from_env, try_reference_cost_from_env, ETrainConfig, ETrainScheduler,
-    REFERENCE_COST_ENV,
-};
+pub use etrain::{ETrainConfig, ETrainScheduler};
 pub use health::{
     audit_transitions, GuardedScheduler, HealthConfig, HealthState, HealthTransition,
     TransitionCause,

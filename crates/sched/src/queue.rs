@@ -128,7 +128,7 @@ impl WaitingQueues {
 
     /// Recounts the queued packets from scratch, ignoring the cached
     /// counter. Retained as the from-scratch reference for the cached
-    /// `len` (equivalence tests, `ETRAIN_REFERENCE_COST=1` decision path).
+    /// `len` (equivalence tests and the reference decision path).
     pub fn recount_len(&self) -> usize {
         self.queues.iter().map(VecDeque::len).sum()
     }

@@ -24,21 +24,20 @@
 //! machine: [`Engine::step`] processes exactly one event, [`Engine::snapshot`]
 //! captures a versioned, fingerprinted mid-run checkpoint at any step
 //! boundary, and [`Engine::restore`] rebuilds the engine at that point by
-//! deterministic replay (verifying the fingerprint). The batch entry
-//! points ([`run_engine`] and friends) are thin wrappers over
-//! [`run_engine_configured`] that construct an engine and drive it to the
-//! horizon.
+//! deterministic replay (verifying the fingerprint). [`Engine::run`]
+//! drives a fresh engine to the horizon; it is the one batch entry point,
+//! and `Scenario` and the fleet runner both go through it.
 //!
-//! Two kernels ([`EngineKind`]) can drive the machine. The reference
-//! *slot* kernel visits every slot boundary; the *event* kernel consumes
-//! maximal runs of provably inert boundaries in a single step, advancing
-//! simulated time in jumps across standby stretches. The skip is gated on
-//! the scheduler's quiescence certificate
+//! Two kernels ([`EngineKind`]) can drive the machine. The default
+//! *event* kernel consumes maximal runs of provably inert slot boundaries
+//! in a single step, advancing simulated time in jumps across standby
+//! stretches. The skip is gated on the scheduler's quiescence certificate
 //! ([`Scheduler::slot_quiescent`](etrain_sched::Scheduler::slot_quiescent))
 //! plus per-boundary checks that nothing observable lands on the skipped
-//! slot, so the two kernels produce bit-for-bit identical outputs,
-//! journals, and oracle ledgers — the differential property the
-//! conformance suite enforces before the slot path can ever be retired.
+//! slot. The *slot* kernel visits every boundary; it stays only as the
+//! differential reference, selected explicitly with
+//! [`Engine::with_kind`]. The two produce bit-for-bit identical outputs,
+//! journals, and oracle ledgers, which the conformance suite enforces.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
@@ -52,15 +51,8 @@ use etrain_trace::heartbeats::Heartbeat;
 use etrain_trace::packets::Packet;
 use serde::{Deserialize, Serialize};
 
-use crate::oracle::{OracleMode, OracleOutcome, OracleViolation};
-
 /// Salt decorrelating retry-jitter draws from the fault plan's loss coins.
 const JITTER_SALT: u64 = 0x6a69_7474_6572_5f75;
-
-/// Environment variable that selects the simulation kernel for binaries
-/// and tests that do not set one programmatically (mirrors
-/// `ETRAIN_ORACLE` and `ETRAIN_OBS`).
-pub const ENGINE_ENV: &str = "ETRAIN_ENGINE";
 
 /// Which kernel advances simulated time inside [`Engine`].
 ///
@@ -72,15 +64,16 @@ pub const ENGINE_ENV: &str = "ETRAIN_ENGINE";
 /// bit-for-bit identical across kinds; only wall-clock time differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Process every slot boundary individually (the reference kernel).
-    #[default]
+    /// Process every slot boundary individually (the differential
+    /// reference the conformance and equivalence suites compare against).
     Slot,
-    /// Batch-skip quiescent slot boundaries (the fast kernel).
+    /// Batch-skip quiescent slot boundaries (the default kernel).
+    #[default]
     Event,
 }
 
-// Serialized as the same lowercase spelling the `ETRAIN_ENGINE` knob and
-// `Display` use, so snapshots and configs read naturally.
+// Serialized as the same lowercase spelling `Display` uses, so snapshots
+// and configs read naturally.
 impl Serialize for EngineKind {
     fn to_value(&self) -> serde::Value {
         serde::Value::String(self.to_string())
@@ -102,51 +95,15 @@ impl Deserialize for EngineKind {
     }
 }
 
-impl EngineKind {
-    /// Strict [`ENGINE_ENV`] reader: `Ok(Slot)` when unset or empty, the
-    /// parsed kind otherwise, and `Err` (with the parse reason) for an
-    /// unrecognized value. Binaries call this so a typo like
-    /// `ETRAIN_ENGINE=evnt` fails fast instead of silently running the
-    /// slot kernel.
-    ///
-    /// # Errors
-    ///
-    /// The parse reason when the variable holds an unknown kind.
-    pub fn try_from_env() -> Result<Self, String> {
-        match std::env::var(ENGINE_ENV) {
-            Err(_) => Ok(EngineKind::Slot),
-            Ok(raw) if raw.trim().is_empty() => Ok(EngineKind::Slot),
-            Ok(raw) => raw.parse(),
-        }
-    }
-
-    /// Reads the kind from the [`ENGINE_ENV`] environment variable.
-    ///
-    /// Unset, empty, or unparseable values fall back to
-    /// [`EngineKind::Slot`] so that stray environment state can never
-    /// change results — but an unparseable value warns once on stderr
-    /// rather than being swallowed silently (library contexts cannot fail
-    /// fast; binaries use [`EngineKind::try_from_env`]).
-    pub fn from_env() -> Self {
-        EngineKind::try_from_env().unwrap_or_else(|reason| {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!("warning: ignoring {reason}; using the slot kernel");
-            });
-            EngineKind::Slot
-        })
-    }
-}
-
 impl std::str::FromStr for EngineKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "slot" | "0" | "false" | "off" => Ok(EngineKind::Slot),
-            "event" | "1" | "true" | "on" => Ok(EngineKind::Event),
+            "slot" => Ok(EngineKind::Slot),
+            "event" => Ok(EngineKind::Event),
             other => Err(format!(
-                "unknown {ENGINE_ENV} kernel {other:?} (expected slot or event)"
+                "unknown engine kernel {other:?} (expected slot or event)"
             )),
         }
     }
@@ -463,7 +420,7 @@ impl Fnv {
 /// (returning `false` once no event at or before the horizon remains);
 /// [`Engine::finish`] performs the horizon finalization and produces the
 /// [`EngineOutput`]. [`Engine::run`] drives step-to-exhaustion plus
-/// finish, and is bit-for-bit the behaviour of [`run_engine_journaled`].
+/// finish.
 ///
 /// Between steps the engine can be checkpointed ([`Engine::snapshot`]) and
 /// later rebuilt at the same point ([`Engine::restore`]); see
@@ -571,7 +528,7 @@ impl<'a> Engine<'a> {
             retry,
             journal,
             _span: span,
-            kind: EngineKind::Slot,
+            kind: EngineKind::default(),
             radio,
             slot_s,
             txq: VecDeque::new(),
@@ -596,7 +553,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Selects the kernel that advances simulated time (the default is
-    /// [`EngineKind::Slot`]). Call before the first [`Engine::step`]:
+    /// [`EngineKind::Event`]). Call before the first [`Engine::step`]:
     /// switching kernels mid-run would shift the step boundaries
     /// snapshots are addressed by.
     pub fn with_kind(mut self, kind: EngineKind) -> Self {
@@ -1089,8 +1046,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Steps to exhaustion and finalizes — the batch entry points are thin
-    /// wrappers over this.
+    /// Steps to exhaustion and finalizes: the one batch entry point.
     pub fn run(mut self) -> EngineOutput {
         while self.step() {}
         self.finish()
@@ -1122,8 +1078,8 @@ impl<'a> Engine<'a> {
         f.write_f64(self.last_event_s);
         f.write_f64(self.next_slot_s);
         // The kernel kind participates in the replay coordinate system
-        // (batch boundaries differ across kinds), but only non-default
-        // kinds are tagged so every pre-existing slot-kernel fingerprint
+        // (batch boundaries differ across kinds), but only event-kernel
+        // runs are tagged so every pre-existing slot-kernel fingerprint
         // stays valid.
         if self.kind != EngineKind::Slot {
             f.write_u64(self.kind as u64);
@@ -1282,273 +1238,6 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Everything that varies between the `run_engine*` entry points: fault
-/// injection, retry policy, journaling, oracle auditing, and the kernel
-/// kind. Each thin wrapper fills in its defaults and delegates to
-/// [`run_engine_configured`].
-#[derive(Debug)]
-pub struct EngineOpts<'a> {
-    /// The fault plan ([`FaultPlan::none`] for clean runs).
-    pub plan: &'a FaultPlan,
-    /// Retry policy applied to failed transfers.
-    pub retry: &'a RetryPolicy,
-    /// Optional structured-event journal.
-    pub journal: Option<&'a mut Journal>,
-    /// Oracle audit applied to the finished output.
-    pub oracle: OracleMode,
-    /// The kernel that advances simulated time.
-    pub engine: EngineKind,
-}
-
-/// The single configurable entry point behind every `run_engine*`
-/// wrapper: builds an [`Engine`] with the requested kernel, drives it to
-/// the horizon, and applies the requested oracle audit to the output.
-///
-/// # Errors
-///
-/// In [`OracleMode::Strict`], the first [`OracleViolation`] the audit
-/// finds. The other modes never fail.
-///
-/// # Panics
-///
-/// Panics as [`Engine::new`] does on invalid inputs.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn run_engine_configured(
-    scheduler: &mut dyn Scheduler,
-    packets: &[Packet],
-    heartbeats: &[Heartbeat],
-    bandwidth: &BandwidthTrace,
-    radio_params: &RadioParams,
-    horizon_s: f64,
-    opts: EngineOpts<'_>,
-) -> Result<(EngineOutput, Option<OracleOutcome>), OracleViolation> {
-    let output = Engine::new(
-        scheduler,
-        packets,
-        heartbeats,
-        bandwidth,
-        radio_params,
-        horizon_s,
-        opts.plan,
-        opts.retry,
-        opts.journal,
-    )
-    .with_kind(opts.engine)
-    .run();
-    if !opts.oracle.is_enabled() {
-        return Ok((output, None));
-    }
-    let mut outcome = crate::oracle::audit_engine(&output, packets, heartbeats, opts.plan);
-    outcome.mode = opts.oracle;
-    crate::oracle::record_outcome(&outcome);
-    if opts.oracle == OracleMode::Strict {
-        if let Some(first) = outcome.violations.first() {
-            return Err(first.clone());
-        }
-    }
-    Ok((output, Some(outcome)))
-}
-
-/// Runs one simulation.
-///
-/// `packets` and `heartbeats` must be sorted by time (the generators in
-/// `etrain-trace` produce sorted traces). The run covers `[0, horizon_s]`;
-/// tail energy accrued after the last transmission is truncated at the
-/// horizon, exactly like a power-monitor capture that stops sampling.
-///
-/// The kernel comes from the [`ENGINE_ENV`] environment variable (slot
-/// when unset); both kinds produce identical results.
-///
-/// # Panics
-///
-/// Panics if `horizon_s` is not strictly positive or an input trace is
-/// unsorted.
-pub fn run_engine(
-    scheduler: &mut dyn Scheduler,
-    packets: &[Packet],
-    heartbeats: &[Heartbeat],
-    bandwidth: &BandwidthTrace,
-    radio_params: &RadioParams,
-    horizon_s: f64,
-) -> EngineOutput {
-    run_engine_with_faults(
-        scheduler,
-        packets,
-        heartbeats,
-        bandwidth,
-        radio_params,
-        horizon_s,
-        &FaultPlan::none(),
-        &RetryPolicy::default(),
-    )
-}
-
-/// Runs one simulation under a [`FaultPlan`], with failed transfers retried
-/// per `retry`.
-///
-/// On top of [`run_engine`]'s semantics:
-///
-/// - heartbeats dropped by the plan (or falling in a train-death window)
-///   never depart; during a death window the slot context reports
-///   `trains_alive = false`, so eTrain stops deferring (paper Sec. V-3) and
-///   resumes piggybacking when the window ends;
-/// - outage windows carry zero bits, stretching any overlapping transfer;
-/// - each transfer attempt may be lost per the plan's loss coin. A lost
-///   attempt still burns its radio energy (and fires its tail); the packet
-///   is then either re-queued — after the policy's backoff, through
-///   [`Scheduler::on_tx_failure`], keeping its *original* arrival time so
-///   its delay cost keeps growing — or abandoned (deadline-aware give-up).
-///
-/// `FaultPlan::none()` short-circuits every fault query, making this
-/// bit-for-bit identical to [`run_engine`].
-///
-/// # Panics
-///
-/// Panics as [`run_engine`] does, and if `retry` fails
-/// [`RetryPolicy::validate`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_engine_with_faults(
-    scheduler: &mut dyn Scheduler,
-    packets: &[Packet],
-    heartbeats: &[Heartbeat],
-    bandwidth: &BandwidthTrace,
-    radio_params: &RadioParams,
-    horizon_s: f64,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-) -> EngineOutput {
-    run_engine_journaled(
-        scheduler,
-        packets,
-        heartbeats,
-        bandwidth,
-        radio_params,
-        horizon_s,
-        plan,
-        retry,
-        None,
-    )
-}
-
-/// [`run_engine_with_faults`] with an optional structured-event journal.
-///
-/// With `journal: None` this is the exact code path of
-/// [`run_engine_with_faults`] — no events are allocated and the output is
-/// bit-for-bit identical. With `Some(journal)`, the engine enables event
-/// buffering on the scheduler and records every decision point:
-/// heartbeats firing, tail re-uses at transmission start, piggyback
-/// decisions (drained from the scheduler in causal order), and retry
-/// attempts. RRC transitions are appended later from the audited timeline
-/// by the scenario layer, which also canonicalizes the journal.
-///
-/// Profiling spans (see [`etrain_obs::prof`]) wrap the whole run and each
-/// scheduler call; they are no-ops unless profiling was enabled
-/// process-wide and never influence the output.
-///
-/// # Panics
-///
-/// Panics as [`run_engine_with_faults`] does.
-#[allow(clippy::too_many_arguments)]
-pub fn run_engine_journaled(
-    scheduler: &mut dyn Scheduler,
-    packets: &[Packet],
-    heartbeats: &[Heartbeat],
-    bandwidth: &BandwidthTrace,
-    radio_params: &RadioParams,
-    horizon_s: f64,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-    journal: Option<&mut Journal>,
-) -> EngineOutput {
-    let (output, _) = run_engine_configured(
-        scheduler,
-        packets,
-        heartbeats,
-        bandwidth,
-        radio_params,
-        horizon_s,
-        EngineOpts {
-            plan,
-            retry,
-            journal,
-            oracle: OracleMode::Off,
-            engine: EngineKind::from_env(),
-        },
-    )
-    .expect("the oracle is off, so the audit cannot fail");
-    output
-}
-
-/// [`run_engine`] under a simulation-oracle mode.
-///
-/// - [`OracleMode::Off`] returns the raw output with zero audit overhead;
-/// - [`OracleMode::Record`] audits the output, adds the tallies to
-///   [`oracle::counters`](crate::oracle::counters) and attaches the
-///   [`OracleOutcome`];
-/// - [`OracleMode::Strict`] does the same but turns the first violation
-///   into an error.
-///
-/// # Errors
-///
-/// In `Strict` mode, the first [`OracleViolation`] the audit finds.
-#[allow(clippy::type_complexity)]
-pub fn run_engine_checked(
-    scheduler: &mut dyn Scheduler,
-    packets: &[Packet],
-    heartbeats: &[Heartbeat],
-    bandwidth: &BandwidthTrace,
-    radio_params: &RadioParams,
-    horizon_s: f64,
-    mode: OracleMode,
-) -> Result<(EngineOutput, Option<OracleOutcome>), OracleViolation> {
-    run_engine_with_faults_checked(
-        scheduler,
-        packets,
-        heartbeats,
-        bandwidth,
-        radio_params,
-        horizon_s,
-        &FaultPlan::none(),
-        &RetryPolicy::default(),
-        mode,
-    )
-}
-
-/// [`run_engine_with_faults`] under a simulation-oracle mode; see
-/// [`run_engine_checked`] for the mode semantics.
-///
-/// # Errors
-///
-/// In `Strict` mode, the first [`OracleViolation`] the audit finds.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn run_engine_with_faults_checked(
-    scheduler: &mut dyn Scheduler,
-    packets: &[Packet],
-    heartbeats: &[Heartbeat],
-    bandwidth: &BandwidthTrace,
-    radio_params: &RadioParams,
-    horizon_s: f64,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-    mode: OracleMode,
-) -> Result<(EngineOutput, Option<OracleOutcome>), OracleViolation> {
-    run_engine_configured(
-        scheduler,
-        packets,
-        heartbeats,
-        bandwidth,
-        radio_params,
-        horizon_s,
-        EngineOpts {
-            plan,
-            retry,
-            journal: None,
-            oracle: mode,
-            engine: EngineKind::from_env(),
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1574,11 +1263,58 @@ mod tests {
         AppProfile::paper_trio(60.0)
     }
 
+    /// One engine run to the horizon under a fault plan and retry policy.
+    #[allow(clippy::too_many_arguments)]
+    fn run_faulted(
+        scheduler: &mut dyn Scheduler,
+        packets: &[Packet],
+        heartbeats: &[Heartbeat],
+        bandwidth: &BandwidthTrace,
+        radio_params: &RadioParams,
+        horizon_s: f64,
+        plan: &FaultPlan,
+        retry: &RetryPolicy,
+    ) -> EngineOutput {
+        Engine::new(
+            scheduler,
+            packets,
+            heartbeats,
+            bandwidth,
+            radio_params,
+            horizon_s,
+            plan,
+            retry,
+            None,
+        )
+        .run()
+    }
+
+    /// [`run_faulted`] with no faults and the default retry policy.
+    fn run_clean(
+        scheduler: &mut dyn Scheduler,
+        packets: &[Packet],
+        heartbeats: &[Heartbeat],
+        bandwidth: &BandwidthTrace,
+        radio_params: &RadioParams,
+        horizon_s: f64,
+    ) -> EngineOutput {
+        run_faulted(
+            scheduler,
+            packets,
+            heartbeats,
+            bandwidth,
+            radio_params,
+            horizon_s,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
+        )
+    }
+
     #[test]
     fn baseline_transmits_everything_with_zero_delay() {
         let packets = mk_packets(&[10.0, 50.0, 90.0]);
         let mut sched = BaselineScheduler::new(profiles());
-        let out = run_engine(
+        let out = run_clean(
             &mut sched,
             &packets,
             &[],
@@ -1608,7 +1344,7 @@ mod tests {
             },
             profiles(),
         );
-        let out = run_engine(
+        let out = run_clean(
             &mut sched,
             &packets,
             &heartbeats,
@@ -1631,7 +1367,7 @@ mod tests {
         let radio = RadioParams::galaxy_s4_3g();
 
         let mut base = BaselineScheduler::new(profiles());
-        let out_base = run_engine(&mut base, &packets, &heartbeats, &bandwidth, &radio, 3600.0);
+        let out_base = run_clean(&mut base, &packets, &heartbeats, &bandwidth, &radio, 3600.0);
 
         let mut etr = ETrainScheduler::new(
             ETrainConfig {
@@ -1641,7 +1377,7 @@ mod tests {
             },
             profiles(),
         );
-        let out_etr = run_engine(&mut etr, &packets, &heartbeats, &bandwidth, &radio, 3600.0);
+        let out_etr = run_clean(&mut etr, &packets, &heartbeats, &bandwidth, &radio, 3600.0);
 
         let base_total = out_base.transmission_energy_j + out_base.tail_energy_j;
         let etr_total = out_etr.transmission_energy_j + out_etr.tail_energy_j;
@@ -1660,7 +1396,7 @@ mod tests {
         let packets = workload.generate(1800.0, 3);
         let heartbeats = synthesize(&TrainAppSpec::paper_trio(), 1800.0, 3);
         let mut sched = ETrainScheduler::new(ETrainConfig::default(), profiles());
-        let out = run_engine(
+        let out = run_clean(
             &mut sched,
             &packets,
             &heartbeats,
@@ -1684,7 +1420,7 @@ mod tests {
     fn no_packets_no_energy_above_heartbeats() {
         let heartbeats = synthesize(&[TrainAppSpec::qq()], 3600.0, 1);
         let mut sched = BaselineScheduler::new(profiles());
-        let out = run_engine(
+        let out = run_clean(
             &mut sched,
             &[],
             &heartbeats,
@@ -1713,7 +1449,7 @@ mod tests {
             size_bytes: 10_000_000,
         }];
         let mut sched = BaselineScheduler::new(profiles());
-        let out = run_engine(
+        let out = run_clean(
             &mut sched,
             &packets,
             &[],
@@ -1737,7 +1473,7 @@ mod tests {
             .unwrap();
         let packets = mk_packets(&[10.0]);
         let mut sched = BaselineScheduler::new(profiles());
-        let out = run_engine(
+        let out = run_clean(
             &mut sched,
             &packets,
             &[],
@@ -1765,7 +1501,7 @@ mod tests {
             .unwrap();
         let packets = mk_packets(&[10.0, 12.0]);
         let mut sched = BaselineScheduler::new(profiles());
-        let out = run_engine(
+        let out = run_clean(
             &mut sched,
             &packets,
             &[],
@@ -1788,7 +1524,7 @@ mod tests {
         let packets = workload.generate(1200.0, 9);
         let heartbeats = synthesize(&TrainAppSpec::paper_trio(), 1200.0, 9);
         let mut sched = ETrainScheduler::new(ETrainConfig::default(), profiles());
-        let out = run_engine(
+        let out = run_clean(
             &mut sched,
             &packets,
             &heartbeats,
@@ -1823,7 +1559,7 @@ mod tests {
             }
         };
         let mut sched = BaselineScheduler::new(profiles());
-        let out = run_engine_with_faults(
+        let out = run_faulted(
             &mut sched,
             &packets,
             &[],
@@ -1864,7 +1600,7 @@ mod tests {
             .with_outage(200.0, 400.0)
             .with_train_death(900.0, 1200.0);
         let mut sched = ETrainScheduler::new(ETrainConfig::default(), profiles());
-        let out = run_engine_with_faults(
+        let out = run_faulted(
             &mut sched,
             &packets,
             &heartbeats,
@@ -1901,7 +1637,7 @@ mod tests {
     #[should_panic(expected = "invalid retry policy")]
     fn invalid_retry_policy_rejected() {
         let mut sched = BaselineScheduler::new(profiles());
-        let _ = run_engine_with_faults(
+        let _ = run_faulted(
             &mut sched,
             &[],
             &[],
@@ -1921,7 +1657,7 @@ mod tests {
     fn unsorted_packets_rejected() {
         let packets = mk_packets(&[50.0, 10.0]);
         let mut sched = BaselineScheduler::new(profiles());
-        let _ = run_engine(
+        let _ = run_clean(
             &mut sched,
             &packets,
             &[],
@@ -1986,7 +1722,7 @@ mod tests {
     fn stepwise_engine_matches_batch_run() {
         let inputs = faulted_inputs();
         let mut s1 = sched();
-        let batch = run_engine_with_faults(
+        let batch = run_faulted(
             &mut s1,
             &inputs.packets,
             &inputs.heartbeats,
@@ -2017,7 +1753,7 @@ mod tests {
     fn snapshot_restore_resumes_bit_for_bit() {
         let inputs = faulted_inputs();
         let mut s1 = sched();
-        let full = run_engine_with_faults(
+        let full = run_faulted(
             &mut s1,
             &inputs.packets,
             &inputs.heartbeats,
@@ -2144,18 +1880,34 @@ mod tests {
     // ---- event kernel ----
 
     #[test]
-    fn engine_kind_parses_all_spellings() {
+    fn engine_kind_parses_its_two_names() {
         assert_eq!("slot".parse::<EngineKind>().unwrap(), EngineKind::Slot);
         assert_eq!("Event".parse::<EngineKind>().unwrap(), EngineKind::Event);
         assert_eq!(" EVENT ".parse::<EngineKind>().unwrap(), EngineKind::Event);
-        assert_eq!("off".parse::<EngineKind>().unwrap(), EngineKind::Slot);
-        assert_eq!("on".parse::<EngineKind>().unwrap(), EngineKind::Event);
-        assert!("slots".parse::<EngineKind>().is_err());
+        for junk in ["slots", "on", "off", "1", "0", "true"] {
+            assert!(junk.parse::<EngineKind>().is_err(), "{junk:?}");
+        }
     }
 
     #[test]
-    fn engine_kind_default_is_slot() {
-        assert_eq!(EngineKind::default(), EngineKind::Slot);
+    fn engine_kind_default_is_event() {
+        assert_eq!(EngineKind::default(), EngineKind::Event);
+        let mut sched = BaselineScheduler::new(profiles());
+        let (plan, retry) = (FaultPlan::none(), RetryPolicy::default());
+        let bandwidth = BandwidthTrace::constant(1e6);
+        let radio = RadioParams::galaxy_s4_3g();
+        let engine = Engine::new(
+            &mut sched,
+            &[],
+            &[],
+            &bandwidth,
+            &radio,
+            10.0,
+            &plan,
+            &retry,
+            None,
+        );
+        assert_eq!(engine.kind(), EngineKind::Event);
     }
 
     #[test]

@@ -57,10 +57,8 @@ pub mod sweep;
 
 pub use compare::Comparison;
 pub use engine::{
-    run_engine, run_engine_checked, run_engine_configured, run_engine_journaled,
-    run_engine_with_faults, run_engine_with_faults_checked, AbandonedPacket, CompletedPacket,
-    Engine, EngineKind, EngineOpts, EngineOutput, EngineSnapshot, SnapshotError, ENGINE_ENV,
-    SNAPSHOT_VERSION,
+    AbandonedPacket, CompletedPacket, Engine, EngineKind, EngineOutput, EngineSnapshot,
+    SnapshotError, SNAPSHOT_VERSION,
 };
 pub use fuzz::{conformance_kinds, CasePlan, TrainSet};
 pub use metrics::{AppReport, RunReport};

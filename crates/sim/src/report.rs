@@ -132,7 +132,7 @@ impl fmt::Display for Table {
 }
 
 /// Formats a float with the given number of decimal places (helper for
-/// experiment binaries).
+/// experiment tables).
 pub fn fmt_f(value: f64, decimals: usize) -> String {
     format!("{value:.decimals$}")
 }

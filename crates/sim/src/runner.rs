@@ -161,9 +161,9 @@ impl std::error::Error for RunError {
     }
 }
 
-/// One journaled job's reassembly slot: unfilled, or the job's report
-/// plus its (optional) journal, or its failure.
-type JournaledSlot = Option<Result<(RunReport, Option<Journal>), JobError>>;
+/// What one grid job produces: its report plus, when the job's scenario
+/// has observability on, its journal.
+type JobOutput = (RunReport, Option<Journal>);
 
 /// A job failure before attribution to a grid index.
 #[derive(Debug)]
@@ -437,15 +437,6 @@ impl RunGrid {
         self
     }
 
-    /// Builder: sets the simulation kernel on every job in the grid (see
-    /// [`Scenario::engine`]). Apply after all specs are pushed.
-    pub fn engine(mut self, kind: crate::engine::EngineKind) -> Self {
-        for spec in &mut self.specs {
-            spec.scenario = spec.scenario.clone().engine(kind);
-        }
-        self
-    }
-
     /// Number of jobs in the grid.
     pub fn len(&self) -> usize {
         self.specs.len()
@@ -492,51 +483,14 @@ impl RunGrid {
     /// # Errors
     ///
     /// Returns the first (by job index) scenario-validation failure or
-    /// isolated job panic.
+    /// isolated job panic. Every other job still ran to completion first.
     pub fn try_run(&self) -> Result<Vec<RunReport>, RunError> {
-        self.try_run_with_cache(&TraceCache::new())
+        let outputs = self.run_all(&TraceCache::new())?;
+        Ok(outputs.into_iter().map(|(report, _)| report).collect())
     }
 
-    /// [`RunGrid::try_run`] against a caller-owned trace cache, so
-    /// several grids over the same workloads (e.g. the per-figure
-    /// experiments of one bench invocation) share synthesis.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (by job index) failure — a validation error or
-    /// an isolated panic. Every other job still ran to completion first.
-    pub fn try_run_with_cache(&self, cache: &TraceCache) -> Result<Vec<RunReport>, RunError> {
-        let mut slots: Vec<Option<Result<RunReport, JobError>>> =
-            (0..self.specs.len()).map(|_| None).collect();
-        let todo: Vec<usize> = (0..self.specs.len()).collect();
-        self.execute(cache, &todo, run_one_isolated, |index, outcome| {
-            slots[index] = Some(outcome)
-        });
-        let mut reports = Vec::with_capacity(slots.len());
-        for (index, slot) in slots.into_iter().enumerate() {
-            match slot.expect("every job reports exactly once") {
-                Ok(report) => reports.push(report),
-                Err(error) => {
-                    return Err(error.into_run_error(index, self.specs[index].label.clone()))
-                }
-            }
-        }
-        Ok(reports)
-    }
-
-    /// Runs every job and additionally returns the grid's merged event
-    /// journal (see [`RunGrid::try_run_journaled`] for the fallible form).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job fails validation or panics itself.
-    pub fn run_journaled(&self) -> (Vec<RunReport>, Journal) {
-        self.try_run_journaled().expect("invalid grid job")
-    }
-
-    /// Fallible [`RunGrid::run_journaled`]: runs every job via
-    /// [`Scenario::try_run_journaled_on`] and merges the per-run journals
-    /// with [`Journal::merge`].
+    /// [`RunGrid::try_run`] that additionally returns the grid's merged
+    /// event journal, built with [`Journal::merge`].
     ///
     /// The merge is **deterministic**: per-run journals are collected into
     /// job-index slots (not completion order) and concatenated in index
@@ -548,44 +502,31 @@ impl RunGrid {
     ///
     /// # Errors
     ///
-    /// Returns the first (by job index) scenario-validation failure or
-    /// isolated job panic.
+    /// Returns what [`RunGrid::try_run`] returns.
     pub fn try_run_journaled(&self) -> Result<(Vec<RunReport>, Journal), RunError> {
-        self.try_run_journaled_with_cache(&TraceCache::new())
+        let (reports, journals): (Vec<RunReport>, Vec<Journal>) = self
+            .run_all(&TraceCache::new())?
+            .into_iter()
+            .map(|(report, journal)| (report, journal.unwrap_or_default()))
+            .unzip();
+        Ok((reports, Journal::merge(journals)))
     }
 
-    /// [`RunGrid::try_run_journaled`] against a caller-owned trace cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (by job index) failure — a validation error or
-    /// an isolated panic. Every other job still ran to completion first.
-    pub fn try_run_journaled_with_cache(
-        &self,
-        cache: &TraceCache,
-    ) -> Result<(Vec<RunReport>, Journal), RunError> {
-        let mut slots: Vec<JournaledSlot> = (0..self.specs.len()).map(|_| None).collect();
+    /// Runs every job against `cache` and reassembles the outputs in
+    /// job-index order, failing with the lowest-index failure.
+    fn run_all(&self, cache: &TraceCache) -> Result<Vec<JobOutput>, RunError> {
+        let mut slots: Vec<Option<Result<JobOutput, JobError>>> =
+            (0..self.specs.len()).map(|_| None).collect();
         let todo: Vec<usize> = (0..self.specs.len()).collect();
-        self.execute(
-            cache,
-            &todo,
-            run_one_journaled_isolated,
-            |index, outcome| slots[index] = Some(outcome),
-        );
-        let mut reports = Vec::with_capacity(slots.len());
-        let mut journals = Vec::with_capacity(slots.len());
-        for (index, slot) in slots.into_iter().enumerate() {
-            match slot.expect("every job reports exactly once") {
-                Ok((report, journal)) => {
-                    reports.push(report);
-                    journals.push(journal.unwrap_or_default());
-                }
-                Err(error) => {
-                    return Err(error.into_run_error(index, self.specs[index].label.clone()))
-                }
-            }
-        }
-        Ok((reports, Journal::merge(journals)))
+        self.execute(cache, &todo, |index, outcome| slots[index] = Some(outcome));
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(index, slot)| {
+                slot.expect("every job reports exactly once")
+                    .map_err(|error| error.into_run_error(index, self.specs[index].label.clone()))
+            })
+            .collect()
     }
 
     /// A deterministic identity for the grid's *shape*: job count plus
@@ -679,55 +620,43 @@ impl RunGrid {
         let cache = TraceCache::new();
         let mut errors = Vec::new();
         let mut fresh = 0usize;
-        self.execute(
-            &cache,
-            &todo,
-            run_one_isolated,
-            |index, outcome| match outcome {
-                Ok(report) => {
-                    checkpoint.slots[index] = Some(report);
-                    if let Some(partials) = checkpoint.partials.as_mut() {
-                        partials[index] = None;
-                    }
-                    fresh += 1;
-                    if fresh.is_multiple_of(every) {
-                        persist(&checkpoint);
-                    }
+        self.execute(&cache, &todo, |index, outcome| match outcome {
+            Ok((report, _)) => {
+                checkpoint.slots[index] = Some(report);
+                if let Some(partials) = checkpoint.partials.as_mut() {
+                    partials[index] = None;
                 }
-                Err(error) => {
-                    errors.push(error.into_run_error(index, self.specs[index].label.clone()));
+                fresh += 1;
+                if fresh.is_multiple_of(every) {
+                    persist(&checkpoint);
                 }
-            },
-        );
+            }
+            Err(error) => {
+                errors.push(error.into_run_error(index, self.specs[index].label.clone()));
+            }
+        });
         errors.sort_by_key(RunError::index);
         persist(&checkpoint);
         Ok((checkpoint, errors))
     }
 
-    /// Shared execution path: runs `run` on the jobs at `todo`, invoking
-    /// `on_result` on the calling thread as each job completes (out of
-    /// index order under the pool — callers that need order re-assemble by
-    /// index). `run` must be panic-isolating (see [`run_one_isolated`]);
-    /// it is a plain `fn` pointer so worker threads can share it freely.
-    fn execute<T, F>(
-        &self,
-        cache: &TraceCache,
-        todo: &[usize],
-        run: fn(&RunSpec, &TraceCache) -> Result<T, JobError>,
-        mut on_result: F,
-    ) where
-        T: Send,
-        F: FnMut(usize, Result<T, JobError>),
+    /// Shared execution path: runs [`run_job`] on the jobs at `todo`,
+    /// invoking `on_result` on the calling thread as each job completes
+    /// (out of index order under the pool — callers that need order
+    /// re-assemble by index).
+    fn execute<F>(&self, cache: &TraceCache, todo: &[usize], mut on_result: F)
+    where
+        F: FnMut(usize, Result<JobOutput, JobError>),
     {
         let workers = self.effective_jobs().min(todo.len().max(1));
         if workers <= 1 || todo.len() <= 1 {
             for &index in todo {
-                on_result(index, run(&self.specs[index], cache));
+                on_result(index, run_job(&self.specs[index], cache));
             }
             return;
         }
         let (job_tx, job_rx) = channel::unbounded::<(usize, &RunSpec)>();
-        let (result_tx, result_rx) = channel::unbounded::<(usize, Result<T, JobError>)>();
+        let (result_tx, result_rx) = channel::unbounded::<(usize, Result<JobOutput, JobError>)>();
         for &index in todo {
             job_tx
                 .send((index, &self.specs[index]))
@@ -741,7 +670,7 @@ impl RunGrid {
                 let result_tx = result_tx.clone();
                 scope.spawn(move || {
                     while let Ok((index, spec)) = job_rx.recv() {
-                        if result_tx.send((index, run(spec, cache))).is_err() {
+                        if result_tx.send((index, run_job(spec, cache))).is_err() {
                             return;
                         }
                     }
@@ -765,53 +694,26 @@ impl Default for RunGrid {
     }
 }
 
-fn run_one(spec: &RunSpec, cache: &TraceCache) -> Result<RunReport, ScenarioError> {
-    spec.scenario.validate()?;
-    let traces = cache.get_or_generate(&spec.scenario);
-    spec.scenario
-        .try_run_with_output_on(&traces)
-        .map(|(report, _)| report)
-}
-
-/// [`run_one`] with panic isolation: an unwinding job becomes
-/// [`JobError::Panicked`] instead of tearing down the worker (and, under
-/// `std::thread::scope`, the whole grid). `AssertUnwindSafe` is sound
-/// here because a panicking job's only shared state is the [`TraceCache`],
-/// which is itself poison-tolerant and only ever holds fully generated
-/// bundles.
-fn run_one_isolated(spec: &RunSpec, cache: &TraceCache) -> Result<RunReport, JobError> {
-    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_one(spec, cache)));
+/// Runs one job through [`Scenario::try_run_journaled_on`] on traces from
+/// the shared cache, validating first so an invalid scenario never reaches
+/// trace synthesis.
+///
+/// An unwinding job becomes [`JobError::Panicked`] instead of tearing down
+/// the worker (and, under `std::thread::scope`, the whole grid).
+/// `AssertUnwindSafe` is sound here because a panicking job's only shared
+/// state is the [`TraceCache`], which is itself poison-tolerant and only
+/// ever holds fully generated bundles.
+fn run_job(spec: &RunSpec, cache: &TraceCache) -> Result<JobOutput, JobError> {
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+        || -> Result<JobOutput, ScenarioError> {
+            spec.scenario.validate()?;
+            let traces = cache.get_or_generate(&spec.scenario);
+            let (report, _, journal) = spec.scenario.try_run_journaled_on(&traces)?;
+            Ok((report, journal))
+        },
+    ));
     match unwound {
-        Ok(Ok(report)) => Ok(report),
-        Ok(Err(error)) => Err(JobError::Scenario(error)),
-        Err(payload) => Err(JobError::Panicked(panic_payload_string(payload.as_ref()))),
-    }
-}
-
-/// [`run_one`] through the journaled scenario path, keeping the per-run
-/// journal (`None` when the job's scenario has observability off).
-fn run_one_journaled(
-    spec: &RunSpec,
-    cache: &TraceCache,
-) -> Result<(RunReport, Option<Journal>), ScenarioError> {
-    spec.scenario.validate()?;
-    let traces = cache.get_or_generate(&spec.scenario);
-    spec.scenario
-        .try_run_journaled_on(&traces)
-        .map(|(report, _, journal)| (report, journal))
-}
-
-/// [`run_one_journaled`] with the same panic isolation as
-/// [`run_one_isolated`].
-fn run_one_journaled_isolated(
-    spec: &RunSpec,
-    cache: &TraceCache,
-) -> Result<(RunReport, Option<Journal>), JobError> {
-    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_one_journaled(spec, cache)
-    }));
-    match unwound {
-        Ok(Ok(result)) => Ok(result),
+        Ok(Ok(output)) => Ok(output),
         Ok(Err(error)) => Err(JobError::Scenario(error)),
         Err(payload) => Err(JobError::Panicked(panic_payload_string(payload.as_ref()))),
     }
@@ -917,7 +819,7 @@ mod tests {
     fn grid_over_one_seed_generates_traces_once() {
         let cache = TraceCache::new();
         let grid = theta_grid(2);
-        grid.try_run_with_cache(&cache).unwrap();
+        grid.run_all(&cache).unwrap();
         assert_eq!(cache.len(), 1, "same workload+seed must share one bundle");
     }
 
@@ -927,7 +829,7 @@ mod tests {
         let base = Scenario::paper_default().duration_secs(600);
         RunGrid::over_seeds(&base, &[1, 2, 3])
             .jobs(2)
-            .try_run_with_cache(&cache)
+            .run_all(&cache)
             .unwrap();
         assert_eq!(cache.len(), 3);
     }

@@ -256,7 +256,7 @@ pub enum BandwidthSource {
 ///
 /// Produced by [`Scenario::generate_traces`] and cached across a grid by
 /// the runner's trace cache (see [`crate::runner::TraceCache`]); consumed
-/// by [`Scenario::try_run_with_output_on`].
+/// by [`Scenario::try_run_journaled_on`].
 #[derive(Debug, Clone)]
 pub struct TraceBundle {
     /// Cargo packet arrivals, in arrival order.
@@ -328,8 +328,8 @@ impl Scenario {
             retry: RetryPolicy::default(),
             oracle: OracleMode::from_env(),
             obs: ObsMode::from_env(),
-            engine: EngineKind::from_env(),
-            reference_cost: etrain_sched::reference_cost_from_env(),
+            engine: EngineKind::default(),
+            reference_cost: false,
         }
     }
 
@@ -444,7 +444,7 @@ impl Scenario {
     /// environment variable ([`ObsMode::from_env`], default `Off`); this
     /// builder overrides it. With observability off the run takes the
     /// exact bit-for-bit code path it always did; any enabled mode makes
-    /// [`Scenario::try_run_journaled`] return a structured event journal
+    /// [`Scenario::try_run_journaled_on`] return a structured event journal
     /// and fills [`RunReport::metrics`](crate::RunReport::metrics).
     ///
     /// # Examples
@@ -452,11 +452,12 @@ impl Scenario {
     /// ```
     /// use etrain_sim::{ObsMode, Scenario};
     ///
-    /// let (report, _output, journal) = Scenario::paper_default()
+    /// let scenario = Scenario::paper_default()
     ///     .duration_secs(600)
     ///     .obs(ObsMode::Jsonl)
-    ///     .seed(1)
-    ///     .try_run_journaled()
+    ///     .seed(1);
+    /// let (report, _output, journal) = scenario
+    ///     .try_run_journaled_on(&scenario.generate_traces())
     ///     .expect("valid scenario");
     /// let journal = journal.expect("journaling was enabled");
     /// assert!(!journal.is_empty());
@@ -473,12 +474,12 @@ impl Scenario {
     }
 
     /// Sets the simulation kernel for this scenario's runs.
-    /// [`Scenario::paper_default`] starts from the `ETRAIN_ENGINE`
-    /// environment variable ([`EngineKind::from_env`], default `Slot`);
-    /// this builder overrides it. Both kernels produce bit-for-bit
-    /// identical reports, journals and oracle ledgers; the event kernel
-    /// merely skips quiescent slot boundaries in bulk, so sparse standby
-    /// scenarios run much faster.
+    /// [`Scenario::paper_default`] uses [`EngineKind::Event`];
+    /// [`EngineKind::Slot`] is the differential reference the conformance
+    /// and equivalence suites select here. Both kernels produce
+    /// bit-for-bit identical reports, journals and oracle ledgers; the
+    /// event kernel merely skips quiescent slot boundaries in bulk, so
+    /// sparse standby scenarios run much faster.
     pub fn engine(mut self, kind: EngineKind) -> Self {
         self.engine = kind;
         self
@@ -491,12 +492,10 @@ impl Scenario {
 
     /// Makes the eTrain scheduler use its retained reference decision path
     /// (full per-slot cost recomputation, allocation-per-decision) instead
-    /// of the cached hot path. [`Scenario::paper_default`] starts from the
-    /// `ETRAIN_REFERENCE_COST` environment variable
-    /// ([`etrain_sched::reference_cost_from_env`], default off); this
-    /// builder overrides it. Both paths are bit-for-bit equivalent — the
-    /// reference path exists as an escape hatch and as the ground truth the
-    /// equivalence test suite compares the hot path against.
+    /// of the cached hot path. [`Scenario::paper_default`] uses the cached
+    /// path. Both paths are bit-for-bit equivalent; the reference path is
+    /// the ground truth the equivalence test suite compares the hot path
+    /// against.
     pub fn reference_cost(mut self, reference: bool) -> Self {
         self.reference_cost = reference;
         self
@@ -574,38 +573,16 @@ impl Scenario {
         self.try_run().expect("invalid scenario")
     }
 
-    /// Runs the scenario and returns both the metrics report and the raw
-    /// engine output (per-packet completions, the transmission log, the
-    /// reconstructable power trace) for deeper analysis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Scenario::validate`] fails or an explicit packet trace
-    /// references an app index outside the registered profiles.
-    pub fn run_with_output(&self) -> (RunReport, crate::engine::EngineOutput) {
-        self.try_run_with_output().expect("invalid scenario")
-    }
-
-    /// Fallible [`Scenario::run`]: validates first, then runs.
+    /// Fallible [`Scenario::run`]: validates first, then generates the
+    /// traces and runs [`Scenario::try_run_journaled_on`] on them.
     ///
     /// # Errors
     ///
     /// Returns what [`Scenario::validate`] returns.
     pub fn try_run(&self) -> Result<RunReport, ScenarioError> {
-        Ok(self.try_run_with_output()?.0)
-    }
-
-    /// Fallible [`Scenario::run_with_output`]: validates first, then runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns what [`Scenario::validate`] returns.
-    pub fn try_run_with_output(
-        &self,
-    ) -> Result<(RunReport, crate::engine::EngineOutput), ScenarioError> {
         self.validate()?;
-        let traces = self.generate_traces();
-        self.try_run_with_output_on(&traces)
+        let (report, _, _) = self.try_run_journaled_on(&self.generate_traces())?;
+        Ok(report)
     }
 
     /// A key identifying exactly the inputs that [`Scenario::generate_traces`]
@@ -657,48 +634,24 @@ impl Scenario {
         }
     }
 
-    /// Runs the scenario on pre-generated traces (validating first). The
-    /// caller is responsible for passing a bundle generated from a
-    /// scenario with the same [`Scenario::trace_key`]; the runner's trace
-    /// cache upholds this.
-    ///
-    /// # Errors
-    ///
-    /// Returns what [`Scenario::validate`] returns.
-    pub fn try_run_with_output_on(
-        &self,
-        traces: &TraceBundle,
-    ) -> Result<(RunReport, EngineOutput), ScenarioError> {
-        let (report, output, _journal) = self.try_run_journaled_on(traces)?;
-        Ok((report, output))
-    }
-
-    /// Fallible journaled run on self-generated traces: validates,
-    /// generates traces, then calls [`Scenario::try_run_journaled_on`].
-    ///
-    /// # Errors
-    ///
-    /// Returns what [`Scenario::validate`] returns.
-    pub fn try_run_journaled(
-        &self,
-    ) -> Result<(RunReport, EngineOutput, Option<Journal>), ScenarioError> {
-        self.validate()?;
-        let traces = self.generate_traces();
-        self.try_run_journaled_on(&traces)
-    }
-
-    /// Runs the scenario on pre-generated traces and — when the scenario's
-    /// [`ObsMode`] is enabled — additionally returns the run's structured
-    /// event journal and fills [`RunReport::metrics`](crate::RunReport::metrics)
-    /// with a [`MetricsRegistry`] snapshot.
+    /// Runs the scenario on pre-generated traces (validating first) and
+    /// returns the metrics report, the raw engine output (per-packet
+    /// completions, the transmission log, the reconstructable power trace)
+    /// and — when the scenario's [`ObsMode`] is enabled — the run's
+    /// structured event journal, also filling
+    /// [`RunReport::metrics`](crate::RunReport::metrics) with a
+    /// [`MetricsRegistry`] snapshot. The caller is responsible for passing
+    /// a bundle generated from a scenario with the same
+    /// [`Scenario::trace_key`]; [`Scenario::generate_traces`] and the
+    /// runner's trace cache uphold this.
     ///
     /// The journal is canonicalized ((time, seq)-ordered with densely
     /// renumbered sequence numbers), so two runs of the same scenario
     /// produce byte-identical [`Journal::to_jsonl`] output. RRC state
     /// transitions are reconstructed from the run's offline
     /// [`Timeline`] and merged into the event stream. With observability
-    /// off this is exactly [`Scenario::try_run_with_output_on`] plus a
-    /// `None` journal — bit-for-bit, no instrumentation overhead.
+    /// off the journal is `None` and the run carries no instrumentation
+    /// overhead.
     ///
     /// # Errors
     ///
@@ -1198,7 +1151,7 @@ mod tests {
         ] {
             let scenario = base.clone().scheduler(kind);
             let direct = scenario.run();
-            let (shared, _) = scenario.try_run_with_output_on(&traces).unwrap();
+            let (shared, _, _) = scenario.try_run_journaled_on(&traces).unwrap();
             assert_eq!(direct, shared, "bundle run diverged for {kind}");
         }
     }

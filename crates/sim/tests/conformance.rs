@@ -211,8 +211,8 @@ fn reference_run() -> (EngineOutput, Vec<Packet>, Vec<Heartbeat>) {
         .duration_secs(900)
         .seed(7);
     let traces = scenario.generate_traces();
-    let (_, output) = scenario
-        .try_run_with_output_on(&traces)
+    let (_, output, _) = scenario
+        .try_run_journaled_on(&traces)
         .expect("reference scenario is valid");
     (output, traces.packets.to_vec(), traces.heartbeats.to_vec())
 }

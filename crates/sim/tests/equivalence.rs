@@ -5,34 +5,28 @@
 //!
 //! Every seeded scenario runs twice — once on the cached decision path
 //! and once with the retained from-scratch reference recompute
-//! (`Scenario::reference_cost`, the builder form of
-//! `ETRAIN_REFERENCE_COST=1`) — across all five schedulers, both engine
+//! (`Scenario::reference_cost`) — across all five schedulers, both engine
 //! kernels, fault-free and faulty plans, with the strict oracle on and
-//! the structured journal exported. Reports, their serialized JSON, and
-//! the merged journals must match byte for byte.
+//! the structured journal exported. The benchmark grid's paper-default
+//! operating points, overload included, run the same comparison. Reports,
+//! their serialized JSON, and the merged journals must match byte for
+//! byte.
 //!
 //! The quick tier runs in the default test pass; the exhaustive sweep is
 //! `#[ignore]`d and executed by the CI `conformance` job
 //! (`cargo test -q -- --ignored`).
 
 use etrain_sim::oracle::OracleMode;
-use etrain_sim::{conformance_kinds, CasePlan, EngineKind, Journal, ObsMode, Scenario};
+use etrain_sim::{
+    conformance_kinds, CasePlan, EngineKind, Journal, ObsMode, Scenario, SchedulerKind,
+};
 
-/// Deterministic scenario generator, shared with conformance and chaos:
-/// every knob a pure function of the seed, so a failing seed reproduces
-/// exactly.
-fn random_scenario(seed: u64, with_faults: bool) -> Scenario {
-    CasePlan::from_seed(seed, with_faults).scenario()
-}
-
-/// Runs one seeded workload on both decision paths — across every
-/// scheduler and both engine kernels — and demands byte-identical
-/// reports and journals.
-fn assert_decision_paths_equivalent(seed: u64, with_faults: bool) {
-    let base = random_scenario(seed, with_faults)
-        .oracle(OracleMode::Strict)
-        .obs(ObsMode::Jsonl);
-    for kind in conformance_kinds() {
+/// Runs one workload on both decision paths — across every scheduler in
+/// `kinds` and both engine kernels — and demands byte-identical reports
+/// and journals. `input` names the workload in failure messages.
+fn assert_decision_paths_equivalent(input: &str, base: Scenario, kinds: &[SchedulerKind]) {
+    let base = base.oracle(OracleMode::Strict).obs(ObsMode::Jsonl);
+    for &kind in kinds {
         let scenario = base.clone().scheduler(kind);
         let traces = scenario.generate_traces();
         for engine in [EngineKind::Slot, EngineKind::Event] {
@@ -44,8 +38,8 @@ fn assert_decision_paths_equivalent(seed: u64, with_faults: bool) {
                     .try_run_journaled_on(&traces)
                     .unwrap_or_else(|e| {
                         panic!(
-                            "strict run failed (seed {seed}, faults {with_faults}, \
-                             scheduler {kind:?}, engine {engine}, reference {reference}): {e}"
+                            "strict run failed ({input}, scheduler {kind:?}, \
+                             engine {engine}, reference {reference}): {e}"
                         )
                     })
             };
@@ -54,8 +48,7 @@ fn assert_decision_paths_equivalent(seed: u64, with_faults: bool) {
 
             assert_eq!(
                 cached_report, reference_report,
-                "decision paths diverged (seed {seed}, faults {with_faults}, \
-                 scheduler {kind:?}, engine {engine})"
+                "decision paths diverged ({input}, scheduler {kind:?}, engine {engine})"
             );
             // Byte-identical persisted artifacts: the serialized report
             // (what BENCH_repro.json and checkpoints store) and the
@@ -63,14 +56,12 @@ fn assert_decision_paths_equivalent(seed: u64, with_faults: bool) {
             assert_eq!(
                 serde_json::to_string(&cached_report).expect("report serializes"),
                 serde_json::to_string(&reference_report).expect("report serializes"),
-                "serialized reports diverged (seed {seed}, faults {with_faults}, \
-                 scheduler {kind:?}, engine {engine})"
+                "serialized reports diverged ({input}, scheduler {kind:?}, engine {engine})"
             );
             assert_eq!(
                 cached_journal.as_ref().map(Journal::to_jsonl),
                 reference_journal.as_ref().map(Journal::to_jsonl),
-                "journals diverged (seed {seed}, faults {with_faults}, \
-                 scheduler {kind:?}, engine {engine})"
+                "journals diverged ({input}, scheduler {kind:?}, engine {engine})"
             );
             assert!(
                 cached_journal.is_some(),
@@ -80,9 +71,20 @@ fn assert_decision_paths_equivalent(seed: u64, with_faults: bool) {
                 .oracle
                 .as_ref()
                 .expect("strict mode attaches outcome");
-            assert!(outcome.is_clean(), "oracle violations under seed {seed}");
+            assert!(outcome.is_clean(), "oracle violations ({input})");
         }
     }
+}
+
+/// One seeded workload from the generator shared with conformance and
+/// chaos (every knob a pure function of the seed, so a failing seed
+/// reproduces exactly), under all five schedulers.
+fn assert_seed_equivalent(seed: u64, with_faults: bool) {
+    assert_decision_paths_equivalent(
+        &format!("seed {seed}, faults {with_faults}"),
+        CasePlan::from_seed(seed, with_faults).scenario(),
+        &conformance_kinds(),
+    );
 }
 
 /// Quick tier: 4 seeds × {fault-free, faulty} × 5 schedulers × 2 kernels
@@ -90,8 +92,28 @@ fn assert_decision_paths_equivalent(seed: u64, with_faults: bool) {
 #[test]
 fn equivalence_quick_decision_paths_are_interchangeable() {
     for seed in 0..4 {
-        assert_decision_paths_equivalent(seed, false);
-        assert_decision_paths_equivalent(seed, true);
+        assert_seed_equivalent(seed, false);
+        assert_seed_equivalent(seed, true);
+    }
+}
+
+/// The benchmark grid's operating points: paper-default scenarios at the
+/// lightest arrival rate and at the 4× overload rate, under eTrain with
+/// Θ ∈ {0.2, 20} and k ∈ {∞, 20}. Deep overload queues are where the
+/// cached decision path does the most work: 2 rates × 4 schedulers × 2
+/// kernels × 2 decision paths = 32 journaled strict runs.
+#[test]
+fn equivalence_benchmark_grid_points_are_interchangeable() {
+    let kinds: Vec<SchedulerKind> = [0.2, 20.0]
+        .into_iter()
+        .flat_map(|theta| [None, Some(20)].map(|k| SchedulerKind::ETrain { theta, k }))
+        .collect();
+    for lambda in [0.04, 0.32] {
+        assert_decision_paths_equivalent(
+            &format!("paper default, λ {lambda}"),
+            Scenario::paper_default().lambda(lambda),
+            &kinds,
+        );
     }
 }
 
@@ -102,22 +124,17 @@ fn equivalence_quick_decision_paths_are_interchangeable() {
 #[ignore = "exhaustive sweep; run with `cargo test -- --ignored` (CI conformance job)"]
 fn equivalence_full_decision_paths_are_interchangeable() {
     for seed in 0..20 {
-        assert_decision_paths_equivalent(seed, false);
-        assert_decision_paths_equivalent(seed, true);
+        assert_seed_equivalent(seed, false);
+        assert_seed_equivalent(seed, true);
     }
 }
 
-/// The `ETRAIN_REFERENCE_COST` environment knob reaches
-/// `Scenario::paper_default`. Safe to toggle concurrently with the other
-/// tests in this binary: they override the flag per scenario via
-/// `reference_cost(..)`, and the two paths are equivalent anyway — that
-/// is the point of this suite.
+/// `Scenario::paper_default` runs the event kernel on the cached decision
+/// path; the slot kernel and the reference recompute run only when a
+/// caller selects them, as this suite does.
 #[test]
-fn reference_cost_env_reaches_scenario_default() {
-    std::env::set_var(etrain_sched::REFERENCE_COST_ENV, "reference");
-    assert!(Scenario::paper_default().reference_cost_enabled());
-    std::env::set_var(etrain_sched::REFERENCE_COST_ENV, "cached");
-    assert!(!Scenario::paper_default().reference_cost_enabled());
-    std::env::remove_var(etrain_sched::REFERENCE_COST_ENV);
-    assert!(!Scenario::paper_default().reference_cost_enabled());
+fn paper_default_runs_the_event_kernel_on_the_cached_path() {
+    let scenario = Scenario::paper_default();
+    assert_eq!(scenario.engine_kind(), EngineKind::Event);
+    assert!(!scenario.reference_cost_enabled());
 }

@@ -61,28 +61,33 @@ fn merged_journal_tags_records_with_job_indices() {
 fn journaled_run_report_matches_plain_run_modulo_metrics() {
     let scenario = Scenario::paper_default().duration_secs(900).seed(5);
     let plain = scenario.clone().obs(ObsMode::Off).run();
+    let traces = scenario.generate_traces();
     let (mut journaled, _, journal) = scenario
         .clone()
         .obs(ObsMode::Jsonl)
-        .try_run_journaled()
+        .try_run_journaled_on(&traces)
         .unwrap();
     assert!(journal.is_some());
     assert!(journaled.metrics.is_some());
     journaled.metrics = None;
     assert_eq!(plain, journaled, "observability must not perturb results");
     // And with observability off, no journal and no metrics at all.
-    let (report, _, no_journal) = scenario.obs(ObsMode::Off).try_run_journaled().unwrap();
+    let (report, _, no_journal) = scenario
+        .obs(ObsMode::Off)
+        .try_run_journaled_on(&traces)
+        .unwrap();
     assert!(no_journal.is_none());
     assert!(report.metrics.is_none());
 }
 
 #[test]
 fn metrics_energy_gauges_sum_to_the_report_total() {
-    let (report, _, _) = Scenario::paper_default()
+    let scenario = Scenario::paper_default()
         .duration_secs(900)
         .seed(7)
-        .obs(ObsMode::Ring)
-        .try_run_journaled()
+        .obs(ObsMode::Ring);
+    let (report, _, _) = scenario
+        .try_run_journaled_on(&scenario.generate_traces())
         .unwrap();
     let metrics = report.metrics.expect("metrics recorded");
     let total = metrics.energy_total_j().expect("all gauges set");
@@ -108,13 +113,14 @@ proptest! {
         theta in prop_oneof![Just(0.0), Just(0.2), Just(1.0), Just(5.0)],
         lambda in prop_oneof![Just(0.02), Just(0.08), Just(0.2)],
     ) {
-        let (report, _, journal) = Scenario::paper_default()
+        let scenario = Scenario::paper_default()
             .duration_secs(600)
             .seed(seed)
             .lambda(lambda)
             .scheduler(SchedulerKind::ETrain { theta, k: None })
-            .obs(ObsMode::Jsonl)
-            .try_run_journaled()
+            .obs(ObsMode::Jsonl);
+        let (report, _, journal) = scenario
+            .try_run_journaled_on(&scenario.generate_traces())
             .unwrap();
         let metrics = report.metrics.expect("metrics recorded");
         let total = metrics.energy_total_j().expect("all gauges set");

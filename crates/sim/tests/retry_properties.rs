@@ -65,13 +65,15 @@ proptest! {
         retry in arb_retry(),
         seed in 1u64..1000,
     ) {
-        let (report, output) = Scenario::paper_default()
+        let scenario = Scenario::paper_default()
             .duration_secs(900)
             .seed(seed)
             .scheduler(kind)
             .faults(plan)
-            .retry_policy(retry)
-            .run_with_output();
+            .retry_policy(retry);
+        let (report, output, _) = scenario
+            .try_run_journaled_on(&scenario.generate_traces())
+            .expect("valid scenario");
 
         let generated = CargoWorkload::paper_default(0.08).generate(900.0, seed).len();
         prop_assert_eq!(

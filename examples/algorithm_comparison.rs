@@ -46,6 +46,7 @@ fn main() {
     println!("{table}");
     println!(
         "Note: each algorithm's knob shifts its energy-delay point; run\n\
-         `cargo run -p etrain-bench --release --bin fig8a` for full E-D curves."
+         `cargo run -p etrain-bench --release --bin repro_all -- --only fig8a`\n\
+         for full E-D curves."
     );
 }

@@ -10,8 +10,8 @@
 //! etrain compare     [--duration 7200] [--lambda 0.08] [--seed 7]
 //! ```
 //!
-//! The per-figure reproduction binaries live in the `etrain-bench` crate
-//! (`cargo run -p etrain-bench --bin repro_all`).
+//! The per-figure reproductions live in the `etrain-bench` crate
+//! (`cargo run -p etrain-bench --bin repro_all -- --only fig7a`).
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;

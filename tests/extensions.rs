@@ -123,15 +123,17 @@ fn diurnal_day_simulation_is_consistent() {
 
 #[test]
 fn raw_output_exposes_a_power_monitor_view() {
-    let (report, output) = Scenario::paper_default()
+    let scenario = Scenario::paper_default()
         .duration_secs(900)
         .bandwidth(BandwidthSource::Constant(500_000.0))
         .scheduler(SchedulerKind::ETrain {
             theta: 1.0,
             k: None,
         })
-        .seed(5)
-        .run_with_output();
+        .seed(5);
+    let (report, output, _) = scenario
+        .try_run_journaled_on(&scenario.generate_traces())
+        .expect("valid scenario");
     // The sampled power trace integrates to the reported energy.
     let trace = output.power_trace(0.1);
     let sampled_extra = trace.energy_above_j(RadioParams::galaxy_s4_3g().idle_mw());
