@@ -28,8 +28,8 @@ use etrain_chaos::{
 };
 use etrain_sim::{CasePlan, EngineKind, SchedulerKind};
 
-fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    etrain_bench::flag_value(args, flag).map_or(default, |raw| {
+fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    etrain_bench::flag_value(args, flag).map(|raw| {
         raw.parse()
             .unwrap_or_else(|_| panic!("{flag} {raw:?}: expected a number"))
     })
@@ -43,12 +43,11 @@ fn main() {
         std::process::exit(replay(&path));
     }
 
-    let seeds: u64 = numeric_flag(&args, "--seeds", 100);
-    let start_seed: u64 = numeric_flag(&args, "--start-seed", 0);
-    let killres_trials: usize = numeric_flag(&args, "--kill-resume", 100);
+    let seeds: u64 = numeric_flag(&args, "--seeds").unwrap_or(100);
+    let start_seed: u64 = numeric_flag(&args, "--start-seed").unwrap_or(0);
+    let killres_trials: usize = numeric_flag(&args, "--kill-resume").unwrap_or(100);
     let quick = args.iter().any(|a| a == "--quick");
     let self_test = !args.iter().any(|a| a == "--no-self-test");
-    let jobs: usize = numeric_flag(&args, "--jobs", etrain_bench::default_jobs());
     let out_dir =
         etrain_bench::flag_value(&args, "--out").unwrap_or_else(|| "BENCH_chaos_repros".to_owned());
     std::fs::create_dir_all(&out_dir).expect("creating the output directory");
@@ -57,11 +56,12 @@ fn main() {
     let mut report_sections: Vec<String> = Vec::new();
 
     // Tier 1: the campaign.
+    let cases = campaign_cases(start_seed, seeds, quick);
+    let jobs = etrain_sim::resolve_workers(numeric_flag(&args, "--jobs"), cases.len());
     eprintln!(
         "# campaign: {seeds} seeds from {start_seed} on {jobs} worker(s){}",
         if quick { " (quick)" } else { "" }
     );
-    let cases = campaign_cases(start_seed, seeds, quick);
     let campaign = run_campaign(&cases, jobs);
     println!(
         "campaign: {} cases, {} finding(s)",
@@ -100,7 +100,7 @@ fn main() {
                 // Follow the campaign's parity convention so nightly
                 // self-tests exercise both kernels as the start seed
                 // advances.
-                engine: if plan.seed % 2 == 0 {
+                engine: if plan.seed.is_multiple_of(2) {
                     EngineKind::Slot
                 } else {
                     EngineKind::Event

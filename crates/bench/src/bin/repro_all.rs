@@ -81,16 +81,12 @@ fn main() {
     // A partial run must never overwrite the full report or its history.
     let no_json = only.is_some() || args.iter().any(|a| a == "--no-json");
     let csv_dir = etrain_bench::flag_value(&args, "--csv");
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .expect("--jobs needs a positive integer")
-        })
-        .unwrap_or_else(etrain_bench::default_jobs);
+    let jobs = etrain_bench::flag_value(&args, "--jobs").map(|v| {
+        v.parse::<usize>()
+            .ok()
+            .filter(|&n| n > 0)
+            .expect("--jobs needs a positive integer")
+    });
     let json_path =
         etrain_bench::flag_value(&args, "--json").unwrap_or_else(|| "BENCH_repro.json".to_owned());
     let trajectory_label = etrain_bench::flag_value(&args, "--trajectory-label")
@@ -100,6 +96,7 @@ fn main() {
         Some(list) => select(list),
         None => etrain_bench::registry(),
     };
+    let jobs = etrain_sim::resolve_workers(jobs, registry.len());
     eprintln!(
         "# running {} experiments on {} worker(s){}",
         registry.len(),
@@ -107,7 +104,7 @@ fn main() {
         if quick { " (quick mode)" } else { "" }
     );
     let started = Instant::now();
-    let runs = etrain_bench::run_experiments(&registry, quick, jobs);
+    let runs = etrain_bench::run_experiments(&registry, quick, Some(jobs));
     let total_s = started.elapsed().as_secs_f64();
 
     for run in &runs {

@@ -386,64 +386,29 @@ pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
     })
 }
 
-/// The number of workers `repro_all` uses by default: the `ETRAIN_JOBS`
-/// environment variable if set to a positive integer, otherwise the
-/// machine's available parallelism. Binaries run [`validate_env_knobs`]
-/// first, so an unparseable value has already aborted before the lenient
-/// fallback here could matter.
-pub fn default_jobs() -> usize {
-    let raw = std::env::var(etrain_sim::JOBS_ENV).ok();
-    etrain_sim::try_jobs_from_env(raw.as_deref())
-        .unwrap_or(None)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
-
-/// Runs `experiments` across `jobs` workers and returns the finished runs
-/// **in input order**, regardless of which worker finished first — the
-/// same deterministic reassembly the simulator's `RunGrid` uses.
-/// Experiment `run` functions are deterministic, so the output is
-/// bit-for-bit identical to a serial loop.
+/// Runs `experiments` on [`etrain_sim::run_pool`] and returns the finished
+/// runs **in input order**, regardless of which worker finished first —
+/// the same deterministic reassembly the simulator's `RunGrid` uses.
+/// `jobs` overrides the worker count; `None` defers to
+/// [`etrain_sim::resolve_workers`] (`ETRAIN_JOBS`, then the machine's
+/// available parallelism). Experiment `run` functions are deterministic,
+/// so the output is bit-for-bit identical to a serial loop.
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (the experiment itself panicked).
-pub fn run_experiments(experiments: &[Experiment], quick: bool, jobs: usize) -> Vec<ReproRun> {
-    let jobs = jobs.clamp(1, experiments.len().max(1));
+/// Panics if an experiment panics.
+pub fn run_experiments(
+    experiments: &[Experiment],
+    quick: bool,
+    jobs: Option<usize>,
+) -> Vec<ReproRun> {
     let mut slots: Vec<Option<ReproRun>> = (0..experiments.len()).map(|_| None).collect();
-    if jobs <= 1 {
-        for (slot, experiment) in slots.iter_mut().zip(experiments) {
-            *slot = Some(run_timed(experiment, quick));
-        }
-    } else {
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<(usize, &Experiment)>();
-        let (result_tx, result_rx) = crossbeam::channel::unbounded::<(usize, ReproRun)>();
-        for pair in experiments.iter().enumerate() {
-            job_tx.send(pair).expect("receiver alive");
-        }
-        drop(job_tx);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                let job_rx = job_rx.clone();
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((index, experiment)) = job_rx.recv() {
-                        let run = run_timed(experiment, quick);
-                        if result_tx.send((index, run)).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(result_tx);
-        });
-        for (index, run) in result_rx.try_iter() {
-            slots[index] = Some(run);
-        }
-    }
+    etrain_sim::run_pool(
+        experiments,
+        etrain_sim::resolve_workers(jobs, experiments.len()),
+        |experiment| run_timed(experiment, quick),
+        |index, run| slots[index] = Some(run),
+    );
     slots
         .into_iter()
         .map(|slot| slot.expect("every experiment ran"))
@@ -762,8 +727,8 @@ mod tests {
             .iter()
             .map(|name| find(name).expect("registered"))
             .collect();
-        let serial = run_experiments(&cheap, true, 1);
-        let parallel = run_experiments(&cheap, true, 3);
+        let serial = run_experiments(&cheap, true, Some(1));
+        let parallel = run_experiments(&cheap, true, Some(3));
         let names: Vec<&str> = parallel.iter().map(|r| r.record.name.as_str()).collect();
         assert_eq!(names, vec!["fig2", "fig4", "fig6"]);
         for (a, b) in serial.iter().zip(&parallel) {
@@ -777,7 +742,7 @@ mod tests {
     #[test]
     fn json_report_carries_names_and_headlines() {
         let cheap = [find("fig6").expect("registered")];
-        let runs = run_experiments(&cheap, true, 1);
+        let runs = run_experiments(&cheap, true, Some(1));
         let point = trajectory_point(&runs, "test", true);
         let json = repro_report_json(&runs, vec![point]);
         assert!(json.contains("\"fig6\""));
@@ -796,7 +761,7 @@ mod tests {
     #[test]
     fn trajectory_round_trips_and_accumulates() {
         let cheap = [find("fig6").expect("registered")];
-        let runs = run_experiments(&cheap, true, 1);
+        let runs = run_experiments(&cheap, true, Some(1));
         let first = trajectory_point(&runs, "pr-7", true);
         assert_eq!(first.experiments.len(), 1);
         assert_eq!(first.experiments[0].name, "fig6");
@@ -819,11 +784,6 @@ mod tests {
         assert!(load_prior_trajectory("not json at all").is_empty());
         assert!(load_prior_trajectory("").is_empty());
         assert!(load_prior_trajectory("{\"trajectory\": null}").is_empty());
-    }
-
-    #[test]
-    fn default_jobs_is_positive() {
-        assert!(default_jobs() >= 1);
     }
 
     fn wall(name: &str, wall_s: f64) -> ExperimentWall {

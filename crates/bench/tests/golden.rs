@@ -47,7 +47,7 @@ fn current_snapshot() -> Vec<GoldenExperiment> {
             )
         })
         .collect();
-    run_experiments(&registry, true, etrain_bench::default_jobs())
+    run_experiments(&registry, true, None)
         .into_iter()
         .map(|run| GoldenExperiment {
             name: run.record.name,

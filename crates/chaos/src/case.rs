@@ -226,7 +226,7 @@ impl ChaosCase {
         ChaosCase {
             plan: CasePlan::from_seed(seed, seed % 2 == 1),
             kind: kinds[(seed % kinds.len() as u64) as usize],
-            engine: if seed % 2 == 0 {
+            engine: if seed.is_multiple_of(2) {
                 EngineKind::Slot
             } else {
                 EngineKind::Event

@@ -523,13 +523,8 @@ pub fn run_wal_selftest(seed: u64, steps: usize, scratch: &Path) -> Vec<WalSelfT
 
         // Replay the surviving prefix in process and compare.
         let mut reference = ServiceState::new(CoreConfig::default(), SvcHealthConfig::default());
-        let mut replayed = 0u64;
-        for step in &script {
-            if replayed == records_after {
-                break;
-            }
+        for step in script.iter().take(records_after as usize) {
             let _ = reference.apply(&step.command);
-            replayed += 1;
         }
         results.push(WalSelfTest {
             corruption: corruption.to_string(),

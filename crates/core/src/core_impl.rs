@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use etrain_hb::{HeartbeatMonitor, TrainStatus};
-use etrain_obs::{prof, Event, Journal};
+use etrain_obs::{prof, Event, Fnv1a, Journal};
 use etrain_sched::{
     AdmissionConfig, AppProfile, ETrainConfig, ETrainScheduler, RetryDecision, RetryPolicy,
     Scheduler, ShedPolicy, SlotContext,
@@ -889,24 +889,13 @@ impl ETrainCore {
     /// this to prove a replayed core matches the pre-crash one bit for
     /// bit, and checkpoints store it to validate the journal they summarize.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-            // Field separator, so ("ab","c") and ("a","bc") differ.
-            hash ^= 0xff;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        };
+        let mut hash = Fnv1a::new();
         // Plain-data sections serialize infallibly; a serializer error
         // here would be a wiring bug, so degrade to a marker byte rather
         // than panic on the user-reachable path.
         let mut mix_json = |value: &dyn erased_ser::ErasedSerialize| match value.to_json() {
-            Ok(json) => mix(json.as_bytes()),
-            Err(_) => mix(b"<unserializable>"),
+            Ok(json) => hash.field(json.as_bytes()),
+            Err(_) => hash.field(b"<unserializable>"),
         };
         mix_json(&self.config);
         mix_json(&self.profiles);
@@ -952,7 +941,7 @@ impl ETrainCore {
         mix_json(&self.next_packet_id);
         mix_json(&self.next_request_id);
         mix_json(&self.now_s.to_bits());
-        hash
+        hash.finish()
     }
 }
 

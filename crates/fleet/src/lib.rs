@@ -17,9 +17,10 @@
 //!   [`FleetColumns`]: seven dense columns, ~37 bytes/device, instead of
 //!   a million `RunReport`s.
 //! - **Deterministic sharding** — the device range is partitioned
-//!   contiguously, shards run on a scoped worker pool, and outputs are
-//!   reassembled by shard index; the result is bit-for-bit identical to
-//!   a serial run, for any worker count and shard size.
+//!   contiguously, shards run on `etrain_sim::run_pool` (the worker pool
+//!   `RunGrid` uses), and outputs are reassembled by shard index; the
+//!   result is bit-for-bit identical to a serial run, for any worker
+//!   count and shard size.
 //! - **Pure per-device seeding** — every device's class and seed derive
 //!   from `(fleet seed, device index)` alone, so a fleet of N is exactly
 //!   N independent single-device runs (the conformance tier asserts
@@ -27,7 +28,11 @@
 //!
 //! The entry points: [`FleetConfig::paper_default`] describes the run,
 //! [`run_fleet`] executes it, [`FleetResult::snapshot`] turns it into the
-//! serializable population summary behind `BENCH_fleet.json`.
+//! serializable population summary behind `BENCH_fleet.json`. The slow
+//! reference path is a plain `etrain_sim::RunGrid` with one job per device,
+//! `RunSpec::new(label, config.reference_scenario(&config.device_spec(d)))`
+//! ([`FleetConfig::reference_scenario`]); journaling that grid gives the
+//! device-ordered fleet journal.
 //!
 //! # Example
 //!
@@ -48,7 +53,7 @@ pub mod runner;
 
 pub use columns::FleetColumns;
 pub use population::{class_label, device_seed, ClassMix, DeviceSpec, FleetConfig};
-pub use runner::{run_fleet, run_fleet_journaled, run_fleet_reports, FleetResult};
+pub use runner::{run_fleet, FleetResult};
 
 // Re-exported so fleet experiments can be described with this crate alone.
 pub use etrain_obs::{ClassSnapshot, FleetSnapshot, FleetTally};

@@ -21,11 +21,10 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use crossbeam::channel;
-use etrain_obs::{ClassSnapshot, FleetSnapshot, FleetTally, Journal, ObsMode};
+use etrain_obs::{ClassSnapshot, FleetSnapshot, FleetTally};
 use etrain_radio::RadioParams;
 use etrain_sched::RetryPolicy;
-use etrain_sim::{try_jobs_from_env, Engine, Percentiles, RunReport, JOBS_ENV};
+use etrain_sim::{resolve_workers, run_pool, Engine, Percentiles, RunReport};
 use etrain_trace::bandwidth::BandwidthTrace;
 use etrain_trace::faults::FaultPlan;
 use etrain_trace::heartbeats::{synthesize_into, Heartbeat, TrainAppSpec};
@@ -161,25 +160,6 @@ fn shard_ranges(devices: u64, shard_devices: usize) -> Vec<Range<u64>> {
     ranges
 }
 
-/// Resolves the worker count: explicit config override, then a lenient
-/// `ETRAIN_JOBS` read, then the machine's available parallelism — clamped
-/// to the shard count.
-fn effective_workers(config: &FleetConfig, shards: usize) -> usize {
-    let from_env = || match try_jobs_from_env(std::env::var(JOBS_ENV).ok().as_deref()) {
-        Ok(jobs) => jobs,
-        Err(_) => None,
-    };
-    config
-        .jobs
-        .or_else(from_env)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-        .clamp(1, shards.max(1))
-}
-
 /// Runs the whole fleet: shards the device range, executes shards across
 /// worker threads, reassembles columns in shard-index order, and folds
 /// the canonical tally in device order.
@@ -193,39 +173,14 @@ pub fn run_fleet(config: &FleetConfig) -> FleetResult {
     }
     let start = Instant::now();
     let shards = shard_ranges(config.devices, config.shard_devices);
-    let workers = effective_workers(config, shards.len());
+    let workers = resolve_workers(config.jobs, shards.len());
     let mut parts: Vec<Option<FleetColumns>> = shards.iter().map(|_| None).collect();
-    if workers <= 1 || shards.len() <= 1 {
-        for (index, range) in shards.iter().enumerate() {
-            parts[index] = Some(run_shard(config, range.clone()));
-        }
-    } else {
-        let (job_tx, job_rx) = channel::unbounded::<(usize, Range<u64>)>();
-        let (result_tx, result_rx) = channel::unbounded::<(usize, FleetColumns)>();
-        for (index, range) in shards.iter().enumerate() {
-            job_tx
-                .send((index, range.clone()))
-                .expect("job receiver alive");
-        }
-        drop(job_tx);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = job_rx.clone();
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((index, range)) = job_rx.recv() {
-                        if result_tx.send((index, run_shard(config, range))).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(result_tx);
-            for (index, columns) in result_rx.iter() {
-                parts[index] = Some(columns);
-            }
-        });
-    }
+    run_pool(
+        &shards,
+        workers,
+        |range| run_shard(config, range.clone()),
+        |index, columns| parts[index] = Some(columns),
+    );
     let mut columns = FleetColumns::with_capacity(config.devices as usize);
     for part in &mut parts {
         columns.append(part.as_mut().expect("every shard returns columns"));
@@ -246,41 +201,4 @@ pub fn run_fleet(config: &FleetConfig) -> FleetResult {
         wall_s,
         devices_per_s,
     }
-}
-
-/// Runs every device through its full single-device
-/// [`reference_scenario`](FleetConfig::reference_scenario), serially, in
-/// device order — the conformance tier proving a fleet of N is exactly N
-/// independent runs. O(devices) `RunReport`s; use small tiers.
-pub fn run_fleet_reports(config: &FleetConfig) -> Vec<RunReport> {
-    if let Err(reason) = config.validate() {
-        panic!("invalid fleet config: {reason}");
-    }
-    (0..config.devices)
-        .map(|device| config.reference_scenario(&config.device_spec(device)).run())
-        .collect()
-}
-
-/// Like [`run_fleet_reports`] but with per-device journaling on: each
-/// device's scenario records a JSON Lines journal, and the per-device
-/// journals merge deterministically in device order (run `r` in the
-/// merged journal is device `r`). Small tiers only.
-pub fn run_fleet_journaled(config: &FleetConfig) -> (Vec<RunReport>, Journal) {
-    if let Err(reason) = config.validate() {
-        panic!("invalid fleet config: {reason}");
-    }
-    let mut reports = Vec::with_capacity(config.devices as usize);
-    let mut parts = Vec::with_capacity(config.devices as usize);
-    for device in 0..config.devices {
-        let scenario = config
-            .reference_scenario(&config.device_spec(device))
-            .obs(ObsMode::Jsonl);
-        let traces = scenario.generate_traces();
-        let (report, _output, journal) = scenario
-            .try_run_journaled_on(&traces)
-            .expect("validated fleet scenario runs");
-        reports.push(report);
-        parts.push(journal.expect("journal recorded with obs on"));
-    }
-    (reports, Journal::merge(parts))
 }

@@ -5,8 +5,28 @@
 //! Heavy tier (`--ignored`, run by the CI conformance job): the same
 //! serial-vs-sharded identity at 100k devices — the scale the throughput
 //! experiment ships.
+//!
+//! The N independent runs are a plain `RunGrid` with one job per device,
+//! each the device's full single-device reference scenario.
 
-use etrain_fleet::{run_fleet, run_fleet_journaled, run_fleet_reports, ClassMix, FleetConfig};
+use etrain_fleet::{run_fleet, ClassMix, FleetConfig};
+use etrain_obs::ObsMode;
+use etrain_sim::{RunGrid, RunSpec};
+
+/// One grid job per device: the scenario the fleet's direct engine path
+/// must reproduce for that device, in device order.
+fn reference_grid(config: &FleetConfig) -> RunGrid {
+    RunGrid::from_specs(
+        (0..config.devices)
+            .map(|device| {
+                RunSpec::new(
+                    format!("device={device}"),
+                    config.reference_scenario(&config.device_spec(device)),
+                )
+            })
+            .collect(),
+    )
+}
 
 /// Column-by-column bit equality (f64 columns compared through bits so a
 /// NaN disagreement cannot silently pass, as it would under `==`).
@@ -50,12 +70,25 @@ fn serial_and_sharded_fleets_are_bit_identical() {
 
 #[test]
 fn fleet_of_n_equals_n_independent_single_device_runs() {
-    let config = FleetConfig::paper_default(60)
-        .seed(3)
-        .shard_devices(13)
-        .jobs(3);
-    let fleet = run_fleet(&config);
-    let independent = run_fleet_reports(&config);
+    let configs = [
+        FleetConfig::paper_default(60)
+            .seed(3)
+            .shard_devices(13)
+            .jobs(3),
+        FleetConfig::paper_default(40)
+            .seed(5)
+            .mix(ClassMix::uniform())
+            .shard_devices(7)
+            .jobs(2),
+    ];
+    for config in configs {
+        assert_fleet_matches_independent_runs(&config);
+    }
+}
+
+fn assert_fleet_matches_independent_runs(config: &FleetConfig) {
+    let fleet = run_fleet(config);
+    let independent = reference_grid(config).jobs(2).run();
     assert_eq!(fleet.columns.len(), independent.len());
     for (i, report) in independent.iter().enumerate() {
         assert_eq!(
@@ -104,8 +137,16 @@ fn fleet_is_reproducible_across_invocations_and_mixes_matter() {
 #[test]
 fn journaled_fleet_reruns_are_byte_identical() {
     let config = FleetConfig::paper_default(8).seed(2);
-    let (reports_a, journal_a) = run_fleet_journaled(&config);
-    let (reports_b, journal_b) = run_fleet_journaled(&config);
+    // Run `r` of the merged journal is device `r`, for any worker count.
+    let journaled = |jobs: usize| {
+        reference_grid(&config)
+            .obs(ObsMode::Jsonl)
+            .jobs(jobs)
+            .try_run_journaled()
+            .expect("reference scenarios are valid")
+    };
+    let (reports_a, journal_a) = journaled(1);
+    let (reports_b, journal_b) = journaled(3);
     assert_eq!(reports_a, reports_b);
     let jsonl_a = journal_a.to_jsonl();
     assert!(!jsonl_a.is_empty(), "journaled fleet must record events");

@@ -37,6 +37,7 @@
 pub mod durable;
 mod event;
 pub mod fleet;
+mod fnv;
 mod metrics;
 mod mode;
 pub mod prof;
@@ -48,6 +49,7 @@ pub use durable::{
 };
 pub use event::{Event, EventRecord, Journal};
 pub use fleet::{ClassSnapshot, FleetSnapshot, FleetTally};
+pub use fnv::Fnv1a;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use mode::{ObsMode, OBS_ENV};
 pub use recorder::{JsonLinesRecorder, NullRecorder, Recorder, RingRecorder};

@@ -42,7 +42,7 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 
-use etrain_obs::{prof, Event, Journal};
+use etrain_obs::{prof, Event, Fnv1a, Journal};
 use etrain_radio::{PowerTrace, Radio, RadioParams, Timeline, Transmission};
 use etrain_sched::{HealthTransition, RetryDecision, RetryPolicy, Scheduler, SlotContext};
 use etrain_trace::bandwidth::BandwidthTrace;
@@ -386,32 +386,6 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
-
-/// FNV-1a over little-endian field encodings, with every field length
-/// explicit — the same stable cross-process construction the grid
-/// checkpoint fingerprint uses.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// The discrete-event loop as a stepwise state machine.
 ///
@@ -1072,7 +1046,7 @@ impl<'a> Engine<'a> {
     /// counters and queues, terminal records, radio accounting, and the
     /// scheduler's non-consuming observables.
     fn fingerprint(&self) -> u64 {
-        let mut f = Fnv::new();
+        let mut f = Fnv1a::new();
         f.write_u64(self.events_processed);
         f.write_u64(self.steps_run);
         f.write_f64(self.last_event_s);
@@ -1091,7 +1065,7 @@ impl<'a> Engine<'a> {
         f.write_u64(self.retries as u64);
         f.write_f64(self.wasted_retry_energy_j);
 
-        let item = |f: &mut Fnv, item: &TxItem| match item {
+        let item = |f: &mut Fnv1a, item: &TxItem| match item {
             TxItem::Heartbeat(hb) => {
                 f.write_u64(0);
                 f.write_f64(hb.time_s);

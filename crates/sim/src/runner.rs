@@ -2,9 +2,10 @@
 //!
 //! Every experiment layer above the simulator — Θ sweeps, E-D curves,
 //! seed replication, scheduler comparisons, the bench harness — is a grid
-//! of independent [`Scenario`] runs. [`RunGrid`] executes such a grid on a
-//! crossbeam-channel worker pool and guarantees the result is **bit-for-bit
-//! identical** to serial execution:
+//! of independent [`Scenario`] runs. [`RunGrid`] executes such a grid on
+//! [`run_pool`], the scoped worker pool the fleet runner and `repro_all`
+//! share, and guarantees the result is **bit-for-bit identical** to
+//! serial execution:
 //!
 //! - each job is an independent, deterministic function of its
 //!   [`RunSpec`] (the engine holds no global state, and per-run RNG
@@ -15,10 +16,10 @@
 //!   [`Scenario::trace_key`], which never changes what is generated —
 //!   only how often.
 //!
-//! The pool is sized from `std::thread::available_parallelism`, can be
-//! overridden by the `ETRAIN_JOBS` environment variable or the
-//! [`RunGrid::jobs`] builder, and `jobs = 1` degenerates to fully in-line
-//! serial execution (no threads spawned at all).
+//! The pool is sized by [`resolve_workers`]: the [`RunGrid::jobs`]
+//! builder, else the `ETRAIN_JOBS` environment variable, else
+//! `std::thread::available_parallelism`. `jobs = 1` degenerates to fully
+//! in-line serial execution (no threads spawned at all).
 //!
 //! # Robustness
 //!
@@ -31,10 +32,10 @@
 //! fresh run because each job is a pure function of its spec.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
 
-use crossbeam::channel;
-use etrain_obs::{Journal, ObsMode};
+use etrain_obs::{Fnv1a, Journal, ObsMode};
 
 use crate::metrics::RunReport;
 use crate::oracle::OracleMode;
@@ -413,7 +414,7 @@ impl RunGrid {
 
     /// Builder: overrides the worker count (`1` forces in-line serial
     /// execution). Takes precedence over `ETRAIN_JOBS` and the detected
-    /// parallelism; `0` is treated as `1`.
+    /// parallelism (see [`resolve_workers`]); `0` is treated as `1`.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = Some(jobs.max(1));
         self
@@ -450,21 +451,6 @@ impl RunGrid {
     /// The job specs, in job order.
     pub fn specs(&self) -> &[RunSpec] {
         &self.specs
-    }
-
-    /// The worker count this grid will use: the builder override if set,
-    /// else `ETRAIN_JOBS` if parseable, else the machine's available
-    /// parallelism — never more workers than jobs.
-    pub fn effective_jobs(&self) -> usize {
-        let configured = self
-            .jobs
-            .or_else(|| jobs_from_env(std::env::var(JOBS_ENV).ok().as_deref()))
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-        configured.clamp(1, self.specs.len().max(1))
     }
 
     /// Runs every job and returns the reports in job-index order.
@@ -532,30 +518,18 @@ impl RunGrid {
     /// A deterministic identity for the grid's *shape*: job count plus
     /// each job's label, knob, trace key and scheduler. Used to bind a
     /// [`GridCheckpoint`] to the grid it was taken from. (FNV-1a rather
-    /// than [`std::hash::DefaultHasher`] at this layer so the combining
-    /// step is stable across processes — checkpoints outlive the
-    /// process.)
+    /// than [`std::hash::DefaultHasher`], so the value is stable across
+    /// processes — checkpoints outlive the process.)
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-            // Field separator, so ("ab","c") and ("a","bc") differ.
-            hash ^= 0xff;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        };
-        mix(&(self.specs.len() as u64).to_le_bytes());
+        let mut hash = Fnv1a::new();
+        hash.field(&(self.specs.len() as u64).to_le_bytes());
         for spec in &self.specs {
-            mix(spec.label.as_bytes());
-            mix(&spec.knob.unwrap_or(f64::NAN).to_bits().to_le_bytes());
-            mix(&spec.scenario.trace_key().to_le_bytes());
-            mix(spec.scenario.scheduler_kind().to_string().as_bytes());
+            hash.field(spec.label.as_bytes());
+            hash.field(&spec.knob.unwrap_or(f64::NAN).to_bits().to_le_bytes());
+            hash.field(&spec.scenario.trace_key().to_le_bytes());
+            hash.field(spec.scenario.scheduler_kind().to_string().as_bytes());
         }
-        hash
+        hash.finish()
     }
 
     /// Runs the grid with periodic crash-recovery checkpoints.
@@ -640,51 +614,20 @@ impl RunGrid {
         Ok((checkpoint, errors))
     }
 
-    /// Shared execution path: runs [`run_job`] on the jobs at `todo`,
-    /// invoking `on_result` on the calling thread as each job completes
-    /// (out of index order under the pool — callers that need order
-    /// re-assemble by index).
+    /// Shared execution path: runs [`run_job`] on the jobs at `todo` on
+    /// [`run_pool`], invoking `on_result` on the calling thread as each job
+    /// completes (out of index order under the pool — callers that need
+    /// order re-assemble by index).
     fn execute<F>(&self, cache: &TraceCache, todo: &[usize], mut on_result: F)
     where
         F: FnMut(usize, Result<JobOutput, JobError>),
     {
-        let workers = self.effective_jobs().min(todo.len().max(1));
-        if workers <= 1 || todo.len() <= 1 {
-            for &index in todo {
-                on_result(index, run_job(&self.specs[index], cache));
-            }
-            return;
-        }
-        let (job_tx, job_rx) = channel::unbounded::<(usize, &RunSpec)>();
-        let (result_tx, result_rx) = channel::unbounded::<(usize, Result<JobOutput, JobError>)>();
-        for &index in todo {
-            job_tx
-                .send((index, &self.specs[index]))
-                .expect("job receiver alive");
-        }
-        drop(job_tx);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = job_rx.clone();
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((index, spec)) = job_rx.recv() {
-                        if result_tx.send((index, run_job(spec, cache))).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            // Drain on the calling thread *while workers run*, so
-            // `on_result` (and therefore periodic checkpointing) fires
-            // mid-grid, not only after the last job. The iterator ends
-            // when the workers drop their sender clones.
-            drop(result_tx);
-            for (index, outcome) in result_rx.iter() {
-                on_result(index, outcome);
-            }
-        });
+        run_pool(
+            todo,
+            resolve_workers(self.jobs, todo.len()),
+            |&index| run_job(&self.specs[index], cache),
+            |slot, outcome| on_result(todo[slot], outcome),
+        );
     }
 }
 
@@ -733,8 +676,7 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Parses an `ETRAIN_JOBS` value strictly: `Ok(None)` when unset or empty,
 /// `Ok(Some(n))` for a positive integer, and `Err` (with a human-readable
-/// reason) for anything else — including `0`, which would silently mean
-/// "not set" under the old lenient reader.
+/// reason) for anything else, including `0`.
 pub fn try_jobs_from_env(value: Option<&str>) -> Result<Option<usize>, String> {
     let raw = match value {
         None => return Ok(None),
@@ -752,22 +694,86 @@ pub fn try_jobs_from_env(value: Option<&str>) -> Result<Option<usize>, String> {
     }
 }
 
-/// Lenient `ETRAIN_JOBS` reader for library paths: unparseable values fall
-/// back to "not set", but — unlike the old silent fallback — the first bad
-/// value warns once on stderr so a typo like `ETRAIN_JOBS=fuor` doesn't
-/// quietly run on every core. Binaries that want to fail fast call
-/// [`try_jobs_from_env`] instead.
-fn jobs_from_env(value: Option<&str>) -> Option<usize> {
-    match try_jobs_from_env(value) {
-        Ok(jobs) => jobs,
-        Err(reason) => {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!("warning: ignoring {reason}");
-            });
-            None
+/// The worker count for a pool over `items` jobs: `explicit` if given,
+/// else `ETRAIN_JOBS`, else the machine's available parallelism — clamped
+/// to `1..=items`, so no worker ever idles from the start.
+///
+/// An unusable `ETRAIN_JOBS` value is ignored with a one-time warning on
+/// stderr, so a typo like `ETRAIN_JOBS=fuor` doesn't quietly run on every
+/// core. Binaries that want to fail fast check [`try_jobs_from_env`] first.
+pub fn resolve_workers(explicit: Option<usize>, items: usize) -> usize {
+    workers_for(explicit, std::env::var(JOBS_ENV).ok().as_deref(), items)
+}
+
+/// [`resolve_workers`] over an explicit `ETRAIN_JOBS` value.
+fn workers_for(explicit: Option<usize>, env: Option<&str>, items: usize) -> usize {
+    explicit
+        .or_else(|| {
+            try_jobs_from_env(env).unwrap_or_else(|reason| {
+                static WARN_ONCE: std::sync::Once = std::sync::Once::new();
+                WARN_ONCE.call_once(|| eprintln!("warning: ignoring {reason}"));
+                None
+            })
+        })
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
+        .clamp(1, items.max(1))
+}
+
+/// Runs `job` on every item across up to `workers` scoped threads, calling
+/// `on_result(index, result)` on the calling thread as each job finishes.
+///
+/// Workers take items in index order, but results arrive in completion
+/// order, so callers that need index order reassemble by `index`. Because
+/// `on_result` runs while the workers are still busy, a caller can act on
+/// results mid-run (the grid checkpoints this way). With one worker, or at
+/// most one item, every job runs in line, in index order, and no thread is
+/// spawned.
+///
+/// # Panics
+///
+/// Panics if a job panics. In line, the job's panic propagates as is;
+/// under the pool it stops only its worker, the other workers finish the
+/// remaining items, and then the calling thread panics.
+pub fn run_pool<T, R, F, C>(items: &[T], workers: usize, job: F, mut on_result: C)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+    C: FnMut(usize, R),
+{
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        for (index, item) in items.iter().enumerate() {
+            on_result(index, job(item));
         }
+        return;
     }
+    let next = AtomicUsize::new(0);
+    let (result_tx, result_rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let result_tx = result_tx.clone();
+            let (next, job) = (&next, &job);
+            scope.spawn(move || loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(index) else {
+                    return;
+                };
+                if result_tx.send((index, job(item))).is_err() {
+                    return;
+                }
+            });
+        }
+        // The iterator ends when the last worker drops its sender.
+        drop(result_tx);
+        for (index, result) in result_rx {
+            on_result(index, result);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -1062,21 +1068,102 @@ mod tests {
     #[test]
     fn empty_grid_runs_to_empty() {
         assert!(RunGrid::new().run().is_empty());
-        assert_eq!(RunGrid::new().effective_jobs(), 1);
     }
 
     #[test]
-    fn jobs_env_parsing() {
-        assert_eq!(jobs_from_env(None), None);
-        assert_eq!(jobs_from_env(Some("")), None);
-        assert_eq!(jobs_from_env(Some("zero")), None);
-        assert_eq!(jobs_from_env(Some("0")), None);
-        assert_eq!(jobs_from_env(Some("4")), Some(4));
-        assert_eq!(jobs_from_env(Some(" 8 ")), Some(8));
+    fn pool_results_reassemble_in_index_order() {
+        let items: Vec<u64> = (0..50).collect();
+        for workers in [1, 2, 7] {
+            let mut slots = vec![None; items.len()];
+            run_pool(&items, workers, |&x| x * x, |i, r| slots[i] = Some(r));
+            let squares: Vec<u64> = slots.into_iter().map(Option::unwrap).collect();
+            assert_eq!(squares, items.iter().map(|x| x * x).collect::<Vec<_>>());
+        }
     }
 
     #[test]
-    fn strict_jobs_parsing_rejects_what_the_lenient_reader_swallows() {
+    fn pool_reports_each_index_exactly_once_when_jobs_finish_out_of_order() {
+        use std::sync::atomic::AtomicBool;
+        let items: Vec<usize> = (0..12).collect();
+        for workers in [1, 2, 7] {
+            // Under a pool, job 0 holds until another job's result has been
+            // delivered, so results are guaranteed to arrive out of order.
+            let delivered = AtomicBool::new(false);
+            let mut seen = vec![0usize; items.len()];
+            let mut order = Vec::new();
+            run_pool(
+                &items,
+                workers,
+                |&i| {
+                    while i == 0 && workers > 1 && !delivered.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    i * 10
+                },
+                |i, r| {
+                    assert_eq!(r, i * 10, "workers={workers}");
+                    seen[i] += 1;
+                    order.push(i);
+                    delivered.store(true, Ordering::SeqCst);
+                },
+            );
+            assert!(seen.iter().all(|&n| n == 1), "workers={workers}: {seen:?}");
+            let in_order = order.windows(2).all(|w| w[0] < w[1]);
+            assert_eq!(in_order, workers == 1, "workers={workers}: {order:?}");
+        }
+    }
+
+    #[test]
+    fn workers_are_clamped_to_the_item_count() {
+        assert_eq!(resolve_workers(Some(64), 3), 3);
+        assert_eq!(resolve_workers(Some(64), 0), 1);
+        // The pool clamps too: 64 requested workers over 3 items still
+        // run all 3 at once (each job waits for the other two) and return.
+        let items = [0usize, 1, 2];
+        let barrier = std::sync::Barrier::new(items.len());
+        let mut sum = 0;
+        run_pool(
+            &items,
+            64,
+            |&i| {
+                barrier.wait();
+                i
+            },
+            |_, i| sum += i,
+        );
+        assert_eq!(sum, 3);
+        run_pool(&[] as &[u8], 4, |_| unreachable!(), |_, ()| unreachable!());
+    }
+
+    #[test]
+    fn worker_count_resolution_table() {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        // (explicit, ETRAIN_JOBS, items) -> workers
+        let cases: [(Option<usize>, Option<&str>, usize, usize); 12] = [
+            (Some(3), Some("8"), 10, 3), // explicit beats the env
+            (Some(64), None, 4, 4),      // clamped to the item count
+            (Some(0), None, 4, 1),       // never fewer than one
+            (Some(5), None, 0, 1),       // empty grids get one
+            (None, Some("4"), 10, 4),    // env when no override
+            (None, Some(" 8 "), 10, 8),  // env is trimmed
+            (None, Some("16"), 2, 2),    // env clamped too
+            (None, None, 1000, cores.min(1000)),
+            (None, Some(""), 1000, cores.min(1000)),
+            (None, Some("0"), 1000, cores.min(1000)), // bad values fall back
+            (None, Some("zero"), 1000, cores.min(1000)),
+            (None, Some("fuor"), 1, 1),
+        ];
+        for (explicit, env, items, want) in cases {
+            assert_eq!(
+                workers_for(explicit, env, items),
+                want,
+                "explicit={explicit:?} env={env:?} items={items}"
+            );
+        }
+    }
+
+    #[test]
+    fn strict_jobs_parsing_rejects_zero_and_junk() {
         assert_eq!(try_jobs_from_env(None), Ok(None));
         assert_eq!(try_jobs_from_env(Some("  ")), Ok(None));
         assert_eq!(try_jobs_from_env(Some("4")), Ok(Some(4)));
@@ -1085,14 +1172,5 @@ mod tests {
         let junk = try_jobs_from_env(Some("fuor")).unwrap_err();
         assert!(junk.contains("positive integer"), "{junk}");
         assert!(junk.contains(JOBS_ENV), "{junk}");
-    }
-
-    #[test]
-    fn builder_jobs_override_wins_and_is_clamped() {
-        let grid = theta_grid(64);
-        // Never more workers than jobs.
-        assert_eq!(grid.effective_jobs(), 4);
-        let serial = theta_grid(0);
-        assert_eq!(serial.effective_jobs(), 1);
     }
 }

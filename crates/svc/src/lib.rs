@@ -44,14 +44,13 @@ mod wal;
 
 pub use error::SvcError;
 pub use server::{
-    addr_from_env, execute_line, try_addr_from_env, Server, ServerConfig, FAULT_EXIT_CODE,
-    SVC_ADDR_ENV,
+    execute_line, try_addr_from_env, Server, ServerConfig, FAULT_EXIT_CODE, SVC_ADDR_ENV,
 };
 pub use service::{DurableService, RecoverySummary};
 pub use state::{AdmissionSummary, ServiceState, SvcCommand, SvcHealthConfig, SvcOutcome};
 pub use wal::{
-    fault_from_env, read_checkpoint, recover, write_checkpoint, Append, Checkpoint, FaultKind, Wal,
-    WalConfig, WalFault, WalRecovery, WalRecoveryReport, WAL_ENV, WAL_FAULT_ENV,
+    read_checkpoint, recover, write_checkpoint, Append, Checkpoint, FaultKind, Wal, WalConfig,
+    WalFault, WalRecovery, WalRecoveryReport, WAL_ENV, WAL_FAULT_ENV,
 };
 
 /// Strict `ETRAIN_WAL` reader: `Ok(None)` when unset or empty, the
@@ -77,17 +76,4 @@ pub fn try_wal_dir_from_env() -> Result<Option<std::path::PathBuf>, String> {
             }
         }
     }
-}
-
-/// Lenient `ETRAIN_WAL` reader for library contexts: unusable values
-/// warn once on stderr and fall back to `None` (binaries use
-/// [`try_wal_dir_from_env`] and fail fast).
-pub fn wal_dir_from_env() -> Option<std::path::PathBuf> {
-    try_wal_dir_from_env().unwrap_or_else(|reason| {
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(|| {
-            eprintln!("warning: ignoring {reason}; journaling stays off");
-        });
-        None
-    })
 }

@@ -78,19 +78,6 @@ pub fn try_addr_from_env() -> Result<Option<SocketAddr>, String> {
     }
 }
 
-/// Lenient [`SVC_ADDR_ENV`] reader for library contexts: unparseable
-/// values warn once on stderr and fall back to `None` (binaries use
-/// [`try_addr_from_env`] and fail fast).
-pub fn addr_from_env() -> Option<SocketAddr> {
-    try_addr_from_env().unwrap_or_else(|reason| {
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(|| {
-            eprintln!("warning: ignoring {reason}; no listen address configured");
-        });
-        None
-    })
-}
-
 /// Tuning of the TCP front end.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {

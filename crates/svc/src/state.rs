@@ -338,36 +338,26 @@ impl ServiceState {
     /// command stream fingerprint identically; this is the value
     /// checkpoints record and crash recovery verifies.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-            hash ^= 0xff;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        };
-        mix(&self.core.fingerprint().to_le_bytes());
+        let mut hash = etrain_obs::Fnv1a::new();
+        hash.field(&self.core.fingerprint().to_le_bytes());
         let mut keys: Vec<&String> = self.dedup.keys().collect();
         keys.sort();
         for key in keys {
-            mix(key.as_bytes());
+            hash.field(key.as_bytes());
             let summary = &self.dedup[key];
             match serde_json::to_string(summary) {
-                Ok(json) => mix(json.as_bytes()),
-                Err(_) => mix(b"<unserializable>"),
+                Ok(json) => hash.field(json.as_bytes()),
+                Err(_) => hash.field(b"<unserializable>"),
             }
         }
-        mix(self.health.to_string().as_bytes());
-        mix(&(self.failure_streak as u64).to_le_bytes());
-        mix(&(self.clean_streak as u64).to_le_bytes());
+        hash.field(self.health.to_string().as_bytes());
+        hash.field(&(self.failure_streak as u64).to_le_bytes());
+        hash.field(&(self.clean_streak as u64).to_le_bytes());
         for t in &self.transitions {
-            mix(t.to_string().as_bytes());
+            hash.field(t.to_string().as_bytes());
         }
-        mix(&self.applied.to_le_bytes());
-        hash
+        hash.field(&self.applied.to_le_bytes());
+        hash.finish()
     }
 }
 

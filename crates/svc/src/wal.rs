@@ -105,19 +105,6 @@ impl WalFault {
     }
 }
 
-/// Lenient [`WAL_FAULT_ENV`] reader for library contexts: malformed
-/// specs warn once on stderr and fall back to `None` (binaries use
-/// [`WalFault::try_from_env`] and fail fast).
-pub fn fault_from_env() -> Option<WalFault> {
-    WalFault::try_from_env().unwrap_or_else(|reason| {
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(|| {
-            eprintln!("warning: ignoring {reason}; no fault armed");
-        });
-        None
-    })
-}
-
 /// Configuration of a [`Wal`].
 #[derive(Debug, Clone)]
 pub struct WalConfig {
