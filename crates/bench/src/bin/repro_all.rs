@@ -6,31 +6,24 @@
 //! Flags:
 //! - `--only NAME[,NAME...]` — run just the named experiments (see
 //!   `etrain_bench::registry`); an unknown name exits with status 2. A
-//!   partial run writes no JSON report, trajectory point or artifact;
+//!   partial run writes no JSON report or artifact;
 //! - `--quick` — reduced horizons/sweeps for a CI-speed smoke run;
 //! - `--csv DIR` — also write each table as `DIR/<experiment>_<index>.csv`
 //!   for plotting;
 //! - `--jobs N` — worker count (default: `ETRAIN_JOBS` env, then the
 //!   machine's available parallelism);
 //! - `--json PATH` — where to write the report (default
-//!   `BENCH_repro.json`); `--no-json` skips it;
-//! - `--trajectory-label LABEL` — labels this invocation's point in the
-//!   report's `trajectory` array (default `quick`/`full`). The prior
-//!   report at the `--json` path, if any, contributes its accumulated
-//!   trajectory, so the committed report carries the suite's wall-clock
-//!   history across PRs.
+//!   `BENCH_repro.json`); `--no-json` skips it.
 //!
 //! Every simulated run is audited by the simulation oracle: unless the
 //! `ETRAIN_ORACLE` environment variable is already set, the suite runs in
 //! `record` mode and writes the check/violation tallies into the report.
 //! `ETRAIN_ORACLE=strict` turns any violation into a hard failure.
 //!
-//! `ETRAIN_OBS=ring|jsonl` additionally turns on the observability layer
-//! for every scenario the suite runs: profiling spans are collected, the
-//! `explain` experiment's raw journal is exported as
-//! `BENCH_explain.jsonl`, and the phase profile is written to
-//! `BENCH_profile.txt` (both next to the JSON report). Observability never
-//! changes the numbers — headlines are bit-for-bit identical either way.
+//! `ETRAIN_OBS=jsonl` additionally journals every scenario the suite runs
+//! and exports the `explain` experiment's raw journal as
+//! `BENCH_explain.jsonl`. Observability never changes the numbers —
+//! headlines are bit-for-bit identical either way.
 
 use std::time::Instant;
 
@@ -69,16 +62,9 @@ fn main() {
         // experiment runs; single-threaded at this point.
         std::env::set_var(etrain_sim::ORACLE_ENV, "record");
     }
-    let obs_mode = etrain_obs::ObsMode::from_env();
-    if obs_mode.is_enabled() {
-        // Profiling piggybacks on the observability knob: wall-clock spans
-        // accumulate in process-wide atomics and are only ever rendered as
-        // the text summary below — they never feed results.
-        etrain_obs::prof::set_enabled(true);
-    }
     let quick = args.iter().any(|a| a == "--quick");
     let only = etrain_bench::flag_value(&args, "--only");
-    // A partial run must never overwrite the full report or its history.
+    // A partial run must never overwrite the full report.
     let no_json = only.is_some() || args.iter().any(|a| a == "--no-json");
     let csv_dir = etrain_bench::flag_value(&args, "--csv");
     let jobs = etrain_bench::flag_value(&args, "--jobs").map(|v| {
@@ -89,8 +75,6 @@ fn main() {
     });
     let json_path =
         etrain_bench::flag_value(&args, "--json").unwrap_or_else(|| "BENCH_repro.json".to_owned());
-    let trajectory_label = etrain_bench::flag_value(&args, "--trajectory-label")
-        .unwrap_or_else(|| if quick { "quick" } else { "full" }.to_owned());
 
     let registry = match &only {
         Some(list) => select(list),
@@ -148,35 +132,13 @@ fn main() {
     );
 
     if !no_json {
-        // The prior report's trajectory (if any) is carried forward and
-        // this invocation's point appended, so the committed report
-        // accumulates the suite's wall-clock history.
-        let mut trajectory = std::fs::read_to_string(&json_path)
-            .map(|prior| etrain_bench::load_prior_trajectory(&prior))
-            .unwrap_or_default();
-        trajectory.push(etrain_bench::trajectory_point(
-            &runs,
-            &trajectory_label,
-            quick,
-        ));
-        std::fs::write(
-            &json_path,
-            etrain_bench::repro_report_json(&runs, trajectory),
-        )
-        .expect("writing the JSON report");
+        std::fs::write(&json_path, etrain_bench::repro_report_json(&runs))
+            .expect("writing the JSON report");
         eprintln!("# wrote {json_path}");
-    }
-    if obs_mode.is_enabled() {
-        eprintln!("{}", etrain_obs::prof::flame_summary());
-        if !no_json {
-            // Artifacts land next to the JSON report: the explain run's
-            // raw journal and the suite's phase profile.
+        if etrain_obs::ObsMode::from_env().is_enabled() {
             let jsonl = etrain_bench::experiments::explain::run_with_journal(quick).jsonl;
             std::fs::write("BENCH_explain.jsonl", jsonl).expect("writing the explain journal");
             eprintln!("# wrote BENCH_explain.jsonl");
-            std::fs::write("BENCH_profile.txt", etrain_obs::prof::flame_summary())
-                .expect("writing the phase profile");
-            eprintln!("# wrote BENCH_profile.txt");
         }
     }
     assert_eq!(

@@ -9,7 +9,6 @@ pub mod ablate_prediction;
 pub mod ablate_radio;
 pub mod capture_study;
 pub mod chaos;
-pub mod engine_speedup;
 pub mod explain;
 pub mod ext_day;
 pub mod ext_grid;
@@ -29,8 +28,6 @@ pub mod fig7b;
 pub mod fig8a;
 pub mod fig8b;
 pub mod fleet_savings;
-pub mod fleet_throughput;
-pub mod hotpath_speedup;
 pub mod offline_gap;
 pub mod svc_recovery;
 pub mod table1;

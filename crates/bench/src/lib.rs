@@ -276,27 +276,10 @@ pub fn registry() -> Vec<Experiment> {
             run: experiments::svc_recovery::run,
         },
         Experiment {
-            name: "engine_speedup",
-            description: "Infrastructure: slot vs event kernel wall-clock on a sparse standby run",
-            run: experiments::engine_speedup::run,
-        },
-        Experiment {
-            name: "hotpath_speedup",
-            description:
-                "Infrastructure: cached hot decision/timeline paths vs the reference recompute",
-            run: experiments::hotpath_speedup::run,
-        },
-        Experiment {
             name: "fleet_savings",
             description:
                 "Fleet: paired baseline/eTrain population savings and the million-user projection",
             run: experiments::fleet_savings::run,
-        },
-        Experiment {
-            name: "fleet_throughput",
-            description:
-                "Fleet: devices simulated per wall-clock second at 10\u{2075}-10\u{2076} scale",
-            run: experiments::fleet_throughput::run,
         },
     ]
 }
@@ -460,7 +443,7 @@ pub fn oracle_summary() -> OracleSummary {
 /// journaling backed the run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObsSummary {
-    /// The process-wide observability mode (`off`, `ring` or `jsonl`).
+    /// The process-wide observability mode (`off` or `jsonl`).
     ///
     /// Note this is the *ambient* `ETRAIN_OBS` mode; the `explain`
     /// experiment forces journaling on for its own run regardless, so
@@ -485,147 +468,8 @@ pub fn obs_summary() -> ObsSummary {
     }
 }
 
-/// The wall-clock of one experiment inside a [`TrajectoryPoint`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExperimentWall {
-    /// The experiment name.
-    pub name: String,
-    /// Wall-clock seconds the experiment took on its worker.
-    pub wall_s: f64,
-}
-
-/// One point of the performance trajectory: the wall-clock profile of one
-/// whole `repro_all` invocation. `BENCH_repro.json` accumulates these
-/// across PRs, so the suite's throughput history is part of the committed
-/// reproduction log (the `hotpath_speedup` experiment explains *why* a
-/// point moved; the trajectory records *that* it moved).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrajectoryPoint {
-    /// Free-form label for the invocation (`--trajectory-label`, default
-    /// the suite mode).
-    pub label: String,
-    /// Whether the invocation ran in quick mode.
-    pub quick: bool,
-    /// Sum of per-experiment wall-clock seconds (serial time, independent
-    /// of the worker count).
-    pub total_wall_s: f64,
-    /// Per-experiment wall-clock, in registry order.
-    pub experiments: Vec<ExperimentWall>,
-}
-
-/// Distills the finished runs of one invocation into a trajectory point.
-pub fn trajectory_point(runs: &[ReproRun], label: &str, quick: bool) -> TrajectoryPoint {
-    let experiments: Vec<ExperimentWall> = runs
-        .iter()
-        .map(|r| ExperimentWall {
-            name: r.record.name.clone(),
-            wall_s: r.record.wall_s,
-        })
-        .collect();
-    TrajectoryPoint {
-        label: label.to_owned(),
-        quick,
-        total_wall_s: experiments.iter().map(|e| e.wall_s).sum(),
-        experiments,
-    }
-}
-
-/// Leniently extracts the `trajectory` array from a previous
-/// `BENCH_repro.json`, so each invocation appends to the committed
-/// history. Reports written before the trajectory existed, missing files
-/// and malformed JSON all yield an empty history rather than an error —
-/// losing the trajectory must never block a reproduction run.
-pub fn load_prior_trajectory(json: &str) -> Vec<TrajectoryPoint> {
-    #[derive(Deserialize)]
-    struct Prior {
-        trajectory: Option<Vec<TrajectoryPoint>>,
-    }
-    serde_json::from_str::<Prior>(json)
-        .ok()
-        .and_then(|p| p.trajectory)
-        .unwrap_or_default()
-}
-
-/// Leniently extracts `(name, wall_s)` pairs from the `experiments`
-/// array of a `BENCH_repro.json` body (the `perf_gate` binary compares
-/// two of these). Malformed input yields an empty list.
-pub fn load_experiment_walls(json: &str) -> Vec<ExperimentWall> {
-    #[derive(Deserialize)]
-    struct Prior {
-        experiments: Option<Vec<ExperimentWall>>,
-    }
-    serde_json::from_str::<Prior>(json)
-        .ok()
-        .and_then(|p| p.experiments)
-        .unwrap_or_default()
-}
-
-/// One gate failure found by [`perf_regressions`]: a wall-clock
-/// regression, or a baseline experiment the current report lacks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfRegression {
-    /// The experiment name, or `"(total)"` for the suite-wide sum.
-    pub name: String,
-    /// Baseline wall-clock seconds (floored; see [`perf_regressions`]).
-    pub baseline_s: f64,
-    /// Current wall-clock seconds; `None` when the current report has no
-    /// record of the experiment.
-    pub current_s: Option<f64>,
-}
-
-/// Compares per-experiment wall-clocks (matched by name) and the matched
-/// totals, reporting every current time exceeding `factor ×` its
-/// baseline. Baselines are floored at `floor_s` first, so sub-floor
-/// experiments never trip the gate on scheduler noise. Every baseline
-/// experiment missing from `current` is a failure too, so a partial
-/// report cannot pass vacuously. Experiments new in `current` are
-/// skipped — including from the totals — so a legitimately grown
-/// registry never reads as a regression.
-pub fn perf_regressions(
-    baseline: &[ExperimentWall],
-    current: &[ExperimentWall],
-    factor: f64,
-    floor_s: f64,
-) -> Vec<PerfRegression> {
-    let mut regressions = Vec::new();
-    let mut base_total = 0.0f64;
-    let mut cur_total = 0.0f64;
-    let mut matched = 0usize;
-    for base in baseline {
-        let floored = base.wall_s.max(floor_s);
-        let Some(cur) = current.iter().find(|c| c.name == base.name) else {
-            regressions.push(PerfRegression {
-                name: base.name.clone(),
-                baseline_s: floored,
-                current_s: None,
-            });
-            continue;
-        };
-        matched += 1;
-        base_total += base.wall_s;
-        cur_total += cur.wall_s;
-        if cur.wall_s > factor * floored {
-            regressions.push(PerfRegression {
-                name: cur.name.clone(),
-                baseline_s: floored,
-                current_s: Some(cur.wall_s),
-            });
-        }
-    }
-    let floored_total = base_total.max(floor_s);
-    if matched > 0 && cur_total > factor * floored_total {
-        regressions.push(PerfRegression {
-            name: "(total)".to_owned(),
-            baseline_s: floored_total,
-            current_s: Some(cur_total),
-        });
-    }
-    regressions
-}
-
-/// The body of `BENCH_repro.json`: the oracle and observability tallies,
-/// one record per experiment in registry order, and the accumulated
-/// performance trajectory.
+/// The body of `BENCH_repro.json`: the oracle and observability tallies
+/// and one record per experiment in registry order.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReproReport {
     /// Simulation-oracle mode and tallies for the whole suite.
@@ -634,26 +478,21 @@ pub struct ReproReport {
     pub obs: ObsSummary,
     /// Per-experiment records.
     pub experiments: Vec<ReproRecord>,
-    /// Wall-clock history across invocations, oldest first; the last
-    /// point describes this report's own run.
-    pub trajectory: Vec<TrajectoryPoint>,
 }
 
-/// Serializes the records of finished runs — plus the current oracle
-/// tallies and the accumulated `trajectory` (the caller appends this
-/// run's own [`trajectory_point`] before passing it in) — as the
-/// pretty-printed JSON body of `BENCH_repro.json`.
+/// Serializes the records of finished runs, plus the current oracle and
+/// observability tallies, as the pretty-printed JSON body of
+/// `BENCH_repro.json`.
 ///
 /// # Panics
 ///
 /// Panics if serialization fails (the record types are plain data, so it
 /// cannot).
-pub fn repro_report_json(runs: &[ReproRun], trajectory: Vec<TrajectoryPoint>) -> String {
+pub fn repro_report_json(runs: &[ReproRun]) -> String {
     let report = ReproReport {
         oracle: oracle_summary(),
         obs: obs_summary(),
         experiments: runs.iter().map(|r| r.record.clone()).collect(),
-        trajectory,
     };
     serde_json::to_string_pretty(&report).expect("plain-data records serialize")
 }
@@ -720,6 +559,60 @@ mod tests {
     }
 
     #[test]
+    fn registry_holds_only_the_31_deterministic_experiments() {
+        let registry = registry();
+        assert_eq!(registry.len(), 31);
+        // Wall-clock speed is measured by the repo benchmark, never by a
+        // registry experiment, so no speedup/throughput entry remains.
+        for gone in ["engine_speedup", "hotpath_speedup", "fleet_throughput"] {
+            assert!(find(gone).is_none(), "{gone} is back in the registry");
+        }
+        assert!(find("svc_recovery").is_some());
+        assert_eq!(registry.last().map(|e| e.name), Some("fleet_savings"));
+    }
+
+    #[test]
+    fn flag_value_returns_the_argument_after_the_flag() {
+        let args: Vec<String> = ["repro_all", "--only", "fig2,fig4", "--csv", "out"]
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        assert_eq!(flag_value(&args, "--only").as_deref(), Some("fig2,fig4"));
+        assert_eq!(flag_value(&args, "--csv").as_deref(), Some("out"));
+        assert_eq!(flag_value(&args, "--quick"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "--csv needs a value")]
+    fn flag_value_panics_when_the_value_is_missing() {
+        let args = vec!["repro_all".to_string(), "--csv".to_string()];
+        let _ = flag_value(&args, "--csv");
+    }
+
+    #[test]
+    fn json_report_has_tallies_then_one_record_per_run() {
+        let cheap = [
+            find("fig2").expect("registered"),
+            find("fig6").expect("registered"),
+        ];
+        let runs = run_experiments(&cheap, true, Some(1));
+        let json = repro_report_json(&runs);
+        // Top-level keys, in order, and nothing else: the report carries
+        // no trajectory or timing baseline beside the per-run `wall_s`.
+        let top: Vec<usize> = ["\n  \"oracle\"", "\n  \"obs\"", "\n  \"experiments\""]
+            .iter()
+            .map(|key| json.find(key).unwrap_or_else(|| panic!("missing {key}")))
+            .collect();
+        assert!(top.windows(2).all(|w| w[0] < w[1]), "{json}");
+        assert_eq!(json.matches("\n  \"").count(), 3, "{json}");
+        assert!(!json.contains("trajectory"));
+        let fig2 = json.find("\"fig2\"").expect("fig2 record");
+        let fig6 = json.find("\"fig6\"").expect("fig6 record");
+        assert!(top[2] < fig2 && fig2 < fig6);
+        assert_eq!(json.matches("\"wall_s\"").count(), 2);
+    }
+
+    #[test]
     fn concurrent_runs_preserve_registry_order_and_match_serial() {
         // Three cheap, pure-model experiments exercise the pool without
         // simulating hours of radio time.
@@ -743,8 +636,7 @@ mod tests {
     fn json_report_carries_names_and_headlines() {
         let cheap = [find("fig6").expect("registered")];
         let runs = run_experiments(&cheap, true, Some(1));
-        let point = trajectory_point(&runs, "test", true);
-        let json = repro_report_json(&runs, vec![point]);
+        let json = repro_report_json(&runs);
         assert!(json.contains("\"fig6\""));
         assert!(json.contains("wall_s"));
         assert!(json.contains("f3_at_3x_deadline"));
@@ -753,98 +645,5 @@ mod tests {
         assert!(json.contains("\"violations\""));
         assert!(json.contains("\"obs\""));
         assert!(json.contains("\"events_recorded\""));
-        // ... and ends with the perf trajectory.
-        assert!(json.contains("\"trajectory\""));
-        assert!(json.contains("\"total_wall_s\""));
-    }
-
-    #[test]
-    fn trajectory_round_trips_and_accumulates() {
-        let cheap = [find("fig6").expect("registered")];
-        let runs = run_experiments(&cheap, true, Some(1));
-        let first = trajectory_point(&runs, "pr-7", true);
-        assert_eq!(first.experiments.len(), 1);
-        assert_eq!(first.experiments[0].name, "fig6");
-        assert!((first.total_wall_s - first.experiments[0].wall_s).abs() < 1e-12);
-
-        // A later invocation loads the prior report and appends itself.
-        let json = repro_report_json(&runs, vec![first.clone()]);
-        let mut history = load_prior_trajectory(&json);
-        assert_eq!(history, vec![first.clone()]);
-        history.push(trajectory_point(&runs, "pr-8", true));
-        let json2 = repro_report_json(&runs, history);
-        assert_eq!(load_prior_trajectory(&json2).len(), 2);
-    }
-
-    #[test]
-    fn prior_trajectory_loading_is_lenient() {
-        // Pre-trajectory reports, junk, and empty input all yield an
-        // empty history instead of failing the run.
-        assert!(load_prior_trajectory("{\"oracle\": {}, \"experiments\": []}").is_empty());
-        assert!(load_prior_trajectory("not json at all").is_empty());
-        assert!(load_prior_trajectory("").is_empty());
-        assert!(load_prior_trajectory("{\"trajectory\": null}").is_empty());
-    }
-
-    fn wall(name: &str, wall_s: f64) -> ExperimentWall {
-        ExperimentWall {
-            name: name.to_owned(),
-            wall_s,
-        }
-    }
-
-    #[test]
-    fn perf_regressions_flag_only_real_slowdowns() {
-        let baseline = [wall("a", 10.0), wall("b", 1.0), wall("tiny", 0.001)];
-        // `a` held steady, `b` regressed 3x, `tiny` blew up 90x but stays
-        // under the floor, `new` has no baseline and is skipped — and the
-        // matched total (13.09 s vs 11.001 s) stays within the factor, so
-        // only `b` is flagged.
-        let current = [
-            wall("a", 10.0),
-            wall("b", 3.0),
-            wall("tiny", 0.09),
-            wall("new", 50.0),
-        ];
-        let found = perf_regressions(&baseline, &current, 2.0, 0.05);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].name, "b");
-        assert_eq!(found[0].baseline_s, 1.0);
-        assert_eq!(found[0].current_s, Some(3.0));
-    }
-
-    #[test]
-    fn perf_regressions_fail_on_missing_experiments() {
-        // A partial report (say, from `repro_all --only a`) must not pass
-        // the gate just because the experiments it skipped were not slow.
-        let baseline = [wall("a", 1.0), wall("b", 1.0), wall("c", 0.001)];
-        let found = perf_regressions(&baseline, &[wall("a", 1.0)], 2.0, 0.05);
-        let names: Vec<&str> = found.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, vec!["b", "c"], "every missing experiment fails");
-    }
-
-    #[test]
-    fn perf_regressions_compare_suite_totals() {
-        let baseline = [wall("a", 1.0), wall("b", 1.0)];
-        // Each experiment stays within 2x, but the total regresses past it
-        // (1.9 + 1.9 = 3.8 <= 4.0 is fine; 2.5 + 1.9 = 4.4 > 4.0 trips).
-        let ok = perf_regressions(&baseline, &[wall("a", 1.9), wall("b", 1.9)], 2.0, 0.05);
-        assert!(ok.is_empty());
-        let bad = perf_regressions(&baseline, &[wall("a", 2.5), wall("b", 1.9)], 2.1, 0.05);
-        assert_eq!(bad.len(), 2, "per-experiment a plus the total");
-        assert_eq!(bad[1].name, "(total)");
-    }
-
-    #[test]
-    fn perf_regressions_handle_empty_baseline() {
-        assert!(perf_regressions(&[], &[wall("a", 99.0)], 2.0, 0.05).is_empty());
-    }
-
-    #[test]
-    fn experiment_walls_load_leniently() {
-        let json = r#"{"experiments": [{"name": "fig2", "wall_s": 0.25, "tables": 1}]}"#;
-        assert_eq!(load_experiment_walls(json), vec![wall("fig2", 0.25)]);
-        assert!(load_experiment_walls("junk").is_empty());
-        assert!(load_experiment_walls("{}").is_empty());
     }
 }

@@ -79,7 +79,7 @@ pub fn run_kill_resume(seeds: &[u64], trials_per_seed: usize) -> KillResumeRepor
             .scenario()
             .scheduler(kind)
             .engine(engine)
-            .obs(ObsMode::Ring);
+            .obs(ObsMode::Jsonl);
         let traces = scenario.generate_traces();
         let (base_report, base_output, base_journal) = scenario
             .try_run_journaled_on(&traces)

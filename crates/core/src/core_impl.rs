@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use etrain_hb::{HeartbeatMonitor, TrainStatus};
-use etrain_obs::{prof, Event, Fnv1a, Journal};
+use etrain_obs::{Event, Fnv1a, Journal};
 use etrain_sched::{
     AdmissionConfig, AppProfile, ETrainConfig, ETrainScheduler, RetryDecision, RetryPolicy,
     Scheduler, ShedPolicy, SlotContext,
@@ -473,12 +473,10 @@ impl ETrainCore {
                 deadline_override_s: request.deadline_s,
             },
         );
-        let released = {
-            let _span = prof::Span::enter(prof::Phase::SchedulerArrival);
-            self.scheduler
-                .on_arrival(packet, now_s)
-                .map_err(|_| CoreError::UnknownCargoApp { app })?
-        };
+        let released = self
+            .scheduler
+            .on_arrival(packet, now_s)
+            .map_err(|_| CoreError::UnknownCargoApp { app })?;
         self.drain_scheduler_events();
         // eTrain always defers on arrival, but honor the trait contract:
         // anything released immediately is stashed for the next tick.
@@ -764,12 +762,9 @@ impl ETrainCore {
                 // admitted; an unknown-app error here is an invariant
                 // break. Rather than panic (or lose the request), fall
                 // back to releasing it immediately.
-                let released = {
-                    let _span = prof::Span::enter(prof::Phase::SchedulerRetry);
-                    match self.scheduler.on_tx_failure(b.packet, now_s) {
-                        Ok(released) => released,
-                        Err(_) => vec![b.packet],
-                    }
+                let released = match self.scheduler.on_tx_failure(b.packet, now_s) {
+                    Ok(released) => released,
+                    Err(_) => vec![b.packet],
                 };
                 decisions.extend(
                     released
@@ -809,10 +804,7 @@ impl ETrainCore {
             predicted_bandwidth_bps: 0.0, // Algorithm 1 is channel-oblivious
             trains_alive: self.trains_alive(now_s),
         };
-        let slot_released = {
-            let _span = prof::Span::enter(prof::Phase::SchedulerSlot);
-            self.scheduler.on_slot(&ctx)
-        };
+        let slot_released = self.scheduler.on_slot(&ctx);
         self.drain_scheduler_events();
         let released: Vec<TransmitDecision> = slot_released
             .into_iter()

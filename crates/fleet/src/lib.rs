@@ -28,8 +28,8 @@
 //!
 //! The entry points: [`FleetConfig::paper_default`] describes the run,
 //! [`run_fleet`] executes it, [`FleetResult::snapshot`] turns it into the
-//! serializable population summary behind `BENCH_fleet.json`. The slow
-//! reference path is a plain `etrain_sim::RunGrid` with one job per device,
+//! serializable population summary. The slow reference path is a plain
+//! `etrain_sim::RunGrid` with one job per device,
 //! `RunSpec::new(label, config.reference_scenario(&config.device_spec(d)))`
 //! ([`FleetConfig::reference_scenario`]); journaling that grid gives the
 //! device-ordered fleet journal.

@@ -202,3 +202,31 @@ pub fn run_fleet(config: &FleetConfig) -> FleetResult {
         devices_per_s,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_ranges_cover_the_fleet_contiguously() {
+        assert_eq!(shard_ranges(10, 4), vec![0..4, 4..8, 8..10]);
+        assert_eq!(shard_ranges(8, 4), vec![0..4, 4..8]);
+        assert_eq!(shard_ranges(3, 100), vec![0..3]);
+        assert!(shard_ranges(0, 4).is_empty());
+        // A zero shard size is treated as one device per shard.
+        assert_eq!(shard_ranges(2, 0), vec![0..1, 1..2]);
+    }
+
+    #[test]
+    fn fleet_result_reports_its_wall_time_and_device_rate() {
+        let result = run_fleet(&FleetConfig::paper_default(40).seed(3).shard_devices(16));
+        assert_eq!(result.shards, 3);
+        assert!(result.workers >= 1 && result.workers <= 3);
+        assert!(result.wall_s > 0.0, "wall {}", result.wall_s);
+        assert_eq!(result.devices_per_s, 40.0 / result.wall_s);
+        let snapshot = result.snapshot();
+        assert_eq!(snapshot.wall_s, result.wall_s);
+        assert_eq!(snapshot.devices_per_s, result.devices_per_s);
+        assert!(snapshot.fleet.mean_extra_j() > 0.0);
+    }
+}

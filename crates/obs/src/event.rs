@@ -134,7 +134,6 @@ pub struct EventRecord {
 /// journals from a parallel grid into one deterministic stream.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Journal {
-    run: usize,
     next_seq: u64,
     records: Vec<EventRecord>,
 }
@@ -145,19 +144,11 @@ impl Journal {
         Journal::default()
     }
 
-    /// An empty journal tagged with a grid job index.
-    pub fn for_run(run: usize) -> Self {
-        Journal {
-            run,
-            ..Journal::default()
-        }
-    }
-
     /// Appends an event at simulated time `time_s`, assigning the next
     /// sequence number.
     pub fn push(&mut self, time_s: f64, event: Event) {
         self.records.push(EventRecord {
-            run: self.run,
+            run: 0,
             seq: self.next_seq,
             time_s,
             event,
@@ -191,14 +182,13 @@ impl Journal {
     }
 
     /// Appends another journal's records after this one's, re-tagging them
-    /// with this journal's run id and renumbering their `seq` to continue
-    /// this journal's sequence (unlike [`Journal::merge`], which keeps
-    /// parts as separate runs). The kill/resume harness uses this to
-    /// splice a resumed run's post-snapshot suffix onto the durable
-    /// prefix before canonicalizing.
+    /// as run 0 and renumbering their `seq` to continue this journal's
+    /// sequence (unlike [`Journal::merge`], which keeps parts as separate
+    /// runs). The kill/resume harness uses this to splice a resumed run's
+    /// post-snapshot suffix onto the durable prefix before canonicalizing.
     pub fn extend_from(&mut self, other: Journal) {
         for mut record in other.records {
-            record.run = self.run;
+            record.run = 0;
             record.seq = self.next_seq;
             self.next_seq += 1;
             self.records.push(record);
@@ -239,14 +229,6 @@ impl Journal {
         merged.next_seq = 0;
         crate::bump_merges();
         merged
-    }
-
-    /// Replays every record through a [`crate::Recorder`].
-    pub fn replay(&self, recorder: &mut dyn crate::Recorder) {
-        for record in &self.records {
-            recorder.record(record);
-        }
-        recorder.flush();
     }
 
     /// Counts records per [`Event::kind`], in first-appearance order.
@@ -345,6 +327,157 @@ mod tests {
         assert_eq!(jsonl.lines().count(), 1);
         let back: EventRecord = serde_json::from_str(jsonl.trim()).unwrap();
         assert_eq!(&back, &journal.records()[0]);
+    }
+
+    #[test]
+    fn jsonl_is_one_serialized_record_per_line_in_record_order() {
+        let mut journal = Journal::new();
+        journal.push(2.0, hb());
+        journal.push(
+            1.0,
+            Event::Shed {
+                packet_id: 4,
+                app: 2,
+            },
+        );
+        journal.push(
+            3.0,
+            Event::HealthTransition {
+                from: "healthy".into(),
+                to: "degraded".into(),
+                cause: "consecutive-failures".into(),
+            },
+        );
+        let jsonl = journal.to_jsonl();
+        assert!(jsonl.ends_with('\n'));
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), journal.len());
+        for (line, record) in lines.iter().zip(journal.records()) {
+            assert_eq!(*line, serde_json::to_string(record).unwrap());
+        }
+        assert_eq!(Journal::new().to_jsonl(), "");
+    }
+
+    #[test]
+    fn truncate_rewinds_to_the_durable_prefix_and_keeps_seq_dense() {
+        let mut journal = Journal::new();
+        for t in 0..5 {
+            journal.push(t as f64, hb());
+        }
+        journal.truncate(2);
+        assert_eq!(journal.len(), 2);
+        journal.push(9.0, hb());
+        let seqs: Vec<u64> = journal.records().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2]);
+        assert_eq!(journal.records()[2].time_s, 9.0);
+    }
+
+    #[test]
+    fn extend_from_retags_as_run_zero_and_continues_seq() {
+        let mut prefix = Journal::new();
+        prefix.push(1.0, hb());
+        let mut suffix = Journal::merge(vec![Journal::new(), {
+            let mut j = Journal::new();
+            j.push(2.0, hb());
+            j.push(3.0, hb());
+            j
+        }]);
+        assert!(suffix.records().iter().all(|r| r.run == 1));
+        suffix.push(4.0, hb());
+        prefix.extend_from(suffix);
+        let tags: Vec<(usize, u64)> = prefix.records().iter().map(|r| (r.run, r.seq)).collect();
+        assert_eq!(tags, vec![(0, 0), (0, 1), (0, 2), (0, 3)]);
+        prefix.push(5.0, hb());
+        assert_eq!(prefix.records()[4].seq, 4);
+    }
+
+    #[test]
+    fn canonicalize_keeps_push_order_among_equal_times() {
+        let mut journal = Journal::new();
+        journal.push(2.0, hb());
+        for packet_id in 0..3 {
+            journal.push(
+                1.0,
+                Event::RetryAttempt {
+                    packet_id,
+                    attempt: 1,
+                    abandoned: false,
+                },
+            );
+        }
+        journal.canonicalize();
+        let order: Vec<Option<u64>> = journal
+            .records()
+            .iter()
+            .map(|r| match r.event {
+                Event::RetryAttempt { packet_id, .. } => Some(packet_id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(order, vec![Some(0), Some(1), Some(2), None]);
+        let seqs: Vec<u64> = journal.records().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn merge_keeps_run_indices_across_empty_parts() {
+        let mut last = Journal::new();
+        last.push(0.5, hb());
+        let merged = Journal::merge(vec![Journal::new(), Journal::new(), last]);
+        assert_eq!(merged.len(), 1);
+        assert_eq!(merged.records()[0].run, 2);
+        assert!(Journal::merge(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn every_event_variant_has_its_own_kind() {
+        let events = [
+            hb(),
+            Event::TailReuse {
+                from_state: "fach".into(),
+                size_bytes: 10,
+            },
+            Event::PiggybackDecision {
+                total_cost: 0.0,
+                theta: 1.0,
+                heartbeat_departing: false,
+                queued: 0,
+                queued_bytes: 0,
+                budget_k: None,
+                released: 0,
+            },
+            Event::RrcTransition {
+                from: "idle".into(),
+                to: "dch".into(),
+            },
+            Event::Shed {
+                packet_id: 1,
+                app: 0,
+            },
+            Event::ForcedFlush {
+                packet_id: 1,
+                app: 0,
+            },
+            Event::HealthTransition {
+                from: "healthy".into(),
+                to: "critical".into(),
+                cause: "x".into(),
+            },
+            Event::RetryAttempt {
+                packet_id: 1,
+                attempt: 3,
+                abandoned: true,
+            },
+        ];
+        let mut kinds: Vec<&str> = events.iter().map(Event::kind).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), events.len());
+        for event in &events {
+            let json = serde_json::to_string(event).unwrap();
+            let back: Event = serde_json::from_str(&json).unwrap();
+            assert_eq!(&back, event);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Aggregated fleet metrics: the mergeable per-shard tallies and the
-//! serializable population snapshot behind `BENCH_fleet.json`.
+//! serializable population snapshot.
 //!
 //! A fleet run shards 10⁵–10⁶ devices across workers. Determinism is the
 //! non-negotiable part: floating-point addition is association-sensitive,
@@ -150,8 +150,7 @@ pub struct ClassSnapshot {
     pub p99_extra_j: f64,
 }
 
-/// The serializable summary of one whole fleet run — the
-/// `BENCH_fleet.json` building block.
+/// The serializable summary of one whole fleet run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetSnapshot {
     /// The scheduler the fleet ran (display form, with knob values).

@@ -4,7 +4,7 @@
 //! every heartbeat, tail re-use, and piggyback burst must be attributable
 //! to a joule figure (PAPER.md §IV). Endpoint aggregates such as
 //! `RunReport` answer *what* a run cost; this crate answers *why*, through
-//! three cooperating facilities:
+//! two cooperating facilities:
 //!
 //! 1. **Structured event journal** ([`Event`], [`EventRecord`],
 //!    [`Journal`]) — a time-stamped, sequence-numbered record of every
@@ -19,17 +19,15 @@
 //!    typed counters, gauges, and histograms (energy per RRC state, tail
 //!    utilization, queue depth, decision counts) snapshotted into
 //!    `RunReport` and `BENCH_repro.json`.
-//! 3. **Profiling hooks** ([`prof`]) — per-phase wall-clock spans around
-//!    scheduler slots and engine stepping, exported as a flame-style text
-//!    summary from `repro_all`. Wall-clock readings never feed any
-//!    deterministic output; they live in a process-wide atomics registry
-//!    that is only ever printed.
+//!
+//! Everything here is simulated-time and deterministic; nothing reads a
+//! wall clock. Where the time goes is measured from outside, by the
+//! repository's `benchmark/` package.
 //!
 //! The whole layer is **zero-cost when off**: the [`ObsMode`] knob
 //! (environment variable `ETRAIN_OBS`, or `Scenario::obs`) defaults to
-//! [`ObsMode::Off`], in which case no events are allocated, no recorder is
-//! consulted, and simulation output is bit-for-bit identical to a build
-//! without this crate.
+//! [`ObsMode::Off`], in which case no events are allocated and simulation
+//! output is bit-for-bit identical to a build without this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,8 +38,6 @@ pub mod fleet;
 mod fnv;
 mod metrics;
 mod mode;
-pub mod prof;
-mod recorder;
 
 pub use durable::{
     crc32, scan_segment, AppendFault, FrameWriter, SegmentScan, TailStatus, FRAME_HEADER_BYTES,
@@ -52,7 +48,6 @@ pub use fleet::{ClassSnapshot, FleetSnapshot, FleetTally};
 pub use fnv::Fnv1a;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use mode::{ObsMode, OBS_ENV};
-pub use recorder::{JsonLinesRecorder, NullRecorder, Recorder, RingRecorder};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -72,10 +72,7 @@ pub use online::Radio;
 pub use params::{RadioParams, RadioParamsBuilder};
 pub use power::PowerTrace;
 pub use profile::{TailPhase, TailProfile};
-pub use tail::{
-    analytic_extra_energy_j, merge_busy_periods, merge_busy_periods_into, tail_energy_j,
-};
+pub use tail::{analytic_extra_energy_j, merge_busy_periods, tail_energy_j};
 pub use timeline::{
-    audit_segments, RrcState, StateSegment, Timeline, TimelineAuditError, TimelinePool,
-    Transmission,
+    audit_segments, RrcState, StateSegment, Timeline, TimelineAuditError, Transmission,
 };

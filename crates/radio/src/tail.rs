@@ -85,29 +85,11 @@ pub fn analytic_extra_energy_j(
 /// Exported so audit code (the simulation oracle) can recompute the busy
 /// structure independently of [`crate::Timeline`]'s segment construction.
 pub fn merge_busy_periods(transmissions: &[Transmission], horizon_s: f64) -> Vec<(f64, f64)> {
-    let mut out = Vec::new();
-    merge_busy_periods_into(transmissions, horizon_s, &mut out);
-    out
-}
-
-/// [`merge_busy_periods`] into a caller-owned buffer, so repeated
-/// rebuilds (timeline pooling, the oracle's per-run audits) reuse the
-/// allocation. The result is bit-for-bit identical to
-/// [`merge_busy_periods`]: same clip/filter, same `total_cmp` sort, and
-/// the in-place compaction applies the same `start <= last.1` /
-/// `last.1.max(end)` merge rule as the two-buffer construction.
-pub fn merge_busy_periods_into(
-    transmissions: &[Transmission],
-    horizon_s: f64,
-    out: &mut Vec<(f64, f64)>,
-) {
-    out.clear();
-    out.extend(
-        transmissions
-            .iter()
-            .map(|t| (t.start_s, (t.start_s + t.duration_s).min(horizon_s)))
-            .filter(|&(s, e)| e > s && s < horizon_s),
-    );
+    let mut out: Vec<(f64, f64)> = transmissions
+        .iter()
+        .map(|t| (t.start_s, (t.start_s + t.duration_s).min(horizon_s)))
+        .filter(|&(s, e)| e > s && s < horizon_s)
+        .collect();
     out.sort_by(|a, b| a.0.total_cmp(&b.0));
     // In-place merge: `write` trails the scan and compacts overlapping
     // intervals; `write - 1` is always the last merged interval, exactly
@@ -124,6 +106,7 @@ pub fn merge_busy_periods_into(
         }
     }
     out.truncate(write);
+    out
 }
 
 #[cfg(test)]
@@ -187,6 +170,36 @@ mod tests {
         let txs = [Transmission::new(90.0, 20.0), Transmission::new(200.0, 1.0)];
         let merged = merge_busy_periods(&txs, 100.0);
         assert_eq!(merged, vec![(90.0, 100.0)]);
+    }
+
+    #[test]
+    fn merge_drops_empty_and_out_of_horizon_transmissions() {
+        let txs = [
+            Transmission::new(5.0, 0.0),   // zero length
+            Transmission::new(100.0, 3.0), // starts exactly at the horizon
+            Transmission::new(150.0, 1.0), // entirely past it
+            Transmission::new(40.0, 2.0),
+        ];
+        assert_eq!(merge_busy_periods(&txs, 100.0), vec![(40.0, 42.0)]);
+        assert!(merge_busy_periods(&[], 100.0).is_empty());
+    }
+
+    #[test]
+    fn merge_collapses_nested_and_chained_overlaps() {
+        // A chain whose links each overlap only the next one, listed out
+        // of order, plus a transmission nested inside the first link: the
+        // in-place compaction must extend the last kept period each time.
+        let txs = [
+            Transmission::new(24.0, 6.0),
+            Transmission::new(20.0, 5.0),
+            Transmission::new(21.0, 1.0),
+            Transmission::new(29.0, 4.0),
+            Transmission::new(33.5, 1.0),
+        ];
+        assert_eq!(
+            merge_busy_periods(&txs, 100.0),
+            vec![(20.0, 33.0), (33.5, 34.5)]
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::RadioError;
 use crate::params::RadioParams;
 use crate::power::PowerTrace;
-use crate::tail::{analytic_extra_energy_j, merge_busy_periods, merge_busy_periods_into};
+use crate::tail::{analytic_extra_energy_j, merge_busy_periods};
 
 /// RRC power state of the cellular interface (paper Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -148,12 +148,10 @@ impl Timeline {
         horizon_s: f64,
     ) -> Self {
         let busy = merge_busy_periods(transmissions, horizon_s);
-        let mut segments = Vec::new();
-        build_segments_into(params, &busy, horizon_s, &mut segments);
         Timeline {
             params: params.clone(),
             horizon_s,
-            segments,
+            segments: build_segments(params, &busy, horizon_s),
         }
     }
 
@@ -352,105 +350,33 @@ fn push_segment(segments: &mut Vec<StateSegment>, start: f64, end: f64, state: R
     });
 }
 
-/// Builds the merged segment list for pre-merged busy periods into a
-/// caller-owned buffer (cleared first). Shared by
-/// [`Timeline::from_transmissions`] and [`TimelinePool::build`], so the
-/// pooled and fresh constructions are the same code path.
-fn build_segments_into(
-    params: &RadioParams,
-    busy: &[(f64, f64)],
-    horizon_s: f64,
-    segments: &mut Vec<StateSegment>,
-) {
-    segments.clear();
+/// Builds the merged segment list for pre-merged busy periods.
+fn build_segments(params: &RadioParams, busy: &[(f64, f64)], horizon_s: f64) -> Vec<StateSegment> {
+    let mut segments = Vec::new();
     let mut cursor = 0.0;
     let dd = params.delta_dch_s();
     let df = params.delta_fach_s();
     for (idx, &(start, end)) in busy.iter().enumerate() {
-        push_segment(segments, cursor, start, RrcState::Idle);
+        push_segment(&mut segments, cursor, start, RrcState::Idle);
         // Busy period itself is DCH.
-        push_segment(segments, start, end, RrcState::Dch);
+        push_segment(&mut segments, start, end, RrcState::Dch);
         let next_start = busy
             .get(idx + 1)
             .map_or(horizon_s, |&(next_start, _)| next_start);
         let dch_tail_end = (end + dd).min(next_start).min(horizon_s);
-        push_segment(segments, end, dch_tail_end, RrcState::Dch);
+        push_segment(&mut segments, end, dch_tail_end, RrcState::Dch);
         let fach_end = (end + dd + df).min(next_start).min(horizon_s);
-        push_segment(segments, dch_tail_end, fach_end, RrcState::Fach);
+        push_segment(&mut segments, dch_tail_end, fach_end, RrcState::Fach);
         push_segment(
-            segments,
+            &mut segments,
             fach_end,
             next_start.min(horizon_s),
             RrcState::Idle,
         );
         cursor = next_start;
     }
-    push_segment(segments, cursor, horizon_s, RrcState::Idle);
-}
-
-/// Reusable buffers for building [`Timeline`]s without per-build
-/// allocations: the busy-period scratch and the segment storage persist
-/// across builds, so a loop that constructs many timelines (benchmark
-/// reps, per-run audits) allocates only while the buffers still grow.
-///
-/// [`TimelinePool::build`] is bit-for-bit equal to
-/// [`Timeline::from_transmissions`] — both run the same
-/// merge/segment-construction code over reused storage. Hand a finished
-/// timeline back with [`TimelinePool::recycle`] to keep its segment
-/// capacity.
-///
-/// # Examples
-///
-/// ```
-/// use etrain_radio::{RadioParams, Timeline, TimelinePool, Transmission};
-///
-/// let p = RadioParams::galaxy_s4_3g();
-/// let txs = [Transmission::new(10.0, 2.0)];
-/// let mut pool = TimelinePool::new();
-/// let pooled = pool.build(&p, &txs, 60.0);
-/// assert_eq!(pooled, Timeline::from_transmissions(&p, &txs, 60.0));
-/// pool.recycle(pooled); // segment storage returns to the pool
-/// ```
-#[derive(Debug, Default)]
-pub struct TimelinePool {
-    busy: Vec<(f64, f64)>,
-    segments: Vec<StateSegment>,
-}
-
-impl TimelinePool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        TimelinePool::default()
-    }
-
-    /// Builds a timeline over `[0, horizon_s]`, reusing the pool's
-    /// buffers. Identical output to [`Timeline::from_transmissions`].
-    pub fn build(
-        &mut self,
-        params: &RadioParams,
-        transmissions: &[Transmission],
-        horizon_s: f64,
-    ) -> Timeline {
-        merge_busy_periods_into(transmissions, horizon_s, &mut self.busy);
-        let mut segments = std::mem::take(&mut self.segments);
-        build_segments_into(params, &self.busy, horizon_s, &mut segments);
-        Timeline {
-            params: params.clone(),
-            horizon_s,
-            segments,
-        }
-    }
-
-    /// Takes a timeline's segment storage back for the next build. Only
-    /// the larger buffer is kept, so repeated build/recycle cycles settle
-    /// on the high-water-mark capacity.
-    pub fn recycle(&mut self, timeline: Timeline) {
-        let mut segments = timeline.segments;
-        if segments.capacity() > self.segments.capacity() {
-            segments.clear();
-            self.segments = segments;
-        }
-    }
+    push_segment(&mut segments, cursor, horizon_s, RrcState::Idle);
+    segments
 }
 
 /// A violation found while auditing a state timeline.
@@ -745,6 +671,42 @@ mod tests {
     }
 
     #[test]
+    fn transmissions_at_or_past_the_horizon_change_nothing() {
+        let lone = [Transmission::new(10.0, 2.0)];
+        let with_late = [
+            Transmission::new(100.0, 5.0),
+            Transmission::new(10.0, 2.0),
+            Transmission::new(150.0, 1.0),
+        ];
+        assert_eq!(
+            Timeline::from_transmissions(&params(), &with_late, 100.0),
+            Timeline::from_transmissions(&params(), &lone, 100.0)
+        );
+    }
+
+    #[test]
+    fn back_to_back_transmissions_share_one_dch_segment() {
+        let pair = [Transmission::new(10.0, 2.0), Transmission::new(12.0, 3.0)];
+        let tl = Timeline::from_transmissions(&params(), &pair, 100.0);
+        let states: Vec<RrcState> = tl.segments().iter().map(|s| s.state).collect();
+        assert_eq!(
+            states,
+            vec![
+                RrcState::Idle,
+                RrcState::Dch,
+                RrcState::Fach,
+                RrcState::Idle
+            ]
+        );
+        assert_eq!(tl.segments()[1].start_s, 10.0);
+        assert_eq!(tl.segments()[1].end_s, 25.0); // 15 s busy end + 10 s DCH tail
+        assert_eq!(
+            tl,
+            Timeline::from_transmissions(&params(), &[Transmission::new(10.0, 5.0)], 100.0)
+        );
+    }
+
+    #[test]
     fn segments_cover_horizon_without_gaps() {
         let tl = Timeline::from_transmissions(
             &params(),
@@ -858,25 +820,6 @@ mod tests {
         assert_eq!(idle, tl.time_in_state_s(RrcState::Idle));
         assert_eq!(fach, tl.time_in_state_s(RrcState::Fach));
         assert_eq!(dch, tl.time_in_state_s(RrcState::Dch));
-    }
-
-    #[test]
-    fn pooled_build_equals_fresh_and_reuses_storage() {
-        let p = params();
-        let mut pool = TimelinePool::new();
-        let schedules: [&[Transmission]; 3] = [
-            &[],
-            &[Transmission::new(3.0, 0.4), Transmission::new(9.0, 1.0)],
-            &[Transmission::new(0.0, 0.2), Transmission::new(0.2, 0.3)], // adjacent merge
-        ];
-        for txs in schedules {
-            let fresh = Timeline::from_transmissions(&p, txs, 200.0);
-            let pooled = pool.build(&p, txs, 200.0);
-            assert_eq!(pooled, fresh);
-            pool.recycle(pooled);
-        }
-        // After recycling, the pool's buffer capacity persists.
-        assert!(pool.segments.capacity() > 0);
     }
 
     #[test]

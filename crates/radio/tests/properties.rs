@@ -3,8 +3,8 @@
 //! three independent implementations of the same physics and must agree.
 
 use etrain_radio::{
-    analytic_extra_energy_j, merge_busy_periods, merge_busy_periods_into, tail_energy_j, Radio,
-    RadioParams, RrcState, Timeline, TimelinePool, Transmission,
+    analytic_extra_energy_j, merge_busy_periods, tail_energy_j, Radio, RadioParams, RrcState,
+    Timeline, Transmission,
 };
 use proptest::prelude::*;
 
@@ -208,51 +208,68 @@ proptest! {
         prop_assert!(audit.is_ok(), "audit rejected a valid timeline: {:?}", audit);
     }
 
-    /// Building into a reused pool is indistinguishable from fresh
-    /// construction: segments, state times, audit verdicts, energy
-    /// integrals and merged busy periods all match bit-for-bit across a
-    /// sequence of schedules sharing one pool — including schedules that
-    /// exercise the zero-length-segment (horizon-clipped, zero-gap) and
-    /// adjacent-merge (back-to-back busy periods) edge cases.
+    /// Merged busy periods are exactly the union of the (horizon-clipped)
+    /// transmissions: sorted, strictly separated, inside `[0, horizon)`,
+    /// every transmission inside one period, and every period bounded by
+    /// a transmission's start and a transmission's clipped end. The
+    /// forced edge cases cover a transmission clipped to zero length at
+    /// the horizon, one entirely past it, and a back-to-back pair that
+    /// must merge into one period.
     #[test]
-    fn pooled_timeline_equals_fresh_construction(
-        params in arb_params(),
-        schedules in prop::collection::vec(arb_transmissions(), 1..5),
+    fn merged_busy_periods_are_the_union_of_transmissions(
+        mut txs in arb_transmissions(),
         horizon in 1.0f64..4000.0,
     ) {
-        let mut pool = TimelinePool::new();
-        let mut busy_buf = Vec::new();
-        for mut txs in schedules {
-            // Force the edge cases into every schedule: a transmission
-            // clipped to zero length at the horizon, one entirely past it,
-            // and a back-to-back pair whose tail segments must merge.
-            txs.push(Transmission::new(horizon, 5.0));
-            txs.push(Transmission::new(horizon + 1.0, 1.0));
-            txs.push(Transmission::new(0.25, 0.25));
-            txs.push(Transmission::new(0.5, 0.25));
-
-            let fresh = Timeline::from_transmissions(&params, &txs, horizon);
-            let pooled = pool.build(&params, &txs, horizon);
-            prop_assert_eq!(&pooled, &fresh);
-            prop_assert_eq!(pooled.segments(), fresh.segments());
-            for state in [RrcState::Idle, RrcState::Fach, RrcState::Dch] {
-                prop_assert_eq!(
-                    pooled.time_in_state_s(state).to_bits(),
-                    fresh.time_in_state_s(state).to_bits()
-                );
-            }
-            prop_assert_eq!(pooled.time_in_states_s(), fresh.time_in_states_s());
-            prop_assert_eq!(
-                pooled.extra_energy_j().to_bits(),
-                fresh.extra_energy_j().to_bits()
-            );
-            prop_assert_eq!(pooled.audit(&txs), fresh.audit(&txs));
-
-            merge_busy_periods_into(&txs, horizon, &mut busy_buf);
-            prop_assert_eq!(&busy_buf, &merge_busy_periods(&txs, horizon));
-
-            pool.recycle(pooled);
+        txs.push(Transmission::new(horizon, 5.0));
+        txs.push(Transmission::new(horizon + 1.0, 1.0));
+        txs.push(Transmission::new(0.25, 0.25));
+        txs.push(Transmission::new(0.5, 0.25));
+        let merged = merge_busy_periods(&txs, horizon);
+        prop_assert!(!merged.is_empty(), "the back-to-back pair is inside every horizon");
+        for &(start, end) in &merged {
+            prop_assert!(0.0 <= start && start < end && end <= horizon);
+            prop_assert!(txs.iter().any(|t| t.start_s == start));
+            prop_assert!(txs.iter().any(|t| (t.start_s + t.duration_s).min(horizon) == end));
         }
+        for w in merged.windows(2) {
+            prop_assert!(w[0].1 < w[1].0, "periods {:?} and {:?} touch", w[0], w[1]);
+        }
+        for t in txs.iter().filter(|t| t.start_s < horizon) {
+            let end = (t.start_s + t.duration_s).min(horizon);
+            let holders = merged
+                .iter()
+                .filter(|&&(s, e)| s <= t.start_s && end <= e)
+                .count();
+            prop_assert_eq!(holders, 1, "transmission {:?} not in exactly one period", t);
+        }
+    }
+
+    /// The timeline depends only on the set of transmissions, not on the
+    /// order they are listed in: reversed and rotated schedules build
+    /// identical segments and bit-identical energy integrals.
+    #[test]
+    fn timeline_is_independent_of_transmission_order(
+        params in arb_params(),
+        mut txs in arb_transmissions(),
+        horizon in 1.0f64..4000.0,
+        rotate in 0usize..64,
+    ) {
+        txs.push(Transmission::new(horizon, 5.0));
+        txs.push(Transmission::new(0.25, 0.25));
+        txs.push(Transmission::new(0.5, 0.25));
+        let fresh = Timeline::from_transmissions(&params, &txs, horizon);
+        let mut reordered = txs.clone();
+        reordered.reverse();
+        let len = reordered.len();
+        reordered.rotate_left(rotate % len);
+        let other = Timeline::from_transmissions(&params, &reordered, horizon);
+        prop_assert_eq!(&other, &fresh);
+        prop_assert_eq!(
+            other.extra_energy_j().to_bits(),
+            fresh.extra_energy_j().to_bits()
+        );
+        prop_assert_eq!(other.time_in_states_s(), fresh.time_in_states_s());
+        prop_assert!(other.audit(&reordered).is_ok());
     }
 
     /// The linear-walk batch sampler agrees bit-for-bit with per-sample

@@ -150,9 +150,9 @@ pub trait Scheduler: std::fmt::Debug + Send {
     /// Selects between the cached hot decision path (`false`, the
     /// default) and a retained from-scratch reference recompute (`true`)
     /// where a scheduler keeps both. The two paths are bit-for-bit
-    /// interchangeable; the reference exists as the equivalence oracle
-    /// and the `hotpath_speedup` baseline. The default ignores the
-    /// request, which is correct for schedulers with a single path.
+    /// interchangeable; the reference exists as the equivalence oracle.
+    /// The default ignores the request, which is correct for schedulers
+    /// with a single path.
     fn set_reference_decisions(&mut self, _reference: bool) {}
 
     /// Turns structured-event buffering on or off. While enabled, the

@@ -89,9 +89,8 @@ pub struct ETrainScheduler {
     /// Buffered `(time_s, event)` pairs awaiting a driver drain.
     obs_events: Vec<(f64, etrain_obs::Event)>,
     /// When `true`, `on_slot` takes the retained from-scratch reference
-    /// decision path instead of the cached one (the equivalence harness
-    /// and the `hotpath_speedup` denominator; see
-    /// [`ETrainScheduler::set_reference_decisions`]).
+    /// decision path instead of the cached one (the equivalence harness;
+    /// see [`ETrainScheduler::set_reference_decisions`]).
     reference_decisions: bool,
     /// Persistent scratch buffers for the cached greedy selection,
     /// reused across slots so steady-state decisions allocate nothing.
@@ -356,8 +355,7 @@ impl ETrainScheduler {
     /// The retained from-scratch greedy selection (the pre-campaign code
     /// path): `P̄_i` rebuilt into fresh `Vec`s every call and `ϕ_u`
     /// recomputed on every greedy round. Kept verbatim as the equivalence
-    /// oracle for [`ETrainScheduler::select`] and the `hotpath_speedup`
-    /// denominator.
+    /// oracle for [`ETrainScheduler::select`].
     fn select_reference(&mut self, now_s: f64, budget: Option<usize>) -> Vec<Packet> {
         let slot = self.config.slot_s;
         // With an unbounded budget every queued packet is selected — the
@@ -779,6 +777,45 @@ mod tests {
             assert_eq!(ct, rt);
             assert_eq!(format!("{cev:?}"), format!("{rev:?}"));
         }
+    }
+
+    #[test]
+    fn both_decision_paths_keep_the_backlog_under_fed_back_failures() {
+        // Every released packet fails and is re-admitted, so the backlog
+        // must hold steady while Θ = 0.2 breaches on every slot; the
+        // cached path's early exit and the reference recompute must pick
+        // the same packets in the same order throughout.
+        fn loaded(reference: bool) -> ETrainScheduler {
+            let mut s = scheduler(0.2, Some(8));
+            s.set_reference_decisions(reference);
+            for i in 0..64u64 {
+                let p = packet(i, (i % 3) as usize, i as f64 * 0.01);
+                s.on_arrival(p, p.arrival_s).unwrap();
+            }
+            s
+        }
+        let mut cached = loaded(false);
+        let mut reference = loaded(true);
+        let mut released = 0;
+        for slot in 0..50u64 {
+            let now_s = 600.0 + slot as f64;
+            let heartbeat = slot % 16 == 0;
+            let c = cached.on_slot(&ctx(now_s, heartbeat));
+            let r = reference.on_slot(&ctx(now_s, heartbeat));
+            assert_eq!(c, r, "slot {slot} diverged");
+            assert!(!c.is_empty(), "slot {slot}: a Θ breach must release");
+            released += c.len();
+            for p in c {
+                cached.on_tx_failure(p, now_s).unwrap();
+            }
+            for p in r {
+                reference.on_tx_failure(p, now_s).unwrap();
+            }
+            assert_eq!(cached.pending(), 64);
+            assert_eq!(reference.pending(), 64);
+        }
+        assert!(released > 50, "heartbeat slots release a k-burst");
+        assert_eq!(cached.pending_bytes(), reference.pending_bytes());
     }
 
     #[test]

@@ -42,7 +42,7 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 
-use etrain_obs::{prof, Event, Fnv1a, Journal};
+use etrain_obs::{Event, Fnv1a, Journal};
 use etrain_radio::{PowerTrace, Radio, RadioParams, Timeline, Transmission};
 use etrain_sched::{HealthTransition, RetryDecision, RetryPolicy, Scheduler, SlotContext};
 use etrain_trace::bandwidth::BandwidthTrace;
@@ -409,7 +409,6 @@ pub struct Engine<'a> {
     plan: &'a FaultPlan,
     retry: &'a RetryPolicy,
     journal: Option<&'a mut Journal>,
-    _span: prof::Span,
 
     kind: EngineKind,
     radio: Radio,
@@ -461,7 +460,6 @@ impl<'a> Engine<'a> {
         retry: &'a RetryPolicy,
         journal: Option<&'a mut Journal>,
     ) -> Engine<'a> {
-        let span = prof::Span::enter(prof::Phase::EngineRun);
         if journal.is_some() {
             scheduler.set_obs_enabled(true);
         }
@@ -501,7 +499,6 @@ impl<'a> Engine<'a> {
             plan,
             retry,
             journal,
-            _span: span,
             kind: EngineKind::default(),
             radio,
             slot_s,
@@ -648,7 +645,6 @@ impl<'a> Engine<'a> {
         if !self.scheduler.slot_quiescent(trains_alive) {
             return false;
         }
-        let _span = prof::Span::enter(prof::Phase::EngineSkip);
         // None of these can change while slots are skipped (the batch
         // processes no event that could touch them), so every stop
         // condition of the form `blocker <= s` collapses into one
@@ -790,10 +786,7 @@ impl<'a> Engine<'a> {
                         .bandwidth_at((t - self.slot_s).max(0.0)),
                     trains_alive,
                 };
-                let released = {
-                    let _span = prof::Span::enter(prof::Phase::SchedulerSlot);
-                    self.scheduler.on_slot(&ctx)
-                };
+                let released = self.scheduler.on_slot(&ctx);
                 if let Some(j) = self.journal.as_deref_mut() {
                     for (time_s, event) in self.scheduler.take_obs_events() {
                         j.push(time_s, event);
@@ -826,12 +819,10 @@ impl<'a> Engine<'a> {
             PRIO_ARRIVAL => {
                 let packet = self.packets[self.arrival_idx];
                 self.arrival_idx += 1;
-                let released = {
-                    let _span = prof::Span::enter(prof::Phase::SchedulerArrival);
-                    self.scheduler
-                        .on_arrival(packet, t)
-                        .expect("workload apps are registered with the scheduler")
-                };
+                let released = self
+                    .scheduler
+                    .on_arrival(packet, t)
+                    .expect("workload apps are registered with the scheduler");
                 if let Some(j) = self.journal.as_deref_mut() {
                     for (time_s, event) in self.scheduler.take_obs_events() {
                         j.push(time_s, event);
@@ -856,12 +847,10 @@ impl<'a> Engine<'a> {
                     .map(|(i, _)| i)
                     .expect("retry event implies non-empty retry queue");
                 let (_, packet) = self.retryq.remove(idx);
-                let released = {
-                    let _span = prof::Span::enter(prof::Phase::SchedulerRetry);
-                    self.scheduler
-                        .on_tx_failure(packet, t)
-                        .expect("retried packets belong to registered apps")
-                };
+                let released = self
+                    .scheduler
+                    .on_tx_failure(packet, t)
+                    .expect("retried packets belong to registered apps");
                 if let Some(j) = self.journal.as_deref_mut() {
                     for (time_s, event) in self.scheduler.take_obs_events() {
                         j.push(time_s, event);

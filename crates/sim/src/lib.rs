@@ -86,8 +86,7 @@ pub use etrain_sched::{
 };
 
 // Re-exported so observability consumers (journaled runs, metrics
-// snapshots, event recorders) can be described with this crate alone.
+// snapshots) can be described with this crate alone.
 pub use etrain_obs::{
-    Event, EventRecord, Journal, JsonLinesRecorder, MetricsRegistry, MetricsSnapshot, NullRecorder,
-    ObsMode, Recorder, RingRecorder, OBS_ENV,
+    Event, EventRecord, Journal, MetricsRegistry, MetricsSnapshot, ObsMode, OBS_ENV,
 };

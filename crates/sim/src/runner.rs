@@ -203,13 +203,6 @@ pub struct GridCheckpoint {
     fingerprint: u64,
     /// One slot per grid job; `Some` holds the completed report.
     slots: Vec<Option<RunReport>>,
-    /// Mid-run engine snapshots for jobs that were *in flight* when the
-    /// checkpoint was persisted (see [`crate::EngineSnapshot`]): a durable
-    /// partial lets a resumed job fast-forward by replay instead of
-    /// starting over. `None` in checkpoints written before this field
-    /// existed (an `Option` deserializes from an absent field), and an
-    /// entry is cleared once its job's report lands.
-    partials: Option<Vec<Option<crate::engine::EngineSnapshot>>>,
 }
 
 impl GridCheckpoint {
@@ -251,38 +244,6 @@ impl GridCheckpoint {
     /// `None` while any job is still pending.
     pub fn into_reports(self) -> Option<Vec<RunReport>> {
         self.slots.into_iter().collect()
-    }
-
-    /// Records a durable mid-run engine snapshot for job `index`, so a
-    /// crash between full-job completions can resume that job from the
-    /// snapshot instead of from scratch. Overwrites any earlier partial
-    /// for the same job; completion clears it.
-    pub fn record_partial(&mut self, index: usize, snapshot: crate::engine::EngineSnapshot) {
-        if index >= self.slots.len() {
-            return;
-        }
-        self.ensure_partials()[index] = Some(snapshot);
-    }
-
-    /// The last recorded mid-run snapshot for job `index`, if one exists
-    /// and the job has not completed since.
-    pub fn partial(&self, index: usize) -> Option<&crate::engine::EngineSnapshot> {
-        self.partials
-            .as_ref()
-            .and_then(|partials| partials.get(index))
-            .and_then(Option::as_ref)
-    }
-
-    /// Sizes `partials` to match `slots` (checkpoints deserialized from
-    /// older versions carry none at all).
-    fn ensure_partials(&mut self) -> &mut Vec<Option<crate::engine::EngineSnapshot>> {
-        let partials = self
-            .partials
-            .get_or_insert_with(|| vec![None; self.slots.len()]);
-        if partials.len() != self.slots.len() {
-            partials.resize(self.slots.len(), None);
-        }
-        partials
     }
 }
 
@@ -574,14 +535,11 @@ impl RunGrid {
                         found: format!("fingerprint {:#018x}", cp.fingerprint),
                     });
                 }
-                let mut cp = cp;
-                cp.ensure_partials();
                 cp
             }
             None => GridCheckpoint {
                 fingerprint,
                 slots: (0..self.specs.len()).map(|_| None).collect(),
-                partials: Some((0..self.specs.len()).map(|_| None).collect()),
             },
         };
         let todo: Vec<usize> = checkpoint
@@ -597,9 +555,6 @@ impl RunGrid {
         self.execute(&cache, &todo, |index, outcome| match outcome {
             Ok((report, _)) => {
                 checkpoint.slots[index] = Some(report);
-                if let Some(partials) = checkpoint.partials.as_mut() {
-                    partials[index] = None;
-                }
                 fresh += 1;
                 if fresh.is_multiple_of(every) {
                     persist(&checkpoint);
@@ -1012,57 +967,103 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_without_partials_field_still_deserializes() {
-        // Checkpoints persisted before the crash-consistency work carry no
-        // `partials` key; they must load and resume cleanly.
-        let (checkpoint, _) = theta_grid(1).run_with_checkpoints(None, 8, |_| {}).unwrap();
-        let json = serde_json::to_string(&checkpoint).unwrap();
-        // `partials` is the struct's last field, so cutting from its key to
-        // the closing brace yields the pre-field wire format exactly.
-        let cut = json.rfind(",\"partials\"").expect("field serialized last");
-        let stripped = format!("{}}}", &json[..cut]);
-        let back: GridCheckpoint = serde_json::from_str(&stripped).expect("legacy format loads");
-        assert!(back.partials.is_none());
-        let (resumed, errors) = theta_grid(1)
-            .run_with_checkpoints(Some(back), 8, |_| {})
-            .unwrap();
-        assert!(errors.is_empty());
-        assert_eq!(resumed.slots, checkpoint.slots);
+    fn checkpoint_json_holds_only_the_fingerprint_and_slots() {
+        let (checkpoint, _) = theta_grid(1).run_with_checkpoints(None, 4, |_| {}).unwrap();
+        let json = serde_json::to_string_pretty(&checkpoint).expect("serializes");
+        assert!(json.starts_with("{\n  \"fingerprint\": "), "{json}");
+        assert!(json.contains("\n  \"slots\": ["), "{json}");
+        assert_eq!(json.matches("\n  \"").count(), 2, "{json}");
+        assert!(!json.contains("partials"));
     }
 
+    /// A `theta_grid` checkpoint as written by an earlier release: job 0
+    /// completed, plus a `partials` list (a since-removed field holding
+    /// mid-run engine snapshots) with an entry for job 2.
+    const LEGACY_CHECKPOINT_WITH_PARTIALS: &str = r#"{
+  "fingerprint": 13386736302214130832,
+  "slots": [
+    {
+      "scheduler": "eTrain",
+      "horizon_s": 600.0,
+      "extra_energy_j": 294.9560100338319,
+      "transmission_energy_j": 9.09990570568423,
+      "tail_energy_j": 285.85610432814764,
+      "idle_energy_j": 12.0,
+      "total_energy_j": 306.9560100338319,
+      "heartbeats_sent": 8,
+      "packets_completed": 40,
+      "packets_unfinished": 0,
+      "packets_abandoned": 0,
+      "abandonment_ratio": 0.0,
+      "retries": 0,
+      "wasted_retry_energy_j": 0.0,
+      "normalized_delay_s": 0.41420558188351253,
+      "deadline_violation_ratio": 0.0,
+      "busy_time_s": 12.999865293834622,
+      "steps_run": 601,
+      "promotions": 11,
+      "packets_shed": 0,
+      "forced_flushes": 0,
+      "health_events": [],
+      "per_app": [
+        {
+          "name": "Mail",
+          "packets": 8,
+          "bytes": 46611,
+          "mean_delay_s": 0.3071929562509652,
+          "violation_ratio": 0.0
+        },
+        {
+          "name": "Weibo",
+          "packets": 24,
+          "bytes": 55217,
+          "mean_delay_s": 0.47471941259633293,
+          "violation_ratio": 0.0
+        },
+        {
+          "name": "Cloud",
+          "packets": 8,
+          "bytes": 987515,
+          "mean_delay_s": 0.3396767153775988,
+          "violation_ratio": 0.0
+        }
+      ],
+      "oracle": null,
+      "metrics": null
+    },
+    null,
+    null,
+    null
+  ],
+  "partials": [
+    null,
+    null,
+    {
+      "version": 1,
+      "taken_at_s": 12.0,
+      "events_processed": 34,
+      "steps_run": 5,
+      "journal_events": 0,
+      "engine": "event",
+      "fingerprint": 65261
+    },
+    null
+  ]
+}"#;
+
     #[test]
-    fn partial_snapshots_attach_and_clear_on_completion() {
-        let mut snapshot: Option<GridCheckpoint> = None;
-        theta_grid(1)
-            .run_with_checkpoints(None, 1, |cp| {
-                if snapshot.is_none() {
-                    snapshot = Some(cp.clone());
-                }
-            })
-            .unwrap();
-        let mut cp = snapshot.expect("persist fired");
-        let pending = cp
-            .completed_indices()
-            .last()
-            .map_or(0, |&i| (i + 1) % cp.len());
-        let partial = crate::engine::EngineSnapshot {
-            version: crate::engine::SNAPSHOT_VERSION,
-            taken_at_s: 12.0,
-            events_processed: 34,
-            steps_run: 5,
-            journal_events: 0,
-            engine: crate::engine::EngineKind::Slot,
-            fingerprint: 0xfeed,
-        };
-        cp.record_partial(pending, partial);
-        cp.record_partial(usize::MAX, partial); // out of range: ignored
-        assert_eq!(cp.partial(pending), Some(&partial));
-        let (done, errors) = theta_grid(1)
-            .run_with_checkpoints(Some(cp), 8, |_| {})
+    fn legacy_checkpoint_with_partials_key_loads_and_resumes() {
+        // The fixture was written with the oracle and journal off; pin
+        // them so an ambient `ETRAIN_ORACLE`/`ETRAIN_OBS` cannot differ.
+        let grid = || theta_grid(1).oracle(OracleMode::Off).obs(ObsMode::Off);
+        let legacy: GridCheckpoint =
+            serde_json::from_str(LEGACY_CHECKPOINT_WITH_PARTIALS).expect("legacy format loads");
+        assert_eq!(legacy.completed_indices(), vec![0]);
+        let (resumed, errors) = grid()
+            .run_with_checkpoints(Some(legacy), 8, |_| {})
             .unwrap();
         assert!(errors.is_empty());
-        // The job completed on resume, so its partial was cleared.
-        assert_eq!(done.partial(pending), None);
+        assert_eq!(resumed.into_reports().expect("complete"), grid().run());
     }
 
     #[test]

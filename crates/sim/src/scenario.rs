@@ -1207,7 +1207,7 @@ mod tests {
         let scenario = Scenario::paper_default()
             .duration_secs(900)
             .seed(13)
-            .obs(ObsMode::Ring)
+            .obs(ObsMode::Jsonl)
             .oracle(OracleMode::Off)
             .faults(
                 FaultPlan::seeded(3)

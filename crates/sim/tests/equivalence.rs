@@ -1,16 +1,18 @@
 //! Decision-path equivalence suite: the cached hot path of the hot-path
 //! campaign (`ETrainScheduler::select` scratch reuse, O(1) counters,
-//! Θ-gate early exit, pooled timelines, batched integration) must be
-//! *bit-for-bit* invisible in every output the simulator can produce.
+//! Θ-gate early exit, batched integration) must be *bit-for-bit*
+//! invisible in every output the simulator can produce.
 //!
 //! Every seeded scenario runs twice — once on the cached decision path
 //! and once with the retained from-scratch reference recompute
 //! (`Scenario::reference_cost`) — across all five schedulers, both engine
 //! kernels, fault-free and faulty plans, with the strict oracle on and
 //! the structured journal exported. The benchmark grid's paper-default
-//! operating points, overload included, run the same comparison. Reports,
-//! their serialized JSON, and the merged journals must match byte for
-//! byte.
+//! operating points, overload included, and a heartbeats-only standby
+//! run, where nearly every slot is batch-skipped, run the same
+//! comparison. Reports, their serialized JSON, and the merged journals
+//! must match byte for byte, between the two paths and between the two
+//! kernels.
 //!
 //! The quick tier runs in the default test pass; the exhaustive sweep is
 //! `#[ignore]`d and executed by the CI `conformance` job
@@ -18,17 +20,22 @@
 
 use etrain_sim::oracle::OracleMode;
 use etrain_sim::{
-    conformance_kinds, CasePlan, EngineKind, Journal, ObsMode, Scenario, SchedulerKind,
+    conformance_kinds, BandwidthSource, CasePlan, EngineKind, Journal, ObsMode, Scenario,
+    SchedulerKind,
 };
+use etrain_trace::heartbeats::TrainAppSpec;
+use etrain_trace::packets::CargoWorkload;
 
 /// Runs one workload on both decision paths — across every scheduler in
 /// `kinds` and both engine kernels — and demands byte-identical reports
-/// and journals. `input` names the workload in failure messages.
+/// and journals, between the paths and between the kernels. `input`
+/// names the workload in failure messages.
 fn assert_decision_paths_equivalent(input: &str, base: Scenario, kinds: &[SchedulerKind]) {
     let base = base.oracle(OracleMode::Strict).obs(ObsMode::Jsonl);
     for &kind in kinds {
         let scenario = base.clone().scheduler(kind);
         let traces = scenario.generate_traces();
+        let mut slot_kernel = None;
         for engine in [EngineKind::Slot, EngineKind::Event] {
             let run = |reference: bool| {
                 scenario
@@ -72,6 +79,18 @@ fn assert_decision_paths_equivalent(input: &str, base: Scenario, kinds: &[Schedu
                 .as_ref()
                 .expect("strict mode attaches outcome");
             assert!(outcome.is_clean(), "oracle violations ({input})");
+
+            let cached = (
+                cached_report,
+                cached_journal.as_ref().map(Journal::to_jsonl),
+            );
+            match &slot_kernel {
+                None => slot_kernel = Some(cached),
+                Some(slot) => assert!(
+                    *slot == cached,
+                    "kernels diverged ({input}, scheduler {kind:?})"
+                ),
+            }
         }
     }
 }
@@ -115,6 +134,27 @@ fn equivalence_benchmark_grid_points_are_interchangeable() {
             &kinds,
         );
     }
+}
+
+/// Standby: an hour of the paper trio's heartbeats with no cargo traffic
+/// on a constant 450 kbps link (seed 1), the event kernel's best case —
+/// almost every slot boundary is quiescent and retired in a batch, so the
+/// slot ≡ event comparison covers long skips between heartbeats. 2
+/// schedulers × 2 kernels × 2 decision paths = 8 journaled strict runs.
+#[test]
+fn equivalence_standby_heartbeats_are_interchangeable() {
+    let standby = Scenario::paper_default()
+        .duration_secs(3600)
+        .trains(TrainAppSpec::paper_trio())
+        .workload(CargoWorkload::new(Vec::new()))
+        .bandwidth(BandwidthSource::Constant(450_000.0))
+        .seed(1);
+    let etrain = standby.scheduler_kind();
+    assert_decision_paths_equivalent(
+        "standby heartbeats",
+        standby,
+        &[SchedulerKind::Baseline, etrain],
+    );
 }
 
 /// Exhaustive tier for the CI conformance job: 20 seeds × {fault-free,

@@ -85,7 +85,7 @@ fn metrics_energy_gauges_sum_to_the_report_total() {
     let scenario = Scenario::paper_default()
         .duration_secs(900)
         .seed(7)
-        .obs(ObsMode::Ring);
+        .obs(ObsMode::Jsonl);
     let (report, _, _) = scenario
         .try_run_journaled_on(&scenario.generate_traces())
         .unwrap();

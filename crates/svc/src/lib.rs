@@ -34,6 +34,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The daemon's request, WAL and recovery paths must not panic on
+// `unwrap`/`expect`; failures surface as typed `SvcError`s. Tests (and
+// doctests, which compile as separate crates) are exempt.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod error;
 pub mod script;
