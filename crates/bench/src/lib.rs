@@ -370,8 +370,7 @@ pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
 }
 
 /// Runs `experiments` on [`etrain_sim::run_pool`] and returns the finished
-/// runs **in input order**, regardless of which worker finished first —
-/// the same deterministic reassembly the simulator's `RunGrid` uses.
+/// runs **in input order**, regardless of which worker finished first.
 /// `jobs` overrides the worker count; `None` defers to
 /// [`etrain_sim::resolve_workers`] (`ETRAIN_JOBS`, then the machine's
 /// available parallelism). Experiment `run` functions are deterministic,
@@ -385,17 +384,11 @@ pub fn run_experiments(
     quick: bool,
     jobs: Option<usize>,
 ) -> Vec<ReproRun> {
-    let mut slots: Vec<Option<ReproRun>> = (0..experiments.len()).map(|_| None).collect();
     etrain_sim::run_pool(
         experiments,
         etrain_sim::resolve_workers(jobs, experiments.len()),
         |experiment| run_timed(experiment, quick),
-        |index, run| slots[index] = Some(run),
-    );
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every experiment ran"))
-        .collect()
+    )
 }
 
 fn run_timed(experiment: &Experiment, quick: bool) -> ReproRun {

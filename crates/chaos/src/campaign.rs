@@ -2,11 +2,11 @@
 //! runner under the strict oracle, every failure collected.
 //!
 //! The campaign reuses the production execution path on purpose — cases
-//! become [`RunSpec`]s and run through [`RunGrid::run_with_checkpoints`]
-//! on the worker pool, so panics are isolated per job, strict-mode oracle
-//! violations surface as typed errors, and the sweep itself exercises the
-//! checkpoint/resume machinery it is meant to stress. Health-ladder logs
-//! are audited from the completed reports afterwards.
+//! become [`RunSpec`]s and run through [`RunGrid::run_each`] on the
+//! worker pool, so panics are isolated per job, strict-mode oracle
+//! violations surface as typed errors, and every failing job is reported,
+//! not just the first. Health-ladder logs are audited from the completed
+//! reports afterwards.
 
 use etrain_sim::oracle::OracleMode;
 use etrain_sim::{RunError, RunGrid, RunSpec, ScenarioError};
@@ -88,37 +88,31 @@ pub fn run_campaign(cases: &[ChaosCase], jobs: usize) -> CampaignReport {
     let grid = RunGrid::from_specs(specs)
         .oracle(OracleMode::Strict)
         .jobs(jobs);
-    let (checkpoint, errors) = grid
-        .run_with_checkpoints(None, usize::MAX, |_| {})
-        .expect("a fresh run resumes from nothing, so no checkpoint mismatch");
+    let outcomes = grid.run_each();
 
-    for error in errors {
-        let index = case_of_spec[error.index()];
+    for error in outcomes.iter().filter_map(|o| o.as_ref().err()) {
         let failure = match error {
             RunError::Scenario {
                 error: ScenarioError::OracleViolation { violation },
                 ..
             } => CaseFailure::OracleViolations {
-                kinds: vec![violation_name(&violation).to_string()],
+                kinds: vec![violation_name(violation).to_string()],
                 rendered: vec![violation.to_string()],
             },
             RunError::Scenario { error, .. } => CaseFailure::InvalidScenario {
                 reason: error.to_string(),
             },
-            RunError::Panicked { payload, .. } => CaseFailure::Panicked { payload },
-            RunError::CheckpointMismatch { .. } => {
-                unreachable!("per-job errors never include checkpoint mismatches")
-            }
+            RunError::Panicked { payload, .. } => CaseFailure::Panicked {
+                payload: payload.clone(),
+            },
         };
         findings.push(Finding {
-            case: cases[index].clone(),
+            case: cases[case_of_spec[error.index()]].clone(),
             failure,
         });
     }
-    for index in checkpoint.completed_indices() {
-        let report = checkpoint
-            .report(index)
-            .expect("completed indices have reports");
+    for (index, report) in outcomes.iter().enumerate() {
+        let Ok(report) = report else { continue };
         let anomalies = etrain_sched::audit_transitions(&report.health_events);
         if !anomalies.is_empty() {
             findings.push(Finding {

@@ -24,6 +24,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use etrain_core::CoreConfig;
+use etrain_obs::{AppendFault, FrameWriter};
 use etrain_svc::script::{script, ScriptStep};
 use etrain_svc::{DurableService, ServiceState, SvcHealthConfig, WalConfig};
 use serde::{Deserialize, Serialize};
@@ -404,14 +405,10 @@ impl WalCorruption {
         std::fs::File::open(&segment)?.read_to_end(&mut bytes)?;
         match self {
             WalCorruption::TornTail => {
-                // Header claims 256 payload bytes; only 40 follow.
-                let payload = [0xabu8; 40];
-                let mut frame = Vec::new();
-                frame.extend_from_slice(&256u32.to_le_bytes());
-                frame.extend_from_slice(&etrain_obs::crc32(&payload).to_le_bytes());
-                frame.extend_from_slice(&payload);
-                let mut file = std::fs::OpenOptions::new().append(true).open(&segment)?;
-                file.write_all(&frame)?;
+                // Header claims 80 payload bytes; only 40 follow.
+                let file = std::fs::OpenOptions::new().append(true).open(&segment)?;
+                FrameWriter::resume(file, 0, bytes.len() as u64)
+                    .append_faulty(&[0xab; 80], AppendFault::TornPayload)?;
                 Ok(true)
             }
             WalCorruption::TruncatedSegment => {
@@ -563,6 +560,44 @@ mod tests {
             // Damage hits at most the final record: checksummed frames
             // before it must all survive.
             assert!(result.records_lost <= 1, "{result:?} lost history");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_tail_appends_a_header_and_half_its_payload() {
+        let dir = scratch("torn-tail");
+        let segment = dir.join("wal-000000.seg");
+        let mut writer = FrameWriter::create(Vec::new()).unwrap();
+        writer.append(b"first").unwrap();
+        writer.append(b"second").unwrap();
+        std::fs::write(&segment, writer.into_inner()).unwrap();
+        let before = std::fs::read(&segment).unwrap();
+
+        assert!(WalCorruption::TornTail.apply(&dir).unwrap());
+        let after = std::fs::read(&segment).unwrap();
+        assert_eq!(&after[..before.len()], &before[..], "prefix untouched");
+        assert_eq!(
+            after.len(),
+            before.len() + etrain_obs::FRAME_HEADER_BYTES + 40
+        );
+        let scan = etrain_obs::durable::scan_segment(&after);
+        assert_eq!(
+            scan.tail,
+            etrain_obs::durable::TailStatus::Torn {
+                valid_bytes: before.len() as u64
+            }
+        );
+        assert_eq!(scan.payloads, vec![b"first".to_vec(), b"second".to_vec()]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corruptions_find_nothing_to_damage_without_a_segment() {
+        let dir = scratch("no-segment");
+        std::fs::write(dir.join("notes.txt"), b"not a segment").unwrap();
+        for corruption in WalCorruption::all() {
+            assert!(!corruption.apply(&dir).unwrap(), "{corruption}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

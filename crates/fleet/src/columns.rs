@@ -12,10 +12,104 @@
 //! order, which (because shards partition the device range contiguously)
 //! restores global device order — the canonical order every aggregate
 //! fold runs in.
+//!
+//! Aggregates are [`FleetTally`] folds over those rows, never sums of
+//! per-shard partials: floating-point addition is association-sensitive,
+//! so merging shard sums would tie the result to the shard partition.
+//! Folding the reassembled columns in row order gives the same bits for
+//! 1 and N workers by construction.
 
-use etrain_obs::FleetTally;
 use etrain_sim::RunReport;
 use etrain_trace::user::Activeness;
+
+/// Aggregate of one set of devices (a behavior class or the whole
+/// fleet): sums, counts and extrema, folded in device order by
+/// [`FleetColumns::tally`] and [`FleetColumns::class_tally`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FleetTally {
+    /// Devices folded into this tally.
+    pub devices: u64,
+    /// Cargo packets completed across those devices.
+    pub packets_completed: u64,
+    /// Cargo packets unfinished at each device's horizon.
+    pub packets_unfinished: u64,
+    /// Heartbeats transmitted across those devices.
+    pub heartbeats_sent: u64,
+    /// Sum of per-device radio energy above idle (transmission + tail), J.
+    pub extra_energy_j: f64,
+    /// Sum of per-device total energy (extra + idle baseline), J.
+    pub total_energy_j: f64,
+    /// Sum of per-device normalized delays, in seconds (divide by
+    /// `devices` for the population mean of the per-device means).
+    pub delay_sum_s: f64,
+    /// Smallest per-device extra energy seen, J (`+∞` when empty).
+    pub min_extra_j: f64,
+    /// Largest per-device extra energy seen, J (`-∞` when empty).
+    pub max_extra_j: f64,
+}
+
+impl FleetTally {
+    /// The empty tally.
+    pub fn empty() -> FleetTally {
+        FleetTally {
+            devices: 0,
+            packets_completed: 0,
+            packets_unfinished: 0,
+            heartbeats_sent: 0,
+            extra_energy_j: 0.0,
+            total_energy_j: 0.0,
+            delay_sum_s: 0.0,
+            min_extra_j: f64::INFINITY,
+            max_extra_j: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Folds one device's results into the tally.
+    #[allow(clippy::too_many_arguments)]
+    pub fn absorb_device(
+        &mut self,
+        extra_energy_j: f64,
+        total_energy_j: f64,
+        normalized_delay_s: f64,
+        packets_completed: u64,
+        packets_unfinished: u64,
+        heartbeats_sent: u64,
+    ) {
+        self.devices += 1;
+        self.packets_completed += packets_completed;
+        self.packets_unfinished += packets_unfinished;
+        self.heartbeats_sent += heartbeats_sent;
+        self.extra_energy_j += extra_energy_j;
+        self.total_energy_j += total_energy_j;
+        self.delay_sum_s += normalized_delay_s;
+        self.min_extra_j = self.min_extra_j.min(extra_energy_j);
+        self.max_extra_j = self.max_extra_j.max(extra_energy_j);
+    }
+
+    /// Population mean of per-device extra energy, J (0 when empty).
+    pub fn mean_extra_j(&self) -> f64 {
+        if self.devices > 0 {
+            self.extra_energy_j / self.devices as f64
+        } else {
+            0.0
+        }
+    }
+
+    /// Population mean of per-device normalized delay, s (0 when empty).
+    pub fn mean_delay_s(&self) -> f64 {
+        if self.devices > 0 {
+            self.delay_sum_s / self.devices as f64
+        } else {
+            0.0
+        }
+    }
+}
+
+impl Default for FleetTally {
+    fn default() -> Self {
+        FleetTally::empty()
+    }
+}
 
 /// Per-device results of a fleet run, stored column-wise in device order.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -189,5 +283,31 @@ mod tests {
         assert_eq!(by_class, fleet.devices);
         assert_eq!(c.class_tally(Activeness::Active).extra_energy_j, 5.0);
         assert_eq!(c.class_extra_energies(Activeness::Active), vec![1.0, 4.0]);
+    }
+
+    #[test]
+    fn tally_folds_counts_extrema_and_sums() {
+        let mut tally = FleetTally::empty();
+        tally.absorb_device(3.0, 13.0, 0.5, 4, 1, 10);
+        tally.absorb_device(1.0, 11.0, 1.5, 6, 0, 20);
+        tally.absorb_device(5.0, 15.0, 1.0, 2, 2, 30);
+        assert_eq!(tally.devices, 3);
+        assert_eq!(tally.packets_completed, 12);
+        assert_eq!(tally.packets_unfinished, 3);
+        assert_eq!(tally.heartbeats_sent, 60);
+        assert_eq!(tally.extra_energy_j, 9.0);
+        assert_eq!(tally.total_energy_j, 39.0);
+        assert_eq!((tally.min_extra_j, tally.max_extra_j), (1.0, 5.0));
+        assert_eq!(tally.mean_extra_j(), 3.0);
+        assert_eq!(tally.mean_delay_s(), 1.0);
+    }
+
+    #[test]
+    fn empty_tally_has_safe_means() {
+        let empty = FleetTally::empty();
+        assert_eq!(empty, FleetTally::default());
+        assert_eq!(empty.mean_extra_j(), 0.0);
+        assert_eq!(empty.mean_delay_s(), 0.0);
+        assert_eq!(FleetColumns::default().tally(), empty);
     }
 }

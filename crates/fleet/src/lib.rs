@@ -18,18 +18,20 @@
 //!   a million `RunReport`s.
 //! - **Deterministic sharding** — the device range is partitioned
 //!   contiguously, shards run on `etrain_sim::run_pool` (the worker pool
-//!   `RunGrid` uses), and outputs are reassembled by shard index; the
-//!   result is bit-for-bit identical to a serial run, for any worker
-//!   count and shard size.
+//!   `RunGrid` uses), which returns their columns in shard order for
+//!   concatenation; the result is bit-for-bit identical to a serial run,
+//!   for any worker count and shard size.
 //! - **Pure per-device seeding** — every device's class and seed derive
 //!   from `(fleet seed, device index)` alone, so a fleet of N is exactly
 //!   N independent single-device runs (the conformance tier asserts
 //!   this, report for report).
 //!
 //! The entry points: [`FleetConfig::paper_default`] describes the run,
-//! [`run_fleet`] executes it, [`FleetResult::snapshot`] turns it into the
-//! serializable population summary. The slow reference path is a plain
-//! `etrain_sim::RunGrid` with one job per device,
+//! [`run_fleet`] executes it into [`FleetColumns`] plus the device-order
+//! [`FleetTally`], and [`FleetColumns::class_tally`] /
+//! [`FleetColumns::class_extra_energies`] break it down per behavior
+//! class. The slow reference path is a plain `etrain_sim::RunGrid` with
+//! one job per device,
 //! `RunSpec::new(label, config.reference_scenario(&config.device_spec(d)))`
 //! ([`FleetConfig::reference_scenario`]); journaling that grid gives the
 //! device-ordered fleet journal.
@@ -46,17 +48,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod columns;
 pub mod population;
 pub mod runner;
 
-pub use columns::FleetColumns;
+pub use columns::{FleetColumns, FleetTally};
 pub use population::{class_label, device_seed, ClassMix, DeviceSpec, FleetConfig};
 pub use runner::{run_fleet, FleetResult};
-
-// Re-exported so fleet experiments can be described with this crate alone.
-pub use etrain_obs::{ClassSnapshot, FleetSnapshot, FleetTally};
 
 /// The environment variable overriding experiment fleet sizes
 /// (`ETRAIN_FLEET_SIZE`), read strictly by [`try_fleet_size_from_env`].

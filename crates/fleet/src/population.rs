@@ -16,7 +16,7 @@ use etrain_trace::CargoAppId;
 use serde::{Deserialize, Serialize};
 
 /// The display label of one behavior class (`active` / `moderate` /
-/// `inactive`), used in fleet snapshots and tables.
+/// `inactive`), used in fleet tables.
 pub fn class_label(class: Activeness) -> &'static str {
     match class {
         Activeness::Active => "active",

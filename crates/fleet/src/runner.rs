@@ -21,18 +21,16 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use etrain_obs::{ClassSnapshot, FleetSnapshot, FleetTally};
 use etrain_radio::RadioParams;
 use etrain_sched::RetryPolicy;
-use etrain_sim::{resolve_workers, run_pool, Engine, Percentiles, RunReport};
+use etrain_sim::{resolve_workers, run_pool, Engine, RunReport};
 use etrain_trace::bandwidth::BandwidthTrace;
 use etrain_trace::faults::FaultPlan;
 use etrain_trace::heartbeats::{synthesize_into, Heartbeat, TrainAppSpec};
 use etrain_trace::packets::Packet;
-use etrain_trace::user::Activeness;
 
-use crate::columns::FleetColumns;
-use crate::population::{class_label, FleetConfig};
+use crate::columns::{FleetColumns, FleetTally};
+use crate::population::FleetConfig;
 
 /// The outcome of one fleet run: the device-ordered column store, the
 /// canonical fleet tally, and the run's throughput measurements.
@@ -53,49 +51,6 @@ pub struct FleetResult {
     pub wall_s: f64,
     /// Devices simulated per wall-clock second (the throughput headline).
     pub devices_per_s: f64,
-}
-
-impl FleetResult {
-    /// Builds the serializable population snapshot: the fleet tally plus
-    /// a per-class breakdown with nearest-rank extra-energy percentiles.
-    /// Classes with zero devices keep empty tallies and zero percentiles
-    /// so the snapshot shape is fixed.
-    pub fn snapshot(&self) -> FleetSnapshot {
-        let classes = Activeness::all()
-            .iter()
-            .map(|&class| {
-                let tally = self.columns.class_tally(class);
-                let mut samples = self.columns.class_extra_energies(class);
-                let percentiles = if samples.is_empty() {
-                    Percentiles {
-                        p50: 0.0,
-                        p95: 0.0,
-                        p99: 0.0,
-                    }
-                } else {
-                    Percentiles::from_samples_mut(&mut samples)
-                };
-                ClassSnapshot {
-                    class: class_label(class).to_owned(),
-                    mean_extra_j: tally.mean_extra_j(),
-                    p50_extra_j: percentiles.p50,
-                    p95_extra_j: percentiles.p95,
-                    p99_extra_j: percentiles.p99,
-                    tally,
-                }
-            })
-            .collect();
-        FleetSnapshot {
-            scheduler: self.scheduler.clone(),
-            devices: self.fleet.devices,
-            shards: self.shards as u64,
-            workers: self.workers as u64,
-            wall_s: self.wall_s,
-            devices_per_s: self.devices_per_s,
-            fleet: self.fleet,
-            classes,
-        }
-    }
 }
 
 /// Runs one shard of the device range through the direct engine path.
@@ -174,16 +129,10 @@ pub fn run_fleet(config: &FleetConfig) -> FleetResult {
     let start = Instant::now();
     let shards = shard_ranges(config.devices, config.shard_devices);
     let workers = resolve_workers(config.jobs, shards.len());
-    let mut parts: Vec<Option<FleetColumns>> = shards.iter().map(|_| None).collect();
-    run_pool(
-        &shards,
-        workers,
-        |range| run_shard(config, range.clone()),
-        |index, columns| parts[index] = Some(columns),
-    );
+    let parts = run_pool(&shards, workers, |range| run_shard(config, range.clone()));
     let mut columns = FleetColumns::with_capacity(config.devices as usize);
-    for part in &mut parts {
-        columns.append(part.as_mut().expect("every shard returns columns"));
+    for mut part in parts {
+        columns.append(&mut part);
     }
     let fleet = columns.tally();
     let wall_s = start.elapsed().as_secs_f64();
@@ -224,9 +173,6 @@ mod tests {
         assert!(result.workers >= 1 && result.workers <= 3);
         assert!(result.wall_s > 0.0, "wall {}", result.wall_s);
         assert_eq!(result.devices_per_s, 40.0 / result.wall_s);
-        let snapshot = result.snapshot();
-        assert_eq!(snapshot.wall_s, result.wall_s);
-        assert_eq!(snapshot.devices_per_s, result.devices_per_s);
-        assert!(snapshot.fleet.mean_extra_j() > 0.0);
+        assert!(result.fleet.mean_extra_j() > 0.0);
     }
 }

@@ -12,6 +12,7 @@
 use etrain_fleet::{run_fleet, ClassMix, FleetConfig};
 use etrain_obs::ObsMode;
 use etrain_sim::{RunGrid, RunSpec};
+use etrain_trace::user::Activeness;
 
 /// One grid job per device: the scenario the fleet's direct engine path
 /// must reproduce for that device, in device order.
@@ -163,19 +164,27 @@ fn journaled_fleet_reruns_are_byte_identical() {
 }
 
 #[test]
-fn snapshot_shape_is_fixed_and_consistent() {
+fn class_tallies_partition_a_real_fleet() {
     let result = run_fleet(&FleetConfig::paper_default(50).seed(9));
-    let snapshot = result.snapshot();
-    assert_eq!(snapshot.devices, 50);
-    assert_eq!(snapshot.classes.len(), 3);
-    let class_devices: u64 = snapshot.classes.iter().map(|c| c.tally.devices).sum();
-    assert_eq!(class_devices, snapshot.devices);
-    for class in &snapshot.classes {
-        if class.tally.devices > 0 {
-            assert!(class.p50_extra_j <= class.p95_extra_j);
-            assert!(class.p95_extra_j <= class.p99_extra_j);
-            assert!(class.tally.min_extra_j <= class.p50_extra_j);
-            assert!(class.p99_extra_j <= class.tally.max_extra_j);
+    assert_eq!(result.fleet, result.columns.tally());
+    assert_eq!(result.fleet.devices, 50);
+    let classes: Vec<_> = Activeness::all()
+        .iter()
+        .map(|&class| result.columns.class_tally(class))
+        .collect();
+    let sum = |field: fn(&etrain_fleet::FleetTally) -> u64| classes.iter().map(field).sum::<u64>();
+    assert_eq!(sum(|t| t.devices), result.fleet.devices);
+    assert_eq!(sum(|t| t.packets_completed), result.fleet.packets_completed);
+    assert_eq!(sum(|t| t.heartbeats_sent), result.fleet.heartbeats_sent);
+    for (class, tally) in Activeness::all().iter().zip(&classes) {
+        let samples = result.columns.class_extra_energies(*class);
+        assert_eq!(samples.len() as u64, tally.devices, "{class:?}");
+        for x in samples {
+            assert!(
+                tally.min_extra_j <= x && x <= tally.max_extra_j,
+                "{class:?}"
+            );
+            assert!(result.fleet.min_extra_j <= x && x <= result.fleet.max_extra_j);
         }
     }
 }

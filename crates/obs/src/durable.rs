@@ -77,15 +77,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// byte-exactly so tests can assert the reader's verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum AppendFault {
-    /// Write the header and only the first `keep_bytes` payload bytes —
-    /// the classic torn append of a SIGKILL mid-`write`. `keep_bytes` is
-    /// clamped to the payload length (a full-length "torn" write is
-    /// indistinguishable from a clean one, so callers wanting damage
-    /// should pass less).
-    TornPayload {
-        /// How many payload bytes survive.
-        keep_bytes: usize,
-    },
+    /// Write the header and only the first half of the payload bytes
+    /// (rounded down) — the classic torn append of a SIGKILL mid-`write`.
+    TornPayload,
     /// Write only the first 4 header bytes (the length field) and stop:
     /// the crash landed inside the header itself.
     ShortHeader,
@@ -160,8 +154,8 @@ impl<W: Write> FrameWriter<W> {
     pub fn append_faulty(&mut self, payload: &[u8], fault: AppendFault) -> std::io::Result<()> {
         let mut header = Self::header(payload);
         match fault {
-            AppendFault::TornPayload { keep_bytes } => {
-                let keep = keep_bytes.min(payload.len());
+            AppendFault::TornPayload => {
+                let keep = payload.len() / 2;
                 self.writer.write_all(&header)?;
                 self.writer.write_all(&payload[..keep])?;
                 self.bytes += (FRAME_HEADER_BYTES + keep) as u64;
@@ -373,6 +367,16 @@ mod tests {
     }
 
     #[test]
+    fn frame_is_length_then_crc_little_endian_then_payload() {
+        let bytes = frame_up(&[b"abc"]);
+        let mut want = WAL_MAGIC.to_vec();
+        want.extend_from_slice(&3u32.to_le_bytes());
+        want.extend_from_slice(&crc32(b"abc").to_le_bytes());
+        want.extend_from_slice(b"abc");
+        assert_eq!(bytes, want);
+    }
+
+    #[test]
     fn clean_segment_round_trips() {
         let bytes = frame_up(&[b"alpha", b"", b"gamma-longer-payload"]);
         let scan = scan_segment(&bytes);
@@ -414,16 +418,52 @@ mod tests {
         writer.append(b"first").unwrap();
         let valid = writer.bytes();
         writer
-            .append_faulty(
-                b"second-payload",
-                AppendFault::TornPayload { keep_bytes: 3 },
-            )
+            .append_faulty(b"second-payload", AppendFault::TornPayload)
             .unwrap();
         let bytes = writer.into_inner();
         let scan = scan_segment(&bytes);
         assert_eq!(scan.tail, TailStatus::Torn { valid_bytes: valid });
         assert_eq!(scan.payloads, vec![b"first".to_vec()]);
         assert_eq!(scan.valid_bytes(), valid);
+    }
+
+    #[test]
+    fn torn_payload_keeps_half_the_payload_rounded_down() {
+        for len in [1usize, 7, 14, 80] {
+            let payload = vec![0x5a; len];
+            let mut writer = FrameWriter::create(Vec::new()).unwrap();
+            writer.append(b"first").unwrap();
+            let valid = writer.bytes() as usize;
+            writer
+                .append_faulty(&payload, AppendFault::TornPayload)
+                .unwrap();
+            let bytes = writer.into_inner();
+            assert_eq!(
+                bytes.len(),
+                valid + FRAME_HEADER_BYTES + len / 2,
+                "len={len}"
+            );
+            // The header still promises the whole payload.
+            let promised = u32::from_le_bytes(bytes[valid..valid + 4].try_into().unwrap());
+            assert_eq!(promised as usize, len, "len={len}");
+            assert_eq!(&bytes[valid + FRAME_HEADER_BYTES..], &payload[..len / 2]);
+        }
+    }
+
+    #[test]
+    fn faulty_appends_count_their_bytes_but_not_a_frame() {
+        for fault in [
+            AppendFault::TornPayload,
+            AppendFault::ShortHeader,
+            AppendFault::FlipChecksum,
+        ] {
+            let mut writer = FrameWriter::create(Vec::new()).unwrap();
+            writer.append(b"first").unwrap();
+            writer.append_faulty(b"second-payload", fault).unwrap();
+            assert_eq!(writer.frames(), 1, "{fault:?}");
+            let counted = writer.bytes();
+            assert_eq!(writer.into_inner().len() as u64, counted, "{fault:?}");
+        }
     }
 
     #[test]
@@ -485,18 +525,5 @@ mod tests {
         let scan = scan_segment(&buf);
         assert_eq!(scan.tail, TailStatus::Clean);
         assert_eq!(scan.payloads.len(), 2);
-    }
-
-    #[test]
-    fn torn_keep_bytes_clamps_to_payload() {
-        let mut writer = FrameWriter::create(Vec::new()).unwrap();
-        writer
-            .append_faulty(b"ab", AppendFault::TornPayload { keep_bytes: 99 })
-            .unwrap();
-        // Full payload kept: frame actually verifies (a "torn" write that
-        // lost nothing is a clean write).
-        let scan = scan_segment(&writer.into_inner());
-        assert_eq!(scan.tail, TailStatus::Clean);
-        assert_eq!(scan.payloads, vec![b"ab".to_vec()]);
     }
 }

@@ -20,6 +20,11 @@
 //!    utilization, queue depth, decision counts) snapshotted into
 //!    `RunReport` and `BENCH_repro.json`.
 //!
+//! A third module, [`durable`], is the one place the checksummed on-disk
+//! frame format is written and read: the daemon's write-ahead log, its
+//! fault hook and the chaos harness's damaged tails all go through
+//! [`FrameWriter`] and [`scan_segment`].
+//!
 //! Everything here is simulated-time and deterministic; nothing reads a
 //! wall clock. Where the time goes is measured from outside, by the
 //! repository's `benchmark/` package.
@@ -34,17 +39,15 @@
 
 pub mod durable;
 mod event;
-pub mod fleet;
 mod fnv;
 mod metrics;
 mod mode;
 
 pub use durable::{
-    crc32, scan_segment, AppendFault, FrameWriter, SegmentScan, TailStatus, FRAME_HEADER_BYTES,
+    scan_segment, AppendFault, FrameWriter, SegmentScan, TailStatus, FRAME_HEADER_BYTES,
     MAX_FRAME_BYTES, WAL_MAGIC,
 };
 pub use event::{Event, EventRecord, Journal};
-pub use fleet::{ClassSnapshot, FleetSnapshot, FleetTally};
 pub use fnv::Fnv1a;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use mode::{ObsMode, OBS_ENV};

@@ -69,8 +69,7 @@ pub use oracle::{
 pub use replicate::{replicate, Percentiles, ReplicatedReport, Stat};
 pub use report::{fmt_f, Table};
 pub use runner::{
-    resolve_workers, run_pool, try_jobs_from_env, GridCheckpoint, RunError, RunGrid, RunSpec,
-    TraceCache, JOBS_ENV,
+    resolve_workers, run_pool, try_jobs_from_env, RunError, RunGrid, RunSpec, TraceCache, JOBS_ENV,
 };
 pub use scenario::{BandwidthSource, Scenario, ScenarioError, SchedulerKind, TraceBundle};
 

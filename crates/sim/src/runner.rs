@@ -10,8 +10,8 @@
 //! - each job is an independent, deterministic function of its
 //!   [`RunSpec`] (the engine holds no global state, and per-run RNG
 //!   streams are derived from the scenario seed);
-//! - jobs complete out of order, but results are re-assembled in
-//!   job-index order before they are returned;
+//! - jobs complete out of order, but [`run_pool`] returns their results
+//!   in job-index order;
 //! - trace synthesis is shared through a [`TraceCache`] keyed by
 //!   [`Scenario::trace_key`], which never changes what is generated —
 //!   only how often.
@@ -26,16 +26,15 @@
 //! Every job runs under [`std::panic::catch_unwind`]: a panicking job
 //! becomes a [`RunError::Panicked`] entry (carrying the panic payload)
 //! instead of killing the worker pool, and every other job still
-//! completes. Long grids can additionally checkpoint completed reports
-//! into a [`GridCheckpoint`] (see [`RunGrid::run_with_checkpoints`]) and
-//! resume after a crash; resumed jobs are bit-for-bit identical to a
-//! fresh run because each job is a pure function of its spec.
+//! completes. [`RunGrid::run_each`] returns every job's outcome, so a
+//! caller sees all failures at once; [`RunGrid::try_run`] returns the
+//! lowest-index one.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 
-use etrain_obs::{Fnv1a, Journal, ObsMode};
+use etrain_obs::{Journal, ObsMode};
 
 use crate::metrics::RunReport;
 use crate::oracle::OracleMode;
@@ -100,26 +99,13 @@ pub enum RunError {
         /// The panic payload, stringified.
         payload: String,
     },
-    /// A resume checkpoint does not belong to this grid: its job count or
-    /// shape fingerprint disagrees with the grid it was handed to.
-    /// Nothing has run when this is returned — the caller kept a stale or
-    /// foreign checkpoint file.
-    CheckpointMismatch {
-        /// The grid's own value (job count or fingerprint), rendered.
-        expected: String,
-        /// The checkpoint's value, rendered.
-        found: String,
-    },
 }
 
 impl RunError {
-    /// Index of the failing job in the grid (`usize::MAX` for errors that
-    /// concern the whole grid rather than one job, like a rejected resume
-    /// checkpoint).
+    /// Index of the failing job in the grid.
     pub fn index(&self) -> usize {
         match self {
             RunError::Scenario { index, .. } | RunError::Panicked { index, .. } => *index,
-            RunError::CheckpointMismatch { .. } => usize::MAX,
         }
     }
 
@@ -127,7 +113,6 @@ impl RunError {
     pub fn label(&self) -> &str {
         match self {
             RunError::Scenario { label, .. } | RunError::Panicked { label, .. } => label,
-            RunError::CheckpointMismatch { .. } => "resume checkpoint",
         }
     }
 }
@@ -145,10 +130,6 @@ impl std::fmt::Display for RunError {
                 label,
                 payload,
             } => write!(f, "grid job #{index} ({label}) panicked: {payload}"),
-            RunError::CheckpointMismatch { expected, found } => write!(
-                f,
-                "resume checkpoint is from a different grid: expected {expected}, found {found}"
-            ),
         }
     }
 }
@@ -157,7 +138,7 @@ impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RunError::Scenario { error, .. } => Some(error),
-            RunError::Panicked { .. } | RunError::CheckpointMismatch { .. } => None,
+            RunError::Panicked { .. } => None,
         }
     }
 }
@@ -165,87 +146,6 @@ impl std::error::Error for RunError {
 /// What one grid job produces: its report plus, when the job's scenario
 /// has observability on, its journal.
 type JobOutput = (RunReport, Option<Journal>);
-
-/// A job failure before attribution to a grid index.
-#[derive(Debug)]
-enum JobError {
-    Scenario(ScenarioError),
-    Panicked(String),
-}
-
-impl JobError {
-    fn into_run_error(self, index: usize, label: String) -> RunError {
-        match self {
-            JobError::Scenario(error) => RunError::Scenario {
-                index,
-                label,
-                error,
-            },
-            JobError::Panicked(payload) => RunError::Panicked {
-                index,
-                label,
-                payload,
-            },
-        }
-    }
-}
-
-/// A resumable snapshot of a grid's completed jobs, produced by
-/// [`RunGrid::run_with_checkpoints`]. Serializable, so a long grid can
-/// persist it periodically and survive a process crash: resuming skips
-/// every completed job and — because each job is a pure function of its
-/// spec — yields reports bit-for-bit identical to an uninterrupted run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct GridCheckpoint {
-    /// Binds the checkpoint to the grid shape it was taken from (job
-    /// labels, knobs, trace keys and schedulers); resuming with a
-    /// mismatched grid is rejected.
-    fingerprint: u64,
-    /// One slot per grid job; `Some` holds the completed report.
-    slots: Vec<Option<RunReport>>,
-}
-
-impl GridCheckpoint {
-    /// Number of jobs in the checkpointed grid.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the checkpointed grid has no jobs at all.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Number of jobs with a completed report.
-    pub fn completed(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Whether every job has completed.
-    pub fn is_complete(&self) -> bool {
-        self.slots.iter().all(|s| s.is_some())
-    }
-
-    /// Indices of the completed jobs, ascending.
-    pub fn completed_indices(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i))
-            .collect()
-    }
-
-    /// The completed report of job `index`, if any.
-    pub fn report(&self, index: usize) -> Option<&RunReport> {
-        self.slots.get(index).and_then(Option::as_ref)
-    }
-
-    /// Consumes a complete checkpoint into its reports in job order;
-    /// `None` while any job is still pending.
-    pub fn into_reports(self) -> Option<Vec<RunReport>> {
-        self.slots.into_iter().collect()
-    }
-}
 
 /// A concurrent trace-artifact cache: [`TraceBundle`]s keyed by
 /// [`Scenario::trace_key`].
@@ -432,157 +332,53 @@ impl RunGrid {
     /// Returns the first (by job index) scenario-validation failure or
     /// isolated job panic. Every other job still ran to completion first.
     pub fn try_run(&self) -> Result<Vec<RunReport>, RunError> {
-        let outputs = self.run_all(&TraceCache::new())?;
-        Ok(outputs.into_iter().map(|(report, _)| report).collect())
+        self.run_each().into_iter().collect()
+    }
+
+    /// Runs every job and returns each job's outcome in job-index order:
+    /// its report, or its validation failure or isolated panic. One
+    /// failing job neither stops nor hides the others.
+    pub fn run_each(&self) -> Vec<Result<RunReport, RunError>> {
+        self.run_all(&TraceCache::new())
+            .into_iter()
+            .map(|outcome| outcome.map(|(report, _)| report))
+            .collect()
     }
 
     /// [`RunGrid::try_run`] that additionally returns the grid's merged
     /// event journal, built with [`Journal::merge`].
     ///
-    /// The merge is **deterministic**: per-run journals are collected into
-    /// job-index slots (not completion order) and concatenated in index
-    /// order, with each record's `run` field retagged to its job index —
-    /// so the merged journal is byte-for-byte identical no matter how many
-    /// workers ran the grid. Jobs whose scenario has observability off
-    /// contribute an empty journal, keeping run indices aligned with job
-    /// indices.
+    /// The merge is **deterministic**: per-run journals are concatenated
+    /// in job-index order (not completion order), with each record's
+    /// `run` field retagged to its job index — so the merged journal is
+    /// byte-for-byte identical no matter how many workers ran the grid.
+    /// Jobs whose scenario has observability off contribute an empty
+    /// journal, keeping run indices aligned with job indices.
     ///
     /// # Errors
     ///
     /// Returns what [`RunGrid::try_run`] returns.
     pub fn try_run_journaled(&self) -> Result<(Vec<RunReport>, Journal), RunError> {
-        let (reports, journals): (Vec<RunReport>, Vec<Journal>) = self
-            .run_all(&TraceCache::new())?
+        let outputs: Vec<JobOutput> = self
+            .run_all(&TraceCache::new())
+            .into_iter()
+            .collect::<Result<_, _>>()?;
+        let (reports, journals): (Vec<RunReport>, Vec<Journal>) = outputs
             .into_iter()
             .map(|(report, journal)| (report, journal.unwrap_or_default()))
             .unzip();
         Ok((reports, Journal::merge(journals)))
     }
 
-    /// Runs every job against `cache` and reassembles the outputs in
-    /// job-index order, failing with the lowest-index failure.
-    fn run_all(&self, cache: &TraceCache) -> Result<Vec<JobOutput>, RunError> {
-        let mut slots: Vec<Option<Result<JobOutput, JobError>>> =
-            (0..self.specs.len()).map(|_| None).collect();
-        let todo: Vec<usize> = (0..self.specs.len()).collect();
-        self.execute(cache, &todo, |index, outcome| slots[index] = Some(outcome));
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| {
-                slot.expect("every job reports exactly once")
-                    .map_err(|error| error.into_run_error(index, self.specs[index].label.clone()))
-            })
-            .collect()
-    }
-
-    /// A deterministic identity for the grid's *shape*: job count plus
-    /// each job's label, knob, trace key and scheduler. Used to bind a
-    /// [`GridCheckpoint`] to the grid it was taken from. (FNV-1a rather
-    /// than [`std::hash::DefaultHasher`], so the value is stable across
-    /// processes — checkpoints outlive the process.)
-    pub fn fingerprint(&self) -> u64 {
-        let mut hash = Fnv1a::new();
-        hash.field(&(self.specs.len() as u64).to_le_bytes());
-        for spec in &self.specs {
-            hash.field(spec.label.as_bytes());
-            hash.field(&spec.knob.unwrap_or(f64::NAN).to_bits().to_le_bytes());
-            hash.field(&spec.scenario.trace_key().to_le_bytes());
-            hash.field(spec.scenario.scheduler_kind().to_string().as_bytes());
-        }
-        hash.finish()
-    }
-
-    /// Runs the grid with periodic crash-recovery checkpoints.
-    ///
-    /// Starts from `resume_from` when given (jobs already completed there
-    /// are skipped, not re-run), executes the remaining jobs, and calls
-    /// `persist` with the current checkpoint after every `checkpoint_every`
-    /// newly completed jobs *and* once more at the end. A typical caller
-    /// serializes the checkpoint to disk in `persist`; after a crash it
-    /// deserializes the latest snapshot and passes it back as
-    /// `resume_from`.
-    ///
-    /// Because each job is a pure function of its spec, the reports of a
-    /// resumed grid are bit-for-bit identical to an uninterrupted run.
-    /// Only successful reports are checkpointed: jobs that failed
-    /// validation or panicked are reported in the returned error list and
-    /// retried on resume.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::CheckpointMismatch`] — without running any job
-    /// — if `resume_from` was taken from a different grid (length or
-    /// [`RunGrid::fingerprint`] mismatch).
-    pub fn run_with_checkpoints<F: FnMut(&GridCheckpoint)>(
-        &self,
-        resume_from: Option<GridCheckpoint>,
-        checkpoint_every: usize,
-        mut persist: F,
-    ) -> Result<(GridCheckpoint, Vec<RunError>), RunError> {
-        let fingerprint = self.fingerprint();
-        let mut checkpoint = match resume_from {
-            Some(cp) => {
-                if cp.slots.len() != self.specs.len() {
-                    return Err(RunError::CheckpointMismatch {
-                        expected: format!("{} jobs", self.specs.len()),
-                        found: format!("{} jobs", cp.slots.len()),
-                    });
-                }
-                if cp.fingerprint != fingerprint {
-                    return Err(RunError::CheckpointMismatch {
-                        expected: format!("fingerprint {fingerprint:#018x}"),
-                        found: format!("fingerprint {:#018x}", cp.fingerprint),
-                    });
-                }
-                cp
-            }
-            None => GridCheckpoint {
-                fingerprint,
-                slots: (0..self.specs.len()).map(|_| None).collect(),
-            },
-        };
-        let todo: Vec<usize> = checkpoint
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.is_none().then_some(i))
-            .collect();
-        let every = checkpoint_every.max(1);
-        let cache = TraceCache::new();
-        let mut errors = Vec::new();
-        let mut fresh = 0usize;
-        self.execute(&cache, &todo, |index, outcome| match outcome {
-            Ok((report, _)) => {
-                checkpoint.slots[index] = Some(report);
-                fresh += 1;
-                if fresh.is_multiple_of(every) {
-                    persist(&checkpoint);
-                }
-            }
-            Err(error) => {
-                errors.push(error.into_run_error(index, self.specs[index].label.clone()));
-            }
-        });
-        errors.sort_by_key(RunError::index);
-        persist(&checkpoint);
-        Ok((checkpoint, errors))
-    }
-
-    /// Shared execution path: runs [`run_job`] on the jobs at `todo` on
-    /// [`run_pool`], invoking `on_result` on the calling thread as each job
-    /// completes (out of index order under the pool — callers that need
-    /// order re-assemble by index).
-    fn execute<F>(&self, cache: &TraceCache, todo: &[usize], mut on_result: F)
-    where
-        F: FnMut(usize, Result<JobOutput, JobError>),
-    {
+    /// The one execution path: runs every job against `cache` on
+    /// [`run_pool`] and returns the outcomes in job-index order.
+    fn run_all(&self, cache: &TraceCache) -> Vec<Result<JobOutput, RunError>> {
+        let indices: Vec<usize> = (0..self.specs.len()).collect();
         run_pool(
-            todo,
-            resolve_workers(self.jobs, todo.len()),
-            |&index| run_job(&self.specs[index], cache),
-            |slot, outcome| on_result(todo[slot], outcome),
-        );
+            &indices,
+            resolve_workers(self.jobs, indices.len()),
+            |&index| run_job(index, &self.specs[index], cache),
+        )
     }
 }
 
@@ -596,12 +392,12 @@ impl Default for RunGrid {
 /// the shared cache, validating first so an invalid scenario never reaches
 /// trace synthesis.
 ///
-/// An unwinding job becomes [`JobError::Panicked`] instead of tearing down
+/// An unwinding job becomes [`RunError::Panicked`] instead of tearing down
 /// the worker (and, under `std::thread::scope`, the whole grid).
 /// `AssertUnwindSafe` is sound here because a panicking job's only shared
 /// state is the [`TraceCache`], which is itself poison-tolerant and only
 /// ever holds fully generated bundles.
-fn run_job(spec: &RunSpec, cache: &TraceCache) -> Result<JobOutput, JobError> {
+fn run_job(index: usize, spec: &RunSpec, cache: &TraceCache) -> Result<JobOutput, RunError> {
     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<JobOutput, ScenarioError> {
             spec.scenario.validate()?;
@@ -612,8 +408,16 @@ fn run_job(spec: &RunSpec, cache: &TraceCache) -> Result<JobOutput, JobError> {
     ));
     match unwound {
         Ok(Ok(output)) => Ok(output),
-        Ok(Err(error)) => Err(JobError::Scenario(error)),
-        Err(payload) => Err(JobError::Panicked(panic_payload_string(payload.as_ref()))),
+        Ok(Err(error)) => Err(RunError::Scenario {
+            index,
+            label: spec.label.clone(),
+            error,
+        }),
+        Err(payload) => Err(RunError::Panicked {
+            index,
+            label: spec.label.clone(),
+            payload: panic_payload_string(payload.as_ref()),
+        }),
     }
 }
 
@@ -678,57 +482,57 @@ fn workers_for(explicit: Option<usize>, env: Option<&str>, items: usize) -> usiz
         .clamp(1, items.max(1))
 }
 
-/// Runs `job` on every item across up to `workers` scoped threads, calling
-/// `on_result(index, result)` on the calling thread as each job finishes.
+/// Runs `job` on every item across up to `workers` scoped threads and
+/// returns the results in item order.
 ///
-/// Workers take items in index order, but results arrive in completion
-/// order, so callers that need index order reassemble by `index`. Because
-/// `on_result` runs while the workers are still busy, a caller can act on
-/// results mid-run (the grid checkpoints this way). With one worker, or at
-/// most one item, every job runs in line, in index order, and no thread is
-/// spawned.
+/// Workers take items in index order and finish them in any order; each
+/// worker keeps its `(index, result)` pairs and the calling thread sorts
+/// them back into item order once every worker is done. With one worker,
+/// or at most one item, every job runs in line, in index order, and no
+/// thread is spawned.
 ///
 /// # Panics
 ///
 /// Panics if a job panics. In line, the job's panic propagates as is;
 /// under the pool it stops only its worker, the other workers finish the
 /// remaining items, and then the calling thread panics.
-pub fn run_pool<T, R, F, C>(items: &[T], workers: usize, job: F, mut on_result: C)
+pub fn run_pool<T, R, F>(items: &[T], workers: usize, job: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
-    C: FnMut(usize, R),
 {
     let workers = workers.min(items.len());
     if workers <= 1 {
-        for (index, item) in items.iter().enumerate() {
-            on_result(index, job(item));
-        }
-        return;
+        return items.iter().map(job).collect();
     }
     let next = AtomicUsize::new(0);
-    let (result_tx, result_rx) = mpsc::channel();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let result_tx = result_tx.clone();
-            let (next, job) = (&next, &job);
-            scope.spawn(move || loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(index) else {
-                    return;
-                };
-                if result_tx.send((index, job(item))).is_err() {
-                    return;
-                }
-            });
-        }
-        // The iterator ends when the last worker drops its sender.
-        drop(result_tx);
-        for (index, result) in result_rx {
-            on_result(index, result);
-        }
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (next, job) = (&next, &job);
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(index) else {
+                            return done;
+                        };
+                        done.push((index, job(item)));
+                    }
+                })
+            })
+            .collect();
+        // Join every worker before re-raising a panic, so the survivors
+        // finish their items first.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined
+            .into_iter()
+            .flat_map(|worker| worker.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -780,7 +584,7 @@ mod tests {
     fn grid_over_one_seed_generates_traces_once() {
         let cache = TraceCache::new();
         let grid = theta_grid(2);
-        grid.run_all(&cache).unwrap();
+        assert!(grid.run_all(&cache).iter().all(Result::is_ok));
         assert_eq!(cache.len(), 1, "same workload+seed must share one bundle");
     }
 
@@ -788,10 +592,10 @@ mod tests {
     fn distinct_seeds_get_distinct_bundles() {
         let cache = TraceCache::new();
         let base = Scenario::paper_default().duration_secs(600);
-        RunGrid::over_seeds(&base, &[1, 2, 3])
+        let outcomes = RunGrid::over_seeds(&base, &[1, 2, 3])
             .jobs(2)
-            .run_all(&cache)
-            .unwrap();
+            .run_all(&cache);
+        assert!(outcomes.iter().all(Result::is_ok));
         assert_eq!(cache.len(), 3);
     }
 
@@ -851,7 +655,6 @@ mod tests {
 
     #[test]
     fn panicking_job_is_isolated_and_reported() {
-        let mut survivors = Vec::new();
         for jobs in [1, 4] {
             let base = Scenario::paper_default().duration_secs(600).seed(3);
             let grid = RunGrid::new()
@@ -864,220 +667,153 @@ mod tests {
             assert_eq!(err.index(), 1, "jobs={jobs}");
             assert_eq!(err.label(), "boom");
             assert!(err.to_string().contains("panicked"), "jobs={jobs}");
+        }
+    }
 
-            // The pool survived: both healthy jobs still completed.
-            let (checkpoint, errors) = grid.run_with_checkpoints(None, 1, |_| {}).unwrap();
-            assert_eq!(checkpoint.completed_indices(), vec![0, 2], "jobs={jobs}");
-            assert_eq!(errors.len(), 1, "jobs={jobs}");
-            assert!(matches!(
-                &errors[0],
-                RunError::Panicked { index: 1, payload, .. }
-                    if payload.contains("registered with the scheduler")
-            ));
-            survivors.push(checkpoint);
+    #[test]
+    fn every_failing_job_is_reported_in_index_order() {
+        let mut survivors = Vec::new();
+        for jobs in [1, 2] {
+            let base = Scenario::paper_default().duration_secs(600).seed(3);
+            let grid = RunGrid::new()
+                .spec(RunSpec::new("ok-0", base.clone()))
+                .spec(panicking_spec("boom"))
+                .spec(RunSpec::new("ok-2", base.clone().seed(4)))
+                .spec(RunSpec::new("bad-duration", base.clone().duration_secs(0)))
+                .spec(RunSpec::new("ok-4", base.clone().seed(6)))
+                .jobs(jobs);
+            let outcomes = grid.run_each();
+            assert_eq!(outcomes.len(), 5, "jobs={jobs}");
+            let errors: Vec<&RunError> = outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
+            assert_eq!(errors.len(), 2, "jobs={jobs}: {errors:?}");
+            assert!(
+                matches!(
+                    errors[0],
+                    RunError::Panicked { index: 1, payload, .. }
+                        if payload.contains("registered with the scheduler")
+                ),
+                "jobs={jobs}: {:?}",
+                errors[0]
+            );
+            assert!(
+                matches!(
+                    errors[1],
+                    RunError::Scenario { index: 3, label, .. } if label == "bad-duration"
+                ),
+                "jobs={jobs}: {:?}",
+                errors[1]
+            );
+            assert_eq!(grid.try_run().unwrap_err().index(), 1, "jobs={jobs}");
+            let ok: Vec<(usize, RunReport)> = outcomes
+                .into_iter()
+                .enumerate()
+                .filter_map(|(i, o)| o.ok().map(|report| (i, report)))
+                .collect();
+            assert_eq!(
+                ok.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+                vec![0, 2, 4],
+                "jobs={jobs}"
+            );
+            survivors.push(ok);
         }
         // Surviving reports are bit-for-bit identical serial vs pool.
         assert_eq!(survivors[0], survivors[1]);
     }
 
     #[test]
-    fn checkpoint_resume_is_bit_for_bit_identical() {
-        let uninterrupted = theta_grid(1).run();
-
-        // Take a mid-flight snapshot (as a crash would leave on disk)...
-        let mut snapshot: Option<GridCheckpoint> = None;
-        let (full, errors) = theta_grid(2)
-            .run_with_checkpoints(None, 1, |cp| {
-                if snapshot.is_none() && !cp.is_complete() {
-                    snapshot = Some(cp.clone());
-                }
-            })
-            .unwrap();
-        assert!(errors.is_empty());
-        assert!(full.is_complete());
-
-        // ... and resume from it on an identically shaped grid.
-        let snapshot = snapshot.expect("mid-flight checkpoint captured");
-        assert!(snapshot.completed() < snapshot.len());
-        let (resumed, errors) = theta_grid(2)
-            .run_with_checkpoints(Some(snapshot), 8, |_| {})
-            .unwrap();
-        assert!(errors.is_empty());
-        assert_eq!(resumed, full);
-        assert_eq!(resumed.into_reports().expect("complete"), uninterrupted);
-    }
-
-    #[test]
-    fn persist_fires_every_n_and_at_end() {
-        let mut completions = Vec::new();
-        let (checkpoint, errors) = theta_grid(1)
-            .run_with_checkpoints(None, 2, |cp| completions.push(cp.completed()))
-            .unwrap();
-        assert!(errors.is_empty());
-        assert!(checkpoint.is_complete());
-        assert_eq!(completions, vec![2, 4, 4], "every 2 jobs, plus final");
-    }
-
-    #[test]
-    fn resuming_with_foreign_checkpoint_is_rejected() {
-        let (checkpoint, _) = theta_grid(1).run_with_checkpoints(None, 8, |_| {}).unwrap();
-        let other = RunGrid::from_specs(
-            (0..4u64)
-                .map(|i| {
-                    RunSpec::new(
-                        format!("job-{i}"),
-                        Scenario::paper_default().duration_secs(600).seed(50 + i),
-                    )
-                })
-                .collect(),
-        );
-        let err = other
-            .run_with_checkpoints(Some(checkpoint), 8, |_| {})
-            .unwrap_err();
-        assert!(matches!(err, RunError::CheckpointMismatch { .. }));
-        assert_eq!(err.index(), usize::MAX);
-        assert_eq!(err.label(), "resume checkpoint");
-        assert!(err.to_string().contains("fingerprint"), "{err}");
-    }
-
-    #[test]
-    fn resuming_with_wrong_length_checkpoint_is_rejected() {
-        let (checkpoint, _) = theta_grid(1).run_with_checkpoints(None, 8, |_| {}).unwrap();
-        let shorter = RunGrid::from_specs(theta_grid(1).specs()[..2].to_vec());
-        let err = shorter
-            .run_with_checkpoints(Some(checkpoint), 8, |_| {})
-            .unwrap_err();
-        assert!(
-            matches!(
-                &err,
-                RunError::CheckpointMismatch { expected, found }
-                    if expected == "2 jobs" && found == "4 jobs"
-            ),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn checkpoint_round_trips_through_json() {
-        let (checkpoint, errors) = theta_grid(2).run_with_checkpoints(None, 4, |_| {}).unwrap();
-        assert!(errors.is_empty());
-        let json = serde_json::to_string(&checkpoint).expect("serializes");
-        let back: GridCheckpoint = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back, checkpoint);
-    }
-
-    #[test]
-    fn checkpoint_json_holds_only_the_fingerprint_and_slots() {
-        let (checkpoint, _) = theta_grid(1).run_with_checkpoints(None, 4, |_| {}).unwrap();
-        let json = serde_json::to_string_pretty(&checkpoint).expect("serializes");
-        assert!(json.starts_with("{\n  \"fingerprint\": "), "{json}");
-        assert!(json.contains("\n  \"slots\": ["), "{json}");
-        assert_eq!(json.matches("\n  \"").count(), 2, "{json}");
-        assert!(!json.contains("partials"));
-    }
-
-    /// A `theta_grid` checkpoint as written by an earlier release: job 0
-    /// completed, plus a `partials` list (a since-removed field holding
-    /// mid-run engine snapshots) with an entry for job 2.
-    const LEGACY_CHECKPOINT_WITH_PARTIALS: &str = r#"{
-  "fingerprint": 13386736302214130832,
-  "slots": [
-    {
-      "scheduler": "eTrain",
-      "horizon_s": 600.0,
-      "extra_energy_j": 294.9560100338319,
-      "transmission_energy_j": 9.09990570568423,
-      "tail_energy_j": 285.85610432814764,
-      "idle_energy_j": 12.0,
-      "total_energy_j": 306.9560100338319,
-      "heartbeats_sent": 8,
-      "packets_completed": 40,
-      "packets_unfinished": 0,
-      "packets_abandoned": 0,
-      "abandonment_ratio": 0.0,
-      "retries": 0,
-      "wasted_retry_energy_j": 0.0,
-      "normalized_delay_s": 0.41420558188351253,
-      "deadline_violation_ratio": 0.0,
-      "busy_time_s": 12.999865293834622,
-      "steps_run": 601,
-      "promotions": 11,
-      "packets_shed": 0,
-      "forced_flushes": 0,
-      "health_events": [],
-      "per_app": [
-        {
-          "name": "Mail",
-          "packets": 8,
-          "bytes": 46611,
-          "mean_delay_s": 0.3071929562509652,
-          "violation_ratio": 0.0
-        },
-        {
-          "name": "Weibo",
-          "packets": 24,
-          "bytes": 55217,
-          "mean_delay_s": 0.47471941259633293,
-          "violation_ratio": 0.0
-        },
-        {
-          "name": "Cloud",
-          "packets": 8,
-          "bytes": 987515,
-          "mean_delay_s": 0.3396767153775988,
-          "violation_ratio": 0.0
+    fn run_each_agrees_with_try_run_on_a_clean_grid() {
+        for jobs in [1, 3] {
+            let grid = theta_grid(jobs);
+            let each: Vec<RunReport> = grid
+                .run_each()
+                .into_iter()
+                .map(|outcome| outcome.expect("clean grid"))
+                .collect();
+            assert_eq!(each.len(), 4, "jobs={jobs}");
+            assert_eq!(each, grid.try_run().unwrap(), "jobs={jobs}");
+            assert_eq!(each, grid.run(), "jobs={jobs}");
         }
-      ],
-      "oracle": null,
-      "metrics": null
-    },
-    null,
-    null,
-    null
-  ],
-  "partials": [
-    null,
-    null,
-    {
-      "version": 1,
-      "taken_at_s": 12.0,
-      "events_processed": 34,
-      "steps_run": 5,
-      "journal_events": 0,
-      "engine": "event",
-      "fingerprint": 65261
-    },
-    null
-  ]
-}"#;
+    }
 
     #[test]
-    fn legacy_checkpoint_with_partials_key_loads_and_resumes() {
-        // The fixture was written with the oracle and journal off; pin
-        // them so an ambient `ETRAIN_ORACLE`/`ETRAIN_OBS` cannot differ.
-        let grid = || theta_grid(1).oracle(OracleMode::Off).obs(ObsMode::Off);
-        let legacy: GridCheckpoint =
-            serde_json::from_str(LEGACY_CHECKPOINT_WITH_PARTIALS).expect("legacy format loads");
-        assert_eq!(legacy.completed_indices(), vec![0]);
-        let (resumed, errors) = grid()
-            .run_with_checkpoints(Some(legacy), 8, |_| {})
-            .unwrap();
-        assert!(errors.is_empty());
-        assert_eq!(resumed.into_reports().expect("complete"), grid().run());
+    fn journaled_run_reports_the_lowest_index_error() {
+        for jobs in [1, 3] {
+            let base = Scenario::paper_default().duration_secs(600).seed(3);
+            let grid = RunGrid::new()
+                .spec(RunSpec::new("ok-0", base.clone()))
+                .spec(RunSpec::new("bad-duration", base.clone().duration_secs(0)))
+                .spec(panicking_spec("boom"))
+                .jobs(jobs);
+            let err = grid.try_run_journaled().unwrap_err();
+            assert!(
+                matches!(&err, RunError::Scenario { index: 1, label, .. } if label == "bad-duration"),
+                "jobs={jobs}: {err:?}"
+            );
+            assert_eq!(grid.try_run().unwrap_err(), err, "jobs={jobs}");
+        }
     }
 
     #[test]
     fn empty_grid_runs_to_empty() {
         assert!(RunGrid::new().run().is_empty());
+        assert!(RunGrid::new().run_each().is_empty());
+    }
+
+    #[test]
+    fn pool_reraises_a_worker_panic_after_the_survivors_finish() {
+        let items: Vec<usize> = (0..20).collect();
+        let finished = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_pool(&items, 3, |&i| {
+                if i == 5 {
+                    panic!("job {i} failed");
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+                i
+            })
+        }))
+        .unwrap_err();
+        // The panicking worker stops; the other two drain every other item
+        // before the calling thread re-raises the job's own payload.
+        assert_eq!(finished.load(Ordering::SeqCst), items.len() - 1);
+        assert_eq!(panic_payload_string(caught.as_ref()), "job 5 failed");
+    }
+
+    #[test]
+    fn inline_pool_stops_at_the_panicking_job() {
+        let ran = Mutex::new(Vec::new());
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_pool(&[0usize, 1, 2, 3], 1, |&i| {
+                ran.lock().unwrap().push(i);
+                if i == 2 {
+                    panic!("in-line boom");
+                }
+                i
+            })
+        }))
+        .unwrap_err();
+        assert_eq!(ran.into_inner().unwrap(), vec![0, 1, 2]);
+        assert_eq!(panic_payload_string(caught.as_ref()), "in-line boom");
+    }
+
+    #[test]
+    fn panic_payloads_are_stringified() {
+        let literal: Box<dyn std::any::Any + Send> = Box::new("literal");
+        let formatted: Box<dyn std::any::Any + Send> = Box::new(format!("job {}", 7));
+        let opaque: Box<dyn std::any::Any + Send> = Box::new(42_u32);
+        assert_eq!(panic_payload_string(literal.as_ref()), "literal");
+        assert_eq!(panic_payload_string(formatted.as_ref()), "job 7");
+        assert_eq!(
+            panic_payload_string(opaque.as_ref()),
+            "opaque panic payload"
+        );
     }
 
     #[test]
     fn pool_results_reassemble_in_index_order() {
         let items: Vec<u64> = (0..50).collect();
         for workers in [1, 2, 7] {
-            let mut slots = vec![None; items.len()];
-            run_pool(&items, workers, |&x| x * x, |i, r| slots[i] = Some(r));
-            let squares: Vec<u64> = slots.into_iter().map(Option::unwrap).collect();
+            let squares = run_pool(&items, workers, |&x| x * x);
             assert_eq!(squares, items.iter().map(|x| x * x).collect::<Vec<_>>());
         }
     }
@@ -1087,28 +823,24 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let items: Vec<usize> = (0..12).collect();
         for workers in [1, 2, 7] {
-            // Under a pool, job 0 holds until another job's result has been
-            // delivered, so results are guaranteed to arrive out of order.
-            let delivered = AtomicBool::new(false);
-            let mut seen = vec![0usize; items.len()];
-            let mut order = Vec::new();
-            run_pool(
-                &items,
-                workers,
-                |&i| {
-                    while i == 0 && workers > 1 && !delivered.load(Ordering::SeqCst) {
-                        std::thread::yield_now();
-                    }
-                    i * 10
-                },
-                |i, r| {
-                    assert_eq!(r, i * 10, "workers={workers}");
-                    seen[i] += 1;
-                    order.push(i);
-                    delivered.store(true, Ordering::SeqCst);
-                },
+            // Under a pool, job 0 holds until another job has finished, so
+            // jobs are guaranteed to finish out of order.
+            let other_finished = AtomicBool::new(false);
+            let finish_order = Mutex::new(Vec::new());
+            let results = run_pool(&items, workers, |&i| {
+                while i == 0 && workers > 1 && !other_finished.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                finish_order.lock().unwrap().push(i);
+                other_finished.store(true, Ordering::SeqCst);
+                i * 10
+            });
+            assert_eq!(
+                results,
+                items.iter().map(|i| i * 10).collect::<Vec<_>>(),
+                "workers={workers}"
             );
-            assert!(seen.iter().all(|&n| n == 1), "workers={workers}: {seen:?}");
+            let order = finish_order.into_inner().unwrap();
             let in_order = order.windows(2).all(|w| w[0] < w[1]);
             assert_eq!(in_order, workers == 1, "workers={workers}: {order:?}");
         }
@@ -1122,18 +854,13 @@ mod tests {
         // run all 3 at once (each job waits for the other two) and return.
         let items = [0usize, 1, 2];
         let barrier = std::sync::Barrier::new(items.len());
-        let mut sum = 0;
-        run_pool(
-            &items,
-            64,
-            |&i| {
-                barrier.wait();
-                i
-            },
-            |_, i| sum += i,
-        );
-        assert_eq!(sum, 3);
-        run_pool(&[] as &[u8], 4, |_| unreachable!(), |_, ()| unreachable!());
+        let results = run_pool(&items, 64, |&i| {
+            barrier.wait();
+            i
+        });
+        assert_eq!(results, vec![0, 1, 2]);
+        let none: Vec<()> = run_pool(&[] as &[u8], 4, |_| unreachable!());
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub use server::{
 pub use service::{DurableService, RecoverySummary};
 pub use state::{AdmissionSummary, ServiceState, SvcCommand, SvcHealthConfig, SvcOutcome};
 pub use wal::{
-    read_checkpoint, recover, write_checkpoint, Append, Checkpoint, FaultKind, Wal, WalConfig,
-    WalFault, WalRecovery, WalRecoveryReport, WAL_ENV, WAL_FAULT_ENV,
+    read_checkpoint, recover, write_checkpoint, Append, Checkpoint, Wal, WalConfig, WalFault,
+    WalRecovery, WalRecoveryReport, WAL_ENV, WAL_FAULT_ENV,
 };
 
 /// Strict `ETRAIN_WAL` reader: `Ok(None)` when unset or empty, the

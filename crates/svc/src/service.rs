@@ -220,8 +220,9 @@ impl DurableService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{FaultKind, WalFault};
+    use crate::wal::WalFault;
     use etrain_core::{CoreCommand, TransmitRequest};
+    use etrain_obs::AppendFault;
     use etrain_sched::{AppProfile, CostProfile};
     use etrain_trace::TrainAppId;
     use std::path::Path;
@@ -377,7 +378,7 @@ mod tests {
         cfg.fsync = false;
         cfg.fault = Some(WalFault {
             at_record: 2,
-            kind: FaultKind::Torn,
+            kind: AppendFault::TornPayload,
         });
         let (mut svc, _) =
             DurableService::open(cfg, fast_core(), SvcHealthConfig::default()).unwrap();

@@ -39,25 +39,14 @@ pub const WAL_ENV: &str = "ETRAIN_WAL";
 /// (`torn@N`, `short@N`, or `crc@N`).
 pub const WAL_FAULT_ENV: &str = "ETRAIN_WAL_FAULT";
 
-/// The kind of damage the fault hook injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FaultKind {
-    /// Torn append: header plus only half the payload bytes.
-    Torn,
-    /// Short header: the append dies four bytes in.
-    ShortHeader,
-    /// Checksum flip: full frame, provably wrong CRC.
-    FlipChecksum,
-}
-
 /// An armed append fault: damage the frame of record `at_record`
 /// (zero-based over the WAL's lifetime) instead of writing it cleanly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WalFault {
     /// Zero-based record index the hook fires on.
     pub at_record: u64,
-    /// What damage to inject.
-    pub kind: FaultKind,
+    /// What damage to inject (a torn append keeps half the payload).
+    pub kind: AppendFault,
 }
 
 impl WalFault {
@@ -73,9 +62,9 @@ impl WalFault {
             .split_once('@')
             .ok_or_else(|| format!("fault spec {spec:?} is not of the form kind@record"))?;
         let kind = match kind_s.to_ascii_lowercase().as_str() {
-            "torn" => FaultKind::Torn,
-            "short" => FaultKind::ShortHeader,
-            "crc" => FaultKind::FlipChecksum,
+            "torn" => AppendFault::TornPayload,
+            "short" => AppendFault::ShortHeader,
+            "crc" => AppendFault::FlipChecksum,
             other => {
                 return Err(format!(
                     "unknown fault kind {other:?} (expected torn, short, or crc)"
@@ -357,15 +346,7 @@ impl Wal {
         }
         if let Some(fault) = self.cfg.fault {
             if fault.at_record == self.records {
-                let append_fault = match fault.kind {
-                    FaultKind::Torn => AppendFault::TornPayload {
-                        keep_bytes: payload.len() / 2,
-                    },
-                    FaultKind::ShortHeader => AppendFault::ShortHeader,
-                    FaultKind::FlipChecksum => AppendFault::FlipChecksum,
-                };
-                self.writer
-                    .append_faulty(payload.as_bytes(), append_fault)?;
+                self.writer.append_faulty(payload.as_bytes(), fault.kind)?;
                 self.sync()?;
                 return Ok(Append::FaultInjected);
             }
@@ -542,9 +523,9 @@ mod tests {
     #[test]
     fn fault_hook_damages_tail_and_recovery_truncates_it() {
         for (kind, expect_torn) in [
-            (FaultKind::Torn, true),
-            (FaultKind::ShortHeader, true),
-            (FaultKind::FlipChecksum, false),
+            (AppendFault::TornPayload, true),
+            (AppendFault::ShortHeader, true),
+            (AppendFault::FlipChecksum, false),
         ] {
             let dir = tmp_dir("fault");
             let mut cfg = WalConfig::new(&dir);
@@ -575,6 +556,40 @@ mod tests {
             assert!(again.report.tail.is_clean());
             assert_eq!(again.report.truncated_bytes, 0);
         }
+    }
+
+    #[test]
+    fn fault_hook_fires_only_on_its_record_index() {
+        let dir = tmp_dir("fault-index");
+        let mut cfg = WalConfig::new(&dir);
+        cfg.fault = Some(WalFault::parse("crc@3").unwrap());
+        let mut wal = open_fresh(&dir, cfg);
+        for i in 0..3 {
+            assert_eq!(wal.append(&tick(i as f64)).unwrap(), Append::Ok, "{i}");
+        }
+        assert_eq!(wal.append(&tick(3.0)).unwrap(), Append::FaultInjected);
+        assert_eq!(wal.records(), 3, "the damaged record is not counted");
+        drop(wal);
+        assert_eq!(recover(&dir).unwrap().report.records, 3);
+    }
+
+    #[test]
+    fn torn_fault_leaves_a_header_and_half_the_record() {
+        let dir = tmp_dir("fault-torn");
+        let mut cfg = WalConfig::new(&dir);
+        cfg.fault = Some(WalFault::parse("torn@1").unwrap());
+        let mut wal = open_fresh(&dir, cfg);
+        wal.append(&tick(0.0)).unwrap();
+        assert_eq!(wal.append(&tick(1.0)).unwrap(), Append::FaultInjected);
+        drop(wal);
+        let payload_len = serde_json::to_string(&tick(1.0)).unwrap().len();
+        let recovery = recover(&dir).unwrap();
+        assert_eq!(recovery.report.records, 1);
+        assert_eq!(
+            recovery.report.truncated_bytes,
+            (etrain_obs::durable::FRAME_HEADER_BYTES + payload_len / 2) as u64
+        );
+        assert!(matches!(recovery.report.tail, TailStatus::Torn { .. }));
     }
 
     #[test]
@@ -644,16 +659,16 @@ mod tests {
             WalFault::parse("torn@7").unwrap(),
             WalFault {
                 at_record: 7,
-                kind: FaultKind::Torn
+                kind: AppendFault::TornPayload
             }
         );
         assert_eq!(
             WalFault::parse(" CRC@0 ").unwrap().kind,
-            FaultKind::FlipChecksum
+            AppendFault::FlipChecksum
         );
         assert_eq!(
             WalFault::parse("short@12").unwrap().kind,
-            FaultKind::ShortHeader
+            AppendFault::ShortHeader
         );
         assert!(WalFault::parse("torn").is_err());
         assert!(WalFault::parse("melt@3").is_err());
