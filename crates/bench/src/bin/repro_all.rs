@@ -15,6 +15,8 @@
 //! - `--json PATH` — where to write the report (default
 //!   `BENCH_repro.json`); `--no-json` skips it.
 //!
+//! Any other argument prints the usage and exits with status 2.
+//!
 //! Every simulated run is audited by the simulation oracle: unless the
 //! `ETRAIN_ORACLE` environment variable is already set, the suite runs in
 //! `record` mode and writes the check/violation tallies into the report.
@@ -26,6 +28,9 @@
 //! headlines are bit-for-bit identical either way.
 
 use std::time::Instant;
+
+const USAGE: &str =
+    "usage: repro_all [--only NAME[,NAME...]] [--quick] [--csv DIR] [--jobs N] [--json PATH | --no-json]";
 
 /// The experiments `--only` names, in registry order; exits with status 2
 /// on an empty list or an unknown name.
@@ -57,6 +62,14 @@ fn select(list: &str) -> Vec<etrain_bench::Experiment> {
 fn main() {
     etrain_bench::validate_env_knobs();
     let args: Vec<String> = std::env::args().collect();
+    if let Err(problem) = etrain_bench::check_flags(
+        &args,
+        &["--only", "--csv", "--jobs", "--json"],
+        &["--quick", "--no-json"],
+    ) {
+        eprintln!("error: {problem}\n{USAGE}");
+        std::process::exit(2);
+    }
     if std::env::var(etrain_sim::ORACLE_ENV).is_err() {
         // Default the whole suite to record-mode auditing. Set before any
         // experiment runs; single-threaded at this point.

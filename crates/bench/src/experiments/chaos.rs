@@ -1,6 +1,6 @@
 //! Robustness: the deterministic chaos campaign in experiment form.
 //!
-//! Three tiers, all seeded and reproducible:
+//! Two tiers, both seeded and reproducible:
 //!
 //! 1. **Campaign** — randomized scenario plans × fault plans × scheduler
 //!    kinds swept through the grid runner under the strict oracle; every
@@ -9,16 +9,13 @@
 //! 2. **Oracle self-test** — deliberate post-run corruptions that the
 //!    oracle must catch, each delta-debugged down to a minimal repro (the
 //!    acceptance bar is ≤ 10 events).
-//! 3. **Kill/resume** — runs killed at seed-derived points and resumed
-//!    from the last durable engine snapshot must match the uninterrupted
-//!    run bit-for-bit, report and merged journal alike.
 //!
 //! The standalone `chaos` binary runs the same machinery at nightly
 //! scale with date-derived seeds and writes repro artifacts; this
 //! experiment keeps a smoke-sized slice of it in the default suite.
 
 use crate::ExperimentResult;
-use etrain_chaos::{campaign_cases, run_campaign, run_kill_resume, shrink, ChaosCase, Corruption};
+use etrain_chaos::{campaign_cases, run_campaign, shrink, ChaosCase, Corruption};
 use etrain_sim::{CasePlan, EngineKind, SchedulerKind, Table};
 
 /// Runs the chaos experiment.
@@ -73,20 +70,7 @@ pub fn run(quick: bool) -> ExperimentResult {
         }
     }
 
-    // Tier 3: kill/resume crash consistency.
-    let seeds: Vec<u64> = (0..if quick { 4 } else { 12 }).collect();
-    let killres = run_kill_resume(&seeds, 3);
-    let mut killres_table = Table::new(
-        "Kill/resume — mid-run snapshot, kill, resume; bit-for-bit comparison",
-        &["trials", "identical", "divergent"],
-    );
-    killres_table.push_row_strings(vec![
-        killres.trials.len().to_string(),
-        killres.identical_count().to_string(),
-        (killres.trials.len() - killres.identical_count()).to_string(),
-    ]);
-
-    ExperimentResult::from_tables(vec![campaign_table, selftest_table, killres_table])
+    ExperimentResult::from_tables(vec![campaign_table, selftest_table])
         .headline(
             "chaos_campaign_findings",
             campaign.findings.len() as f64,
@@ -101,11 +85,6 @@ pub fn run(quick: bool) -> ExperimentResult {
             "chaos_selftest_max_repro_events",
             max_repro_events as f64,
             "events",
-        )
-        .headline(
-            "chaos_killres_divergent",
-            (killres.trials.len() - killres.identical_count()) as f64,
-            "trials",
         )
 }
 
@@ -130,6 +109,5 @@ mod tests {
             Corruption::all().len() as f64
         );
         assert!(headline("chaos_selftest_max_repro_events") <= 10.0);
-        assert_eq!(headline("chaos_killres_divergent"), 0.0);
     }
 }

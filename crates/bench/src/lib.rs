@@ -266,7 +266,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             name: "robustness",
-            description: "Robustness: chaos campaign, oracle self-test with shrinking, kill/resume",
+            description: "Robustness: chaos campaign and oracle self-test with shrinking",
             run: experiments::chaos::run,
         },
         Experiment {
@@ -354,6 +354,29 @@ pub fn validate_env_knobs() {
         }
         std::process::exit(2);
     }
+}
+
+/// Checks a bench binary's `args` (program name first) against the flags
+/// it knows, so a typo or a retired flag aborts the run instead of being
+/// silently ignored. Each of `valued` takes the argument after it as its
+/// value; each of `switches` stands alone.
+///
+/// # Errors
+///
+/// Names the first argument that is neither, or a valued flag given last
+/// with no value.
+pub fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("{arg} needs a value"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(format!("unknown argument {arg:?}"));
+        }
+    }
+    Ok(())
 }
 
 /// The value following `flag` in a binary's `args`, if the flag is given.
@@ -573,6 +596,37 @@ mod tests {
         assert_eq!(flag_value(&args, "--only").as_deref(), Some("fig2,fig4"));
         assert_eq!(flag_value(&args, "--csv").as_deref(), Some("out"));
         assert_eq!(flag_value(&args, "--quick"), None);
+    }
+
+    #[test]
+    fn check_flags_rejects_unknown_and_valueless_flags() {
+        let args = |line: &str| -> Vec<String> {
+            std::iter::once("chaos")
+                .chain(line.split_whitespace())
+                .map(str::to_string)
+                .collect()
+        };
+        let check = |line: &str| check_flags(&args(line), &["--seeds", "--out"], &["--quick"]);
+        assert_eq!(check(""), Ok(()));
+        assert_eq!(check("--seeds 100 --quick --out dir"), Ok(()));
+        // A valued flag's value is never itself checked as a flag.
+        assert_eq!(check("--out --quick"), Ok(()));
+        assert_eq!(
+            check("--seeds 100 --self-test"),
+            Err("unknown argument \"--self-test\"".to_string())
+        );
+        assert_eq!(
+            check("--sedds 24"),
+            Err("unknown argument \"--sedds\"".to_string())
+        );
+        assert_eq!(
+            check("--quick 24"),
+            Err("unknown argument \"24\"".to_string())
+        );
+        assert_eq!(
+            check("--quick --seeds"),
+            Err("--seeds needs a value".to_string())
+        );
     }
 
     #[test]

@@ -15,10 +15,6 @@
 //!   horizon, simplifying knobs) while re-running after every edit,
 //!   emitting a minimal serialized [`ReproCase`] replayable via the
 //!   `chaos --repro <file>` bench binary;
-//! - [`run_kill_resume`] — a crash-consistency harness that kills runs
-//!   at seed-derived points, resumes them from the last durable engine
-//!   snapshot, and asserts the resumed report and merged observability
-//!   journal are bit-for-bit identical to an uninterrupted run;
 //! - [`run_supervisor`] — a *process-level* crash harness: it spawns the
 //!   real `etrain-svcd` daemon, SIGKILLs it at seeded points (including
 //!   mid-append via the `ETRAIN_WAL_FAULT` hook), restarts it, and
@@ -46,13 +42,11 @@
 
 mod campaign;
 mod case;
-mod killres;
 mod shrink;
 mod supervisor;
 
 pub use campaign::{campaign_cases, run_campaign, CampaignReport, Finding};
 pub use case::{violation_name, CaseFailure, ChaosCase, Corruption};
-pub use killres::{run_kill_resume, KillResumeReport, KillResumeTrial};
 pub use shrink::{shrink, ReproCase};
 pub use supervisor::{
     daemon_binary, run_fault_trial, run_sigkill_trials, run_supervisor, run_wal_selftest,

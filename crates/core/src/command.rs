@@ -5,9 +5,7 @@
 //! write-ahead log *before* applying it, and recovery replays the logged
 //! stream through [`ETrainCore::apply`] into a fresh core. Because the
 //! core is sans-IO and driven entirely by explicit timestamps, replaying
-//! the same command sequence reconstructs the same state bit for bit —
-//! the same property the simulator's kill/resume harness relies on, now
-//! available to a real daemon.
+//! the same command sequence reconstructs the same state bit for bit.
 
 use etrain_sched::AppProfile;
 use etrain_trace::{CargoAppId, TrainAppId};

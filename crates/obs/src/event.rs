@@ -172,29 +172,6 @@ impl Journal {
         self.records.is_empty()
     }
 
-    /// Drops every record after the first `len`, rewinding the journal to
-    /// a durable prefix — a crash-consistency resume keeps only what had
-    /// been flushed when its snapshot was taken. `seq` assignment
-    /// continues densely from the new end.
-    pub fn truncate(&mut self, len: usize) {
-        self.records.truncate(len);
-        self.next_seq = self.records.len() as u64;
-    }
-
-    /// Appends another journal's records after this one's, re-tagging them
-    /// as run 0 and renumbering their `seq` to continue this journal's
-    /// sequence (unlike [`Journal::merge`], which keeps parts as separate
-    /// runs). The kill/resume harness uses this to splice a resumed run's
-    /// post-snapshot suffix onto the durable prefix before canonicalizing.
-    pub fn extend_from(&mut self, other: Journal) {
-        for mut record in other.records {
-            record.run = 0;
-            record.seq = self.next_seq;
-            self.next_seq += 1;
-            self.records.push(record);
-        }
-    }
-
     /// Stable-sorts records by simulated time and renumbers `seq` densely
     /// from 0, so equal-time events keep their causal push order and the
     /// sequence number becomes the chronological index.
@@ -356,39 +333,6 @@ mod tests {
             assert_eq!(*line, serde_json::to_string(record).unwrap());
         }
         assert_eq!(Journal::new().to_jsonl(), "");
-    }
-
-    #[test]
-    fn truncate_rewinds_to_the_durable_prefix_and_keeps_seq_dense() {
-        let mut journal = Journal::new();
-        for t in 0..5 {
-            journal.push(t as f64, hb());
-        }
-        journal.truncate(2);
-        assert_eq!(journal.len(), 2);
-        journal.push(9.0, hb());
-        let seqs: Vec<u64> = journal.records().iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
-        assert_eq!(journal.records()[2].time_s, 9.0);
-    }
-
-    #[test]
-    fn extend_from_retags_as_run_zero_and_continues_seq() {
-        let mut prefix = Journal::new();
-        prefix.push(1.0, hb());
-        let mut suffix = Journal::merge(vec![Journal::new(), {
-            let mut j = Journal::new();
-            j.push(2.0, hb());
-            j.push(3.0, hb());
-            j
-        }]);
-        assert!(suffix.records().iter().all(|r| r.run == 1));
-        suffix.push(4.0, hb());
-        prefix.extend_from(suffix);
-        let tags: Vec<(usize, u64)> = prefix.records().iter().map(|r| (r.run, r.seq)).collect();
-        assert_eq!(tags, vec![(0, 0), (0, 1), (0, 2), (0, 3)]);
-        prefix.push(5.0, hb());
-        assert_eq!(prefix.records()[4].seq, 4);
     }
 
     #[test]

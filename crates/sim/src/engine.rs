@@ -20,13 +20,10 @@
 //! eTime. `trains_alive` is ground truth from the heartbeat trace (the live
 //! system in `etrain-core` uses the `etrain-hb` monitor instead).
 //!
-//! The loop itself lives in [`Engine`], a stepwise form of the same
-//! machine: [`Engine::step`] processes exactly one event, [`Engine::snapshot`]
-//! captures a versioned, fingerprinted mid-run checkpoint at any step
-//! boundary, and [`Engine::restore`] rebuilds the engine at that point by
-//! deterministic replay (verifying the fingerprint). [`Engine::run`]
-//! drives a fresh engine to the horizon; it is the one batch entry point,
-//! and `Scenario` and the fleet runner both go through it.
+//! The loop itself lives in [`Engine`]: each step processes exactly one
+//! event, and [`Engine::run`] steps a fresh engine to the horizon and
+//! finalizes it. It is the one entry point; `Scenario` and the fleet
+//! runner both go through it.
 //!
 //! Two kernels ([`EngineKind`]) can drive the machine. The default
 //! *event* kernel consumes maximal runs of provably inert slot boundaries
@@ -42,7 +39,7 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 
-use etrain_obs::{Event, Fnv1a, Journal};
+use etrain_obs::{Event, Journal};
 use etrain_radio::{PowerTrace, Radio, RadioParams, Timeline, Transmission};
 use etrain_sched::{HealthTransition, RetryDecision, RetryPolicy, Scheduler, SlotContext};
 use etrain_trace::bandwidth::BandwidthTrace;
@@ -58,10 +55,10 @@ const JITTER_SALT: u64 = 0x6a69_7474_6572_5f75;
 ///
 /// Both kinds are the *same* state machine over the same event taxonomy;
 /// the event kernel merely consumes maximal runs of provably inert slot
-/// boundaries in one [`Engine::step`] (see
-/// [`Scheduler::slot_quiescent`]), bumping the per-slot counters exactly
-/// as the slot kernel would. Outputs, journals and oracle ledgers are
-/// bit-for-bit identical across kinds; only wall-clock time differs.
+/// boundaries in one step (see [`Scheduler::slot_quiescent`]), bumping
+/// the per-slot counters exactly as the slot kernel would. Outputs,
+/// journals and oracle ledgers are bit-for-bit identical across kinds;
+/// only wall-clock time differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// Process every slot boundary individually (the differential
@@ -72,8 +69,8 @@ pub enum EngineKind {
     Event,
 }
 
-// Serialized as the same lowercase spelling `Display` uses, so snapshots
-// and configs read naturally.
+// Serialized as the same lowercase spelling `Display` uses, so repro
+// artifacts read naturally.
 impl Serialize for EngineKind {
     fn to_value(&self) -> serde::Value {
         serde::Value::String(self.to_string())
@@ -195,8 +192,9 @@ pub struct EngineOutput {
     pub transmissions: Vec<Transmission>,
     /// The radio parameters the run used.
     pub radio_params: RadioParams,
-    /// Discrete events the engine processed to produce this output — the
-    /// coordinate [`EngineSnapshot`]s and the kill/resume harness use.
+    /// Discrete events the engine processed to produce this output; each
+    /// slot boundary the event kernel retires in a batch counts as one,
+    /// so the count is identical across kernels.
     pub events_processed: u64,
     /// Slot boundaries the run stepped through (kernel-neutral name: the
     /// event kernel retires many per step, but counts each one).
@@ -253,152 +251,12 @@ const PRIO_HEARTBEAT: u8 = 2;
 const PRIO_ARRIVAL: u8 = 3;
 const PRIO_RETRY: u8 = 4;
 
-/// Version tag written into every [`EngineSnapshot`]; bumped whenever the
-/// fingerprint's field coverage or encoding changes.
-pub const SNAPSHOT_VERSION: u32 = 1;
-
-/// A durable mid-run capture of the engine's progress, taken at a step
-/// boundary via [`Engine::snapshot`] and consumed by [`Engine::restore`].
-///
-/// The simulation is deterministic end to end, so the snapshot does not
-/// serialize the full mutable state (the scheduler behind the trait object
-/// could not be anyway); it records *how far* the run got —
-/// `events_processed` — plus an FNV-1a fingerprint over every observable
-/// piece of engine, radio and scheduler state. Restoring replays the run
-/// to the same event count on freshly built inputs and verifies the
-/// fingerprint, which catches divergent inputs and nondeterminism between
-/// the snapshotting process and the resuming one.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineSnapshot {
-    /// Snapshot format version ([`SNAPSHOT_VERSION`] at write time).
-    pub version: u32,
-    /// Simulated time of the last processed event, in seconds.
-    pub taken_at_s: f64,
-    /// Events the engine had processed when the snapshot was taken.
-    pub events_processed: u64,
-    /// Slot boundaries the engine had run (accepted under the historic
-    /// `slots_run` name when deserializing older snapshots).
-    pub steps_run: u64,
-    /// Records in the attached journal at snapshot time (0 when
-    /// unjournaled) — the durable journal prefix a resume merges with.
-    pub journal_events: usize,
-    /// The kernel that took the snapshot. Replay must use the same kind:
-    /// the event kernel retires whole slot batches per step, so only a
-    /// same-kind replay lands exactly on `events_processed`. Older
-    /// snapshots (which predate the field) default to
-    /// [`EngineKind::Slot`].
-    pub engine: EngineKind,
-    /// FNV-1a fingerprint of the engine's observable mutable state.
-    pub fingerprint: u64,
-}
-
-// Hand-written (not derived) so older snapshots keep parsing: `steps_run`
-// falls back to the historic `slots_run` key, and a missing `engine`
-// defaults to the slot kernel.
-impl Serialize for EngineSnapshot {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("version".to_string(), self.version.to_value()),
-            ("taken_at_s".to_string(), self.taken_at_s.to_value()),
-            (
-                "events_processed".to_string(),
-                self.events_processed.to_value(),
-            ),
-            ("steps_run".to_string(), self.steps_run.to_value()),
-            ("journal_events".to_string(), self.journal_events.to_value()),
-            ("engine".to_string(), self.engine.to_value()),
-            ("fingerprint".to_string(), self.fingerprint.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for EngineSnapshot {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::FromValueError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| serde::FromValueError::expected("object", value))?;
-        let lookup = |name: &str| entries.iter().find(|(key, _)| key == name).map(|(_, v)| v);
-        let steps_run = match lookup("steps_run").or_else(|| lookup("slots_run")) {
-            Some(v) => u64::from_value(v)?,
-            None => return Err(serde::FromValueError::missing_field("steps_run")),
-        };
-        let engine = match lookup("engine") {
-            Some(v) => EngineKind::from_value(v)?,
-            None => EngineKind::Slot,
-        };
-        Ok(EngineSnapshot {
-            version: serde::__field(entries, "version")?,
-            taken_at_s: serde::__field(entries, "taken_at_s")?,
-            events_processed: serde::__field(entries, "events_processed")?,
-            steps_run,
-            journal_events: serde::__field(entries, "journal_events")?,
-            engine,
-            fingerprint: serde::__field(entries, "fingerprint")?,
-        })
-    }
-}
-
-/// Why [`Engine::restore`] refused a snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The snapshot was written by a different format version.
-    VersionMismatch {
-        /// The version this build writes and reads.
-        expected: u32,
-        /// The version found in the snapshot.
-        found: u32,
-    },
-    /// The inputs ran out of events before reaching the snapshot's
-    /// `events_processed` — the snapshot is from different inputs.
-    ReplayExhausted {
-        /// The snapshot's event count.
-        wanted: u64,
-        /// Where replay actually stopped.
-        reached: u64,
-    },
-    /// Replay reached the event count but the state fingerprint differs —
-    /// the inputs changed or the simulation is nondeterministic.
-    FingerprintMismatch {
-        /// The snapshot's fingerprint.
-        expected: u64,
-        /// The replayed engine's fingerprint.
-        found: u64,
-    },
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::VersionMismatch { expected, found } => write!(
-                f,
-                "snapshot version {found} is not this build's version {expected}"
-            ),
-            SnapshotError::ReplayExhausted { wanted, reached } => write!(
-                f,
-                "inputs exhausted at event {reached} before the snapshot's event {wanted}"
-            ),
-            SnapshotError::FingerprintMismatch { expected, found } => write!(
-                f,
-                "state fingerprint {found:#018x} does not match the snapshot's {expected:#018x}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
 /// The discrete-event loop as a stepwise state machine.
 ///
 /// [`Engine::new`] validates the inputs and applies the fault plan's
-/// heartbeat filtering; each [`Engine::step`] processes exactly one event
-/// (returning `false` once no event at or before the horizon remains);
-/// [`Engine::finish`] performs the horizon finalization and produces the
-/// [`EngineOutput`]. [`Engine::run`] drives step-to-exhaustion plus
-/// finish.
-///
-/// Between steps the engine can be checkpointed ([`Engine::snapshot`]) and
-/// later rebuilt at the same point ([`Engine::restore`]); see
-/// [`EngineSnapshot`] for the replay-based restore semantics.
+/// heartbeat filtering; [`Engine::run`] processes one event per step until
+/// no event at or before the horizon remains, then performs the horizon
+/// finalization and produces the [`EngineOutput`].
 pub struct Engine<'a> {
     scheduler: &'a mut dyn Scheduler,
     packets: &'a [Packet],
@@ -434,7 +292,6 @@ pub struct Engine<'a> {
     alarm_idx: usize,
     events_processed: u64,
     steps_run: u64,
-    last_event_s: f64,
 }
 
 impl<'a> Engine<'a> {
@@ -519,52 +376,14 @@ impl<'a> Engine<'a> {
             alarm_idx: 0,
             events_processed: 0,
             steps_run: 0,
-            last_event_s: 0.0,
         }
     }
 
     /// Selects the kernel that advances simulated time (the default is
-    /// [`EngineKind::Event`]). Call before the first [`Engine::step`]:
-    /// switching kernels mid-run would shift the step boundaries
-    /// snapshots are addressed by.
+    /// [`EngineKind::Event`]).
     pub fn with_kind(mut self, kind: EngineKind) -> Self {
         self.kind = kind;
         self
-    }
-
-    /// The kernel this engine runs under.
-    pub fn kind(&self) -> EngineKind {
-        self.kind
-    }
-
-    /// Events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Slot boundaries run so far.
-    pub fn steps_run(&self) -> u64 {
-        self.steps_run
-    }
-
-    /// Simulated time of the last processed event, in seconds (0 before
-    /// the first step).
-    pub fn now_s(&self) -> f64 {
-        self.last_event_s
-    }
-
-    /// Records currently in the attached journal (0 when unjournaled).
-    pub fn journal_events(&self) -> usize {
-        self.journal.as_deref().map_or(0, Journal::len)
-    }
-
-    /// Attaches a journal mid-run, enabling scheduler observability from
-    /// this point on — the resume path uses this so a restored engine
-    /// journals only post-snapshot events (the pre-snapshot prefix is the
-    /// durable journal persisted alongside the snapshot).
-    pub fn attach_journal(&mut self, journal: &'a mut Journal) {
-        self.scheduler.set_obs_enabled(true);
-        self.journal = Some(journal);
     }
 
     /// The earliest pending event, as `(time, priority)`.
@@ -632,8 +451,8 @@ impl<'a> Engine<'a> {
     /// arrival, retry or transmission completion lands at or before it,
     /// and the train-liveness flag matches the value the certificate was
     /// issued for. Quiescent slots release nothing and buffer no obs
-    /// events, so skipping them changes neither the output, the journal,
-    /// nor the state fingerprint. The certificate holds across the whole
+    /// events, so skipping them changes neither the output nor the
+    /// journal. The certificate holds across the whole
     /// batch because the skipped slots are, by definition, no-ops: only
     /// an arrival, retry, or heartbeat-flagged slot can invalidate it,
     /// and each of those ends the batch.
@@ -689,7 +508,6 @@ impl<'a> Engine<'a> {
             // Accumulate the boundary by repeated addition — bit-exact
             // with the slot kernel's own float accumulation.
             self.next_slot_s += self.slot_s;
-            self.last_event_s = s;
             skipped += 1;
             s = self.next_slot_s;
         }
@@ -700,7 +518,7 @@ impl<'a> Engine<'a> {
 
     /// Processes exactly one event; returns `false` — consuming nothing —
     /// once no event at or before the horizon remains.
-    pub fn step(&mut self) -> bool {
+    fn step(&mut self) -> bool {
         let Some((t, prio)) = self.next_event() else {
             return false;
         };
@@ -906,16 +724,12 @@ impl<'a> Engine<'a> {
         }
 
         self.events_processed += 1;
-        self.last_event_s = t;
         true
     }
 
-    /// Finalizes the run at the horizon and produces the output.
-    ///
-    /// Call after [`Engine::step`] returns `false`; calling earlier
-    /// truncates the run at the current step boundary (everything still
-    /// queued counts as unfinished).
-    pub fn finish(mut self) -> EngineOutput {
+    /// Finalizes the run at the horizon and produces the output; call once
+    /// [`step`](Self::step) returns `false`.
+    fn finish(mut self) -> EngineOutput {
         // Let the in-flight transmission finish if it ends exactly at the
         // horizon boundary; otherwise count it as unfinished. A boundary
         // completion still flips its loss coin: a lost final attempt whose
@@ -1013,191 +827,6 @@ impl<'a> Engine<'a> {
     pub fn run(mut self) -> EngineOutput {
         while self.step() {}
         self.finish()
-    }
-
-    /// Captures a versioned, fingerprinted checkpoint of the run at the
-    /// current step boundary. Cheap relative to a run (one hashing pass
-    /// over the engine's state), serializable, and consumed by
-    /// [`Engine::restore`].
-    pub fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            version: SNAPSHOT_VERSION,
-            taken_at_s: self.last_event_s,
-            events_processed: self.events_processed,
-            steps_run: self.steps_run,
-            journal_events: self.journal_events(),
-            engine: self.kind,
-            fingerprint: self.fingerprint(),
-        }
-    }
-
-    /// FNV-1a over every observable piece of mutable run state: engine
-    /// counters and queues, terminal records, radio accounting, and the
-    /// scheduler's non-consuming observables.
-    fn fingerprint(&self) -> u64 {
-        let mut f = Fnv1a::new();
-        f.write_u64(self.events_processed);
-        f.write_u64(self.steps_run);
-        f.write_f64(self.last_event_s);
-        f.write_f64(self.next_slot_s);
-        // The kernel kind participates in the replay coordinate system
-        // (batch boundaries differ across kinds), but only event-kernel
-        // runs are tagged so every pre-existing slot-kernel fingerprint
-        // stays valid.
-        if self.kind != EngineKind::Slot {
-            f.write_u64(self.kind as u64);
-        }
-        f.write_u64(self.arrival_idx as u64);
-        f.write_u64(self.hb_idx as u64);
-        f.write_u64(self.alarm_idx as u64);
-        f.write_u64(self.heartbeats_sent as u64);
-        f.write_u64(self.retries as u64);
-        f.write_f64(self.wasted_retry_energy_j);
-
-        let item = |f: &mut Fnv1a, item: &TxItem| match item {
-            TxItem::Heartbeat(hb) => {
-                f.write_u64(0);
-                f.write_f64(hb.time_s);
-                f.write_u64(hb.size_bytes);
-            }
-            TxItem::Packet { packet, release_s } => {
-                f.write_u64(1);
-                f.write_u64(packet.id);
-                f.write_f64(packet.arrival_s);
-                f.write_u64(packet.size_bytes);
-                f.write_f64(*release_s);
-            }
-        };
-        f.write_u64(self.txq.len() as u64);
-        for queued in &self.txq {
-            item(&mut f, queued);
-        }
-        match &self.in_flight {
-            None => f.write_u64(0),
-            Some((flying, start, end)) => {
-                f.write_u64(1);
-                item(&mut f, flying);
-                f.write_f64(*start);
-                f.write_f64(*end);
-            }
-        }
-        f.write_u64(self.retryq.len() as u64);
-        for (due, packet) in &self.retryq {
-            f.write_f64(*due);
-            f.write_u64(packet.id);
-        }
-        let mut attempts: Vec<(u64, u32)> =
-            self.failed_attempts.iter().map(|(k, v)| (*k, *v)).collect();
-        attempts.sort_unstable_by_key(|(id, _)| *id);
-        f.write_u64(attempts.len() as u64);
-        for (id, count) in attempts {
-            f.write_u64(id);
-            f.write_u64(u64::from(count));
-        }
-
-        f.write_u64(self.completed.len() as u64);
-        for c in &self.completed {
-            f.write_u64(c.packet.id);
-            f.write_f64(c.release_s);
-            f.write_f64(c.tx_start_s);
-            f.write_f64(c.tx_end_s);
-        }
-        f.write_u64(self.abandoned.len() as u64);
-        for a in &self.abandoned {
-            f.write_u64(a.packet.id);
-            f.write_f64(a.abandoned_at_s);
-            f.write_u64(u64::from(a.attempts));
-        }
-        f.write_u64(self.transmissions.len() as u64);
-        for tx in &self.transmissions {
-            f.write_f64(tx.start_s);
-            f.write_f64(tx.duration_s);
-        }
-
-        f.write_u64(match self.radio.state() {
-            etrain_radio::RrcState::Idle => 0,
-            etrain_radio::RrcState::Fach => 1,
-            etrain_radio::RrcState::Dch => 2,
-        });
-        f.write_f64(self.radio.now_s());
-        f.write_f64(self.radio.busy_time_s());
-        f.write_f64(self.radio.transmission_energy_j());
-        f.write_f64(self.radio.tail_energy_j());
-        f.write_u64(self.radio.promotions() as u64);
-
-        f.write_u64(self.scheduler.pending() as u64);
-        f.write_u64(self.scheduler.pending_bytes());
-        f.write_u64(self.scheduler.forced_flushes() as u64);
-        f.write_u64(self.scheduler.health_transitions().len() as u64);
-        f.finish()
-    }
-
-    /// Rebuilds an engine at a snapshot's step boundary by deterministic
-    /// replay over freshly built inputs: steps a new engine (unjournaled)
-    /// to the snapshot's `events_processed`, then verifies the state
-    /// fingerprint. The scheduler must be freshly built from the same
-    /// configuration the snapshotting run used. Replay runs under the
-    /// snapshot's own kernel kind, so event-kernel batch boundaries are
-    /// reproduced exactly and the replay lands on — never overshoots —
-    /// the recorded event count.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::VersionMismatch`] for a foreign snapshot format,
-    /// [`SnapshotError::ReplayExhausted`] when the inputs end early, and
-    /// [`SnapshotError::FingerprintMismatch`] when replay reaches the
-    /// event count in a different state — each means the snapshot does not
-    /// belong to these inputs (or the simulation lost determinism).
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Engine::new`] does on invalid inputs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore(
-        scheduler: &'a mut dyn Scheduler,
-        packets: &'a [Packet],
-        heartbeats: &'a [Heartbeat],
-        bandwidth: &'a BandwidthTrace,
-        radio_params: &'a RadioParams,
-        horizon_s: f64,
-        plan: &'a FaultPlan,
-        retry: &'a RetryPolicy,
-        snapshot: &EngineSnapshot,
-    ) -> Result<Engine<'a>, SnapshotError> {
-        if snapshot.version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::VersionMismatch {
-                expected: SNAPSHOT_VERSION,
-                found: snapshot.version,
-            });
-        }
-        let mut engine = Engine::new(
-            scheduler,
-            packets,
-            heartbeats,
-            bandwidth,
-            radio_params,
-            horizon_s,
-            plan,
-            retry,
-            None,
-        )
-        .with_kind(snapshot.engine);
-        while engine.events_processed < snapshot.events_processed {
-            if !engine.step() {
-                return Err(SnapshotError::ReplayExhausted {
-                    wanted: snapshot.events_processed,
-                    reached: engine.events_processed,
-                });
-            }
-        }
-        let found = engine.fingerprint();
-        if found != snapshot.fingerprint {
-            return Err(SnapshotError::FingerprintMismatch {
-                expected: snapshot.fingerprint,
-                found,
-            });
-        }
-        Ok(engine)
     }
 }
 
@@ -1630,7 +1259,7 @@ mod tests {
         );
     }
 
-    // ---- snapshot/restore ----
+    // ---- stepwise vs batch ----
 
     struct Inputs {
         packets: Vec<Packet>,
@@ -1683,161 +1312,40 @@ mod tests {
 
     #[test]
     fn stepwise_engine_matches_batch_run() {
+        // A journaled engine driven one step at a time must reproduce
+        // `run` under either kernel: the same output and the same journal
+        // bytes.
         let inputs = faulted_inputs();
-        let mut s1 = sched();
-        let batch = run_faulted(
-            &mut s1,
-            &inputs.packets,
-            &inputs.heartbeats,
-            &inputs.bandwidth,
-            &inputs.radio,
-            inputs.horizon_s,
-            &inputs.plan,
-            &inputs.retry,
-        );
-        let mut s2 = sched();
-        let mut eng = Engine::new(
-            &mut s2,
-            &inputs.packets,
-            &inputs.heartbeats,
-            &inputs.bandwidth,
-            &inputs.radio,
-            inputs.horizon_s,
-            &inputs.plan,
-            &inputs.retry,
-            None,
-        );
-        while eng.step() {}
-        let stepped = eng.finish();
-        output_eq(&batch, &stepped);
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_bit_for_bit() {
-        let inputs = faulted_inputs();
-        let mut s1 = sched();
-        let full = run_faulted(
-            &mut s1,
-            &inputs.packets,
-            &inputs.heartbeats,
-            &inputs.bandwidth,
-            &inputs.radio,
-            inputs.horizon_s,
-            &inputs.plan,
-            &inputs.retry,
-        );
-
-        // Run to roughly one third, snapshot, serialize it durably, and
-        // resume on a freshly built scheduler.
-        let mut s2 = sched();
-        let mut eng = Engine::new(
-            &mut s2,
-            &inputs.packets,
-            &inputs.heartbeats,
-            &inputs.bandwidth,
-            &inputs.radio,
-            inputs.horizon_s,
-            &inputs.plan,
-            &inputs.retry,
-            None,
-        );
-        let stop = full.events_processed / 3;
-        while eng.events_processed() < stop && eng.step() {}
-        let snap = eng.snapshot();
-        drop(eng);
-        let json = serde_json::to_string(&snap).unwrap();
-        let snap: EngineSnapshot = serde_json::from_str(&json).unwrap();
-
-        let mut s3 = sched();
-        let eng = Engine::restore(
-            &mut s3,
-            &inputs.packets,
-            &inputs.heartbeats,
-            &inputs.bandwidth,
-            &inputs.radio,
-            inputs.horizon_s,
-            &inputs.plan,
-            &inputs.retry,
-            &snap,
-        )
-        .expect("snapshot restores on identical inputs");
-        let resumed = eng.run();
-        output_eq(&full, &resumed);
-    }
-
-    #[test]
-    fn restore_rejects_foreign_snapshot() {
-        let inputs = faulted_inputs();
-        let mut s1 = sched();
-        let mut eng = Engine::new(
-            &mut s1,
-            &inputs.packets,
-            &inputs.heartbeats,
-            &inputs.bandwidth,
-            &inputs.radio,
-            inputs.horizon_s,
-            &inputs.plan,
-            &inputs.retry,
-            None,
-        );
-        for _ in 0..200 {
-            eng.step();
+        for kind in [EngineKind::Slot, EngineKind::Event] {
+            let journaled = |stepwise: bool| {
+                let mut s = sched();
+                let mut journal = Journal::new();
+                let mut eng = Engine::new(
+                    &mut s,
+                    &inputs.packets,
+                    &inputs.heartbeats,
+                    &inputs.bandwidth,
+                    &inputs.radio,
+                    inputs.horizon_s,
+                    &inputs.plan,
+                    &inputs.retry,
+                    Some(&mut journal),
+                )
+                .with_kind(kind);
+                let output = if stepwise {
+                    while eng.step() {}
+                    eng.finish()
+                } else {
+                    eng.run()
+                };
+                (output, journal.to_jsonl())
+            };
+            let (batch, batch_jsonl) = journaled(false);
+            let (stepped, stepped_jsonl) = journaled(true);
+            output_eq(&batch, &stepped);
+            assert!(!batch_jsonl.is_empty(), "{kind}: the run journals events");
+            assert_eq!(batch_jsonl, stepped_jsonl, "{kind}: journals diverged");
         }
-        let snap = eng.snapshot();
-        drop(eng);
-
-        // Different fault seed → different replayed state.
-        let other_plan = FaultPlan::seeded(99)
-            .with_loss(0.3)
-            .with_outage(200.0, 260.0);
-        let mut s2 = sched();
-        let err = Engine::restore(
-            &mut s2,
-            &inputs.packets,
-            &inputs.heartbeats,
-            &inputs.bandwidth,
-            &inputs.radio,
-            inputs.horizon_s,
-            &other_plan,
-            &inputs.retry,
-            &snap,
-        )
-        .err()
-        .expect("foreign snapshot must be rejected");
-        assert!(
-            matches!(
-                err,
-                SnapshotError::FingerprintMismatch { .. } | SnapshotError::ReplayExhausted { .. }
-            ),
-            "{err}"
-        );
-
-        // Wrong version is rejected before any replay happens.
-        let stale = EngineSnapshot {
-            version: SNAPSHOT_VERSION + 1,
-            ..snap
-        };
-        let mut s3 = sched();
-        let err = Engine::restore(
-            &mut s3,
-            &inputs.packets,
-            &inputs.heartbeats,
-            &inputs.bandwidth,
-            &inputs.radio,
-            inputs.horizon_s,
-            &inputs.plan,
-            &inputs.retry,
-            &stale,
-        )
-        .err()
-        .expect("stale version must be rejected");
-        assert_eq!(
-            err,
-            SnapshotError::VersionMismatch {
-                expected: SNAPSHOT_VERSION,
-                found: SNAPSHOT_VERSION + 1,
-            }
-        );
     }
 
     // ---- event kernel ----
@@ -1870,7 +1378,7 @@ mod tests {
             &retry,
             None,
         );
-        assert_eq!(engine.kind(), EngineKind::Event);
+        assert_eq!(engine.kind, EngineKind::Event);
     }
 
     #[test]
@@ -1944,60 +1452,5 @@ mod tests {
             event_calls * 10 < slot_calls,
             "event kernel made {event_calls} step calls vs {slot_calls} — batching is broken"
         );
-    }
-
-    #[test]
-    fn event_kernel_snapshot_restores_bit_for_bit() {
-        let inputs = faulted_inputs();
-        let full = run_with_kind(&inputs, EngineKind::Event);
-
-        let mut s1 = sched();
-        let mut eng = Engine::new(
-            &mut s1,
-            &inputs.packets,
-            &inputs.heartbeats,
-            &inputs.bandwidth,
-            &inputs.radio,
-            inputs.horizon_s,
-            &inputs.plan,
-            &inputs.retry,
-            None,
-        )
-        .with_kind(EngineKind::Event);
-        let stop = full.events_processed / 3;
-        while eng.events_processed() < stop && eng.step() {}
-        let snap = eng.snapshot();
-        drop(eng);
-        assert_eq!(snap.engine, EngineKind::Event);
-        let json = serde_json::to_string(&snap).unwrap();
-        let snap: EngineSnapshot = serde_json::from_str(&json).unwrap();
-
-        let mut s2 = sched();
-        let eng = Engine::restore(
-            &mut s2,
-            &inputs.packets,
-            &inputs.heartbeats,
-            &inputs.bandwidth,
-            &inputs.radio,
-            inputs.horizon_s,
-            &inputs.plan,
-            &inputs.retry,
-            &snap,
-        )
-        .expect("event-kernel snapshot restores on identical inputs");
-        assert_eq!(eng.kind(), EngineKind::Event);
-        let resumed = eng.run();
-        output_eq(&full, &resumed);
-    }
-
-    #[test]
-    fn legacy_snapshot_json_defaults_to_slot_kernel() {
-        // Pre-event-kernel snapshots used the `slots_run` field name and
-        // had no `engine` field; both must still deserialize.
-        let json = r#"{"version":1,"taken_at_s":4.5,"events_processed":12,
-                       "slots_run":4,"journal_events":0,"fingerprint":99}"#;
-        let snap: EngineSnapshot = serde_json::from_str(json).unwrap();
-        assert_eq!(snap.steps_run, 4);
-        assert_eq!(snap.engine, EngineKind::Slot);
     }
 }

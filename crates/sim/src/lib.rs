@@ -56,10 +56,7 @@ mod scenario;
 pub mod sweep;
 
 pub use compare::Comparison;
-pub use engine::{
-    AbandonedPacket, CompletedPacket, Engine, EngineKind, EngineOutput, EngineSnapshot,
-    SnapshotError, SNAPSHOT_VERSION,
-};
+pub use engine::{AbandonedPacket, CompletedPacket, Engine, EngineKind, EngineOutput};
 pub use fuzz::{conformance_kinds, CasePlan, TrainSet};
 pub use metrics::{AppReport, RunReport};
 pub use oracle::{

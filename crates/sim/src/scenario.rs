@@ -16,7 +16,7 @@ use etrain_trace::heartbeats::{synthesize, Heartbeat, TrainAppSpec};
 use etrain_trace::packets::{CargoWorkload, Packet};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{Engine, EngineKind, EngineOutput, EngineSnapshot};
+use crate::engine::{Engine, EngineKind, EngineOutput};
 use crate::metrics::RunReport;
 use crate::oracle::{self, OracleMode, OracleViolation};
 
@@ -61,13 +61,6 @@ pub enum ScenarioError {
         /// The first violated invariant.
         violation: OracleViolation,
     },
-    /// A kill/resume run could not restore its mid-run engine snapshot
-    /// (see [`crate::SnapshotError`]) — the snapshot belongs to different
-    /// inputs or the simulation lost determinism.
-    Snapshot {
-        /// The restore failure, rendered.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -99,9 +92,6 @@ impl std::fmt::Display for ScenarioError {
             }
             ScenarioError::OracleViolation { violation } => {
                 write!(f, "oracle violation: {violation}")
-            }
-            ScenarioError::Snapshot { reason } => {
-                write!(f, "snapshot restore failed: {reason}")
             }
         }
     }
@@ -681,170 +671,7 @@ impl Scenario {
         )
         .with_kind(self.engine)
         .run();
-        self.finish_journaled(scheduler.name(), output, journal, traces)
-    }
-
-    /// Runs the scenario as a crash-consistency trial: the run is killed
-    /// after `kill_after_events` engine events, keeping only the durable
-    /// artifacts a real crash would leave behind — the last
-    /// [`EngineSnapshot`] taken at a multiple of `snapshot_every_slots`
-    /// slot boundaries (serialized and re-parsed to prove durability) and
-    /// the journal prefix recorded up to that snapshot. A second,
-    /// freshly built engine then restores from the snapshot by replay,
-    /// journals only post-snapshot events, and runs to the horizon; the
-    /// pre-kill journal prefix and the resumed suffix are merged.
-    ///
-    /// The returned report, output and journal must be bit-for-bit
-    /// identical to [`Scenario::try_run_journaled_on`]'s — the kill/resume
-    /// harness in the chaos crate asserts exactly that. If the run
-    /// finishes before `kill_after_events`, the kill is a no-op and this
-    /// *is* an uninterrupted run. A kill before the first snapshot resumes
-    /// from nothing (a fresh run), which is the correct crash semantics
-    /// for a process that died before its first checkpoint flush.
-    ///
-    /// # Errors
-    ///
-    /// Returns what [`Scenario::validate`] returns, or
-    /// [`ScenarioError::Snapshot`] if the snapshot refuses to restore
-    /// (which would mean the simulation lost determinism).
-    pub fn try_run_interrupted_on(
-        &self,
-        traces: &TraceBundle,
-        kill_after_events: u64,
-        snapshot_every_slots: u64,
-    ) -> Result<(RunReport, EngineOutput, Option<Journal>), ScenarioError> {
-        self.validate()?;
-        assert!(
-            snapshot_every_slots > 0,
-            "snapshot cadence must be positive"
-        );
-
-        // Phase 1: the run that gets killed. Durable state is the last
-        // cadence-aligned snapshot plus the journal as of that snapshot.
-        let mut scheduler = self.scheduler.build(self.profiles.clone());
-        scheduler.set_reference_decisions(self.reference_cost);
-        let mut journal = if self.obs.is_enabled() {
-            Some(Journal::new())
-        } else {
-            None
-        };
-        let mut engine = Engine::new(
-            scheduler.as_mut(),
-            &traces.packets,
-            &traces.heartbeats,
-            &traces.bandwidth,
-            &self.radio,
-            self.horizon_s,
-            &self.faults,
-            &self.retry,
-            journal.as_mut(),
-        )
-        .with_kind(self.engine);
-        let mut durable: Option<String> = None;
-        let mut last_snapshot_slot = 0u64;
-        let mut finished = false;
-        while engine.events_processed() < kill_after_events {
-            if !engine.step() {
-                finished = true;
-                break;
-            }
-            // Snapshot whenever the step counter crosses a cadence
-            // multiple. The slot kernel lands on every multiple exactly;
-            // the event kernel can jump past several in one batched step,
-            // which still counts as one crossing — one snapshot.
-            let steps = engine.steps_run();
-            if steps / snapshot_every_slots > last_snapshot_slot / snapshot_every_slots {
-                last_snapshot_slot = steps;
-                // Serializing here is what makes the snapshot durable:
-                // the resume below only ever sees the JSON.
-                durable = Some(
-                    serde_json::to_string(&engine.snapshot())
-                        .expect("snapshots serialize infallibly"),
-                );
-            }
-        }
-        if finished {
-            // The run ended before the kill point: nothing was interrupted.
-            let output = engine.finish();
-            return self.finish_journaled(scheduler.name(), output, journal, traces);
-        }
-        drop(engine);
-
-        // Phase 2: resume in a "new process" — a freshly built scheduler
-        // and engine, fed only the durable snapshot and journal prefix.
-        let mut resumed_scheduler = self.scheduler.build(self.profiles.clone());
-        resumed_scheduler.set_reference_decisions(self.reference_cost);
-        let mut suffix = self.obs.is_enabled().then(Journal::new);
-        let output = match durable {
-            Some(snapshot_json) => {
-                let snapshot: EngineSnapshot =
-                    serde_json::from_str(&snapshot_json).expect("durable snapshots parse back");
-                if let Some(journal) = journal.as_mut() {
-                    journal.truncate(snapshot.journal_events);
-                }
-                let mut engine = Engine::restore(
-                    resumed_scheduler.as_mut(),
-                    &traces.packets,
-                    &traces.heartbeats,
-                    &traces.bandwidth,
-                    &self.radio,
-                    self.horizon_s,
-                    &self.faults,
-                    &self.retry,
-                    &snapshot,
-                )
-                .map_err(|e| ScenarioError::Snapshot {
-                    reason: e.to_string(),
-                })?;
-                if let Some(suffix) = suffix.as_mut() {
-                    engine.attach_journal(suffix);
-                }
-                engine.run()
-            }
-            None => {
-                // Crashed before the first checkpoint flush: the journal
-                // prefix is empty and the resume is a fresh full run.
-                if let Some(journal) = journal.as_mut() {
-                    journal.truncate(0);
-                }
-                Engine::new(
-                    resumed_scheduler.as_mut(),
-                    &traces.packets,
-                    &traces.heartbeats,
-                    &traces.bandwidth,
-                    &self.radio,
-                    self.horizon_s,
-                    &self.faults,
-                    &self.retry,
-                    suffix.as_mut(),
-                )
-                .with_kind(self.engine)
-                .run()
-            }
-        };
-        let merged = match (journal, suffix) {
-            (Some(mut prefix), Some(suffix)) => {
-                prefix.extend_from(suffix);
-                Some(prefix)
-            }
-            _ => None,
-        };
-        self.finish_journaled(resumed_scheduler.name(), output, merged, traces)
-    }
-
-    /// Shared post-engine pipeline: report building, journal
-    /// canonicalization with reconstructed RRC transitions, metrics
-    /// collection, and the oracle audit. Both the uninterrupted and the
-    /// kill/resume paths funnel through here, so their outputs are
-    /// post-processed identically.
-    fn finish_journaled(
-        &self,
-        scheduler_name: &str,
-        output: EngineOutput,
-        mut journal: Option<Journal>,
-        traces: &TraceBundle,
-    ) -> Result<(RunReport, EngineOutput, Option<Journal>), ScenarioError> {
-        let mut report = RunReport::from_engine(scheduler_name, &output, &self.profiles);
+        let mut report = RunReport::from_engine(scheduler.name(), &output, &self.profiles);
         if let Some(journal) = journal.as_mut() {
             let timeline = output.timeline();
             append_rrc_transitions(journal, &timeline);
@@ -1197,37 +1024,6 @@ mod tests {
         assert!(json.contains("0.2"), "{json}");
         let json = serde_json::to_string(&SchedulerKind::Baseline).unwrap();
         assert!(json.contains("Baseline"), "{json}");
-    }
-
-    #[test]
-    fn interrupted_run_is_bit_for_bit_identical() {
-        // Kill/resume at several points — before the first snapshot,
-        // mid-run, and past the end — must reproduce the uninterrupted
-        // run's report AND its canonicalized journal byte for byte.
-        let scenario = Scenario::paper_default()
-            .duration_secs(900)
-            .seed(13)
-            .obs(ObsMode::Jsonl)
-            .oracle(OracleMode::Off)
-            .faults(
-                FaultPlan::seeded(3)
-                    .with_loss(0.2)
-                    .with_outage(200.0, 260.0),
-            );
-        let traces = scenario.generate_traces();
-        let (full_report, _, full_journal) = scenario.try_run_journaled_on(&traces).unwrap();
-        let full_jsonl = full_journal.expect("obs enabled").to_jsonl();
-        for kill_after in [5, 500, 2500, u64::MAX] {
-            let (report, _, journal) = scenario
-                .try_run_interrupted_on(&traces, kill_after, 64)
-                .unwrap_or_else(|e| panic!("kill at {kill_after}: {e}"));
-            assert_eq!(full_report, report, "report diverged (kill {kill_after})");
-            assert_eq!(
-                full_jsonl,
-                journal.expect("obs enabled").to_jsonl(),
-                "journal diverged (kill {kill_after})"
-            );
-        }
     }
 
     #[test]
