@@ -167,13 +167,12 @@ impl Server {
                         let _ = reject_busy(stream, self.cfg.write_timeout);
                         continue;
                     }
-                    self.active.fetch_add(1, Ordering::Relaxed);
+                    let slot = ConnectionSlot::take(&self.active);
                     let service = Arc::clone(&self.service);
-                    let active = Arc::clone(&self.active);
                     let cfg = self.cfg.clone();
                     std::thread::spawn(move || {
-                        let _ = handle_connection(stream, &service, &cfg);
-                        active.fetch_sub(1, Ordering::Relaxed);
+                        let _slot = slot;
+                        let _ = handle_connection(&stream, &service, &cfg);
                     });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -185,22 +184,51 @@ impl Server {
     }
 }
 
-fn reject_busy(mut stream: TcpStream, write_timeout: Duration) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(write_timeout))?;
-    stream.write_all(b"BUSY\n")
+/// One of the [`ServerConfig::max_connections`] slots, held by a handler
+/// thread and given back when dropped — on unwind too, so a handler that
+/// panics cannot leak its slot and leave every later client `BUSY`.
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl ConnectionSlot {
+    fn take(active: &Arc<AtomicUsize>) -> Self {
+        active.fetch_add(1, Ordering::Relaxed);
+        ConnectionSlot(Arc::clone(active))
+    }
 }
 
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+fn reject_busy(stream: TcpStream, write_timeout: Duration) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(write_timeout))?;
+    (&stream).write_all(b"BUSY\n")
+}
+
+/// Serves one connection until `QUIT`, EOF, a timeout or a reset.
+///
+/// Reply framing: every reply, its `\n` included, leaves in **one**
+/// `write_all` on a `TCP_NODELAY` socket. Written as two segments (line,
+/// then newline), Nagle's algorithm holds the second until the client's
+/// delayed ACK, about 40 ms per request on a long session. A reply is
+/// written only after [`execute_line`] returns, so a `SUBMIT` is still
+/// acked after its journal append and fsync.
 fn handle_connection(
-    stream: TcpStream,
+    stream: &TcpStream,
     service: &Mutex<DurableService>,
     cfg: &ServerConfig,
 ) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(cfg.read_timeout))?;
     stream.set_write_timeout(Some(cfg.write_timeout))?;
-    let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
+    let mut writer = stream;
     let mut line = String::new();
+    let mut reply = String::new();
     loop {
         line.clear();
         match reader.read_line(&mut line) {
@@ -212,13 +240,18 @@ fn handle_connection(
         if request.is_empty() {
             continue;
         }
-        if request.eq_ignore_ascii_case("QUIT") {
-            let _ = writer.write_all(b"OK BYE\n");
+        let quit = request.eq_ignore_ascii_case("QUIT");
+        reply.clear();
+        if quit {
+            reply.push_str("OK BYE");
+        } else {
+            reply.push_str(&execute_line(request, service));
+        }
+        reply.push('\n');
+        writer.write_all(reply.as_bytes())?;
+        if quit {
             return Ok(());
         }
-        let response = execute_line(request, service);
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
     }
 }
 
@@ -294,8 +327,10 @@ fn format_summary(prefix: &str, summary: &AdmissionSummary) -> String {
 
 fn dispatch(request: &str, service: &Mutex<DurableService>) -> Result<String, SvcError> {
     let tokens: Vec<&str> = request.split_whitespace().collect();
-    let verb = tokens[0].to_ascii_uppercase();
-    let args = &tokens[1..];
+    let Some((verb, args)) = tokens.split_first() else {
+        return Err(bad_request("empty request".into()));
+    };
+    let verb = verb.to_ascii_uppercase();
     match (verb.as_str(), args) {
         ("PING", []) => Ok("OK PONG".into()),
         ("REGTRAIN", [name]) => {
@@ -540,6 +575,8 @@ mod tests {
             ("HB 0 soon", "not a number"),
             ("REPORT 0 maybe 1", "unknown result"),
             ("REGCARGO X mail -3", "must be positive"),
+            ("", "empty request"),
+            ("   ", "empty request"),
         ] {
             let out = execute_line(line, &svc);
             assert!(out.starts_with("ERR"), "{line} -> {out}");
@@ -599,6 +636,67 @@ mod tests {
 
         shutdown.store(true, Ordering::Relaxed);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn long_session_replies_are_one_line_each_without_nagle_stalls() {
+        let server = Server::bind(ServerConfig::default(), service("nagle")).unwrap();
+        let addr = server.local_addr().unwrap();
+        let shutdown = server.shutdown_handle();
+        let handle = std::thread::spawn(move || server.run().unwrap());
+
+        let client = TcpStream::connect(addr).unwrap();
+        client.set_nodelay(true).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = BufReader::new(&client);
+        let mut writer = &client;
+        let mut ask = |request: &str| {
+            writer.write_all(format!("{request}\n").as_bytes()).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            assert!(reply.ends_with('\n'), "{request} -> {reply:?}");
+            reply
+        };
+        assert_eq!(ask("REGCARGO Mail mail 300"), "OK CARGO 0\n");
+
+        // Linux quick-acks the first ~16 segments of a connection, which
+        // hides a reply split across two writes; only a long session
+        // shows the ~40 ms Nagle + delayed-ACK stall on every request.
+        let started = std::time::Instant::now();
+        for i in 0..120 {
+            assert_eq!(ask("PING"), "OK PONG\n");
+            let reply = ask(&format!("SUBMIT c-{i} 0 up 1000 {i}.0"));
+            assert!(reply.starts_with("OK "), "{reply:?}");
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "240 round trips took {elapsed:?}"
+        );
+
+        // Nothing but the QUIT reply is left unread: one line per reply.
+        writer.write_all(b"QUIT\n").unwrap();
+        let mut rest = String::new();
+        std::io::Read::read_to_string(&mut reader, &mut rest).unwrap();
+        assert_eq!(rest, "OK BYE\n");
+
+        shutdown.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_handler_gives_its_connection_slot_back() {
+        let active = Arc::new(AtomicUsize::new(0));
+        let slot = ConnectionSlot::take(&active);
+        assert_eq!(active.load(Ordering::Relaxed), 1);
+        let handler = std::thread::spawn(move || {
+            let _slot = slot;
+            panic!("handler bug");
+        });
+        assert!(handler.join().is_err());
+        assert_eq!(active.load(Ordering::Relaxed), 0);
     }
 
     #[test]
