@@ -11,8 +11,10 @@
 //! - [`replay`] — the paper's controlled-experiment methodology
 //!   ("We implemented workload generating functionality that replays the
 //!   user traces", Sec. VI-D): drive a recorded app-use trace through the
-//!   live [`ETrainCore`](etrain_core::ETrainCore) system or convert it to
-//!   a packet trace for the simulator.
+//!   deterministic [`ETrainCore`](etrain_core::ETrainCore) or convert it
+//!   to a packet trace for the simulator;
+//! - [`freshness`] — push-vs-poll content freshness: the fetch traces of
+//!   both strategies from one content-update process, and their staleness.
 //!
 //! # Example
 //!
@@ -37,10 +39,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod chunker;
 pub mod freshness;
 mod model;
 pub mod replay;
 
-pub use chunker::FileSync;
 pub use model::{CargoAppModel, CargoKind};

@@ -5,8 +5,8 @@
 //! without eTrain (Sec. VI-D). This module provides both replay paths of
 //! the reproduction:
 //!
-//! - [`replay_through_core`] — drive a trace through the *live*
-//!   [`ETrainCore`] system (heartbeats from train-app specs, 1-second
+//! - [`replay_through_core`] — drive a trace through the
+//!   [`ETrainCore`] (heartbeats from train-app specs, 1-second
 //!   ticks, requests from upload records) and collect the decisions;
 //! - [`to_packets`] — convert a trace to a simulator packet trace, so the
 //!   energy of the replay can be measured by `etrain-sim` (used by the
@@ -20,7 +20,7 @@ use etrain_trace::CargoAppId;
 
 use crate::model::CargoAppModel;
 
-/// Outcome of replaying one app-use trace through the live system.
+/// Outcome of replaying one app-use trace through the core.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
     /// Decisions in the order they were made.
@@ -99,7 +99,7 @@ pub fn replay_through_core(
 
     // Final drain: an upload that arrived after the horizon's last train
     // (and below Θ) would otherwise be stranded at trace end. Ride it on
-    // the next departures past the horizon, as the live system would.
+    // the next departures past the horizon, as a live deployment would.
     let mut drained_heartbeats = 0usize;
     let mut t_cursor = horizon;
     while core.pending_requests() > 0 && !trains.is_empty() && drained_heartbeats < 64 {

@@ -426,4 +426,20 @@ mod tests {
             payload: "other".into()
         }));
     }
+
+    #[test]
+    fn violation_names_ignore_the_payload() {
+        let a = OracleViolation::HeartbeatCount {
+            expected: 3,
+            sent: 2,
+        };
+        let b = OracleViolation::HeartbeatCount {
+            expected: 40,
+            sent: 41,
+        };
+        assert_eq!(violation_name(&a), "HeartbeatCount");
+        assert_eq!(violation_name(&a), violation_name(&b));
+        let other = OracleViolation::UnknownPacket { packet_id: 3 };
+        assert_eq!(violation_name(&other), "UnknownPacket");
+    }
 }

@@ -673,22 +673,6 @@ impl ETrainCore {
         }
     }
 
-    /// Whether a [`ETrainCore::tick`] at `now_s` could possibly produce a
-    /// decision or mutate state — the quiescence probe behind timer-driven
-    /// slot delivery. When this returns `false` the tick would be a pure
-    /// no-op: nothing is stashed, the scheduler holds no packets (so no
-    /// cost breach, deadline override, or watchdog flush can release
-    /// anything), no retry backoff has come due, and train liveness has
-    /// not flipped since the last slot. A driver may then skip the tick
-    /// entirely instead of polling every slot, exactly as the simulator's
-    /// event kernel retires quiescent slot events in batches.
-    pub fn has_due_work(&self, now_s: f64) -> bool {
-        !self.stashed_decisions.is_empty()
-            || self.scheduler.pending() > 0
-            || self.backoffs.iter().any(|b| b.resume_at_s <= now_s)
-            || self.trains_alive(now_s) != self.was_alive
-    }
-
     /// Whether the scheduler currently considers any train app alive.
     pub fn trains_alive(&self, now_s: f64) -> bool {
         self.trains.iter().enumerate().any(|(idx, record)| {
@@ -988,6 +972,93 @@ mod tests {
         assert_eq!(d.piggybacked_on, Some(train));
         assert_eq!(d.delay_s(), 260.0);
         assert_eq!(core.pending_requests(), 0);
+    }
+
+    #[test]
+    fn one_heartbeat_releases_the_queues_of_every_cargo_app() {
+        let mut core = ETrainCore::new(CoreConfig {
+            theta: 1e6, // only heartbeats release
+            ..CoreConfig::default()
+        });
+        let train = core.register_train("QQ");
+        let apps = [
+            core.register_cargo(AppProfile::new("Mail", CostProfile::mail(300.0))),
+            core.register_cargo(AppProfile::new("Weibo", CostProfile::weibo(120.0))),
+            core.register_cargo(AppProfile::new("Cloud", CostProfile::cloud(600.0))),
+        ];
+        let requests = [
+            TransmitRequest::upload(5_000),
+            TransmitRequest::upload(2_000),
+            TransmitRequest::download(100_000),
+        ];
+        let mut ids = Vec::new();
+        for (i, (&app, request)) in apps.iter().zip(requests).enumerate() {
+            let admission = core.submit(app, request, 1.0 + i as f64).unwrap();
+            ids.push(admission.id().unwrap());
+        }
+        assert!(core.tick(4.0).unwrap().is_empty());
+
+        let decisions = core.on_heartbeat(train, 5.0).unwrap();
+        assert_eq!(decisions.len(), 3, "all three apps ride the same heartbeat");
+        for (app, id) in apps.iter().zip(ids) {
+            let d = decisions.iter().find(|d| d.request == id).unwrap();
+            assert_eq!(d.app, *app);
+            assert_eq!(d.piggybacked_on, Some(train));
+        }
+        assert_eq!(core.pending_requests(), 0);
+    }
+
+    #[test]
+    fn each_submit_heartbeat_round_releases_its_own_request() {
+        let (mut core, train, cargo) = core();
+        core.on_heartbeat(train, 0.0).unwrap();
+        for round in 0..3u64 {
+            let departure = 270.0 * (round + 1) as f64;
+            let size_bytes = 1_000 + round;
+            let request = TransmitRequest::upload(size_bytes);
+            let admission = core.submit(cargo, request, departure - 260.0).unwrap();
+            let id = admission.id().unwrap();
+            let decisions = core.on_heartbeat(train, departure).unwrap();
+            assert_eq!(decisions.len(), 1, "round {round}");
+            assert_eq!(decisions[0].request, id);
+            assert_eq!(decisions[0].size_bytes, size_bytes);
+            assert_eq!(decisions[0].piggybacked_on, Some(train));
+        }
+        assert_eq!(core.stats().decided, 3);
+    }
+
+    #[test]
+    fn a_tick_releases_a_request_whose_cost_breaches_theta() {
+        let mut core = ETrainCore::new(CoreConfig::default()); // Θ = 0.2
+        let train = core.register_train("WeChat");
+        let weibo = core.register_cargo(AppProfile::new("Weibo", CostProfile::weibo(120.0)));
+        core.on_heartbeat(train, 0.0).unwrap();
+        core.submit(weibo, TransmitRequest::upload(800), 1.0)
+            .unwrap();
+        assert!(core.tick(2.0).unwrap().is_empty(), "cost still below Θ");
+        let decisions = core.tick(60.0).unwrap();
+        assert_eq!(decisions.len(), 1, "released between heartbeats");
+        assert_eq!(decisions[0].piggybacked_on, None);
+        assert_eq!(decisions[0].decided_at_s, 60.0);
+    }
+
+    #[test]
+    fn a_bounded_burst_spreads_a_backlog_over_successive_trains() {
+        let mut core = ETrainCore::new(CoreConfig {
+            theta: 1e6, // only heartbeats release
+            k: Some(1),
+            ..CoreConfig::default()
+        });
+        let train = core.register_train("QQ");
+        let cloud = core.register_cargo(AppProfile::new("Cloud", CostProfile::cloud(600.0)));
+        for i in 0..3 {
+            core.submit(cloud, TransmitRequest::upload(100_000), 1.0 + i as f64)
+                .unwrap();
+        }
+        for (round, t) in [270.0, 540.0, 810.0].into_iter().enumerate() {
+            assert_eq!(core.on_heartbeat(train, t).unwrap().len(), 1, "k = 1");
+            assert_eq!(core.pending_requests(), 2 - round);
+        }
     }
 
     #[test]
@@ -1553,43 +1624,6 @@ mod tests {
             .records()
             .iter()
             .any(|r| matches!(r.event, Event::ForcedFlush { packet_id: 0, .. })));
-    }
-
-    #[test]
-    fn has_due_work_tracks_every_wakeup_source() {
-        let (mut core, train, cargo) = core();
-        core.on_heartbeat(train, 0.0).unwrap();
-        assert!(
-            !core.has_due_work(1.0),
-            "an empty core has nothing due next slot"
-        );
-
-        // A queued packet makes slots non-quiescent until it is decided.
-        let id = core
-            .submit(cargo, TransmitRequest::upload(1_000), 10.0)
-            .unwrap()
-            .id()
-            .unwrap();
-        assert!(core.has_due_work(11.0));
-        core.on_heartbeat(train, 270.0).unwrap();
-        assert!(!core.has_due_work(271.0), "decided requests leave no work");
-
-        // A retry backoff is due work only once its resume time passes.
-        let verdict = core.report_result(id, TxResult::Failed, 271.0).unwrap();
-        let RetryVerdict::RetryScheduled { resume_at_s } = verdict else {
-            panic!("expected a retry, got {verdict:?}");
-        };
-        assert!(!core.has_due_work(271.1));
-        assert!(core.has_due_work(resume_at_s + 0.1));
-        core.tick(resume_at_s + 0.1).unwrap();
-
-        // A liveness flip (the train dying) must not be skipped: the
-        // watchdog flush and the health transition happen inside a tick.
-        let decisions = core.on_heartbeat(train, 540.0).unwrap();
-        assert_eq!(decisions.len(), 1, "the retried request rides the train");
-        core.on_heartbeat(train, 810.0).unwrap();
-        assert!(!core.has_due_work(811.0));
-        assert!(core.has_due_work(5_000.0), "train death flips liveness");
     }
 
     #[test]

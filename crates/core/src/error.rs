@@ -33,8 +33,6 @@ pub enum CoreError {
         /// The earlier timestamp that was supplied.
         supplied_s: f64,
     },
-    /// The threaded runtime has been shut down.
-    SystemStopped,
 }
 
 impl std::fmt::Display for CoreError {
@@ -53,9 +51,42 @@ impl std::fmt::Display for CoreError {
                 f,
                 "time went backwards: system is at {now_s} s, got {supplied_s} s"
             ),
-            CoreError::SystemStopped => f.write_str("the eTrain system has been shut down"),
         }
     }
 }
 
 impl std::error::Error for CoreError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn errors_name_the_offending_id_or_time() {
+        let cases = [
+            (CoreError::UnknownCargoApp { app: CargoAppId(4) }, "4"),
+            (
+                CoreError::UnknownTrainApp {
+                    train: TrainAppId(5),
+                },
+                "5",
+            ),
+            (
+                CoreError::UnknownRequest {
+                    request: RequestId(6),
+                },
+                "req#6",
+            ),
+            (
+                CoreError::TimeWentBackwards {
+                    now_s: 9.0,
+                    supplied_s: 8.5,
+                },
+                "8.5",
+            ),
+        ];
+        for (err, needle) in cases {
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+    }
+}

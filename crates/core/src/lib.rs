@@ -3,27 +3,27 @@
 //! This crate is the reproduction of the paper's Sec. V: the eTrain
 //! *system* that runs on a phone, as opposed to the scheduling *algorithm*
 //! (in `etrain-sched`) or the evaluation *testbed* (in `etrain-sim`). It
-//! mirrors the Android architecture one-to-one:
+//! maps the Android architecture onto one deterministic core, which the
+//! durable `etrain-svcd` daemon (in `etrain-svc`) serves over TCP:
 //!
-//! | Paper (Android)                              | This crate                      |
-//! |----------------------------------------------|---------------------------------|
-//! | Xposed hook on train apps' heartbeat code    | [`TrainHandle::heartbeat`]      |
-//! | Heartbeat Monitor module                     | [`ETrainCore`] + `etrain-hb`    |
-//! | eTrain Scheduler module (Algorithm 1)        | [`ETrainCore`] + `etrain-sched` |
-//! | eTrain Broadcast (`BroadcastReceiver` IPC)   | [`Bus`] (crossbeam channels)    |
-//! | Cargo app registration with profile          | [`ETrainSystem::cargo_client`]  |
-//! | Transmit request with meta-data              | [`TransmitRequest`]             |
-//! | Transmission decision delivered to cargo app | [`TransmitDecision`]            |
+//! | Paper (Android)                              | This workspace                                  |
+//! |----------------------------------------------|-------------------------------------------------|
+//! | Xposed hook on train apps' heartbeat code    | [`ETrainCore::on_heartbeat`] (daemon: `HB`)     |
+//! | Heartbeat Monitor module                     | [`ETrainCore`] + `etrain-hb`                    |
+//! | eTrain Scheduler module (Algorithm 1)        | [`ETrainCore`] + `etrain-sched`                 |
+//! | eTrain Broadcast (`BroadcastReceiver` IPC)   | the decisions a call returns (daemon: reply)    |
+//! | Cargo app registration with profile          | [`ETrainCore::register_cargo`] (daemon: `REGCARGO`) |
+//! | Transmit request with meta-data              | [`TransmitRequest`]                             |
+//! | Transmission decision delivered to cargo app | [`TransmitDecision`]                            |
 //!
-//! Two layers are provided:
-//!
-//! - [`ETrainCore`] — a deterministic, synchronous ("sans-IO") core: feed
-//!   it heartbeats, requests and clock ticks, get back decisions. All the
-//!   system logic lives here and is directly unit-testable.
-//! - [`ETrainSystem`] — a threaded runtime around the core with a real
-//!   clock (optionally time-scaled so a 300-second heartbeat cycle can be
-//!   exercised in milliseconds), broadcasting decisions to subscribed
-//!   cargo clients exactly like Android's one-to-many `Broadcast`.
+//! [`ETrainCore`] is deterministic and synchronous ("sans-IO"): feed it
+//! heartbeats, requests and clock ticks, each with an explicit timestamp,
+//! and get back decisions. All the system logic lives here and is
+//! directly unit-testable. Nothing pushes decisions to subscribers and
+//! nothing runs a clock: a caller gets each decision back from the call
+//! that released it, and `etrain-svcd` writes it into its reply to the
+//! `HB`, `TICK` or `SUBMIT` line that released it, taking time from its
+//! clients.
 //!
 //! # Example (deterministic core)
 //!
@@ -57,23 +57,17 @@
 // exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-mod bus;
 mod command;
 mod core_impl;
 mod error;
-mod meter;
 mod request;
-mod system;
 
-pub use bus::Bus;
 pub use command::{CommandOutcome, CoreCommand};
 pub use core_impl::{CoreConfig, CoreStats, ETrainCore};
 pub use error::CoreError;
-pub use meter::EnergyMeter;
 pub use request::{
     Admission, Direction, RequestId, RetryVerdict, TransmitDecision, TransmitRequest, TxResult,
 };
-pub use system::{CargoClient, ETrainSystem, ShutdownReport, SystemConfig, TrainHandle};
 
 // The retry policy is configured through `CoreConfig::retry`; re-exported
 // so embedders don't need a direct `etrain-sched` dependency for it. The

@@ -67,9 +67,11 @@ impl TransmitRequest {
     }
 }
 
-/// A transmission decision broadcast by the scheduler to cargo apps
-/// ("eTrain also delivers the transmission decisions (about when and which
-/// packet should be transmitted) ... using the broadcast module", Sec. V-4).
+/// A transmission decision for a cargo app ("eTrain also delivers the
+/// transmission decisions (about when and which packet should be
+/// transmitted) ... using the broadcast module", Sec. V-4). The core
+/// returns it from the call that released it; `etrain-svcd` writes it
+/// into that call's reply.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TransmitDecision {
     /// The request to transmit now.
@@ -123,7 +125,7 @@ pub enum Admission {
         /// Id of the newly admitted request.
         id: RequestId,
         /// The early-release decision for the flushed request. It must be
-        /// acted on (transmitted) like any broadcast decision.
+        /// acted on (transmitted) like any other decision.
         flushed: TransmitDecision,
     },
     /// The queue was full and the reject-new policy dropped this request;
@@ -206,5 +208,28 @@ mod tests {
         };
         assert_eq!(d.delay_s(), 2.0);
         assert_eq!(RequestId(1).to_string(), "req#1");
+    }
+
+    #[test]
+    fn only_a_rejection_carries_no_id() {
+        let flushed = TransmitDecision {
+            request: RequestId(3),
+            app: CargoAppId(0),
+            size_bytes: 1,
+            decided_at_s: 1.0,
+            submitted_at_s: 0.0,
+            piggybacked_on: None,
+        };
+        let (id, evicted) = (RequestId(7), RequestId(2));
+        for admitted in [
+            Admission::Admitted { id },
+            Admission::AdmittedWithEviction { id, evicted },
+            Admission::AdmittedWithFlush { id, flushed },
+        ] {
+            assert_eq!(admitted.id(), Some(id));
+            assert!(admitted.is_admitted());
+        }
+        assert_eq!(Admission::Rejected.id(), None);
+        assert!(!Admission::Rejected.is_admitted());
     }
 }

@@ -310,4 +310,15 @@ mod tests {
         assert_eq!(empty.mean_delay_s(), 0.0);
         assert_eq!(FleetColumns::default().tally(), empty);
     }
+
+    #[test]
+    fn oversized_counts_saturate_instead_of_wrapping() {
+        let mut columns = FleetColumns::with_capacity(1);
+        assert!(columns.is_empty());
+        let mut report = row(1.0);
+        report.packets_completed = usize::MAX;
+        columns.push_report(Activeness::Active, &report);
+        assert_eq!(columns.len(), 1);
+        assert_eq!(columns.packets_completed, [u32::MAX]);
+    }
 }

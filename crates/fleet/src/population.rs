@@ -365,4 +365,38 @@ mod tests {
         let b = config.reference_scenario(&spec).run();
         assert_eq!(a, b);
     }
+
+    #[test]
+    fn class_labels_name_each_activeness() {
+        assert_eq!(class_label(Activeness::Active), "active");
+        assert_eq!(class_label(Activeness::Moderate), "moderate");
+        assert_eq!(class_label(Activeness::Inactive), "inactive");
+    }
+
+    #[test]
+    fn uniform_mix_cycles_through_the_three_classes() {
+        let mix = ClassMix::uniform();
+        let classes: Vec<Activeness> = (3..6).map(|d| mix.class_of(d)).collect();
+        use Activeness::*;
+        assert_eq!(classes, [Active, Moderate, Inactive]);
+    }
+
+    #[test]
+    fn device_spec_is_the_mix_class_and_the_device_seed() {
+        let config = FleetConfig::paper_default(100).seed(9);
+        let spec = config.device_spec(17);
+        assert_eq!(spec.class, ClassMix::paper_skew().class_of(17));
+        assert_eq!(spec.seed, device_seed(9, 17));
+    }
+
+    #[test]
+    fn device_packets_into_replaces_what_the_buffer_held() {
+        let config = FleetConfig::paper_default(4);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        config.device_packets_into(&config.device_spec(0), &mut a);
+        config.device_packets_into(&config.device_spec(1), &mut b);
+        config.device_packets_into(&config.device_spec(0), &mut b);
+        assert!(!a.is_empty());
+        assert_eq!(a, b);
+    }
 }

@@ -436,4 +436,25 @@ mod tests {
         assert_eq!(mode(&[6, 6, 5]), Some(6));
         assert_eq!(mode(&[]), None);
     }
+
+    #[test]
+    fn bounded_history_relearns_a_lengthened_cycle() {
+        let mut d = CycleDetector::with_history(6);
+        for i in 0..6 {
+            d.observe(i as f64 * 270.0);
+        }
+        for i in 1..=6 {
+            d.observe(1350.0 + i as f64 * 540.0); // the cycle doubles
+        }
+        match d.detect() {
+            DetectedPattern::Fixed { cycle_s, .. } => assert!((cycle_s - 540.0).abs() < 1e-9),
+            other => panic!("expected the new 540 s cycle, got {other:?}"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two observations")]
+    fn history_below_two_is_rejected() {
+        let _ = CycleDetector::with_history(1);
+    }
 }

@@ -36,13 +36,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod change;
 mod detect;
 mod fold;
 mod identify;
 mod monitor;
 
-pub use change::ChangeDetector;
 pub use detect::{CycleDetector, DetectedPattern};
 pub use fold::estimate_period;
 pub use identify::{identify_heartbeat_flows, HeartbeatFlow, IdentifyConfig};

@@ -526,4 +526,17 @@ mod tests {
         assert_eq!(scan.tail, TailStatus::Clean);
         assert_eq!(scan.payloads.len(), 2);
     }
+
+    #[test]
+    fn get_mut_reaches_the_sink_without_counting_its_bytes() {
+        let mut writer = FrameWriter::create(Vec::new()).unwrap();
+        writer.append(b"abc").unwrap();
+        assert_eq!(writer.get_mut().len() as u64, writer.bytes());
+        writer.get_mut().push(0);
+        assert_eq!(
+            writer.bytes(),
+            (WAL_MAGIC.len() + FRAME_HEADER_BYTES + 3) as u64
+        );
+        assert_eq!(writer.frames(), 1);
+    }
 }

@@ -103,4 +103,19 @@ mod tests {
         bytes.write(&[8, 7, 6, 5, 4, 3, 2, 1]);
         assert_eq!(word, bytes);
     }
+
+    #[test]
+    fn floats_hash_their_bit_pattern() {
+        let digest = |write: &dyn Fn(&mut Fnv1a)| {
+            let mut h = Fnv1a::new();
+            write(&mut h);
+            h.finish()
+        };
+        let bits = digest(&|h| h.write_u64(1.5f64.to_bits()));
+        assert_eq!(digest(&|h| h.write_f64(1.5)), bits);
+        assert_ne!(
+            digest(&|h| h.write_f64(0.0)),
+            digest(&|h| h.write_f64(-0.0))
+        );
+    }
 }

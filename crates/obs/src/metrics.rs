@@ -401,4 +401,20 @@ mod tests {
         let snapshot = MetricsRegistry::new().snapshot();
         assert_eq!(snapshot.energy_total_j(), None);
     }
+
+    #[test]
+    fn an_observation_on_a_bound_lands_in_that_bound_bucket() {
+        let mut h = Histogram::with_bounds(vec![1.0, 10.0]);
+        h.observe(1.0);
+        h.observe(10.0);
+        h.observe(10.5);
+        assert_eq!(h.bucket_counts(), &[1, 1, 1]);
+        assert_eq!(h.bounds(), &[1.0, 10.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one bound")]
+    fn empty_bounds_panic() {
+        let _ = Histogram::with_bounds(Vec::new());
+    }
 }

@@ -62,7 +62,6 @@ mod error;
 mod online;
 mod params;
 mod power;
-mod profile;
 mod tail;
 mod timeline;
 
@@ -71,7 +70,6 @@ pub use error::RadioError;
 pub use online::Radio;
 pub use params::{RadioParams, RadioParamsBuilder};
 pub use power::PowerTrace;
-pub use profile::{TailPhase, TailProfile};
 pub use tail::{analytic_extra_energy_j, merge_busy_periods, tail_energy_j};
 pub use timeline::{
     audit_segments, RrcState, StateSegment, Timeline, TimelineAuditError, Transmission,

@@ -294,4 +294,15 @@ mod tests {
         let mut radio = Radio::new(params());
         radio.end_transmission(1.0);
     }
+
+    #[test]
+    fn is_busy_brackets_a_transmission() {
+        let mut radio = Radio::new(params());
+        assert!(!radio.is_busy());
+        radio.start_transmission(5.0);
+        assert!(radio.is_busy());
+        radio.end_transmission(6.0);
+        assert!(!radio.is_busy());
+        assert_eq!(radio.state(), RrcState::Dch, "the tail is not busy time");
+    }
 }

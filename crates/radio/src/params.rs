@@ -364,4 +364,20 @@ mod tests {
         let back: RadioParams = serde_json::from_str(&json).unwrap();
         assert_eq!(p, back);
     }
+
+    #[test]
+    fn builder_sets_and_validates_promotion_latencies() {
+        let p = RadioParams::builder()
+            .promotion_idle_to_dch_s(2.0)
+            .promotion_fach_to_dch_s(1.5)
+            .build()
+            .unwrap();
+        assert_eq!(p.promotion_idle_to_dch_s(), 2.0);
+        assert_eq!(p.promotion_fach_to_dch_s(), 1.5);
+        let err = RadioParams::builder()
+            .promotion_fach_to_dch_s(-1.0)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, RadioError::InvalidDuration { .. }));
+    }
 }

@@ -941,4 +941,33 @@ mod tests {
         assert!(text.contains("segment #2"), "{text}");
         assert!(text.contains("FACH"), "{text}");
     }
+
+    #[test]
+    fn extra_power_is_the_excess_over_idle() {
+        let p = RadioParams::lte_drx();
+        assert_eq!(RrcState::Idle.extra_power_mw(&p), 0.0);
+        assert_eq!(RrcState::Fach.extra_power_mw(&p), 120.0);
+        assert_eq!(RrcState::Dch.extra_power_mw(&p), 1_000.0);
+    }
+
+    #[test]
+    fn aggregation_also_wins_on_the_lte_preset() {
+        let lte = RadioParams::lte_drx();
+        let extra = |starts: [f64; 3]| {
+            let txs = starts.map(|t| Transmission::new(t, 0.5));
+            Timeline::from_transmissions(&lte, &txs, 300.0).extra_energy_j()
+        };
+        let scattered = extra([0.0, 60.0, 120.0]);
+        let aggregated = extra([120.0, 120.5, 121.0]);
+        assert!(aggregated < scattered, "{aggregated} vs {scattered}");
+    }
+
+    #[test]
+    fn moving_a_lone_transfer_in_time_costs_nothing_extra() {
+        let p = params();
+        let extra_at = |t: f64| {
+            Timeline::from_transmissions(&p, &[Transmission::new(t, 0.5)], 200.0).extra_energy_j()
+        };
+        assert!((extra_at(10.0) - extra_at(90.0)).abs() < 1e-9);
+    }
 }

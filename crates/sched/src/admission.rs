@@ -208,4 +208,18 @@ mod tests {
         let back: AdmissionConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(cfg, back);
     }
+
+    #[test]
+    fn app_overflow_ignores_the_global_bound() {
+        let cfg = AdmissionConfig::unbounded()
+            .with_global_capacity(2)
+            .with_per_app_capacity(5);
+        assert!(cfg.would_overflow(2, 0));
+        assert!(
+            !cfg.app_overflow(4),
+            "the global bound tripped, not the app's"
+        );
+        assert!(cfg.app_overflow(5));
+        assert!(!AdmissionConfig::unbounded().app_overflow(usize::MAX));
+    }
 }

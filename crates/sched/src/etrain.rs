@@ -859,4 +859,33 @@ mod tests {
         }
         assert!(s.take_obs_events().is_empty(), "drain empties the buffer");
     }
+
+    #[test]
+    fn set_k_rebounds_the_next_heartbeat_burst() {
+        let mut s = scheduler(0.2, None);
+        for i in 0..5 {
+            s.on_arrival(packet(i, 1, 0.0), 0.0).unwrap();
+        }
+        s.set_k(Some(2));
+        assert_eq!(s.on_slot(&ctx(10.0, true)).len(), 2);
+        s.set_k(None);
+        assert_eq!(s.on_slot(&ctx(11.0, true)).len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be at least 1")]
+    fn set_k_rejects_zero() {
+        scheduler(0.2, None).set_k(Some(0));
+    }
+
+    #[test]
+    fn force_release_removes_only_the_named_packet() {
+        let mut s = scheduler(10.0, None);
+        s.on_arrival(packet(0, 1, 0.0), 0.0).unwrap();
+        s.on_arrival(packet(1, 1, 0.0), 0.0).unwrap();
+        assert_eq!(s.force_release(CargoAppId(1), 1).map(|p| p.id), Some(1));
+        assert_eq!(s.force_release(CargoAppId(1), 1), None, "already released");
+        assert_eq!(s.force_release(CargoAppId(0), 0), None, "wrong app");
+        assert_eq!(s.pending(), 1);
+    }
 }

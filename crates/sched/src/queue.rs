@@ -497,4 +497,22 @@ mod tests {
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].0.name, "Cloud");
     }
+
+    #[test]
+    fn app_count_is_the_number_of_registered_profiles() {
+        assert_eq!(queues().app_count(), 3);
+        assert_eq!(WaitingQueues::new(Vec::new()).app_count(), 0);
+    }
+
+    #[test]
+    fn cost_breach_agrees_with_the_total_and_reads_nan_as_a_breach() {
+        let mut q = queues();
+        q.push(packet(0, 1, 0.0, 100)).unwrap();
+        q.push(packet(1, 2, 0.0, 100)).unwrap();
+        for (now_s, theta) in [(0.0, 0.1), (15.0, 0.1), (15.0, 10.0), (60.0, 1.0)] {
+            let reference = q.total_cost(now_s) >= theta;
+            assert_eq!(q.total_cost_breaches(now_s, theta), reference);
+        }
+        assert!(q.total_cost_breaches(15.0, f64::NAN));
+    }
 }

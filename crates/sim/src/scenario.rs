@@ -1053,4 +1053,13 @@ mod tests {
         // Errors render readably.
         assert!(err.unwrap_err().to_string().contains("max_attempts"));
     }
+
+    #[test]
+    fn oracle_and_obs_knobs_read_back() {
+        let s = Scenario::paper_default()
+            .oracle(OracleMode::Strict)
+            .obs(ObsMode::Jsonl);
+        assert_eq!(s.oracle_mode(), OracleMode::Strict);
+        assert_eq!(s.obs_mode(), ObsMode::Jsonl);
+    }
 }

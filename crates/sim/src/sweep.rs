@@ -207,4 +207,12 @@ mod tests {
     fn log_space_rejects_zero() {
         let _ = log_space(0.0, 1.0, 3);
     }
+
+    #[test]
+    fn deadline_sweep_runs_each_shared_deadline() {
+        let sweep = deadline_sweep(&quick_base(), &[10.0, 120.0]);
+        let deadlines: Vec<f64> = sweep.iter().map(|(d, _)| *d).collect();
+        assert_eq!(deadlines, [10.0, 120.0]);
+        assert_eq!(sweep[1].1, quick_base().shared_deadline(120.0).run());
+    }
 }

@@ -10,7 +10,7 @@
 use etrain_sim::oracle::{self, OracleMode, OracleViolation};
 use etrain_sim::{
     audit_scheduler_ordering, conformance_kinds, CasePlan, EngineKind, EngineOutput, FaultPlan,
-    Journal, ObsMode, RunGrid, Scenario,
+    Journal, ObsMode, RunGrid, RunReport, Scenario,
 };
 use etrain_trace::faults::hash_unit;
 use etrain_trace::heartbeats::Heartbeat;
@@ -333,6 +333,46 @@ fn oracle_catches_corrupted_heartbeat_count() {
             .any(|v| matches!(v, OracleViolation::HeartbeatCount { .. })),
         "expected HeartbeatCount, got {violations:?}"
     );
+}
+
+/// The reference run's report and raw output, for report-level audits.
+fn reference_report() -> (RunReport, EngineOutput, Scenario) {
+    let scenario = Scenario::paper_default()
+        .oracle(OracleMode::Off)
+        .duration_secs(900)
+        .seed(7);
+    let (report, output, _) = scenario
+        .try_run_journaled_on(&scenario.generate_traces())
+        .expect("reference scenario is valid");
+    (report, output, scenario)
+}
+
+#[test]
+fn report_audit_accepts_the_reference_report() {
+    let (report, output, scenario) = reference_report();
+    let outcome = oracle::audit_report(&report, &output, scenario.profiles_ref());
+    assert!(outcome.is_clean(), "violations: {:?}", outcome.violations);
+}
+
+#[test]
+fn report_audit_catches_a_tampered_delay() {
+    let (mut report, output, scenario) = reference_report();
+    report.normalized_delay_s += 1.0;
+    let violations = oracle::audit_report(&report, &output, scenario.profiles_ref()).violations;
+    assert!(
+        matches!(&violations[..], [OracleViolation::MetricsMismatch { metric, .. }] if metric == "normalized_delay_s"),
+        "{violations:?}"
+    );
+}
+
+#[test]
+fn report_audit_catches_a_non_finite_energy() {
+    let (mut report, output, scenario) = reference_report();
+    report.idle_energy_j = f64::NAN;
+    let violations = oracle::audit_report(&report, &output, scenario.profiles_ref()).violations;
+    assert!(violations
+        .iter()
+        .any(|v| matches!(v, OracleViolation::NonFiniteQuantity { .. })));
 }
 
 #[test]

@@ -36,7 +36,7 @@
 //! an accepted connection is handled by the core's `AdmissionConfig`
 //! shed policies, reported through the typed `SUBMIT` responses.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -56,6 +56,12 @@ use crate::state::{AdmissionSummary, SvcCommand, SvcOutcome};
 /// fires: the tail is damaged by design and continuing would apply a
 /// command that was never durably journaled.
 pub const FAULT_EXIT_CODE: i32 = 42;
+
+/// Longest request line the server reads, its `\n` included. The
+/// protocol's own clients send lines under 100 bytes. A longer line is
+/// answered with one `ERR` and the connection is closed unexecuted, so a
+/// client that never sends `\n` cannot grow the read buffer without bound.
+const MAX_LINE_BYTES: usize = 4096;
 
 /// Environment variable naming the listen address.
 pub const SVC_ADDR_ENV: &str = "ETRAIN_SVC_ADDR";
@@ -208,7 +214,8 @@ fn reject_busy(stream: TcpStream, write_timeout: Duration) -> std::io::Result<()
     (&stream).write_all(b"BUSY\n")
 }
 
-/// Serves one connection until `QUIT`, EOF, a timeout or a reset.
+/// Serves one connection until `QUIT`, EOF, a timeout, a reset, or a
+/// request line longer than [`MAX_LINE_BYTES`].
 ///
 /// Reply framing: every reply, its `\n` included, leaves in **one**
 /// `write_all` on a `TCP_NODELAY` socket. Written as two segments (line,
@@ -227,16 +234,24 @@ fn handle_connection(
     stream.set_write_timeout(Some(cfg.write_timeout))?;
     let mut reader = BufReader::new(stream);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut reply = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        let mut limited = (&mut reader).take(MAX_LINE_BYTES as u64);
+        match limited.read_until(b'\n', &mut line) {
             Ok(0) => return Ok(()), // client closed
             Ok(_) => {}
             Err(_) => return Ok(()), // timeout or reset: drop the connection
         }
-        let request = line.trim();
+        if line.len() == MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            let refusal = format!("ERR request line longer than {MAX_LINE_BYTES} bytes\n");
+            return writer.write_all(refusal.as_bytes());
+        }
+        let Ok(request) = std::str::from_utf8(&line) else {
+            return Ok(()); // not text: drop the connection
+        };
+        let request = request.trim();
         if request.is_empty() {
             continue;
         }
@@ -588,6 +603,50 @@ mod tests {
     }
 
     #[test]
+    fn report_verb_renders_each_verdict() {
+        let svc = Mutex::new(service("report"));
+        let setup = ["REGTRAIN QQ", "REGCARGO Mail mail 300", "HB 0 0.0"];
+        roundtrip(&setup, &svc);
+        let submits = ["SUBMIT c-0 0 up 100 1.0", "SUBMIT c-1 0 up 100 1.0"];
+        roundtrip(&submits, &svc);
+        assert!(execute_line("HB 0 270.0", &svc).starts_with("OK DECISIONS 2"));
+        let out = roundtrip(&["REPORT 0 ok 271.0", "REPORT 1 fail 271.0"], &svc);
+        assert_eq!(out[0], "OK VERDICT DELIVERED");
+        assert!(out[1].starts_with("OK VERDICT RETRY "), "{}", out[1]);
+        let again = execute_line("REPORT 0 ok 272.0", &svc);
+        assert!(again.starts_with("ERR core rejected"), "{again}");
+    }
+
+    #[test]
+    fn cancel_and_drain_verbs_settle_the_queue() {
+        let svc = Mutex::new(service("cancel"));
+        let setup = ["REGTRAIN QQ", "REGCARGO Mail mail 300", "HB 0 0.0"];
+        roundtrip(&setup, &svc);
+        let submits = ["SUBMIT c-0 0 up 100 1.0", "SUBMIT c-1 0 up 200 1.0"];
+        roundtrip(&submits, &svc);
+        let out = roundtrip(&["CANCEL 0", "CANCEL 0", "DRAIN", "DRAIN"], &svc);
+        assert_eq!(
+            out,
+            [
+                "OK CANCELLED true",
+                "OK CANCELLED false",
+                "OK DECISIONS 1 1@0:200",
+                "OK DECISIONS 0"
+            ]
+        );
+    }
+
+    #[test]
+    fn checkpoint_verb_reports_the_journal_position_and_fingerprint() {
+        let svc = Mutex::new(service("ckpt"));
+        roundtrip(&["REGTRAIN QQ", "HB 0 0.0"], &svc);
+        let fprint = execute_line("FPRINT", &svc);
+        let fingerprint = fprint.strip_prefix("OK FPRINT ").unwrap();
+        let expected = format!("OK CHECKPOINT records=2 fingerprint={fingerprint}");
+        assert_eq!(execute_line("CHECKPOINT", &svc), expected);
+    }
+
+    #[test]
     fn tcp_server_serves_and_bounds_connections() {
         let svc = service("tcp");
         let server = Server::bind(
@@ -682,6 +741,77 @@ mod tests {
         std::io::Read::read_to_string(&mut reader, &mut rest).unwrap();
         assert_eq!(rest, "OK BYE\n");
 
+        shutdown.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
+    }
+
+    fn serve(tag: &str) -> (SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
+        let server = Server::bind(ServerConfig::default(), service(tag)).unwrap();
+        let addr = server.local_addr().unwrap();
+        let shutdown = server.shutdown_handle();
+        (
+            addr,
+            shutdown,
+            std::thread::spawn(move || server.run().unwrap()),
+        )
+    }
+
+    /// Sends `requests` on a fresh connection, half-closes it, and reads
+    /// reply lines until the server closes.
+    fn exchange(addr: SocketAddr, requests: &str) -> Vec<String> {
+        let mut client = TcpStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        client.write_all(requests.as_bytes()).unwrap();
+        let _ = client.shutdown(std::net::Shutdown::Write);
+        BufReader::new(client)
+            .lines()
+            .map_while(Result::ok)
+            .collect()
+    }
+
+    #[test]
+    fn an_oversized_line_is_refused_and_closed_without_touching_the_wal() {
+        let (addr, shutdown, handle) = serve("longline");
+        let before = exchange(addr, "REGCARGO Mail mail 300\nFPRINT\nHEALTH\n");
+        assert_eq!(before[0], "OK CARGO 0");
+
+        // A SUBMIT that never ends: one ERR, then the server closes.
+        let endless = format!("SUBMIT c-1 0 up 1000 1.0 {}", "9".repeat(MAX_LINE_BYTES));
+        let refused = exchange(addr, &endless);
+        assert_eq!(refused.len(), 1, "{refused:?}");
+        assert!(refused[0].starts_with("ERR request line longer than"));
+
+        // The server still serves, and the refused line left no record.
+        let after = exchange(addr, "PING\nFPRINT\nHEALTH\n");
+        assert_eq!(after[0], "OK PONG");
+        assert_eq!(after[1..], before[1..]);
+        shutdown.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_line_of_exactly_the_limit_is_served() {
+        let (addr, shutdown, handle) = serve("atlimit");
+        let padded = format!("{:<width$}\n", "PING", width = MAX_LINE_BYTES - 1);
+        assert_eq!(exchange(addr, &padded), ["OK PONG"]);
+        shutdown.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_last_line_without_a_newline_is_still_served() {
+        let (addr, shutdown, handle) = serve("eof");
+        assert_eq!(exchange(addr, "PING\nPING"), ["OK PONG", "OK PONG"]);
+        shutdown.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn quit_ends_the_session_before_later_lines() {
+        let (addr, shutdown, handle) = serve("quit");
+        assert_eq!(exchange(addr, "PING\nQUIT\nPING\n"), ["OK PONG", "OK BYE"]);
         shutdown.store(true, Ordering::Relaxed);
         handle.join().unwrap();
     }

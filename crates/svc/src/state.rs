@@ -540,4 +540,28 @@ mod tests {
         assert_eq!(cmds[0].kind(), "submit_idem");
         assert_eq!(cmds[1].kind(), "tick");
     }
+
+    #[test]
+    fn cached_submission_answers_only_applied_client_ids() {
+        let mut s = state();
+        setup(&mut s);
+        assert!(s.cached_submission("c-1").is_none());
+        s.apply(&submit("c-1", 1.0)).unwrap();
+        let cached = s.cached_submission("c-1").and_then(|a| a.id());
+        assert_eq!(cached.map(|id| id.0), Some(0));
+        assert!(s.cached_submission("c-2").is_none());
+    }
+
+    #[test]
+    fn applied_counts_only_commands_that_succeed() {
+        let mut s = state();
+        setup(&mut s);
+        assert_eq!(s.applied(), 2);
+        let unknown = CoreCommand::Heartbeat {
+            train: TrainAppId(9),
+            now_s: 1.0,
+        };
+        assert!(s.apply(&SvcCommand::Core(unknown)).is_err());
+        assert_eq!(s.applied(), 2);
+    }
 }

@@ -357,4 +357,12 @@ mod tests {
             1,
         );
     }
+
+    #[test]
+    fn statistics_of_a_stepped_trace() {
+        let trace = BandwidthTrace::new(1.0, vec![100.0, 300.0, 200.0]);
+        assert_eq!(trace.mean_bps(), 200.0);
+        assert_eq!(trace.min_bps(), 100.0);
+        assert_eq!(trace.max_bps(), 300.0);
+    }
 }

@@ -199,4 +199,14 @@ mod tests {
     fn excessive_amplitude_rejected() {
         let _ = DiurnalProfile::new(12.0, 1.5);
     }
+
+    #[test]
+    fn peak_multiplier_bounds_the_rate_and_is_reached_at_the_peak_hour() {
+        let p = DiurnalProfile::evening_heavy();
+        assert_eq!(p.peak_multiplier(), 1.8);
+        assert!((p.rate_multiplier(20.0 * 3600.0) - p.peak_multiplier()).abs() < 1e-12);
+        for minute in 0..(24 * 60) {
+            assert!(p.rate_multiplier(minute as f64 * 60.0) <= p.peak_multiplier());
+        }
+    }
 }

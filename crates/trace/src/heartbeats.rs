@@ -403,4 +403,39 @@ mod tests {
     fn zero_horizon_produces_no_heartbeats() {
         assert!(synthesize(&TrainAppSpec::paper_trio(), 0.0, 1).is_empty());
     }
+
+    #[test]
+    fn table1_presets_carry_their_measured_cycles() {
+        for (spec, cycle_s) in [
+            (TrainAppSpec::wechat(), 270.0),
+            (TrainAppSpec::whatsapp(), 240.0),
+            (TrainAppSpec::renren(), 300.0),
+            (TrainAppSpec::ios_apns(), 1800.0),
+        ] {
+            assert_eq!(
+                spec.pattern,
+                CyclePattern::Fixed { cycle_s },
+                "{}",
+                spec.name
+            );
+        }
+    }
+
+    #[test]
+    fn with_phase_moves_the_first_departure_only() {
+        let spec = TrainAppSpec::qq().with_phase(42.0);
+        let beats = spec.generate(TrainAppId(0), 1000.0, &mut seeded(1));
+        let times: Vec<f64> = beats.iter().map(|h| h.time_s).collect();
+        assert_eq!(times, vec![42.0, 342.0, 642.0, 942.0]);
+    }
+
+    #[test]
+    fn generate_into_appends_to_what_the_buffer_holds() {
+        let spec = TrainAppSpec::wechat();
+        let mut out = spec.generate(TrainAppId(0), 600.0, &mut seeded(1));
+        let before = out.len();
+        spec.generate_into(TrainAppId(1), 600.0, &mut seeded(1), &mut out);
+        assert_eq!(out.len(), 2 * before);
+        assert!(out[before..].iter().all(|h| h.train == TrainAppId(1)));
+    }
 }

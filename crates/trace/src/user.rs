@@ -409,4 +409,26 @@ mod tests {
         assert_eq!(Activeness::Active.to_string(), "active");
         assert_eq!(BehaviorType::Upload.to_string(), "upload");
     }
+
+    #[test]
+    fn upload_bytes_sum_the_upload_records_only() {
+        let record = |behavior, size_bytes| UserBehaviorRecord {
+            user_id: 0,
+            behavior,
+            time_s: 1.0,
+            size_bytes,
+        };
+        let trace = AppUseTrace {
+            user_id: 0,
+            activeness: Activeness::Moderate,
+            records: vec![
+                record(BehaviorType::Upload, 100),
+                record(BehaviorType::Browse, 7),
+                record(BehaviorType::Upload, 250),
+            ],
+            duration_s: 60.0,
+        };
+        assert_eq!(trace.upload_bytes(), 350);
+        assert_eq!(trace.upload_count(), 2);
+    }
 }

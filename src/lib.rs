@@ -11,7 +11,8 @@
 //! - [`sched`] — delay-cost profiles and the scheduling algorithms
 //!   (eTrain Algorithm 1, Baseline, PerES, eTime);
 //! - [`sim`] — the trace-driven device simulator and experiment sweeps;
-//! - [`core`] — the eTrain system runtime (monitor + scheduler + broadcast);
+//! - [`core`] — the eTrain system: a deterministic core that joins the
+//!   heartbeat monitor and the scheduler and returns decisions to its caller;
 //! - [`apps`] — the Mail / Weibo / Cloud cargo-app models and trace replay;
 //! - [`svc`] — the durable daemon: write-ahead journal, crash recovery,
 //!   and the `etrain-svcd` line-protocol server.

@@ -1,10 +1,14 @@
 //! Cross-crate integration tests: trace generation → scheduling →
 //! transmission engine → radio energy accounting → metrics.
 
+use etrain::apps::{replay, CargoAppModel};
+use etrain::core::{CoreConfig, TransmitRequest};
 use etrain::radio::RadioParams;
+use etrain::sched::{AppProfile, CostProfile};
 use etrain::sim::{BandwidthSource, Scenario, SchedulerKind};
 use etrain::trace::heartbeats::TrainAppSpec;
 use etrain::trace::packets::CargoWorkload;
+use etrain::trace::user::{generate_app_use, Activeness};
 
 #[test]
 fn paper_default_pipeline_produces_consistent_report() {
@@ -159,4 +163,135 @@ fn degenerate_empty_workload_is_well_defined_under_strict_oracle() {
     let outcome = report.oracle.expect("strict mode attaches the audit");
     assert!(outcome.is_clean());
     assert!(outcome.checks > 0);
+}
+
+#[test]
+fn without_cargo_every_scheduler_spends_the_same_energy() {
+    let base = Scenario::paper_default()
+        .duration_secs(3600)
+        .packets(Vec::new())
+        .seed(3);
+    let baseline = base.clone().scheduler(SchedulerKind::Baseline).run();
+    let etrain = base
+        .scheduler(SchedulerKind::ETrain {
+            theta: 1.0,
+            k: None,
+        })
+        .run();
+    assert_eq!(etrain.total_energy_j, baseline.total_energy_j);
+    assert_eq!(etrain.heartbeats_sent, baseline.heartbeats_sent);
+}
+
+/// Kill-mid-submit crash consistency on the durable service: a run is
+/// killed cold right after a submit is acknowledged (drop without
+/// checkpoint or drain — the WAL's crash model), restarted, and the
+/// journal replay must bring back every admitted request exactly once:
+/// nothing lost, nothing double-applied.
+#[test]
+fn durable_service_survives_kill_mid_submit_without_loss_or_double_apply() {
+    use etrain::core::CommandOutcome;
+    use etrain::core::CoreCommand;
+    use etrain::svc::{DurableService, SvcCommand, SvcHealthConfig, SvcOutcome, WalConfig};
+    use etrain::trace::{CargoAppId, TrainAppId};
+
+    let dir = std::env::temp_dir().join(format!("etrain-live-kill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = WalConfig::new(&dir);
+    cfg.fsync = false;
+
+    let core_cfg = CoreConfig {
+        theta: 1e6, // only heartbeats release
+        ..CoreConfig::default()
+    };
+    let (mut service, _) =
+        DurableService::open(cfg.clone(), core_cfg, SvcHealthConfig::default()).unwrap();
+    service
+        .apply(SvcCommand::Core(CoreCommand::RegisterTrain {
+            name: "QQ".into(),
+        }))
+        .unwrap();
+    service
+        .apply(SvcCommand::Core(CoreCommand::RegisterCargo {
+            profile: AppProfile::new("Mail", CostProfile::mail(300.0)),
+        }))
+        .unwrap();
+    let admitted = service
+        .submit_idem(
+            "req-1".to_string(),
+            CargoAppId(0),
+            TransmitRequest::upload(4_096),
+            1.0,
+        )
+        .unwrap();
+    let id = match admitted {
+        SvcOutcome::Submitted { summary } => summary.id().expect("admitted"),
+        other => panic!("expected a fresh submission, got {other:?}"),
+    };
+    // The kill: the submit is journaled and acked, nothing else is —
+    // no checkpoint, no drain.
+    drop(service);
+
+    let (mut service, recovery) =
+        DurableService::open(cfg, core_cfg, SvcHealthConfig::default()).unwrap();
+    assert_eq!(recovery.replayed, 3);
+    assert_eq!(recovery.replay_errors, 0);
+
+    // Not lost: the pending request rides the next heartbeat.
+    let outcome = service
+        .apply(SvcCommand::Core(CoreCommand::Heartbeat {
+            train: TrainAppId(0),
+            now_s: 2.0,
+        }))
+        .unwrap();
+    let decisions = match outcome {
+        SvcOutcome::Core(CommandOutcome::Decisions { decisions }) => decisions,
+        other => panic!("expected decisions, got {other:?}"),
+    };
+    assert_eq!(decisions.len(), 1, "the admitted request must survive");
+    assert_eq!(decisions[0].request, id);
+
+    // Not double-applied: the client's retry of the acked submit is a
+    // duplicate answered from the recovered dedup table, and exactly
+    // one admission is on the books.
+    let retry = service
+        .submit_idem(
+            "req-1".to_string(),
+            CargoAppId(0),
+            TransmitRequest::upload(4_096),
+            3.0,
+        )
+        .unwrap();
+    assert!(
+        matches!(retry, SvcOutcome::Duplicate { summary } if summary.id() == Some(id)),
+        "retry must dedup to the original admission"
+    );
+    assert_eq!(service.state().stats().submitted, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replay_pipeline_through_live_core_matches_counts() {
+    // The apps-crate replay drives the same deterministic core the
+    // daemon serves; verify the full pipeline on a real trace.
+    let trace = generate_app_use(3, Activeness::Active, 21).normalized_to(600.0);
+    let outcome = replay::replay_through_core(
+        &trace,
+        &CargoAppModel::weibo().with_deadline(30.0),
+        &TrainAppSpec::paper_trio(),
+        CoreConfig {
+            theta: 20.0,
+            k: Some(20),
+            slot_s: 1.0,
+            startup_grace_s: 600.0,
+            ..CoreConfig::default()
+        },
+    );
+    assert_eq!(outcome.undelivered, 0);
+    assert_eq!(outcome.decisions.len(), trace.upload_count());
+    // Decisions must respect causality.
+    for d in &outcome.decisions {
+        assert!(d.delay_s() >= 0.0);
+    }
+    // Deep batching: a large share rides heartbeats at Θ = 20.
+    assert!(outcome.piggyback_ratio > 0.3, "{}", outcome.piggyback_ratio);
 }

@@ -1,12 +1,8 @@
-//! Integration tests for the extension features: capture analysis, file
-//! chunking, live energy metering, replication, diurnal workloads, and
-//! raw engine output.
+//! Integration tests for the extension features: capture analysis,
+//! replication, diurnal workloads, and raw engine output.
 
-use etrain::apps::FileSync;
-use etrain::core::{CoreConfig, ETrainCore, EnergyMeter, TransmitRequest};
 use etrain::hb::{identify_heartbeat_flows, IdentifyConfig};
 use etrain::radio::{Battery, RadioParams};
-use etrain::sched::{AppProfile, CostProfile};
 use etrain::sim::{replicate, BandwidthSource, Scenario, SchedulerKind};
 use etrain::trace::capture::{synthesize_capture, CaptureConfig};
 use etrain::trace::diurnal::{generate_diurnal, DiurnalProfile, DAY_S};
@@ -19,54 +15,6 @@ fn capture_pipeline_recovers_table1_from_raw_packets() {
     let mut cycles: Vec<f64> = flows.iter().map(|f| f.cycle_s.round()).collect();
     cycles.sort_by(f64::total_cmp);
     assert_eq!(cycles, vec![240.0, 270.0, 300.0]);
-}
-
-#[test]
-fn chunked_file_sync_piggybacks_across_trains_and_meters_savings() {
-    // Drive a chunked 400 kB sync through the deterministic core while an
-    // energy meter watches, and verify the meter reports real savings.
-    let mut core = ETrainCore::new(CoreConfig {
-        theta: 1e9,
-        k: None,
-        slot_s: 1.0,
-        startup_grace_s: 600.0,
-        ..CoreConfig::default()
-    });
-    let train = core.register_train("QQ");
-    let cloud = core.register_cargo(AppProfile::new("Cloud", CostProfile::cloud(600.0)));
-    let mut meter = EnergyMeter::new(RadioParams::galaxy_s4_3g(), 450_000.0);
-
-    core.on_heartbeat(train, 0.0).unwrap();
-    meter.record_heartbeat(0.0, 378);
-
-    let sync = FileSync::new(400_000, 100_000);
-    for (i, size) in sync.chunk_sizes().into_iter().enumerate() {
-        core.submit(cloud, TransmitRequest::upload(size), 10.0 + i as f64)
-            .unwrap();
-    }
-    for t in [300.0, 600.0] {
-        let decisions = core.on_heartbeat(train, t).unwrap();
-        meter.record_heartbeat(t, 378);
-        for d in &decisions {
-            meter.record_decision(d);
-        }
-    }
-    assert_eq!(
-        core.pending_requests(),
-        0,
-        "k = ∞ drains on the first train"
-    );
-    assert_eq!(meter.decisions(), 4);
-    assert_eq!(meter.piggyback_ratio(), 1.0);
-    // The four chunks were submitted one second apart, so the baseline
-    // merges them into a single busy period with one tail — the saving is
-    // that one avoided tail, minus the partial tail the cluster reuses
-    // from the heartbeat at t = 0 (≈ 9 J net).
-    assert!(
-        meter.saved_j(900.0) > 0.8 * RadioParams::galaxy_s4_3g().full_tail_energy_j(),
-        "saved {}",
-        meter.saved_j(900.0)
-    );
 }
 
 #[test]

@@ -157,34 +157,6 @@ proptest! {
         prop_assert_eq!(found, truth);
     }
 
-    /// The live energy meter never reports negative savings for schedules
-    /// where decisions only defer (decided_at >= submitted_at) onto a
-    /// single aggregation point — deferral toward one instant can only
-    /// merge tails.
-    #[test]
-    fn meter_savings_nonnegative_for_single_point_aggregation(
-        submit_times in prop::collection::vec(0.0f64..400.0, 1..10),
-        anchor in 400.0f64..600.0,
-    ) {
-        use etrain::core::{EnergyMeter, RequestId, TransmitDecision};
-        use etrain::radio::RadioParams;
-        use etrain::trace::{CargoAppId, TrainAppId};
-
-        let mut meter = EnergyMeter::new(RadioParams::galaxy_s4_3g(), 450_000.0);
-        for (i, &t) in submit_times.iter().enumerate() {
-            meter.record_decision(&TransmitDecision {
-                request: RequestId(i as u64),
-                app: CargoAppId(0),
-                size_bytes: 2_000,
-                decided_at_s: anchor,
-                submitted_at_s: t,
-                piggybacked_on: Some(TrainAppId(0)),
-            });
-        }
-        prop_assert!(meter.saved_j(1000.0) >= -1e-6,
-            "negative saving {}", meter.saved_j(1000.0));
-    }
-
     /// Bounded admission in the live core: for any shed policy, capacity
     /// and interleaving of heartbeats, the deferred backlog never exceeds
     /// the global capacity and every submission is accounted for exactly
