@@ -6,8 +6,8 @@ use std::collections::HashMap;
 use etrain_hb::{HeartbeatMonitor, TrainStatus};
 use etrain_obs::{Event, Fnv1a, Journal};
 use etrain_sched::{
-    AdmissionConfig, AppProfile, ETrainConfig, ETrainScheduler, RetryDecision, RetryPolicy,
-    Scheduler, ShedPolicy, SlotContext,
+    AdmissionConfig, AppProfile, ETrainConfig, ETrainScheduler, RetryDecision, RetryPolicy, Room,
+    Scheduler, SlotContext,
 };
 use etrain_trace::faults::hash_unit;
 use etrain_trace::packets::Packet;
@@ -360,97 +360,48 @@ impl ETrainCore {
         // policy decides who pays before the new packet may enter.
         let mut evicted: Option<RequestId> = None;
         let mut flushed: Option<TransmitDecision> = None;
-        let over = self
+        match self
             .config
             .admission
-            .would_overflow(self.scheduler.pending(), self.scheduler.pending_for(app));
-        if over {
-            // When the per-app bound tripped, the victim must come from
-            // the violating app; a global victim would leave it exceeded.
-            let scoped = self
-                .config
-                .admission
-                .app_overflow(self.scheduler.pending_for(app));
-            match self.config.admission.policy {
-                ShedPolicy::RejectNew => {
-                    self.stats.shed += 1;
-                    // The rejected submission never becomes a packet; the
-                    // journal carries the id it would have received.
-                    self.record(
-                        now_s,
-                        Event::Shed {
-                            packet_id: self.next_packet_id,
-                            app: app.index(),
-                        },
-                    );
-                    return Ok(Admission::Rejected);
-                }
-                ShedPolicy::DropLowestValue => {
-                    let victim = if scoped {
-                        self.scheduler.evict_lowest_value_in(app, now_s)
-                    } else {
-                        self.scheduler.evict_lowest_value(now_s)
-                    };
-                    match victim {
-                        Some(victim) => {
-                            let meta = self.pending.remove(&victim.id);
-                            debug_assert!(meta.is_some(), "evicted packet has pending metadata");
-                            self.stats.shed += 1;
-                            self.record(
-                                now_s,
-                                Event::Shed {
-                                    packet_id: victim.id,
-                                    app: victim.app.index(),
-                                },
-                            );
-                            evicted = meta.map(|m| m.id);
-                        }
-                        // Nothing evictable (pressure is not from this
-                        // scheduler's queues): fall back to rejecting.
-                        None => {
-                            self.stats.shed += 1;
-                            self.record(
-                                now_s,
-                                Event::Shed {
-                                    packet_id: self.next_packet_id,
-                                    app: app.index(),
-                                },
-                            );
-                            return Ok(Admission::Rejected);
-                        }
-                    }
-                }
-                ShedPolicy::ForceFlushOldest => {
-                    let oldest = if scoped {
-                        self.scheduler.pop_oldest_in(app)
-                    } else {
-                        self.scheduler.pop_oldest()
-                    };
-                    match oldest {
-                        Some(victim) => {
-                            self.stats.forced_flushes += 1;
-                            self.record(
-                                now_s,
-                                Event::ForcedFlush {
-                                    packet_id: victim.id,
-                                    app: victim.app.index(),
-                                },
-                            );
-                            flushed = self.decision_for(victim, now_s, None);
-                        }
-                        None => {
-                            self.stats.shed += 1;
-                            self.record(
-                                now_s,
-                                Event::Shed {
-                                    packet_id: self.next_packet_id,
-                                    app: app.index(),
-                                },
-                            );
-                            return Ok(Admission::Rejected);
-                        }
-                    }
-                }
+            .make_room(&mut self.scheduler, app, now_s)
+        {
+            Room::Free => {}
+            Room::Full => {
+                self.stats.shed += 1;
+                // The rejected submission never becomes a packet; the
+                // journal carries the id it would have received.
+                self.record(
+                    now_s,
+                    Event::Shed {
+                        packet_id: self.next_packet_id,
+                        app: app.index(),
+                    },
+                );
+                return Ok(Admission::Rejected);
+            }
+            Room::Evicted(victim) => {
+                let meta = self.pending.remove(&victim.id);
+                debug_assert!(meta.is_some(), "evicted packet has pending metadata");
+                self.stats.shed += 1;
+                self.record(
+                    now_s,
+                    Event::Shed {
+                        packet_id: victim.id,
+                        app: victim.app.index(),
+                    },
+                );
+                evicted = meta.map(|m| m.id);
+            }
+            Room::Flushed(victim) => {
+                self.stats.forced_flushes += 1;
+                self.record(
+                    now_s,
+                    Event::ForcedFlush {
+                        packet_id: victim.id,
+                        app: victim.app.index(),
+                    },
+                );
+                flushed = self.decision_for(victim, now_s, None);
             }
         }
 
@@ -941,7 +892,7 @@ mod erased_ser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etrain_sched::CostProfile;
+    use etrain_sched::{CostProfile, ShedPolicy};
 
     fn core() -> (ETrainCore, TrainAppId, CargoAppId) {
         let mut core = ETrainCore::new(CoreConfig {
@@ -1624,6 +1575,47 @@ mod tests {
             .records()
             .iter()
             .any(|r| matches!(r.event, Event::ForcedFlush { packet_id: 0, .. })));
+    }
+
+    #[test]
+    fn zero_capacity_rejects_every_submission_under_every_policy() {
+        for policy in [
+            ShedPolicy::RejectNew,
+            ShedPolicy::DropLowestValue,
+            ShedPolicy::ForceFlushOldest,
+        ] {
+            // A struct literal bypasses the builder's zero-capacity assert:
+            // every arrival trips the bound with nothing queued to give up.
+            let mut core = ETrainCore::new(CoreConfig {
+                admission: AdmissionConfig {
+                    global_capacity: Some(0),
+                    per_app_capacity: None,
+                    policy,
+                },
+                ..CoreConfig::default()
+            });
+            let cargo = core.register_cargo(AppProfile::new("Mail", CostProfile::mail(300.0)));
+            core.enable_journal();
+            for i in 0..3 {
+                let a = core
+                    .submit(cargo, TransmitRequest::upload(100), i as f64)
+                    .unwrap();
+                assert_eq!(a, Admission::Rejected, "{policy}");
+            }
+            let stats = core.stats();
+            assert_eq!((stats.submitted, stats.shed), (3, 3), "{policy}");
+            assert_eq!(stats.forced_flushes, 0, "{policy}");
+            assert_eq!(core.pending_requests(), 0, "{policy}");
+            // No packet id is ever issued, so each rejection journals the
+            // id the request would have received: the first one.
+            let journal = core.take_journal().unwrap();
+            let shed: Vec<&Event> = journal.records().iter().map(|r| &r.event).collect();
+            let expected = Event::Shed {
+                packet_id: 0,
+                app: cargo.index(),
+            };
+            assert_eq!(shed, vec![&expected; 3], "{policy}");
+        }
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl TransmitDecision {
 /// configuration every submission is [`Admission::Admitted`]; once a queue
 /// capacity is configured, the active shed policy decides how an overflow
 /// is resolved and that resolution is reported here, typed.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Admission {
     /// The request was admitted; a [`TransmitDecision`] will follow from a
     /// later tick or heartbeat.

@@ -14,11 +14,19 @@
 //! - **force-flush-oldest** — the oldest queued packet is released for
 //!   immediate transmission (not lost, just no longer deferred).
 //!
-//! Both the live runtime (`etrain-core`) and the simulator's
-//! [`GuardedScheduler`](crate::GuardedScheduler) consume these types, so an
-//! overload policy tuned in simulation carries over verbatim.
+//! [`AdmissionConfig::make_room`] is the one place that checks the bounds
+//! and picks the victim. Both the live runtime (`etrain-core`) and the
+//! simulator's [`GuardedScheduler`](crate::GuardedScheduler) call it and
+//! keep only their own bookkeeping (journal event, counter, typed
+//! outcome), so an overload policy tuned in simulation carries over
+//! verbatim.
 
+use etrain_trace::packets::Packet;
+use etrain_trace::CargoAppId;
 use serde::{Deserialize, Serialize};
+
+use crate::api::Scheduler;
+use crate::etrain::ETrainScheduler;
 
 /// What to do with an arrival that would push a waiting queue past its
 /// configured capacity.
@@ -44,6 +52,21 @@ impl std::fmt::Display for ShedPolicy {
             ShedPolicy::ForceFlushOldest => write!(f, "force-flush-oldest"),
         }
     }
+}
+
+/// What [`AdmissionConfig::make_room`] did so an arrival may enter.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Room {
+    /// No bound trips; the arrival enters as is.
+    Free,
+    /// A bound trips and nothing gives way: the arrival is shed. This is
+    /// reject-new, or an evicting policy that found no victim.
+    Full,
+    /// Drop-lowest-value shed this queued packet; the arrival enters.
+    Evicted(Packet),
+    /// Force-flush-oldest released this queued packet for immediate
+    /// transmission; the arrival enters.
+    Flushed(Packet),
 }
 
 /// Queue-capacity bounds plus the policy applied when they are hit.
@@ -104,18 +127,49 @@ impl AdmissionConfig {
 
     /// Whether admitting one more packet, given the current global and
     /// per-app backlog sizes, would exceed a configured capacity.
-    pub fn would_overflow(&self, global_pending: usize, app_pending: usize) -> bool {
+    fn would_overflow(&self, global_pending: usize, app_pending: usize) -> bool {
         self.global_capacity.is_some_and(|c| global_pending >= c)
             || self.per_app_capacity.is_some_and(|c| app_pending >= c)
     }
 
     /// Whether the *per-app* bound specifically is the one that trips for
-    /// a backlog of `app_pending`. Shed policies that make room by
-    /// evicting must then pick their victim from the violating app —
-    /// evicting from another app would admit the arrival with the per-app
-    /// bound still exceeded.
-    pub fn app_overflow(&self, app_pending: usize) -> bool {
+    /// a backlog of `app_pending`.
+    fn app_overflow(&self, app_pending: usize) -> bool {
         self.per_app_capacity.is_some_and(|c| app_pending >= c)
+    }
+
+    /// Makes room in `scheduler`'s waiting queues for one arrival of
+    /// `app` at `now_s`, applying the shed policy when a bound trips.
+    ///
+    /// When the per-app bound tripped, the victim comes from the violating
+    /// app: a global victim would admit the arrival with that bound still
+    /// exceeded.
+    pub fn make_room(&self, scheduler: &mut ETrainScheduler, app: CargoAppId, now_s: f64) -> Room {
+        let app_pending = scheduler.pending_for(app);
+        if !self.would_overflow(scheduler.pending(), app_pending) {
+            return Room::Free;
+        }
+        let scoped = self.app_overflow(app_pending);
+        let queues = scheduler.queues_mut();
+        match self.policy {
+            ShedPolicy::RejectNew => Room::Full,
+            ShedPolicy::DropLowestValue => {
+                let victim = if scoped {
+                    queues.evict_lowest_value_in(app, now_s)
+                } else {
+                    queues.evict_lowest_value(now_s)
+                };
+                victim.map_or(Room::Full, Room::Evicted)
+            }
+            ShedPolicy::ForceFlushOldest => {
+                let oldest = if scoped {
+                    queues.pop_oldest_in(app)
+                } else {
+                    queues.pop_oldest()
+                };
+                oldest.map_or(Room::Full, Room::Flushed)
+            }
+        }
     }
 
     /// Checks invariants on a config deserialized from JSON (which

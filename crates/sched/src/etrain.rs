@@ -220,29 +220,12 @@ impl ETrainScheduler {
         self.queues.drain_all()
     }
 
-    /// Removes and returns the oldest deferred packet (force-flush-oldest
-    /// shed policy), or `None` when nothing is deferred.
-    pub fn pop_oldest(&mut self) -> Option<Packet> {
-        self.queues.pop_oldest()
-    }
-
-    /// [`ETrainScheduler::pop_oldest`] restricted to one app's queue —
-    /// the victim when a *per-app* admission bound trips.
-    pub fn pop_oldest_in(&mut self, app: CargoAppId) -> Option<Packet> {
-        self.queues.pop_oldest_in(app)
-    }
-
-    /// Removes and returns the deferred packet with the lowest
-    /// instantaneous delay cost (drop-lowest-value shed policy), or
-    /// `None` when nothing is deferred.
-    pub fn evict_lowest_value(&mut self, now_s: f64) -> Option<Packet> {
-        self.queues.evict_lowest_value(now_s)
-    }
-
-    /// [`ETrainScheduler::evict_lowest_value`] restricted to one app's
-    /// queue — the victim when a *per-app* admission bound trips.
-    pub fn evict_lowest_value_in(&mut self, app: CargoAppId, now_s: f64) -> Option<Packet> {
-        self.queues.evict_lowest_value_in(app, now_s)
+    /// The waiting queues, for [`AdmissionConfig::make_room`]'s victim
+    /// choice.
+    ///
+    /// [`AdmissionConfig::make_room`]: crate::AdmissionConfig::make_room
+    pub(crate) fn queues_mut(&mut self) -> &mut WaitingQueues {
+        &mut self.queues
     }
 
     /// The current total instantaneous cost `P(t)` (paper Eq. 6).
@@ -273,10 +256,9 @@ impl ETrainScheduler {
         let slot = self.config.slot_s;
         // With an unbounded budget every queued packet is selected — the
         // greedy order is irrelevant, so short-circuit (k = ∞ fast path).
-        if budget.is_none() {
+        let Some(budget) = budget else {
             return self.queues.drain_all();
-        }
-        let budget = budget.expect("bounded budget checked above");
+        };
         if self.queues.is_empty() {
             return Vec::new();
         }
@@ -343,10 +325,9 @@ impl ETrainScheduler {
             let phi = scratch.phi[idx];
             scratch.taken[idx] = true;
             scratch.selected_sum[app_i] += phi;
-            let removed = self
-                .queues
-                .remove(CargoAppId(app_i), scratch.id[idx])
-                .expect("selected packet is pending");
+            let Some(removed) = self.queues.remove(CargoAppId(app_i), scratch.id[idx]) else {
+                break;
+            };
             selected.push(removed);
         }
         selected
@@ -360,10 +341,9 @@ impl ETrainScheduler {
         let slot = self.config.slot_s;
         // With an unbounded budget every queued packet is selected — the
         // greedy order is irrelevant, so short-circuit (k = ∞ fast path).
-        if budget.is_none() {
+        let Some(budget) = budget else {
             return self.queues.drain_all();
-        }
-        let budget = budget.expect("bounded budget checked above");
+        };
 
         // P̄_i(t) is fixed for the whole selection round.
         let app_count = self.queues.app_count();
@@ -393,10 +373,9 @@ impl ETrainScheduler {
             }
             let Some((_, packet)) = best else { break };
             selected_sum[packet.app.index()] += self.queues.speculative_cost(&packet, now_s, slot);
-            let removed = self
-                .queues
-                .remove(packet.app, packet.id)
-                .expect("selected packet is pending");
+            let Some(removed) = self.queues.remove(packet.app, packet.id) else {
+                break;
+            };
             selected.push(removed);
         }
         selected

@@ -23,7 +23,7 @@
 use etrain_trace::packets::Packet;
 use serde::{Deserialize, Serialize};
 
-use crate::admission::{AdmissionConfig, ShedPolicy};
+use crate::admission::{AdmissionConfig, Room};
 use crate::api::{Scheduler, SchedulerError, SlotContext};
 use crate::etrain::{ETrainConfig, ETrainScheduler};
 use crate::queue::AppProfile;
@@ -375,57 +375,30 @@ impl GuardedScheduler {
         if packet.app.index() >= self.inner.profiles().len() {
             return Err(SchedulerError::UnknownApp { app: packet.app });
         }
-        if self.admission.is_unbounded()
-            || !self
-                .admission
-                .would_overflow(self.inner.pending(), self.inner.pending_for(packet.app))
-        {
-            return Ok((Vec::new(), false));
-        }
-        // When the per-app bound tripped, the victim must come from the
-        // violating app; a global victim would leave that bound exceeded.
-        let scoped = self
-            .admission
-            .app_overflow(self.inner.pending_for(packet.app));
-        match self.admission.policy {
-            ShedPolicy::RejectNew => {
+        match self.admission.make_room(&mut self.inner, packet.app, now_s) {
+            Room::Free => Ok((Vec::new(), false)),
+            Room::Full => {
                 self.record_shed(now_s, packet);
                 self.shed.push(*packet);
                 Ok((Vec::new(), true))
             }
-            ShedPolicy::DropLowestValue => {
-                let victim = if scoped {
-                    self.inner.evict_lowest_value_in(packet.app, now_s)
-                } else {
-                    self.inner.evict_lowest_value(now_s)
-                };
-                if let Some(victim) = victim {
-                    self.record_shed(now_s, &victim);
-                    self.shed.push(victim);
-                }
+            Room::Evicted(victim) => {
+                self.record_shed(now_s, &victim);
+                self.shed.push(victim);
                 Ok((Vec::new(), false))
             }
-            ShedPolicy::ForceFlushOldest => {
-                let oldest = if scoped {
-                    self.inner.pop_oldest_in(packet.app)
-                } else {
-                    self.inner.pop_oldest()
-                };
-                let mut flushed = Vec::new();
-                if let Some(oldest) = oldest {
-                    self.forced_flushes += 1;
-                    if self.obs_enabled {
-                        self.obs_events.push((
-                            now_s,
-                            etrain_obs::Event::ForcedFlush {
-                                packet_id: oldest.id,
-                                app: oldest.app.index(),
-                            },
-                        ));
-                    }
-                    flushed.push(oldest);
+            Room::Flushed(oldest) => {
+                self.forced_flushes += 1;
+                if self.obs_enabled {
+                    self.obs_events.push((
+                        now_s,
+                        etrain_obs::Event::ForcedFlush {
+                            packet_id: oldest.id,
+                            app: oldest.app.index(),
+                        },
+                    ));
                 }
-                Ok((flushed, false))
+                Ok((vec![oldest], false))
             }
         }
     }
@@ -578,6 +551,7 @@ impl Scheduler for GuardedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::ShedPolicy;
     use etrain_trace::CargoAppId;
 
     fn packet(id: u64, app: usize, arrival_s: f64) -> Packet {

@@ -50,6 +50,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The daemon's `HB` and `TICK` requests run `ETrainScheduler::on_slot`, so
+// the scheduling path must not panic on `unwrap`/`expect` either. Tests
+// (and doctests, which compile as separate crates) are exempt.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod admission;
 mod api;
@@ -63,7 +67,7 @@ mod peres;
 mod queue;
 mod retry;
 
-pub use admission::{AdmissionConfig, ShedPolicy};
+pub use admission::{AdmissionConfig, Room, ShedPolicy};
 pub use api::{Scheduler, SchedulerError, SlotContext};
 pub use baseline::BaselineScheduler;
 pub use cost::CostProfile;

@@ -172,7 +172,7 @@ impl Scheduler for PerEsScheduler {
             if backlog as f64 >= threshold_bytes && backlog > 0 {
                 let ids: Vec<u64> = self.queues.app_queue(app).iter().map(|p| p.id).collect();
                 for id in ids {
-                    released.push(self.queues.remove(app, id).expect("flushed packet pending"));
+                    released.extend(self.queues.remove(app, id));
                 }
             }
         }

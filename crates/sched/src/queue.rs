@@ -310,19 +310,16 @@ impl WaitingQueues {
         let mut out = Vec::new();
         for (profile, queue) in self.profiles.iter().zip(&mut self.queues) {
             let deadline = profile.cost.deadline_s();
-            let mut idx = 0;
-            while idx < queue.len() {
-                let p = queue[idx];
-                if now_s + slot_s - p.arrival_s >= deadline {
-                    let removed = queue.remove(idx).expect("index in bounds");
-                    self.cached_len -= 1;
-                    self.cached_bytes -= removed.size_bytes;
-                    out.push(removed);
-                } else {
-                    idx += 1;
+            queue.retain(|p| {
+                let critical = now_s + slot_s - p.arrival_s >= deadline;
+                if critical {
+                    out.push(*p);
                 }
-            }
+                !critical
+            });
         }
+        self.cached_len -= out.len();
+        self.cached_bytes -= out.iter().map(|p| p.size_bytes).sum::<u64>();
         out.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
         out
     }

@@ -235,15 +235,6 @@ impl TxItem {
     }
 }
 
-/// The fate of a cargo transfer attempt that just ended. Burned energy
-/// stays burned; a retried packet keeps its original arrival time so
-/// φ_u(t − t_a) keeps growing.
-enum TxFate {
-    Delivered,
-    Retry { due_s: f64 },
-    Abandon { attempts: u32 },
-}
-
 // Event priorities at equal time (lower runs first).
 const PRIO_TX_COMPLETE: u8 = 0;
 const PRIO_SLOT: u8 = 1;
@@ -422,18 +413,52 @@ impl<'a> Engine<'a> {
         next
     }
 
-    /// Settles a cargo transfer attempt that ended at `end`.
-    fn settle_attempt(&mut self, packet: &Packet, start: f64, end: f64) -> TxFate {
+    /// Settles a transfer that ended at `end`: the radio leaves DCH, and a
+    /// cargo packet is completed, queued for a retry, or abandoned. Burned
+    /// energy stays burned; a retried packet keeps its original arrival
+    /// time so φ_u(t − t_a) keeps growing.
+    fn settle(&mut self, item: TxItem, start: f64, end: f64) {
+        self.radio.end_transmission(end);
+        let TxItem::Packet { packet, release_s } = item else {
+            return;
+        };
         let attempt = self.failed_attempts.get(&packet.id).copied().unwrap_or(0) + 1;
         if !self.plan.loses_transmission(packet.id, attempt) {
-            return TxFate::Delivered;
+            self.completed.push(CompletedPacket {
+                packet,
+                release_s,
+                tx_start_s: start,
+                tx_end_s: end,
+            });
+            return;
         }
         self.wasted_retry_energy_j += (end - start) * self.radio_params.dch_extra_mw() / 1000.0;
         self.failed_attempts.insert(packet.id, attempt);
         let jitter = hash_unit(self.plan.seed ^ JITTER_SALT, packet.id, u64::from(attempt));
-        match self.retry.decide(attempt, end, packet.arrival_s, jitter) {
-            RetryDecision::RetryAfter(delay) => TxFate::Retry { due_s: end + delay },
-            RetryDecision::Abandon => TxFate::Abandon { attempts: attempt },
+        let due_s = match self.retry.decide(attempt, end, packet.arrival_s, jitter) {
+            RetryDecision::RetryAfter(delay) => Some(end + delay),
+            RetryDecision::Abandon => None,
+        };
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.push(
+                end,
+                Event::RetryAttempt {
+                    packet_id: packet.id,
+                    attempt,
+                    abandoned: due_s.is_none(),
+                },
+            );
+        }
+        match due_s {
+            Some(due_s) => {
+                self.retries += 1;
+                self.retryq.push((due_s, packet));
+            }
+            None => self.abandoned.push(AbandonedPacket {
+                packet,
+                abandoned_at_s: end,
+                attempts: attempt,
+            }),
         }
     }
 
@@ -532,52 +557,7 @@ impl<'a> Engine<'a> {
                     .in_flight
                     .take()
                     .expect("tx-complete implies in-flight");
-                self.radio.end_transmission(end);
-                if let TxItem::Packet { packet, release_s } = item {
-                    match self.settle_attempt(&packet, start, end) {
-                        TxFate::Delivered => self.completed.push(CompletedPacket {
-                            packet,
-                            release_s,
-                            tx_start_s: start,
-                            tx_end_s: end,
-                        }),
-                        TxFate::Retry { due_s } => {
-                            self.retries += 1;
-                            if let Some(j) = self.journal.as_deref_mut() {
-                                j.push(
-                                    end,
-                                    Event::RetryAttempt {
-                                        packet_id: packet.id,
-                                        attempt: self
-                                            .failed_attempts
-                                            .get(&packet.id)
-                                            .copied()
-                                            .unwrap_or(0),
-                                        abandoned: false,
-                                    },
-                                );
-                            }
-                            self.retryq.push((due_s, packet));
-                        }
-                        TxFate::Abandon { attempts } => {
-                            if let Some(j) = self.journal.as_deref_mut() {
-                                j.push(
-                                    end,
-                                    Event::RetryAttempt {
-                                        packet_id: packet.id,
-                                        attempt: attempts,
-                                        abandoned: true,
-                                    },
-                                );
-                            }
-                            self.abandoned.push(AbandonedPacket {
-                                packet,
-                                abandoned_at_s: end,
-                                attempts,
-                            })
-                        }
-                    }
-                }
+                self.settle(item, start, end);
             }
             PRIO_SLOT => {
                 if self.kind == EngineKind::Event && self.batch_skip_slots(t) {
@@ -730,62 +710,12 @@ impl<'a> Engine<'a> {
     /// Finalizes the run at the horizon and produces the output; call once
     /// [`step`](Self::step) returns `false`.
     fn finish(mut self) -> EngineOutput {
-        // Let the in-flight transmission finish if it ends exactly at the
-        // horizon boundary; otherwise count it as unfinished. A boundary
-        // completion still flips its loss coin: a lost final attempt whose
-        // retry falls past the horizon counts as unfinished, not completed.
+        // A transfer still in flight ends past the horizon: `step` runs
+        // every event at or before it, a completion exactly at the
+        // boundary included (and settles it, loss coin and all).
         let mut in_flight_unfinished = Vec::new();
-        if let Some((item, start, end)) = self.in_flight.take() {
-            if end <= self.horizon_s {
-                self.radio.end_transmission(end);
-                if let TxItem::Packet { packet, release_s } = item {
-                    match self.settle_attempt(&packet, start, end) {
-                        TxFate::Delivered => self.completed.push(CompletedPacket {
-                            packet,
-                            release_s,
-                            tx_start_s: start,
-                            tx_end_s: end,
-                        }),
-                        TxFate::Retry { .. } => {
-                            self.retries += 1;
-                            if let Some(j) = self.journal.as_deref_mut() {
-                                j.push(
-                                    end,
-                                    Event::RetryAttempt {
-                                        packet_id: packet.id,
-                                        attempt: self
-                                            .failed_attempts
-                                            .get(&packet.id)
-                                            .copied()
-                                            .unwrap_or(0),
-                                        abandoned: false,
-                                    },
-                                );
-                            }
-                            in_flight_unfinished.push(packet);
-                        }
-                        TxFate::Abandon { attempts } => {
-                            if let Some(j) = self.journal.as_deref_mut() {
-                                j.push(
-                                    end,
-                                    Event::RetryAttempt {
-                                        packet_id: packet.id,
-                                        attempt: attempts,
-                                        abandoned: true,
-                                    },
-                                );
-                            }
-                            self.abandoned.push(AbandonedPacket {
-                                packet,
-                                abandoned_at_s: end,
-                                attempts,
-                            })
-                        }
-                    }
-                }
-            } else if let TxItem::Packet { packet, .. } = item {
-                in_flight_unfinished.push(packet);
-            }
+        if let Some((TxItem::Packet { packet, .. }, _, _)) = self.in_flight.take() {
+            in_flight_unfinished.push(packet);
         }
         self.radio.advance_to(self.horizon_s);
         for item in std::mem::take(&mut self.txq) {
@@ -1053,6 +983,65 @@ mod tests {
         assert_eq!(out.in_flight.len(), 1);
         // Busy from t=5 to the horizon.
         assert!((out.busy_time_s - 55.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn lost_transfer_ending_at_the_horizon_is_settled() {
+        let packets = mk_packets(&[5.0]);
+        let bandwidth = BandwidthTrace::constant(1_000_000.0);
+        let radio = RadioParams::galaxy_s4_3g();
+        let mut sched = BaselineScheduler::new(profiles());
+        let clean = run_clean(&mut sched, &packets, &[], &bandwidth, &radio, 60.0);
+        // The horizon falls exactly on the end of the only transfer.
+        let end = clean.completed[0].tx_end_s;
+        let plan = FaultPlan::none().with_loss(1.0);
+        let last_chance = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
+        for (retry, abandoned) in [(RetryPolicy::default(), false), (last_chance, true)] {
+            for kind in [EngineKind::Slot, EngineKind::Event] {
+                let mut sched = BaselineScheduler::new(profiles());
+                let mut journal = Journal::new();
+                let out = Engine::new(
+                    &mut sched,
+                    &packets,
+                    &[],
+                    &bandwidth,
+                    &radio,
+                    end,
+                    &plan,
+                    &retry,
+                    Some(&mut journal),
+                )
+                .with_kind(kind)
+                .run();
+                assert!(out.completed.is_empty(), "{kind}: the attempt was lost");
+                if abandoned {
+                    assert!(out.in_flight.is_empty(), "{kind}");
+                    assert_eq!(out.abandoned.len(), 1, "{kind}");
+                    assert_eq!(out.abandoned[0].abandoned_at_s, end, "{kind}");
+                    assert_eq!(out.retries, 0, "{kind}");
+                } else {
+                    // The retry is due past the horizon: unfinished.
+                    assert_eq!(out.in_flight, packets, "{kind}");
+                    assert!(out.abandoned.is_empty(), "{kind}");
+                    assert_eq!(out.retries, 1, "{kind}");
+                }
+                let attempts: Vec<(f64, &Event)> = journal
+                    .records()
+                    .iter()
+                    .filter(|r| matches!(r.event, Event::RetryAttempt { .. }))
+                    .map(|r| (r.time_s, &r.event))
+                    .collect();
+                let expected = Event::RetryAttempt {
+                    packet_id: 0,
+                    attempt: 1,
+                    abandoned,
+                };
+                assert_eq!(attempts, vec![(end, &expected)], "{kind}");
+            }
+        }
     }
 
     #[test]

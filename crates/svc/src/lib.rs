@@ -20,8 +20,11 @@
 //!   answered from the WAL-rebuilt dedup table without a second append,
 //!   so a client that crashed between send and ack can safely resend.
 //! * **Line-protocol server** ([`Server`]): a std-TCP front end with
-//!   per-connection timeouts and a bounded connection count, feeding the
-//!   existing `AdmissionConfig` shed policies.
+//!   per-connection timeouts and a bounded connection count. `SUBMIT`
+//!   replies carry the core's typed `Admission`; `etrain-svcd` opens the
+//!   core with `CoreConfig::default()`, whose admission is unbounded, so
+//!   its queue is unbounded too and no reply is ever `EVICTED`, `FLUSHED`
+//!   or `REJECTED`.
 //! * **Fault hook** ([`WalFault`], `ETRAIN_WAL_FAULT`): deterministic
 //!   torn/short/corrupt append injection so the chaos supervisor can
 //!   prove the recovery path detects and truncates damaged tails.
@@ -51,7 +54,7 @@ pub use server::{
     execute_line, try_addr_from_env, Server, ServerConfig, FAULT_EXIT_CODE, SVC_ADDR_ENV,
 };
 pub use service::{DurableService, RecoverySummary};
-pub use state::{AdmissionSummary, ServiceState, SvcCommand, SvcHealthConfig, SvcOutcome};
+pub use state::{ServiceState, SvcCommand, SvcHealthConfig, SvcOutcome};
 pub use wal::{
     read_checkpoint, recover, write_checkpoint, Append, Checkpoint, Wal, WalConfig, WalFault,
     WalRecovery, WalRecoveryReport, WAL_ENV, WAL_FAULT_ENV,

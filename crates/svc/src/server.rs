@@ -31,10 +31,13 @@
 //!
 //! Overload posture: at most [`ServerConfig::max_connections`]
 //! concurrent connections (excess get one `BUSY` line and a close — the
-//! accept backlog is bounded), per-connection read/write timeouts so a
-//! stalled client cannot pin a handler thread, and queue pressure inside
-//! an accepted connection is handled by the core's `AdmissionConfig`
-//! shed policies, reported through the typed `SUBMIT` responses.
+//! accept backlog is bounded) and per-connection read/write timeouts so a
+//! stalled client cannot pin a handler thread. Queue pressure is the
+//! core's `AdmissionConfig` shed policy, reported through the typed
+//! `SUBMIT` responses (`EVICTED`, `FLUSHED`, `REJECTED`). `etrain-svcd`
+//! opens the core with `CoreConfig::default()`, whose admission is
+//! unbounded, so the daemon's queue has no bound and it never sends
+//! those three replies.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -43,14 +46,14 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use etrain_core::{
-    CoreCommand, RequestId, RetryVerdict, TransmitDecision, TransmitRequest, TxResult,
+    Admission, CoreCommand, RequestId, RetryVerdict, TransmitDecision, TransmitRequest, TxResult,
 };
 use etrain_sched::{AppProfile, CostProfile};
 use etrain_trace::{CargoAppId, TrainAppId};
 
 use crate::error::SvcError;
 use crate::service::DurableService;
-use crate::state::{AdmissionSummary, SvcCommand, SvcOutcome};
+use crate::state::{SvcCommand, SvcOutcome};
 
 /// Process exit code the daemon uses when the armed WAL fault hook
 /// fires: the tail is damaged by design and continuing would apply a
@@ -324,19 +327,19 @@ fn format_decisions(decisions: &[TransmitDecision]) -> String {
     out
 }
 
-fn format_summary(prefix: &str, summary: &AdmissionSummary) -> String {
-    match summary {
-        AdmissionSummary::Admitted { id } => format!("OK {prefix}SUBMITTED {}", id.0),
-        AdmissionSummary::AdmittedWithEviction { id, evicted } => {
+fn format_summary(prefix: &str, admission: &Admission) -> String {
+    match admission {
+        Admission::Admitted { id } => format!("OK {prefix}SUBMITTED {}", id.0),
+        Admission::AdmittedWithEviction { id, evicted } => {
             format!("OK {prefix}SUBMITTED {} EVICTED {}", id.0, evicted.0)
         }
-        AdmissionSummary::AdmittedWithFlush { id, flushed } => {
+        Admission::AdmittedWithFlush { id, flushed } => {
             format!(
                 "OK {prefix}SUBMITTED {} FLUSHED {}",
                 id.0, flushed.request.0
             )
         }
-        AdmissionSummary::Rejected => format!("OK {prefix}REJECTED"),
+        Admission::Rejected => format!("OK {prefix}REJECTED"),
     }
 }
 
@@ -405,8 +408,8 @@ fn dispatch(request: &str, service: &Mutex<DurableService>) -> Result<String, Sv
             let outcome =
                 lock(service).submit_idem((*client_id).to_string(), app, request, now_s)?;
             match outcome {
-                SvcOutcome::Submitted { summary } => Ok(format_summary("", &summary)),
-                SvcOutcome::Duplicate { summary } => Ok(format_summary("DUP ", &summary)),
+                SvcOutcome::Submitted { admission } => Ok(format_summary("", &admission)),
+                SvcOutcome::Duplicate { admission } => Ok(format_summary("DUP ", &admission)),
                 other => Ok(format!("ERR unexpected outcome {other:?}")),
             }
         }

@@ -149,8 +149,8 @@ impl DurableService {
     /// repeats them identically).
     pub fn apply(&mut self, command: SvcCommand) -> Result<SvcOutcome, SvcError> {
         if let SvcCommand::SubmitIdem { client_id, .. } = &command {
-            if let Some(summary) = self.state.cached_submission(client_id) {
-                return Ok(SvcOutcome::Duplicate { summary });
+            if let Some(admission) = self.state.cached_submission(client_id) {
+                return Ok(SvcOutcome::Duplicate { admission });
             }
         }
         match self.wal.append(&command)? {
@@ -348,20 +348,20 @@ mod tests {
         let first = svc
             .submit_idem("key", CargoAppId(0), TransmitRequest::upload(1_000), 1.0)
             .unwrap();
-        let SvcOutcome::Submitted { summary } = first else {
+        let SvcOutcome::Submitted { admission } = first else {
             panic!("{first:?}")
         };
-        let id = summary.id().unwrap();
+        let id = admission.id().unwrap();
         drop(svc);
         // The client never heard the answer; after restart it resends.
         let (mut svc, _) = open(&dir);
         let dup = svc
             .submit_idem("key", CargoAppId(0), TransmitRequest::upload(1_000), 2.0)
             .unwrap();
-        let SvcOutcome::Duplicate { summary } = dup else {
+        let SvcOutcome::Duplicate { admission } = dup else {
             panic!("resend after recovery must hit the dedup table: {dup:?}")
         };
-        assert_eq!(summary.id(), Some(id));
+        assert_eq!(admission.id(), Some(id));
         assert_eq!(svc.state().stats().submitted, 1, "no double apply");
         // And the duplicate wrote nothing: a third open replays the same
         // record count.

@@ -1,6 +1,10 @@
 //! The replayable service state: deterministic core + dedup table +
 //! health rung, all a pure function of the journaled command stream.
 //!
+//! The dedup table caches the core's own [`Admission`] per client id, so a
+//! resend is answered from the table without re-entering the core, and the
+//! fingerprint hashes each entry's JSON.
+//!
 //! Everything the daemon must survive a crash with lives here, and every
 //! mutation enters through [`ServiceState::apply`] with a serializable
 //! [`SvcCommand`]. Recovery therefore *is* replay: feed the journal back
@@ -11,8 +15,8 @@
 use std::collections::HashMap;
 
 use etrain_core::{
-    Admission, CommandOutcome, CoreCommand, CoreConfig, CoreStats, ETrainCore, RequestId,
-    TransmitDecision, TransmitRequest, TxResult,
+    Admission, CommandOutcome, CoreCommand, CoreConfig, CoreStats, ETrainCore, TransmitRequest,
+    TxResult,
 };
 use etrain_sched::{audit_transitions, HealthState, HealthTransition, TransitionCause};
 use etrain_trace::CargoAppId;
@@ -57,63 +61,6 @@ impl SvcCommand {
     }
 }
 
-/// The cached outcome of an idempotent submission — a serializable
-/// mirror of [`Admission`], so a resend can be answered from the table
-/// without re-entering the core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum AdmissionSummary {
-    /// Admitted with this id.
-    Admitted {
-        /// The issued request id.
-        id: RequestId,
-    },
-    /// Admitted; an earlier request was evicted to make room.
-    AdmittedWithEviction {
-        /// The issued request id.
-        id: RequestId,
-        /// The evicted request.
-        evicted: RequestId,
-    },
-    /// Admitted; the oldest queued request was force-flushed.
-    AdmittedWithFlush {
-        /// The issued request id.
-        id: RequestId,
-        /// The early-release decision for the flushed request.
-        flushed: TransmitDecision,
-    },
-    /// The shed policy rejected the submission outright.
-    Rejected,
-}
-
-impl AdmissionSummary {
-    fn from_admission(admission: &Admission) -> Self {
-        match admission {
-            Admission::Admitted { id } => AdmissionSummary::Admitted { id: *id },
-            Admission::AdmittedWithEviction { id, evicted } => {
-                AdmissionSummary::AdmittedWithEviction {
-                    id: *id,
-                    evicted: *evicted,
-                }
-            }
-            Admission::AdmittedWithFlush { id, flushed } => AdmissionSummary::AdmittedWithFlush {
-                id: *id,
-                flushed: *flushed,
-            },
-            Admission::Rejected => AdmissionSummary::Rejected,
-        }
-    }
-
-    /// The admitted request id, if any.
-    pub fn id(&self) -> Option<RequestId> {
-        match self {
-            AdmissionSummary::Admitted { id }
-            | AdmissionSummary::AdmittedWithEviction { id, .. }
-            | AdmissionSummary::AdmittedWithFlush { id, .. } => Some(*id),
-            AdmissionSummary::Rejected => None,
-        }
-    }
-}
-
 /// What applying one [`SvcCommand`] produced.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SvcOutcome {
@@ -122,13 +69,13 @@ pub enum SvcOutcome {
     /// A first-time idempotent submission.
     Submitted {
         /// The admission outcome, as cached in the dedup table.
-        summary: AdmissionSummary,
+        admission: Admission,
     },
     /// A duplicate idempotent submission, answered from the table with
     /// no state change and no journal append.
     Duplicate {
         /// The originally cached outcome.
-        summary: AdmissionSummary,
+        admission: Admission,
     },
 }
 
@@ -157,12 +104,14 @@ impl Default for SvcHealthConfig {
 /// (same states, same causes, same audit) but is driven purely by the
 /// command stream — failed `ReportResult`s demote, clean `Heartbeat`s
 /// promote — so that a recovered daemon lands on the same rung as the
-/// crashed one without any out-of-band signal.
+/// crashed one without any out-of-band signal. It stays a separate copy
+/// on purpose: a delivered report clears the failure streak here, where
+/// the simulator's ladder clears it on reaching Healthy.
 #[derive(Debug)]
 pub struct ServiceState {
     core: ETrainCore,
     health_cfg: SvcHealthConfig,
-    dedup: HashMap<String, AdmissionSummary>,
+    dedup: HashMap<String, Admission>,
     health: HealthState,
     transitions: Vec<HealthTransition>,
     failure_streak: usize,
@@ -209,12 +158,11 @@ impl ServiceState {
                 if let Some(cached) = self.dedup.get(client_id) {
                     // Replay safety: the journal never holds a duplicate,
                     // but apply() stays total over arbitrary streams.
-                    return Ok(SvcOutcome::Duplicate { summary: *cached });
+                    return Ok(SvcOutcome::Duplicate { admission: *cached });
                 }
                 let admission = self.core.submit(*app, *request, *now_s)?;
-                let summary = AdmissionSummary::from_admission(&admission);
-                self.dedup.insert(client_id.clone(), summary);
-                SvcOutcome::Submitted { summary }
+                self.dedup.insert(client_id.clone(), admission);
+                SvcOutcome::Submitted { admission }
             }
         };
         self.applied += 1;
@@ -224,7 +172,7 @@ impl ServiceState {
     /// Answers an idempotent submission from the dedup table, if this
     /// `client_id` was already applied. The durable service consults
     /// this *before* journaling, so duplicates cost no append.
-    pub fn cached_submission(&self, client_id: &str) -> Option<AdmissionSummary> {
+    pub fn cached_submission(&self, client_id: &str) -> Option<Admission> {
         self.dedup.get(client_id).copied()
     }
 
@@ -344,8 +292,7 @@ impl ServiceState {
         keys.sort();
         for key in keys {
             hash.field(key.as_bytes());
-            let summary = &self.dedup[key];
-            match serde_json::to_string(summary) {
+            match serde_json::to_string(&self.dedup[key]) {
                 Ok(json) => hash.field(json.as_bytes()),
                 Err(_) => hash.field(b"<unserializable>"),
             }
@@ -404,13 +351,13 @@ mod tests {
         let mut s = state();
         setup(&mut s);
         let first = s.apply(&submit("c-1", 1.0)).unwrap();
-        let SvcOutcome::Submitted { summary } = first else {
+        let SvcOutcome::Submitted { admission } = first else {
             panic!("expected first-time submission, got {first:?}");
         };
-        let id = summary.id().unwrap();
+        let id = admission.id().unwrap();
         let before = s.fingerprint();
         let dup = s.apply(&submit("c-1", 2.0)).unwrap();
-        let SvcOutcome::Duplicate { summary: cached } = dup else {
+        let SvcOutcome::Duplicate { admission: cached } = dup else {
             panic!("expected duplicate, got {dup:?}");
         };
         assert_eq!(cached.id(), Some(id));
@@ -428,10 +375,10 @@ mod tests {
         for i in 0..6 {
             now += 1.0;
             let out = s.apply(&submit(&format!("c-{i}"), now)).unwrap();
-            let SvcOutcome::Submitted { summary } = out else {
+            let SvcOutcome::Submitted { admission } = out else {
                 panic!()
             };
-            req_ids.push(summary.id().unwrap());
+            req_ids.push(admission.id().unwrap());
         }
         now += 1.0;
         s.apply(&SvcCommand::Core(CoreCommand::Heartbeat {

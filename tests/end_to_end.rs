@@ -224,7 +224,7 @@ fn durable_service_survives_kill_mid_submit_without_loss_or_double_apply() {
         )
         .unwrap();
     let id = match admitted {
-        SvcOutcome::Submitted { summary } => summary.id().expect("admitted"),
+        SvcOutcome::Submitted { admission } => admission.id().expect("admitted"),
         other => panic!("expected a fresh submission, got {other:?}"),
     };
     // The kill: the submit is journaled and acked, nothing else is —
@@ -262,7 +262,7 @@ fn durable_service_survives_kill_mid_submit_without_loss_or_double_apply() {
         )
         .unwrap();
     assert!(
-        matches!(retry, SvcOutcome::Duplicate { summary } if summary.id() == Some(id)),
+        matches!(retry, SvcOutcome::Duplicate { admission } if admission.id() == Some(id)),
         "retry must dedup to the original admission"
     );
     assert_eq!(service.state().stats().submitted, 1);
