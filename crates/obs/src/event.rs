@@ -1,6 +1,7 @@
 //! The structured event taxonomy and the journal that accumulates it.
 
 use serde::{Deserialize, Serialize};
+use std::fmt::{Display, Write};
 
 /// One observable decision or state change in the eTrain system.
 ///
@@ -125,6 +126,179 @@ pub struct EventRecord {
     pub event: Event,
 }
 
+impl EventRecord {
+    /// Appends the record as one `etrain-journal-v1` object (DESIGN.md
+    /// §14.4), without a line terminator: the bytes the serde shim would
+    /// render, written directly instead of through a `Value` tree.
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"run\":");
+        push_u64(out, self.run as u64);
+        out.push_str(",\"seq\":");
+        push_u64(out, self.seq);
+        out.push_str(",\"time_s\":");
+        push_f64(out, self.time_s);
+        out.push_str(",\"event\":{");
+        match &self.event {
+            Event::HeartbeatFired { size_bytes } => {
+                out.push_str("\"HeartbeatFired\":{\"size_bytes\":");
+                push_u64(out, *size_bytes);
+            }
+            Event::TailReuse {
+                from_state,
+                size_bytes,
+            } => {
+                out.push_str("\"TailReuse\":{\"from_state\":");
+                push_string(out, from_state);
+                out.push_str(",\"size_bytes\":");
+                push_u64(out, *size_bytes);
+            }
+            Event::PiggybackDecision {
+                total_cost,
+                theta,
+                heartbeat_departing,
+                queued,
+                queued_bytes,
+                budget_k,
+                released,
+            } => {
+                out.push_str("\"PiggybackDecision\":{\"total_cost\":");
+                push_f64(out, *total_cost);
+                out.push_str(",\"theta\":");
+                push_f64(out, *theta);
+                out.push_str(",\"heartbeat_departing\":");
+                push_bool(out, *heartbeat_departing);
+                out.push_str(",\"queued\":");
+                push_u64(out, *queued as u64);
+                out.push_str(",\"queued_bytes\":");
+                push_u64(out, *queued_bytes);
+                out.push_str(",\"budget_k\":");
+                match budget_k {
+                    Some(k) => push_u64(out, *k as u64),
+                    None => out.push_str("null"),
+                }
+                out.push_str(",\"released\":");
+                push_u64(out, *released as u64);
+            }
+            Event::RrcTransition { from, to } => {
+                out.push_str("\"RrcTransition\":{\"from\":");
+                push_string(out, from);
+                out.push_str(",\"to\":");
+                push_string(out, to);
+            }
+            Event::Shed { packet_id, app } => {
+                out.push_str("\"Shed\":{\"packet_id\":");
+                push_u64(out, *packet_id);
+                out.push_str(",\"app\":");
+                push_u64(out, *app as u64);
+            }
+            Event::ForcedFlush { packet_id, app } => {
+                out.push_str("\"ForcedFlush\":{\"packet_id\":");
+                push_u64(out, *packet_id);
+                out.push_str(",\"app\":");
+                push_u64(out, *app as u64);
+            }
+            Event::HealthTransition { from, to, cause } => {
+                out.push_str("\"HealthTransition\":{\"from\":");
+                push_string(out, from);
+                out.push_str(",\"to\":");
+                push_string(out, to);
+                out.push_str(",\"cause\":");
+                push_string(out, cause);
+            }
+            Event::RetryAttempt {
+                packet_id,
+                attempt,
+                abandoned,
+            } => {
+                out.push_str("\"RetryAttempt\":{\"packet_id\":");
+                push_u64(out, *packet_id);
+                out.push_str(",\"attempt\":");
+                push_u64(out, u64::from(*attempt));
+                out.push_str(",\"abandoned\":");
+                push_bool(out, *abandoned);
+            }
+        }
+        out.push_str("}}}");
+    }
+}
+
+/// Appends `value`'s `Display` form.
+fn push_display(out: &mut String, value: impl Display) {
+    // Formatting into a `String` cannot fail.
+    let _ = write!(out, "{value}");
+}
+
+/// Appends `true` or `false`.
+fn push_bool(out: &mut String, value: bool) {
+    out.push_str(if value { "true" } else { "false" });
+}
+
+/// Appends `n` in decimal.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &digit in &digits[start..] {
+        out.push(char::from(digit));
+    }
+}
+
+/// Appends a float as its shortest round-trip digits, never in exponent
+/// form, with `.0` added when no fraction remains; non-finite values are
+/// `null`.
+fn push_f64(out: &mut String, value: f64) {
+    if !value.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    // Below 2^53 every integral float is an exact integer whose shortest
+    // digits are its decimal digits; half of a journal's floats are
+    // whole slot times.
+    if value.fract() == 0.0 && value.abs() < 9_007_199_254_740_992.0 {
+        if value.is_sign_negative() {
+            out.push('-');
+        }
+        push_u64(out, value.abs() as u64);
+        out.push_str(".0");
+        return;
+    }
+    let start = out.len();
+    push_display(out, value);
+    if !out[start..].contains('.') {
+        out.push_str(".0");
+    }
+}
+
+/// Appends `s` as a quoted JSON string: `"`, `\\`, `\n`, `\r`, `\t`,
+/// backspace and form feed escaped by name, other control characters as
+/// `\u00xx`, everything else as raw UTF-8.
+fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0C}' => out.push_str("\\f"),
+            c if u32::from(c) < 0x20 => {
+                push_display(out, format_args!("\\u{:04x}", u32::from(c)));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 /// A bounded-growth, append-only journal of [`EventRecord`]s for one run.
 ///
 /// Events are pushed in engine order; [`Journal::canonicalize`] stable-
@@ -222,11 +396,19 @@ impl Journal {
     }
 
     /// Renders the journal as JSON Lines: one [`EventRecord`] object per
-    /// line, in record order.
+    /// line, in record order, in the `etrain-journal-v1` encoding.
     pub fn to_jsonl(&self) -> String {
+        // Each record is written into one reused line buffer and then
+        // copied out, so `out` starts at the first line's length and
+        // doubles from there. Pre-sizing `out`, or writing into it
+        // directly (doubling from 8 bytes), both raised peak RSS: the
+        // allocator's sliding mmap threshold keeps later, smaller buffers
+        // on the heap.
         let mut out = String::new();
+        let mut line = String::new();
         for record in &self.records {
-            let line = serde_json::to_string(record).expect("event records serialize infallibly");
+            line.clear();
+            record.write_json(&mut line);
             out.push_str(&line);
             out.push('\n');
         }
@@ -333,6 +515,20 @@ mod tests {
             assert_eq!(*line, serde_json::to_string(record).unwrap());
         }
         assert_eq!(Journal::new().to_jsonl(), "");
+    }
+
+    #[test]
+    fn write_json_matches_serde_at_the_largest_run_and_seq() {
+        // `push` and `merge` only hand out small run and seq numbers.
+        let record = EventRecord {
+            run: usize::MAX,
+            seq: u64::MAX,
+            time_s: -0.0,
+            event: hb(),
+        };
+        let mut line = String::new();
+        record.write_json(&mut line);
+        assert_eq!(line, serde_json::to_string(&record).unwrap());
     }
 
     #[test]

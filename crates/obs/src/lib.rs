@@ -14,7 +14,10 @@
 //!    ladder transitions, and retry attempts. Journals from parallel
 //!    `RunGrid` workers merge deterministically by `(run, time, seq)`, so
 //!    a serial and a parallel execution of the same grid produce
-//!    byte-identical JSON Lines output.
+//!    byte-identical JSON Lines output. [`Journal::to_jsonl`] writes
+//!    that output (`etrain-journal-v1`) with a hand-written encoder: it
+//!    does not go through the serde shim, though it matches the shim's
+//!    rendering byte for byte.
 //! 2. **Metrics registry** ([`MetricsRegistry`], [`MetricsSnapshot`]) —
 //!    typed counters, gauges, and histograms (energy per RRC state, tail
 //!    utilization, queue depth, decision counts) snapshotted into
@@ -36,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod durable;
 mod event;

@@ -1,5 +1,6 @@
 //! Integration tests for the observability layer: deterministic journal
-//! merging across worker counts, and conformance of the metrics
+//! merging across worker counts, the journal encoder against the serde
+//! rendering on a real run, and conformance of the metrics
 //! registry's energy decomposition against the report's energy ledger.
 
 use etrain_sim::{Event, ObsMode, RunGrid, RunSpec, Scenario, SchedulerKind};
@@ -35,6 +36,27 @@ fn merged_journal_is_byte_identical_serial_vs_parallel() {
         parallel_journal.to_jsonl(),
         "merged journal must not depend on worker count"
     );
+}
+
+#[test]
+fn journal_encoding_equals_the_serde_rendering_on_real_traffic() {
+    // λ = 0.32 is four times the paper's arrival rate: deep queues, many
+    // piggyback decisions with 17-digit costs.
+    let scenario = Scenario::paper_default().lambda(0.32).obs(ObsMode::Jsonl);
+    let (_, _, journal) = scenario
+        .try_run_journaled_on(&scenario.generate_traces())
+        .unwrap();
+    let journal = journal.expect("journal recorded");
+    assert!(journal
+        .records()
+        .iter()
+        .any(|r| matches!(r.event, Event::PiggybackDecision { .. })));
+    let serde: String = journal
+        .records()
+        .iter()
+        .map(|record| serde_json::to_string(record).unwrap() + "\n")
+        .collect();
+    assert_eq!(journal.to_jsonl(), serde);
 }
 
 #[test]
