@@ -1,5 +1,6 @@
-//! The common scheduler interface driven by the simulator and by the live
-//! eTrain system.
+//! The common scheduler interface, driven by the simulation engine
+//! (`etrain-sim`) and by the eTrain core that the daemon runs
+//! (`etrain-core`).
 
 use etrain_trace::packets::Packet;
 use etrain_trace::CargoAppId;
@@ -59,9 +60,12 @@ pub struct SlotContext {
 ///
 /// 1. [`Scheduler::on_arrival`] is called once per packet, at its arrival
 ///    time; the return value is any packets to transmit immediately.
-/// 2. [`Scheduler::on_slot`] is called at every multiple of
-///    [`Scheduler::slot_s`], with time monotonically increasing across
-///    calls; the return value joins `Q_TX` in order.
+/// 2. [`Scheduler::on_slot`] is called at slot boundaries spaced
+///    [`Scheduler::slot_s`] apart, with time monotonically increasing
+///    across calls; the return value joins `Q_TX` in order. A caller may
+///    leave out a boundary the scheduler has certified inert
+///    ([`Scheduler::slot_quiescent`], [`Scheduler::quiet_through`]), since
+///    the call would have been a no-op.
 /// 3. A packet is returned exactly once (schedulers own their queues).
 pub trait Scheduler: std::fmt::Debug + Send {
     /// The scheduler's display name (used in experiment reports).
@@ -120,6 +124,22 @@ pub trait Scheduler: std::fmt::Debug + Send {
     /// heartbeat-flagged slot intervenes.
     fn slot_quiescent(&self, _trains_alive: bool) -> bool {
         false
+    }
+
+    /// Whether every heartbeat-free slot call from now through the slot at
+    /// `at_s`, with the given `trains_alive`, would be a complete no-op in
+    /// the sense of [`Scheduler::slot_quiescent`]. The event kernel asks
+    /// this for the last slot before the next arrival, retry, heartbeat or
+    /// other blocker, and retires every slot up to it when the answer is
+    /// `true`.
+    ///
+    /// `true` for some `at_s` must imply `true` for every earlier slot
+    /// time while no arrival, retry or heartbeat-flagged slot intervenes:
+    /// the kernel relies on that to search for the first slot that is not
+    /// a no-op. The default answers [`Scheduler::slot_quiescent`], which
+    /// holds for all times alike.
+    fn quiet_through(&self, _at_s: f64, trains_alive: bool) -> bool {
+        self.slot_quiescent(trains_alive)
     }
 
     /// Alarm feedback: an invariant monitor (the simulation oracle, or an

@@ -131,6 +131,42 @@ impl CostProfile {
         }
     }
 
+    /// Whether [`CostProfile::cost`] is provably non-decreasing in the
+    /// delay, float rounding included.
+    ///
+    /// Within one branch every formula is a chain of monotone rounded
+    /// operations once the deadline is finite and positive and the
+    /// parameters are finite (a non-negative `steepness` for
+    /// `LinearThenSteep`). What is left is the step between branches.
+    /// Mail's `d / deadline_s - 1.0` starts at `0.0` exactly, and Weibo's
+    /// `min(…, ceiling)` can only rise to `ceiling`. Cloud's steep branch
+    /// is checked with the very expressions [`CostProfile::cost`]
+    /// evaluates: at the first float delay past the deadline it must not
+    /// fall below `deadline_s / deadline_s`, the most the linear branch
+    /// reaches. Evaluated at the deadline itself instead, that check would
+    /// fail for about one deadline in twelve at steepness 3 (0.7 is one)
+    /// through rounding alone.
+    ///
+    /// The event kernel skips slots over a non-empty eTrain queue only
+    /// when every registered profile passes.
+    pub fn is_nondecreasing(&self) -> bool {
+        let deadline_s = self.deadline_s();
+        if !(deadline_s.is_finite() && deadline_s > 0.0) {
+            return false;
+        }
+        match *self {
+            CostProfile::DeadlineLinear { .. } => true,
+            CostProfile::LinearThenConstant { ceiling, .. } => ceiling.is_finite(),
+            CostProfile::LinearThenSteep { steepness, .. } => {
+                // The last delay on the linear branch and the first past it.
+                let (linear_d, steep_d) = (deadline_s, deadline_s.next_up());
+                steepness.is_finite()
+                    && steepness >= 0.0
+                    && steepness * steep_d / deadline_s - (steepness - 1.0) >= linear_d / deadline_s
+            }
+        }
+    }
+
     /// The profile's deadline in seconds.
     pub fn deadline_s(&self) -> f64 {
         match *self {
@@ -209,6 +245,60 @@ mod tests {
                 assert!(c >= prev - 1e-12, "{p:?} decreased at {i}");
                 prev = c;
             }
+        }
+    }
+
+    #[test]
+    fn shipped_profiles_are_nondecreasing() {
+        for deadline in [1e-3, 0.7, 30.0, 45.0, 60.0, 120.0, 300.0, 600.0, 1e9] {
+            for p in [
+                CostProfile::mail(deadline),
+                CostProfile::weibo(deadline),
+                CostProfile::cloud(deadline),
+            ] {
+                assert!(p.is_nondecreasing(), "{p:?}");
+            }
+        }
+        for p in crate::AppProfile::paper_defaults() {
+            assert!(p.cost.is_nondecreasing(), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn profiles_that_may_dip_are_not_certified() {
+        let unproven = [
+            CostProfile::DeadlineLinear {
+                deadline_s: f64::INFINITY,
+            },
+            CostProfile::DeadlineLinear { deadline_s: 0.0 },
+            CostProfile::DeadlineLinear {
+                deadline_s: f64::NAN,
+            },
+            CostProfile::LinearThenConstant {
+                deadline_s: 30.0,
+                ceiling: f64::NAN,
+            },
+            // A falling post-deadline slope.
+            CostProfile::LinearThenSteep {
+                deadline_s: 30.0,
+                steepness: -1.0,
+            },
+            CostProfile::LinearThenSteep {
+                deadline_s: 30.0,
+                steepness: f64::INFINITY,
+            },
+        ];
+        for p in unproven {
+            assert!(!p.is_nondecreasing(), "{p:?}");
+        }
+        // A flat or gentler post-deadline slope still never dips below
+        // the value at the deadline.
+        for steepness in [0.0, 0.5, 1.0] {
+            let p = CostProfile::LinearThenSteep {
+                deadline_s: 30.0,
+                steepness,
+            };
+            assert!(p.is_nondecreasing(), "{p:?}");
         }
     }
 

@@ -95,6 +95,11 @@ pub struct ETrainScheduler {
     /// Persistent scratch buffers for the cached greedy selection,
     /// reused across slots so steady-state decisions allocate nothing.
     scratch: SelectScratch,
+    /// Whether every registered profile passes
+    /// [`CostProfile::is_nondecreasing`](crate::CostProfile::is_nondecreasing),
+    /// so that `P(t)` over a fixed queue never falls as `t` grows.
+    /// [`Scheduler::quiet_through`] certifies a non-empty queue only then.
+    costs_nondecreasing: bool,
 }
 
 /// Reusable selection-round storage. The cached values are valid for one
@@ -133,8 +138,10 @@ impl ETrainScheduler {
     /// Panics if the configuration is invalid (see [`ETrainConfig`]).
     pub fn new(config: ETrainConfig, profiles: Vec<AppProfile>) -> Self {
         config.validate();
+        let costs_nondecreasing = profiles.iter().all(|p| p.cost.is_nondecreasing());
         ETrainScheduler {
             config,
+            costs_nondecreasing,
             queues: WaitingQueues::new(profiles),
             trains_dead: false,
             obs_enabled: false,
@@ -531,6 +538,22 @@ impl Scheduler for ETrainScheduler {
         self.queues.is_empty() && self.trains_dead != trains_alive
     }
 
+    fn quiet_through(&self, at_s: f64, trains_alive: bool) -> bool {
+        // A heartbeat-free slot with live trains defers while `P(t) < Θ`
+        // and, with events off, then changes nothing. Over a fixed queue
+        // `P(t)` is a float sum, in a fixed order, of terms that never
+        // fall as `t` grows (each profile is non-decreasing, and rounded
+        // subtraction and addition are monotone), so a deferral at `at_s`
+        // implies one at every earlier slot. Journaled runs record every
+        // deferral, so they are never quiet over a non-empty queue.
+        self.trains_dead != trains_alive
+            && (self.queues.is_empty()
+                || (trains_alive
+                    && !self.obs_enabled
+                    && self.costs_nondecreasing
+                    && !self.queues.total_cost_breaches(at_s, self.config.theta)))
+    }
+
     fn set_obs_enabled(&mut self, enabled: bool) {
         self.obs_enabled = enabled;
         if !enabled {
@@ -855,6 +878,40 @@ mod tests {
     #[should_panic(expected = "k must be at least 1")]
     fn set_k_rejects_zero() {
         scheduler(0.2, None).set_k(Some(0));
+    }
+
+    #[test]
+    fn quiet_through_certifies_deferrals_up_to_the_first_breach() {
+        let mut s = scheduler(1.0, None);
+        assert!(s.quiet_through(1e9, true), "an empty queue is always quiet");
+        s.on_arrival(packet(0, 1, 0.0), 0.0).unwrap();
+        let _ = s.on_slot(&ctx(1.0, false));
+        // Weibo with a 30 s deadline: P(t) = t/30 reaches Θ = 1 at t = 30.
+        assert!(s.quiet_through(29.0, true));
+        assert!(!s.quiet_through(30.0, true), "P(30) = Θ breaches");
+        assert!(!s.quiet_through(31.0, true));
+        assert!(!s.quiet_through(29.0, false), "dead trains drain the queue");
+        s.set_obs_enabled(true);
+        assert!(!s.quiet_through(29.0, true), "journaled deferrals record");
+        s.set_obs_enabled(false);
+
+        // A profile whose cost may fall with delay voids the certificate.
+        let mut dipping = ETrainScheduler::new(
+            ETrainConfig {
+                theta: 1.0,
+                k: None,
+                slot_s: 1.0,
+            },
+            vec![AppProfile::new(
+                "Dip",
+                CostProfile::LinearThenSteep {
+                    deadline_s: 30.0,
+                    steepness: -1.0,
+                },
+            )],
+        );
+        dipping.on_arrival(packet(0, 0, 0.0), 0.0).unwrap();
+        assert!(!dipping.quiet_through(2.0, true));
     }
 
     #[test]

@@ -539,6 +539,16 @@ impl Scheduler for GuardedScheduler {
             && self.inner.slot_quiescent(trains_alive)
     }
 
+    fn quiet_through(&self, at_s: f64, trains_alive: bool) -> bool {
+        // Fallback drains the inner queue on every call, so only an empty
+        // one is quiet there; outside it, the same watchdog rule as
+        // `slot_quiescent` wraps the inner horizon.
+        if self.state == HealthState::Fallback {
+            return self.slot_quiescent(trains_alive);
+        }
+        trains_alive && self.inner.quiet_through(at_s, trains_alive)
+    }
+
     fn pending(&self) -> usize {
         self.inner.pending()
     }

@@ -6,7 +6,8 @@
 //! pins down:
 //!
 //! - **zero** allocations across steady-state deferral slots for both
-//!   eTrain (Θ-gated, queues loaded) and the baseline scheduler;
+//!   eTrain (Θ-gated, queues loaded) and the baseline scheduler, and
+//!   across eTrain's horizon probes (`quiet_through`) on those queues;
 //! - a small constant budget for releasing slots (the returned `Vec` of
 //!   selected packets is the only permitted allocation);
 //! - a small constant budget for arrival slots once the queues have
@@ -124,6 +125,23 @@ fn steady_state_decisions_do_not_allocate() {
     assert_eq!(
         deferral_allocs, 0,
         "steady-state eTrain deferral slots must not allocate"
+    );
+
+    // --- eTrain, horizon probes over the same loaded queues -------------
+    // The event kernel asks `quiet_through` instead of stepping deferral
+    // slots, so the probe must be as allocation-free as the slot it saves.
+    let (probe_allocs, quiet) = allocations_during(|| {
+        (0..256u64)
+            .filter(|&slot| etrain.quiet_through(101.0 + slot as f64, true))
+            .count()
+    });
+    assert_eq!(
+        quiet, 256,
+        "Θ = 1e12 is never breached: every probe is quiet"
+    );
+    assert_eq!(
+        probe_allocs, 0,
+        "horizon probes on a loaded eTrain queue must not allocate"
     );
 
     // --- eTrain, releasing slots: only the returned Vec ----------------

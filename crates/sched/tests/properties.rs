@@ -2,8 +2,8 @@
 //! bound-respect for every algorithm under arbitrary arrival sequences.
 
 use etrain_sched::{
-    AppProfile, BaselineScheduler, ETimeConfig, ETimeScheduler, ETrainConfig, ETrainScheduler,
-    PerEsConfig, PerEsScheduler, Scheduler, SlotContext,
+    AppProfile, BaselineScheduler, CostProfile, ETimeConfig, ETimeScheduler, ETrainConfig,
+    ETrainScheduler, PerEsConfig, PerEsScheduler, Scheduler, SlotContext,
 };
 use etrain_trace::packets::Packet;
 use etrain_trace::CargoAppId;
@@ -267,6 +267,40 @@ proptest! {
                 );
             }
             etrain_sched::RetryDecision::Abandon => {}
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The float evidence behind `CostProfile::is_nondecreasing`: stepping
+    /// the delay up by one ulp, from a few ulps below each profile's kink
+    /// to a few above it, never lowers the cost.
+    #[test]
+    fn cost_never_dips_across_a_kink(
+        deadline_s in 1e-3f64..1e6,
+        steepness in 0.0f64..10.0,
+        ceiling in 0.0f64..10.0,
+    ) {
+        let profiles = [
+            CostProfile::mail(deadline_s),
+            CostProfile::weibo(deadline_s),
+            CostProfile::cloud(deadline_s),
+            CostProfile::LinearThenSteep { deadline_s, steepness },
+            CostProfile::LinearThenConstant { deadline_s, ceiling },
+        ];
+        for p in profiles {
+            prop_assert!(p.is_nondecreasing(), "{p:?}");
+            let mut d = deadline_s;
+            for _ in 0..16 {
+                d = d.next_down();
+            }
+            for _ in 0..32 {
+                let up = d.next_up();
+                prop_assert!(p.cost(up) >= p.cost(d), "{p:?} dips from {d} to {up}");
+                d = up;
+            }
         }
     }
 }

@@ -11,7 +11,9 @@
 //!    visible at slot `t+1`;
 //! 3. **Heartbeat** — a train app transmits a keep-alive; heartbeats jump
 //!    the transmission queue (their daemons transmit directly, unmanaged);
-//! 4. **Arrival** — a cargo packet arrives and is offered to the scheduler.
+//! 4. **Arrival** — a cargo packet arrives and is offered to the scheduler;
+//! 5. **Retry** — a failed transfer's packet is re-offered after its
+//!    backoff.
 //!
 //! The slot context's `heartbeat_departing` flag is true when a heartbeat
 //! falls inside `[t, t + slot)`, reproducing Algorithm 1's
@@ -28,13 +30,17 @@
 //! Two kernels ([`EngineKind`]) can drive the machine. The default
 //! *event* kernel consumes maximal runs of provably inert slot boundaries
 //! in a single step, advancing simulated time in jumps across standby
-//! stretches. The skip is gated on the scheduler's quiescence certificate
-//! ([`Scheduler::slot_quiescent`](etrain_sched::Scheduler::slot_quiescent))
+//! stretches and across the slots where eTrain defers. The skip is gated
+//! on the scheduler's certificates
+//! ([`Scheduler::slot_quiescent`](etrain_sched::Scheduler::slot_quiescent)
+//! and the horizon probe
+//! [`Scheduler::quiet_through`](etrain_sched::Scheduler::quiet_through))
 //! plus per-boundary checks that nothing observable lands on the skipped
 //! slot. The *slot* kernel visits every boundary; it stays only as the
 //! differential reference, selected explicitly with
 //! [`Engine::with_kind`]. The two produce bit-for-bit identical outputs,
-//! journals, and oracle ledgers, which the conformance suite enforces.
+//! journals, and oracle ledgers, which the conformance and equivalence
+//! suites enforce.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
@@ -55,7 +61,8 @@ const JITTER_SALT: u64 = 0x6a69_7474_6572_5f75;
 ///
 /// Both kinds are the *same* state machine over the same event taxonomy;
 /// the event kernel merely consumes maximal runs of provably inert slot
-/// boundaries in one step (see [`Scheduler::slot_quiescent`]), bumping
+/// boundaries in one step (see [`Scheduler::slot_quiescent`] and
+/// [`Scheduler::quiet_through`]), bumping
 /// the per-slot counters exactly as the slot kernel would. Outputs,
 /// journals and oracle ledgers are bit-for-bit identical across kinds;
 /// only wall-clock time differs.
@@ -235,12 +242,22 @@ impl TxItem {
     }
 }
 
-// Event priorities at equal time (lower runs first).
-const PRIO_TX_COMPLETE: u8 = 0;
-const PRIO_SLOT: u8 = 1;
-const PRIO_HEARTBEAT: u8 = 2;
-const PRIO_ARRIVAL: u8 = 3;
-const PRIO_RETRY: u8 = 4;
+/// The next event [`Engine::step`] processes, carrying what it consumes.
+/// Declared in tie-break order: at equal times, an earlier variant runs
+/// first.
+#[derive(Debug, Clone, Copy)]
+enum Next {
+    /// The in-flight transmission finishes.
+    TxComplete { item: TxItem, start: f64, end: f64 },
+    /// A scheduler slot boundary.
+    Slot,
+    /// The heartbeat at `hb_idx` departs.
+    Heartbeat(Heartbeat),
+    /// The packet at `arrival_idx` arrives.
+    Arrival(Packet),
+    /// The earliest-due retry, at `idx` in the retry queue.
+    Retry { idx: usize, packet: Packet },
+}
 
 /// The discrete-event loop as a stepwise state machine.
 ///
@@ -281,6 +298,9 @@ pub struct Engine<'a> {
     // after each alarm time (empty for the common fault-free run).
     alarms: Vec<f64>,
     alarm_idx: usize,
+    // The event kernel asks the scheduler for a horizon only at slots
+    // after this time (see `batch_skip_slots`).
+    no_probe_through_s: f64,
     events_processed: u64,
     steps_run: u64,
 }
@@ -365,6 +385,7 @@ impl<'a> Engine<'a> {
             wasted_retry_energy_j: 0.0,
             alarms,
             alarm_idx: 0,
+            no_probe_through_s: f64::NEG_INFINITY,
             events_processed: 0,
             steps_run: 0,
         }
@@ -377,38 +398,37 @@ impl<'a> Engine<'a> {
         self
     }
 
-    /// The earliest pending event, as `(time, priority)`.
-    fn next_event(&self) -> Option<(f64, u8)> {
-        let mut next: Option<(f64, u8)> = None;
-        let consider = |t: f64, prio: u8, next: &mut Option<(f64, u8)>| {
-            let better = match next {
-                None => true,
-                Some((bt, bp)) => t < *bt || (t == *bt && prio < *bp),
-            };
-            if better {
-                *next = Some((t, prio));
+    /// The earliest pending event and its time. A slot boundary is always
+    /// pending, so there always is one.
+    fn next_event(&self) -> (f64, Next) {
+        // Candidates are offered in tie-break order, so a strict `<` keeps
+        // the earlier variant at equal times.
+        let mut next = (self.next_slot_s, Next::Slot);
+        if let Some((item, start, end)) = self.in_flight {
+            if end <= next.0 {
+                next = (end, Next::TxComplete { item, start, end });
+            }
+        }
+        let mut consider = |t: f64, event: Next| {
+            if t < next.0 {
+                next = (t, event);
             }
         };
-        if let Some((_, _, end)) = self.in_flight {
-            consider(end, PRIO_TX_COMPLETE, &mut next);
+        if let Some(hb) = self.heartbeats.get(self.hb_idx) {
+            consider(hb.time_s, Next::Heartbeat(*hb));
         }
-        consider(self.next_slot_s, PRIO_SLOT, &mut next);
-        if self.hb_idx < self.heartbeats.len() {
-            consider(
-                self.heartbeats[self.hb_idx].time_s,
-                PRIO_HEARTBEAT,
-                &mut next,
-            );
+        if let Some(packet) = self.packets.get(self.arrival_idx) {
+            consider(packet.arrival_s, Next::Arrival(*packet));
         }
-        if self.arrival_idx < self.packets.len() {
-            consider(
-                self.packets[self.arrival_idx].arrival_s,
-                PRIO_ARRIVAL,
-                &mut next,
-            );
-        }
-        if let Some(due) = self.retryq.iter().map(|(due, _)| *due).reduce(f64::min) {
-            consider(due, PRIO_RETRY, &mut next);
+        // The earliest-due retry, first of equals: insertion order keeps
+        // the choice deterministic.
+        let earliest = self
+            .retryq
+            .iter()
+            .enumerate()
+            .min_by(|(_, (a, _)), (_, (b, _))| a.total_cmp(b));
+        if let Some((idx, &(due, packet))) = earliest {
+            consider(due, Next::Retry { idx, packet });
         }
         next
     }
@@ -469,24 +489,35 @@ impl<'a> Engine<'a> {
     /// processed by the normal path (which always makes progress, so the
     /// two paths cannot livelock).
     ///
-    /// A slot is inert when the scheduler certifies quiescence
-    /// ([`Scheduler::slot_quiescent`]) *and* nothing observable touches
-    /// it: no heartbeat departs within it (so `heartbeat_departing` is
-    /// false and no heartbeat event precedes it), no alarm is due, no
-    /// arrival, retry or transmission completion lands at or before it,
-    /// and the train-liveness flag matches the value the certificate was
-    /// issued for. Quiescent slots release nothing and buffer no obs
-    /// events, so skipping them changes neither the output nor the
-    /// journal. The certificate holds across the whole
-    /// batch because the skipped slots are, by definition, no-ops: only
-    /// an arrival, retry, or heartbeat-flagged slot can invalidate it,
-    /// and each of those ends the batch.
+    /// A slot is *unblocked* when nothing observable touches it: no
+    /// heartbeat departs within it (so `heartbeat_departing` is false and
+    /// no heartbeat event precedes it), no alarm is due, no arrival, retry
+    /// or transmission completion lands at or before it, and the
+    /// train-liveness flag matches the value at `t`. The walk below finds
+    /// the run of unblocked slots from `t`. Nothing in that run can change
+    /// the scheduler's queue, so the scheduler can vouch for all of it:
+    ///
+    /// - [`Scheduler::slot_quiescent`] vouches for every slot at once;
+    /// - otherwise [`Scheduler::quiet_through`] is asked for the last
+    ///   slot, and if that one would act, a galloping search finds the
+    ///   first slot that would. Quietness at a slot implies it at every
+    ///   earlier one (the method's contract; for eTrain, `P(t)` never
+    ///   falls over a fixed queue), so the slots before it are retired
+    ///   and it is left to the normal path.
+    ///
+    /// A probe costs about what stepping one slot costs, and skipping a
+    /// probe only means stepping, which is always exact. So there is no
+    /// probe in journaled runs (every deferral over a non-empty queue is
+    /// journaled), on a run of one slot, at a slot a failed search has
+    /// already shown to act, or on the slot right after one that released
+    /// (`no_probe_through_s`).
     fn batch_skip_slots(&mut self, t: f64) -> bool {
         if self.alarm_idx < self.alarms.len() && self.alarms[self.alarm_idx] <= t {
             return false;
         }
         let trains_alive = self.hb_idx < self.heartbeats.len() && !self.plan.trains_dead_at(t);
-        if !self.scheduler.slot_quiescent(trains_alive) {
+        let quiescent = self.scheduler.slot_quiescent(trains_alive);
+        if !quiescent && (self.journal.is_some() || t <= self.no_probe_through_s) {
             return false;
         }
         // None of these can change while slots are skipped (the batch
@@ -516,8 +547,12 @@ impl<'a> Engine<'a> {
             bound(self.plan.next_train_death_boundary(t));
         }
         let next_heartbeat = self.heartbeats.get(self.hb_idx).map(|hb| hb.time_s);
+        // Slot times accumulate by repeated addition, here and in the
+        // search below — bit-exact with the slot kernel's own float
+        // accumulation, never `t + k·slot_s`.
         let mut s = t;
-        let mut skipped = 0u64;
+        let mut last = t;
+        let mut unblocked = 0u64;
         loop {
             let blocked = s > self.horizon_s
                 || s >= stop
@@ -530,40 +565,89 @@ impl<'a> Engine<'a> {
             if blocked {
                 break;
             }
-            // Accumulate the boundary by repeated addition — bit-exact
-            // with the slot kernel's own float accumulation.
-            self.next_slot_s += self.slot_s;
-            skipped += 1;
-            s = self.next_slot_s;
+            last = s;
+            s += self.slot_s;
+            unblocked += 1;
         }
+        let (mut skipped, mut end) = (unblocked, s);
+        if !quiescent && unblocked > 0 {
+            if unblocked == 1 {
+                return false;
+            }
+            if !self.scheduler.quiet_through(last, trains_alive) {
+                // Every slot from the first loud one through `last` would
+                // act: leave them unprobed until a release changes that.
+                self.no_probe_through_s = last;
+                // Galloping search for the first loud slot: every slot
+                // before `lo` is quiet, the one at `hi` is not.
+                let (mut lo, mut s_lo, mut hi) = (0u64, t, unblocked - 1);
+                let (mut width, mut galloping) = (1u64, true);
+                while lo < hi {
+                    let mid = if galloping {
+                        (lo + width - 1).min(hi - 1)
+                    } else {
+                        lo + (hi - lo) / 2
+                    };
+                    let mut s_mid = s_lo;
+                    for _ in lo..mid {
+                        s_mid += self.slot_s;
+                    }
+                    if self.scheduler.quiet_through(s_mid, trains_alive) {
+                        lo = mid + 1;
+                        s_lo = s_mid + self.slot_s;
+                        width *= 2;
+                    } else {
+                        hi = mid;
+                        galloping = false;
+                    }
+                }
+                (skipped, end) = (lo, s_lo);
+            }
+        }
+        self.next_slot_s = end;
         self.steps_run += skipped;
         self.events_processed += skipped;
         skipped > 0
     }
 
+    /// Moves the events the scheduler buffered into the journal, if any.
+    fn drain_obs_events(&mut self) {
+        if let Some(j) = self.journal.as_deref_mut() {
+            for (time_s, event) in self.scheduler.take_obs_events() {
+                j.push(time_s, event);
+            }
+        }
+    }
+
+    /// Appends the packets the scheduler released at `t` to `Q_TX`.
+    fn enqueue_released(&mut self, released: Vec<Packet>, t: f64) {
+        for packet in released {
+            self.txq.push_back(TxItem::Packet {
+                packet,
+                release_s: t,
+            });
+        }
+    }
+
     /// Processes exactly one event; returns `false` — consuming nothing —
     /// once no event at or before the horizon remains.
     fn step(&mut self) -> bool {
-        let Some((t, prio)) = self.next_event() else {
-            return false;
-        };
+        let (t, event) = self.next_event();
         if t > self.horizon_s {
             return false;
         }
 
-        match prio {
-            PRIO_TX_COMPLETE => {
-                let (item, start, end) = self
-                    .in_flight
-                    .take()
-                    .expect("tx-complete implies in-flight");
+        match event {
+            Next::TxComplete { item, start, end } => {
+                self.in_flight = None;
                 self.settle(item, start, end);
             }
-            PRIO_SLOT => {
+            Next::Slot => {
                 if self.kind == EngineKind::Event && self.batch_skip_slots(t) {
                     // The batch already advanced every per-event counter
-                    // for each retired slot, and quiescent slots cannot
-                    // have queued work for the transmission starter below.
+                    // for each retired slot, and retired slots release
+                    // nothing, so the transmission starter below has no
+                    // new work.
                     return true;
                 }
                 while self.alarm_idx < self.alarms.len() && self.alarms[self.alarm_idx] <= t {
@@ -585,22 +669,16 @@ impl<'a> Engine<'a> {
                     trains_alive,
                 };
                 let released = self.scheduler.on_slot(&ctx);
-                if let Some(j) = self.journal.as_deref_mut() {
-                    for (time_s, event) in self.scheduler.take_obs_events() {
-                        j.push(time_s, event);
-                    }
-                }
-                for packet in released {
-                    self.txq.push_back(TxItem::Packet {
-                        packet,
-                        release_s: t,
-                    });
-                }
+                self.drain_obs_events();
                 self.next_slot_s += self.slot_s;
                 self.steps_run += 1;
+                if !released.is_empty() {
+                    // The next slot most likely acts too: step it unprobed.
+                    self.no_probe_through_s = self.next_slot_s;
+                }
+                self.enqueue_released(released, t);
             }
-            PRIO_HEARTBEAT => {
-                let hb = self.heartbeats[self.hb_idx];
+            Next::Heartbeat(hb) => {
                 self.hb_idx += 1;
                 self.heartbeats_sent += 1;
                 if let Some(j) = self.journal.as_deref_mut() {
@@ -614,54 +692,26 @@ impl<'a> Engine<'a> {
                 // Heartbeats are sent by their own daemons: front of queue.
                 self.txq.push_front(TxItem::Heartbeat(hb));
             }
-            PRIO_ARRIVAL => {
-                let packet = self.packets[self.arrival_idx];
+            Next::Arrival(packet) => {
                 self.arrival_idx += 1;
                 let released = self
                     .scheduler
                     .on_arrival(packet, t)
                     .expect("workload apps are registered with the scheduler");
-                if let Some(j) = self.journal.as_deref_mut() {
-                    for (time_s, event) in self.scheduler.take_obs_events() {
-                        j.push(time_s, event);
-                    }
-                }
-                for packet in released {
-                    self.txq.push_back(TxItem::Packet {
-                        packet,
-                        release_s: t,
-                    });
-                }
+                self.drain_obs_events();
+                self.enqueue_released(released, t);
             }
-            PRIO_RETRY => {
-                // Pop the earliest-due retry (first of equals — insertion
-                // order keeps this deterministic) and re-offer it through
-                // the scheduler's failure-feedback hook.
-                let idx = self
-                    .retryq
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, (a, _)), (_, (b, _))| a.total_cmp(b))
-                    .map(|(i, _)| i)
-                    .expect("retry event implies non-empty retry queue");
-                let (_, packet) = self.retryq.remove(idx);
+            Next::Retry { idx, packet } => {
+                // Re-offer the packet through the scheduler's
+                // failure-feedback hook.
+                self.retryq.remove(idx);
                 let released = self
                     .scheduler
                     .on_tx_failure(packet, t)
                     .expect("retried packets belong to registered apps");
-                if let Some(j) = self.journal.as_deref_mut() {
-                    for (time_s, event) in self.scheduler.take_obs_events() {
-                        j.push(time_s, event);
-                    }
-                }
-                for packet in released {
-                    self.txq.push_back(TxItem::Packet {
-                        packet,
-                        release_s: t,
-                    });
-                }
+                self.drain_obs_events();
+                self.enqueue_released(released, t);
             }
-            _ => unreachable!("unknown event priority"),
         }
 
         // Start the next transmission if the radio is free. Data flows
@@ -1440,6 +1490,143 @@ mod tests {
         assert!(
             event_calls * 10 < slot_calls,
             "event kernel made {event_calls} step calls vs {slot_calls} — batching is broken"
+        );
+    }
+    /// eTrain behind a wrapper that forwards every call the event kernel
+    /// makes, horizon included, and logs each `on_slot` call as
+    /// `(now_s, heartbeat_departing, released)`.
+    #[derive(Debug)]
+    struct SlotLog {
+        inner: ETrainScheduler,
+        calls: Vec<(f64, bool, usize)>,
+    }
+
+    impl Scheduler for SlotLog {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn on_arrival(
+            &mut self,
+            packet: Packet,
+            now_s: f64,
+        ) -> Result<Vec<Packet>, etrain_sched::SchedulerError> {
+            self.inner.on_arrival(packet, now_s)
+        }
+
+        fn on_slot(&mut self, ctx: &SlotContext) -> Vec<Packet> {
+            let released = self.inner.on_slot(ctx);
+            self.calls
+                .push((ctx.now_s, ctx.heartbeat_departing, released.len()));
+            released
+        }
+
+        fn slot_s(&self) -> f64 {
+            self.inner.slot_s()
+        }
+
+        fn slot_quiescent(&self, trains_alive: bool) -> bool {
+            self.inner.slot_quiescent(trains_alive)
+        }
+
+        fn quiet_through(&self, at_s: f64, trains_alive: bool) -> bool {
+            self.inner.quiet_through(at_s, trains_alive)
+        }
+
+        fn pending(&self) -> usize {
+            self.inner.pending()
+        }
+
+        fn pending_bytes(&self) -> u64 {
+            self.inner.pending_bytes()
+        }
+    }
+
+    #[test]
+    fn horizons_step_only_heartbeat_breach_and_event_slots() {
+        // Cloud packets pile up between heartbeats 600 s apart, so at
+        // Θ = 20 the queue defers for hundreds of slots at a time and
+        // breaches Θ between heartbeats.
+        let packets: Vec<Packet> = (0..40)
+            .map(|i| Packet {
+                id: i,
+                app: CargoAppId(2),
+                arrival_s: 10.3 + 37.7 * i as f64,
+                size_bytes: 5_000,
+            })
+            .collect();
+        let heartbeats = synthesize(&[TrainAppSpec::fixed("T", 600.0, 300, 450.0)], 1800.0, 1);
+        let bandwidth = BandwidthTrace::constant(1_000_000.0);
+        let radio = RadioParams::galaxy_s4_3g();
+        let (plan, retry) = (FaultPlan::none(), RetryPolicy::default());
+        let etrain = || {
+            let config = ETrainConfig {
+                theta: 20.0,
+                k: Some(20),
+                slot_s: 1.0,
+            };
+            ETrainScheduler::new(config, profiles())
+        };
+        let mut logged = SlotLog {
+            inner: etrain(),
+            calls: Vec::new(),
+        };
+        let event = Engine::new(
+            &mut logged,
+            &packets,
+            &heartbeats,
+            &bandwidth,
+            &radio,
+            1800.0,
+            &plan,
+            &retry,
+            None,
+        )
+        .run();
+        let mut reference = etrain();
+        let slot = Engine::new(
+            &mut reference,
+            &packets,
+            &heartbeats,
+            &bandwidth,
+            &radio,
+            1800.0,
+            &plan,
+            &retry,
+            None,
+        )
+        .with_kind(EngineKind::Slot)
+        .run();
+        output_eq(&slot, &event);
+
+        // Arrivals, heartbeats and transfer ends: a slot is stepped when
+        // one lands on it or ends its run of skippable slots early.
+        let events: Vec<f64> = packets
+            .iter()
+            .map(|p| p.arrival_s)
+            .chain(heartbeats.iter().map(|hb| hb.time_s))
+            .chain(event.transmissions.iter().map(|tx| tx.end_s()))
+            .collect();
+        let mut after_release = false;
+        for &(now_s, heartbeat, released) in &logged.calls {
+            let next_to_event = events.iter().any(|&e| now_s <= e && e < now_s + 2.0);
+            assert!(
+                heartbeat || released > 0 || after_release || next_to_event,
+                "on_slot ran at {now_s}, a deferral no event explains"
+            );
+            after_release = released > 0;
+        }
+        let breaches = logged
+            .calls
+            .iter()
+            .filter(|&&(_, heartbeat, released)| !heartbeat && released > 0)
+            .count();
+        assert!(breaches > 0, "the queue must breach Θ between heartbeats");
+        assert!(
+            logged.calls.len() * 10 < slot.steps_run as usize,
+            "{} on_slot calls for {} slots",
+            logged.calls.len(),
+            slot.steps_run
         );
     }
 }

@@ -9,8 +9,9 @@
 
 use etrain_sim::oracle::{self, OracleMode, OracleViolation};
 use etrain_sim::{
-    audit_scheduler_ordering, conformance_kinds, CasePlan, EngineKind, EngineOutput, FaultPlan,
-    Journal, ObsMode, RunGrid, RunReport, Scenario,
+    audit_scheduler_ordering, conformance_kinds, AdmissionConfig, CasePlan, EngineKind,
+    EngineOutput, FaultPlan, HealthConfig, Journal, ObsMode, RunGrid, RunReport, Scenario,
+    SchedulerKind,
 };
 use etrain_trace::faults::hash_unit;
 use etrain_trace::heartbeats::Heartbeat;
@@ -81,9 +82,10 @@ fn conformance_full_strict_and_deterministic() {
 
 /// Runs one generated workload under both engine kernels — same traces,
 /// same scheduler, `Strict` oracle, JSONL journal — and demands
-/// bit-for-bit identical reports and journals. This is the event kernel's
-/// conformance contract: batched slot retirement is an optimization the
-/// outputs must not be able to see.
+/// bit-for-bit identical reports and journals; then the same without a
+/// journal, adding eTrain operating points with long horizons. This is
+/// the event kernel's conformance contract: batched slot retirement is an
+/// optimization the outputs must not be able to see.
 fn assert_kernels_interchangeable(seed: u64, with_faults: bool) {
     let base = random_scenario(seed, with_faults)
         .oracle(OracleMode::Strict)
@@ -128,10 +130,69 @@ fn assert_kernels_interchangeable(seed: u64, with_faults: bool) {
             .expect("strict mode attaches outcome");
         assert!(outcome.is_clean(), "oracle violations under seed {seed}");
     }
+    for kind in conformance_kinds().into_iter().chain(horizon_kinds()) {
+        let scenario = base.clone().scheduler(kind);
+        assert_kernels_agree_unjournaled(
+            &format!("seed {seed}, faults {with_faults}, scheduler {kind:?}"),
+            &scenario,
+        );
+    }
+}
+
+/// eTrain operating points whose queues stay below Θ for many slots, so
+/// the event kernel's horizons span long runs of deferrals.
+fn horizon_kinds() -> Vec<SchedulerKind> {
+    vec![
+        SchedulerKind::ETrain {
+            theta: 20.0,
+            k: Some(20),
+        },
+        SchedulerKind::ETrain {
+            theta: 2.0,
+            k: None,
+        },
+        SchedulerKind::Guarded {
+            theta: 20.0,
+            k: Some(20),
+            health: HealthConfig::default(),
+            admission: AdmissionConfig::unbounded(),
+        },
+    ]
+}
+
+/// Runs `scenario` with observability off — the only mode in which the
+/// event kernel skips slots over a non-empty eTrain queue — under both
+/// kernels on the same traces, and demands the same report, the same
+/// slot count and the same transmissions.
+fn assert_kernels_agree_unjournaled(input: &str, scenario: &Scenario) {
+    let scenario = scenario.clone().obs(ObsMode::Off);
+    let traces = scenario.generate_traces();
+    let run = |engine: EngineKind| {
+        scenario
+            .clone()
+            .engine(engine)
+            .try_run_journaled_on(&traces)
+            .unwrap_or_else(|e| panic!("{engine} kernel failed unjournaled run ({input}): {e}"))
+    };
+    let (slot_report, slot_output, _) = run(EngineKind::Slot);
+    let (event_report, event_output, _) = run(EngineKind::Event);
+    assert_eq!(
+        slot_report, event_report,
+        "kernels diverged unjournaled ({input})"
+    );
+    assert_eq!(
+        slot_output.steps_run, event_output.steps_run,
+        "slot counts diverged unjournaled ({input})"
+    );
+    assert_eq!(
+        slot_output.transmissions, event_output.transmissions,
+        "transmissions diverged unjournaled ({input})"
+    );
 }
 
 /// Quick differential tier: 6 seeds × {fault-free, faulty} × 5 schedulers
-/// × 2 kernels = 120 journaled strict runs in the default test pass.
+/// × 2 kernels = 120 journaled strict runs in the default test pass, and
+/// 6 × 2 × 8 schedulers × 2 kernels = 192 unjournaled ones.
 #[test]
 fn conformance_quick_kernels_interchangeable() {
     for seed in 0..6 {
@@ -142,7 +203,7 @@ fn conformance_quick_kernels_interchangeable() {
 
 /// Exhaustive differential tier for the CI conformance job: 25 seeds ×
 /// {fault-free, faulty} × 5 schedulers × 2 kernels = 500 journaled
-/// strict runs.
+/// strict runs, and 800 unjournaled ones over 8 schedulers.
 #[test]
 #[ignore = "exhaustive sweep; run with `cargo test -- --ignored` (CI conformance job)"]
 fn conformance_full_kernels_interchangeable() {

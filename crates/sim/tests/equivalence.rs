@@ -18,13 +18,15 @@
 //! `#[ignore]`d and executed by the CI `conformance` job
 //! (`cargo test -q -- --ignored`).
 
+use etrain_sched::{AppProfile, CostProfile, ETrainConfig, ETrainScheduler, Scheduler};
 use etrain_sim::oracle::OracleMode;
 use etrain_sim::{
-    conformance_kinds, BandwidthSource, CasePlan, EngineKind, Journal, ObsMode, Scenario,
-    SchedulerKind,
+    conformance_kinds, AdmissionConfig, BandwidthSource, CasePlan, EngineKind, FaultPlan,
+    HealthConfig, Journal, ObsMode, Scenario, SchedulerKind, TraceBundle,
 };
-use etrain_trace::heartbeats::TrainAppSpec;
-use etrain_trace::packets::CargoWorkload;
+use etrain_trace::heartbeats::{Heartbeat, TrainAppSpec};
+use etrain_trace::packets::{CargoWorkload, Packet};
+use etrain_trace::{CargoAppId, TrainAppId};
 
 /// Runs one workload on both decision paths — across every scheduler in
 /// `kinds` and both engine kernels — and demands byte-identical reports
@@ -92,6 +94,42 @@ fn assert_decision_paths_equivalent(input: &str, base: Scenario, kinds: &[Schedu
                 ),
             }
         }
+        assert_unjournaled_runs_agree(input, &scenario, &traces);
+    }
+}
+
+/// The same comparison with observability off, the only mode in which the
+/// event kernel skips slots over a non-empty eTrain queue: both kernels
+/// on both decision paths must produce the same report, step the same
+/// number of slots and make the same transmissions.
+fn assert_unjournaled_runs_agree(input: &str, scenario: &Scenario, traces: &TraceBundle) {
+    let kind = scenario.scheduler_kind();
+    let mut first = None;
+    for engine in [EngineKind::Slot, EngineKind::Event] {
+        for reference in [false, true] {
+            let (report, output, journal) = scenario
+                .clone()
+                .obs(ObsMode::Off)
+                .engine(engine)
+                .reference_cost(reference)
+                .try_run_journaled_on(traces)
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "unjournaled run failed ({input}, scheduler {kind:?}, \
+                         engine {engine}, reference {reference}): {e}"
+                    )
+                });
+            assert!(journal.is_none(), "obs off must produce no journal");
+            let run = (report, output.steps_run, output.transmissions);
+            match &first {
+                None => first = Some(run),
+                Some(first) => assert!(
+                    *first == run,
+                    "unjournaled runs diverged ({input}, scheduler {kind:?}, \
+                     engine {engine}, reference {reference})"
+                ),
+            }
+        }
     }
 }
 
@@ -155,6 +193,164 @@ fn equivalence_standby_heartbeats_are_interchangeable() {
         standby,
         &[SchedulerKind::Baseline, etrain],
     );
+}
+
+/// eTrain operating points whose queues stay below Θ for many slots, so
+/// the event kernel's horizons span long runs of deferrals.
+fn horizon_kinds() -> Vec<SchedulerKind> {
+    vec![
+        SchedulerKind::ETrain {
+            theta: 20.0,
+            k: Some(20),
+        },
+        SchedulerKind::ETrain {
+            theta: 50.0,
+            k: None,
+        },
+        SchedulerKind::Guarded {
+            theta: 20.0,
+            k: Some(20),
+            health: HealthConfig::default(),
+            admission: AdmissionConfig::unbounded(),
+        },
+    ]
+}
+
+/// A deep queue at a low rate: one train with a 30-minute cycle leaves a
+/// λ = 0.02 workload to pile up behind a high Θ, so each horizon covers
+/// hundreds of slots and ends at a breach found by the search.
+#[test]
+fn equivalence_deep_queue_at_low_rate_is_interchangeable() {
+    let deep = Scenario::paper_default()
+        .duration_secs(7200)
+        .trains(vec![TrainAppSpec::fixed("Sparse", 1800.0, 300, 900.0)])
+        .lambda(0.02)
+        .bandwidth(BandwidthSource::Constant(450_000.0))
+        .seed(3);
+    assert_decision_paths_equivalent("deep queue, λ 0.02", deep, &horizon_kinds());
+}
+
+/// Hand-placed packets (off the slot grid) and heartbeats for the Θ-edge
+/// inputs below: no heartbeat departs before `first_heartbeat_s`, so the
+/// queue only ages until Θ or that heartbeat releases something.
+fn edge_scenario(first_heartbeat_s: f64) -> (Scenario, Vec<Packet>) {
+    let packets: Vec<Packet> = [(3.25, 1), (17.5, 2), (40.125, 1), (77.75, 2), (130.375, 0)]
+        .iter()
+        .enumerate()
+        .map(|(id, &(arrival_s, app))| Packet {
+            id: id as u64,
+            app: CargoAppId(app),
+            arrival_s,
+            size_bytes: 4_000,
+        })
+        .collect();
+    let heartbeats: Vec<Heartbeat> = [first_heartbeat_s, 1500.0, 1790.0]
+        .iter()
+        .map(|&time_s| Heartbeat {
+            train: TrainAppId(0),
+            time_s,
+            size_bytes: 300,
+        })
+        .collect();
+    let scenario = Scenario::paper_default()
+        .duration_secs(1800)
+        .packets(packets.clone())
+        .heartbeats(heartbeats)
+        .bandwidth(BandwidthSource::Constant(450_000.0));
+    (scenario, packets)
+}
+
+/// `P(t)` at the slot starting at `at_s`, over the packets that arrived
+/// before it, as the scenario's eTrain would compute it.
+fn reachable_sum(scenario: &Scenario, packets: &[Packet], at_s: f64) -> f64 {
+    let config = ETrainConfig {
+        theta: 1e18,
+        k: None,
+        slot_s: 1.0,
+    };
+    let mut etrain = ETrainScheduler::new(config, scenario.profiles_ref().to_vec());
+    for p in packets.iter().filter(|p| p.arrival_s < at_s) {
+        etrain.on_arrival(*p, p.arrival_s).expect("registered app");
+    }
+    etrain.total_cost(at_s)
+}
+
+/// Θ set to a sum the queue reaches exactly at one slot, and to the next
+/// float above it: the first breach lands on that slot or right after it,
+/// deep inside a horizon, and one slot of error either way shows.
+#[test]
+fn equivalence_theta_at_a_reachable_sum_is_interchangeable() {
+    let (scenario, packets) = edge_scenario(1000.0);
+    let at_s = 400.0;
+    let sum = reachable_sum(&scenario, &packets, at_s);
+    for theta in [sum, sum.next_up()] {
+        let kind = SchedulerKind::ETrain { theta, k: Some(2) };
+        let scenario = scenario.clone().scheduler(kind).obs(ObsMode::Off);
+        let (_, output, _) = scenario
+            .try_run_journaled_on(&scenario.generate_traces())
+            .expect("valid scenario");
+        let first_release = output
+            .completed
+            .iter()
+            .map(|c| c.release_s)
+            .fold(f64::INFINITY, f64::min);
+        let expected = if theta == sum { at_s } else { at_s + 1.0 };
+        assert_eq!(
+            first_release, expected,
+            "Θ = {theta} breaches at {expected}"
+        );
+        assert_decision_paths_equivalent(&format!("Θ = {theta}"), scenario, &[kind]);
+    }
+}
+
+/// Θ first reached on a heartbeat-flagged slot, with the heartbeat at the
+/// slot's start and inside it: the horizon must end right before it.
+#[test]
+fn equivalence_breach_on_a_heartbeat_slot_is_interchangeable() {
+    for heartbeat_s in [600.0, 600.25] {
+        let (scenario, packets) = edge_scenario(heartbeat_s);
+        let theta = reachable_sum(&scenario, &packets, 600.0);
+        let kinds = [
+            SchedulerKind::ETrain { theta, k: Some(2) },
+            SchedulerKind::Guarded {
+                theta,
+                k: Some(2),
+                health: HealthConfig::default(),
+                admission: AdmissionConfig::unbounded(),
+            },
+        ];
+        assert_decision_paths_equivalent(
+            &format!("breach on the heartbeat slot at {heartbeat_s}"),
+            scenario,
+            &kinds,
+        );
+    }
+}
+
+/// Deadlines off the slot grid (`0.9·d + 0.123456789`), so no kink of a
+/// cost profile falls on a slot time, under transfer loss, a train death
+/// window and an oracle alarm that demotes the guarded scheduler.
+#[test]
+fn equivalence_off_grid_deadlines_under_faults_are_interchangeable() {
+    let off_grid = |d: f64| 0.9 * d + 0.123456789;
+    let profiles = vec![
+        AppProfile::new("Mail", CostProfile::mail(off_grid(300.0))),
+        AppProfile::new("Weibo", CostProfile::weibo(off_grid(120.0))),
+        AppProfile::new("Cloud", CostProfile::cloud(off_grid(600.0))),
+    ];
+    let faults = FaultPlan::seeded(11)
+        .with_loss(0.2)
+        .with_train_death(1800.0, 2100.0)
+        .with_oracle_alarm(1234.5);
+    let scenario = Scenario::paper_default()
+        .duration_secs(3600)
+        .profiles(profiles)
+        .lambda(0.05)
+        .faults(faults)
+        .seed(9);
+    let mut kinds = horizon_kinds();
+    kinds.extend(conformance_kinds());
+    assert_decision_paths_equivalent("off-grid deadlines under faults", scenario, &kinds);
 }
 
 /// Exhaustive tier for the CI conformance job: 20 seeds × {fault-free,
