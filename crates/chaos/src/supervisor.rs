@@ -581,14 +581,15 @@ mod tests {
             after.len(),
             before.len() + etrain_obs::FRAME_HEADER_BYTES + 40
         );
-        let scan = etrain_obs::durable::scan_segment(&after);
+        let scan = etrain_obs::durable::scan_frames(&after);
         assert_eq!(
             scan.tail,
             etrain_obs::durable::TailStatus::Torn {
                 valid_bytes: before.len() as u64
             }
         );
-        assert_eq!(scan.payloads, vec![b"first".to_vec(), b"second".to_vec()]);
+        let payloads: Vec<&[u8]> = scan.frames.iter().map(|r| &after[r.clone()]).collect();
+        assert_eq!(payloads, vec![&b"first"[..], b"second"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

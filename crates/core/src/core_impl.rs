@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use etrain_hb::{HeartbeatMonitor, TrainStatus};
+use etrain_obs::json::{push_u64, push_u64_or_null};
 use etrain_obs::{Event, Fnv1a, Journal};
 use etrain_sched::{
     AdmissionConfig, AppProfile, ETrainConfig, ETrainScheduler, RetryDecision, RetryPolicy, Room,
@@ -14,6 +15,7 @@ use etrain_trace::packets::Packet;
 use etrain_trace::{CargoAppId, TrainAppId};
 
 use crate::error::CoreError;
+use crate::json::{write_packet, write_request_id};
 use crate::request::{
     Admission, RequestId, RetryVerdict, TransmitDecision, TransmitRequest, TxResult,
 };
@@ -817,35 +819,39 @@ impl ETrainCore {
     /// bit, and checkpoints store it to validate the journal they summarize.
     pub fn fingerprint(&self) -> u64 {
         let mut hash = Fnv1a::new();
-        // Plain-data sections serialize infallibly; a serializer error
-        // here would be a wiring bug, so degrade to a marker byte rather
-        // than panic on the user-reachable path.
-        let mut mix_json = |value: &dyn erased_ser::ErasedSerialize| match value.to_json() {
-            Ok(json) => hash.field(json.as_bytes()),
-            Err(_) => hash.field(b"<unserializable>"),
-        };
-        mix_json(&self.config);
-        mix_json(&self.profiles);
+        // The O(apps) sections go through the serde shim; the per-request
+        // loops below write the same JSON by hand into one reused buffer.
+        mix_serde(&mut hash, &self.config);
+        mix_serde(&mut hash, &self.profiles);
         for train in &self.trains {
-            mix_json(&train.name);
-            mix_json(&train.registered_at_s.to_bits());
+            mix_serde(&mut hash, &train.name);
+            mix_serde(&mut hash, &train.registered_at_s.to_bits());
         }
+        let mut buf = String::new();
         let mut pending: Vec<(u64, PendingRequest)> =
             self.pending.iter().map(|(&k, &v)| (k, v)).collect();
         pending.sort_by_key(|(k, _)| *k);
         for (packet_id, meta) in pending {
-            mix_json(&packet_id);
-            mix_json(&meta.id);
-            mix_json(&meta.submitted_at_s.to_bits());
-            mix_json(&meta.deadline_override_s.map(f64::to_bits));
+            mix(&mut hash, &mut buf, |out| push_u64(out, packet_id));
+            mix(&mut hash, &mut buf, |out| write_request_id(out, meta.id));
+            mix(&mut hash, &mut buf, |out| {
+                push_u64(out, meta.submitted_at_s.to_bits());
+            });
+            mix(&mut hash, &mut buf, |out| {
+                push_u64_or_null(out, meta.deadline_override_s.map(f64::to_bits));
+            });
         }
-        let mut awaiting: Vec<(RequestId, InFlight)> =
-            self.awaiting.iter().map(|(&k, &v)| (k, v)).collect();
-        awaiting.sort_by_key(|(k, _)| *k);
+        let mut awaiting: Vec<(RequestId, &InFlight)> =
+            self.awaiting.iter().map(|(&k, v)| (k, v)).collect();
+        awaiting.sort_unstable_by_key(|(k, _)| *k);
         for (request, inflight) in awaiting {
-            mix_json(&request);
-            mix_json(&inflight.packet);
-            mix_json(&inflight.meta.submitted_at_s.to_bits());
+            mix(&mut hash, &mut buf, |out| write_request_id(out, request));
+            mix(&mut hash, &mut buf, |out| {
+                write_packet(out, &inflight.packet)
+            });
+            mix(&mut hash, &mut buf, |out| {
+                push_u64(out, inflight.meta.submitted_at_s.to_bits());
+            });
         }
         let mut backoffs: Vec<&Backoff> = self.backoffs.iter().collect();
         backoffs.sort_by(|a, b| {
@@ -855,37 +861,50 @@ impl ETrainCore {
                 .then(a.resume_at_s.total_cmp(&b.resume_at_s))
         });
         for b in backoffs {
-            mix_json(&b.packet);
-            mix_json(&b.resume_at_s.to_bits());
+            mix(&mut hash, &mut buf, |out| write_packet(out, &b.packet));
+            mix(&mut hash, &mut buf, |out| {
+                push_u64(out, b.resume_at_s.to_bits())
+            });
         }
         let mut attempts: Vec<(u64, u32)> =
             self.failed_attempts.iter().map(|(&k, &v)| (k, v)).collect();
         attempts.sort_by_key(|(k, _)| *k);
-        mix_json(&attempts);
-        mix_json(&self.stashed_decisions);
-        mix_json(&self.stats);
-        mix_json(&self.was_alive);
-        mix_json(&self.next_packet_id);
-        mix_json(&self.next_request_id);
-        mix_json(&self.now_s.to_bits());
+        // One field: the sorted pairs as a JSON array of 2-arrays.
+        mix(&mut hash, &mut buf, |out| {
+            out.push('[');
+            for (i, (packet_id, count)) in attempts.iter().enumerate() {
+                out.push_str(if i == 0 { "[" } else { ",[" });
+                push_u64(out, *packet_id);
+                out.push(',');
+                push_u64(out, u64::from(*count));
+                out.push(']');
+            }
+            out.push(']');
+        });
+        mix_serde(&mut hash, &self.stashed_decisions);
+        mix_serde(&mut hash, &self.stats);
+        mix_serde(&mut hash, &self.was_alive);
+        mix_serde(&mut hash, &self.next_packet_id);
+        mix_serde(&mut hash, &self.next_request_id);
+        mix_serde(&mut hash, &self.now_s.to_bits());
         hash.finish()
     }
 }
 
-/// A minimal object-safe serialization shim so [`ETrainCore::fingerprint`]
-/// can mix heterogeneous fields through one closure without monomorphizing
-/// it per type.
-mod erased_ser {
-    /// Object-safe "render yourself as JSON" trait.
-    pub trait ErasedSerialize {
-        /// Serializes the value to its canonical JSON string.
-        fn to_json(&self) -> Result<String, serde_json::Error>;
-    }
+/// Hashes the JSON `write` appends to the cleared `buf`, as one field.
+fn mix(hash: &mut Fnv1a, buf: &mut String, write: impl FnOnce(&mut String)) {
+    buf.clear();
+    write(buf);
+    hash.field(buf.as_bytes());
+}
 
-    impl<T: serde::Serialize> ErasedSerialize for T {
-        fn to_json(&self) -> Result<String, serde_json::Error> {
-            serde_json::to_string(self)
-        }
+/// Hashes `value`'s serde rendering as one field. Plain data serializes
+/// infallibly; a serializer error would be a wiring bug, so it degrades
+/// to a marker rather than panic on a user-reachable path.
+fn mix_serde<T: serde::Serialize>(hash: &mut Fnv1a, value: &T) {
+    match serde_json::to_string(value) {
+        Ok(json) => hash.field(json.as_bytes()),
+        Err(_) => hash.field(b"<unserializable>"),
     }
 }
 

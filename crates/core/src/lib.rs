@@ -60,6 +60,7 @@
 mod command;
 mod core_impl;
 mod error;
+pub mod json;
 mod request;
 
 pub use command::{CommandOutcome, CoreCommand};

@@ -23,6 +23,7 @@
 //! segments.
 
 use std::io::Write;
+use std::ops::Range;
 
 /// Magic bytes opening every WAL segment (8 bytes, versioned).
 pub const WAL_MAGIC: [u8; 8] = *b"ETWAL01\n";
@@ -35,10 +36,14 @@ pub const FRAME_HEADER_BYTES: usize = 8;
 /// record (a JSON-serialized command or event) comes anywhere close.
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the bytewise table of the
+/// reflected IEEE polynomial, and `CRC_TABLES[k][i]` is the CRC of byte
+/// `i` followed by `k` zero bytes, so eight table lookups advance the
+/// CRC over eight bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -51,19 +56,42 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC-32 (IEEE 802.3 polynomial) of `bytes` — the checksum every frame
-/// carries. Table-driven, no dependencies.
+/// carries. Table-driven (slicing-by-8), no dependencies.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC_TABLE[idx];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -117,7 +145,7 @@ impl<W: Write> FrameWriter<W> {
 
     /// Resumes appending to an existing segment that already holds
     /// `frames` valid frames over `bytes` total bytes (as reported by
-    /// [`scan_segment`]); writes no magic.
+    /// [`scan_frames`]); writes no magic.
     pub fn resume(writer: W, frames: u64, bytes: u64) -> Self {
         FrameWriter {
             writer,
@@ -256,27 +284,24 @@ impl TailStatus {
     }
 }
 
-/// Result of scanning one segment: the verified payloads in append
-/// order, and the verdict on the tail.
+/// Result of scanning one segment without copying it: where each
+/// verified payload lies in the scanned bytes, and the verdict on the
+/// tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentScan {
-    /// Payloads of every frame whose checksum verified, oldest first.
-    pub payloads: Vec<Vec<u8>>,
+pub struct FrameScan {
+    /// Byte ranges of every payload whose checksum verified, oldest
+    /// first.
+    pub frames: Vec<Range<usize>>,
     /// What the scan found at the end of the segment.
     pub tail: TailStatus,
 }
 
-impl SegmentScan {
+impl FrameScan {
     /// Byte length of the verified prefix (magic + verified frames).
     pub fn valid_bytes(&self) -> u64 {
-        let frames: u64 = self
-            .payloads
-            .iter()
-            .map(|p| (FRAME_HEADER_BYTES + p.len()) as u64)
-            .sum();
         match self.tail {
             TailStatus::BadMagic => 0,
-            _ => WAL_MAGIC.len() as u64 + frames,
+            _ => self.frames.last().map_or(WAL_MAGIC.len(), |r| r.end) as u64,
         }
     }
 }
@@ -287,28 +312,22 @@ impl SegmentScan {
 /// verified prefix is always usable. A frame with a length field above
 /// [`MAX_FRAME_BYTES`] is classified as corrupt (an absurd length is
 /// indistinguishable from bit rot in the header).
-pub fn scan_segment(bytes: &[u8]) -> SegmentScan {
+pub fn scan_frames(bytes: &[u8]) -> FrameScan {
     if bytes.len() < WAL_MAGIC.len() || bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return SegmentScan {
-            payloads: Vec::new(),
+        return FrameScan {
+            frames: Vec::new(),
             tail: TailStatus::BadMagic,
         };
     }
-    let mut payloads = Vec::new();
+    let mut frames = Vec::new();
     let mut pos = WAL_MAGIC.len();
-    loop {
+    let tail = loop {
         if pos == bytes.len() {
-            return SegmentScan {
-                payloads,
-                tail: TailStatus::Clean,
-            };
+            break TailStatus::Clean;
         }
         let valid_bytes = pos as u64;
         if bytes.len() - pos < FRAME_HEADER_BYTES {
-            return SegmentScan {
-                payloads,
-                tail: TailStatus::Torn { valid_bytes },
-            };
+            break TailStatus::Torn { valid_bytes };
         }
         let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
         let crc = u32::from_le_bytes([
@@ -318,34 +337,36 @@ pub fn scan_segment(bytes: &[u8]) -> SegmentScan {
             bytes[pos + 7],
         ]);
         if len > MAX_FRAME_BYTES {
-            return SegmentScan {
-                payloads,
-                tail: TailStatus::Corrupt { valid_bytes },
-            };
+            break TailStatus::Corrupt { valid_bytes };
         }
         let body_start = pos + FRAME_HEADER_BYTES;
         let body_end = body_start + len as usize;
         if body_end > bytes.len() {
-            return SegmentScan {
-                payloads,
-                tail: TailStatus::Torn { valid_bytes },
-            };
+            break TailStatus::Torn { valid_bytes };
         }
-        let payload = &bytes[body_start..body_end];
-        if crc32(payload) != crc {
-            return SegmentScan {
-                payloads,
-                tail: TailStatus::Corrupt { valid_bytes },
-            };
+        if crc32(&bytes[body_start..body_end]) != crc {
+            break TailStatus::Corrupt { valid_bytes };
         }
-        payloads.push(payload.to_vec());
+        frames.push(body_start..body_end);
         pos = body_end;
-    }
+    };
+    FrameScan { frames, tail }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The scan of `bytes`, with its verified payloads copied out.
+    fn scan_segment(bytes: &[u8]) -> (FrameScan, Vec<Vec<u8>>) {
+        let scan = scan_frames(bytes);
+        let payloads = scan
+            .frames
+            .iter()
+            .map(|r| bytes[r.clone()].to_vec())
+            .collect();
+        (scan, payloads)
+    }
 
     fn frame_up(payloads: &[&[u8]]) -> Vec<u8> {
         let mut writer = FrameWriter::create(Vec::new()).unwrap();
@@ -353,6 +374,60 @@ mod tests {
             writer.append(p).unwrap();
         }
         writer.into_inner()
+    }
+
+    /// The plain bytewise table loop, as the reference the sliced one
+    /// must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut noise = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u8
+        };
+        let buf: Vec<u8> = (0..4_096).map(|_| noise()).collect();
+        for len in 0..=64 {
+            assert_eq!(crc32(&buf[..len]), crc32_bytewise(&buf[..len]), "len={len}");
+        }
+        // Unaligned starts and lengths over the 8-byte stride.
+        for _ in 0..200 {
+            let start = usize::from(noise()) % 61;
+            let len = usize::from(noise()) * 13 % 3_000;
+            let slice = &buf[start..start + len];
+            assert_eq!(crc32(slice), crc32_bytewise(slice), "{start}+{len}");
+        }
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn frame_scan_ranges_locate_the_payloads_in_place() {
+        let mut writer = FrameWriter::create(Vec::new()).unwrap();
+        for p in [&b"alpha"[..], b"", b"gamma"] {
+            writer.append(p).unwrap();
+        }
+        writer
+            .append_faulty(b"delta", AppendFault::TornPayload)
+            .unwrap();
+        let bytes = writer.into_inner();
+        let scan = scan_frames(&bytes);
+        let payloads: Vec<&[u8]> = scan.frames.iter().map(|r| &bytes[r.clone()]).collect();
+        assert_eq!(payloads, vec![&b"alpha"[..], b"", b"gamma"]);
+        assert_eq!(scan.valid_bytes(), scan.frames[2].end as u64);
+        assert_eq!(scan_frames(b"nope").valid_bytes(), 0);
+        assert_eq!(
+            scan_frames(&WAL_MAGIC).valid_bytes(),
+            WAL_MAGIC.len() as u64
+        );
     }
 
     #[test]
@@ -364,6 +439,9 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
     }
 
     #[test]
@@ -379,10 +457,10 @@ mod tests {
     #[test]
     fn clean_segment_round_trips() {
         let bytes = frame_up(&[b"alpha", b"", b"gamma-longer-payload"]);
-        let scan = scan_segment(&bytes);
+        let (scan, payloads) = scan_segment(&bytes);
         assert_eq!(scan.tail, TailStatus::Clean);
         assert_eq!(
-            scan.payloads,
+            payloads,
             vec![
                 b"alpha".to_vec(),
                 Vec::new(),
@@ -399,16 +477,16 @@ mod tests {
     #[test]
     fn empty_segment_is_clean() {
         let bytes = frame_up(&[]);
-        let scan = scan_segment(&bytes);
+        let (scan, payloads) = scan_segment(&bytes);
         assert_eq!(scan.tail, TailStatus::Clean);
-        assert!(scan.payloads.is_empty());
+        assert!(payloads.is_empty());
     }
 
     #[test]
     fn bad_magic_is_detected() {
-        let scan = scan_segment(b"NOTAWAL!rest");
+        let (scan, payloads) = scan_segment(b"NOTAWAL!rest");
         assert_eq!(scan.tail, TailStatus::BadMagic);
-        assert!(scan.payloads.is_empty());
+        assert!(payloads.is_empty());
         assert_eq!(scan.tail.valid_bytes(12), None);
     }
 
@@ -421,9 +499,9 @@ mod tests {
             .append_faulty(b"second-payload", AppendFault::TornPayload)
             .unwrap();
         let bytes = writer.into_inner();
-        let scan = scan_segment(&bytes);
+        let (scan, payloads) = scan_segment(&bytes);
         assert_eq!(scan.tail, TailStatus::Torn { valid_bytes: valid });
-        assert_eq!(scan.payloads, vec![b"first".to_vec()]);
+        assert_eq!(payloads, vec![b"first".to_vec()]);
         assert_eq!(scan.valid_bytes(), valid);
     }
 
@@ -474,9 +552,9 @@ mod tests {
         writer
             .append_faulty(b"second", AppendFault::ShortHeader)
             .unwrap();
-        let scan = scan_segment(&writer.into_inner());
+        let (scan, payloads) = scan_segment(&writer.into_inner());
         assert_eq!(scan.tail, TailStatus::Torn { valid_bytes: valid });
-        assert_eq!(scan.payloads.len(), 1);
+        assert_eq!(payloads.len(), 1);
     }
 
     #[test]
@@ -487,9 +565,9 @@ mod tests {
         writer
             .append_faulty(b"second", AppendFault::FlipChecksum)
             .unwrap();
-        let scan = scan_segment(&writer.into_inner());
+        let (scan, payloads) = scan_segment(&writer.into_inner());
         assert_eq!(scan.tail, TailStatus::Corrupt { valid_bytes: valid });
-        assert_eq!(scan.payloads, vec![b"first".to_vec()]);
+        assert_eq!(payloads, vec![b"first".to_vec()]);
     }
 
     #[test]
@@ -498,9 +576,9 @@ mod tests {
         let valid = bytes.len() as u64;
         bytes.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_le_bytes());
         bytes.extend_from_slice(&0u32.to_le_bytes());
-        let scan = scan_segment(&bytes);
+        let (scan, payloads) = scan_segment(&bytes);
         assert_eq!(scan.tail, TailStatus::Corrupt { valid_bytes: valid });
-        assert_eq!(scan.payloads.len(), 1);
+        assert_eq!(payloads.len(), 1);
     }
 
     #[test]
@@ -508,9 +586,9 @@ mod tests {
         let mut bytes = frame_up(&[b"first", b"second"]);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
-        let scan = scan_segment(&bytes);
+        let (scan, payloads) = scan_segment(&bytes);
         assert!(matches!(scan.tail, TailStatus::Corrupt { .. }));
-        assert_eq!(scan.payloads, vec![b"first".to_vec()]);
+        assert_eq!(payloads, vec![b"first".to_vec()]);
     }
 
     #[test]
@@ -522,9 +600,9 @@ mod tests {
         let mut resumed = FrameWriter::resume(&mut buf, frames, bytes);
         resumed.append(b"two").unwrap();
         assert_eq!(resumed.frames(), 2);
-        let scan = scan_segment(&buf);
+        let (scan, payloads) = scan_segment(&buf);
         assert_eq!(scan.tail, TailStatus::Clean);
-        assert_eq!(scan.payloads.len(), 2);
+        assert_eq!(payloads.len(), 2);
     }
 
     #[test]

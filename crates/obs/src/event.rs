@@ -1,7 +1,8 @@
 //! The structured event taxonomy and the journal that accumulates it.
 
 use serde::{Deserialize, Serialize};
-use std::fmt::{Display, Write};
+
+use crate::json::{push_bool, push_f64, push_str, push_u64};
 
 /// One observable decision or state change in the eTrain system.
 ///
@@ -148,7 +149,7 @@ impl EventRecord {
                 size_bytes,
             } => {
                 out.push_str("\"TailReuse\":{\"from_state\":");
-                push_string(out, from_state);
+                push_str(out, from_state);
                 out.push_str(",\"size_bytes\":");
                 push_u64(out, *size_bytes);
             }
@@ -181,9 +182,9 @@ impl EventRecord {
             }
             Event::RrcTransition { from, to } => {
                 out.push_str("\"RrcTransition\":{\"from\":");
-                push_string(out, from);
+                push_str(out, from);
                 out.push_str(",\"to\":");
-                push_string(out, to);
+                push_str(out, to);
             }
             Event::Shed { packet_id, app } => {
                 out.push_str("\"Shed\":{\"packet_id\":");
@@ -199,11 +200,11 @@ impl EventRecord {
             }
             Event::HealthTransition { from, to, cause } => {
                 out.push_str("\"HealthTransition\":{\"from\":");
-                push_string(out, from);
+                push_str(out, from);
                 out.push_str(",\"to\":");
-                push_string(out, to);
+                push_str(out, to);
                 out.push_str(",\"cause\":");
-                push_string(out, cause);
+                push_str(out, cause);
             }
             Event::RetryAttempt {
                 packet_id,
@@ -220,83 +221,6 @@ impl EventRecord {
         }
         out.push_str("}}}");
     }
-}
-
-/// Appends `value`'s `Display` form.
-fn push_display(out: &mut String, value: impl Display) {
-    // Formatting into a `String` cannot fail.
-    let _ = write!(out, "{value}");
-}
-
-/// Appends `true` or `false`.
-fn push_bool(out: &mut String, value: bool) {
-    out.push_str(if value { "true" } else { "false" });
-}
-
-/// Appends `n` in decimal.
-fn push_u64(out: &mut String, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    for &digit in &digits[start..] {
-        out.push(char::from(digit));
-    }
-}
-
-/// Appends a float as its shortest round-trip digits, never in exponent
-/// form, with `.0` added when no fraction remains; non-finite values are
-/// `null`.
-fn push_f64(out: &mut String, value: f64) {
-    if !value.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    // Below 2^53 every integral float is an exact integer whose shortest
-    // digits are its decimal digits; half of a journal's floats are
-    // whole slot times.
-    if value.fract() == 0.0 && value.abs() < 9_007_199_254_740_992.0 {
-        if value.is_sign_negative() {
-            out.push('-');
-        }
-        push_u64(out, value.abs() as u64);
-        out.push_str(".0");
-        return;
-    }
-    let start = out.len();
-    push_display(out, value);
-    if !out[start..].contains('.') {
-        out.push_str(".0");
-    }
-}
-
-/// Appends `s` as a quoted JSON string: `"`, `\\`, `\n`, `\r`, `\t`,
-/// backspace and form feed escaped by name, other control characters as
-/// `\u00xx`, everything else as raw UTF-8.
-fn push_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if u32::from(c) < 0x20 => {
-                push_display(out, format_args!("\\u{:04x}", u32::from(c)));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A bounded-growth, append-only journal of [`EventRecord`]s for one run.

@@ -17,7 +17,8 @@
 //!    byte-identical JSON Lines output. [`Journal::to_jsonl`] writes
 //!    that output (`etrain-journal-v1`) with a hand-written encoder: it
 //!    does not go through the serde shim, though it matches the shim's
-//!    rendering byte for byte.
+//!    rendering byte for byte. Its scalars come from [`json`], which the
+//!    core's and the daemon's state fingerprints and WAL reader share.
 //! 2. **Metrics registry** ([`MetricsRegistry`], [`MetricsSnapshot`]) —
 //!    typed counters, gauges, and histograms (energy per RRC state, tail
 //!    utilization, queue depth, decision counts) snapshotted into
@@ -26,7 +27,7 @@
 //! A third module, [`durable`], is the one place the checksummed on-disk
 //! frame format is written and read: the daemon's write-ahead log, its
 //! fault hook and the chaos harness's damaged tails all go through
-//! [`FrameWriter`] and [`scan_segment`].
+//! [`FrameWriter`] and [`scan_frames`].
 //!
 //! Everything here is simulated-time and deterministic; nothing reads a
 //! wall clock. Where the time goes is measured from outside, by the
@@ -44,11 +45,12 @@
 pub mod durable;
 mod event;
 mod fnv;
+pub mod json;
 mod metrics;
 mod mode;
 
 pub use durable::{
-    scan_segment, AppendFault, FrameWriter, SegmentScan, TailStatus, FRAME_HEADER_BYTES,
+    scan_frames, AppendFault, FrameScan, FrameWriter, TailStatus, FRAME_HEADER_BYTES,
     MAX_FRAME_BYTES, WAL_MAGIC,
 };
 pub use event::{Event, EventRecord, Journal};

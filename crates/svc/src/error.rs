@@ -41,6 +41,17 @@ pub enum SvcError {
         /// Records the journal actually replayed.
         replayed: u64,
     },
+    /// The command carried a time or deadline that is not a finite
+    /// number. It was refused before the journal append, so it changed
+    /// nothing: JSON has no spelling for `inf` or `NaN` (the serde shim
+    /// writes `null`), and a record holding one would replay differently
+    /// or not at all.
+    NonFiniteTime {
+        /// Which value: `"time"` or `"deadline"`.
+        field: &'static str,
+        /// The value supplied.
+        value: f64,
+    },
     /// A journaled payload passed its checksum but did not decode as a
     /// command — the journal was written by something other than this
     /// service version.
@@ -72,6 +83,9 @@ impl std::fmt::Display for SvcError {
                 "checkpoint covers {records} records but the journal only \
                  replayed {replayed}"
             ),
+            SvcError::NonFiniteTime { field, value } => {
+                write!(f, "{field} {value} is not a finite number")
+            }
             SvcError::UndecodableRecord { index } => {
                 write!(f, "journal record {index} verified but did not decode")
             }

@@ -12,6 +12,18 @@
 //!   truncates a torn/corrupt tail to the last valid frame, sets aside
 //!   unreadable segments, and replays the survivors through
 //!   [`ServiceState::apply`] to land on bit-for-bit the pre-crash state.
+//!   A time or deadline that is `inf` or `NaN` is refused before the
+//!   append ([`SvcError::NonFiniteTime`]): JSON has no spelling for it.
+//! * **Restart cost**: recovery is a scan, a decode, a replay and one
+//!   fingerprint, and none of them builds a serde `Value` tree for a
+//!   per-request record. Frames are checksummed with a slicing-by-8
+//!   CRC-32 and decoded in place; [`decode_canonical`] reads the
+//!   per-request verbs straight from the segment bytes and leaves the
+//!   rest (registrations, records from other builds) to `serde_json`.
+//!   The fingerprint writes each pending, awaiting and deduplicated
+//!   entry's JSON by hand. Both byte formats are pinned: the record
+//!   format by `tests/golden/wal_v1.jsonl`, the fingerprints by the
+//!   workspace's `tests/fingerprints.rs`.
 //! * **Checkpoints** ([`Checkpoint`]): `{records, fingerprint}` pairs —
 //!   not snapshots. Recovery always replays the full journal and checks
 //!   the FNV-1a state fingerprint at the checkpointed prefix, turning
@@ -43,6 +55,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod error;
+mod record;
 pub mod script;
 mod server;
 mod service;
@@ -50,6 +63,7 @@ mod state;
 mod wal;
 
 pub use error::SvcError;
+pub use record::decode_canonical;
 pub use server::{
     execute_line, try_addr_from_env, Server, ServerConfig, FAULT_EXIT_CODE, SVC_ADDR_ENV,
 };

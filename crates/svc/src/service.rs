@@ -3,6 +3,9 @@
 //!
 //! Ordering discipline (the whole point of the crate):
 //!
+//! 0. **Finite times** — a command whose time or deadline is `inf` or
+//!    `NaN` is refused ([`SvcError::NonFiniteTime`]): JSON cannot spell
+//!    it, so its record would replay differently or not decode at all.
 //! 1. **Dedup check** — an idempotent submission whose `client_id` is
 //!    already in the table is answered from it, with no append and no
 //!    state change.
@@ -143,11 +146,16 @@ impl DurableService {
     ///
     /// # Errors
     ///
+    /// [`SvcError::NonFiniteTime`] for a time or deadline that is `inf`
+    /// or `NaN` (refused before the append, so nothing is journaled),
     /// [`SvcError::FaultInjected`] when the armed fault hook fired (the
     /// state was *not* mutated; the caller must crash), I/O failures,
     /// and deterministic core rejections (which *are* journaled — replay
     /// repeats them identically).
     pub fn apply(&mut self, command: SvcCommand) -> Result<SvcOutcome, SvcError> {
+        if let Some((field, value)) = command.non_finite_time() {
+            return Err(SvcError::NonFiniteTime { field, value });
+        }
         if let SvcCommand::SubmitIdem { client_id, .. } = &command {
             if let Some(admission) = self.state.cached_submission(client_id) {
                 return Ok(SvcOutcome::Duplicate { admission });

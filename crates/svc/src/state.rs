@@ -3,7 +3,8 @@
 //!
 //! The dedup table caches the core's own [`Admission`] per client id, so a
 //! resend is answered from the table without re-entering the core, and the
-//! fingerprint hashes each entry's JSON.
+//! fingerprint hashes each entry's JSON, written by
+//! [`etrain_core::json::write_admission`].
 //!
 //! Everything the daemon must survive a crash with lives here, and every
 //! mutation enters through [`ServiceState::apply`] with a serializable
@@ -14,6 +15,7 @@
 
 use std::collections::HashMap;
 
+use etrain_core::json::write_admission;
 use etrain_core::{
     Admission, CommandOutcome, CoreCommand, CoreConfig, CoreStats, ETrainCore, TransmitRequest,
     TxResult,
@@ -58,6 +60,24 @@ impl SvcCommand {
             SvcCommand::Core(c) => c.kind(),
             SvcCommand::SubmitIdem { .. } => "submit_idem",
         }
+    }
+
+    /// The first time or deadline the command carries that is not a
+    /// finite number, with its name (`"time"` or `"deadline"`).
+    pub(crate) fn non_finite_time(&self) -> Option<(&'static str, f64)> {
+        let (now_s, request) = match self {
+            SvcCommand::SubmitIdem { request, now_s, .. }
+            | SvcCommand::Core(CoreCommand::Submit { request, now_s, .. }) => {
+                (Some(*now_s), Some(request))
+            }
+            SvcCommand::Core(command) => (command.time_s(), None),
+        };
+        [
+            ("time", now_s),
+            ("deadline", request.and_then(|r| r.deadline_s)),
+        ]
+        .into_iter()
+        .find_map(|(field, value)| Some((field, value.filter(|v| !v.is_finite())?)))
     }
 }
 
@@ -288,14 +308,14 @@ impl ServiceState {
     pub fn fingerprint(&self) -> u64 {
         let mut hash = etrain_obs::Fnv1a::new();
         hash.field(&self.core.fingerprint().to_le_bytes());
-        let mut keys: Vec<&String> = self.dedup.keys().collect();
-        keys.sort();
-        for key in keys {
+        let mut entries: Vec<(&String, &Admission)> = self.dedup.iter().collect();
+        entries.sort_unstable_by_key(|(key, _)| *key);
+        let mut json = String::new();
+        for (key, admission) in entries {
             hash.field(key.as_bytes());
-            match serde_json::to_string(&self.dedup[key]) {
-                Ok(json) => hash.field(json.as_bytes()),
-                Err(_) => hash.field(b"<unserializable>"),
-            }
+            json.clear();
+            write_admission(&mut json, admission);
+            hash.field(json.as_bytes());
         }
         hash.field(self.health.to_string().as_bytes());
         hash.field(&(self.failure_streak as u64).to_le_bytes());

@@ -3,10 +3,10 @@
 //! On disk a WAL is a directory of segments `wal-000000.seg`,
 //! `wal-000001.seg`, … in the framed format of [`etrain_obs::durable`]
 //! (magic + `[len | crc32 | payload]` frames), each payload one
-//! JSON-serialized [`SvcCommand`]. Appends go to the highest segment; a
-//! segment that crosses [`WalConfig::segment_bytes`] is closed and a new
-//! one started, so no single file grows without bound and recovery I/O
-//! is localized.
+//! JSON-serialized [`SvcCommand`], read back by the `record` module.
+//! Appends go to the highest segment; a segment that crosses
+//! [`WalConfig::segment_bytes`] is closed and a new one started, so no
+//! single file grows without bound and recovery I/O is localized.
 //!
 //! Recovery ([`Wal::recover`]) scans every segment in order, keeps
 //! exactly the prefix of frames whose checksums verify, and *repairs the
@@ -23,13 +23,14 @@
 //! harness kills processes with.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use etrain_obs::durable::{scan_segment, AppendFault, FrameWriter, TailStatus};
+use etrain_obs::durable::{scan_frames, AppendFault, FrameWriter, TailStatus};
 use serde::{Deserialize, Serialize};
 
 use crate::error::SvcError;
+use crate::record::decode;
 use crate::state::SvcCommand;
 
 /// Environment variable naming the WAL directory.
@@ -230,9 +231,8 @@ pub fn recover(dir: &Path) -> Result<WalRecovery, SvcError> {
             report.segments_set_aside += 1;
             continue;
         }
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        let scan = scan_segment(&bytes);
+        let bytes = std::fs::read(path)?;
+        let scan = scan_frames(&bytes);
         match scan.tail {
             TailStatus::BadMagic => {
                 set_aside(path)?;
@@ -252,24 +252,15 @@ pub fn recover(dir: &Path) -> Result<WalRecovery, SvcError> {
         }
         report.tail = scan.tail;
         report.segments += 1;
-        let frames = scan.payloads.len() as u64;
         resume_segment = *index;
-        resume_state = Some((frames, scan.valid_bytes()));
-        for payload in &scan.payloads {
-            let command = std::str::from_utf8(payload)
-                .ok()
-                .and_then(|s| serde_json::from_str::<SvcCommand>(s).ok());
-            match command {
-                Some(command) => {
-                    commands.push(command);
-                    report.records += 1;
-                }
-                None => {
-                    return Err(SvcError::UndecodableRecord {
-                        index: report.records,
-                    })
-                }
-            }
+        resume_state = Some((scan.frames.len() as u64, scan.valid_bytes()));
+        commands.reserve(scan.frames.len());
+        for frame in &scan.frames {
+            let command = decode(&bytes[frame.clone()]).ok_or(SvcError::UndecodableRecord {
+                index: report.records,
+            })?;
+            commands.push(command);
+            report.records += 1;
         }
     }
     if segments.is_empty() {

@@ -1,0 +1,238 @@
+//! In-process recovery suites: the pinned WAL record format, the refusal
+//! of non-finite times before they reach the journal, and a restart over
+//! a journal shaped like the repository benchmark's.
+//!
+//! The benchmark-shaped test is `#[ignore]`d: it writes 90k records and
+//! is meant for release builds
+//! (`cargo test --release -p etrain-svc -- --include-ignored`).
+
+use std::fs::File;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+
+use etrain_core::CoreConfig;
+use etrain_obs::{scan_frames, FrameWriter};
+use etrain_svc::{
+    decode_canonical, execute_line, recover, DurableService, RecoverySummary, SvcCommand,
+    SvcHealthConfig, WalConfig,
+};
+
+fn tmp_dir(tag: &str) -> PathBuf {
+    static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!(
+        "etrain-recovery-test-{}-{tag}-{n}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn open(dir: &Path) -> (DurableService, RecoverySummary) {
+    let mut wal = WalConfig::new(dir);
+    wal.fsync = false;
+    DurableService::open(wal, CoreConfig::default(), SvcHealthConfig::default())
+        .expect("journal opens")
+}
+
+/// Every verified payload of every segment in `dir`, in journal order.
+fn payloads(dir: &Path) -> Vec<Vec<u8>> {
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("WAL directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "seg"))
+        .collect();
+    segments.sort();
+    segments
+        .iter()
+        .flat_map(|path| {
+            let bytes = std::fs::read(path).expect("segment");
+            let scan = scan_frames(&bytes);
+            scan.frames
+                .iter()
+                .map(|frame| bytes[frame.clone()].to_vec())
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// Whether a record is one of the per-request verbs the hand-written
+/// reader must always decode.
+fn per_request(command: &SvcCommand) -> bool {
+    !matches!(command.kind(), "register_train" | "register_cargo")
+}
+
+/// One canonical payload per line, written by `serde_json::to_string`
+/// when the format was pinned: every `SvcCommand` and `CoreCommand`
+/// variant, all three cost profiles, submits with and without a deadline,
+/// both transmission results, and names and client ids with `"`, `\`,
+/// control and non-ASCII characters.
+const WAL_V1: &str = include_str!("golden/wal_v1.jsonl");
+
+/// The service fingerprint after replaying [`WAL_V1`].
+const WAL_V1_FINGERPRINT: u64 = 0x9f2f_aca4_0580_3d80;
+
+#[test]
+fn wal_v1_fixture_replays_to_its_pinned_state() {
+    let lines: Vec<&str> = WAL_V1.lines().collect();
+    assert_eq!(lines.len(), 25);
+    let dir = tmp_dir("wal-v1");
+    std::fs::create_dir_all(&dir).unwrap();
+    let segment = File::create(dir.join("wal-000000.seg")).unwrap();
+    let mut writer = FrameWriter::create(segment).unwrap();
+    for line in &lines {
+        writer.append(line.as_bytes()).unwrap();
+    }
+    writer.flush().unwrap();
+    drop(writer);
+
+    let recovery = recover(&dir).unwrap();
+    assert_eq!(recovery.commands.len(), lines.len());
+    let mut kinds = Vec::new();
+    for (command, line) in recovery.commands.iter().zip(&lines) {
+        assert_eq!(&serde_json::to_string(command).unwrap(), line);
+        let fast = decode_canonical(line.as_bytes());
+        if per_request(command) {
+            assert_eq!(fast.as_ref(), Some(command), "{line}");
+        } else {
+            assert_eq!(fast, None, "{line}");
+        }
+        kinds.push(command.kind());
+    }
+    kinds.sort_unstable();
+    kinds.dedup();
+    assert_eq!(kinds.len(), 10, "every verb appears: {kinds:?}");
+
+    let (service, summary) = open(&dir);
+    assert_eq!(summary.wal.records, lines.len() as u64);
+    assert_eq!(summary.replayed, lines.len() as u64);
+    assert_eq!(summary.replay_errors, 0);
+    assert_eq!(summary.fingerprint, WAL_V1_FINGERPRINT);
+    assert_eq!(service.fingerprint(), WAL_V1_FINGERPRINT);
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn non_finite_times_are_refused_before_the_journal() {
+    let setup = [
+        "REGTRAIN WeChat",
+        "REGCARGO Mail mail 300",
+        "HB 0 0",
+        "SUBMIT c-1 0 up 5000 5",
+        "HB 0 270",
+    ];
+    for line in [
+        "TICK inf",
+        "TICK -inf",
+        "TICK NaN",
+        "HB 0 inf",
+        "HB 0 NaN",
+        "REPORT 0 ok NaN",
+        "REPORT 0 fail inf",
+        "SUBMIT c-2 0 up 100 inf",
+        "SUBMIT c-2 0 down 100 NaN 30",
+        "SUBMIT c-2 0 up 100 300 NaN",
+        "SUBMIT c-2 0 up 100 300 inf",
+        "SUBMIT c-2 0 up 100 300 -inf",
+    ] {
+        let dir = tmp_dir("non-finite");
+        let (service, _) = open(&dir);
+        let service = Mutex::new(service);
+        for setup_line in setup {
+            let reply = execute_line(setup_line, &service);
+            assert!(reply.starts_with("OK"), "{setup_line} -> {reply}");
+        }
+        let (records, live) = {
+            let guard = service.lock().unwrap();
+            (guard.records(), guard.fingerprint())
+        };
+        let reply = execute_line(line, &service);
+        assert!(reply.starts_with("ERR"), "{line} -> {reply}");
+        assert!(reply.contains("not a finite number"), "{line} -> {reply}");
+        let service = service.into_inner().unwrap();
+        assert_eq!(service.records(), records, "{line} was journaled");
+        assert_eq!(service.fingerprint(), live, "{line} changed the state");
+        drop(service);
+        let (reopened, summary) = open(&dir);
+        assert_eq!(summary.replay_errors, 0, "{line}");
+        assert_eq!(reopened.fingerprint(), live, "{line}");
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The benchmark's request mix: per round, 2 clients send 8 SUBMITs each
+/// (the first resending the previous round's last id), then one TICK, or
+/// an HB every 60 rounds.
+fn benchmark_shaped_lines(seed: u64, rounds: u64) -> impl Iterator<Item = String> {
+    const SUBMITS: u64 = 8;
+    let mix = |x: u64| {
+        let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    (0..rounds).flat_map(move |round| {
+        (0..2u64)
+            .flat_map(move |client| {
+                (0..SUBMITS).map(move |k| {
+                    let (id_round, id_k) = if k == 0 && round > 0 {
+                        (round - 1, SUBMITS - 1)
+                    } else {
+                        (round, k)
+                    };
+                    let size = 500 + mix(seed ^ (client << 48) ^ (id_round << 8) ^ id_k) % 19_500;
+                    format!(
+                        "SUBMIT b{seed}-{client}-{id_round}-{id_k} {} up {size} {round}",
+                        id_k % 2
+                    )
+                })
+            })
+            .chain(std::iter::once(if round % 60 == 0 {
+                format!("HB 0 {round}")
+            } else {
+                format!("TICK {round}")
+            }))
+    })
+}
+
+#[test]
+#[ignore = "writes a 90k-record journal; run in release with --include-ignored"]
+fn benchmark_shaped_journal_restarts_to_the_live_state() {
+    let dir = tmp_dir("benchmark-shaped");
+    let (service, _) = open(&dir);
+    let service = Mutex::new(service);
+    let prologue = etrain_svc::script::script(0, 0)
+        .into_iter()
+        .map(|step| step.line);
+    for line in prologue.chain(benchmark_shaped_lines(7, 6_000)) {
+        let reply = execute_line(&line, &service);
+        assert!(reply.starts_with("OK"), "{line} -> {reply}");
+    }
+    let live = service.into_inner().unwrap();
+    let (records, fingerprint) = (live.records(), live.fingerprint());
+    assert_eq!(records, 3 + 17 + 15 * 5_999);
+    assert!(live.state().dedup_len() > 80_000);
+    drop(live);
+
+    let payloads = payloads(&dir);
+    assert_eq!(payloads.len() as u64, records);
+    for payload in &payloads {
+        let text = std::str::from_utf8(payload).unwrap();
+        let slow: SvcCommand = serde_json::from_str(text).unwrap();
+        let fast = decode_canonical(payload);
+        if per_request(&slow) {
+            assert_eq!(fast, Some(slow), "{text}");
+        } else {
+            assert_eq!(fast, None, "{text}");
+        }
+    }
+
+    let (reopened, summary) = open(&dir);
+    assert_eq!(summary.replayed, records);
+    assert_eq!(summary.replay_errors, 0);
+    assert_eq!(reopened.fingerprint(), fingerprint);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
