@@ -153,18 +153,6 @@ pub enum CommandOutcome {
     },
 }
 
-impl CommandOutcome {
-    /// The decisions the command released, when it released any.
-    pub fn decisions(&self) -> &[TransmitDecision] {
-        match self {
-            CommandOutcome::Decisions { decisions } | CommandOutcome::Drained { decisions } => {
-                decisions
-            }
-            _ => &[],
-        }
-    }
-}
-
 impl ETrainCore {
     /// Applies one replayable [`CoreCommand`], dispatching to the
     /// corresponding public method. Recovery replays a logged command
@@ -302,6 +290,69 @@ mod tests {
             run(shorter),
             "dropping commands must change the fingerprint"
         );
+    }
+
+    /// Eight Mail requests submitted at the same instant, after a train
+    /// and a Mail app register and a first heartbeat.
+    fn equal_time_submits(deadline_s: Option<f64>) -> Vec<CoreCommand> {
+        let mut commands = commands()[..3].to_vec();
+        for size_bytes in 1..=8 {
+            let request = TransmitRequest::upload(size_bytes);
+            commands.push(CoreCommand::Submit {
+                app: CargoAppId(0),
+                request: match deadline_s {
+                    Some(deadline_s) => request.with_deadline(deadline_s),
+                    None => request,
+                },
+                now_s: 1.0,
+            });
+        }
+        commands
+    }
+
+    #[test]
+    fn two_cores_fed_one_stream_agree_on_every_output() {
+        let released = |outcome: &CommandOutcome| -> Vec<u64> {
+            let CommandOutcome::Decisions { decisions } = outcome else {
+                panic!("a slot runs: {outcome:?}");
+            };
+            decisions.iter().map(|d| d.request.0).collect()
+        };
+        // All eight reach their own deadline in one tick.
+        let mut deadlines = equal_time_submits(Some(20.0));
+        deadlines.push(CoreCommand::Tick { now_s: 20.0 });
+        // With k = 2, a late registration and then a heartbeat that can
+        // take only two of eight equal-cost requests.
+        let mut capped = equal_time_submits(None);
+        capped.push(CoreCommand::RegisterCargo {
+            profile: AppProfile::new("Weibo", CostProfile::weibo(120.0)),
+        });
+        capped.push(CoreCommand::Heartbeat {
+            train: TrainAppId(0),
+            now_s: 2.0,
+        });
+        let k2 = CoreConfig {
+            k: Some(2),
+            ..theta_config()
+        };
+        for (config, stream, last) in [
+            (theta_config(), deadlines, (0..8).collect::<Vec<u64>>()),
+            (k2, capped, vec![0, 1]),
+        ] {
+            let run = || {
+                let mut core = ETrainCore::new(config);
+                let outcomes: Vec<CommandOutcome> = stream
+                    .iter()
+                    .map(|command| core.apply(command).unwrap())
+                    .collect();
+                (outcomes, core.fingerprint())
+            };
+            let (outcomes, fingerprint) = run();
+            assert_eq!(outcomes.last().map(released), Some(last));
+            for _ in 0..3 {
+                assert_eq!(run(), (outcomes.clone(), fingerprint));
+            }
+        }
     }
 
     #[test]

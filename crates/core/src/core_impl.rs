@@ -1,7 +1,7 @@
 //! The deterministic (sans-IO) eTrain core: Heartbeat Monitor + Scheduler
 //! wired together, driven by explicit timestamps.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use etrain_hb::{HeartbeatMonitor, TrainStatus};
 use etrain_obs::json::{push_u64, push_u64_or_null};
@@ -99,9 +99,11 @@ pub struct CoreStats {
     pub forced_flushes: usize,
 }
 
+/// What the core keeps of a request besides its packet. A request's id
+/// is its packet's id: both are issued together, from one counter.
 #[derive(Debug, Clone, Copy)]
 struct PendingRequest {
-    id: RequestId,
+    app: CargoAppId,
     submitted_at_s: f64,
     deadline_override_s: Option<f64>,
 }
@@ -142,22 +144,24 @@ struct TrainRecord {
 /// - [`ETrainCore::tick`] — a regular scheduler slot.
 ///
 /// See the [crate documentation](crate) for a complete example.
+///
+/// Per-request state lives in maps ordered by request id, so every scan
+/// of it (the deadline-override release, the fingerprint) runs in id
+/// order, the same on every replay of the same commands.
 #[derive(Debug)]
 pub struct ETrainCore {
     config: CoreConfig,
-    profiles: Vec<AppProfile>,
     scheduler: ETrainScheduler,
     monitor: HeartbeatMonitor,
     trains: Vec<TrainRecord>,
-    pending: HashMap<u64, PendingRequest>,
+    pending: BTreeMap<u64, PendingRequest>,
     stashed_decisions: Vec<TransmitDecision>,
-    awaiting: HashMap<RequestId, InFlight>,
+    awaiting: BTreeMap<RequestId, InFlight>,
     backoffs: Vec<Backoff>,
-    failed_attempts: HashMap<u64, u32>,
+    failed_attempts: BTreeMap<u64, u32>,
     was_alive: bool,
     stats: CoreStats,
     next_packet_id: u64,
-    next_request_id: u64,
     now_s: f64,
     journal: Option<Journal>,
 }
@@ -175,18 +179,16 @@ impl ETrainCore {
                 Vec::new(),
             ),
             config,
-            profiles: Vec::new(),
             monitor: HeartbeatMonitor::new(),
             trains: Vec::new(),
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             stashed_decisions: Vec::new(),
-            awaiting: HashMap::new(),
+            awaiting: BTreeMap::new(),
             backoffs: Vec::new(),
-            failed_attempts: HashMap::new(),
+            failed_attempts: BTreeMap::new(),
             was_alive: false,
             stats: CoreStats::default(),
             next_packet_id: 0,
-            next_request_id: 0,
             now_s: 0.0,
             journal: None,
         }
@@ -284,43 +286,11 @@ impl ETrainCore {
     /// Registers a cargo app with its delay-cost profile, as Android apps
     /// do when subscribing to eTrain's service (paper Sec. V-3).
     ///
-    /// Pending requests of previously registered apps are preserved.
+    /// Pending requests of previously registered apps are preserved; see
+    /// [`ETrainScheduler::add_app`] for what else registration changes.
     pub fn register_cargo(&mut self, profile: AppProfile) -> CargoAppId {
-        let id = CargoAppId(self.profiles.len());
-        self.profiles.push(profile);
-        // Rebuild the scheduler with the widened profile set, carrying over
-        // every pending packet with its original arrival time.
-        let mut rebuilt = ETrainScheduler::new(
-            ETrainConfig {
-                theta: self.config.theta,
-                k: self.config.k,
-                slot_s: self.config.slot_s,
-            },
-            self.profiles.clone(),
-        );
-        let mut carried: Vec<Packet> = Vec::with_capacity(self.pending.len());
-        for &packet_id in self.pending.keys() {
-            // Recover the packet from the old scheduler's queues.
-            for app_idx in 0..self.profiles.len().saturating_sub(1) {
-                if let Some(p) = self.scheduler.force_release(CargoAppId(app_idx), packet_id) {
-                    carried.push(p);
-                    break;
-                }
-            }
-        }
-        carried.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
-        for p in carried {
-            // The rebuilt scheduler holds every profile, so re-arrival
-            // cannot fail; eTrain also never releases on arrival, so the
-            // returned vec is empty. Both are invariants, not user input —
-            // degrade silently in release rather than panic.
-            let released = rebuilt.on_arrival(p, p.arrival_s).unwrap_or_default();
-            debug_assert!(released.is_empty(), "eTrain defers on arrival");
-        }
-        // The rebuilt scheduler starts with buffering off; re-apply the
-        // journaling flag so an active journal keeps receiving decisions.
-        rebuilt.set_obs_enabled(self.journal.is_some());
-        self.scheduler = rebuilt;
+        let id = CargoAppId(self.scheduler.profiles().len());
+        self.scheduler.add_app(profile);
         id
     }
 
@@ -353,7 +323,7 @@ impl ETrainCore {
         now_s: f64,
     ) -> Result<Admission, CoreError> {
         self.advance_clock(now_s)?;
-        if app.index() >= self.profiles.len() {
+        if app.index() >= self.scheduler.profiles().len() {
             return Err(CoreError::UnknownCargoApp { app });
         }
         self.stats.submitted += 1;
@@ -392,7 +362,7 @@ impl ETrainCore {
                         app: victim.app.index(),
                     },
                 );
-                evicted = meta.map(|m| m.id);
+                evicted = meta.map(|_| RequestId(victim.id));
             }
             Room::Flushed(victim) => {
                 self.stats.forced_flushes += 1;
@@ -409,8 +379,7 @@ impl ETrainCore {
 
         let packet_id = self.next_packet_id;
         self.next_packet_id += 1;
-        let id = RequestId(self.next_request_id);
-        self.next_request_id += 1;
+        let id = RequestId(packet_id);
 
         let packet = Packet {
             id: packet_id,
@@ -421,7 +390,7 @@ impl ETrainCore {
         self.pending.insert(
             packet_id,
             PendingRequest {
-                id,
+                app,
                 submitted_at_s: now_s,
                 deadline_override_s: request.deadline_s,
             },
@@ -493,31 +462,18 @@ impl ETrainCore {
     /// already decided or never existed — cancellation after a decision is
     /// a no-op because the cargo app may already be transmitting.
     pub fn cancel(&mut self, request: RequestId) -> bool {
-        let Some((&packet_id, _)) = self.pending.iter().find(|(_, meta)| meta.id == request) else {
+        let Some(meta) = self.pending.get(&request.0) else {
             return false;
         };
-        for app_idx in 0..self.profiles.len() {
-            if self
-                .scheduler
-                .force_release(CargoAppId(app_idx), packet_id)
-                .is_some()
-            {
-                self.pending.remove(&packet_id);
-                self.stats.cancelled += 1;
-                return true;
-            }
+        // A pending request is always in its app's queue: a release
+        // decides it, and deciding takes it out of `pending`.
+        if self.scheduler.force_release(meta.app, request.0).is_none() {
+            debug_assert!(false, "pending request is queued");
+            return false;
         }
-        // Metadata existed but the packet was not in any waiting queue —
-        // an immediate release is parked in the stashed-decisions path;
-        // withdraw it from there too.
-        let before = self.stashed_decisions.len();
-        self.stashed_decisions.retain(|d| d.request != request);
-        if self.stashed_decisions.len() != before {
-            self.pending.remove(&packet_id);
-            self.stats.cancelled += 1;
-            return true;
-        }
-        false
+        self.pending.remove(&request.0);
+        self.stats.cancelled += 1;
+        true
     }
 
     /// Cancels a request waiting out a retry backoff (the user gave up on
@@ -526,7 +482,7 @@ impl ETrainCore {
     /// requests still pending a first decision; this covers the
     /// failed-and-backing-off state.
     pub fn cancel_backoff(&mut self, request: RequestId) -> bool {
-        let Some(pos) = self.backoffs.iter().position(|b| b.meta.id == request) else {
+        let Some(pos) = self.backoffs.iter().position(|b| b.packet.id == request.0) else {
             return false;
         };
         let b = self.backoffs.remove(pos);
@@ -713,21 +669,16 @@ impl ETrainCore {
         }
 
         // Per-request deadline overrides: force-release anything that would
-        // violate its own deadline by waiting one more slot.
+        // violate its own deadline by waiting one more slot, in id order.
         let critical: Vec<(u64, CargoAppId)> = self
             .pending
             .iter()
-            .filter_map(|(&packet_id, meta)| {
-                let deadline = meta.deadline_override_s?;
-                if now_s + self.config.slot_s - meta.submitted_at_s >= deadline {
-                    Some(packet_id)
-                } else {
-                    None
-                }
+            .filter(|(_, meta)| {
+                meta.deadline_override_s.is_some_and(|deadline| {
+                    now_s + self.config.slot_s - meta.submitted_at_s >= deadline
+                })
             })
-            .flat_map(|packet_id| {
-                (0..self.profiles.len()).map(move |app| (packet_id, CargoAppId(app)))
-            })
+            .map(|(&packet_id, meta)| (packet_id, meta.app))
             .collect();
         for (packet_id, app) in critical {
             if let Some(p) = self.scheduler.force_release(app, packet_id) {
@@ -770,9 +721,10 @@ impl ETrainCore {
         }
         // Track the decided request until its outcome is reported, so a
         // failure can be retried with its original submission metadata.
-        self.awaiting.insert(meta.id, InFlight { packet, meta });
+        let request = RequestId(packet.id);
+        self.awaiting.insert(request, InFlight { packet, meta });
         Some(TransmitDecision {
-            request: meta.id,
+            request,
             app: packet.app,
             size_bytes: packet.size_bytes,
             decided_at_s: now_s,
@@ -811,29 +763,28 @@ impl ETrainCore {
 
     /// A deterministic FNV-1a fingerprint of the core's complete mutable
     /// state: configuration, registered apps, pending/awaiting/backing-off
-    /// requests (sorted, so hash-map iteration order cannot leak in),
-    /// retry attempt counts, cumulative stats, id counters, the clock, and
-    /// train liveness. Two cores that processed the same command stream
-    /// (see [`ETrainCore::apply`]) fingerprint identically; recovery uses
-    /// this to prove a replayed core matches the pre-crash one bit for
-    /// bit, and checkpoints store it to validate the journal they summarize.
+    /// requests (in id order), retry attempt counts, cumulative stats, the
+    /// id counter, the clock, and train liveness. Two cores that processed
+    /// the same command stream (see [`ETrainCore::apply`]) fingerprint
+    /// identically; recovery uses this to prove a replayed core matches the
+    /// pre-crash one bit for bit, and checkpoints store it to validate the
+    /// journal they summarize.
     pub fn fingerprint(&self) -> u64 {
         let mut hash = Fnv1a::new();
         // The O(apps) sections go through the serde shim; the per-request
         // loops below write the same JSON by hand into one reused buffer.
         mix_serde(&mut hash, &self.config);
-        mix_serde(&mut hash, &self.profiles);
+        mix_serde(&mut hash, &self.scheduler.profiles());
         for train in &self.trains {
             mix_serde(&mut hash, &train.name);
             mix_serde(&mut hash, &train.registered_at_s.to_bits());
         }
         let mut buf = String::new();
-        let mut pending: Vec<(u64, PendingRequest)> =
-            self.pending.iter().map(|(&k, &v)| (k, v)).collect();
-        pending.sort_by_key(|(k, _)| *k);
-        for (packet_id, meta) in pending {
+        for (&packet_id, meta) in &self.pending {
+            // The format hashes the id twice: once as the packet's, once as
+            // the request's.
             mix(&mut hash, &mut buf, |out| push_u64(out, packet_id));
-            mix(&mut hash, &mut buf, |out| write_request_id(out, meta.id));
+            mix(&mut hash, &mut buf, |out| push_u64(out, packet_id));
             mix(&mut hash, &mut buf, |out| {
                 push_u64(out, meta.submitted_at_s.to_bits());
             });
@@ -841,10 +792,7 @@ impl ETrainCore {
                 push_u64_or_null(out, meta.deadline_override_s.map(f64::to_bits));
             });
         }
-        let mut awaiting: Vec<(RequestId, &InFlight)> =
-            self.awaiting.iter().map(|(&k, v)| (k, v)).collect();
-        awaiting.sort_unstable_by_key(|(k, _)| *k);
-        for (request, inflight) in awaiting {
+        for (&request, inflight) in &self.awaiting {
             mix(&mut hash, &mut buf, |out| write_request_id(out, request));
             mix(&mut hash, &mut buf, |out| {
                 write_packet(out, &inflight.packet)
@@ -866,13 +814,10 @@ impl ETrainCore {
                 push_u64(out, b.resume_at_s.to_bits())
             });
         }
-        let mut attempts: Vec<(u64, u32)> =
-            self.failed_attempts.iter().map(|(&k, &v)| (k, v)).collect();
-        attempts.sort_by_key(|(k, _)| *k);
-        // One field: the sorted pairs as a JSON array of 2-arrays.
+        // One field: the pairs as a JSON array of 2-arrays.
         mix(&mut hash, &mut buf, |out| {
             out.push('[');
-            for (i, (packet_id, count)) in attempts.iter().enumerate() {
+            for (i, (packet_id, count)) in self.failed_attempts.iter().enumerate() {
                 out.push_str(if i == 0 { "[" } else { ",[" });
                 push_u64(out, *packet_id);
                 out.push(',');
@@ -884,8 +829,9 @@ impl ETrainCore {
         mix_serde(&mut hash, &self.stashed_decisions);
         mix_serde(&mut hash, &self.stats);
         mix_serde(&mut hash, &self.was_alive);
+        // Twice, like the ids above: the packet and request counters.
         mix_serde(&mut hash, &self.next_packet_id);
-        mix_serde(&mut hash, &self.next_request_id);
+        mix_serde(&mut hash, &self.next_packet_id);
         mix_serde(&mut hash, &self.now_s.to_bits());
         hash.finish()
     }
@@ -1122,6 +1068,62 @@ mod tests {
         let mut ids: Vec<RequestId> = decisions.iter().map(|d| d.request).collect();
         ids.sort();
         assert_eq!(ids, vec![id0, id1]);
+    }
+
+    #[test]
+    fn registration_puts_a_retried_packet_back_in_arrival_order() {
+        // Mail costs nothing before its deadline, so with k = 1 every
+        // candidate gains the same and a heartbeat takes the head of the
+        // queue. A retry re-enters at the back; registering another app
+        // puts each queue back in (arrival, id) order.
+        let mut core = ETrainCore::new(CoreConfig {
+            theta: 5.0,
+            k: Some(1),
+            ..CoreConfig::default()
+        });
+        let train = core.register_train("WeChat");
+        let mail = core.register_cargo(AppProfile::new("Mail", CostProfile::mail(300.0)));
+        core.on_heartbeat(train, 0.0).unwrap();
+        let retried = core
+            .submit(mail, TransmitRequest::upload(100), 1.0)
+            .unwrap()
+            .id()
+            .unwrap();
+        assert_eq!(core.on_heartbeat(train, 2.0).unwrap().len(), 1);
+        core.report_result(retried, TxResult::Failed, 3.0).unwrap();
+        core.submit(mail, TransmitRequest::upload(200), 4.0)
+            .unwrap();
+        assert!(core.tick(10.0).unwrap().is_empty());
+        assert_eq!(core.backing_off(), 0, "the retry is queued again");
+        core.register_cargo(AppProfile::new("Weibo", CostProfile::weibo(120.0)));
+        let decisions = core.on_heartbeat(train, 20.0).unwrap();
+        let riding: Vec<(RequestId, f64)> = decisions
+            .iter()
+            .map(|d| (d.request, d.submitted_at_s))
+            .collect();
+        assert_eq!(riding, [(retried, 1.0)]);
+    }
+
+    #[test]
+    fn registration_restarts_deferral_while_every_train_is_dead() {
+        // With every train dead the scheduler passes arrivals straight
+        // through; a registration clears that latch, so the next arrival
+        // waits for the next slot, which flushes it.
+        let (mut core, train, mail) = core();
+        for j in 0..4 {
+            core.on_heartbeat(train, j as f64 * 100.0).unwrap();
+        }
+        assert!(core.tick(900.0).unwrap().is_empty());
+        assert!(!core.trains_alive(900.0));
+        core.register_cargo(AppProfile::new("Weibo", CostProfile::weibo(120.0)));
+        core.submit(mail, TransmitRequest::upload(100), 901.0)
+            .unwrap();
+        let decisions = core.tick(950.0).unwrap();
+        let decided: Vec<(RequestId, f64)> = decisions
+            .iter()
+            .map(|d| (d.request, d.decided_at_s))
+            .collect();
+        assert_eq!(decided, [(RequestId(0), 950.0)]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The stable 64-bit FNV-1a hash behind every persisted state fingerprint.
 //!
-//! Grid checkpoints, engine snapshots and the daemon's WAL checkpoints all
-//! store a digest that a later process must recompute bit for bit, so the
-//! hash cannot be [`std::hash::DefaultHasher`] (randomly seeded per
-//! process) and must encode integers in a fixed byte order.
+//! The daemon's WAL checkpoints store a digest of the core and service
+//! state that a later process must recompute bit for bit, so the hash
+//! cannot be [`std::hash::DefaultHasher`] (randomly seeded per process)
+//! and must encode integers in a fixed byte order.
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;

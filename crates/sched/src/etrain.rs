@@ -183,6 +183,18 @@ impl ETrainScheduler {
         ));
     }
 
+    /// Registers one more cargo app, as a cargo app subscribes to the
+    /// running eTrain service (paper Sec. V-3). Its queue is appended, so
+    /// its id is the number of apps registered before it. Queued packets
+    /// stay, each queue put in (arrival, id) order, and the stopped
+    /// latch clears: like a fresh scheduler, this one defers arrivals
+    /// until a slot reports every train dead again.
+    pub fn add_app(&mut self, profile: AppProfile) {
+        self.costs_nondecreasing &= profile.cost.is_nondecreasing();
+        self.queues.add_app(profile);
+        self.trains_dead = false;
+    }
+
     /// The active configuration.
     pub fn config(&self) -> &ETrainConfig {
         &self.config
@@ -912,6 +924,51 @@ mod tests {
         );
         dipping.on_arrival(packet(0, 0, 0.0), 0.0).unwrap();
         assert!(!dipping.quiet_through(2.0, true));
+    }
+
+    #[test]
+    fn an_added_app_gets_the_next_id_and_the_queues_are_reordered() {
+        let mut s = ETrainScheduler::new(
+            ETrainConfig {
+                theta: 10.0,
+                k: None,
+                slot_s: 1.0,
+            },
+            vec![AppProfile::new("Mail", CostProfile::mail(300.0))],
+        );
+        assert!(s.on_slot(&ctx(1.0, false)).is_empty());
+        // Train death latches immediate release; a retry re-enters last.
+        assert!(s
+            .on_slot(&SlotContext {
+                trains_alive: false,
+                ..ctx(2.0, false)
+            })
+            .is_empty());
+        s.add_app(AppProfile::new("Weibo", CostProfile::weibo(120.0)));
+        assert_eq!(s.profiles().len(), 2);
+        assert!(s.on_arrival(packet(2, 0, 3.0), 3.0).unwrap().is_empty());
+        assert!(s.on_tx_failure(packet(1, 0, 1.0), 4.0).unwrap().is_empty());
+        assert!(s.on_arrival(packet(3, 1, 4.0), 4.0).unwrap().is_empty());
+        s.add_app(AppProfile::new("Cloud", CostProfile::cloud(600.0)));
+        let order: Vec<u64> = s
+            .queues
+            .app_queue(CargoAppId(0))
+            .iter()
+            .map(|p| p.id)
+            .collect();
+        assert_eq!(order, [1, 2]);
+        assert_eq!(s.pending_for(CargoAppId(1)), 1);
+        assert_eq!(s.pending_for(CargoAppId(2)), 0);
+        // A profile whose cost may fall with delay voids the certificate.
+        assert!(s.quiet_through(5.0, true));
+        s.add_app(AppProfile::new(
+            "Dip",
+            CostProfile::LinearThenSteep {
+                deadline_s: 30.0,
+                steepness: -1.0,
+            },
+        ));
+        assert!(!s.quiet_through(5.0, true));
     }
 
     #[test]

@@ -88,6 +88,19 @@ impl WaitingQueues {
         &self.profiles
     }
 
+    /// Registers one more app with an empty queue, and puts every existing
+    /// queue in (arrival, id) order: a retry re-enters at the back of its
+    /// queue with its original arrival time.
+    pub(crate) fn add_app(&mut self, profile: AppProfile) {
+        for queue in &mut self.queues {
+            queue
+                .make_contiguous()
+                .sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
+        }
+        self.profiles.push(profile);
+        self.queues.push(VecDeque::new());
+    }
+
     /// Number of registered apps.
     pub fn app_count(&self) -> usize {
         self.profiles.len()

@@ -52,6 +52,15 @@ pub enum SvcError {
         /// The value supplied.
         value: f64,
     },
+    /// A registered cost profile carried a deadline, ceiling or steepness
+    /// that is not a finite number. Refused before the journal append,
+    /// like [`SvcError::NonFiniteTime`] and for the same reason.
+    NonFiniteProfile {
+        /// Which parameter: `"deadline"`, `"ceiling"` or `"steepness"`.
+        field: &'static str,
+        /// The value supplied.
+        value: f64,
+    },
     /// A journaled payload passed its checksum but did not decode as a
     /// command — the journal was written by something other than this
     /// service version.
@@ -85,6 +94,9 @@ impl std::fmt::Display for SvcError {
             ),
             SvcError::NonFiniteTime { field, value } => {
                 write!(f, "{field} {value} is not a finite number")
+            }
+            SvcError::NonFiniteProfile { field, value } => {
+                write!(f, "cost profile {field} {value} is not a finite number")
             }
             SvcError::UndecodableRecord { index } => {
                 write!(f, "journal record {index} verified but did not decode")

@@ -12,8 +12,9 @@
 //!   truncates a torn/corrupt tail to the last valid frame, sets aside
 //!   unreadable segments, and replays the survivors through
 //!   [`ServiceState::apply`] to land on bit-for-bit the pre-crash state.
-//!   A time or deadline that is `inf` or `NaN` is refused before the
-//!   append ([`SvcError::NonFiniteTime`]): JSON has no spelling for it.
+//!   A time, deadline or cost profile parameter that is `inf` or `NaN`
+//!   is refused before the append ([`SvcError::NonFiniteTime`],
+//!   [`SvcError::NonFiniteProfile`]): JSON has no spelling for it.
 //! * **Restart cost**: recovery is a scan, a decode, a replay and one
 //!   fingerprint, and none of them builds a serde `Value` tree for a
 //!   per-request record. Frames are checksummed with a slicing-by-8

@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use etrain_core::{
-    Admission, CoreCommand, RequestId, RetryVerdict, TransmitDecision, TransmitRequest, TxResult,
+    Admission, CommandOutcome, CoreCommand, RequestId, RetryVerdict, TransmitRequest, TxResult,
 };
 use etrain_sched::{AppProfile, CostProfile};
 use etrain_trace::{CargoAppId, TrainAppId};
@@ -319,49 +319,32 @@ fn bad_request(msg: String) -> SvcError {
     SvcError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
 }
 
-fn format_decisions(decisions: &[TransmitDecision]) -> String {
-    let mut out = format!("OK DECISIONS {}", decisions.len());
-    for d in decisions {
-        out.push_str(&format!(" {}@{}:{}", d.request.0, d.app.0, d.size_bytes));
-    }
-    out
+/// One protocol line, parsed: a journaled command or a verb served
+/// outside the journal.
+enum Request {
+    Ping,
+    Apply(SvcCommand),
+    Stats,
+    Health,
+    Fprint,
+    Checkpoint,
 }
 
-fn format_summary(prefix: &str, admission: &Admission) -> String {
-    match admission {
-        Admission::Admitted { id } => format!("OK {prefix}SUBMITTED {}", id.0),
-        Admission::AdmittedWithEviction { id, evicted } => {
-            format!("OK {prefix}SUBMITTED {} EVICTED {}", id.0, evicted.0)
-        }
-        Admission::AdmittedWithFlush { id, flushed } => {
-            format!(
-                "OK {prefix}SUBMITTED {} FLUSHED {}",
-                id.0, flushed.request.0
-            )
-        }
-        Admission::Rejected => format!("OK {prefix}REJECTED"),
-    }
-}
-
-fn dispatch(request: &str, service: &Mutex<DurableService>) -> Result<String, SvcError> {
+fn parse(request: &str) -> Result<Request, SvcError> {
     let tokens: Vec<&str> = request.split_whitespace().collect();
     let Some((verb, args)) = tokens.split_first() else {
         return Err(bad_request("empty request".into()));
     };
     let verb = verb.to_ascii_uppercase();
-    match (verb.as_str(), args) {
-        ("PING", []) => Ok("OK PONG".into()),
-        ("REGTRAIN", [name]) => {
-            let outcome = lock(service).apply(SvcCommand::Core(CoreCommand::RegisterTrain {
-                name: (*name).to_string(),
-            }))?;
-            match outcome {
-                SvcOutcome::Core(etrain_core::CommandOutcome::TrainRegistered { train }) => {
-                    Ok(format!("OK TRAIN {}", train.0))
-                }
-                other => Ok(format!("ERR unexpected outcome {other:?}")),
-            }
-        }
+    let command = match (verb.as_str(), args) {
+        ("PING", []) => return Ok(Request::Ping),
+        ("STATS", []) => return Ok(Request::Stats),
+        ("HEALTH", []) => return Ok(Request::Health),
+        ("FPRINT", []) => return Ok(Request::Fprint),
+        ("CHECKPOINT", []) => return Ok(Request::Checkpoint),
+        ("REGTRAIN", [name]) => SvcCommand::Core(CoreCommand::RegisterTrain {
+            name: (*name).to_string(),
+        }),
         ("REGCARGO", [name, kind, deadline]) => {
             let deadline_s = parse_f64(deadline, "deadline")?;
             if !(deadline_s.is_finite() && deadline_s > 0.0) {
@@ -379,15 +362,9 @@ fn dispatch(request: &str, service: &Mutex<DurableService>) -> Result<String, Sv
                     )))
                 }
             };
-            let outcome = lock(service).apply(SvcCommand::Core(CoreCommand::RegisterCargo {
+            SvcCommand::Core(CoreCommand::RegisterCargo {
                 profile: AppProfile::new((*name).to_string(), cost),
-            }))?;
-            match outcome {
-                SvcOutcome::Core(etrain_core::CommandOutcome::CargoRegistered { app }) => {
-                    Ok(format!("OK CARGO {}", app.0))
-                }
-                other => Ok(format!("ERR unexpected outcome {other:?}")),
-            }
+            })
         }
         ("SUBMIT", [client_id, app, dir, size, now_s, rest @ ..]) if rest.len() <= 1 => {
             let app = CargoAppId(parse_u64(app, "app")? as usize);
@@ -405,32 +382,20 @@ fn dispatch(request: &str, service: &Mutex<DurableService>) -> Result<String, Sv
             if let [deadline] = rest {
                 request = request.with_deadline(parse_f64(deadline, "deadline")?);
             }
-            let outcome =
-                lock(service).submit_idem((*client_id).to_string(), app, request, now_s)?;
-            match outcome {
-                SvcOutcome::Submitted { admission } => Ok(format_summary("", &admission)),
-                SvcOutcome::Duplicate { admission } => Ok(format_summary("DUP ", &admission)),
-                other => Ok(format!("ERR unexpected outcome {other:?}")),
+            SvcCommand::SubmitIdem {
+                client_id: (*client_id).to_string(),
+                app,
+                request,
+                now_s,
             }
         }
-        ("HB", [train, now_s]) => {
-            let train = TrainAppId(parse_u64(train, "train")? as usize);
-            let now_s = parse_f64(now_s, "time")?;
-            let outcome =
-                lock(service).apply(SvcCommand::Core(CoreCommand::Heartbeat { train, now_s }))?;
-            match outcome {
-                SvcOutcome::Core(o) => Ok(format_decisions(o.decisions())),
-                other => Ok(format!("ERR unexpected outcome {other:?}")),
-            }
-        }
-        ("TICK", [now_s]) => {
-            let now_s = parse_f64(now_s, "time")?;
-            let outcome = lock(service).apply(SvcCommand::Core(CoreCommand::Tick { now_s }))?;
-            match outcome {
-                SvcOutcome::Core(o) => Ok(format_decisions(o.decisions())),
-                other => Ok(format!("ERR unexpected outcome {other:?}")),
-            }
-        }
+        ("HB", [train, now_s]) => SvcCommand::Core(CoreCommand::Heartbeat {
+            train: TrainAppId(parse_u64(train, "train")? as usize),
+            now_s: parse_f64(now_s, "time")?,
+        }),
+        ("TICK", [now_s]) => SvcCommand::Core(CoreCommand::Tick {
+            now_s: parse_f64(now_s, "time")?,
+        }),
         ("REPORT", [request_id, result, now_s]) => {
             let request = RequestId(parse_u64(request_id, "request")?);
             let now_s = parse_f64(now_s, "time")?;
@@ -443,70 +408,101 @@ fn dispatch(request: &str, service: &Mutex<DurableService>) -> Result<String, Sv
                     )))
                 }
             };
-            let outcome = lock(service).apply(SvcCommand::Core(CoreCommand::ReportResult {
+            SvcCommand::Core(CoreCommand::ReportResult {
                 request,
                 result,
                 now_s,
-            }))?;
-            match outcome {
-                SvcOutcome::Core(etrain_core::CommandOutcome::Verdict { verdict }) => {
-                    Ok(match verdict {
-                        RetryVerdict::Delivered => "OK VERDICT DELIVERED".into(),
-                        RetryVerdict::RetryScheduled { resume_at_s } => {
-                            format!("OK VERDICT RETRY {resume_at_s}")
-                        }
-                        RetryVerdict::Abandoned => "OK VERDICT ABANDONED".into(),
-                    })
-                }
-                other => Ok(format!("ERR unexpected outcome {other:?}")),
-            }
+            })
         }
-        ("CANCEL", [request_id]) => {
-            let request = RequestId(parse_u64(request_id, "request")?);
-            let outcome = lock(service).apply(SvcCommand::Core(CoreCommand::Cancel { request }))?;
-            match outcome {
-                SvcOutcome::Core(etrain_core::CommandOutcome::Cancelled { withdrawn }) => {
-                    Ok(format!("OK CANCELLED {withdrawn}"))
-                }
-                other => Ok(format!("ERR unexpected outcome {other:?}")),
-            }
+        ("CANCEL", [request_id]) => SvcCommand::Core(CoreCommand::Cancel {
+            request: RequestId(parse_u64(request_id, "request")?),
+        }),
+        ("DRAIN", []) => SvcCommand::Core(CoreCommand::Drain),
+        _ => return Err(bad_request(format!("unrecognized request {request:?}"))),
+    };
+    Ok(Request::Apply(command))
+}
+
+fn dispatch(request: &str, service: &Mutex<DurableService>) -> Result<String, SvcError> {
+    Ok(match parse(request)? {
+        Request::Ping => "OK PONG".into(),
+        Request::Apply(command) => {
+            // Release the lock before formatting: the other connections
+            // wait on it, and each append already holds it for an fsync.
+            let outcome = lock(service).apply(command)?;
+            reply(&outcome)
         }
-        ("DRAIN", []) => {
-            let outcome = lock(service).apply(SvcCommand::Core(CoreCommand::Drain))?;
-            match outcome {
-                SvcOutcome::Core(o) => Ok(format_decisions(o.decisions())),
-                other => Ok(format!("ERR unexpected outcome {other:?}")),
-            }
-        }
-        ("STATS", []) => {
-            let guard = lock(service);
-            let stats = guard.state().stats();
+        Request::Stats => {
+            let stats = lock(service).state().stats();
             let json = serde_json::to_string(&stats).unwrap_or_else(|_| "{}".into());
-            Ok(format!("OK STATS {json}"))
+            format!("OK STATS {json}")
         }
-        ("HEALTH", []) => {
+        Request::Health => {
             let guard = lock(service);
-            Ok(format!(
+            format!(
                 "OK HEALTH {} transitions={} records={} fingerprint={:016x}",
                 guard.state().health(),
                 guard.state().transitions().len(),
                 guard.records(),
                 guard.fingerprint(),
-            ))
+            )
         }
-        ("FPRINT", []) => {
-            let guard = lock(service);
-            Ok(format!("OK FPRINT {:016x}", guard.fingerprint()))
-        }
-        ("CHECKPOINT", []) => {
-            let mut guard = lock(service);
-            let ckpt = guard.checkpoint()?;
-            Ok(format!(
+        Request::Fprint => format!("OK FPRINT {:016x}", lock(service).fingerprint()),
+        Request::Checkpoint => {
+            let ckpt = lock(service).checkpoint()?;
+            format!(
                 "OK CHECKPOINT records={} fingerprint={:016x}",
                 ckpt.records, ckpt.fingerprint
-            ))
+            )
         }
-        _ => Err(bad_request(format!("unrecognized request {request:?}"))),
+    })
+}
+
+/// The reply line for what one journaled command produced.
+fn reply(outcome: &SvcOutcome) -> String {
+    match outcome {
+        SvcOutcome::Core(CommandOutcome::TrainRegistered { train }) => {
+            format!("OK TRAIN {}", train.0)
+        }
+        SvcOutcome::Core(CommandOutcome::CargoRegistered { app }) => format!("OK CARGO {}", app.0),
+        SvcOutcome::Core(CommandOutcome::Admitted { admission })
+        | SvcOutcome::Submitted { admission } => admission_reply("", admission),
+        SvcOutcome::Duplicate { admission } => admission_reply("DUP ", admission),
+        SvcOutcome::Core(
+            CommandOutcome::Decisions { decisions } | CommandOutcome::Drained { decisions },
+        ) => {
+            let mut out = format!("OK DECISIONS {}", decisions.len());
+            for d in decisions {
+                out.push_str(&format!(" {}@{}:{}", d.request.0, d.app.0, d.size_bytes));
+            }
+            out
+        }
+        SvcOutcome::Core(CommandOutcome::Verdict { verdict }) => match verdict {
+            RetryVerdict::Delivered => "OK VERDICT DELIVERED".into(),
+            RetryVerdict::RetryScheduled { resume_at_s } => {
+                format!("OK VERDICT RETRY {resume_at_s}")
+            }
+            RetryVerdict::Abandoned => "OK VERDICT ABANDONED".into(),
+        },
+        SvcOutcome::Core(CommandOutcome::Cancelled { withdrawn }) => {
+            format!("OK CANCELLED {withdrawn}")
+        }
+    }
+}
+
+fn admission_reply(prefix: &str, admission: &Admission) -> String {
+    match admission {
+        Admission::Admitted { id } => format!("OK {prefix}SUBMITTED {}", id.0),
+        Admission::AdmittedWithEviction { id, evicted } => {
+            format!("OK {prefix}SUBMITTED {} EVICTED {}", id.0, evicted.0)
+        }
+        Admission::AdmittedWithFlush { id, flushed } => {
+            format!(
+                "OK {prefix}SUBMITTED {} FLUSHED {}",
+                id.0, flushed.request.0
+            )
+        }
+        Admission::Rejected => format!("OK {prefix}REJECTED"),
     }
 }
 

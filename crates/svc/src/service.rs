@@ -3,9 +3,11 @@
 //!
 //! Ordering discipline (the whole point of the crate):
 //!
-//! 0. **Finite times** — a command whose time or deadline is `inf` or
-//!    `NaN` is refused ([`SvcError::NonFiniteTime`]): JSON cannot spell
-//!    it, so its record would replay differently or not decode at all.
+//! 0. **Finite numbers** — a command whose time or deadline is `inf` or
+//!    `NaN` is refused ([`SvcError::NonFiniteTime`]), and so is a cost
+//!    profile with such a parameter ([`SvcError::NonFiniteProfile`]):
+//!    JSON cannot spell them, so the record would replay differently or
+//!    not decode at all.
 //! 1. **Dedup check** — an idempotent submission whose `client_id` is
 //!    already in the table is answered from it, with no append and no
 //!    state change.
@@ -76,57 +78,46 @@ impl DurableService {
         std::fs::create_dir_all(&wal.dir)?;
         let recovery = recover(&wal.dir)?;
         let checkpoint = read_checkpoint(&wal.dir);
-        let mut state = ServiceState::new(core, health);
-        let mut replay_errors = 0u64;
-        let mut checkpoint_verified = None;
         let total = recovery.commands.len() as u64;
-        if let Some(ckpt) = checkpoint {
-            if ckpt.records > total {
-                return Err(SvcError::CheckpointAhead {
-                    records: ckpt.records,
-                    replayed: total,
-                });
-            }
-        }
-        for (i, command) in recovery.commands.iter().enumerate() {
-            if state.apply(command).is_err() {
-                replay_errors += 1;
-            }
-            let replayed = i as u64 + 1;
-            if let Some(ckpt) = checkpoint {
-                if ckpt.records == replayed {
-                    let actual = state.fingerprint();
-                    if actual != ckpt.fingerprint {
-                        return Err(SvcError::CheckpointMismatch {
-                            records: ckpt.records,
-                            expected: ckpt.fingerprint,
-                            actual,
-                        });
-                    }
-                    checkpoint_verified = Some(ckpt.records);
-                }
-            }
-        }
-        // A checkpoint over zero records verifies against the fresh state.
-        if let Some(ckpt) = checkpoint {
-            if ckpt.records == 0 {
+        // Replay the prefix the checkpoint covers, check it once, then
+        // replay the rest.
+        let covered = checkpoint.map_or(0, |ckpt| ckpt.records);
+        let Some((prefix, rest)) = usize::try_from(covered)
+            .ok()
+            .and_then(|n| recovery.commands.split_at_checked(n))
+        else {
+            return Err(SvcError::CheckpointAhead {
+                records: covered,
+                replayed: total,
+            });
+        };
+        let mut state = ServiceState::new(core, health);
+        let mut replay_errors = replay(&mut state, prefix);
+        let verified = match checkpoint {
+            Some(ckpt) => {
                 let actual = state.fingerprint();
                 if actual != ckpt.fingerprint {
                     return Err(SvcError::CheckpointMismatch {
-                        records: 0,
+                        records: ckpt.records,
                         expected: ckpt.fingerprint,
                         actual,
                     });
                 }
-                checkpoint_verified = Some(0);
+                Some(actual)
             }
-        }
+            None => None,
+        };
+        replay_errors += replay(&mut state, rest);
+        let fingerprint = match verified {
+            Some(fingerprint) if rest.is_empty() => fingerprint,
+            _ => state.fingerprint(),
+        };
         let summary = RecoverySummary {
             wal: recovery.report.clone(),
             replayed: total,
             replay_errors,
-            checkpoint_verified,
-            fingerprint: state.fingerprint(),
+            checkpoint_verified: checkpoint.map(|ckpt| ckpt.records),
+            fingerprint,
         };
         let wal_dir = wal.dir.clone();
         let wal = Wal::open(wal, &recovery)?;
@@ -147,14 +138,16 @@ impl DurableService {
     /// # Errors
     ///
     /// [`SvcError::NonFiniteTime`] for a time or deadline that is `inf`
-    /// or `NaN` (refused before the append, so nothing is journaled),
+    /// or `NaN`, and [`SvcError::NonFiniteProfile`] for such a cost
+    /// profile parameter (both refused before the append, so nothing is
+    /// journaled),
     /// [`SvcError::FaultInjected`] when the armed fault hook fired (the
     /// state was *not* mutated; the caller must crash), I/O failures,
     /// and deterministic core rejections (which *are* journaled — replay
     /// repeats them identically).
     pub fn apply(&mut self, command: SvcCommand) -> Result<SvcOutcome, SvcError> {
-        if let Some((field, value)) = command.non_finite_time() {
-            return Err(SvcError::NonFiniteTime { field, value });
+        if let Some(refusal) = command.non_finite() {
+            return Err(refusal);
         }
         if let SvcCommand::SubmitIdem { client_id, .. } = &command {
             if let Some(admission) = self.state.cached_submission(client_id) {
@@ -223,6 +216,18 @@ impl DurableService {
     pub fn fingerprint(&self) -> u64 {
         self.state.fingerprint()
     }
+}
+
+/// Applies `commands` in order, returning how many errored (they error
+/// on replay exactly as they did live).
+fn replay(state: &mut ServiceState, commands: &[SvcCommand]) -> u64 {
+    let mut errors = 0;
+    for command in commands {
+        if state.apply(command).is_err() {
+            errors += 1;
+        }
+    }
+    errors
 }
 
 #[cfg(test)]
@@ -304,6 +309,26 @@ mod tests {
         let (_, summary) = open(&dir);
         assert_eq!(summary.checkpoint_verified, Some(ckpt.records));
         assert_eq!(summary.replayed, ckpt.records + 1);
+    }
+
+    #[test]
+    fn a_checkpoint_at_the_end_of_the_journal_verifies_on_reopen() {
+        // Over an empty journal and over a non-empty one.
+        for registered in [false, true] {
+            let dir = tmp_dir("ckptend");
+            let (mut svc, _) = open(&dir);
+            if registered {
+                register(&mut svc);
+            }
+            let ckpt = svc.checkpoint().unwrap();
+            let live = svc.fingerprint();
+            drop(svc);
+            let (reopened, summary) = open(&dir);
+            assert_eq!(summary.checkpoint_verified, Some(ckpt.records));
+            assert_eq!(summary.replayed, ckpt.records);
+            assert_eq!(summary.fingerprint, live);
+            assert_eq!(reopened.fingerprint(), live);
+        }
     }
 
     #[test]

@@ -13,14 +13,16 @@
 //! health ladder come back bit-for-bit — verified by
 //! [`ServiceState::fingerprint`] against the last clean checkpoint.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use etrain_core::json::write_admission;
 use etrain_core::{
     Admission, CommandOutcome, CoreCommand, CoreConfig, CoreStats, ETrainCore, TransmitRequest,
     TxResult,
 };
-use etrain_sched::{audit_transitions, HealthState, HealthTransition, TransitionCause};
+use etrain_sched::{
+    audit_transitions, CostProfile, HealthState, HealthTransition, TransitionCause,
+};
 use etrain_trace::CargoAppId;
 use serde::{Deserialize, Serialize};
 
@@ -62,9 +64,22 @@ impl SvcCommand {
         }
     }
 
-    /// The first time or deadline the command carries that is not a
-    /// finite number, with its name (`"time"` or `"deadline"`).
-    pub(crate) fn non_finite_time(&self) -> Option<(&'static str, f64)> {
+    /// The error refusing the first number the command carries that is
+    /// not finite: a time or deadline, or a registered cost profile's
+    /// parameter. JSON has no spelling for `inf` or `NaN`.
+    pub(crate) fn non_finite(&self) -> Option<SvcError> {
+        if let SvcCommand::Core(CoreCommand::RegisterCargo { profile }) = self {
+            let shape = match profile.cost {
+                CostProfile::DeadlineLinear { .. } => None,
+                CostProfile::LinearThenConstant { ceiling, .. } => Some(("ceiling", ceiling)),
+                CostProfile::LinearThenSteep { steepness, .. } => Some(("steepness", steepness)),
+            };
+            return [Some(("deadline", profile.cost.deadline_s())), shape]
+                .into_iter()
+                .flatten()
+                .find(|(_, value)| !value.is_finite())
+                .map(|(field, value)| SvcError::NonFiniteProfile { field, value });
+        }
         let (now_s, request) = match self {
             SvcCommand::SubmitIdem { request, now_s, .. }
             | SvcCommand::Core(CoreCommand::Submit { request, now_s, .. }) => {
@@ -78,6 +93,7 @@ impl SvcCommand {
         ]
         .into_iter()
         .find_map(|(field, value)| Some((field, value.filter(|v| !v.is_finite())?)))
+        .map(|(field, value)| SvcError::NonFiniteTime { field, value })
     }
 }
 
@@ -131,7 +147,7 @@ impl Default for SvcHealthConfig {
 pub struct ServiceState {
     core: ETrainCore,
     health_cfg: SvcHealthConfig,
-    dedup: HashMap<String, Admission>,
+    dedup: BTreeMap<String, Admission>,
     health: HealthState,
     transitions: Vec<HealthTransition>,
     failure_streak: usize,
@@ -145,7 +161,7 @@ impl ServiceState {
         ServiceState {
             core: ETrainCore::new(config),
             health_cfg: health,
-            dedup: HashMap::new(),
+            dedup: BTreeMap::new(),
             health: HealthState::Healthy,
             transitions: Vec::new(),
             failure_streak: 0,
@@ -166,7 +182,7 @@ impl ServiceState {
         let outcome = match command {
             SvcCommand::Core(core_cmd) => {
                 let outcome = self.core.apply(core_cmd)?;
-                self.update_health(core_cmd, &outcome);
+                self.update_health(core_cmd);
                 SvcOutcome::Core(outcome)
             }
             SvcCommand::SubmitIdem {
@@ -196,7 +212,7 @@ impl ServiceState {
         self.dedup.get(client_id).copied()
     }
 
-    fn update_health(&mut self, command: &CoreCommand, _outcome: &CommandOutcome) {
+    fn update_health(&mut self, command: &CoreCommand) {
         match command {
             CoreCommand::ReportResult {
                 result: TxResult::Failed,
@@ -300,7 +316,7 @@ impl ServiceState {
     }
 
     /// A deterministic FNV-1a fingerprint over the *entire* recoverable
-    /// state: the core fingerprint, the dedup table (sorted by key), the
+    /// state: the core fingerprint, the dedup table (in key order), the
     /// health rung with both streak counters, every recorded transition,
     /// and the applied-command count. Two states that applied the same
     /// command stream fingerprint identically; this is the value
@@ -308,10 +324,8 @@ impl ServiceState {
     pub fn fingerprint(&self) -> u64 {
         let mut hash = etrain_obs::Fnv1a::new();
         hash.field(&self.core.fingerprint().to_le_bytes());
-        let mut entries: Vec<(&String, &Admission)> = self.dedup.iter().collect();
-        entries.sort_unstable_by_key(|(key, _)| *key);
         let mut json = String::new();
-        for (key, admission) in entries {
+        for (key, admission) in &self.dedup {
             hash.field(key.as_bytes());
             json.clear();
             write_admission(&mut json, admission);

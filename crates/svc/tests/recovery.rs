@@ -1,6 +1,7 @@
 //! In-process recovery suites: the pinned WAL record format, the refusal
-//! of non-finite times before they reach the journal, and a restart over
-//! a journal shaped like the repository benchmark's.
+//! of non-finite times and cost profiles before they reach the journal,
+//! a replay that must choose a capped burst as the live service did, and
+//! a restart over a journal shaped like the repository benchmark's.
 //!
 //! The benchmark-shaped test is `#[ignore]`d: it writes 90k records and
 //! is meant for release builds
@@ -10,8 +11,9 @@ use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use etrain_core::CoreConfig;
+use etrain_core::{CoreCommand, CoreConfig};
 use etrain_obs::{scan_frames, FrameWriter};
+use etrain_sched::{AppProfile, CostProfile};
 use etrain_svc::{
     decode_canonical, execute_line, recover, DurableService, RecoverySummary, SvcCommand,
     SvcHealthConfig, WalConfig,
@@ -160,6 +162,88 @@ fn non_finite_times_are_refused_before_the_journal() {
         drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn non_finite_cost_profiles_are_refused_before_the_journal() {
+    for cost in [
+        CostProfile::mail(f64::INFINITY),
+        CostProfile::DeadlineLinear {
+            deadline_s: f64::NAN,
+        },
+        CostProfile::LinearThenConstant {
+            deadline_s: 120.0,
+            ceiling: f64::NAN,
+        },
+        CostProfile::LinearThenSteep {
+            deadline_s: 600.0,
+            steepness: f64::NEG_INFINITY,
+        },
+    ] {
+        let dir = tmp_dir("non-finite-profile");
+        let (mut service, _) = open(&dir);
+        let register = |name: &str, cost| {
+            SvcCommand::Core(CoreCommand::RegisterCargo {
+                profile: AppProfile::new(name, cost),
+            })
+        };
+        service
+            .apply(register("Mail", CostProfile::mail(300.0)))
+            .unwrap();
+        let (records, live) = (service.records(), service.fingerprint());
+        let err = service.apply(register("Bad", cost)).unwrap_err();
+        assert!(
+            err.to_string().contains("not a finite number"),
+            "{cost:?}: {err}"
+        );
+        assert_eq!(service.records(), records, "{cost:?} was journaled");
+        assert_eq!(service.fingerprint(), live, "{cost:?} changed the state");
+        drop(service);
+        let (reopened, summary) = open(&dir);
+        assert_eq!(summary.replayed, records, "{cost:?}");
+        assert_eq!(reopened.fingerprint(), live, "{cost:?}");
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_capped_burst_after_a_late_registration_reopens_to_the_live_state() {
+    // Eight equal-cost requests arrive at one instant, a second app
+    // registers, and a heartbeat with k = 2 takes two of them: replay
+    // must pick the same two.
+    let core = CoreConfig {
+        theta: 5.0,
+        k: Some(2),
+        ..CoreConfig::default()
+    };
+    let dir = tmp_dir("capped-burst");
+    let reopen = || {
+        let mut wal = WalConfig::new(&dir);
+        wal.fsync = false;
+        DurableService::open(wal, core, SvcHealthConfig::default()).expect("journal opens")
+    };
+    let (service, _) = reopen();
+    let service = Mutex::new(service);
+    let mut lines = vec![
+        "REGTRAIN WeChat".to_owned(),
+        "REGCARGO Mail mail 300".to_owned(),
+        "HB 0 0".to_owned(),
+    ];
+    lines.extend((0..8).map(|i| format!("SUBMIT c-{i} 0 up {} 1", 100 + i)));
+    lines.push("REGCARGO Weibo weibo 120".to_owned());
+    lines.push("HB 0 2".to_owned());
+    let replies: Vec<String> = lines.iter().map(|l| execute_line(l, &service)).collect();
+    assert_eq!(replies.last().unwrap(), "OK DECISIONS 2 0@0:100 1@0:101");
+    let live = service.into_inner().unwrap();
+    let (records, fingerprint) = (live.records(), live.fingerprint());
+    drop(live);
+    let (reopened, summary) = reopen();
+    assert_eq!(summary.replayed, records);
+    assert_eq!(summary.fingerprint, fingerprint);
+    assert_eq!(reopened.fingerprint(), fingerprint);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The benchmark's request mix: per round, 2 clients send 8 SUBMITs each
