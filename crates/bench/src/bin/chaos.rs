@@ -7,14 +7,15 @@
 //! - `--start-seed S` — first seed (default 0; CI passes a date-derived
 //!   value so every night sweeps fresh cases);
 //! - `--quick` — cap scenario horizons at 600 s for fast wide sweeps;
-//! - `--jobs N` — campaign worker count (default: `ETRAIN_JOBS`, then
-//!   the machine's available parallelism);
+//! - `--jobs N` — campaign worker count (default: the machine's
+//!   available parallelism);
 //! - `--out DIR` — where repro artifacts and the JSON report go
 //!   (default `BENCH_chaos_repros`);
 //! - `--repro FILE` — replay a repro artifact instead of running the
 //!   campaign; exits 0 iff the recorded failure reproduces.
 //!
-//! Any other argument prints the usage and exits with status 2.
+//! Any other argument prints the usage and exits with status 2. Nothing
+//! is read from the environment: the campaign pins its own oracle mode.
 //!
 //! Every campaign finding is shrunk to a minimal [`ReproCase`] and
 //! written to `<out>/repro_seed<seed>.json`; the machine-readable
@@ -36,7 +37,6 @@ fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> 
 }
 
 fn main() {
-    etrain_bench::validate_env_knobs();
     let args: Vec<String> = std::env::args().collect();
     if let Err(problem) = etrain_bench::check_flags(
         &args,

@@ -10,27 +10,28 @@
 //! - `--quick` — reduced horizons/sweeps for a CI-speed smoke run;
 //! - `--csv DIR` — also write each table as `DIR/<experiment>_<index>.csv`
 //!   for plotting;
-//! - `--jobs N` — worker count (default: `ETRAIN_JOBS` env, then the
-//!   machine's available parallelism);
+//! - `--jobs N` — worker count (default: the machine's available
+//!   parallelism);
 //! - `--json PATH` — where to write the report (default
-//!   `BENCH_repro.json`); `--no-json` skips it.
+//!   `BENCH_repro.json`); `--no-json` skips it;
+//! - `--journal` — journal every scenario the suite runs and export the
+//!   `explain` experiment's raw journal as `BENCH_explain.jsonl` next to
+//!   the report. Observability never changes the numbers: headlines are
+//!   bit-for-bit identical either way.
 //!
-//! Any other argument prints the usage and exits with status 2.
+//! Any other argument prints the usage and exits with status 2. Nothing
+//! is read from the environment: the flags are the whole input.
 //!
-//! Every simulated run is audited by the simulation oracle: unless the
-//! `ETRAIN_ORACLE` environment variable is already set, the suite runs in
-//! `record` mode and writes the check/violation tallies into the report.
-//! `ETRAIN_ORACLE=strict` turns any violation into a hard failure.
-//!
-//! `ETRAIN_OBS=jsonl` additionally journals every scenario the suite runs
-//! and exports the `explain` experiment's raw journal as
-//! `BENCH_explain.jsonl`. Observability never changes the numbers —
-//! headlines are bit-for-bit identical either way.
+//! Every simulated run is audited by the simulation oracle in `record`
+//! mode; the check/violation tallies go into the report, and any
+//! violation fails the run after the report is written.
 
 use std::time::Instant;
 
-const USAGE: &str =
-    "usage: repro_all [--only NAME[,NAME...]] [--quick] [--csv DIR] [--jobs N] [--json PATH | --no-json]";
+use etrain_sim::{ObsMode, OracleMode};
+
+const USAGE: &str = "usage: repro_all [--only NAME[,NAME...]] [--quick] [--csv DIR] [--jobs N] \
+     [--json PATH | --no-json] [--journal]";
 
 /// The experiments `--only` names, in registry order; exits with status 2
 /// on an empty list or an unknown name.
@@ -60,22 +61,25 @@ fn select(list: &str) -> Vec<etrain_bench::Experiment> {
 }
 
 fn main() {
-    etrain_bench::validate_env_knobs();
     let args: Vec<String> = std::env::args().collect();
     if let Err(problem) = etrain_bench::check_flags(
         &args,
         &["--only", "--csv", "--jobs", "--json"],
-        &["--quick", "--no-json"],
+        &["--quick", "--no-json", "--journal"],
     ) {
         eprintln!("error: {problem}\n{USAGE}");
         std::process::exit(2);
     }
-    if std::env::var(etrain_sim::ORACLE_ENV).is_err() {
-        // Default the whole suite to record-mode auditing. Set before any
-        // experiment runs; single-threaded at this point.
-        std::env::set_var(etrain_sim::ORACLE_ENV, "record");
-    }
     let quick = args.iter().any(|a| a == "--quick");
+    let settings = etrain_bench::Settings {
+        quick,
+        oracle: OracleMode::Record,
+        obs: if args.iter().any(|a| a == "--journal") {
+            ObsMode::Jsonl
+        } else {
+            ObsMode::Off
+        },
+    };
     let only = etrain_bench::flag_value(&args, "--only");
     // A partial run must never overwrite the full report.
     let no_json = only.is_some() || args.iter().any(|a| a == "--no-json");
@@ -101,7 +105,7 @@ fn main() {
         if quick { " (quick mode)" } else { "" }
     );
     let started = Instant::now();
-    let runs = etrain_bench::run_experiments(&registry, quick, Some(jobs));
+    let runs = etrain_bench::run_experiments(&registry, settings, Some(jobs));
     let total_s = started.elapsed().as_secs_f64();
 
     for run in &runs {
@@ -133,23 +137,23 @@ fn main() {
         "# suite wall-clock: {total_s:.2} s across {jobs} worker(s) \
          (sum of experiment times: {serial_s:.2} s)"
     );
-    let oracle = etrain_bench::oracle_summary();
+    let oracle = etrain_bench::oracle_summary(settings.oracle);
     eprintln!(
         "# oracle: mode {} — {} checks, {} violation(s)",
         oracle.mode, oracle.checks, oracle.violations
     );
-    let obs = etrain_bench::obs_summary();
+    let obs = etrain_bench::obs_summary(settings.obs);
     eprintln!(
         "# obs: mode {} — {} event(s) recorded, {} journal merge(s), {} snapshot(s)",
         obs.mode, obs.events_recorded, obs.journals_merged, obs.snapshots_taken
     );
 
     if !no_json {
-        std::fs::write(&json_path, etrain_bench::repro_report_json(&runs))
+        std::fs::write(&json_path, etrain_bench::repro_report_json(&runs, settings))
             .expect("writing the JSON report");
         eprintln!("# wrote {json_path}");
-        if etrain_obs::ObsMode::from_env().is_enabled() {
-            let jsonl = etrain_bench::experiments::explain::run_with_journal(quick).jsonl;
+        if settings.obs.is_enabled() {
+            let jsonl = etrain_bench::experiments::explain::run_with_journal(settings).jsonl;
             std::fs::write("BENCH_explain.jsonl", jsonl).expect("writing the explain journal");
             eprintln!("# wrote BENCH_explain.jsonl");
         }

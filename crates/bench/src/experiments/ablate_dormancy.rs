@@ -11,15 +11,15 @@
 //! a fast-dormancy baseline (tails cut to 1 s), and eTrain on the normal
 //! radio — reporting both energy and the promotion count.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_radio::RadioParams;
 use etrain_sim::{SchedulerKind, Table};
 
 use super::{j, paper_base, s};
 
 /// Runs the fast-dormancy ablation.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick);
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings);
     // Fast dormancy cuts the tail to 1 s but every transmission from IDLE
     // then pays a 2 s DCH promotion — the paper's Sec. VII argument made
     // concrete (promotion signaling + latency).
@@ -87,7 +87,7 @@ mod tests {
 
     #[test]
     fn fast_dormancy_saves_energy_but_multiplies_promotions() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let rows: Vec<Vec<String>> = tables[0]
             .to_csv()
             .lines()

@@ -9,7 +9,7 @@
 //! piggybacking stay ahead of the baseline when attempts can fail — i.e.
 //! is the energy saving robust, or an artifact of a lossless channel?
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_sim::{FaultPlan, RetryPolicy, Scenario, SchedulerKind, Table};
 
 use super::{j, paper_base, pct, s};
@@ -32,15 +32,19 @@ fn scheduler_name(kind: &SchedulerKind) -> &'static str {
 }
 
 /// Runs the fault ablation.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick);
-    let horizon_s = if quick { 2400.0 } else { 7200.0 };
-    let losses: &[f64] = if quick {
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings);
+    let horizon_s = if settings.quick { 2400.0 } else { 7200.0 };
+    let losses: &[f64] = if settings.quick {
         &[0.0, 0.1, 0.3]
     } else {
         &[0.0, 0.05, 0.1, 0.2, 0.3]
     };
-    let duties: &[f64] = if quick { &[0.0, 0.2] } else { &[0.0, 0.1, 0.2] };
+    let duties: &[f64] = if settings.quick {
+        &[0.0, 0.2]
+    } else {
+        &[0.0, 0.1, 0.2]
+    };
     let schedulers = [
         SchedulerKind::ETrain {
             theta: 2.0,
@@ -105,7 +109,7 @@ mod tests {
 
     #[test]
     fn faults_cost_energy_and_trigger_retries() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let csv = tables[0].to_csv();
         let rows: Vec<Vec<&str>> = csv
             .lines()

@@ -8,16 +8,16 @@
 //! heartbeat really leaves), moderate jitter should barely matter — the
 //! result quantifies that robustness.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_sim::{SchedulerKind, Table};
 use etrain_trace::heartbeats::TrainAppSpec;
 
 use super::{j, paper_base, s};
 
 /// Runs the jitter ablation.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick);
-    let jitters: &[f64] = if quick {
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings);
+    let jitters: &[f64] = if settings.quick {
         &[0.0, 10.0]
     } else {
         &[0.0, 2.0, 10.0, 30.0, 60.0]
@@ -62,7 +62,7 @@ mod tests {
 
     #[test]
     fn moderate_jitter_changes_little() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let energies: Vec<f64> = tables[0]
             .to_csv()
             .lines()

@@ -4,16 +4,16 @@
 //! `k = ∞`. This ablation quantifies the residual-backlog cost of small
 //! `k` at a fixed Θ.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_sim::{SchedulerKind, Table};
 
 use super::{j, paper_base, pct, s};
 
 /// Runs the k ablation.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick);
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings);
     let theta = 2.0;
-    let ks: &[Option<usize>] = if quick {
+    let ks: &[Option<usize>] = if settings.quick {
         &[Some(1), Some(4), None]
     } else {
         &[Some(1), Some(2), Some(4), Some(8), Some(16), Some(32), None]
@@ -50,7 +50,7 @@ mod tests {
 
     #[test]
     fn unbounded_k_never_delays_more_than_k1() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let rows: Vec<Vec<String>> = tables[0]
             .to_csv()
             .lines()

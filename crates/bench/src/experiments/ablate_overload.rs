@@ -8,7 +8,7 @@
 //! load does each policy shed before the queue bound, what does a forced
 //! flush cost in energy, and does the deferral win survive overload?
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_sim::{AdmissionConfig, HealthConfig, SchedulerKind, ShedPolicy, Table};
 
 use super::{j, paper_base, pct, s};
@@ -31,10 +31,10 @@ fn policy_label(policy: Option<ShedPolicy>) -> String {
 }
 
 /// Runs the overload ablation.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick);
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings);
     let capacity = 32;
-    let lambdas: &[f64] = if quick {
+    let lambdas: &[f64] = if settings.quick {
         &[0.08, 0.64, 1.28]
     } else {
         &[0.08, 0.16, 0.32, 0.64, 1.28]
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn overload_sheds_only_when_bounded() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let csv = tables[0].to_csv();
         let rows: Vec<Vec<&str>> = csv
             .lines()

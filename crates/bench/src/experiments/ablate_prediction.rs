@@ -8,15 +8,15 @@
 //! so the gap between the two columns isolates how much each algorithm
 //! loses to prediction error. eTrain's loss should be the smallest.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_sim::{BandwidthSource, SchedulerKind, Table};
 use etrain_trace::bandwidth::wuhan_drive_synthetic;
 
 use super::{j, paper_base, pct, s};
 
 /// Runs the prediction ablation.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick);
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings);
     // Constant channel with the drive trace's mean: prediction is perfect.
     let mean_bps = wuhan_drive_synthetic(9).mean_bps();
 
@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn table_covers_all_three_algorithms() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let csv = tables[0].to_csv();
         for name in ["eTrain", "PerES", "eTime"] {
             assert!(csv.contains(name), "{name} missing");

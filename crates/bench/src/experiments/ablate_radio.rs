@@ -5,15 +5,15 @@
 //! re-use, so eTrain's advantage over the baseline should nearly vanish —
 //! confirming the mechanism rather than some artifact.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_radio::RadioParams;
 use etrain_sim::{SchedulerKind, Table};
 
 use super::{j, paper_base, pct};
 
 /// Runs the radio ablation.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick);
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings);
     let radios = [
         ("3G (Galaxy S4)", RadioParams::galaxy_s4_3g()),
         ("WiFi-like short tail", RadioParams::wifi_like()),
@@ -58,7 +58,7 @@ mod tests {
 
     #[test]
     fn saving_shrinks_with_short_tails() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let savings: Vec<f64> = tables[0]
             .to_csv()
             .lines()

@@ -8,7 +8,7 @@
 //! and compare against the capture's ground truth — reporting precision,
 //! recall and per-flow cycle error.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_hb::{identify_heartbeat_flows, IdentifyConfig};
 use etrain_sim::Table;
 use etrain_trace::capture::{synthesize_capture, synthesize_ios_capture, CaptureConfig};
@@ -17,8 +17,8 @@ use etrain_trace::heartbeats::{CyclePattern, TrainAppSpec};
 use super::s;
 
 /// Runs the capture-study experiment.
-pub fn run(quick: bool) -> ExperimentResult {
-    let duration = if quick { 3600.0 } else { 2.0 * 3600.0 };
+pub fn run(settings: Settings) -> ExperimentResult {
+    let duration = if settings.quick { 3600.0 } else { 2.0 * 3600.0 };
     let mut per_flow = Table::new(
         "Capture study — identified heartbeat flows (Android, 3 IM apps)",
         &[
@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn perfect_precision_and_recall_on_default_capture() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let csv = tables[1].to_csv();
         let value = |metric: &str| -> f64 {
             csv.lines()
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn no_false_positive_rows() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         assert!(!tables[0].to_csv().contains("FALSE POSITIVE"));
     }
 }

@@ -14,16 +14,16 @@
 //! scale with date-derived seeds and writes repro artifacts; this
 //! experiment keeps a smoke-sized slice of it in the default suite.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_chaos::{campaign_cases, run_campaign, shrink, ChaosCase, Corruption};
 use etrain_sim::{CasePlan, EngineKind, SchedulerKind, Table};
 
 /// Runs the chaos experiment.
-pub fn run(quick: bool) -> ExperimentResult {
+pub fn run(settings: Settings) -> ExperimentResult {
     // Tier 1: the campaign. Jobs = 1 because the repro suite already
     // parallelizes across experiments.
-    let case_count = if quick { 16 } else { 80 };
-    let cases = campaign_cases(0, case_count, quick);
+    let case_count = if settings.quick { 16 } else { 80 };
+    let cases = campaign_cases(0, case_count, settings.quick);
     let campaign = run_campaign(&cases, 1);
     let mut campaign_table = Table::new(
         "Chaos campaign — seeded scenarios × faults × schedulers, strict oracle",
@@ -36,7 +36,7 @@ pub fn run(quick: bool) -> ExperimentResult {
 
     // Tier 2: oracle self-test with shrinking.
     let mut plan = CasePlan::from_seed(6, false);
-    plan.horizon_s = plan.horizon_s.min(if quick { 600 } else { 900 });
+    plan.horizon_s = plan.horizon_s.min(if settings.quick { 600 } else { 900 });
     let mut selftest_table = Table::new(
         "Oracle self-test — injected corruptions, shrunk to minimal repros",
         &["corruption", "caught", "repro_events", "signature"],
@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn chaos_experiment_is_clean_in_quick_mode() {
-        let result = run(true);
+        let result = run(Settings::quick());
         let headline = |metric: &str| {
             result
                 .headlines

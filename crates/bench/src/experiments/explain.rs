@@ -10,20 +10,21 @@
 //! total energy; its accounted share is the experiment's headline (≈100).
 //!
 //! The raw JSONL journal behind the tables is exported by `repro_all`
-//! (as `BENCH_explain.jsonl`) when `ETRAIN_OBS` enables observability.
+//! (as `BENCH_explain.jsonl`) when it runs with `--journal`.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_radio::RrcState;
 use etrain_sim::{Event, ObsMode, Scenario, Table};
 
 use super::{j, pct, s};
 
 /// The journaled scenario this experiment decomposes: the paper-default
-/// setup with observability forced on (independent of `ETRAIN_OBS`, so
-/// the tables are deterministic regardless of environment).
-fn scenario(quick: bool) -> Scenario {
-    Scenario::paper_default()
-        .duration_secs(if quick { 2400 } else { 7200 })
+/// setup under `settings`' oracle mode, journaled whatever `settings.obs`
+/// says, since the journal is what the tables are built from.
+fn scenario(settings: Settings) -> Scenario {
+    settings
+        .paper_default()
+        .duration_secs(if settings.quick { 2400 } else { 7200 })
         .seed(7)
         .obs(ObsMode::Jsonl)
 }
@@ -42,8 +43,8 @@ pub struct ExplainRun {
 /// # Panics
 ///
 /// Panics if the paper-default scenario fails validation (it cannot).
-pub fn run_with_journal(quick: bool) -> ExplainRun {
-    let scenario = scenario(quick);
+pub fn run_with_journal(settings: Settings) -> ExplainRun {
+    let scenario = scenario(settings);
     let (report, output, journal) = scenario
         .try_run_journaled_on(&scenario.generate_traces())
         .expect("paper-default scenario is valid");
@@ -147,8 +148,8 @@ pub fn run_with_journal(quick: bool) -> ExplainRun {
 }
 
 /// Registry entry point: the tables and headlines without the raw journal.
-pub fn run(quick: bool) -> ExperimentResult {
-    run_with_journal(quick).result
+pub fn run(settings: Settings) -> ExperimentResult {
+    run_with_journal(settings).result
 }
 
 fn round1(value: f64) -> f64 {
@@ -161,7 +162,7 @@ mod tests {
 
     #[test]
     fn energy_decomposition_accounts_for_the_full_ledger() {
-        let run = run_with_journal(true);
+        let run = run_with_journal(Settings::quick());
         let accounted = run
             .result
             .headlines

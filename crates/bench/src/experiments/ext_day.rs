@@ -7,18 +7,22 @@
 //! terms of paper Sec. II-D (1700 mAh @ 3.7 V): what fraction of a charge
 //! eTrain returns to the user per day, on 3G and on an LTE-DRX radio.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_radio::{Battery, RadioParams};
-use etrain_sim::{replicate, Scenario, SchedulerKind, Table};
+use etrain_sim::{replicate, SchedulerKind, Table};
 use etrain_trace::diurnal::{generate_diurnal, DiurnalProfile, DAY_S};
 use etrain_trace::packets::CargoWorkload;
 
 use super::pct;
 
 /// Runs the day-scale battery projection.
-pub fn run(quick: bool) -> ExperimentResult {
-    let horizon = if quick { DAY_S / 4.0 } else { DAY_S };
-    let seeds: &[u64] = if quick { &[1, 2] } else { &[1, 2, 3, 4, 5] };
+pub fn run(settings: Settings) -> ExperimentResult {
+    let horizon = if settings.quick { DAY_S / 4.0 } else { DAY_S };
+    let seeds: &[u64] = if settings.quick {
+        &[1, 2]
+    } else {
+        &[1, 2, 3, 4, 5]
+    };
     let battery = Battery::paper_reference();
 
     let mut table = Table::new(
@@ -47,7 +51,8 @@ pub fn run(quick: bool) -> ExperimentResult {
             horizon,
             99,
         );
-        let base_scenario = Scenario::paper_default()
+        let base_scenario = settings
+            .paper_default()
             .duration_secs(horizon as u64)
             .packets(packets)
             .radio(radio);
@@ -81,7 +86,7 @@ mod tests {
 
     #[test]
     fn day_scale_savings_are_positive_on_both_radios() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         for row in tables[0].to_csv().lines().skip(1) {
             let cells: Vec<&str> = row.split(',').collect();
             let saved: f64 = cells[3].parse().unwrap();
@@ -91,7 +96,7 @@ mod tests {
 
     #[test]
     fn lte_saves_fewer_joules_than_3g() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let saved: Vec<f64> = tables[0]
             .to_csv()
             .lines()

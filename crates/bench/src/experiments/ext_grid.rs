@@ -8,20 +8,20 @@
 //! monotone in Θ at every λ, so a single conservative Θ is safe — the
 //! knob's effect weakens but never inverts as traffic grows.)
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_sim::{RunGrid, RunSpec, SchedulerKind, Table};
 
 use super::{paper_base, pct};
 
 /// Runs the Θ × λ grid.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick);
-    let thetas: &[f64] = if quick {
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings);
+    let thetas: &[f64] = if settings.quick {
         &[0.5, 2.0, 8.0]
     } else {
         &[0.5, 1.0, 2.0, 4.0, 8.0]
     };
-    let lambdas: &[f64] = if quick {
+    let lambdas: &[f64] = if settings.quick {
         &[0.04, 0.12]
     } else {
         &[0.04, 0.06, 0.08, 0.10, 0.12]
@@ -82,7 +82,11 @@ mod tests {
     use super::*;
 
     fn savings_matrix(quick: bool) -> Vec<Vec<f64>> {
-        run(quick).tables[0]
+        run(Settings {
+            quick,
+            ..Settings::default()
+        })
+        .tables[0]
             .to_csv()
             .lines()
             .skip(1)

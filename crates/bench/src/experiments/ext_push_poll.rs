@@ -11,10 +11,10 @@
 //! than fast polling — the quantified justification for the always-on
 //! connection eTrain builds upon.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_apps::freshness::{generate_updates, plan_polling, plan_push_fetch};
 use etrain_sched::{AppProfile, CostProfile};
-use etrain_sim::{BandwidthSource, Scenario, SchedulerKind, Table};
+use etrain_sim::{BandwidthSource, SchedulerKind, Table};
 use etrain_trace::heartbeats::{synthesize, TrainAppSpec};
 use etrain_trace::packets::Packet;
 use etrain_trace::CargoAppId;
@@ -24,13 +24,14 @@ use super::{j, s};
 const FETCH_BYTES: u64 = 20_000;
 
 /// Runs the push-vs-poll comparison.
-pub fn run(quick: bool) -> ExperimentResult {
-    let horizon = if quick { 3600.0 } else { 7200.0 };
+pub fn run(settings: Settings) -> ExperimentResult {
+    let horizon = if settings.quick { 3600.0 } else { 7200.0 };
     let updates = generate_updates(300.0, horizon, 17);
     let heartbeats = synthesize(&TrainAppSpec::paper_trio(), horizon, 17);
 
     let energy_of = |packets: Vec<Packet>| -> f64 {
-        Scenario::paper_default()
+        settings
+            .paper_default()
             .duration_secs(horizon as u64)
             .profiles(vec![AppProfile::new("News", CostProfile::weibo(600.0))])
             .packets(packets)
@@ -93,7 +94,7 @@ mod tests {
     use super::*;
 
     fn rows() -> Vec<Vec<String>> {
-        run(true).tables[0]
+        run(Settings::quick()).tables[0]
             .to_csv()
             .lines()
             .skip(1)

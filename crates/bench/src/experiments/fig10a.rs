@@ -8,7 +8,7 @@
 //! trains is half the delay with 1 train; with no trains all packets go
 //! out on arrival (zero delay).
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_sim::{RunGrid, RunSpec, SchedulerKind, Table};
 use etrain_trace::heartbeats::TrainAppSpec;
 use etrain_trace::packets::CargoWorkload;
@@ -16,8 +16,8 @@ use etrain_trace::packets::CargoWorkload;
 use super::{j, paper_base, pct, s};
 
 /// Runs the Fig. 10(a) reproduction.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick);
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings);
     let all_trains = TrainAppSpec::paper_trio();
     let etrain = SchedulerKind::ETrain {
         theta: 2.0,
@@ -104,7 +104,11 @@ mod tests {
     use super::*;
 
     fn rows(quick: bool) -> Vec<Vec<String>> {
-        run(quick).tables[0]
+        run(Settings {
+            quick,
+            ..Settings::default()
+        })
+        .tables[0]
             .to_csv()
             .lines()
             .skip(1)

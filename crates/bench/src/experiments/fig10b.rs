@@ -5,16 +5,16 @@
 //! (≈ 30 % reduction) while the average delay grows from 48 s to 62 s
 //! (≈ 30 % increase) — the user picks their point on the tradeoff.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_sim::sweep::{lin_space, theta_sweep};
 use etrain_sim::Table;
 
 use super::{j, paper_base, pct, s};
 
 /// Runs the Fig. 10(b) reproduction.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick);
-    let thetas = if quick {
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings);
+    let thetas = if settings.quick {
         lin_space(0.1, 0.5, 3)
     } else {
         lin_space(0.1, 0.5, 5)
@@ -57,7 +57,7 @@ mod tests {
 
     #[test]
     fn theta_reduces_energy_and_raises_delay() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let rows: Vec<Vec<String>> = tables[0]
             .to_csv()
             .lines()

@@ -5,19 +5,19 @@
 //! tradeoff similar to Θ's — a larger deadline lets packets wait for more
 //! piggybacking opportunities and saves more energy.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_sim::sweep::deadline_sweep;
 use etrain_sim::{SchedulerKind, Table};
 
 use super::{j, paper_base, pct, s};
 
 /// Runs the Fig. 10(c) reproduction.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick).scheduler(SchedulerKind::ETrain {
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings).scheduler(SchedulerKind::ETrain {
         theta: 0.2,
         k: None,
     });
-    let deadlines: &[f64] = if quick {
+    let deadlines: &[f64] = if settings.quick {
         &[10.0, 60.0, 180.0]
     } else {
         &[10.0, 30.0, 60.0, 90.0, 120.0, 150.0, 180.0]
@@ -53,7 +53,7 @@ mod tests {
 
     #[test]
     fn larger_deadline_saves_energy() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let rows: Vec<Vec<String>> = tables[0]
             .to_csv()
             .lines()

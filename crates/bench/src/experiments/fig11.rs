@@ -7,18 +7,18 @@
 //! users, 134.5 J (19.4 %) for moderate, 63.2 J (13.3 %) for inactive —
 //! more uploads mean more cargo to piggyback.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_apps::replay::to_packets;
 use etrain_sched::{AppProfile, CostProfile};
-use etrain_sim::{BandwidthSource, Scenario, SchedulerKind, Table};
+use etrain_sim::{BandwidthSource, SchedulerKind, Table};
 use etrain_trace::user::{generate_app_use, Activeness};
 use etrain_trace::CargoAppId;
 
 use super::{j, pct};
 
 /// Runs the Fig. 11 reproduction.
-pub fn run(quick: bool) -> ExperimentResult {
-    let users_per_category = if quick { 3 } else { 10 };
+pub fn run(settings: Settings) -> ExperimentResult {
+    let users_per_category = if settings.quick { 3 } else { 10 };
     // The paper states "Θ = k = 20 (maximum number of packets allowed to
     // piggyback); and the deadline for Weibo is 30 seconds" — we take
     // Θ = 20 and k = 20 literally. With the tight 30 s deadline this is a
@@ -47,7 +47,8 @@ pub fn run(quick: bool) -> ExperimentResult {
             let trace = generate_app_use(user, category, 42).normalized_to(600.0);
             uploads += trace.upload_count();
             let packets = to_packets(&trace, CargoAppId(0));
-            let scenario = Scenario::paper_default()
+            let scenario = settings
+                .paper_default()
                 .duration_secs(600)
                 .profiles(profiles.clone())
                 .packets(packets)
@@ -89,7 +90,7 @@ mod tests {
 
     #[test]
     fn more_active_users_save_more_joules() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let saved: Vec<f64> = tables[0]
             .to_csv()
             .lines()
@@ -109,7 +110,7 @@ mod tests {
 
     #[test]
     fn etrain_never_costs_more() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         for row in tables[0].to_csv().lines().skip(1) {
             let cells: Vec<&str> = row.split(',').collect();
             let without: f64 = cells[3].parse().unwrap();

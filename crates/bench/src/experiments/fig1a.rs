@@ -5,16 +5,16 @@
 //! phone spends nearly 87 % of its standby energy (≈ 2000 J) on heartbeat
 //! transmissions.
 
-use crate::ExperimentResult;
-use etrain_sim::{BandwidthSource, RunGrid, RunSpec, Scenario, SchedulerKind, Table};
+use crate::{ExperimentResult, Settings};
+use etrain_sim::{BandwidthSource, RunGrid, RunSpec, SchedulerKind, Table};
 use etrain_trace::heartbeats::TrainAppSpec;
 use etrain_trace::packets::CargoWorkload;
 
 use super::{j, pct};
 
 /// Runs the Fig. 1(a) reproduction.
-pub fn run(quick: bool) -> ExperimentResult {
-    let horizon = if quick { 3600 } else { 4 * 3600 };
+pub fn run(settings: Settings) -> ExperimentResult {
+    let horizon = if settings.quick { 3600 } else { 4 * 3600 };
     let all_trains = TrainAppSpec::paper_trio();
 
     let mut table = Table::new(
@@ -34,7 +34,8 @@ pub fn run(quick: bool) -> ExperimentResult {
             .map(|n| {
                 RunSpec::new(
                     format!("trains={n}"),
-                    Scenario::paper_default()
+                    settings
+                        .paper_default()
                         .duration_secs(horizon)
                         .trains(all_trains[..n].to_vec())
                         .workload(CargoWorkload::new(Vec::new())) // display off, no cargo
@@ -72,7 +73,7 @@ mod tests {
 
     #[test]
     fn three_apps_dominate_standby_budget() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].len(), 4); // 0..=3 apps
         let csv = tables[0].to_csv();

@@ -5,7 +5,7 @@
 //! onto the second heartbeat saves ≈ 40 % of the transmission energy; the
 //! power trace shows the scattered tails collapsing into one.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_radio::{RadioParams, Timeline, Transmission};
 use etrain_sim::Table;
 
@@ -15,7 +15,7 @@ const EMAIL_BYTES: f64 = 5_000.0;
 const BANDWIDTH_BPS: f64 = 450_000.0;
 
 /// Runs the Fig. 2 reproduction.
-pub fn run(_quick: bool) -> ExperimentResult {
+pub fn run(_: Settings) -> ExperimentResult {
     let params = RadioParams::galaxy_s4_3g();
     let horizon = 330.0;
     let email_tx_s = EMAIL_BYTES * 8.0 / BANDWIDTH_BPS;
@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn piggybacking_saves_substantial_energy() {
-        let tables = run(false).tables;
+        let tables = run(Settings::default()).tables;
         let csv = tables[0].to_csv();
         let rows: Vec<&str> = csv.lines().skip(1).collect();
         let energy = |row: &str| -> f64 { row.split(',').nth(2).unwrap().parse().unwrap() };

@@ -5,14 +5,14 @@
 //! DCH lingering for δ_D = 10 s after the end; FACH for δ_F = 7.5 s; then
 //! back to IDLE. The tail is `T_tail = 17.5 s`.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_radio::{RadioParams, Timeline, Transmission};
 use etrain_sim::Table;
 
 use super::s;
 
 /// Runs the Fig. 4 reproduction.
-pub fn run(_quick: bool) -> ExperimentResult {
+pub fn run(_: Settings) -> ExperimentResult {
     let params = RadioParams::galaxy_s4_3g();
     // One WeChat-sized heartbeat at t = 5 s on a 450 kbps uplink.
     let tx = Transmission::new(5.0, 74.0 * 8.0 / 450_000.0);
@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn state_walk_is_idle_dch_fach_idle() {
-        let tables = run(false).tables;
+        let tables = run(Settings::default()).tables;
         let states: Vec<String> = tables[0]
             .to_csv()
             .lines()
@@ -85,7 +85,7 @@ mod tests {
 
     #[test]
     fn tail_lengths_match_paper() {
-        let tables = run(false).tables;
+        let tables = run(Settings::default()).tables;
         let csv = tables[0].to_csv();
         let rows: Vec<Vec<String>> = csv
             .lines()

@@ -5,16 +5,16 @@
 //! ≈ 600 J (≈ 40 % reduction) while average delay grows from 18 s to 70 s
 //! — larger delay buys more energy saving.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_sim::sweep::{lin_space, theta_sweep};
 use etrain_sim::Table;
 
 use super::{j, paper_base, pct, s};
 
 /// Runs the Fig. 7(a) reproduction.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick);
-    let thetas = if quick {
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings);
+    let thetas = if settings.quick {
         lin_space(0.0, 3.0, 4)
     } else {
         lin_space(0.0, 3.0, 16) // step 0.2
@@ -49,7 +49,7 @@ mod tests {
 
     #[test]
     fn theta_trades_delay_for_energy() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let rows: Vec<Vec<String>> = tables[0]
             .to_csv()
             .lines()

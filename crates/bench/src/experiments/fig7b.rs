@@ -5,16 +5,16 @@
 //! more saving at the same delay), with strongly diminishing returns past
 //! k = 8 — which is why the deployed system uses k = ∞.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_sim::sweep::{lin_space, theta_sweep};
 use etrain_sim::Table;
 
 use super::{j, paper_base, s};
 
 /// Runs the Fig. 7(b) reproduction.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick);
-    let thetas = if quick {
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings);
+    let thetas = if settings.quick {
         lin_space(0.5, 3.0, 3)
     } else {
         lin_space(0.0, 3.0, 7)
@@ -61,7 +61,7 @@ mod tests {
     /// larger k never costs more energy there.
     #[test]
     fn larger_k_dominates_at_matched_delay() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let mut per_k: std::collections::BTreeMap<String, Vec<(f64, f64)>> = Default::default();
         for row in tables[0].to_csv().lines().skip(1) {
             let cells: Vec<&str> = row.split(',').collect();

@@ -5,16 +5,16 @@
 //! spends the least energy; eTime sits between eTrain and PerES; the
 //! baseline is a single point at zero delay and maximum energy.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_sim::sweep::{ed_curve, log_space};
 use etrain_sim::{SchedulerKind, Table};
 
 use super::{j, paper_base, s};
 
 /// Runs the Fig. 8(a) reproduction.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick);
-    let n = if quick { 3 } else { 8 };
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings);
+    let n = if settings.quick { 3 } else { 8 };
 
     let mut table = Table::new(
         "Fig. 8(a) — E-D panel at λ = 0.08 (knob traces each curve)",
@@ -98,7 +98,7 @@ mod tests {
         // Quick-mode grids are too sparse for the full four-way ordering
         // (see the ignored full-fidelity test below), but eTrain must
         // already dominate PerES and the baseline.
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let t = &tables[0];
         let probe = 55.0;
         let etrain = near(&curve(t, "eTrain"), probe);
@@ -122,7 +122,7 @@ mod tests {
     #[test]
     #[ignore = "full-fidelity run; execute in release mode"]
     fn full_ordering_at_matched_delay() {
-        let tables = run(false).tables;
+        let tables = run(Settings::default()).tables;
         let t = &tables[0];
         let probe = 55.0;
         let etrain = near(&curve(t, "eTrain"), probe);

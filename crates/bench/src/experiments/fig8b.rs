@@ -7,7 +7,7 @@
 //! the baseline's energy flattens near λ = 0.10 (tails start overlapping);
 //! eTrain saves 628–1650 J vs the baseline; eTime outperforms PerES.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_sim::sweep::{log_space, match_delay};
 use etrain_sim::{SchedulerKind, Table};
 
@@ -16,14 +16,14 @@ use super::{j, paper_base, pct, s};
 const TARGET_DELAY_S: f64 = 55.0;
 
 /// Runs the Fig. 8(b) reproduction.
-pub fn run(quick: bool) -> ExperimentResult {
-    let base = paper_base(quick);
-    let lambdas: &[f64] = if quick {
+pub fn run(settings: Settings) -> ExperimentResult {
+    let base = paper_base(settings);
+    let lambdas: &[f64] = if settings.quick {
         &[0.04, 0.08, 0.12]
     } else {
         &[0.04, 0.06, 0.08, 0.10, 0.12]
     };
-    let n = if quick { 4 } else { 8 };
+    let n = if settings.quick { 4 } else { 8 };
 
     let mut table = Table::new(
         format!("Fig. 8(b) — energy at matched delay ≈ {TARGET_DELAY_S} s"),
@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn etrain_saves_most_at_every_lambda() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let csv = tables[0].to_csv();
         let mut by_lambda: std::collections::BTreeMap<String, Vec<(String, f64)>> =
             Default::default();

@@ -14,12 +14,12 @@
 //! devices, reported in megajoules. Fully deterministic — this experiment
 //! is part of the golden snapshot.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_fleet::{class_label, run_fleet, FleetConfig, FleetResult};
 use etrain_sim::SchedulerKind;
 use etrain_trace::user::Activeness;
 
-use super::{fleet_devices, j, pct, s};
+use super::{j, pct, s};
 
 /// App uses per device per day assumed by the million-device projection:
 /// one 600-second session per waking-plus-standby hour, matching the
@@ -27,8 +27,8 @@ use super::{fleet_devices, j, pct, s};
 pub const APP_USES_PER_DAY: f64 = 24.0;
 
 /// Runs the paired baseline/eTrain fleets and tabulates the savings.
-pub fn run(quick: bool) -> ExperimentResult {
-    let devices = fleet_devices(quick, 300, 30_000);
+pub fn run(settings: Settings) -> ExperimentResult {
+    let devices = if settings.quick { 300 } else { 30_000 };
     let base_config = FleetConfig::paper_default(devices).seed(42);
     let baseline = run_fleet(&base_config.clone().scheduler(SchedulerKind::Baseline));
     let etrain = run_fleet(&base_config);
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn paired_fleets_show_a_positive_saving() {
-        let result = run(true);
+        let result = run(Settings::quick());
         assert_eq!(result.tables.len(), 1);
         assert_eq!(
             result.tables[0].len(),

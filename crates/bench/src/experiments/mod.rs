@@ -34,11 +34,15 @@ pub mod table1;
 
 use etrain_sim::Scenario;
 
+use crate::Settings;
+
 /// The standard 2-hour paper scenario (λ = 0.08, three trains, synthetic
-/// drive trace), shortened in quick mode.
-pub(crate) fn paper_base(quick: bool) -> Scenario {
-    Scenario::paper_default()
-        .duration_secs(if quick { 2400 } else { 7200 })
+/// drive trace) under `settings`' oracle and observability modes,
+/// shortened in quick mode.
+pub(crate) fn paper_base(settings: Settings) -> Scenario {
+    settings
+        .paper_default()
+        .duration_secs(if settings.quick { 2400 } else { 7200 })
         .seed(7)
 }
 
@@ -55,15 +59,4 @@ pub(crate) fn s(value: f64) -> String {
 /// Formats a ratio as a percentage with one decimal.
 pub(crate) fn pct(value: f64) -> String {
     format!("{:.1}%", value * 100.0)
-}
-
-/// Resolves a fleet experiment's device count: the `ETRAIN_FLEET_SIZE`
-/// override when parseable, else the tier default. Lenient here (library
-/// context); bench binaries fail fast on bad values through
-/// [`crate::validate_env_knobs`].
-pub(crate) fn fleet_devices(quick: bool, quick_default: u64, full_default: u64) -> u64 {
-    let raw = std::env::var(etrain_fleet::FLEET_SIZE_ENV).ok();
-    etrain_fleet::try_fleet_size_from_env(raw.as_deref())
-        .unwrap_or(None)
-        .unwrap_or(if quick { quick_default } else { full_default })
 }

@@ -9,9 +9,9 @@
 //! energy minimum), by the offline greedy heuristic, and by online eTrain
 //! at a high Θ, on the same constant-bandwidth channel.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_sched::{AppProfile, CostProfile, OfflineProblem};
-use etrain_sim::{BandwidthSource, Scenario, SchedulerKind, Table};
+use etrain_sim::{BandwidthSource, SchedulerKind, Table};
 use etrain_trace::heartbeats::{synthesize, TrainAppSpec};
 use etrain_trace::packets::{CargoAppSpec, CargoWorkload};
 use etrain_trace::rng::TruncatedNormal;
@@ -22,8 +22,8 @@ const BANDWIDTH_BPS: f64 = 450_000.0;
 const HORIZON_S: f64 = 600.0;
 
 /// Runs the offline-gap experiment.
-pub fn run(quick: bool) -> ExperimentResult {
-    let instances = if quick { 3 } else { 8 };
+pub fn run(settings: Settings) -> ExperimentResult {
+    let instances = if settings.quick { 3 } else { 8 };
     let profiles = vec![AppProfile::new("Weibo", CostProfile::weibo(120.0))];
     let trains = vec![TrainAppSpec::wechat().with_phase(30.0)];
     // A sparse workload keeps instances inside the exhaustive limit.
@@ -63,7 +63,8 @@ pub fn run(quick: bool) -> ExperimentResult {
         let optimal = problem.solve_exhaustive().expect("instance within limit");
         let greedy = problem.solve_greedy();
 
-        let online = Scenario::paper_default()
+        let online = settings
+            .paper_default()
             .duration_secs(HORIZON_S as u64)
             .profiles(profiles.clone())
             .packets(packets.clone())
@@ -102,7 +103,7 @@ mod tests {
 
     #[test]
     fn online_never_beats_the_offline_optimum() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         for row in tables[0].to_csv().lines().skip(1) {
             let cells: Vec<&str> = row.split(',').collect();
             let optimal: f64 = cells[2].parse().unwrap();

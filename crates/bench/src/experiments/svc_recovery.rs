@@ -25,7 +25,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_chaos::{daemon_binary, run_supervisor, run_wal_selftest};
 use etrain_core::CoreConfig;
 use etrain_sim::Table;
@@ -94,10 +94,10 @@ fn inprocess_trials(seed: u64, steps_total: usize, kill_points: &[usize]) -> Vec
 }
 
 /// Runs the svc_recovery experiment.
-pub fn run(quick: bool) -> ExperimentResult {
+pub fn run(settings: Settings) -> ExperimentResult {
     // Tier 1: in-process crash/recover.
-    let steps_total = if quick { 60 } else { 240 };
-    let kill_count = if quick { 6 } else { 16 };
+    let steps_total = if settings.quick { 60 } else { 240 };
+    let kill_count = if settings.quick { 6 } else { 16 };
     let kill_points: Vec<usize> = (1..=kill_count)
         .map(|k| k * steps_total / (kill_count + 1))
         .collect();
@@ -123,7 +123,7 @@ pub fn run(quick: bool) -> ExperimentResult {
 
     // Tier 2: WAL corruption self-test.
     let selftest_dir = scratch("selftest");
-    let selftest = run_wal_selftest(17, if quick { 40 } else { 120 }, &selftest_dir);
+    let selftest = run_wal_selftest(17, if settings.quick { 40 } else { 120 }, &selftest_dir);
     let _ = std::fs::remove_dir_all(&selftest_dir);
     let mut selftest_table = Table::new(
         "WAL corruption self-test — damaged segment tails must be detected",
@@ -157,7 +157,7 @@ pub fn run(quick: bool) -> ExperimentResult {
     match daemon_binary() {
         Some(bin) => {
             let dir = scratch("supervisor");
-            let report = run_supervisor(&bin, &dir, 17, if quick { 5 } else { 10 });
+            let report = run_supervisor(&bin, &dir, 17, if settings.quick { 5 } else { 10 });
             let _ = std::fs::remove_dir_all(&dir);
             process_trials = report.trials.len();
             for trial in &report.trials {
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn svc_recovery_is_zero_loss_in_quick_mode() {
-        let result = run(true);
+        let result = run(Settings::quick());
         let headline = |metric: &str| {
             result
                 .headlines

@@ -7,15 +7,19 @@
 //! in for measurement noise) and reports what the cycle detector recovers
 //! — the observational equivalent of the paper's Wireshark analysis.
 
-use crate::ExperimentResult;
+use crate::{ExperimentResult, Settings};
 use etrain_hb::{DetectedPattern, HeartbeatMonitor};
 use etrain_sim::Table;
 use etrain_trace::heartbeats::TrainAppSpec;
 use etrain_trace::TrainAppId;
 
 /// Runs the Table 1 reproduction.
-pub fn run(quick: bool) -> ExperimentResult {
-    let horizon = if quick { 3.0 * 3600.0 } else { 8.0 * 3600.0 };
+pub fn run(settings: Settings) -> ExperimentResult {
+    let horizon = if settings.quick {
+        3.0 * 3600.0
+    } else {
+        8.0 * 3600.0
+    };
     let android_devices = [
         "HTC Sensation Z710e",
         "Samsung Note II",
@@ -87,7 +91,7 @@ mod tests {
     fn android_cycles_match_paper() {
         // Jitter stands in for measurement noise, so allow ±3 s on the
         // detected medians.
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let csv = tables[0].to_csv();
         let first_android = csv.lines().nth(1).unwrap();
         let cells: Vec<&str> = first_android.split(',').collect();
@@ -112,7 +116,7 @@ mod tests {
 
     #[test]
     fn ios_shares_one_long_cycle() {
-        let tables = run(true).tables;
+        let tables = run(Settings::quick()).tables;
         let csv = tables[0].to_csv();
         let ios = csv.lines().last().unwrap();
         let cell = ios.split(',').nth(1).unwrap();

@@ -12,7 +12,9 @@
 //! ```
 //!
 //! `--quick` shrinks horizons/sweeps for CI-speed smoke runs; the shapes
-//! remain, the absolute numbers lose precision.
+//! remain, the absolute numbers lose precision. That tier and the oracle
+//! and observability modes reach every experiment as one [`Settings`]
+//! value: no experiment reads the environment.
 //!
 //! Every experiment returns an [`ExperimentResult`]: the printable tables
 //! plus the headline metrics that `repro_all` collects — concurrently,
@@ -26,8 +28,39 @@ pub mod experiments;
 
 use std::time::Instant;
 
-use etrain_sim::Table;
+use etrain_sim::{ObsMode, OracleMode, Scenario, Table};
 use serde::{Deserialize, Serialize};
+
+/// What an experiment's `run` is told: the fidelity tier, and the oracle
+/// and observability modes of the paper-default scenarios it builds.
+/// `repro_all` runs every experiment under one value; experiments that
+/// pin a mode of their own (`explain` journals, `robustness` audits
+/// strictly, the fleet runs neither) keep it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Settings {
+    /// Reduced horizons and sweeps for a CI-speed smoke run.
+    pub quick: bool,
+    /// The oracle mode of every paper-default scenario.
+    pub oracle: OracleMode,
+    /// The observability mode of every paper-default scenario.
+    pub obs: ObsMode,
+}
+
+impl Settings {
+    /// The quick tier, with the oracle and journaling off.
+    pub fn quick() -> Self {
+        Settings {
+            quick: true,
+            ..Settings::default()
+        }
+    }
+
+    /// [`Scenario::paper_default`] under these oracle and observability
+    /// modes.
+    pub fn paper_default(self) -> Scenario {
+        Scenario::paper_default().oracle(self.oracle).obs(self.obs)
+    }
+}
 
 /// One headline metric of an experiment — the single number (per axis of
 /// interest) a reader checks first, extracted for machine-readable
@@ -116,8 +149,8 @@ pub struct Experiment {
     pub name: &'static str,
     /// The paper artifact it reproduces.
     pub description: &'static str,
-    /// Runs the experiment; `quick` trades fidelity for speed.
-    pub run: fn(quick: bool) -> ExperimentResult,
+    /// Runs the experiment under the given settings.
+    pub run: fn(Settings) -> ExperimentResult,
 }
 
 /// All experiments in paper order, followed by the ablations.
@@ -317,45 +350,6 @@ pub struct ReproRun {
     pub result: ExperimentResult,
 }
 
-/// Validates every `ETRAIN_*` environment knob a bench binary honors
-/// (`ETRAIN_ORACLE`, `ETRAIN_OBS`, `ETRAIN_JOBS`, `ETRAIN_FLEET_SIZE`,
-/// `ETRAIN_WAL`, `ETRAIN_SVC_ADDR`, `ETRAIN_WAL_FAULT`), exiting with
-/// status 2 and one message per bad knob. Binaries call this first: a
-/// typo like `ETRAIN_ORACLE=stric` must abort the run, not silently audit
-/// nothing (library contexts keep the lenient warn-once fallback instead).
-pub fn validate_env_knobs() {
-    let mut problems = Vec::new();
-    if let Err(reason) = etrain_sim::OracleMode::try_from_env() {
-        problems.push(reason);
-    }
-    if let Err(reason) = etrain_obs::ObsMode::try_from_env() {
-        problems.push(reason);
-    }
-    let jobs_raw = std::env::var(etrain_sim::JOBS_ENV).ok();
-    if let Err(reason) = etrain_sim::try_jobs_from_env(jobs_raw.as_deref()) {
-        problems.push(reason);
-    }
-    let fleet_raw = std::env::var(etrain_fleet::FLEET_SIZE_ENV).ok();
-    if let Err(reason) = etrain_fleet::try_fleet_size_from_env(fleet_raw.as_deref()) {
-        problems.push(reason);
-    }
-    if let Err(reason) = etrain_svc::try_wal_dir_from_env() {
-        problems.push(reason);
-    }
-    if let Err(reason) = etrain_svc::try_addr_from_env() {
-        problems.push(reason);
-    }
-    if let Err(reason) = etrain_svc::WalFault::try_from_env() {
-        problems.push(reason);
-    }
-    if !problems.is_empty() {
-        for problem in &problems {
-            eprintln!("error: {problem}");
-        }
-        std::process::exit(2);
-    }
-}
-
 /// Checks a bench binary's `args` (program name first) against the flags
 /// it knows, so a typo or a retired flag aborts the run instead of being
 /// silently ignored. Each of `valued` takes the argument after it as its
@@ -394,34 +388,34 @@ pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
 
 /// Runs `experiments` on [`etrain_sim::run_pool`] and returns the finished
 /// runs **in input order**, regardless of which worker finished first.
-/// `jobs` overrides the worker count; `None` defers to
-/// [`etrain_sim::resolve_workers`] (`ETRAIN_JOBS`, then the machine's
-/// available parallelism). Experiment `run` functions are deterministic,
-/// so the output is bit-for-bit identical to a serial loop.
+/// `jobs` overrides the worker count; `None` uses the machine's available
+/// parallelism ([`etrain_sim::resolve_workers`]). Experiment `run`
+/// functions are deterministic, so the output is bit-for-bit identical to
+/// a serial loop.
 ///
 /// # Panics
 ///
 /// Panics if an experiment panics.
 pub fn run_experiments(
     experiments: &[Experiment],
-    quick: bool,
+    settings: Settings,
     jobs: Option<usize>,
 ) -> Vec<ReproRun> {
     etrain_sim::run_pool(
         experiments,
         etrain_sim::resolve_workers(jobs, experiments.len()),
-        |experiment| run_timed(experiment, quick),
+        |experiment| run_timed(experiment, settings),
     )
 }
 
-fn run_timed(experiment: &Experiment, quick: bool) -> ReproRun {
+fn run_timed(experiment: &Experiment, settings: Settings) -> ReproRun {
     let started = Instant::now();
-    let result = (experiment.run)(quick);
+    let result = (experiment.run)(settings);
     ReproRun {
         record: ReproRecord {
             name: experiment.name.to_owned(),
             description: experiment.description.to_owned(),
-            quick,
+            quick: settings.quick,
             wall_s: started.elapsed().as_secs_f64(),
             tables: result.tables.len(),
             headlines: result.headlines.clone(),
@@ -435,8 +429,8 @@ fn run_timed(experiment: &Experiment, quick: bool) -> ReproRun {
 /// auditing backed the numbers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OracleSummary {
-    /// The process-wide oracle mode the suite ran under (`off`, `record`
-    /// or `strict`).
+    /// The oracle mode the suite ran under (`off`, `record` or
+    /// `strict`).
     pub mode: String,
     /// Invariant checks performed across all experiments.
     pub checks: u64,
@@ -444,11 +438,12 @@ pub struct OracleSummary {
     pub violations: u64,
 }
 
-/// Snapshot of the process-wide oracle mode and tallies, for the report.
-pub fn oracle_summary() -> OracleSummary {
+/// The process-wide oracle tallies of a suite run under `mode`, for the
+/// report.
+pub fn oracle_summary(mode: OracleMode) -> OracleSummary {
     let counters = etrain_sim::oracle::counters();
     OracleSummary {
-        mode: etrain_sim::OracleMode::from_env().to_string(),
+        mode: mode.to_string(),
         checks: counters.checks,
         violations: counters.violations,
     }
@@ -459,10 +454,9 @@ pub fn oracle_summary() -> OracleSummary {
 /// journaling backed the run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObsSummary {
-    /// The process-wide observability mode (`off` or `jsonl`).
+    /// The observability mode the suite ran under (`off` or `jsonl`).
     ///
-    /// Note this is the *ambient* `ETRAIN_OBS` mode; the `explain`
-    /// experiment forces journaling on for its own run regardless, so
+    /// The `explain` experiment journals its own run regardless, so
     /// `events_recorded` is non-zero even when the mode is `off`.
     pub mode: String,
     /// Journal events recorded across all experiments.
@@ -473,11 +467,11 @@ pub struct ObsSummary {
     pub snapshots_taken: u64,
 }
 
-/// Snapshot of the process-wide observability mode and tallies.
-pub fn obs_summary() -> ObsSummary {
+/// The process-wide observability tallies of a suite run under `mode`.
+pub fn obs_summary(mode: ObsMode) -> ObsSummary {
     let counters = etrain_obs::counters();
     ObsSummary {
-        mode: etrain_obs::ObsMode::from_env().to_string(),
+        mode: mode.to_string(),
         events_recorded: counters.events_recorded,
         journals_merged: counters.journals_merged,
         snapshots_taken: counters.snapshots_taken,
@@ -497,17 +491,17 @@ pub struct ReproReport {
 }
 
 /// Serializes the records of finished runs, plus the current oracle and
-/// observability tallies, as the pretty-printed JSON body of
-/// `BENCH_repro.json`.
+/// observability tallies under `settings`' modes, as the pretty-printed
+/// JSON body of `BENCH_repro.json`.
 ///
 /// # Panics
 ///
 /// Panics if serialization fails (the record types are plain data, so it
 /// cannot).
-pub fn repro_report_json(runs: &[ReproRun]) -> String {
+pub fn repro_report_json(runs: &[ReproRun], settings: Settings) -> String {
     let report = ReproReport {
-        oracle: oracle_summary(),
-        obs: obs_summary(),
+        oracle: oracle_summary(settings.oracle),
+        obs: obs_summary(settings.obs),
         experiments: runs.iter().map(|r| r.record.clone()).collect(),
     };
     serde_json::to_string_pretty(&report).expect("plain-data records serialize")
@@ -561,6 +555,22 @@ mod tests {
         let mut t = Table::new("t", &["name"]);
         t.push_row(&["Baseline"]);
         let _ = ExperimentResult::from_tables(vec![t]).headline_cell("x", 0, 0, "name", "");
+    }
+
+    #[test]
+    fn settings_reach_the_paper_default_scenarios() {
+        let off = Settings::quick().paper_default();
+        assert_eq!(off.oracle_mode(), OracleMode::Off);
+        assert_eq!(off.obs_mode(), ObsMode::Off);
+        let settings = Settings {
+            quick: true,
+            oracle: OracleMode::Record,
+            obs: ObsMode::Jsonl,
+        };
+        for scenario in [settings.paper_default(), experiments::paper_base(settings)] {
+            assert_eq!(scenario.oracle_mode(), OracleMode::Record);
+            assert_eq!(scenario.obs_mode(), ObsMode::Jsonl);
+        }
     }
 
     #[test]
@@ -642,8 +652,8 @@ mod tests {
             find("fig2").expect("registered"),
             find("fig6").expect("registered"),
         ];
-        let runs = run_experiments(&cheap, true, Some(1));
-        let json = repro_report_json(&runs);
+        let runs = run_experiments(&cheap, Settings::quick(), Some(1));
+        let json = repro_report_json(&runs, Settings::quick());
         // Top-level keys, in order, and nothing else: the report carries
         // no trajectory or timing baseline beside the per-run `wall_s`.
         let top: Vec<usize> = ["\n  \"oracle\"", "\n  \"obs\"", "\n  \"experiments\""]
@@ -667,8 +677,8 @@ mod tests {
             .iter()
             .map(|name| find(name).expect("registered"))
             .collect();
-        let serial = run_experiments(&cheap, true, Some(1));
-        let parallel = run_experiments(&cheap, true, Some(3));
+        let serial = run_experiments(&cheap, Settings::quick(), Some(1));
+        let parallel = run_experiments(&cheap, Settings::quick(), Some(3));
         let names: Vec<&str> = parallel.iter().map(|r| r.record.name.as_str()).collect();
         assert_eq!(names, vec!["fig2", "fig4", "fig6"]);
         for (a, b) in serial.iter().zip(&parallel) {
@@ -680,10 +690,28 @@ mod tests {
     }
 
     #[test]
+    fn json_report_names_the_modes_it_ran_under() {
+        let cheap = [find("fig6").expect("registered")];
+        let runs = run_experiments(&cheap, Settings::quick(), Some(1));
+        let block = |name: &str, mode: &str| format!("\"{name}\": {{\n    \"mode\": \"{mode}\"");
+        let off = repro_report_json(&runs, Settings::quick());
+        assert!(off.contains(&block("oracle", "off")), "{off}");
+        assert!(off.contains(&block("obs", "off")), "{off}");
+        let settings = Settings {
+            quick: true,
+            oracle: OracleMode::Record,
+            obs: ObsMode::Jsonl,
+        };
+        let on = repro_report_json(&runs, settings);
+        assert!(on.contains(&block("oracle", "record")), "{on}");
+        assert!(on.contains(&block("obs", "jsonl")), "{on}");
+    }
+
+    #[test]
     fn json_report_carries_names_and_headlines() {
         let cheap = [find("fig6").expect("registered")];
-        let runs = run_experiments(&cheap, true, Some(1));
-        let json = repro_report_json(&runs);
+        let runs = run_experiments(&cheap, Settings::quick(), Some(1));
+        let json = repro_report_json(&runs, Settings::quick());
         assert!(json.contains("\"fig6\""));
         assert!(json.contains("wall_s"));
         assert!(json.contains("f3_at_3x_deadline"));

@@ -11,7 +11,8 @@
 //! ETRAIN_UPDATE_GOLDEN=1 cargo test -p etrain-bench --test golden
 //! ```
 
-use etrain_bench::{registry, run_experiments, Headline};
+use etrain_bench::{find, registry, run_experiments, Headline, Settings};
+use etrain_sim::ObsMode;
 use serde::{Deserialize, Serialize};
 
 /// The per-experiment snapshot stored in the fixture.
@@ -37,7 +38,7 @@ fn current_snapshot() -> Vec<GoldenExperiment> {
         .into_iter()
         .filter(|e| e.name != "svc_recovery")
         .collect();
-    run_experiments(&registry, true, None)
+    run_experiments(&registry, Settings::quick(), None)
         .into_iter()
         .map(|run| GoldenExperiment {
             name: run.record.name,
@@ -93,5 +94,31 @@ fn quick_headlines_match_golden_snapshot() {
                 ch.value
             );
         }
+    }
+}
+
+/// Journaling every scenario (`repro_all --journal`) must not move a
+/// number. Three quick experiments cover a paper-base sweep, the lossy
+/// channel's retry path and a parallel grid; each gives the same
+/// headlines, bit for bit, with observability on and off.
+#[test]
+fn journaling_changes_no_headline() {
+    let experiments: Vec<_> = ["fig7a", "ablate_faults", "ext_grid"]
+        .iter()
+        .map(|name| find(name).expect("registered"))
+        .collect();
+    let journaled = Settings {
+        obs: ObsMode::Jsonl,
+        ..Settings::quick()
+    };
+    let off = run_experiments(&experiments, Settings::quick(), None);
+    let on = run_experiments(&experiments, journaled, None);
+    for (plain, logged) in off.iter().zip(&on) {
+        assert!(!plain.record.headlines.is_empty(), "{}", plain.record.name);
+        assert_eq!(
+            plain.record.headlines, logged.record.headlines,
+            "{}: journaling moved a headline",
+            plain.record.name
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! The deterministic (sans-IO) eTrain core: Heartbeat Monitor + Scheduler
 //! wired together, driven by explicit timestamps.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use etrain_hb::{HeartbeatMonitor, TrainStatus};
 use etrain_obs::json::{push_u64, push_u64_or_null};
@@ -108,6 +108,52 @@ struct PendingRequest {
     deadline_override_s: Option<f64>,
 }
 
+/// The requests waiting for a first decision, by id, plus the ids of
+/// those carrying a per-request deadline override. The one `insert` and
+/// the one `remove` keep the two in step, so each slot's override scan
+/// walks only the requests that can need it.
+#[derive(Debug, Default)]
+struct PendingRequests {
+    by_id: BTreeMap<u64, PendingRequest>,
+    with_deadline: BTreeSet<u64>,
+}
+
+impl PendingRequests {
+    fn insert(&mut self, id: u64, meta: PendingRequest) {
+        if meta.deadline_override_s.is_some() {
+            self.with_deadline.insert(id);
+        }
+        self.by_id.insert(id, meta);
+    }
+
+    fn remove(&mut self, id: u64) -> Option<PendingRequest> {
+        self.with_deadline.remove(&id);
+        self.by_id.remove(&id)
+    }
+
+    fn get(&self, id: u64) -> Option<&PendingRequest> {
+        self.by_id.get(&id)
+    }
+
+    fn len(&self) -> usize {
+        self.by_id.len()
+    }
+
+    /// The requests whose own deadline would pass by waiting one more
+    /// slot of `slot_s` after `now_s`, in id order.
+    fn due(&self, now_s: f64, slot_s: f64) -> Vec<(u64, CargoAppId)> {
+        self.with_deadline
+            .iter()
+            .filter_map(|id| Some((*id, self.by_id.get(id)?)))
+            .filter(|(_, meta)| {
+                meta.deadline_override_s
+                    .is_some_and(|deadline| now_s + slot_s - meta.submitted_at_s >= deadline)
+            })
+            .map(|(id, meta)| (id, meta.app))
+            .collect()
+    }
+}
+
 /// A decided request whose transmission outcome has not been reported yet.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
@@ -154,7 +200,7 @@ pub struct ETrainCore {
     scheduler: ETrainScheduler,
     monitor: HeartbeatMonitor,
     trains: Vec<TrainRecord>,
-    pending: BTreeMap<u64, PendingRequest>,
+    pending: PendingRequests,
     stashed_decisions: Vec<TransmitDecision>,
     awaiting: BTreeMap<RequestId, InFlight>,
     backoffs: Vec<Backoff>,
@@ -181,7 +227,7 @@ impl ETrainCore {
             config,
             monitor: HeartbeatMonitor::new(),
             trains: Vec::new(),
-            pending: BTreeMap::new(),
+            pending: PendingRequests::default(),
             stashed_decisions: Vec::new(),
             awaiting: BTreeMap::new(),
             backoffs: Vec::new(),
@@ -352,7 +398,7 @@ impl ETrainCore {
                 return Ok(Admission::Rejected);
             }
             Room::Evicted(victim) => {
-                let meta = self.pending.remove(&victim.id);
+                let meta = self.pending.remove(victim.id);
                 debug_assert!(meta.is_some(), "evicted packet has pending metadata");
                 self.stats.shed += 1;
                 self.record(
@@ -462,7 +508,7 @@ impl ETrainCore {
     /// already decided or never existed — cancellation after a decision is
     /// a no-op because the cargo app may already be transmitting.
     pub fn cancel(&mut self, request: RequestId) -> bool {
-        let Some(meta) = self.pending.get(&request.0) else {
+        let Some(meta) = self.pending.get(request.0) else {
             return false;
         };
         // A pending request is always in its app's queue: a release
@@ -471,7 +517,7 @@ impl ETrainCore {
             debug_assert!(false, "pending request is queued");
             return false;
         }
-        self.pending.remove(&request.0);
+        self.pending.remove(request.0);
         self.stats.cancelled += 1;
         true
     }
@@ -670,17 +716,7 @@ impl ETrainCore {
 
         // Per-request deadline overrides: force-release anything that would
         // violate its own deadline by waiting one more slot, in id order.
-        let critical: Vec<(u64, CargoAppId)> = self
-            .pending
-            .iter()
-            .filter(|(_, meta)| {
-                meta.deadline_override_s.is_some_and(|deadline| {
-                    now_s + self.config.slot_s - meta.submitted_at_s >= deadline
-                })
-            })
-            .map(|(&packet_id, meta)| (packet_id, meta.app))
-            .collect();
-        for (packet_id, app) in critical {
+        for (packet_id, app) in self.pending.due(now_s, self.config.slot_s) {
             if let Some(p) = self.scheduler.force_release(app, packet_id) {
                 decisions.extend(self.decision_for(p, now_s, None));
             }
@@ -690,7 +726,9 @@ impl ETrainCore {
             now_s,
             heartbeat_departing: heartbeat.is_some(),
             predicted_bandwidth_bps: 0.0, // Algorithm 1 is channel-oblivious
-            trains_alive: self.trains_alive(now_s),
+            // Still the watchdog's value: nothing since then touched the
+            // monitor or the clock.
+            trains_alive: alive,
         };
         let slot_released = self.scheduler.on_slot(&ctx);
         self.drain_scheduler_events();
@@ -711,7 +749,7 @@ impl ETrainCore {
         // A released packet without pending metadata is an internal
         // invariant break (it can only mean double release); drop it
         // rather than panic on a user-reachable path.
-        let Some(meta) = self.pending.remove(&packet.id) else {
+        let Some(meta) = self.pending.remove(packet.id) else {
             debug_assert!(false, "released packet has pending metadata");
             return None;
         };
@@ -780,7 +818,7 @@ impl ETrainCore {
             mix_serde(&mut hash, &train.registered_at_s.to_bits());
         }
         let mut buf = String::new();
-        for (&packet_id, meta) in &self.pending {
+        for (&packet_id, meta) in &self.pending.by_id {
             // The format hashes the id twice: once as the packet's, once as
             // the request's.
             mix(&mut hash, &mut buf, |out| push_u64(out, packet_id));
@@ -1379,6 +1417,57 @@ mod tests {
         // before its deadline), so value-based eviction is observable.
         let cargo = core.register_cargo(AppProfile::new("Weibo", CostProfile::weibo(120.0)));
         (core, train, cargo)
+    }
+
+    #[test]
+    fn each_deadline_override_releases_at_its_own_deadline() {
+        // Θ = 1e9 and a single heartbeat: nothing but a request's own
+        // deadline releases it after t = 2. Capacity 5 forces an eviction.
+        let (mut core, train, cargo) = bounded_core(ShedPolicy::DropLowestValue, 5);
+        let with = |deadline_s| TransmitRequest::upload(100).with_deadline(deadline_s);
+        let id = |admission: Admission| admission.id().unwrap();
+
+        // R rides the one heartbeat, fails, and backs off with its override.
+        let retried = id(core.submit(cargo, with(60.0), 1.0).unwrap());
+        let ridden = core.on_heartbeat(train, 2.0).unwrap();
+        assert_eq!(
+            ridden.iter().map(|d| d.request).collect::<Vec<_>>(),
+            [retried]
+        );
+        let verdict = core.report_result(retried, TxResult::Failed, 2.5).unwrap();
+        assert!(matches!(verdict, RetryVerdict::RetryScheduled { .. }));
+
+        let a = id(core.submit(cargo, with(30.0), 3.0).unwrap());
+        core.submit(cargo, TransmitRequest::upload(100), 4.0)
+            .unwrap();
+        let c = id(core.submit(cargo, with(20.0), 5.0).unwrap());
+        let cancelled = id(core.submit(cargo, with(10.0), 6.0).unwrap());
+        assert!(core.cancel(cancelled));
+        // The backoff elapses: R is pending again, with its override.
+        assert!(core.tick(7.0).unwrap().is_empty());
+        assert_eq!(core.backing_off(), 0);
+        let doomed = id(core.submit(cargo, with(15.0), 8.0).unwrap());
+        // Full: the youngest, cheapest request (the 15 s one) is evicted.
+        let admission = core
+            .submit(cargo, TransmitRequest::upload(100), 9.0)
+            .unwrap();
+        let Admission::AdmittedWithEviction { evicted, .. } = admission else {
+            panic!("expected an eviction, got {admission:?}");
+        };
+        assert_eq!(evicted, doomed);
+
+        let mut released = Vec::new();
+        for t in 10..=70 {
+            for decision in core.tick(f64::from(t)).unwrap() {
+                assert_eq!(decision.piggybacked_on, None);
+                released.push((decision.request, t));
+            }
+        }
+        // Each at the last slot before submission + deadline; neither the
+        // cancelled nor the evicted request, nor a plain one, is released.
+        assert_eq!(released, [(c, 24), (a, 32), (retried, 60)]);
+        assert_eq!(core.pending_requests(), 2);
+        assert!(core.pending.with_deadline.is_empty());
     }
 
     #[test]

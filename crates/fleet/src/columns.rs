@@ -233,8 +233,6 @@ mod tests {
             .duration_secs(60)
             .packets(Vec::new())
             .scheduler(etrain_sim::SchedulerKind::Baseline)
-            .oracle(etrain_sim::OracleMode::Off)
-            .obs(etrain_obs::ObsMode::Off)
             .seed(1)
             .run();
         report.extra_energy_j = extra;

@@ -57,62 +57,3 @@ pub mod runner;
 pub use columns::{FleetColumns, FleetTally};
 pub use population::{class_label, device_seed, ClassMix, DeviceSpec, FleetConfig};
 pub use runner::{run_fleet, FleetResult};
-
-/// The environment variable overriding experiment fleet sizes
-/// (`ETRAIN_FLEET_SIZE`), read strictly by [`try_fleet_size_from_env`].
-pub const FLEET_SIZE_ENV: &str = "ETRAIN_FLEET_SIZE";
-
-/// Parses an `ETRAIN_FLEET_SIZE` value strictly: `Ok(None)` when unset or
-/// empty, `Ok(Some(n))` for a positive integer device count, and `Err`
-/// (with a human-readable reason) for anything else — including `0`,
-/// which would otherwise silently mean "not set".
-///
-/// # Errors
-///
-/// Returns the reason the value is unusable, prefixed with the variable
-/// name, mirroring `try_jobs_from_env` in the sim crate.
-///
-/// # Examples
-///
-/// ```
-/// use etrain_fleet::try_fleet_size_from_env;
-///
-/// assert_eq!(try_fleet_size_from_env(None), Ok(None));
-/// assert_eq!(try_fleet_size_from_env(Some("250000")), Ok(Some(250_000)));
-/// assert!(try_fleet_size_from_env(Some("0")).is_err());
-/// assert!(try_fleet_size_from_env(Some("a million")).is_err());
-/// ```
-pub fn try_fleet_size_from_env(value: Option<&str>) -> Result<Option<u64>, String> {
-    let raw = match value {
-        None => return Ok(None),
-        Some(raw) => raw.trim(),
-    };
-    if raw.is_empty() {
-        return Ok(None);
-    }
-    match raw.parse::<u64>() {
-        Ok(0) => Err(format!(
-            "{FLEET_SIZE_ENV}={raw:?}: fleet size must be >= 1 device"
-        )),
-        Ok(devices) => Ok(Some(devices)),
-        Err(_) => Err(format!(
-            "{FLEET_SIZE_ENV}={raw:?}: expected a positive integer device count"
-        )),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fleet_size_parser_is_strict() {
-        assert_eq!(try_fleet_size_from_env(None), Ok(None));
-        assert_eq!(try_fleet_size_from_env(Some("")), Ok(None));
-        assert_eq!(try_fleet_size_from_env(Some("  ")), Ok(None));
-        assert_eq!(try_fleet_size_from_env(Some(" 42 ")), Ok(Some(42)));
-        assert!(try_fleet_size_from_env(Some("0")).is_err());
-        assert!(try_fleet_size_from_env(Some("-3")).is_err());
-        assert!(try_fleet_size_from_env(Some("1e6")).is_err());
-    }
-}

@@ -9,7 +9,7 @@
 //! sharded by 64 devices or 64k.
 
 use etrain_sched::{AppProfile, CostProfile};
-use etrain_sim::{BandwidthSource, EngineKind, OracleMode, Scenario, SchedulerKind};
+use etrain_sim::{BandwidthSource, EngineKind, Scenario, SchedulerKind};
 use etrain_trace::packets::Packet;
 use etrain_trace::user::{upload_packets_into, Activeness};
 use etrain_trace::CargoAppId;
@@ -161,8 +161,8 @@ pub struct FleetConfig {
     pub engine: EngineKind,
     /// Devices per shard (the unit of work handed to a worker).
     pub shard_devices: usize,
-    /// Worker-thread override; `None` defers to `ETRAIN_JOBS`, then to
-    /// the machine's available parallelism.
+    /// Worker-thread override; `None` uses the machine's available
+    /// parallelism.
     pub jobs: Option<usize>,
     /// Route scheduler decisions through the reference cost path instead
     /// of the cached hot path (default `false`; both paths are
@@ -256,9 +256,8 @@ impl FleetConfig {
 
     /// The single-device [`Scenario`] that device `spec` is defined to be
     /// equivalent to — the conformance reference for the fleet runner's
-    /// direct engine path. Oracle and observability are pinned off so the
-    /// report is exactly what the fleet's allocation-lean path produces
-    /// regardless of `ETRAIN_ORACLE` / `ETRAIN_OBS` in the environment.
+    /// direct engine path. Oracle and observability are off, so the
+    /// report is exactly what the fleet's allocation-lean path produces.
     pub fn reference_scenario(&self, spec: &DeviceSpec) -> Scenario {
         let mut packets = Vec::new();
         self.device_packets_into(spec, &mut packets);
@@ -270,8 +269,6 @@ impl FleetConfig {
             .scheduler(self.scheduler)
             .seed(spec.seed)
             .engine(self.engine)
-            .oracle(OracleMode::Off)
-            .obs(etrain_obs::ObsMode::Off)
             .reference_cost(self.reference_cost)
     }
 

@@ -33,10 +33,11 @@
 //! wall clock. Where the time goes is measured from outside, by the
 //! repository's `benchmark/` package.
 //!
-//! The whole layer is **zero-cost when off**: the [`ObsMode`] knob
-//! (environment variable `ETRAIN_OBS`, or `Scenario::obs`) defaults to
-//! [`ObsMode::Off`], in which case no events are allocated and simulation
-//! output is bit-for-bit identical to a build without this crate.
+//! The whole layer is **zero-cost when off**: the [`ObsMode`] a caller
+//! sets (`Scenario::obs`, `RunGrid::obs`, `repro_all --journal`) defaults
+//! to [`ObsMode::Off`], in which case no events are allocated and
+//! simulation output is bit-for-bit identical to a build without this
+//! crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,7 +57,7 @@ pub use durable::{
 pub use event::{Event, EventRecord, Journal};
 pub use fnv::Fnv1a;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
-pub use mode::{ObsMode, OBS_ENV};
+pub use mode::ObsMode;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

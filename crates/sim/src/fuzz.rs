@@ -19,7 +19,6 @@ use etrain_trace::heartbeats::{Heartbeat, TrainAppSpec};
 use etrain_trace::packets::Packet;
 use serde::{Deserialize, Serialize};
 
-use crate::oracle::OracleMode;
 use crate::scenario::{BandwidthSource, Scenario, SchedulerKind};
 
 /// All compared algorithms, with the knob values the paper's comparison
@@ -136,7 +135,6 @@ impl CasePlan {
     /// callers pick their own audit mode).
     pub fn scenario(&self) -> Scenario {
         let mut scenario = Scenario::paper_default()
-            .oracle(OracleMode::Off)
             .duration_secs(self.horizon_s)
             .seed(self.seed)
             .lambda(self.lambda)

@@ -61,13 +61,11 @@ pub use fuzz::{conformance_kinds, CasePlan, TrainSet};
 pub use metrics::{AppReport, RunReport};
 pub use oracle::{
     audit_scheduler_ordering, OracleCounters, OracleMode, OracleOutcome, OracleViolation,
-    OrderingAudit, ORACLE_ENV,
+    OrderingAudit,
 };
 pub use replicate::{replicate, Percentiles, ReplicatedReport, Stat};
 pub use report::{fmt_f, Table};
-pub use runner::{
-    resolve_workers, run_pool, try_jobs_from_env, RunError, RunGrid, RunSpec, TraceCache, JOBS_ENV,
-};
+pub use runner::{resolve_workers, run_pool, RunError, RunGrid, RunSpec, TraceCache};
 pub use scenario::{BandwidthSource, Scenario, ScenarioError, SchedulerKind, TraceBundle};
 
 // Re-exported so fault-injection experiments can be described with this
@@ -83,6 +81,4 @@ pub use etrain_sched::{
 
 // Re-exported so observability consumers (journaled runs, metrics
 // snapshots) can be described with this crate alone.
-pub use etrain_obs::{
-    Event, EventRecord, Journal, MetricsRegistry, MetricsSnapshot, ObsMode, OBS_ENV,
-};
+pub use etrain_obs::{Event, EventRecord, Journal, MetricsRegistry, MetricsSnapshot, ObsMode};

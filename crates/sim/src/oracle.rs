@@ -43,12 +43,9 @@
 //! - `Strict` — like `Record`, but a violation turns the run into a typed
 //!   error ([`ScenarioError::OracleViolation`](crate::ScenarioError)).
 //!
-//! The mode can also be set process-wide through the `ETRAIN_ORACLE`
-//! environment variable (`off` / `record` / `strict`), which
-//! `Scenario::paper_default` reads — this is how `repro_all` audits all
-//! 28 registry experiments without per-experiment plumbing. The
-//! observability layer mirrors the pattern with `ETRAIN_OBS`
-//! (`etrain_obs::ObsMode`).
+//! Every run starts `Off`; a caller opts in per scenario or per grid.
+//! `repro_all` hands `Record` to every registry experiment through its
+//! run settings, and nothing reads the mode from the environment.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,9 +61,6 @@ use crate::engine::EngineOutput;
 use crate::metrics::RunReport;
 use crate::scenario::{BandwidthSource, Scenario, SchedulerKind};
 
-/// Environment variable selecting the process-wide default oracle mode.
-pub const ORACLE_ENV: &str = "ETRAIN_ORACLE";
-
 /// How much auditing a run performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum OracleMode {
@@ -81,51 +75,9 @@ pub enum OracleMode {
 }
 
 impl OracleMode {
-    /// Strict `ETRAIN_ORACLE` reader: `Ok(Off)` when unset or empty, the
-    /// parsed mode otherwise, and `Err` (with the parse reason) for an
-    /// unrecognized value. Binaries call this so `ETRAIN_ORACLE=stric`
-    /// fails fast instead of silently auditing nothing.
-    pub fn try_from_env() -> Result<Self, String> {
-        match std::env::var(ORACLE_ENV) {
-            Err(_) => Ok(OracleMode::Off),
-            Ok(raw) if raw.trim().is_empty() => Ok(OracleMode::Off),
-            Ok(raw) => raw.parse(),
-        }
-    }
-
-    /// Reads the process-wide default from `ETRAIN_ORACLE`
-    /// (`off`/`record`/`strict`, case-insensitive); anything else — or an
-    /// unset variable — is `Off`. An unparseable value warns once on
-    /// stderr rather than being swallowed silently (library contexts
-    /// cannot fail fast; binaries use [`OracleMode::try_from_env`]).
-    pub fn from_env() -> Self {
-        OracleMode::try_from_env().unwrap_or_else(|reason| {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!("warning: ignoring {reason}; oracle stays off");
-            });
-            OracleMode::Off
-        })
-    }
-
     /// Whether this mode audits at all.
     pub fn is_enabled(self) -> bool {
         self != OracleMode::Off
-    }
-}
-
-impl std::str::FromStr for OracleMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" => Ok(OracleMode::Off),
-            "record" => Ok(OracleMode::Record),
-            "strict" => Ok(OracleMode::Strict),
-            other => Err(format!(
-                "unknown oracle mode {other:?} (expected off, record or strict)"
-            )),
-        }
     }
 }
 
@@ -995,14 +947,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_parsing_and_display() {
-        assert_eq!("off".parse::<OracleMode>().unwrap(), OracleMode::Off);
-        assert_eq!("Record".parse::<OracleMode>().unwrap(), OracleMode::Record);
-        assert_eq!(
-            " STRICT ".parse::<OracleMode>().unwrap(),
-            OracleMode::Strict
-        );
-        assert!("bogus".parse::<OracleMode>().is_err());
+    fn mode_display_and_default() {
+        assert_eq!(OracleMode::Off.to_string(), "off");
+        assert_eq!(OracleMode::Record.to_string(), "record");
         assert_eq!(OracleMode::Strict.to_string(), "strict");
         assert_eq!(OracleMode::default(), OracleMode::Off);
         assert!(!OracleMode::Off.is_enabled());

@@ -17,9 +17,9 @@
 //!   only how often.
 //!
 //! The pool is sized by [`resolve_workers`]: the [`RunGrid::jobs`]
-//! builder, else the `ETRAIN_JOBS` environment variable, else
-//! `std::thread::available_parallelism`. `jobs = 1` degenerates to fully
-//! in-line serial execution (no threads spawned at all).
+//! builder, else `std::thread::available_parallelism`. `jobs = 1`
+//! degenerates to fully in-line serial execution (no threads spawned at
+//! all).
 //!
 //! # Robustness
 //!
@@ -39,9 +39,6 @@ use etrain_obs::{Journal, ObsMode};
 use crate::metrics::RunReport;
 use crate::oracle::OracleMode;
 use crate::scenario::{Scenario, ScenarioError, SchedulerKind, TraceBundle};
-
-/// The environment variable that overrides the worker-pool size.
-pub const JOBS_ENV: &str = "ETRAIN_JOBS";
 
 /// One job of a grid: a scenario plus the labelling that ties its report
 /// back to the experiment axis that produced it.
@@ -274,8 +271,8 @@ impl RunGrid {
     }
 
     /// Builder: overrides the worker count (`1` forces in-line serial
-    /// execution). Takes precedence over `ETRAIN_JOBS` and the detected
-    /// parallelism (see [`resolve_workers`]); `0` is treated as `1`.
+    /// execution). Takes precedence over the detected parallelism (see
+    /// [`resolve_workers`]); `0` is treated as `1`.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = Some(jobs.max(1));
         self
@@ -433,47 +430,11 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Parses an `ETRAIN_JOBS` value strictly: `Ok(None)` when unset or empty,
-/// `Ok(Some(n))` for a positive integer, and `Err` (with a human-readable
-/// reason) for anything else, including `0`.
-pub fn try_jobs_from_env(value: Option<&str>) -> Result<Option<usize>, String> {
-    let raw = match value {
-        None => return Ok(None),
-        Some(raw) => raw.trim(),
-    };
-    if raw.is_empty() {
-        return Ok(None);
-    }
-    match raw.parse::<usize>() {
-        Ok(0) => Err(format!("{JOBS_ENV}={raw:?}: worker count must be >= 1")),
-        Ok(jobs) => Ok(Some(jobs)),
-        Err(_) => Err(format!(
-            "{JOBS_ENV}={raw:?}: expected a positive integer worker count"
-        )),
-    }
-}
-
 /// The worker count for a pool over `items` jobs: `explicit` if given,
-/// else `ETRAIN_JOBS`, else the machine's available parallelism — clamped
-/// to `1..=items`, so no worker ever idles from the start.
-///
-/// An unusable `ETRAIN_JOBS` value is ignored with a one-time warning on
-/// stderr, so a typo like `ETRAIN_JOBS=fuor` doesn't quietly run on every
-/// core. Binaries that want to fail fast check [`try_jobs_from_env`] first.
+/// else the machine's available parallelism — clamped to `1..=items`, so
+/// no worker ever idles from the start.
 pub fn resolve_workers(explicit: Option<usize>, items: usize) -> usize {
-    workers_for(explicit, std::env::var(JOBS_ENV).ok().as_deref(), items)
-}
-
-/// [`resolve_workers`] over an explicit `ETRAIN_JOBS` value.
-fn workers_for(explicit: Option<usize>, env: Option<&str>, items: usize) -> usize {
     explicit
-        .or_else(|| {
-            try_jobs_from_env(env).unwrap_or_else(|reason| {
-                static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                WARN_ONCE.call_once(|| eprintln!("warning: ignoring {reason}"));
-                None
-            })
-        })
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -866,39 +827,21 @@ mod tests {
     #[test]
     fn worker_count_resolution_table() {
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        // (explicit, ETRAIN_JOBS, items) -> workers
-        let cases: [(Option<usize>, Option<&str>, usize, usize); 12] = [
-            (Some(3), Some("8"), 10, 3), // explicit beats the env
-            (Some(64), None, 4, 4),      // clamped to the item count
-            (Some(0), None, 4, 1),       // never fewer than one
-            (Some(5), None, 0, 1),       // empty grids get one
-            (None, Some("4"), 10, 4),    // env when no override
-            (None, Some(" 8 "), 10, 8),  // env is trimmed
-            (None, Some("16"), 2, 2),    // env clamped too
-            (None, None, 1000, cores.min(1000)),
-            (None, Some(""), 1000, cores.min(1000)),
-            (None, Some("0"), 1000, cores.min(1000)), // bad values fall back
-            (None, Some("zero"), 1000, cores.min(1000)),
-            (None, Some("fuor"), 1, 1),
+        // (explicit, items) -> workers
+        let cases: [(Option<usize>, usize, usize); 6] = [
+            (Some(3), 10, 3), // the explicit count
+            (Some(64), 4, 4), // clamped to the item count
+            (Some(0), 4, 1),  // never fewer than one
+            (Some(5), 0, 1),  // empty grids get one
+            (None, 1000, cores.min(1000)),
+            (None, 1, 1),
         ];
-        for (explicit, env, items, want) in cases {
+        for (explicit, items, want) in cases {
             assert_eq!(
-                workers_for(explicit, env, items),
+                resolve_workers(explicit, items),
                 want,
-                "explicit={explicit:?} env={env:?} items={items}"
+                "explicit={explicit:?} items={items}"
             );
         }
-    }
-
-    #[test]
-    fn strict_jobs_parsing_rejects_zero_and_junk() {
-        assert_eq!(try_jobs_from_env(None), Ok(None));
-        assert_eq!(try_jobs_from_env(Some("  ")), Ok(None));
-        assert_eq!(try_jobs_from_env(Some("4")), Ok(Some(4)));
-        let zero = try_jobs_from_env(Some("0")).unwrap_err();
-        assert!(zero.contains(">= 1"), "{zero}");
-        let junk = try_jobs_from_env(Some("fuor")).unwrap_err();
-        assert!(junk.contains("positive integer"), "{junk}");
-        assert!(junk.contains(JOBS_ENV), "{junk}");
     }
 }

@@ -316,8 +316,8 @@ impl Scenario {
             seed: 0,
             faults: FaultPlan::none(),
             retry: RetryPolicy::default(),
-            oracle: OracleMode::from_env(),
-            obs: ObsMode::from_env(),
+            oracle: OracleMode::Off,
+            obs: ObsMode::Off,
             engine: EngineKind::default(),
             reference_cost: false,
         }
@@ -415,10 +415,8 @@ impl Scenario {
         self
     }
 
-    /// Sets the simulation-oracle mode for this scenario's runs.
-    /// [`Scenario::paper_default`] starts from the `ETRAIN_ORACLE`
-    /// environment variable ([`OracleMode::from_env`], default `Off`);
-    /// this builder overrides it.
+    /// Sets the simulation-oracle mode for this scenario's runs
+    /// ([`Scenario::paper_default`] starts from `Off`).
     pub fn oracle(mut self, mode: OracleMode) -> Self {
         self.oracle = mode;
         self
@@ -429,13 +427,12 @@ impl Scenario {
         self.oracle
     }
 
-    /// Sets the observability mode for this scenario's runs.
-    /// [`Scenario::paper_default`] starts from the `ETRAIN_OBS`
-    /// environment variable ([`ObsMode::from_env`], default `Off`); this
-    /// builder overrides it. With observability off the run takes the
-    /// exact bit-for-bit code path it always did; any enabled mode makes
-    /// [`Scenario::try_run_journaled_on`] return a structured event journal
-    /// and fills [`RunReport::metrics`](crate::RunReport::metrics).
+    /// Sets the observability mode for this scenario's runs
+    /// ([`Scenario::paper_default`] starts from `Off`). With observability
+    /// off the run takes the exact bit-for-bit code path it always did;
+    /// any enabled mode makes [`Scenario::try_run_journaled_on`] return a
+    /// structured event journal and fills
+    /// [`RunReport::metrics`](crate::RunReport::metrics).
     ///
     /// # Examples
     ///

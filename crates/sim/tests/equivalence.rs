@@ -61,7 +61,7 @@ fn assert_decision_paths_equivalent(input: &str, base: Scenario, kinds: &[Schedu
             );
             // Byte-identical persisted artifacts: the serialized report
             // (what BENCH_repro.json and checkpoints store) and the
-            // merged journal export (what `ETRAIN_OBS=jsonl` writes).
+            // merged journal export (what `repro_all --journal` writes).
             assert_eq!(
                 serde_json::to_string(&cached_report).expect("report serializes"),
                 serde_json::to_string(&reference_report).expect("report serializes"),
