@@ -152,9 +152,10 @@ fn main() {
         std::fs::write(&json_path, etrain_bench::repro_report_json(&runs, settings))
             .expect("writing the JSON report");
         eprintln!("# wrote {json_path}");
-        if settings.obs.is_enabled() {
-            let jsonl = etrain_bench::experiments::explain::run_with_journal(settings).jsonl;
-            std::fs::write("BENCH_explain.jsonl", jsonl).expect("writing the explain journal");
+        // `explain` kept the journal of its run in the suite.
+        if let Some(journal) = runs.iter().find_map(|run| run.result.journal.as_ref()) {
+            std::fs::write("BENCH_explain.jsonl", journal.to_jsonl())
+                .expect("writing the explain journal");
             eprintln!("# wrote BENCH_explain.jsonl");
         }
     }

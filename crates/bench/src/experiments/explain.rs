@@ -29,21 +29,13 @@ fn scenario(settings: Settings) -> Scenario {
         .obs(ObsMode::Jsonl)
 }
 
-/// The experiment plus the raw journal serialized as JSON Lines — the
-/// artifact `repro_all` uploads next to the report.
-pub struct ExplainRun {
-    /// The printable tables and headlines.
-    pub result: ExperimentResult,
-    /// The run's full event journal, one JSON object per line.
-    pub jsonl: String,
-}
-
-/// Runs the explanation and keeps the raw JSONL journal.
+/// Runs the explanation. The result keeps the journal when `settings`
+/// ask for journaling.
 ///
 /// # Panics
 ///
 /// Panics if the paper-default scenario fails validation (it cannot).
-pub fn run_with_journal(settings: Settings) -> ExplainRun {
+pub fn run(settings: Settings) -> ExperimentResult {
     let scenario = scenario(settings);
     let (report, output, journal) = scenario
         .try_run_journaled_on(&scenario.generate_traces())
@@ -133,7 +125,7 @@ pub fn run_with_journal(settings: Settings) -> ExplainRun {
     ]);
 
     let accounted_pct = 100.0 * decomposed / report.total_energy_j;
-    let result = ExperimentResult::from_tables(vec![events, decisions_table, energy])
+    let mut result = ExperimentResult::from_tables(vec![events, decisions_table, energy])
         .headline("energy_accounted_pct", round1(accounted_pct), "%")
         .headline("journal_events", journal.len() as f64, "count")
         .headline(
@@ -141,15 +133,10 @@ pub fn run_with_journal(settings: Settings) -> ExplainRun {
             round1(100.0 * metrics.tail_utilization.unwrap_or(0.0)),
             "%",
         );
-    ExplainRun {
-        result,
-        jsonl: journal.to_jsonl(),
+    if settings.obs.is_enabled() {
+        result.journal = Some(journal);
     }
-}
-
-/// Registry entry point: the tables and headlines without the raw journal.
-pub fn run(settings: Settings) -> ExperimentResult {
-    run_with_journal(settings).result
+    result
 }
 
 fn round1(value: f64) -> f64 {
@@ -162,9 +149,11 @@ mod tests {
 
     #[test]
     fn energy_decomposition_accounts_for_the_full_ledger() {
-        let run = run_with_journal(Settings::quick());
-        let accounted = run
-            .result
+        let result = run(Settings {
+            obs: ObsMode::Jsonl,
+            ..Settings::quick()
+        });
+        let accounted = result
             .headlines
             .iter()
             .find(|h| h.metric == "energy_accounted_pct")
@@ -175,7 +164,8 @@ mod tests {
             accounted.value
         );
         // The exported journal is non-trivial and one-JSON-object-per-line.
-        assert!(run.jsonl.lines().count() > 100);
-        assert!(run.jsonl.lines().all(|l| l.starts_with('{')));
+        let jsonl = result.journal.expect("journaling asked for").to_jsonl();
+        assert!(jsonl.lines().count() > 100);
+        assert!(jsonl.lines().all(|l| l.starts_with('{')));
     }
 }

@@ -28,7 +28,7 @@ pub mod experiments;
 
 use std::time::Instant;
 
-use etrain_sim::{ObsMode, OracleMode, Scenario, Table};
+use etrain_sim::{Journal, ObsMode, OracleMode, Scenario, Table};
 use serde::{Deserialize, Serialize};
 
 /// What an experiment's `run` is told: the fidelity tier, and the oracle
@@ -84,6 +84,10 @@ pub struct ExperimentResult {
     pub tables: Vec<Table>,
     /// Headline metrics, in declaration order.
     pub headlines: Vec<Headline>,
+    /// The event journal behind the tables, kept when the settings ask
+    /// for journaling: `explain` keeps its run's, which `repro_all
+    /// --journal` writes as `BENCH_explain.jsonl`.
+    pub journal: Option<Journal>,
 }
 
 impl ExperimentResult {
@@ -92,6 +96,7 @@ impl ExperimentResult {
         ExperimentResult {
             tables,
             headlines: Vec::new(),
+            journal: None,
         }
     }
 

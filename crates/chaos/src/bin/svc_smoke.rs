@@ -2,7 +2,8 @@
 //!
 //! Spawns the real `etrain-svcd` (which must be built first:
 //! `cargo build -p etrain-svc`), SIGKILLs it at seeded points, arms
-//! mid-append WAL faults, restarts after every crash, and verifies the
+//! mid-append WAL faults, kills one restart while it is still recovering
+//! a torn journal, restarts after every crash, and verifies the
 //! recovered state matches a never-killed reference bit-for-bit. Also
 //! runs the WAL corruption self-test. Writes the combined report as
 //! JSON and exits nonzero on any divergence — CI's `svc-smoke` job
@@ -15,7 +16,8 @@
 use std::path::PathBuf;
 
 use etrain_chaos::{
-    daemon_binary, run_supervisor, run_wal_selftest, SupervisorReport, WalSelfTest,
+    daemon_binary, run_recovery_kill_trial, run_supervisor, run_wal_selftest, SupervisorReport,
+    WalSelfTest, RECOVERY_KILL_STEPS,
 };
 use serde::Serialize;
 
@@ -75,7 +77,16 @@ fn main() {
         "svc_smoke: daemon {} seed {seed} kills {kills}",
         bin.display()
     );
-    let supervisor = run_supervisor(&bin, &scratch, seed, kills);
+    let mut supervisor = run_supervisor(&bin, &scratch, seed, kills);
+    match run_recovery_kill_trial(
+        &bin,
+        &scratch.join("svc-recovery-kill"),
+        seed,
+        RECOVERY_KILL_STEPS,
+    ) {
+        Ok(trial) => supervisor.trials.push(trial),
+        Err(e) => supervisor.errors.push(format!("recovery kill: {e}")),
+    }
     let selftest = run_wal_selftest(seed, 60, &scratch);
     let _ = std::fs::remove_dir_all(&scratch);
 

@@ -19,7 +19,8 @@
 //!   real `etrain-svcd` daemon, SIGKILLs it at seeded points (including
 //!   mid-append via the `ETRAIN_WAL_FAULT` hook), restarts it, and
 //!   asserts the WAL-recovered state matches a never-killed in-process
-//!   reference fingerprint-for-fingerprint, with [`run_wal_selftest`]
+//!   reference fingerprint-for-fingerprint ([`run_recovery_kill_trial`]
+//!   kills a restart while it is still recovering), with [`run_wal_selftest`]
 //!   proving the WAL checksum path detects torn, truncated, and
 //!   bit-flipped segment tails ([`WalCorruption`]).
 //!
@@ -49,6 +50,7 @@ pub use campaign::{campaign_cases, run_campaign, CampaignReport, Finding};
 pub use case::{violation_name, CaseFailure, ChaosCase, Corruption};
 pub use shrink::{shrink, ReproCase};
 pub use supervisor::{
-    daemon_binary, run_fault_trial, run_sigkill_trials, run_supervisor, run_wal_selftest,
-    SupervisorReport, SupervisorTrial, WalCorruption, WalSelfTest,
+    daemon_binary, run_fault_trial, run_recovery_kill_trial, run_sigkill_trials, run_supervisor,
+    run_wal_selftest, SupervisorReport, SupervisorTrial, WalCorruption, WalSelfTest,
+    RECOVERY_KILL_STEPS,
 };

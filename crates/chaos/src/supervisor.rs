@@ -9,7 +9,9 @@
 //! reference fed the same commands. Fault trials additionally arm the
 //! `ETRAIN_WAL_FAULT` hook so the daemon dies *mid-append* — a torn
 //! frame, a short header, a flipped checksum — and recovery must
-//! truncate the damage rather than crash or replay garbage.
+//! truncate the damage rather than crash or replay garbage. The
+//! recovery-kill trial ([`run_recovery_kill_trial`]) SIGKILLs a restart
+//! before it is ready, while it scans and replays a torn journal.
 //!
 //! The self-test ([`run_wal_selftest`]) closes the loop from the other
 //! side: it damages WAL segment files directly ([`WalCorruption`]) and
@@ -26,7 +28,7 @@ use std::time::{Duration, Instant};
 use etrain_core::CoreConfig;
 use etrain_obs::{AppendFault, FrameWriter};
 use etrain_svc::script::{script, ScriptStep};
-use etrain_svc::{DurableService, ServiceState, SvcHealthConfig, WalConfig};
+use etrain_svc::{DurableService, ServiceState, SvcError, SvcHealthConfig, WalConfig, WalFault};
 use serde::{Deserialize, Serialize};
 
 /// Locates the `etrain-svcd` binary: the `ETRAIN_SVCD_BIN` override if
@@ -113,8 +115,8 @@ impl Drop for DaemonHandle {
     }
 }
 
-fn spawn_daemon(bin: &Path, wal_dir: &Path, fault: Option<&str>) -> Result<DaemonHandle, String> {
-    let started = Instant::now();
+/// Starts the daemon on `wal_dir` with its stdout captured.
+fn start_daemon(bin: &Path, wal_dir: &Path, fault: Option<&str>) -> Result<Child, String> {
     let mut cmd = Command::new(bin);
     cmd.env("ETRAIN_WAL", wal_dir)
         .env("ETRAIN_SVC_ADDR", "127.0.0.1:0")
@@ -124,9 +126,13 @@ fn spawn_daemon(bin: &Path, wal_dir: &Path, fault: Option<&str>) -> Result<Daemo
         Some(spec) => cmd.env("ETRAIN_WAL_FAULT", spec),
         None => cmd.env_remove("ETRAIN_WAL_FAULT"),
     };
-    let mut child = cmd
-        .spawn()
-        .map_err(|e| format!("spawn {}: {e}", bin.display()))?;
+    cmd.spawn()
+        .map_err(|e| format!("spawn {}: {e}", bin.display()))
+}
+
+fn spawn_daemon(bin: &Path, wal_dir: &Path, fault: Option<&str>) -> Result<DaemonHandle, String> {
+    let started = Instant::now();
+    let mut child = start_daemon(bin, wal_dir, fault)?;
     let stdout = child.stdout.take().ok_or("no captured stdout")?;
     let mut lines = BufReader::new(stdout);
     let mut recovered_line = String::new();
@@ -319,6 +325,116 @@ pub fn run_fault_trial(
     };
     restarted.sigkill();
     Ok(trial)
+}
+
+/// Script steps journaled for [`run_recovery_kill_trial`]: enough that a
+/// restart spends several milliseconds scanning and replaying them.
+pub const RECOVERY_KILL_STEPS: usize = 12_000;
+
+/// Runs one kill-during-recovery trial. It journals `steps` script steps
+/// in process into a fresh `wal_dir`, in 64 KiB segments, and arms the
+/// fault hook on the last one so the journal ends in a torn tail. It then
+/// starts the daemon on that journal and SIGKILLs it after a seeded share
+/// of the time a restart of a copy took to `READY`. A clean restart must
+/// reach the fingerprint of the state before the torn record, wherever
+/// the kill landed: in the scan and replay, after the repair of the
+/// tail, or (on a slow run) after `READY`. The trial's kind names the
+/// delay and where the kill landed.
+///
+/// # Errors
+///
+/// Returns harness-level failures; divergence is reported in the trial.
+pub fn run_recovery_kill_trial(
+    bin: &Path,
+    wal_dir: &Path,
+    seed: u64,
+    steps: usize,
+) -> Result<SupervisorTrial, String> {
+    let steps = script(seed, steps);
+    let Some((torn, acked)) = steps.split_last() else {
+        return Err("an empty script has no record to tear".into());
+    };
+    let mut cfg = WalConfig::new(wal_dir);
+    cfg.fsync = false;
+    cfg.segment_bytes = 64 * 1024;
+    cfg.fault = Some(WalFault {
+        at_record: acked.len() as u64,
+        kind: AppendFault::TornPayload,
+    });
+    let (mut service, _) =
+        DurableService::open(cfg, CoreConfig::default(), SvcHealthConfig::default())
+            .map_err(|e| format!("open the journal: {e}"))?;
+    for step in acked {
+        let _ = service.apply(step.command.clone());
+    }
+    let reference_fingerprint = service.fingerprint();
+    match service.apply(torn.command.clone()) {
+        Err(SvcError::FaultInjected { .. }) => {}
+        other => return Err(format!("the armed record was not torn: {other:?}")),
+    }
+    drop(service);
+
+    // Time a restart on a copy, so the kill lands before `READY`
+    // whatever the build's speed.
+    let copy = wal_dir.with_extension("copy");
+    copy_dir(wal_dir, &copy).map_err(|e| format!("copy the journal: {e}"))?;
+    let timed = spawn_daemon(bin, &copy, None);
+    let _ = std::fs::remove_dir_all(&copy);
+    let ready = timed?.startup;
+    let share = (splitmix(seed) % 1000) as f64 / 1000.0;
+    let delay = ready.mul_f64(share);
+
+    let mut child = start_daemon(bin, wal_dir, None)?;
+    std::thread::sleep(delay);
+    let _ = child.kill();
+    let _ = child.wait();
+    let mut printed = String::new();
+    if let Some(mut stdout) = child.stdout.take() {
+        let _ = stdout.read_to_string(&mut printed);
+    }
+    let landed = if printed.contains("READY ") {
+        "after-ready"
+    } else if printed.contains("RECOVERED ") {
+        "before-ready"
+    } else {
+        "in-recovery"
+    };
+
+    let mut restarted = spawn_daemon(bin, wal_dir, None)?;
+    let recovered_fingerprint = restarted.fingerprint()?;
+    let trial = SupervisorTrial {
+        kind: format!(
+            "recovery-kill@{:.1}ms:{landed}",
+            delay.as_secs_f64() * 1000.0
+        ),
+        acked_steps: acked.len(),
+        recovered_fingerprint,
+        reference_fingerprint,
+        identical: recovered_fingerprint == reference_fingerprint,
+        recovery_ms: restarted.startup.as_secs_f64() * 1000.0,
+        recovered_line: restarted.recovered_line.clone(),
+    };
+    restarted.sigkill();
+    Ok(trial)
+}
+
+/// The splitmix64 finalizer: a seeded value with every bit mixed.
+fn splitmix(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Copies the files of `from` into a fresh directory `to`.
+fn copy_dir(from: &Path, to: &Path) -> std::io::Result<()> {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to)?;
+    for entry in std::fs::read_dir(from)? {
+        let entry = entry?;
+        std::fs::copy(entry.path(), to.join(entry.file_name()))?;
+    }
+    Ok(())
 }
 
 /// Runs the full supervisor campaign: SIGKILL trials at `kills` evenly
@@ -621,6 +737,19 @@ mod tests {
             "{} trials",
             report.trials.len()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_kill_during_recovery_restarts_to_the_reference() {
+        let Some(bin) = daemon_binary() else {
+            eprintln!("etrain-svcd not built; skipping the recovery-kill trial");
+            return;
+        };
+        let dir = scratch("recovery-kill");
+        let trial = run_recovery_kill_trial(&bin, &dir.join("wal"), 3, 2_000).unwrap();
+        assert!(trial.identical, "{trial:#?}");
+        assert_eq!(trial.acked_steps, 3 + 2_000 - 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

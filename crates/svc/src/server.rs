@@ -438,13 +438,15 @@ fn dispatch(request: &str, service: &Mutex<DurableService>) -> Result<String, Sv
             format!("OK STATS {json}")
         }
         Request::Health => {
+            // No fingerprint: hashing the state would hold the lock, and
+            // every SUBMIT behind it, for as long as the probe. `FPRINT`
+            // has it.
             let guard = lock(service);
             format!(
-                "OK HEALTH {} transitions={} records={} fingerprint={:016x}",
+                "OK HEALTH {} transitions={} records={}",
                 guard.state().health(),
                 guard.state().transitions().len(),
                 guard.records(),
-                guard.fingerprint(),
             )
         }
         Request::Fprint => format!("OK FPRINT {:016x}", lock(service).fingerprint()),

@@ -23,6 +23,7 @@
 //! the client's timeout.
 
 use std::path::PathBuf;
+use std::sync::mpsc::sync_channel;
 
 use etrain_core::CoreConfig;
 use etrain_trace::CargoAppId;
@@ -30,7 +31,7 @@ use etrain_trace::CargoAppId;
 use crate::error::SvcError;
 use crate::state::{ServiceState, SvcCommand, SvcHealthConfig, SvcOutcome};
 use crate::wal::{
-    read_checkpoint, recover, write_checkpoint, Append, Checkpoint, Wal, WalConfig,
+    read_checkpoint, write_checkpoint, Append, Checkpoint, Scan, Wal, WalConfig, WalRecovery,
     WalRecoveryReport,
 };
 
@@ -64,61 +65,48 @@ impl DurableService {
     /// the journal, replays it into a fresh state, verifies the replay
     /// against the last clean checkpoint, and resumes appending.
     ///
+    /// The scan runs on a second thread, a couple of segments ahead of
+    /// the replay at most, so reading, checksumming and decoding overlap
+    /// applying, and only those segments' decoded commands are held at
+    /// once. The outcome is that of [`recover`] followed by the replay: a
+    /// scan error wins over a checkpoint error found before it.
+    ///
     /// # Errors
     ///
     /// I/O failures, an undecodable verified record, or a checkpoint
     /// whose fingerprint the replay contradicts
     /// ([`SvcError::CheckpointMismatch`] /
     /// [`SvcError::CheckpointAhead`]).
+    ///
+    /// [`recover`]: crate::recover
     pub fn open(
         wal: WalConfig,
         core: CoreConfig,
         health: SvcHealthConfig,
     ) -> Result<(Self, RecoverySummary), SvcError> {
         std::fs::create_dir_all(&wal.dir)?;
-        let recovery = recover(&wal.dir)?;
-        let checkpoint = read_checkpoint(&wal.dir);
-        let total = recovery.commands.len() as u64;
-        // Replay the prefix the checkpoint covers, check it once, then
-        // replay the rest.
-        let covered = checkpoint.map_or(0, |ckpt| ckpt.records);
-        let Some((prefix, rest)) = usize::try_from(covered)
-            .ok()
-            .and_then(|n| recovery.commands.split_at_checked(n))
-        else {
-            return Err(SvcError::CheckpointAhead {
-                records: covered,
-                replayed: total,
-            });
-        };
-        let mut state = ServiceState::new(core, health);
-        let mut replay_errors = replay(&mut state, prefix);
-        let verified = match checkpoint {
-            Some(ckpt) => {
-                let actual = state.fingerprint();
-                if actual != ckpt.fingerprint {
-                    return Err(SvcError::CheckpointMismatch {
-                        records: ckpt.records,
-                        expected: ckpt.fingerprint,
-                        actual,
-                    });
+        let mut replay = Replay::new(ServiceState::new(core, health), read_checkpoint(&wal.dir));
+        let dir = &wal.dir;
+        let recovery = std::thread::scope(|scope| {
+            let (segments, received) = sync_channel(SEGMENTS_AHEAD);
+            let scanner = scope.spawn(move || -> Result<WalRecovery, SvcError> {
+                let mut scan = Scan::new(dir)?;
+                loop {
+                    let mut commands = Vec::new();
+                    // A closed channel means the replay panicked.
+                    if !scan.next_segment(&mut commands)? || segments.send(commands).is_err() {
+                        return Ok(scan.finish(Vec::new()));
+                    }
                 }
-                Some(actual)
+            });
+            for commands in received {
+                replay.feed(&commands);
             }
-            None => None,
-        };
-        replay_errors += replay(&mut state, rest);
-        let fingerprint = match verified {
-            Some(fingerprint) if rest.is_empty() => fingerprint,
-            _ => state.fingerprint(),
-        };
-        let summary = RecoverySummary {
-            wal: recovery.report.clone(),
-            replayed: total,
-            replay_errors,
-            checkpoint_verified: checkpoint.map(|ckpt| ckpt.records),
-            fingerprint,
-        };
+            scanner
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })?;
+        let (state, summary) = replay.finish(recovery.report.clone())?;
         let wal_dir = wal.dir.clone();
         let wal = Wal::open(wal, &recovery)?;
         Ok((
@@ -218,16 +206,116 @@ impl DurableService {
     }
 }
 
-/// Applies `commands` in order, returning how many errored (they error
-/// on replay exactly as they did live).
-fn replay(state: &mut ServiceState, commands: &[SvcCommand]) -> u64 {
-    let mut errors = 0;
-    for command in commands {
-        if state.apply(command).is_err() {
-            errors += 1;
+/// Segments the scan may read ahead of the replay in
+/// [`DurableService::open`].
+const SEGMENTS_AHEAD: usize = 2;
+
+/// The replay side of [`DurableService::open`]: applies the scanned
+/// commands in order and checks the checkpoint once exactly the records
+/// it covers have been applied.
+struct Replay {
+    state: ServiceState,
+    /// Records the checkpoint covers.
+    covered: Option<u64>,
+    /// The checkpoint while the replay has not reached it.
+    ahead: Option<Checkpoint>,
+    /// The fingerprint the checkpoint was verified with.
+    verified: Option<u64>,
+    /// A checkpoint mismatch; later commands are counted, not applied.
+    mismatch: Option<SvcError>,
+    scanned: u64,
+    applied: u64,
+    errors: u64,
+}
+
+impl Replay {
+    fn new(state: ServiceState, checkpoint: Option<Checkpoint>) -> Self {
+        Replay {
+            state,
+            covered: checkpoint.map(|ckpt| ckpt.records),
+            ahead: checkpoint,
+            verified: None,
+            mismatch: None,
+            scanned: 0,
+            applied: 0,
+            errors: 0,
         }
     }
-    errors
+
+    /// Applies the next `commands` of the journal, stopping at the
+    /// checkpoint to check it. Replayed commands error exactly as they
+    /// did live; the errors are counted.
+    fn feed(&mut self, mut commands: &[SvcCommand]) {
+        self.scanned += commands.len() as u64;
+        while self.mismatch.is_none() {
+            let due = self.ahead.map(|ckpt| ckpt.records - self.applied);
+            if due == Some(0) {
+                self.check();
+                continue;
+            }
+            if commands.is_empty() {
+                return;
+            }
+            let len = commands.len() as u64;
+            let take = due.map_or(len, |due| due.min(len));
+            let (now, later) = commands.split_at(take as usize);
+            for command in now {
+                if self.state.apply(command).is_err() {
+                    self.errors += 1;
+                }
+            }
+            self.applied += take;
+            commands = later;
+        }
+    }
+
+    fn check(&mut self) {
+        let Some(ckpt) = self.ahead.take() else {
+            return;
+        };
+        let actual = self.state.fingerprint();
+        if actual == ckpt.fingerprint {
+            self.verified = Some(actual);
+        } else {
+            self.mismatch = Some(SvcError::CheckpointMismatch {
+                records: ckpt.records,
+                expected: ckpt.fingerprint,
+                actual,
+            });
+        }
+    }
+
+    /// The replayed state and its summary, once the scan has ended with
+    /// `wal`.
+    fn finish(
+        mut self,
+        wal: WalRecoveryReport,
+    ) -> Result<(ServiceState, RecoverySummary), SvcError> {
+        // A checkpoint that covers the whole journal is due only now
+        // when the journal is empty.
+        self.feed(&[]);
+        if let Some(mismatch) = self.mismatch {
+            return Err(mismatch);
+        }
+        if let Some(ckpt) = self.ahead {
+            return Err(SvcError::CheckpointAhead {
+                records: ckpt.records,
+                replayed: self.scanned,
+            });
+        }
+        let fingerprint = match self.verified {
+            Some(fingerprint) if self.covered == Some(self.applied) => fingerprint,
+            _ => self.state.fingerprint(),
+        };
+        let summary = RecoverySummary {
+            wal,
+            replayed: self.scanned,
+            replay_errors: self.errors,
+            checkpoint_verified: self.covered,
+            fingerprint,
+        };
+        Ok((self.state, summary))
+    }
 }
 
 #[cfg(test)]

@@ -8,14 +8,16 @@
 //! [`WalConfig::segment_bytes`] is closed and a new one started, so no
 //! single file grows without bound and recovery I/O is localized.
 //!
-//! Recovery ([`Wal::recover`]) scans every segment in order, keeps
+//! Recovery ([`recover`]) scans every segment in order, keeps
 //! exactly the prefix of frames whose checksums verify, and *repairs the
 //! directory in place*: a torn or corrupt tail is truncated back to the
 //! last valid frame, a segment with no valid magic is set aside as
 //! `.bad`, and any segments after the first damaged one are set aside
 //! too (they were written after the damage point and cannot be trusted
 //! to be causally consistent). Damage is therefore survived, reported,
-//! and never replayed.
+//! and never replayed. The scan yields one verified segment's commands
+//! at a time, so `DurableService::open` replays a segment while the next
+//! one is read.
 //!
 //! The fault hook ([`WalFault`], env `ETRAIN_WAL_FAULT=torn@N|short@N|crc@N`)
 //! makes the writer damage its own tail at a chosen record index — the
@@ -209,69 +211,103 @@ fn set_aside(path: &Path) -> std::io::Result<()> {
 /// but that is not a serialized command, meaning the directory was not
 /// written by this service.
 pub fn recover(dir: &Path) -> Result<WalRecovery, SvcError> {
-    let segments = list_segments(dir)?;
+    let mut scan = Scan::new(dir)?;
     let mut commands = Vec::new();
-    let mut report = WalRecoveryReport {
-        segments: 0,
-        records: 0,
-        truncated_bytes: 0,
-        segments_set_aside: 0,
-        tail: TailStatus::Clean,
-        undecodable: 0,
-    };
-    let mut resume_segment = 0u64;
-    let mut resume_state: Option<(u64, u64)> = None;
-    let mut damage_seen = false;
-    for (index, path) in &segments {
-        if damage_seen {
-            // Everything after the first damaged segment postdates the
-            // damage point; set it aside rather than replay a stream
-            // with a causal hole in the middle.
-            set_aside(path)?;
-            report.segments_set_aside += 1;
-            continue;
-        }
-        let bytes = std::fs::read(path)?;
-        let scan = scan_frames(&bytes);
-        match scan.tail {
-            TailStatus::BadMagic => {
-                set_aside(path)?;
-                report.segments_set_aside += 1;
-                report.tail = TailStatus::BadMagic;
-                damage_seen = true;
+    while scan.next_segment(&mut commands)? {}
+    Ok(scan.finish(commands))
+}
+
+/// The scan behind [`recover`], one segment at a time, so that a caller
+/// can replay a segment's commands while the next one is read and
+/// verified.
+pub(crate) struct Scan {
+    segments: std::vec::IntoIter<(u64, PathBuf)>,
+    report: WalRecoveryReport,
+    resume_segment: u64,
+    resume_state: Option<(u64, u64)>,
+    damage_seen: bool,
+}
+
+impl Scan {
+    /// Lists the segments of `dir` (none if it does not exist).
+    pub(crate) fn new(dir: &Path) -> Result<Self, SvcError> {
+        Ok(Scan {
+            segments: list_segments(dir)?.into_iter(),
+            report: WalRecoveryReport {
+                segments: 0,
+                records: 0,
+                truncated_bytes: 0,
+                segments_set_aside: 0,
+                tail: TailStatus::Clean,
+                undecodable: 0,
+            },
+            resume_segment: 0,
+            resume_state: None,
+            damage_seen: false,
+        })
+    }
+
+    /// Verifies, repairs and decodes the next segment that contributes
+    /// records, appending its commands to `commands`. Returns `false`
+    /// once every segment has been scanned or set aside.
+    pub(crate) fn next_segment(
+        &mut self,
+        commands: &mut Vec<SvcCommand>,
+    ) -> Result<bool, SvcError> {
+        for (index, path) in self.segments.by_ref() {
+            if self.damage_seen {
+                // Everything after the first damaged segment postdates the
+                // damage point; set it aside rather than replay a stream
+                // with a causal hole in the middle.
+                set_aside(&path)?;
+                self.report.segments_set_aside += 1;
                 continue;
             }
-            TailStatus::Clean => {}
-            TailStatus::Torn { valid_bytes } | TailStatus::Corrupt { valid_bytes } => {
-                report.truncated_bytes += bytes.len() as u64 - valid_bytes;
-                let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(valid_bytes)?;
-                file.sync_data()?;
-                damage_seen = true;
+            let bytes = std::fs::read(&path)?;
+            let scan = scan_frames(&bytes);
+            match scan.tail {
+                TailStatus::BadMagic => {
+                    set_aside(&path)?;
+                    self.report.segments_set_aside += 1;
+                    self.report.tail = TailStatus::BadMagic;
+                    self.damage_seen = true;
+                    continue;
+                }
+                TailStatus::Clean => {}
+                TailStatus::Torn { valid_bytes } | TailStatus::Corrupt { valid_bytes } => {
+                    self.report.truncated_bytes += bytes.len() as u64 - valid_bytes;
+                    let file = OpenOptions::new().write(true).open(&path)?;
+                    file.set_len(valid_bytes)?;
+                    file.sync_data()?;
+                    self.damage_seen = true;
+                }
             }
+            self.report.tail = scan.tail;
+            self.report.segments += 1;
+            self.resume_segment = index;
+            self.resume_state = Some((scan.frames.len() as u64, scan.valid_bytes()));
+            commands.reserve(scan.frames.len());
+            for frame in &scan.frames {
+                let command = decode(&bytes[frame.clone()]).ok_or(SvcError::UndecodableRecord {
+                    index: self.report.records,
+                })?;
+                commands.push(command);
+                self.report.records += 1;
+            }
+            return Ok(true);
         }
-        report.tail = scan.tail;
-        report.segments += 1;
-        resume_segment = *index;
-        resume_state = Some((scan.frames.len() as u64, scan.valid_bytes()));
-        commands.reserve(scan.frames.len());
-        for frame in &scan.frames {
-            let command = decode(&bytes[frame.clone()]).ok_or(SvcError::UndecodableRecord {
-                index: report.records,
-            })?;
-            commands.push(command);
-            report.records += 1;
+        Ok(false)
+    }
+
+    /// What the scan found, with `commands` as the recovered stream.
+    pub(crate) fn finish(self, commands: Vec<SvcCommand>) -> WalRecovery {
+        WalRecovery {
+            commands,
+            report: self.report,
+            resume_segment: self.resume_segment,
+            resume_state: self.resume_state,
         }
     }
-    if segments.is_empty() {
-        resume_state = None;
-    }
-    Ok(WalRecovery {
-        commands,
-        report,
-        resume_segment,
-        resume_state,
-    })
 }
 
 /// The append handle over a recovered (or fresh) WAL directory.

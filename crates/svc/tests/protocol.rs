@@ -66,7 +66,7 @@ fn every_verb_replies_with_its_pinned_bytes() {
             ("REPORT 2 fail 272", "OK VERDICT ABANDONED"),
             ("DRAIN", "OK DECISIONS 1 1@1:800"),
             ("STATS", "OK STATS {\"submitted\":4,\"decided\":4,\"piggybacked\":2,\"cancelled\":1,\"heartbeats\":2,\"delivered\":1,\"retries\":1,\"abandoned\":1,\"watchdog_flushes\":0,\"shed\":0,\"forced_flushes\":0}"),
-            ("HEALTH", "OK HEALTH healthy transitions=0 records=17 fingerprint=419d3509a8a919f8"),
+            ("HEALTH", "OK HEALTH healthy transitions=0 records=17"),
             ("FPRINT", "OK FPRINT 419d3509a8a919f8"),
             ("CHECKPOINT", "OK CHECKPOINT records=17 fingerprint=419d3509a8a919f8"),
         ],

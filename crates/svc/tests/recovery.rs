@@ -1,7 +1,9 @@
 //! In-process recovery suites: the pinned WAL record format, the refusal
 //! of non-finite times and cost profiles before they reach the journal,
-//! a replay that must choose a capped burst as the live service did, and
-//! a restart over a journal shaped like the repository benchmark's.
+//! a replay that must choose a capped burst as the live service did, a
+//! restart over a journal shaped like the repository benchmark's, and
+//! the streamed open (scan and replay on two threads) held to `recover`
+//! followed by a serial replay over journals of dozens of segments.
 //!
 //! The benchmark-shaped test is `#[ignore]`d: it writes 90k records and
 //! is meant for release builds
@@ -12,11 +14,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use etrain_core::{CoreCommand, CoreConfig};
-use etrain_obs::{scan_frames, FrameWriter};
+use etrain_obs::{scan_frames, AppendFault, FrameWriter};
 use etrain_sched::{AppProfile, CostProfile};
+use etrain_svc::script::script;
 use etrain_svc::{
-    decode_canonical, execute_line, recover, DurableService, RecoverySummary, SvcCommand,
-    SvcHealthConfig, WalConfig,
+    decode_canonical, execute_line, recover, write_checkpoint, Checkpoint, DurableService,
+    RecoverySummary, ServiceState, SvcCommand, SvcError, SvcHealthConfig, Wal, WalConfig, WalFault,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -319,4 +322,253 @@ fn benchmark_shaped_journal_restarts_to_the_live_state() {
     assert_eq!(reopened.fingerprint(), fingerprint);
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A 64-byte segment threshold: a segment closes after one or two
+/// records, so a short script spans dozens of segments.
+fn small_segments(dir: &Path) -> WalConfig {
+    let mut wal = WalConfig::new(dir);
+    wal.fsync = false;
+    wal.segment_bytes = 64;
+    wal
+}
+
+/// Journals the prologue and `steps` seeded script steps in 64-byte
+/// segments, stopping at the armed `fault` if one is given.
+fn small_segment_journal(dir: &Path, steps: usize, fault: Option<WalFault>) {
+    let wal = WalConfig {
+        fault,
+        ..small_segments(dir)
+    };
+    let (mut service, _) =
+        DurableService::open(wal, CoreConfig::default(), SvcHealthConfig::default())
+            .expect("journal opens");
+    for step in script(5, steps) {
+        if let Err(SvcError::FaultInjected { .. }) = service.apply(step.command) {
+            return;
+        }
+    }
+}
+
+/// The records of each segment in `dir`, in journal order.
+fn records_per_segment(dir: &Path) -> Vec<u64> {
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("WAL directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "seg"))
+        .collect();
+    segments.sort();
+    segments
+        .iter()
+        .map(|path| {
+            scan_frames(&std::fs::read(path).expect("segment"))
+                .frames
+                .len() as u64
+        })
+        .collect()
+}
+
+/// What `DurableService::open` must report over a clean `dir` whose
+/// checkpoint covers `covered` records: [`recover`], then
+/// `ServiceState::apply` over every command.
+fn reference_summary(dir: &Path, covered: u64) -> RecoverySummary {
+    let recovery = recover(dir).expect("journal scans");
+    let mut state = ServiceState::new(CoreConfig::default(), SvcHealthConfig::default());
+    let mut replay_errors = 0;
+    for command in &recovery.commands {
+        replay_errors += u64::from(state.apply(command).is_err());
+    }
+    RecoverySummary {
+        replayed: recovery.commands.len() as u64,
+        replay_errors,
+        checkpoint_verified: Some(covered),
+        fingerprint: state.fingerprint(),
+        wal: recovery.report,
+    }
+}
+
+/// The fingerprint after the first `records` commands of `dir`.
+fn prefix_fingerprint(dir: &Path, records: u64) -> u64 {
+    let mut state = ServiceState::new(CoreConfig::default(), SvcHealthConfig::default());
+    for command in recover(dir)
+        .expect("journal scans")
+        .commands
+        .iter()
+        .take(records as usize)
+    {
+        let _ = state.apply(command);
+    }
+    state.fingerprint()
+}
+
+#[test]
+fn a_streamed_open_checks_the_checkpoint_wherever_it_falls() {
+    let dir = tmp_dir("streamed-checkpoint");
+    small_segment_journal(&dir, 80, None);
+    let per_segment = records_per_segment(&dir);
+    assert!(per_segment.len() > 40, "{} segments", per_segment.len());
+    let starts: Vec<u64> = per_segment
+        .iter()
+        .scan(0, |start, &records| {
+            let this = *start;
+            *start += records;
+            Some(this)
+        })
+        .collect();
+    let total: u64 = per_segment.iter().sum();
+    let shared = per_segment
+        .iter()
+        .position(|&records| records >= 2)
+        .expect("a segment holding two records");
+    let inside = starts[shared] + 1;
+    let boundary = starts[per_segment.len() / 2];
+    for covered in [0, inside, boundary, total] {
+        write_checkpoint(
+            &dir,
+            Checkpoint {
+                records: covered,
+                fingerprint: prefix_fingerprint(&dir, covered),
+            },
+        )
+        .unwrap();
+        let expected = reference_summary(&dir, covered);
+        assert!(
+            expected.replay_errors > 0,
+            "the script errors on replay too"
+        );
+        let (service, summary) = DurableService::open(
+            small_segments(&dir),
+            CoreConfig::default(),
+            SvcHealthConfig::default(),
+        )
+        .expect("journal opens");
+        assert_eq!(summary, expected, "checkpoint at {covered}");
+        assert_eq!(
+            service.fingerprint(),
+            expected.fingerprint,
+            "checkpoint at {covered}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Opens `dir` with 64-byte segments, expecting an error.
+fn open_error(dir: &Path) -> SvcError {
+    DurableService::open(
+        small_segments(dir),
+        CoreConfig::default(),
+        SvcHealthConfig::default(),
+    )
+    .expect_err("the open must fail")
+}
+
+#[test]
+fn an_undecodable_record_after_a_checkpoint_mismatch_is_the_error() {
+    let dir = tmp_dir("streamed-mismatch");
+    small_segment_journal(&dir, 80, None);
+    let total: u64 = records_per_segment(&dir).iter().sum();
+    write_checkpoint(
+        &dir,
+        Checkpoint {
+            records: 3,
+            fingerprint: prefix_fingerprint(&dir, 3) ^ 1,
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        open_error(&dir),
+        SvcError::CheckpointMismatch { records: 3, .. }
+    ));
+    // A verified frame that is not a command, in a segment of its own
+    // dozens of segments after the checkpoint.
+    let last = records_per_segment(&dir).len();
+    let segment = File::create(dir.join(format!("wal-{last:06}.seg"))).unwrap();
+    let mut writer = FrameWriter::create(segment).unwrap();
+    writer.append(b"not a command").unwrap();
+    writer.flush().unwrap();
+    drop(writer);
+    let err = open_error(&dir);
+    assert!(
+        matches!(err, SvcError::UndecodableRecord { index } if index == total),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checkpoint_ahead_of_a_streamed_journal_counts_every_record() {
+    let dir = tmp_dir("streamed-ahead");
+    small_segment_journal(&dir, 80, None);
+    let total: u64 = records_per_segment(&dir).iter().sum();
+    write_checkpoint(
+        &dir,
+        Checkpoint {
+            records: total + 5,
+            fingerprint: 0,
+        },
+    )
+    .unwrap();
+    let err = open_error(&dir);
+    assert!(
+        matches!(err, SvcError::CheckpointAhead { records, replayed } if records == total + 5 && replayed == total),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file in `dir` with its bytes, by name.
+fn directory_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("WAL directory")
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn a_streamed_open_truncates_a_torn_tail_once_and_resumes_where_recover_does() {
+    let fault = WalFault {
+        at_record: 60,
+        kind: AppendFault::TornPayload,
+    };
+    let next = SvcCommand::Core(CoreCommand::Tick { now_s: 1e6 });
+    // The reference: `recover`, then a `Wal` opened over its outcome.
+    let reference = tmp_dir("streamed-torn-reference");
+    small_segment_journal(&reference, 80, Some(fault));
+    let recovery = recover(&reference).unwrap();
+    assert!(recovery.report.truncated_bytes > 0);
+    let mut wal = Wal::open(small_segments(&reference), &recovery).unwrap();
+    wal.append(&next).unwrap();
+    drop(wal);
+
+    let dir = tmp_dir("streamed-torn");
+    small_segment_journal(&dir, 80, Some(fault));
+    let (mut service, summary) = DurableService::open(
+        small_segments(&dir),
+        CoreConfig::default(),
+        SvcHealthConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(summary.wal, recovery.report);
+    assert_eq!(summary.replayed, 60);
+    service.apply(next).unwrap();
+    drop(service);
+    assert_eq!(directory_bytes(&dir), directory_bytes(&reference));
+
+    let (_, again) = DurableService::open(
+        small_segments(&dir),
+        CoreConfig::default(),
+        SvcHealthConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(again.wal.truncated_bytes, 0, "truncated once");
+    assert!(again.wal.tail.is_clean());
+    assert_eq!(again.replayed, 61);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&reference);
 }
