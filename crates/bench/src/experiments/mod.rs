@@ -29,7 +29,6 @@ pub mod fig8a;
 pub mod fig8b;
 pub mod fleet_savings;
 pub mod offline_gap;
-pub mod svc_recovery;
 pub mod table1;
 
 use etrain_sim::Scenario;

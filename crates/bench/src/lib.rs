@@ -308,12 +308,6 @@ pub fn registry() -> Vec<Experiment> {
             run: experiments::chaos::run,
         },
         Experiment {
-            name: "svc_recovery",
-            description:
-                "Infrastructure: durable daemon crash recovery (WAL replay, corruption, SIGKILL)",
-            run: experiments::svc_recovery::run,
-        },
-        Experiment {
             name: "fleet_savings",
             description:
                 "Fleet: paired baseline/eTrain population savings and the million-user projection",
@@ -590,15 +584,20 @@ mod tests {
     }
 
     #[test]
-    fn registry_holds_only_the_31_deterministic_experiments() {
+    fn registry_holds_only_the_30_deterministic_experiments() {
         let registry = registry();
-        assert_eq!(registry.len(), 31);
-        // Wall-clock speed is measured by the repo benchmark, never by a
-        // registry experiment, so no speedup/throughput entry remains.
-        for gone in ["engine_speedup", "hotpath_speedup", "fleet_throughput"] {
+        assert_eq!(registry.len(), 30);
+        // Wall-clock time is measured by the repo benchmark, never by a
+        // registry experiment, so no speedup, throughput or restart-timing
+        // entry remains.
+        for gone in [
+            "engine_speedup",
+            "hotpath_speedup",
+            "fleet_throughput",
+            "svc_recovery",
+        ] {
             assert!(find(gone).is_none(), "{gone} is back in the registry");
         }
-        assert!(find("svc_recovery").is_some());
         assert_eq!(registry.last().map(|e| e.name), Some("fleet_savings"));
     }
 

@@ -30,15 +30,7 @@ fn fixture_path() -> std::path::PathBuf {
 }
 
 fn current_snapshot() -> Vec<GoldenExperiment> {
-    // svc_recovery's headlines depend on wall-clock and on whether the
-    // daemon binary happens to be built; its zero-divergence gate is
-    // asserted inside the experiment and by the svc and chaos suites, so
-    // filtering it out *before* running keeps this test's coverage intact.
-    let registry: Vec<_> = registry()
-        .into_iter()
-        .filter(|e| e.name != "svc_recovery")
-        .collect();
-    run_experiments(&registry, Settings::quick(), None)
+    run_experiments(&registry(), Settings::quick(), None)
         .into_iter()
         .map(|run| GoldenExperiment {
             name: run.record.name,

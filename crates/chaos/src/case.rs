@@ -208,8 +208,7 @@ pub struct ChaosCase {
     pub plan: CasePlan,
     /// The scheduler under test.
     pub kind: SchedulerKind,
-    /// The engine kernel the case runs under (repro artifacts that
-    /// predate the event kernel parse as [`EngineKind::Slot`]).
+    /// The engine kernel the case runs under.
     pub engine: EngineKind,
     /// A post-run corruption, for oracle self-tests; `None` for the
     /// campaign's real sweep.
@@ -394,16 +393,6 @@ mod tests {
         let json = serde_json::to_string(&case).unwrap();
         let back: ChaosCase = serde_json::from_str(&json).unwrap();
         assert_eq!(case, back);
-    }
-
-    #[test]
-    fn legacy_case_json_defaults_to_the_slot_kernel() {
-        let case = ChaosCase::from_seed(4);
-        let json = serde_json::to_string(&case).unwrap();
-        let legacy = json.replace("\"engine\":\"slot\",", "");
-        assert_ne!(json, legacy, "the engine field should have been present");
-        let back: ChaosCase = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back, case);
     }
 
     #[test]

@@ -26,9 +26,11 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use etrain_core::CoreConfig;
-use etrain_obs::{AppendFault, FrameWriter};
 use etrain_svc::script::{script, ScriptStep};
-use etrain_svc::{DurableService, ServiceState, SvcError, SvcHealthConfig, WalConfig, WalFault};
+use etrain_svc::{
+    write_frame, AppendFault, DurableService, ServiceState, SvcError, SvcHealthConfig, WalConfig,
+    WalFault, WAL_MAGIC,
+};
 use serde::{Deserialize, Serialize};
 
 /// Locates the `etrain-svcd` binary: the `ETRAIN_SVCD_BIN` override if
@@ -522,13 +524,12 @@ impl WalCorruption {
         match self {
             WalCorruption::TornTail => {
                 // Header claims 80 payload bytes; only 40 follow.
-                let file = std::fs::OpenOptions::new().append(true).open(&segment)?;
-                FrameWriter::resume(file, 0, bytes.len() as u64)
-                    .append_faulty(&[0xab; 80], AppendFault::TornPayload)?;
+                let mut file = std::fs::OpenOptions::new().append(true).open(&segment)?;
+                write_frame(&mut file, &[0xab; 80], Some(AppendFault::TornPayload))?;
                 Ok(true)
             }
             WalCorruption::TruncatedSegment => {
-                if bytes.len() < etrain_obs::WAL_MAGIC.len() + 6 {
+                if bytes.len() < WAL_MAGIC.len() + 6 {
                     return Ok(false);
                 }
                 let file = std::fs::OpenOptions::new().write(true).open(&segment)?;
@@ -536,7 +537,7 @@ impl WalCorruption {
                 Ok(true)
             }
             WalCorruption::FlippedChecksum => {
-                if bytes.len() <= etrain_obs::WAL_MAGIC.len() {
+                if bytes.len() <= WAL_MAGIC.len() {
                     return Ok(false);
                 }
                 let last = bytes.len() - 1;
@@ -684,10 +685,10 @@ mod tests {
     fn torn_tail_appends_a_header_and_half_its_payload() {
         let dir = scratch("torn-tail");
         let segment = dir.join("wal-000000.seg");
-        let mut writer = FrameWriter::create(Vec::new()).unwrap();
-        writer.append(b"first").unwrap();
-        writer.append(b"second").unwrap();
-        std::fs::write(&segment, writer.into_inner()).unwrap();
+        let mut bytes = WAL_MAGIC.to_vec();
+        write_frame(&mut bytes, b"first", None).unwrap();
+        write_frame(&mut bytes, b"second", None).unwrap();
+        std::fs::write(&segment, bytes).unwrap();
         let before = std::fs::read(&segment).unwrap();
 
         assert!(WalCorruption::TornTail.apply(&dir).unwrap());
@@ -695,12 +696,12 @@ mod tests {
         assert_eq!(&after[..before.len()], &before[..], "prefix untouched");
         assert_eq!(
             after.len(),
-            before.len() + etrain_obs::FRAME_HEADER_BYTES + 40
+            before.len() + etrain_svc::FRAME_HEADER_BYTES + 40
         );
-        let scan = etrain_obs::durable::scan_frames(&after);
+        let scan = etrain_svc::scan_frames(&after);
         assert_eq!(
             scan.tail,
-            etrain_obs::durable::TailStatus::Torn {
+            etrain_svc::TailStatus::Torn {
                 valid_bytes: before.len() as u64
             }
         );

@@ -340,11 +340,6 @@ impl ETrainCore {
         id
     }
 
-    /// Name of a registered train app.
-    pub fn train_name(&self, train: TrainAppId) -> Option<&str> {
-        self.trains.get(train.index()).map(|t| t.name.as_str())
-    }
-
     /// Submits a transmission request for `app` at time `now_s`, returning
     /// the typed [`Admission`] outcome. Decisions for admitted requests
     /// are delivered from [`ETrainCore::tick`] /
@@ -639,12 +634,6 @@ impl ETrainCore {
                 }
             }
         })
-    }
-
-    /// The next predicted train departure strictly after `now_s`, if the
-    /// monitor has learned a cycle.
-    pub fn next_train_departure(&self, now_s: f64) -> Option<(TrainAppId, f64)> {
-        self.monitor.next_departure(now_s)
     }
 
     fn advance_clock(&mut self, now_s: f64) -> Result<(), CoreError> {
@@ -1162,24 +1151,6 @@ mod tests {
             .map(|d| (d.request, d.decided_at_s))
             .collect();
         assert_eq!(decided, [(RequestId(0), 950.0)]);
-    }
-
-    #[test]
-    fn monitor_predicts_next_departure() {
-        let (mut core, train, _) = core();
-        for j in 0..4 {
-            core.on_heartbeat(train, j as f64 * 270.0).unwrap();
-        }
-        let (t, when) = core.next_train_departure(850.0).unwrap();
-        assert_eq!(t, train);
-        assert!((when - 1080.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn train_names_are_recorded() {
-        let (core, train, _) = core();
-        assert_eq!(core.train_name(train), Some("WeChat"));
-        assert_eq!(core.train_name(TrainAppId(9)), None);
     }
 
     #[test]

@@ -31,6 +31,10 @@ const GAP_TOLERANCE: f64 = 0.08;
 /// Minimum number of observations before any pattern is reported.
 const MIN_OBSERVATIONS: usize = 3;
 
+/// Observations a detector keeps (more than 5 hours of WeChat
+/// heartbeats); older ones are dropped.
+const MAX_HISTORY: usize = 64;
+
 /// Detects a single train app's heartbeat cycle from raw transmission
 /// timestamps — the simulation-side substitute for the paper's Xposed hook.
 ///
@@ -47,7 +51,6 @@ const MIN_OBSERVATIONS: usize = 3;
 #[derive(Debug, Clone)]
 pub struct CycleDetector {
     times_s: Vec<f64>,
-    max_history: usize,
 }
 
 impl Default for CycleDetector {
@@ -57,28 +60,10 @@ impl Default for CycleDetector {
 }
 
 impl CycleDetector {
-    /// Creates a detector with the default history bound (64 heartbeats —
-    /// more than 5 hours of WeChat heartbeats).
+    /// Creates a detector with no observations.
     pub fn new() -> Self {
         CycleDetector {
             times_s: Vec::new(),
-            max_history: 64,
-        }
-    }
-
-    /// Creates a detector keeping at most `max_history` observations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_history < 2` (at least one gap is needed).
-    pub fn with_history(max_history: usize) -> Self {
-        assert!(
-            max_history >= 2,
-            "history must hold at least two observations"
-        );
-        CycleDetector {
-            times_s: Vec::new(),
-            max_history,
         }
     }
 
@@ -101,15 +86,10 @@ impl CycleDetector {
                 }
             }
         }
-        if self.times_s.len() > self.max_history {
-            let excess = self.times_s.len() - self.max_history;
+        if self.times_s.len() > MAX_HISTORY {
+            let excess = self.times_s.len() - MAX_HISTORY;
             self.times_s.drain(..excess);
         }
-    }
-
-    /// Number of recorded observations.
-    pub fn observation_count(&self) -> usize {
-        self.times_s.len()
     }
 
     /// Timestamp of the most recent observation, if any.
@@ -414,17 +394,16 @@ mod tests {
         d.observe(300.0);
         d.observe(300.0); // exact duplicate
         d.observe(300.0005); // within 1 ms
-        assert_eq!(d.observation_count(), 3);
         assert_eq!(d.gaps_s(), vec![300.0, 300.0]);
     }
 
     #[test]
     fn history_is_bounded() {
-        let mut d = CycleDetector::with_history(4);
+        let mut d = CycleDetector::new();
         for i in 0..100 {
             d.observe(i as f64 * 240.0);
         }
-        assert_eq!(d.observation_count(), 4);
+        assert_eq!(d.gaps_s().len(), MAX_HISTORY - 1);
         assert_eq!(d.last_observation_s(), Some(99.0 * 240.0));
     }
 
@@ -439,22 +418,17 @@ mod tests {
 
     #[test]
     fn bounded_history_relearns_a_lengthened_cycle() {
-        let mut d = CycleDetector::with_history(6);
-        for i in 0..6 {
+        let mut d = CycleDetector::new();
+        for i in 0..MAX_HISTORY {
             d.observe(i as f64 * 270.0);
         }
-        for i in 1..=6 {
-            d.observe(1350.0 + i as f64 * 540.0); // the cycle doubles
+        let last = d.last_observation_s().unwrap();
+        for i in 1..=MAX_HISTORY {
+            d.observe(last + i as f64 * 540.0); // the cycle doubles
         }
         match d.detect() {
             DetectedPattern::Fixed { cycle_s, .. } => assert!((cycle_s - 540.0).abs() < 1e-9),
             other => panic!("expected the new 540 s cycle, got {other:?}"),
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two observations")]
-    fn history_below_two_is_rejected() {
-        let _ = CycleDetector::with_history(1);
     }
 }

@@ -110,14 +110,6 @@ impl HeartbeatMonitor {
         }
     }
 
-    /// Whether any train app is alive at `now_s` — when this is false the
-    /// eTrain scheduler must stop deferring packets (paper Sec. V-3).
-    pub fn any_alive(&self, now_s: f64) -> bool {
-        self.detectors
-            .keys()
-            .any(|&train| self.status(train, now_s) == TrainStatus::Alive)
-    }
-
     /// The earliest predicted departure strictly after `now_s` across all
     /// live train apps, with the app that produces it.
     pub fn next_departure(&self, now_s: f64) -> Option<(TrainAppId, f64)> {
@@ -210,13 +202,6 @@ mod tests {
         // 2.5 × 300 s after the last heartbeat at 1200 s.
         assert_eq!(m.status(TrainAppId(0), 2000.0), TrainStatus::Dead);
         assert_eq!(m.status(TrainAppId(7), 0.0), TrainStatus::Undetermined);
-    }
-
-    #[test]
-    fn any_alive_reflects_all_dead() {
-        let m = fed_monitor();
-        assert!(m.any_alive(1300.0));
-        assert!(!m.any_alive(10_000.0));
     }
 
     #[test]

@@ -24,11 +24,6 @@
 //!    utilization, queue depth, decision counts) snapshotted into
 //!    `RunReport` and `BENCH_repro.json`.
 //!
-//! A third module, [`durable`], is the one place the checksummed on-disk
-//! frame format is written and read: the daemon's write-ahead log, its
-//! fault hook and the chaos harness's damaged tails all go through
-//! [`FrameWriter`] and [`scan_frames`].
-//!
 //! Everything here is simulated-time and deterministic; nothing reads a
 //! wall clock. Where the time goes is measured from outside, by the
 //! repository's `benchmark/` package.
@@ -43,17 +38,12 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod durable;
 mod event;
 mod fnv;
 pub mod json;
 mod metrics;
 mod mode;
 
-pub use durable::{
-    scan_frames, AppendFault, FrameScan, FrameWriter, TailStatus, FRAME_HEADER_BYTES,
-    MAX_FRAME_BYTES, WAL_MAGIC,
-};
 pub use event::{Event, EventRecord, Journal};
 pub use fnv::Fnv1a;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};

@@ -129,6 +129,7 @@ fn serde_rendering(journal: &Journal) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    #[test]
     fn every_record_encodes_as_its_serde_rendering(
         events in every_variant(),
         times in prop::collection::vec(float(), 8),
@@ -140,6 +141,7 @@ proptest! {
         prop_assert_eq!(journal.to_jsonl(), serde_rendering(&journal));
     }
 
+    #[test]
     fn merged_journals_encode_as_their_serde_rendering(
         parts in prop::collection::vec(
             (every_variant(), prop::collection::vec(0.0f64..1e6, 8), 0usize..=8),

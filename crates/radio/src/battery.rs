@@ -85,17 +85,6 @@ impl Battery {
         assert!(standby_mw > 0.0, "standby power must be positive");
         energy_j / (standby_mw / 1000.0) / 3600.0
     }
-
-    /// Battery life in hours when the device draws `average_mw` on
-    /// average.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `average_mw` is not strictly positive.
-    pub fn life_hours(&self, average_mw: f64) -> f64 {
-        assert!(average_mw > 0.0, "average power must be positive");
-        self.capacity_j() / (average_mw / 1000.0) / 3600.0
-    }
 }
 
 impl Default for Battery {
@@ -130,12 +119,6 @@ mod tests {
         let b = Battery::paper_reference();
         let heartbeat_energy = 12.0 * 10.0 * 10.91; // paper's measured tail
         assert!(b.fraction_of_capacity(heartbeat_energy) >= 0.055);
-    }
-
-    #[test]
-    fn life_scales_inversely_with_power() {
-        let b = Battery::paper_reference();
-        assert!((b.life_hours(100.0) - 2.0 * b.life_hours(200.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl Radio {
         self.now_s
     }
 
-    /// Whether a transmission is in progress.
-    pub fn is_busy(&self) -> bool {
-        self.busy
-    }
-
     /// Current RRC state.
     pub fn state(&self) -> RrcState {
         if self.busy {
@@ -293,16 +288,5 @@ mod tests {
     fn end_without_start_panics() {
         let mut radio = Radio::new(params());
         radio.end_transmission(1.0);
-    }
-
-    #[test]
-    fn is_busy_brackets_a_transmission() {
-        let mut radio = Radio::new(params());
-        assert!(!radio.is_busy());
-        radio.start_transmission(5.0);
-        assert!(radio.is_busy());
-        radio.end_transmission(6.0);
-        assert!(!radio.is_busy());
-        assert_eq!(radio.state(), RrcState::Dch, "the tail is not busy time");
     }
 }

@@ -16,7 +16,6 @@ use serde::{Deserialize, Serialize};
 /// let trace = PowerTrace::new(0.5, vec![100.0, 100.0, 300.0, 300.0]);
 /// assert_eq!(trace.duration_s(), 2.0);
 /// assert!((trace.energy_j() - 0.4).abs() < 1e-12);
-/// assert_eq!(trace.peak_mw(), 300.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerTrace {
@@ -76,65 +75,6 @@ impl PowerTrace {
             / 1000.0
     }
 
-    /// Mean power over the trace in milliwatts (0 for an empty trace).
-    pub fn mean_mw(&self) -> f64 {
-        if self.samples_mw.is_empty() {
-            0.0
-        } else {
-            self.samples_mw.iter().sum::<f64>() / self.samples_mw.len() as f64
-        }
-    }
-
-    /// Iterates over maximal runs of consecutive bit-identical samples as
-    /// `(power_mw, sample_count)` pairs — the run-length view a trace
-    /// sampled from a piecewise-constant [`Timeline`](crate::Timeline)
-    /// compresses to (at most one run per state segment). Batch consumers
-    /// integrate per run instead of per sample.
-    pub fn runs(&self) -> impl Iterator<Item = (f64, usize)> + '_ {
-        let samples = &self.samples_mw;
-        let mut start = 0usize;
-        std::iter::from_fn(move || {
-            if start >= samples.len() {
-                return None;
-            }
-            let value = samples[start];
-            let mut end = start + 1;
-            while end < samples.len() && samples[end].to_bits() == value.to_bits() {
-                end += 1;
-            }
-            let run = (value, end - start);
-            start = end;
-            Some(run)
-        })
-    }
-
-    /// The fraction of samples strictly above `baseline_mw` — the duty
-    /// cycle of the radio's elevated-power states, computed per run via
-    /// [`PowerTrace::runs`]. NaN-guarded like `RunReport::tail_fraction`:
-    /// an empty trace reports 0 instead of NaN, and the result is clamped
-    /// to `[0, 1]`.
-    pub fn duty_above(&self, baseline_mw: f64) -> f64 {
-        if self.samples_mw.is_empty() {
-            return 0.0;
-        }
-        let above: usize = self
-            .runs()
-            .filter(|&(p, _)| p > baseline_mw)
-            .map(|(_, count)| count)
-            .sum();
-        let ratio = above as f64 / self.samples_mw.len() as f64;
-        if ratio.is_finite() {
-            ratio.clamp(0.0, 1.0)
-        } else {
-            0.0
-        }
-    }
-
-    /// Peak power in milliwatts (0 for an empty trace).
-    pub fn peak_mw(&self) -> f64 {
-        self.samples_mw.iter().copied().fold(0.0, f64::max)
-    }
-
     /// Iterates over `(time_s, power_mw)` pairs, one per sample.
     pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         self.samples_mw
@@ -182,30 +122,8 @@ mod tests {
         let trace = PowerTrace::new(0.1, vec![]);
         assert!(trace.is_empty());
         assert_eq!(trace.energy_j(), 0.0);
-        assert_eq!(trace.mean_mw(), 0.0);
-        assert_eq!(trace.peak_mw(), 0.0);
+        assert_eq!(trace.energy_above_j(10.0), 0.0);
         assert_eq!(trace.duration_s(), 0.0);
-    }
-
-    #[test]
-    fn runs_compress_consecutive_equal_samples() {
-        let trace = PowerTrace::new(1.0, vec![10.0, 10.0, 30.0, 10.0, 10.0, 10.0]);
-        let runs: Vec<_> = trace.runs().collect();
-        assert_eq!(runs, vec![(10.0, 2), (30.0, 1), (10.0, 3)]);
-        assert!(PowerTrace::new(1.0, vec![]).runs().next().is_none());
-    }
-
-    #[test]
-    fn duty_above_is_nan_guarded_ratio() {
-        let trace = PowerTrace::new(1.0, vec![10.0, 30.0, 30.0, 50.0]);
-        assert!((trace.duty_above(20.0) - 0.75).abs() < 1e-12);
-        assert_eq!(trace.duty_above(100.0), 0.0);
-        assert_eq!(trace.duty_above(-1.0), 1.0);
-        // The empty-trace power integral and its ratios are 0, not NaN.
-        let empty = PowerTrace::new(0.1, vec![]);
-        assert_eq!(empty.duty_above(0.0), 0.0);
-        assert_eq!(empty.energy_j(), 0.0);
-        assert_eq!(empty.energy_above_j(10.0), 0.0);
     }
 
     #[test]

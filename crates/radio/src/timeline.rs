@@ -221,19 +221,6 @@ impl Timeline {
         totals
     }
 
-    /// Mean extra power above idle across the horizon, in milliwatts:
-    /// `extra_energy_j · 1000 / horizon_s`. NaN-guarded like
-    /// `RunReport::tail_fraction`: a degenerate (zero or non-finite)
-    /// horizon or a non-finite integral reports 0 instead of NaN/∞.
-    pub fn mean_extra_power_mw(&self) -> f64 {
-        let extra_j = self.extra_energy_j();
-        if self.horizon_s.is_finite() && self.horizon_s > 0.0 && extra_j.is_finite() {
-            extra_j * 1000.0 / self.horizon_s
-        } else {
-            0.0
-        }
-    }
-
     /// Samples the absolute device power every `dt_s` seconds, producing the
     /// software analogue of a power-monitor capture.
     ///
@@ -794,19 +781,11 @@ mod tests {
         assert!(tl.segments().is_empty());
         assert_eq!(tl.extra_energy_j(), 0.0);
         assert_eq!(tl.total_energy_j(), 0.0);
-        assert_eq!(tl.mean_extra_power_mw(), 0.0, "guarded against 0/0");
         assert_eq!(tl.time_in_states_s(), [0.0; 3]);
         let trace = tl.sample(0.1);
         assert!(trace.is_empty());
         assert_eq!(trace.energy_j(), 0.0);
         assert_eq!(tl.state_at(0.0), RrcState::Idle);
-    }
-
-    #[test]
-    fn mean_extra_power_matches_integral() {
-        let tl = Timeline::from_transmissions(&params(), &[Transmission::new(10.0, 2.0)], 100.0);
-        let expected = tl.extra_energy_j() * 1000.0 / 100.0;
-        assert!((tl.mean_extra_power_mw() - expected).abs() < 1e-12);
     }
 
     #[test]

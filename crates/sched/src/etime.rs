@@ -71,16 +71,6 @@ impl ETimeScheduler {
             bw_count: 0,
         }
     }
-
-    /// The running mean of observed bandwidth estimates, in bits per second
-    /// (`None` before the first slot).
-    pub fn reference_bandwidth_bps(&self) -> Option<f64> {
-        if self.bw_count == 0 {
-            None
-        } else {
-            Some(self.bw_sum / self.bw_count as f64)
-        }
-    }
 }
 
 impl Scheduler for ETimeScheduler {
@@ -224,15 +214,6 @@ mod tests {
         let mut s = scheduler(0.0);
         s.on_arrival(packet(0, 10), 0.0).unwrap();
         assert_eq!(s.on_slot(&ctx(60.0, 500_000.0)).len(), 1);
-    }
-
-    #[test]
-    fn reference_bandwidth_tracks_mean() {
-        let mut s = scheduler(1e12);
-        assert_eq!(s.reference_bandwidth_bps(), None);
-        let _ = s.on_slot(&ctx(60.0, 100.0));
-        let _ = s.on_slot(&ctx(120.0, 300.0));
-        assert_eq!(s.reference_bandwidth_bps(), Some(200.0));
     }
 
     #[test]

@@ -303,12 +303,6 @@ impl GuardedScheduler {
         &self.transitions
     }
 
-    /// Count of packets shed so far (not yet drained via
-    /// [`Scheduler::take_shed`]).
-    pub fn shed_count(&self) -> usize {
-        self.shed.len()
-    }
-
     /// Packets currently deferred for one app (for auditing the per-app
     /// admission bound).
     pub fn pending_for(&self, app: etrain_trace::CargoAppId) -> usize {
@@ -868,10 +862,9 @@ mod tests {
             g.on_arrival(packet(i, 1, 0.0), 0.0).unwrap();
         }
         assert_eq!(g.pending(), 2);
-        assert_eq!(g.shed_count(), 3);
         let shed = g.take_shed();
         assert_eq!(shed.iter().map(|p| p.id).collect::<Vec<_>>(), vec![2, 3, 4]);
-        assert_eq!(g.shed_count(), 0);
+        assert!(g.take_shed().is_empty());
     }
 
     #[test]
@@ -905,7 +898,7 @@ mod tests {
         assert_eq!(released.len(), 1, "oldest flushed, not shed");
         assert_eq!(released[0].id, 0);
         assert_eq!(g.forced_flushes(), 1);
-        assert_eq!(g.shed_count(), 0);
+        assert!(g.take_shed().is_empty());
         assert_eq!(g.pending(), 2);
     }
 
@@ -920,7 +913,7 @@ mod tests {
         g.on_arrival(packet(1, 1, 0.0), 0.0).unwrap();
         assert_eq!(g.pending(), 2, "different apps both admitted");
         g.on_arrival(packet(2, 0, 1.0), 1.0).unwrap();
-        assert_eq!(g.shed_count(), 1);
+        assert_eq!(g.take_shed().len(), 1);
     }
 
     #[test]
@@ -932,7 +925,7 @@ mod tests {
         );
         let err = g.on_arrival(packet(0, 99, 0.0), 0.0).unwrap_err();
         assert!(matches!(err, SchedulerError::UnknownApp { .. }));
-        assert_eq!(g.shed_count(), 0);
+        assert!(g.take_shed().is_empty());
     }
 
     #[test]

@@ -91,12 +91,6 @@ impl Deserialize for EngineKind {
             .ok_or_else(|| serde::FromValueError::expected("string", value))?;
         raw.parse().map_err(serde::FromValueError::new)
     }
-
-    /// A missing `engine` field means the artifact predates the event
-    /// kernel, which makes it a slot-kernel run.
-    fn absent() -> Option<Self> {
-        Some(EngineKind::Slot)
-    }
 }
 
 impl std::str::FromStr for EngineKind {

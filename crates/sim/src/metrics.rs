@@ -27,7 +27,7 @@ pub struct AppReport {
 }
 
 /// The full report of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Display name of the scheduler that produced the run.
     pub scheduler: String,
@@ -71,9 +71,7 @@ pub struct RunReport {
     /// Cumulative radio busy time in seconds.
     pub busy_time_s: f64,
     /// Slot boundaries the run stepped through, identical across kernels
-    /// ([`EngineKind`](crate::EngineKind)); deserialized from the historic
-    /// `slots_run` name in older reports, and 0 for reports predating the
-    /// counter.
+    /// ([`EngineKind`](crate::EngineKind)).
     pub steps_run: u64,
     /// IDLE→DCH state promotions (signaling events; fast dormancy trades
     /// tail energy for more of these).
@@ -98,50 +96,6 @@ pub struct RunReport {
     /// undefined ratios are *absent*, not zero — see
     /// [`etrain_obs::MetricsSnapshot`].
     pub metrics: Option<etrain_obs::MetricsSnapshot>,
-}
-
-// Hand-written (not derived) so `steps_run` stays lenient: older reports
-// serialized the counter as `slots_run` or not at all, and both must keep
-// parsing (the alias reads through, a missing counter reads as 0). Every
-// other field deserializes exactly as the derive would.
-impl Deserialize for RunReport {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::FromValueError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| serde::FromValueError::expected("object", value))?;
-        let lookup = |name: &str| entries.iter().find(|(key, _)| key == name).map(|(_, v)| v);
-        let steps_run = match lookup("steps_run").or_else(|| lookup("slots_run")) {
-            Some(v) => u64::from_value(v)?,
-            None => 0,
-        };
-        Ok(RunReport {
-            scheduler: serde::__field(entries, "scheduler")?,
-            horizon_s: serde::__field(entries, "horizon_s")?,
-            extra_energy_j: serde::__field(entries, "extra_energy_j")?,
-            transmission_energy_j: serde::__field(entries, "transmission_energy_j")?,
-            tail_energy_j: serde::__field(entries, "tail_energy_j")?,
-            idle_energy_j: serde::__field(entries, "idle_energy_j")?,
-            total_energy_j: serde::__field(entries, "total_energy_j")?,
-            heartbeats_sent: serde::__field(entries, "heartbeats_sent")?,
-            packets_completed: serde::__field(entries, "packets_completed")?,
-            packets_unfinished: serde::__field(entries, "packets_unfinished")?,
-            packets_abandoned: serde::__field(entries, "packets_abandoned")?,
-            abandonment_ratio: serde::__field(entries, "abandonment_ratio")?,
-            retries: serde::__field(entries, "retries")?,
-            wasted_retry_energy_j: serde::__field(entries, "wasted_retry_energy_j")?,
-            normalized_delay_s: serde::__field(entries, "normalized_delay_s")?,
-            deadline_violation_ratio: serde::__field(entries, "deadline_violation_ratio")?,
-            busy_time_s: serde::__field(entries, "busy_time_s")?,
-            steps_run,
-            promotions: serde::__field(entries, "promotions")?,
-            packets_shed: serde::__field(entries, "packets_shed")?,
-            forced_flushes: serde::__field(entries, "forced_flushes")?,
-            health_events: serde::__field(entries, "health_events")?,
-            per_app: serde::__field(entries, "per_app")?,
-            oracle: serde::__field(entries, "oracle")?,
-            metrics: serde::__field(entries, "metrics")?,
-        })
-    }
 }
 
 impl RunReport {
@@ -359,27 +313,15 @@ mod tests {
     }
 
     #[test]
-    fn report_round_trips_and_legacy_slot_counter_parses() {
+    fn report_round_trips_through_json() {
         let mut out = output(vec![completed(1, 0.0, 10.0)]);
         out.steps_run = 42;
         let report = RunReport::from_engine("Test", &out, &AppProfile::paper_trio(30.0));
         assert_eq!(report.steps_run, 42);
 
-        // Fresh reports round-trip through JSON unchanged.
         let json = serde_json::to_string(&report).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
-
-        // Older reports wrote the counter as `slots_run`.
-        let legacy = json.replace("\"steps_run\"", "\"slots_run\"");
-        let back: RunReport = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.steps_run, 42);
-
-        // Reports predating the counter omitted it entirely.
-        let ancient = json.replace("\"steps_run\":42,", "");
-        assert_ne!(ancient, json, "field must exist to be stripped");
-        let back: RunReport = serde_json::from_str(&ancient).unwrap();
-        assert_eq!(back.steps_run, 0);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! that turns that property into crash safety:
 //!
 //! * **Write-ahead journal** ([`Wal`]): every admission, flush decision,
-//!   health transition, and heartbeat registration is serialized (via
-//!   `etrain-obs`'s checksummed frame format) and fsynced *before* it is
-//!   applied. Segments rotate at a size threshold; recovery scans them,
+//!   health transition, and heartbeat registration is serialized, framed
+//!   with a length and CRC-32 ([`write_frame`]), and fsynced *before* it
+//!   is applied. Segments rotate at a size threshold; recovery scans them,
 //!   truncates a torn/corrupt tail to the last valid frame, sets aside
 //!   unreadable segments, and replays the survivors through
 //!   [`ServiceState::apply`] to land on bit-for-bit the pre-crash state.
@@ -40,7 +40,10 @@
 //!   or `REJECTED`.
 //! * **Fault hook** ([`WalFault`], `ETRAIN_WAL_FAULT`): deterministic
 //!   torn/short/corrupt append injection so the chaos supervisor can
-//!   prove the recovery path detects and truncates damaged tails.
+//!   prove the recovery path detects and truncates damaged tails. The
+//!   frame format itself ([`write_frame`], [`scan_frames`], [`WAL_MAGIC`])
+//!   is public so the chaos harness and the tests can write and read
+//!   segment bytes directly.
 //!
 //! The write-ahead discipline means a crash can leave the journal
 //! *ahead* of what any client observed (an appended-but-unacked
@@ -71,8 +74,9 @@ pub use server::{
 pub use service::{DurableService, RecoverySummary};
 pub use state::{ServiceState, SvcCommand, SvcHealthConfig, SvcOutcome};
 pub use wal::{
-    read_checkpoint, recover, write_checkpoint, Append, Checkpoint, Wal, WalConfig, WalFault,
-    WalRecovery, WalRecoveryReport, WAL_ENV, WAL_FAULT_ENV,
+    read_checkpoint, recover, scan_frames, write_checkpoint, write_frame, Append, AppendFault,
+    Checkpoint, TailStatus, Wal, WalConfig, WalFault, WalRecovery, WalRecoveryReport,
+    FRAME_HEADER_BYTES, WAL_ENV, WAL_FAULT_ENV, WAL_MAGIC,
 };
 
 /// Strict `ETRAIN_WAL` reader: `Ok(None)` when unset or empty, the

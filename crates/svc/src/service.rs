@@ -26,7 +26,6 @@ use std::path::PathBuf;
 use std::sync::mpsc::sync_channel;
 
 use etrain_core::CoreConfig;
-use etrain_trace::CargoAppId;
 
 use crate::error::SvcError;
 use crate::state::{ServiceState, SvcCommand, SvcHealthConfig, SvcOutcome};
@@ -151,26 +150,6 @@ impl DurableService {
             }
         }
         self.state.apply(&command)
-    }
-
-    /// Convenience wrapper for the idempotent submit verb.
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableService::apply`].
-    pub fn submit_idem(
-        &mut self,
-        client_id: impl Into<String>,
-        app: CargoAppId,
-        request: etrain_core::TransmitRequest,
-        now_s: f64,
-    ) -> Result<SvcOutcome, SvcError> {
-        self.apply(SvcCommand::SubmitIdem {
-            client_id: client_id.into(),
-            app,
-            request,
-            now_s,
-        })
     }
 
     /// Writes a clean checkpoint covering everything journaled so far:
@@ -321,11 +300,10 @@ impl Replay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::WalFault;
+    use crate::wal::{AppendFault, WalFault};
     use etrain_core::{CoreCommand, TransmitRequest};
-    use etrain_obs::AppendFault;
     use etrain_sched::{AppProfile, CostProfile};
-    use etrain_trace::TrainAppId;
+    use etrain_trace::{CargoAppId, TrainAppId};
     use std::path::Path;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -361,14 +339,23 @@ mod tests {
         .unwrap();
     }
 
+    /// An idempotent upload for the Mail app `register` adds.
+    fn submit(client_id: &str, bytes: u64, now_s: f64) -> SvcCommand {
+        SvcCommand::SubmitIdem {
+            client_id: client_id.into(),
+            app: CargoAppId(0),
+            request: TransmitRequest::upload(bytes),
+            now_s,
+        }
+    }
+
     #[test]
     fn crash_and_recover_is_bit_for_bit() {
         let dir = tmp_dir("recover");
         let (mut svc, summary) = open(&dir);
         assert_eq!(summary.replayed, 0);
         register(&mut svc);
-        svc.submit_idem("c-1", CargoAppId(0), TransmitRequest::upload(2_000), 1.0)
-            .unwrap();
+        svc.apply(submit("c-1", 2_000, 1.0)).unwrap();
         svc.apply(SvcCommand::Core(CoreCommand::Heartbeat {
             train: TrainAppId(0),
             now_s: 5.0,
@@ -466,9 +453,7 @@ mod tests {
         let dir = tmp_dir("dup");
         let (mut svc, _) = open(&dir);
         register(&mut svc);
-        let first = svc
-            .submit_idem("key", CargoAppId(0), TransmitRequest::upload(1_000), 1.0)
-            .unwrap();
+        let first = svc.apply(submit("key", 1_000, 1.0)).unwrap();
         let SvcOutcome::Submitted { admission } = first else {
             panic!("{first:?}")
         };
@@ -476,9 +461,7 @@ mod tests {
         drop(svc);
         // The client never heard the answer; after restart it resends.
         let (mut svc, _) = open(&dir);
-        let dup = svc
-            .submit_idem("key", CargoAppId(0), TransmitRequest::upload(1_000), 2.0)
-            .unwrap();
+        let dup = svc.apply(submit("key", 1_000, 2.0)).unwrap();
         let SvcOutcome::Duplicate { admission } = dup else {
             panic!("resend after recovery must hit the dedup table: {dup:?}")
         };

@@ -1,9 +1,10 @@
 //! The write-ahead log: segmented, checksummed, crash-truncating.
 //!
 //! On disk a WAL is a directory of segments `wal-000000.seg`,
-//! `wal-000001.seg`, … in the framed format of [`etrain_obs::durable`]
-//! (magic + `[len | crc32 | payload]` frames), each payload one
-//! JSON-serialized [`SvcCommand`], read back by the `record` module.
+//! `wal-000001.seg`, … in the framed format of the `frame` submodule
+//! (magic + `[len | crc32 | payload]` frames, written by [`write_frame`]
+//! and read by [`scan_frames`]), each payload one JSON-serialized
+//! [`SvcCommand`], read back by the `record` module.
 //! Appends go to the highest segment; a segment that crosses
 //! [`WalConfig::segment_bytes`] is closed and a new one started, so no
 //! single file grows without bound and recovery I/O is localized.
@@ -28,12 +29,15 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use etrain_obs::durable::{scan_frames, AppendFault, FrameWriter, TailStatus};
 use serde::{Deserialize, Serialize};
 
 use crate::error::SvcError;
 use crate::record::decode;
 use crate::state::SvcCommand;
+
+mod frame;
+
+pub use frame::{scan_frames, write_frame, AppendFault, TailStatus, FRAME_HEADER_BYTES, WAL_MAGIC};
 
 /// Environment variable naming the WAL directory.
 pub const WAL_ENV: &str = "ETRAIN_WAL";
@@ -164,9 +168,8 @@ pub struct WalRecovery {
     /// The segment index appends should continue in (the last surviving
     /// segment, or 0 for an empty directory).
     resume_segment: u64,
-    /// Frames and bytes already in that segment (`None` if it must be
-    /// created).
-    resume_state: Option<(u64, u64)>,
+    /// Bytes already in that segment (`None` if it must be created).
+    resume_bytes: Option<u64>,
 }
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
@@ -224,7 +227,7 @@ pub(crate) struct Scan {
     segments: std::vec::IntoIter<(u64, PathBuf)>,
     report: WalRecoveryReport,
     resume_segment: u64,
-    resume_state: Option<(u64, u64)>,
+    resume_bytes: Option<u64>,
     damage_seen: bool,
 }
 
@@ -242,7 +245,7 @@ impl Scan {
                 undecodable: 0,
             },
             resume_segment: 0,
-            resume_state: None,
+            resume_bytes: None,
             damage_seen: false,
         })
     }
@@ -285,7 +288,7 @@ impl Scan {
             self.report.tail = scan.tail;
             self.report.segments += 1;
             self.resume_segment = index;
-            self.resume_state = Some((scan.frames.len() as u64, scan.valid_bytes()));
+            self.resume_bytes = Some(scan.valid_bytes());
             commands.reserve(scan.frames.len());
             for frame in &scan.frames {
                 let command = decode(&bytes[frame.clone()]).ok_or(SvcError::UndecodableRecord {
@@ -305,7 +308,7 @@ impl Scan {
             commands,
             report: self.report,
             resume_segment: self.resume_segment,
-            resume_state: self.resume_state,
+            resume_bytes: self.resume_bytes,
         }
     }
 }
@@ -314,12 +317,26 @@ impl Scan {
 #[derive(Debug)]
 pub struct Wal {
     cfg: WalConfig,
-    writer: FrameWriter<File>,
+    /// The segment being appended to, opened in append mode.
+    file: File,
+    /// Bytes in that segment: magic, frames and any damaged tail written.
+    bytes: u64,
     segment_index: u64,
     /// Records ever appended across all segments (continues the
     /// recovered count, so the fault hook's `at_record` is an absolute
     /// index into the journal's lifetime).
     records: u64,
+}
+
+/// Creates segment `index` under `dir`, which must not exist yet, and
+/// writes its magic.
+fn create_segment(dir: &Path, index: u64) -> std::io::Result<File> {
+    let mut file = OpenOptions::new()
+        .create_new(true)
+        .append(true)
+        .open(segment_path(dir, index))?;
+    file.write_all(&WAL_MAGIC)?;
+    Ok(file)
 }
 
 impl Wal {
@@ -332,24 +349,18 @@ impl Wal {
     /// Propagates directory-creation and file-open failures.
     pub fn open(cfg: WalConfig, recovery: &WalRecovery) -> Result<Self, SvcError> {
         std::fs::create_dir_all(&cfg.dir)?;
-        let (writer, segment_index) = match recovery.resume_state {
-            Some((frames, valid_bytes)) => {
+        let (file, bytes, segment_index) = match recovery.resume_bytes {
+            Some(valid_bytes) => {
                 let path = segment_path(&cfg.dir, recovery.resume_segment);
                 let file = OpenOptions::new().append(true).open(path)?;
-                (
-                    FrameWriter::resume(file, frames, valid_bytes),
-                    recovery.resume_segment,
-                )
+                (file, valid_bytes, recovery.resume_segment)
             }
-            None => {
-                let path = segment_path(&cfg.dir, 0);
-                let file = OpenOptions::new().create(true).append(true).open(path)?;
-                (FrameWriter::create(file)?, 0)
-            }
+            None => (create_segment(&cfg.dir, 0)?, WAL_MAGIC.len() as u64, 0),
         };
         Ok(Wal {
             cfg,
-            writer,
+            file,
+            bytes,
             segment_index,
             records: recovery.report.records,
         })
@@ -368,17 +379,21 @@ impl Wal {
     pub fn append(&mut self, command: &SvcCommand) -> Result<Append, SvcError> {
         let payload = serde_json::to_string(command)
             .map_err(|e| SvcError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))?;
-        if self.writer.bytes() >= self.cfg.segment_bytes && self.writer.frames() > 0 {
+        // A segment holding no frame yet is never closed, however small
+        // the threshold.
+        if self.bytes >= self.cfg.segment_bytes && self.bytes > WAL_MAGIC.len() as u64 {
             self.rotate()?;
         }
-        if let Some(fault) = self.cfg.fault {
-            if fault.at_record == self.records {
-                self.writer.append_faulty(payload.as_bytes(), fault.kind)?;
-                self.sync()?;
-                return Ok(Append::FaultInjected);
-            }
+        let fault = self
+            .cfg
+            .fault
+            .filter(|fault| fault.at_record == self.records)
+            .map(|fault| fault.kind);
+        self.bytes += write_frame(&mut self.file, payload.as_bytes(), fault)?;
+        if fault.is_some() {
+            self.sync()?;
+            return Ok(Append::FaultInjected);
         }
-        self.writer.append(payload.as_bytes())?;
         if self.cfg.fsync {
             self.sync()?;
         }
@@ -387,26 +402,20 @@ impl Wal {
     }
 
     fn rotate(&mut self) -> Result<(), SvcError> {
-        self.writer.flush()?;
-        self.writer.get_mut().sync_data()?;
+        self.sync()?;
         self.segment_index += 1;
-        let path = segment_path(&self.cfg.dir, self.segment_index);
-        let file = OpenOptions::new()
-            .create_new(true)
-            .append(true)
-            .open(path)?;
-        self.writer = FrameWriter::create(file)?;
+        self.file = create_segment(&self.cfg.dir, self.segment_index)?;
+        self.bytes = WAL_MAGIC.len() as u64;
         Ok(())
     }
 
-    /// Flushes and `sync_data`s the current segment.
+    /// `sync_data`s the current segment.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn sync(&mut self) -> Result<(), SvcError> {
-        self.writer.flush()?;
-        self.writer.get_mut().sync_data()?;
+        self.file.sync_data()?;
         Ok(())
     }
 
@@ -614,7 +623,7 @@ mod tests {
         assert_eq!(recovery.report.records, 1);
         assert_eq!(
             recovery.report.truncated_bytes,
-            (etrain_obs::durable::FRAME_HEADER_BYTES + payload_len / 2) as u64
+            (FRAME_HEADER_BYTES + payload_len / 2) as u64
         );
         assert!(matches!(recovery.report.tail, TailStatus::Torn { .. }));
     }

@@ -1,29 +1,30 @@
-//! Durable, checksummed on-disk framing for journal records.
+//! The checksummed on-disk frame format of a WAL segment.
 //!
-//! The live service (`etrain-svc`) persists its write-ahead log through
-//! this module. A *segment* is a byte stream beginning with
-//! [`WAL_MAGIC`] followed by zero or more *frames*; each frame is
+//! A *segment* is a byte stream beginning with [`WAL_MAGIC`] followed by
+//! zero or more *frames*; each frame is
 //!
 //! ```text
 //! [payload length: u32 LE][CRC-32 of payload: u32 LE][payload bytes]
 //! ```
 //!
 //! The format is deliberately dumb: no compression, no index, no
-//! self-describing schema — the payload is whatever the caller framed
-//! (for the service WAL, one serialized command). What the framing *does* buy is
-//! crash safety: a reader can always classify the tail of a segment as
-//! clean, torn (an append that died partway), or corrupt (bit rot or a
-//! misdirected write), and truncate to the last frame whose checksum
-//! verifies. Recovery never trusts bytes past that point.
+//! self-describing schema — the payload is one serialized command. What
+//! the framing *does* buy is crash safety: a reader can always classify
+//! the tail of a segment as clean, torn (an append that died partway),
+//! or corrupt (bit rot or a misdirected write), and truncate to the last
+//! frame whose checksum verifies. Recovery never trusts bytes past that
+//! point.
 //!
-//! Fault injection is built in rather than bolted on:
-//! [`FrameWriter::append_faulty`] produces exactly the damaged tails the
-//! chaos harness needs (short header, torn payload, flipped checksum),
-//! so the detection path is exercised by the same code that writes real
-//! segments.
+//! Fault injection is built in rather than bolted on: [`write_frame`]
+//! with an [`AppendFault`] produces exactly the damaged tails the fault
+//! hook and the chaos harness need (short header, torn payload, flipped
+//! checksum), so the detection path is exercised by the same code that
+//! writes real segments.
 
 use std::io::Write;
 use std::ops::Range;
+
+use serde::{Deserialize, Serialize};
 
 /// Magic bytes opening every WAL segment (8 bytes, versioned).
 pub const WAL_MAGIC: [u8; 8] = *b"ETWAL01\n";
@@ -33,8 +34,8 @@ pub const FRAME_HEADER_BYTES: usize = 8;
 
 /// Upper bound on a single frame's payload. A length field above this is
 /// treated as corruption rather than an allocation request: no legitimate
-/// record (a JSON-serialized command or event) comes anywhere close.
-pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
+/// record (a JSON-serialized command) comes anywhere close.
+const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
 /// Slicing-by-8 tables: `CRC_TABLES[0]` is the bytewise table of the
 /// reflected IEEE polynomial, and `CRC_TABLES[k][i]` is the CRC of byte
@@ -74,7 +75,7 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
 
 /// CRC-32 (IEEE 802.3 polynomial) of `bytes` — the checksum every frame
 /// carries. Table-driven (slicing-by-8), no dependencies.
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = !0u32;
     let mut words = bytes.chunks_exact(8);
@@ -101,9 +102,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Each variant models one real failure the recovery path must survive:
 /// a process killed mid-`write` (torn), a header that never finished
 /// (short), and a payload whose stored checksum no longer matches (bit
-/// rot, misdirected write). [`FrameWriter::append_faulty`] realizes them
-/// byte-exactly so tests can assert the reader's verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// rot, misdirected write). [`write_frame`] realizes them byte-exactly
+/// so tests can assert the reader's verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AppendFault {
     /// Write the header and only the first half of the payload bytes
     /// (rounded down) — the classic torn append of a SIGKILL mid-`write`.
@@ -116,135 +117,43 @@ pub enum AppendFault {
     FlipChecksum,
 }
 
-/// Appends checksummed frames to a byte sink.
+/// Writes one frame of `payload` to `sink` — header and payload through
+/// one `write_all` each — or, with a `fault`, the damaged part of a frame
+/// that it names (a short header writes no payload).
+/// Returns the bytes written, so a caller can track a segment's size.
+/// Durability (fsync) is the caller's policy, and so is the segment's
+/// leading [`WAL_MAGIC`].
 ///
-/// The writer tracks how many frames and bytes it has emitted so callers
-/// can rotate segments at a size threshold and record durable offsets in
-/// checkpoints.
-#[derive(Debug)]
-pub struct FrameWriter<W: Write> {
-    writer: W,
-    frames: u64,
-    bytes: u64,
-}
-
-impl<W: Write> FrameWriter<W> {
-    /// Starts a fresh segment: writes [`WAL_MAGIC`] immediately.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying write error.
-    pub fn create(mut writer: W) -> std::io::Result<Self> {
-        writer.write_all(&WAL_MAGIC)?;
-        Ok(FrameWriter {
-            writer,
-            frames: 0,
-            bytes: WAL_MAGIC.len() as u64,
-        })
-    }
-
-    /// Resumes appending to an existing segment that already holds
-    /// `frames` valid frames over `bytes` total bytes (as reported by
-    /// [`scan_frames`]); writes no magic.
-    pub fn resume(writer: W, frames: u64, bytes: u64) -> Self {
-        FrameWriter {
-            writer,
-            frames,
-            bytes,
+/// # Errors
+///
+/// Propagates the sink's write error; after one the segment tail must be
+/// considered torn.
+pub fn write_frame(
+    sink: &mut impl Write,
+    payload: &[u8],
+    fault: Option<AppendFault>,
+) -> std::io::Result<u64> {
+    let mut header = [0u8; FRAME_HEADER_BYTES];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    let (header, payload): (&[u8], &[u8]) = match fault {
+        None => (&header, payload),
+        Some(AppendFault::TornPayload) => (&header, &payload[..payload.len() / 2]),
+        Some(AppendFault::ShortHeader) => (&header[..4], &[]),
+        Some(AppendFault::FlipChecksum) => {
+            for b in &mut header[4..] {
+                *b = !*b;
+            }
+            (&header, payload)
         }
-    }
-
-    /// Appends one frame. Header and payload go through a single
-    /// `write_all` each; durability (fsync) is the caller's policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying write error; on error the segment tail
-    /// must be considered torn.
-    pub fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        let header = Self::header(payload);
-        self.writer.write_all(&header)?;
-        self.writer.write_all(payload)?;
-        self.frames += 1;
-        self.bytes += (FRAME_HEADER_BYTES + payload.len()) as u64;
-        Ok(())
-    }
-
-    /// Appends a deliberately damaged frame (see [`AppendFault`]). The
-    /// writer's counters advance by the bytes *actually* written and the
-    /// frame is **not** counted as valid — after a faulty append the
-    /// segment tail is damaged by construction and the writer should be
-    /// discarded, exactly like a crashed process.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying write error.
-    pub fn append_faulty(&mut self, payload: &[u8], fault: AppendFault) -> std::io::Result<()> {
-        let mut header = Self::header(payload);
-        match fault {
-            AppendFault::TornPayload => {
-                let keep = payload.len() / 2;
-                self.writer.write_all(&header)?;
-                self.writer.write_all(&payload[..keep])?;
-                self.bytes += (FRAME_HEADER_BYTES + keep) as u64;
-            }
-            AppendFault::ShortHeader => {
-                self.writer.write_all(&header[..4])?;
-                self.bytes += 4;
-            }
-            AppendFault::FlipChecksum => {
-                for b in &mut header[4..8] {
-                    *b = !*b;
-                }
-                self.writer.write_all(&header)?;
-                self.writer.write_all(payload)?;
-                self.bytes += (FRAME_HEADER_BYTES + payload.len()) as u64;
-            }
-        }
-        Ok(())
-    }
-
-    /// Flushes the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying flush error.
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        self.writer.flush()
-    }
-
-    /// Valid frames appended (faulty appends excluded).
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    /// Total bytes emitted, magic and damaged tails included.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Borrows the underlying writer (e.g. to `sync_data` a file).
-    pub fn get_mut(&mut self) -> &mut W {
-        &mut self.writer
-    }
-
-    /// Consumes the writer, returning the sink.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-
-    fn header(payload: &[u8]) -> [u8; FRAME_HEADER_BYTES] {
-        let len = payload.len() as u32;
-        let crc = crc32(payload);
-        let mut header = [0u8; FRAME_HEADER_BYTES];
-        header[..4].copy_from_slice(&len.to_le_bytes());
-        header[4..].copy_from_slice(&crc.to_le_bytes());
-        header
-    }
+    };
+    sink.write_all(header)?;
+    sink.write_all(payload)?;
+    Ok((header.len() + payload.len()) as u64)
 }
 
 /// Verdict on the tail of a scanned segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TailStatus {
     /// Every byte belongs to a verified frame.
     Clean,
@@ -268,19 +177,6 @@ impl TailStatus {
     /// Whether the whole segment verified.
     pub fn is_clean(&self) -> bool {
         matches!(self, TailStatus::Clean)
-    }
-
-    /// The verified prefix length in bytes: the truncation point
-    /// recovery keeps. `None` for [`TailStatus::BadMagic`], where not
-    /// even the magic can be trusted.
-    pub fn valid_bytes(&self, total: u64) -> Option<u64> {
-        match self {
-            TailStatus::Clean => Some(total),
-            TailStatus::BadMagic => None,
-            TailStatus::Torn { valid_bytes } | TailStatus::Corrupt { valid_bytes } => {
-                Some(*valid_bytes)
-            }
-        }
     }
 }
 
@@ -310,7 +206,7 @@ impl FrameScan {
 ///
 /// Never fails: damage is reported through [`TailStatus`], and the
 /// verified prefix is always usable. A frame with a length field above
-/// [`MAX_FRAME_BYTES`] is classified as corrupt (an absurd length is
+/// 16 MiB is classified as corrupt (an absurd length is
 /// indistinguishable from bit rot in the header).
 pub fn scan_frames(bytes: &[u8]) -> FrameScan {
     if bytes.len() < WAL_MAGIC.len() || bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
@@ -368,12 +264,13 @@ mod tests {
         (scan, payloads)
     }
 
+    /// A segment: the magic, then one clean frame per payload.
     fn frame_up(payloads: &[&[u8]]) -> Vec<u8> {
-        let mut writer = FrameWriter::create(Vec::new()).unwrap();
+        let mut bytes = WAL_MAGIC.to_vec();
         for p in payloads {
-            writer.append(p).unwrap();
+            write_frame(&mut bytes, p, None).unwrap();
         }
-        writer.into_inner()
+        bytes
     }
 
     /// The plain bytewise table loop, as the reference the sliced one
@@ -411,14 +308,8 @@ mod tests {
 
     #[test]
     fn frame_scan_ranges_locate_the_payloads_in_place() {
-        let mut writer = FrameWriter::create(Vec::new()).unwrap();
-        for p in [&b"alpha"[..], b"", b"gamma"] {
-            writer.append(p).unwrap();
-        }
-        writer
-            .append_faulty(b"delta", AppendFault::TornPayload)
-            .unwrap();
-        let bytes = writer.into_inner();
+        let mut bytes = frame_up(&[b"alpha", b"", b"gamma"]);
+        write_frame(&mut bytes, b"delta", Some(AppendFault::TornPayload)).unwrap();
         let scan = scan_frames(&bytes);
         let payloads: Vec<&[u8]> = scan.frames.iter().map(|r| &bytes[r.clone()]).collect();
         assert_eq!(payloads, vec![&b"alpha"[..], b"", b"gamma"]);
@@ -468,10 +359,6 @@ mod tests {
             ]
         );
         assert_eq!(scan.valid_bytes(), bytes.len() as u64);
-        assert_eq!(
-            scan.tail.valid_bytes(bytes.len() as u64),
-            Some(bytes.len() as u64)
-        );
     }
 
     #[test]
@@ -487,18 +374,19 @@ mod tests {
         let (scan, payloads) = scan_segment(b"NOTAWAL!rest");
         assert_eq!(scan.tail, TailStatus::BadMagic);
         assert!(payloads.is_empty());
-        assert_eq!(scan.tail.valid_bytes(12), None);
+        assert_eq!(scan.valid_bytes(), 0);
     }
 
     #[test]
     fn torn_payload_truncates_at_last_valid_frame() {
-        let mut writer = FrameWriter::create(Vec::new()).unwrap();
-        writer.append(b"first").unwrap();
-        let valid = writer.bytes();
-        writer
-            .append_faulty(b"second-payload", AppendFault::TornPayload)
-            .unwrap();
-        let bytes = writer.into_inner();
+        let mut bytes = frame_up(&[b"first"]);
+        let valid = bytes.len() as u64;
+        write_frame(
+            &mut bytes,
+            b"second-payload",
+            Some(AppendFault::TornPayload),
+        )
+        .unwrap();
         let (scan, payloads) = scan_segment(&bytes);
         assert_eq!(scan.tail, TailStatus::Torn { valid_bytes: valid });
         assert_eq!(payloads, vec![b"first".to_vec()]);
@@ -509,13 +397,9 @@ mod tests {
     fn torn_payload_keeps_half_the_payload_rounded_down() {
         for len in [1usize, 7, 14, 80] {
             let payload = vec![0x5a; len];
-            let mut writer = FrameWriter::create(Vec::new()).unwrap();
-            writer.append(b"first").unwrap();
-            let valid = writer.bytes() as usize;
-            writer
-                .append_faulty(&payload, AppendFault::TornPayload)
-                .unwrap();
-            let bytes = writer.into_inner();
+            let mut bytes = frame_up(&[b"first"]);
+            let valid = bytes.len();
+            write_frame(&mut bytes, &payload, Some(AppendFault::TornPayload)).unwrap();
             assert_eq!(
                 bytes.len(),
                 valid + FRAME_HEADER_BYTES + len / 2,
@@ -529,43 +413,36 @@ mod tests {
     }
 
     #[test]
-    fn faulty_appends_count_their_bytes_but_not_a_frame() {
+    fn faulty_writes_return_their_bytes_but_add_no_frame() {
         for fault in [
             AppendFault::TornPayload,
             AppendFault::ShortHeader,
             AppendFault::FlipChecksum,
         ] {
-            let mut writer = FrameWriter::create(Vec::new()).unwrap();
-            writer.append(b"first").unwrap();
-            writer.append_faulty(b"second-payload", fault).unwrap();
-            assert_eq!(writer.frames(), 1, "{fault:?}");
-            let counted = writer.bytes();
-            assert_eq!(writer.into_inner().len() as u64, counted, "{fault:?}");
+            let mut bytes = frame_up(&[b"first"]);
+            let before = bytes.len() as u64;
+            let written = write_frame(&mut bytes, b"second-payload", Some(fault)).unwrap();
+            assert_eq!(scan_frames(&bytes).frames.len(), 1, "{fault:?}");
+            assert_eq!(before + written, bytes.len() as u64, "{fault:?}");
         }
     }
 
     #[test]
     fn short_header_is_torn() {
-        let mut writer = FrameWriter::create(Vec::new()).unwrap();
-        writer.append(b"first").unwrap();
-        let valid = writer.bytes();
-        writer
-            .append_faulty(b"second", AppendFault::ShortHeader)
-            .unwrap();
-        let (scan, payloads) = scan_segment(&writer.into_inner());
+        let mut bytes = frame_up(&[b"first"]);
+        let valid = bytes.len() as u64;
+        write_frame(&mut bytes, b"second", Some(AppendFault::ShortHeader)).unwrap();
+        let (scan, payloads) = scan_segment(&bytes);
         assert_eq!(scan.tail, TailStatus::Torn { valid_bytes: valid });
         assert_eq!(payloads.len(), 1);
     }
 
     #[test]
     fn flipped_checksum_is_corrupt() {
-        let mut writer = FrameWriter::create(Vec::new()).unwrap();
-        writer.append(b"first").unwrap();
-        let valid = writer.bytes();
-        writer
-            .append_faulty(b"second", AppendFault::FlipChecksum)
-            .unwrap();
-        let (scan, payloads) = scan_segment(&writer.into_inner());
+        let mut bytes = frame_up(&[b"first"]);
+        let valid = bytes.len() as u64;
+        write_frame(&mut bytes, b"second", Some(AppendFault::FlipChecksum)).unwrap();
+        let (scan, payloads) = scan_segment(&bytes);
         assert_eq!(scan.tail, TailStatus::Corrupt { valid_bytes: valid });
         assert_eq!(payloads, vec![b"first".to_vec()]);
     }
@@ -592,29 +469,26 @@ mod tests {
     }
 
     #[test]
-    fn resume_continues_counters() {
-        let mut writer = FrameWriter::create(Vec::new()).unwrap();
-        writer.append(b"one").unwrap();
-        let (frames, bytes) = (writer.frames(), writer.bytes());
-        let mut buf = writer.into_inner();
-        let mut resumed = FrameWriter::resume(&mut buf, frames, bytes);
-        resumed.append(b"two").unwrap();
-        assert_eq!(resumed.frames(), 2);
-        let (scan, payloads) = scan_segment(&buf);
+    fn writing_into_a_scanned_segment_continues_it() {
+        let mut bytes = frame_up(&[b"one"]);
+        assert_eq!(scan_frames(&bytes).valid_bytes(), bytes.len() as u64);
+        write_frame(&mut bytes, b"two", None).unwrap();
+        let (scan, payloads) = scan_segment(&bytes);
         assert_eq!(scan.tail, TailStatus::Clean);
-        assert_eq!(payloads.len(), 2);
+        assert_eq!(payloads, vec![b"one".to_vec(), b"two".to_vec()]);
     }
 
     #[test]
-    fn get_mut_reaches_the_sink_without_counting_its_bytes() {
-        let mut writer = FrameWriter::create(Vec::new()).unwrap();
-        writer.append(b"abc").unwrap();
-        assert_eq!(writer.get_mut().len() as u64, writer.bytes());
-        writer.get_mut().push(0);
+    fn a_clean_write_returns_the_frame_length() {
+        let mut bytes = Vec::new();
         assert_eq!(
-            writer.bytes(),
-            (WAL_MAGIC.len() + FRAME_HEADER_BYTES + 3) as u64
+            write_frame(&mut bytes, b"abc", None).unwrap(),
+            (FRAME_HEADER_BYTES + 3) as u64
         );
-        assert_eq!(writer.frames(), 1);
+        assert_eq!(
+            write_frame(&mut bytes, b"", None).unwrap(),
+            FRAME_HEADER_BYTES as u64
+        );
+        assert_eq!(bytes.len(), 2 * FRAME_HEADER_BYTES + 3);
     }
 }

@@ -1,7 +1,8 @@
 //! In-process recovery suites: the pinned WAL record format, the refusal
 //! of non-finite times and cost profiles before they reach the journal,
-//! a replay that must choose a capped burst as the live service did, a
-//! restart over a journal shaped like the repository benchmark's, and
+//! a replay that must choose a capped burst as the live service did,
+//! cold drops and reopens at sixteen points of one journal, a restart
+//! over a journal shaped like the repository benchmark's, and
 //! the streamed open (scan and replay on two threads) held to `recover`
 //! followed by a serial replay over journals of dozens of segments.
 //!
@@ -9,17 +10,16 @@
 //! is meant for release builds
 //! (`cargo test --release -p etrain-svc -- --include-ignored`).
 
-use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use etrain_core::{CoreCommand, CoreConfig};
-use etrain_obs::{scan_frames, AppendFault, FrameWriter};
 use etrain_sched::{AppProfile, CostProfile};
 use etrain_svc::script::script;
 use etrain_svc::{
-    decode_canonical, execute_line, recover, write_checkpoint, Checkpoint, DurableService,
-    RecoverySummary, ServiceState, SvcCommand, SvcError, SvcHealthConfig, Wal, WalConfig, WalFault,
+    decode_canonical, execute_line, recover, scan_frames, write_checkpoint, write_frame,
+    AppendFault, Checkpoint, DurableService, RecoverySummary, ServiceState, SvcCommand, SvcError,
+    SvcHealthConfig, Wal, WalConfig, WalFault, WAL_MAGIC,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -83,13 +83,11 @@ fn wal_v1_fixture_replays_to_its_pinned_state() {
     assert_eq!(lines.len(), 25);
     let dir = tmp_dir("wal-v1");
     std::fs::create_dir_all(&dir).unwrap();
-    let segment = File::create(dir.join("wal-000000.seg")).unwrap();
-    let mut writer = FrameWriter::create(segment).unwrap();
+    let mut segment = WAL_MAGIC.to_vec();
     for line in &lines {
-        writer.append(line.as_bytes()).unwrap();
+        write_frame(&mut segment, line.as_bytes(), None).unwrap();
     }
-    writer.flush().unwrap();
-    drop(writer);
+    std::fs::write(dir.join("wal-000000.seg"), segment).unwrap();
 
     let recovery = recover(&dir).unwrap();
     assert_eq!(recovery.commands.len(), lines.len());
@@ -246,6 +244,52 @@ fn a_capped_burst_after_a_late_registration_reopens_to_the_live_state() {
     assert_eq!(summary.fingerprint, fingerprint);
     assert_eq!(reopened.fingerprint(), fingerprint);
     drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cold_drops_at_sixteen_points_reopen_to_the_never_dropped_state() {
+    // Dropping the service is the WAL's crash model: nothing between an
+    // append and its apply survives, and no checkpoint is written.
+    let dir = tmp_dir("cold-drops");
+    let mut wal = WalConfig::new(&dir);
+    wal.fsync = false;
+    wal.segment_bytes = 4096; // several rotations over the script
+    let reopen = || {
+        DurableService::open(
+            wal.clone(),
+            CoreConfig::default(),
+            SvcHealthConfig::default(),
+        )
+        .expect("journal opens")
+    };
+    let steps = script(17, 240);
+    let mut reference = ServiceState::new(CoreConfig::default(), SvcHealthConfig::default());
+    let (mut service, _) = reopen();
+    let mut applied = 0;
+    for k in 1..=16 {
+        let drop_at = k * steps.len() / 17;
+        for step in &steps[applied..drop_at] {
+            let _ = service.apply(step.command.clone());
+            let _ = reference.apply(&step.command);
+        }
+        applied = drop_at;
+        drop(service);
+        let (recovered, summary) = reopen();
+        assert_eq!(summary.wal.records, applied as u64, "dropped at {applied}");
+        assert_eq!(summary.replayed, applied as u64, "dropped at {applied}");
+        assert_eq!(
+            recovered.fingerprint(),
+            reference.fingerprint(),
+            "dropped at {applied}"
+        );
+        service = recovered;
+    }
+    assert!(
+        records_per_segment(&dir).len() > 2,
+        "the script spans several segments"
+    );
+    drop(service);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -482,11 +526,9 @@ fn an_undecodable_record_after_a_checkpoint_mismatch_is_the_error() {
     // A verified frame that is not a command, in a segment of its own
     // dozens of segments after the checkpoint.
     let last = records_per_segment(&dir).len();
-    let segment = File::create(dir.join(format!("wal-{last:06}.seg"))).unwrap();
-    let mut writer = FrameWriter::create(segment).unwrap();
-    writer.append(b"not a command").unwrap();
-    writer.flush().unwrap();
-    drop(writer);
+    let mut segment = WAL_MAGIC.to_vec();
+    write_frame(&mut segment, b"not a command", None).unwrap();
+    std::fs::write(dir.join(format!("wal-{last:06}.seg")), segment).unwrap();
     let err = open_error(&dir);
     assert!(
         matches!(err, SvcError::UndecodableRecord { index } if index == total),

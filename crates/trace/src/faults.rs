@@ -263,11 +263,6 @@ impl FaultPlan {
             .reduce(f64::min)
     }
 
-    /// Whether the channel is in an outage at time `t`.
-    pub fn in_outage(&self, t: f64) -> bool {
-        self.outages.iter().any(|w| w.contains(t))
-    }
-
     /// Applies heartbeat drops and train-death windows to a departure
     /// schedule: beats inside a death window or selected by the drop coin
     /// vanish. Drop decisions are indexed by position in `heartbeats`, so
@@ -352,7 +347,7 @@ mod tests {
             assert!(!plan.drops_heartbeat(id));
         }
         assert!(!plan.trains_dead_at(12.5));
-        assert!(!plan.in_outage(12.5));
+        assert!(plan.outages.is_empty());
     }
 
     #[test]
@@ -495,9 +490,10 @@ mod tests {
     fn periodic_outages_cover_the_horizon() {
         let plan = FaultPlan::seeded(0).with_periodic_outages(10.0, 5.0, 60.0, 200.0);
         assert_eq!(plan.outages.len(), 4);
-        assert!(plan.in_outage(12.0));
-        assert!(!plan.in_outage(16.0));
-        assert!(plan.in_outage(131.0));
+        let in_outage = |t| plan.outages.iter().any(|w| w.contains(t));
+        assert!(in_outage(12.0));
+        assert!(!in_outage(16.0));
+        assert!(in_outage(131.0));
     }
 
     #[test]

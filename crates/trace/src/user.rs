@@ -118,15 +118,6 @@ impl AppUseTrace {
             .count()
     }
 
-    /// Total uploaded bytes.
-    pub fn upload_bytes(&self) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.behavior == BehaviorType::Upload)
-            .map(|r| r.size_bytes)
-            .sum()
-    }
-
     /// Normalizes the trace to exactly `target_s` seconds the way the paper
     /// prepares Fig. 11 inputs: records beyond the target are dropped, and
     /// shorter traces keep their records with the duration extended (the
@@ -411,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn upload_bytes_sum_the_upload_records_only() {
+    fn upload_count_counts_the_upload_records_only() {
         let record = |behavior, size_bytes| UserBehaviorRecord {
             user_id: 0,
             behavior,
@@ -428,7 +419,6 @@ mod tests {
             ],
             duration_s: 60.0,
         };
-        assert_eq!(trace.upload_bytes(), 350);
         assert_eq!(trace.upload_count(), 2);
     }
 }

@@ -215,14 +215,13 @@ fn durable_service_survives_kill_mid_submit_without_loss_or_double_apply() {
             profile: AppProfile::new("Mail", CostProfile::mail(300.0)),
         }))
         .unwrap();
-    let admitted = service
-        .submit_idem(
-            "req-1".to_string(),
-            CargoAppId(0),
-            TransmitRequest::upload(4_096),
-            1.0,
-        )
-        .unwrap();
+    let submit = |now_s| SvcCommand::SubmitIdem {
+        client_id: "req-1".to_string(),
+        app: CargoAppId(0),
+        request: TransmitRequest::upload(4_096),
+        now_s,
+    };
+    let admitted = service.apply(submit(1.0)).unwrap();
     let id = match admitted {
         SvcOutcome::Submitted { admission } => admission.id().expect("admitted"),
         other => panic!("expected a fresh submission, got {other:?}"),
@@ -253,14 +252,7 @@ fn durable_service_survives_kill_mid_submit_without_loss_or_double_apply() {
     // Not double-applied: the client's retry of the acked submit is a
     // duplicate answered from the recovered dedup table, and exactly
     // one admission is on the books.
-    let retry = service
-        .submit_idem(
-            "req-1".to_string(),
-            CargoAppId(0),
-            TransmitRequest::upload(4_096),
-            3.0,
-        )
-        .unwrap();
+    let retry = service.apply(submit(3.0)).unwrap();
     assert!(
         matches!(retry, SvcOutcome::Duplicate { admission } if admission.id() == Some(id)),
         "retry must dedup to the original admission"
