@@ -223,4 +223,31 @@ mod tests {
         assert!(fast.mean_staleness_s < slow.mean_staleness_s);
         assert!(fast.packets.len() > slow.packets.len());
     }
+
+    #[test]
+    fn push_drops_updates_no_heartbeat_reaches_and_renumbers() {
+        let heartbeats = synthesize(&[TrainAppSpec::qq()], 1000.0, 1); // 0,300,600,900
+        let updates = [50.0, 320.0, 950.0].map(|available_s| ContentUpdate { available_s });
+        let plan = plan_push_fetch(&updates, &heartbeats, 5_000, 1000.0, CargoAppId(2));
+        let fetched: Vec<(u64, f64)> = plan.packets.iter().map(|p| (p.id, p.arrival_s)).collect();
+        // The update at 950 s has no heartbeat left before the horizon.
+        assert_eq!(fetched, [(0, 300.0), (1, 600.0)]);
+        assert!(plan
+            .packets
+            .iter()
+            .all(|p| p.app == CargoAppId(2) && p.size_bytes == 5_000));
+        assert_eq!(plan.mean_staleness_s, (250.0 + 280.0) / 2.0);
+    }
+
+    #[test]
+    fn updates_between_two_polls_share_one_fetch() {
+        let updates = [10.0, 20.0, 30.0].map(|available_s| ContentUpdate { available_s });
+        let plan = plan_polling(&updates, 120.0, 0.0, 20_000, 1000.0, CargoAppId(0));
+        // All three wait for the poll at 120 s.
+        assert!((plan.mean_staleness_s - 100.0).abs() < 1e-9);
+        assert_eq!(plan.packets.len(), 8);
+        assert_eq!(plan.empty_fetches, 7, "one poll of eight carried news");
+        let ids: Vec<u64> = plan.packets.iter().map(|p| p.id).collect();
+        assert_eq!(ids, (0..8).collect::<Vec<u64>>());
+    }
 }

@@ -431,4 +431,63 @@ mod tests {
         let other = OracleViolation::UnknownPacket { packet_id: 3 };
         assert_eq!(violation_name(&other), "UnknownPacket");
     }
+
+    #[test]
+    fn a_case_without_its_engine_is_refused() {
+        // Cases written before the kernel was recorded had no `engine`
+        // field; `chaos` always writes it, and the reader requires it.
+        let case = ChaosCase::from_seed(4);
+        let json = serde_json::to_string(&case).unwrap();
+        let field = format!(
+            ",\"engine\":{}",
+            serde_json::to_string(&case.engine).unwrap()
+        );
+        assert!(json.contains(&field), "{json}");
+        let legacy = json.replace(&field, "");
+        assert!(
+            serde_json::from_str::<ChaosCase>(&legacy).is_err(),
+            "{legacy}"
+        );
+    }
+
+    #[test]
+    fn each_failure_class_has_its_own_signature_and_text() {
+        let failures = [
+            CaseFailure::OracleViolations {
+                kinds: vec![],
+                rendered: vec!["a".into(), "b".into()],
+            },
+            CaseFailure::Panicked {
+                payload: "boom".into(),
+            },
+            CaseFailure::InvalidScenario {
+                reason: "bad".into(),
+            },
+            CaseFailure::HealthAnomalies {
+                anomalies: vec!["x".into(), "y".into()],
+            },
+        ];
+        let signatures: Vec<String> = failures.iter().map(CaseFailure::signature).collect();
+        assert_eq!(
+            signatures,
+            ["oracle:?", "panic", "invalid-scenario", "health"]
+        );
+        let texts: Vec<String> = failures.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            texts,
+            [
+                "oracle violations: a; b",
+                "panicked: boom",
+                "invalid scenario: bad",
+                "health-ladder anomalies: x; y",
+            ]
+        );
+        for (i, a) in failures.iter().enumerate() {
+            for (j, b) in failures.iter().enumerate() {
+                // An oracle failure with no kinds shares none with anyone.
+                let same_class = i == j && i != 0;
+                assert_eq!(a.matches(b), same_class, "{a} vs {b}");
+            }
+        }
+    }
 }

@@ -326,4 +326,23 @@ mod tests {
         let err = repro.replay().unwrap_err();
         assert!(err.contains("runs clean"), "got: {err}");
     }
+
+    #[test]
+    fn a_file_that_is_not_a_repro_is_refused() {
+        let case = ChaosCase::from_seed(2);
+        let repro = ReproCase {
+            failure: CaseFailure::Panicked {
+                payload: "boom".into(),
+            },
+            signature: "panic".into(),
+            events: case.event_count(),
+            case,
+        };
+        assert_eq!(ReproCase::from_json(&repro.to_json()), Ok(repro.clone()));
+        let case_only = serde_json::to_string(&repro.case).unwrap();
+        for text in ["", "{}", "[]", case_only.as_str()] {
+            let err = ReproCase::from_json(text).unwrap_err();
+            assert!(err.starts_with("not a repro artifact: "), "{text:?}: {err}");
+        }
+    }
 }

@@ -1179,6 +1179,90 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_call_changes_nothing() {
+        let (mut core, train, cargo) = core();
+        core.on_heartbeat(train, 10.0).unwrap();
+        core.submit(cargo, TransmitRequest::upload(100), 11.0)
+            .unwrap();
+        let before = core.fingerprint();
+        // Each call below is refused; none may move a counter or a queue,
+        // since a journal replays the refusals too. The unknown ids come
+        // at the current time, as a refused call still sets the clock.
+        for now_s in [5.0, 11.0] {
+            assert!(core
+                .submit(CargoAppId(9), TransmitRequest::upload(1), now_s)
+                .is_err());
+            assert!(core.on_heartbeat(TrainAppId(9), now_s).is_err());
+            assert!(core
+                .report_result(RequestId(0), TxResult::Delivered, now_s)
+                .is_err());
+        }
+        assert!(core.tick(5.0).is_err());
+        assert!(core.on_heartbeat(train, 5.0).is_err());
+        assert!(core.submit(cargo, TransmitRequest::upload(1), 5.0).is_err());
+        assert!(!core.cancel(RequestId(42)));
+        assert!(!core.cancel_backoff(RequestId(0)));
+        assert_eq!(core.fingerprint(), before);
+        assert_eq!(core.now_s(), 11.0);
+        assert_eq!(core.pending_requests(), 1);
+        assert_eq!((core.stats().submitted, core.stats().heartbeats), (1, 1));
+    }
+
+    #[test]
+    fn a_repeated_timestamp_is_not_time_going_backwards() {
+        let (mut core, train, cargo) = core();
+        core.on_heartbeat(train, 0.0).unwrap();
+        core.submit(cargo, TransmitRequest::upload(1), 30.0)
+            .unwrap();
+        assert!(core.tick(30.0).unwrap().is_empty());
+        core.submit(cargo, TransmitRequest::upload(2), 30.0)
+            .unwrap();
+        let decisions = core.on_heartbeat(train, 30.0).unwrap();
+        assert_eq!(decisions.len(), 2);
+        assert!(decisions.iter().all(|d| d.decided_at_s == 30.0));
+        assert_eq!(core.now_s(), 30.0);
+    }
+
+    #[test]
+    fn any_registered_train_carries_the_queue() {
+        let (mut core, wechat, cargo) = core();
+        let qq = core.register_train("QQ");
+        core.on_heartbeat(wechat, 0.0).unwrap();
+        core.on_heartbeat(qq, 1.0).unwrap();
+        let id = core
+            .submit(cargo, TransmitRequest::upload(700), 2.0)
+            .unwrap()
+            .id()
+            .unwrap();
+        let decisions = core.on_heartbeat(qq, 90.0).unwrap();
+        assert_eq!(decisions.len(), 1);
+        assert_eq!(decisions[0].request, id);
+        assert_eq!(decisions[0].piggybacked_on, Some(qq));
+        assert!(core.on_heartbeat(wechat, 100.0).unwrap().is_empty());
+        assert_eq!(core.stats().heartbeats, 4);
+    }
+
+    #[test]
+    fn draining_twice_releases_each_request_once() {
+        let (mut core, train, cargo) = core();
+        assert!(core.drain().is_empty(), "nothing held yet");
+        core.on_heartbeat(train, 0.0).unwrap();
+        let ids: Vec<RequestId> = (0..3)
+            .map(|i| {
+                core.submit(cargo, TransmitRequest::upload(10 + i), 1.0 + i as f64)
+                    .unwrap()
+                    .id()
+                    .unwrap()
+            })
+            .collect();
+        let first: Vec<RequestId> = core.drain().iter().map(|d| d.request).collect();
+        assert_eq!(first, ids);
+        assert!(core.drain().is_empty());
+        assert_eq!(core.pending_requests(), 0);
+        assert_eq!(core.stats().decided, 3);
+    }
+
+    #[test]
     fn stats_track_the_request_lifecycle() {
         let (mut core, train, cargo) = core();
         core.on_heartbeat(train, 0.0).unwrap();

@@ -175,4 +175,24 @@ mod tests {
         assert_eq!(result.devices_per_s, 40.0 / result.wall_s);
         assert!(result.fleet.mean_extra_j() > 0.0);
     }
+
+    #[test]
+    #[should_panic(expected = "invalid fleet config: fleet must have at least one device")]
+    fn an_empty_fleet_is_refused_before_any_work() {
+        run_fleet(&FleetConfig::paper_default(0));
+    }
+
+    #[test]
+    fn sharded_columns_reassemble_in_device_order() {
+        let config = FleetConfig::paper_default(5).seed(9).shard_devices(2);
+        let result = run_fleet(&config);
+        assert_eq!(result.shards, 3);
+        assert_eq!(result.columns.len(), 5);
+        // One shard over the whole range is the unsharded reference.
+        assert_eq!(result.columns, run_shard(&config, 0..5));
+        let mut tail = run_shard(&config, 2..5);
+        let mut head = run_shard(&config, 0..2);
+        head.append(&mut tail);
+        assert_eq!(result.columns, head);
+    }
 }

@@ -198,4 +198,22 @@ mod tests {
         let estimated = estimate_period(&times).unwrap();
         assert!((estimated - 240.0).abs() < 1.0);
     }
+
+    #[test]
+    fn simultaneous_observations_have_no_period() {
+        assert_eq!(estimate_period(&[5.0, 5.0, 5.0, 5.0]), None);
+        assert_eq!(estimate_period(&[5.0, 5.0, 5.0 + 1e-9]), None);
+    }
+
+    #[test]
+    fn the_period_does_not_depend_on_the_phase() {
+        let base = estimate_period(&periodic(0.0, 300.0, 10)).unwrap();
+        for phase in [17.0, 299.0, 86_400.0] {
+            let shifted = estimate_period(&periodic(phase, 300.0, 10)).unwrap();
+            assert!(
+                (shifted - base).abs() < 1e-6,
+                "phase {phase}: {shifted} vs {base}"
+            );
+        }
+    }
 }

@@ -230,4 +230,43 @@ mod tests {
         assert_eq!(m.status(TrainAppId(0), 200.0), TrainStatus::Undetermined);
         assert_eq!(m.next_departure(200.0), None);
     }
+
+    #[test]
+    fn next_departure_skips_a_dead_train() {
+        let mut m = HeartbeatMonitor::new();
+        for j in 0..5 {
+            m.observe(TrainAppId(0), j as f64 * 300.0); // last beat at 1200
+            m.observe(TrainAppId(1), 3_000.0 + j as f64 * 600.0); // last at 5400
+        }
+        // Train 0 is overdue by far more than its grace and would
+        // otherwise predict the earlier departure.
+        assert_eq!(m.status(TrainAppId(0), 5_500.0), TrainStatus::Dead);
+        let (train, at) = m.next_departure(5_500.0).unwrap();
+        assert_eq!(train, TrainAppId(1));
+        assert!((at - 6_000.0).abs() < 1.0, "{at}");
+    }
+
+    #[test]
+    fn liveness_lasts_two_and_a_half_cycles() {
+        let m = fed_monitor();
+        // Train 0 beats every 300 s, last at 1200 s: dead after 1950 s.
+        assert_eq!(m.status(TrainAppId(0), 1_949.0), TrainStatus::Alive);
+        assert_eq!(m.status(TrainAppId(0), 1_951.0), TrainStatus::Dead);
+    }
+
+    #[test]
+    fn an_unseen_train_has_no_pattern_and_no_prediction() {
+        let m = fed_monitor();
+        assert_eq!(m.pattern(TrainAppId(5)), DetectedPattern::Unknown);
+        assert_eq!(m.status(TrainAppId(5), 1_300.0), TrainStatus::Undetermined);
+        assert!(m
+            .departures_between(1_200.0, 5_000.0)
+            .iter()
+            .all(|&(train, _)| train != TrainAppId(5)));
+        assert!(matches!(
+            m.pattern(TrainAppId(0)),
+            DetectedPattern::Fixed { .. }
+        ));
+        assert!(HeartbeatMonitor::new().next_departure(0.0).is_none());
+    }
 }

@@ -372,4 +372,59 @@ mod tests {
         }
         assert_eq!(Reader::new(b"\"\xff\"").string(), None);
     }
+
+    #[test]
+    fn a_mismatched_literal_consumes_nothing() {
+        let mut r = Reader::new(br#"{"a":1}"#);
+        assert!(!r.eat(br#"{"b":"#));
+        assert!(!r.eat(br#"{"a":1}, more"#), "past the end");
+        assert_eq!(r.expect(b"["), None);
+        assert!(r.eat(br#"{"a":"#));
+        assert_eq!(r.u64(), Some(1));
+        assert!(r.eat(b"}") && r.is_at_end());
+        assert!(r.eat(b""), "the empty literal always matches");
+    }
+
+    #[test]
+    fn whole_floats_of_sixteen_digits_or_more_read_back_exactly() {
+        // Fifteen digits take the integer fast path, more go through
+        // `str::parse`; both must land on the float that was written.
+        for x in [
+            999_999_999_999_999.0,
+            1_000_000_000_000_000.0,
+            TWO_POW_53 - 1.0,
+            TWO_POW_53,
+            -TWO_POW_53,
+            1e20,
+            -1e20,
+            f64::MAX,
+        ] {
+            let text = written(|o| push_f64(o, x));
+            assert!(text.ends_with(".0"), "{text}");
+            let mut r = Reader::new(text.as_bytes());
+            assert_eq!(r.f64().map(f64::to_bits), Some(x.to_bits()), "{text}");
+            assert!(r.is_at_end());
+        }
+    }
+
+    #[test]
+    fn writers_append_to_what_the_buffer_holds() {
+        let mut out = String::from("{\"k\":");
+        push_f64(&mut out, 2.5);
+        out.push(',');
+        push_u64_or_null(&mut out, None);
+        out.push(',');
+        push_str(&mut out, "v");
+        out.push(',');
+        push_bool(&mut out, false);
+        out.push('}');
+        assert_eq!(out, r#"{"k":2.5,null,"v",false}"#);
+
+        let mut r = Reader::new(out.as_bytes());
+        assert!(r.eat(br#"{"k":"#));
+        assert_eq!(r.f64(), Some(2.5));
+        assert!(r.eat(b",null,"));
+        assert_eq!(r.string().as_deref(), Some("v"));
+        assert!(r.eat(b",false}") && r.is_at_end());
+    }
 }

@@ -1,9 +1,11 @@
 //! Allocation-regression harness for the hot-path campaign: steady-state
 //! scheduler decisions must not touch the allocator.
 //!
-//! A counting global allocator wraps `System`; the single test (one test
-//! so no parallel test thread can allocate while the counter is armed)
-//! pins down:
+//! A counting global allocator wraps `System` and counts only the
+//! allocations of the thread that armed it, so the test harness's own
+//! threads (which may still be registering the test or waiting on its
+//! result when the counter is armed) never add to the count. The single
+//! test pins down:
 //!
 //! - **zero** allocations across steady-state deferral slots for both
 //!   eTrain (Θ-gated, queues loaded) and the baseline scheduler, and
@@ -18,7 +20,8 @@
 //! it only ever delegates to `System`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use etrain_sched::{
     AppProfile, BaselineScheduler, ETrainConfig, ETrainScheduler, Scheduler, SlotContext,
@@ -27,17 +30,24 @@ use etrain_trace::packets::Packet;
 use etrain_trace::CargoAppId;
 
 /// Delegates every operation to [`System`], counting `alloc`/`realloc`
-/// calls while armed.
+/// calls made on a thread while that thread has the counter armed.
 struct CountingAllocator;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // Const-initialised and without `Drop`, so reading it never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+fn count_if_armed() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.alloc(layout)
     }
 
@@ -46,9 +56,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -56,13 +64,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Runs `f` with the counter armed and returns how many allocations it
-/// performed.
+/// Runs `f` with the counter armed on this thread and returns how many
+/// allocations it performed. The schedulers are single-threaded, so every
+/// allocation they make happens here.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.load(Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
+    ARMED.with(|armed| armed.set(true));
     let out = f();
-    ARMED.store(false, Ordering::Relaxed);
+    ARMED.with(|armed| armed.set(false));
     (ALLOCS.load(Ordering::Relaxed) - before, out)
 }
 

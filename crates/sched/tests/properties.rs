@@ -3,7 +3,7 @@
 
 use etrain_sched::{
     AppProfile, BaselineScheduler, CostProfile, ETimeConfig, ETimeScheduler, ETrainConfig,
-    ETrainScheduler, PerEsConfig, PerEsScheduler, Scheduler, SlotContext,
+    ETrainScheduler, PerEsConfig, PerEsScheduler, Scheduler, SchedulerError, SlotContext,
 };
 use etrain_trace::packets::Packet;
 use etrain_trace::CargoAppId;
@@ -301,6 +301,73 @@ proptest! {
                 prop_assert!(p.cost(up) >= p.cost(d), "{p:?} dips from {d} to {up}");
                 d = up;
             }
+        }
+    }
+}
+
+/// One scheduler of each algorithm, at fixed knobs.
+fn one_of_each() -> Vec<Box<dyn Scheduler>> {
+    [
+        Algo::Baseline,
+        Algo::ETrain {
+            theta: 0.2,
+            k: Some(4),
+        },
+        Algo::PerEs { omega: 0.5 },
+        Algo::ETime { v_bytes: 50_000.0 },
+    ]
+    .into_iter()
+    .map(build)
+    .collect()
+}
+
+fn packet(id: u64, app: usize, arrival_s: f64, size_bytes: u64) -> Packet {
+    Packet {
+        id,
+        app: CargoAppId(app),
+        arrival_s,
+        size_bytes,
+    }
+}
+
+#[test]
+fn every_scheduler_refuses_an_unregistered_app() {
+    for mut sched in one_of_each() {
+        let name = sched.name();
+        sched
+            .on_arrival(packet(0, 1, 0.0, 700), 0.0)
+            .expect("registered app");
+        let held = (sched.pending(), sched.pending_bytes());
+        let stranger = packet(1, 3, 1.0, 900);
+        let unknown = Err(SchedulerError::UnknownApp { app: CargoAppId(3) });
+        assert_eq!(sched.on_arrival(stranger, 1.0), unknown, "{name}");
+        assert_eq!(sched.on_tx_failure(stranger, 2.0), unknown, "{name}");
+        assert_eq!((sched.pending(), sched.pending_bytes()), held, "{name}");
+    }
+}
+
+#[test]
+fn pending_bytes_count_exactly_the_held_packets() {
+    for mut sched in one_of_each() {
+        let name = sched.name();
+        let mut offered = 0u64;
+        let mut released = 0u64;
+        for i in 0..30u64 {
+            let now_s = i as f64 * 7.0;
+            let size = 500 + 37 * i;
+            offered += size;
+            let out = sched
+                .on_arrival(packet(i, (i % 3) as usize, now_s, size), now_s)
+                .expect("registered app");
+            released += out.iter().map(|p| p.size_bytes).sum::<u64>();
+            let out = sched.on_slot(&SlotContext {
+                now_s,
+                heartbeat_departing: i % 10 == 9,
+                predicted_bandwidth_bps: 400_000.0,
+                trains_alive: true,
+            });
+            released += out.iter().map(|p| p.size_bytes).sum::<u64>();
+            assert_eq!(sched.pending_bytes(), offered - released, "{name} at {i}");
         }
     }
 }

@@ -148,4 +148,34 @@ mod tests {
         assert!(c.most_efficient().is_none());
         assert!(c.pareto_front().is_empty());
     }
+
+    #[test]
+    fn pareto_front_keeps_ties_and_drops_a_report_no_better_anywhere() {
+        let template = comparison().reports.remove(0);
+        let report = |name: &str, energy: f64, violation: f64| RunReport {
+            scheduler: name.to_string(),
+            extra_energy_j: energy,
+            deadline_violation_ratio: violation,
+            ..template.clone()
+        };
+        let c = Comparison {
+            reports: vec![
+                report("a", 10.0, 0.5),
+                report("twin-of-a", 10.0, 0.5),
+                report("b", 20.0, 0.1),
+                // As good as `a` on violations, worse on energy.
+                report("weak", 12.0, 0.5),
+                // As good as `b` on energy, worse on violations.
+                report("weaker", 20.0, 0.2),
+            ],
+        };
+        let front: Vec<&str> = c
+            .pareto_front()
+            .iter()
+            .map(|r| r.scheduler.as_str())
+            .collect();
+        assert_eq!(front, ["a", "twin-of-a", "b"]);
+        // The first of equally efficient reports is the most efficient.
+        assert_eq!(c.most_efficient().unwrap().scheduler, "a");
+    }
 }

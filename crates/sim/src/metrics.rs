@@ -333,4 +333,26 @@ mod tests {
         assert_eq!(report.per_app[2].violation_ratio, 0.0);
         assert_eq!(report.deadline_violation_ratio, 0.5);
     }
+
+    #[test]
+    fn a_report_without_its_step_counter_is_refused() {
+        // Reports once wrote the counter as `slots_run`, or not at all;
+        // nothing writes either shape now, and the reader takes neither.
+        let report = RunReport::from_engine(
+            "Test",
+            &output(vec![completed(1, 0.0, 10.0)]),
+            &AppProfile::paper_trio(30.0),
+        );
+        let json = serde_json::to_string(&report).unwrap();
+        let field = format!(",\"steps_run\":{}", report.steps_run);
+        assert!(json.contains(&field), "{json}");
+        let renamed = json.replace("\"steps_run\"", "\"slots_run\"");
+        let missing = json.replace(&field, "");
+        for legacy in [renamed, missing] {
+            assert!(
+                serde_json::from_str::<RunReport>(&legacy).is_err(),
+                "{legacy}"
+            );
+        }
+    }
 }

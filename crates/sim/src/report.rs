@@ -184,4 +184,32 @@ mod tests {
         assert_eq!(fmt_f(1.61803, 2), "1.62");
         assert_eq!(fmt_f(1000.0, 0), "1000");
     }
+
+    #[test]
+    fn the_text_form_right_aligns_every_column() {
+        let mut t = Table::new("Fig. 8", &["theta", "energy_j"]);
+        t.push_row(&["0.25", "8.5"]);
+        t.push_row(&["10", "1234.75"]);
+        let lines = [
+            "== Fig. 8 ==",
+            "theta  energy_j",
+            "---------------",
+            " 0.25       8.5",
+            "   10   1234.75",
+        ];
+        assert_eq!(t.to_string(), lines.map(|l| format!("{l}\n")).concat());
+    }
+
+    #[test]
+    fn a_short_row_reads_back_as_empty_cells() {
+        let mut t = Table::new("T", &["a", "b", "c"]);
+        t.push_row(&["1"]);
+        t.push_row_strings(vec!["x".into(), "y".into(), "z".into(), "dropped".into()]);
+        assert_eq!(t.cell(0, "a"), Some("1"));
+        assert_eq!(t.cell(0, "c"), Some(""));
+        assert_eq!(t.cell(1, "c"), Some("z"));
+        assert_eq!(t.to_csv(), "a,b,c\n1,,\nx,y,z\n");
+        assert_eq!(t.headers(), ["a", "b", "c"]);
+        assert_eq!(t.title(), "T");
+    }
 }

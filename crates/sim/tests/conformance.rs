@@ -436,6 +436,111 @@ fn report_audit_catches_a_non_finite_energy() {
         .any(|v| matches!(v, OracleViolation::NonFiniteQuantity { .. })));
 }
 
+/// The metric names of the report audit's mismatches, in audit order.
+fn mismatched_metrics(
+    report: &RunReport,
+    output: &EngineOutput,
+    scenario: &Scenario,
+) -> Vec<String> {
+    oracle::audit_report(report, output, scenario.profiles_ref())
+        .violations
+        .into_iter()
+        .map(|v| match v {
+            OracleViolation::MetricsMismatch { metric, .. } => metric,
+            other => panic!("expected a metrics mismatch, got {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn report_audit_names_each_tampered_count() {
+    type Tamper = fn(&mut RunReport);
+    let tampers: [(&str, Tamper); 8] = [
+        ("packets_completed", |r| r.packets_completed += 1),
+        ("packets_unfinished", |r| r.packets_unfinished += 1),
+        ("packets_abandoned", |r| r.packets_abandoned += 1),
+        ("heartbeats_sent", |r| r.heartbeats_sent += 1),
+        ("retries", |r| r.retries += 1),
+        ("promotions", |r| r.promotions += 1),
+        ("packets_shed", |r| r.packets_shed += 1),
+        ("forced_flushes", |r| r.forced_flushes += 1),
+    ];
+    let (report, output, scenario) = reference_report();
+    for (name, tamper) in tampers {
+        let mut tampered = report.clone();
+        tamper(&mut tampered);
+        assert_eq!(
+            mismatched_metrics(&tampered, &output, &scenario),
+            [name],
+            "tampering {name}"
+        );
+    }
+}
+
+#[test]
+fn report_audit_catches_an_energy_that_breaks_the_sums() {
+    let (report, output, scenario) = reference_report();
+    // Extra energy no longer equals transmission + tail, and the total no
+    // longer equals extra + idle.
+    let mut extra = report.clone();
+    extra.extra_energy_j += 1.0;
+    assert_eq!(
+        mismatched_metrics(&extra, &output, &scenario),
+        ["extra_energy_j", "total_energy_j"]
+    );
+    // Idle energy only enters the total.
+    let mut idle = report;
+    idle.idle_energy_j += 1.0;
+    assert_eq!(
+        mismatched_metrics(&idle, &output, &scenario),
+        ["total_energy_j"]
+    );
+}
+
+#[test]
+fn report_audit_catches_a_per_app_row_that_loses_packets() {
+    let (mut report, output, scenario) = reference_report();
+    let busiest = report
+        .per_app
+        .iter_mut()
+        .max_by_key(|app| app.packets)
+        .expect("the reference run has apps");
+    assert!(busiest.packets > 0);
+    busiest.packets -= 1;
+    assert_eq!(
+        mismatched_metrics(&report, &output, &scenario),
+        ["per_app_packets"]
+    );
+}
+
+#[test]
+fn report_audit_catches_a_negative_energy_and_a_ratio_above_one() {
+    let (report, output, scenario) = reference_report();
+    let mut negative = report.clone();
+    negative.tail_energy_j = -1.0;
+    let violations = oracle::audit_report(&negative, &output, scenario.profiles_ref()).violations;
+    assert!(
+        violations.iter().any(|v| matches!(
+            v,
+            OracleViolation::NonFiniteQuantity { field, value }
+                if field == "tail_energy_j" && *value == -1.0
+        )),
+        "{violations:?}"
+    );
+
+    let mut ratio = report;
+    ratio.deadline_violation_ratio = 1.5;
+    let violations = oracle::audit_report(&ratio, &output, scenario.profiles_ref()).violations;
+    assert!(
+        violations.iter().any(|v| matches!(
+            v,
+            OracleViolation::NonFiniteQuantity { field, .. }
+                if field == "deadline_violation_ratio outside [0, 1]"
+        )),
+        "{violations:?}"
+    );
+}
+
 #[test]
 fn strict_mode_surfaces_violations_as_scenario_errors() {
     // Drive the checked engine entry point directly with a tampered

@@ -262,4 +262,31 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn bytes_after_a_whole_record_are_declined() {
+        for command in per_request_commands() {
+            let json = serde_json::to_string(&command).unwrap();
+            for tail in ["\n", " ", "}", "0", &json] {
+                let spliced = format!("{json}{tail}");
+                assert_eq!(decode_canonical(spliced.as_bytes()), None, "{spliced:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn payloads_that_are_no_command_decode_to_nothing() {
+        for payload in [
+            &b""[..],
+            b"\xff\xfe",
+            b"not json",
+            b"{}",
+            b"null",
+            br#"{"Core":"Nap"}"#,
+            br#"{"Core":{"Tick":{"now_s":"soon"}}}"#,
+            br#"{"SubmitIdem":{"client_id":7,"app":0}}"#,
+        ] {
+            assert_eq!(decode(payload), None, "{payload:?}");
+        }
+    }
 }

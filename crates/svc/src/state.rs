@@ -345,7 +345,7 @@ impl ServiceState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etrain_core::TransmitRequest;
+    use etrain_core::{RequestId, TransmitRequest};
     use etrain_sched::{AppProfile, CostProfile};
     use etrain_trace::TrainAppId;
 
@@ -544,5 +544,143 @@ mod tests {
         };
         assert!(s.apply(&SvcCommand::Core(unknown)).is_err());
         assert_eq!(s.applied(), 2);
+    }
+
+    /// Submits `n` requests and lets one heartbeat decide them all,
+    /// returning their ids and the time reached.
+    fn decided(s: &mut ServiceState, n: usize) -> (Vec<RequestId>, f64) {
+        let mut ids = Vec::new();
+        for i in 0..n {
+            let out = s.apply(&submit(&format!("d-{i}"), 1.0 + i as f64)).unwrap();
+            ids.push(out_id(&out));
+        }
+        let now_s = 1.0 + n as f64;
+        s.apply(&heartbeat(now_s)).unwrap();
+        (ids, now_s)
+    }
+
+    fn out_id(out: &SvcOutcome) -> RequestId {
+        match out {
+            SvcOutcome::Submitted { admission } => admission.id().unwrap(),
+            other => panic!("expected a first-time submission, got {other:?}"),
+        }
+    }
+
+    fn heartbeat(now_s: f64) -> SvcCommand {
+        SvcCommand::Core(CoreCommand::Heartbeat {
+            train: TrainAppId(0),
+            now_s,
+        })
+    }
+
+    fn report(request: RequestId, result: TxResult, now_s: f64) -> SvcCommand {
+        SvcCommand::Core(CoreCommand::ReportResult {
+            request,
+            result,
+            now_s,
+        })
+    }
+
+    #[test]
+    fn a_delivery_between_failures_restarts_the_streak() {
+        let mut s = state();
+        setup(&mut s);
+        let (ids, mut now) = decided(&mut s, 9);
+        // Two failures, a delivery, two failures, a delivery, ...: the
+        // threshold of three consecutive failures is never reached.
+        for (i, id) in ids.into_iter().enumerate() {
+            now += 1.0;
+            let result = if i % 3 == 2 {
+                TxResult::Delivered
+            } else {
+                TxResult::Failed
+            };
+            s.apply(&report(id, result, now)).unwrap();
+        }
+        assert_eq!(s.health(), HealthState::Healthy);
+        assert!(s.transitions().is_empty());
+    }
+
+    #[test]
+    fn the_ladder_bottoms_out_at_fallback() {
+        let mut s = state();
+        setup(&mut s);
+        let (ids, mut now) = decided(&mut s, 12);
+        for id in ids {
+            now += 1.0;
+            s.apply(&report(id, TxResult::Failed, now)).unwrap();
+        }
+        assert_eq!(s.health(), HealthState::Fallback);
+        let rungs: Vec<(HealthState, HealthState)> =
+            s.transitions().iter().map(|t| (t.from, t.to)).collect();
+        assert_eq!(
+            rungs,
+            [
+                (HealthState::Healthy, HealthState::Degraded),
+                (HealthState::Degraded, HealthState::Fallback),
+            ]
+        );
+        assert!(s.audit().is_empty(), "{:?}", s.audit());
+    }
+
+    #[test]
+    fn heartbeats_while_healthy_bank_no_clean_streak() {
+        let mut s = state();
+        setup(&mut s);
+        let (ids, mut now) = decided(&mut s, 3);
+        for _ in 0..20 {
+            now += 1.0;
+            s.apply(&heartbeat(now)).unwrap();
+        }
+        assert!(s.transitions().is_empty());
+        for id in ids {
+            now += 1.0;
+            s.apply(&report(id, TxResult::Failed, now)).unwrap();
+        }
+        assert_eq!(s.health(), HealthState::Degraded);
+        // The twenty healthy heartbeats do not count towards recovery:
+        // it takes the full five after the demotion.
+        for _ in 0..4 {
+            now += 1.0;
+            s.apply(&heartbeat(now)).unwrap();
+        }
+        assert_eq!(s.health(), HealthState::Degraded);
+        now += 1.0;
+        s.apply(&heartbeat(now)).unwrap();
+        assert_eq!(s.health(), HealthState::Healthy);
+        assert_eq!(s.transitions().len(), 2);
+    }
+
+    #[test]
+    fn a_refused_idempotent_submit_is_not_cached() {
+        let mut s = ServiceState::new(fast_config(), SvcHealthConfig::default());
+        let early = submit("c-1", 1.0);
+        assert!(matches!(s.apply(&early), Err(SvcError::Core(_))));
+        assert!(s.cached_submission("c-1").is_none());
+        assert_eq!(s.dedup_len(), 0);
+        // Once the app exists, the same key submits for the first time.
+        s.apply(&SvcCommand::Core(CoreCommand::RegisterCargo {
+            profile: AppProfile::new("Mail", CostProfile::mail(300.0)),
+        }))
+        .unwrap();
+        let later = submit("c-1", 2.0);
+        assert!(matches!(
+            s.apply(&later).unwrap(),
+            SvcOutcome::Submitted { .. }
+        ));
+        assert_eq!(s.dedup_len(), 1);
+    }
+
+    #[test]
+    fn the_fingerprint_covers_the_idempotency_keys() {
+        let mut a = state();
+        let mut b = state();
+        setup(&mut a);
+        setup(&mut b);
+        a.apply(&submit("alpha", 1.0)).unwrap();
+        b.apply(&submit("bravo", 1.0)).unwrap();
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.core().fingerprint(), b.core().fingerprint());
+        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 }

@@ -710,4 +710,92 @@ mod tests {
         assert!(WalFault::parse("melt@3").is_err());
         assert!(WalFault::parse("torn@x").is_err());
     }
+
+    #[test]
+    fn a_tiny_threshold_still_puts_one_record_in_every_segment() {
+        let dir = tmp_dir("tiny");
+        let mut cfg = WalConfig::new(&dir);
+        cfg.segment_bytes = 1; // below the magic alone
+        let mut wal = open_fresh(&dir, cfg);
+        for i in 0..5 {
+            wal.append(&tick(i as f64)).unwrap();
+        }
+        assert_eq!(wal.segment_index(), 4);
+        drop(wal);
+        for index in 0..5 {
+            let bytes = std::fs::read(segment_path(&dir, index)).unwrap();
+            assert_eq!(scan_frames(&bytes).frames.len(), 1, "segment {index}");
+        }
+        assert!(!segment_path(&dir, 5).exists(), "no empty segment after");
+        let recovery = recover(&dir).unwrap();
+        assert_eq!((recovery.report.segments, recovery.report.records), (5, 5));
+    }
+
+    #[test]
+    fn a_segment_zero_that_was_not_resumed_is_never_written_twice() {
+        let dir = tmp_dir("stale");
+        let stale = recover(&dir).unwrap();
+        let mut wal = Wal::open(WalConfig::new(&dir), &stale).unwrap();
+        wal.append(&tick(0.0)).unwrap();
+        drop(wal);
+        // Opening with a recovery from before segment 0 existed would
+        // write a second magic into it; the open is refused instead.
+        match Wal::open(WalConfig::new(&dir), &stale) {
+            Err(SvcError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::AlreadyExists),
+            other => panic!("expected AlreadyExists, got {other:?}"),
+        }
+        let recovery = recover(&dir).unwrap();
+        assert_eq!(recovery.commands, vec![tick(0.0)]);
+        assert!(recovery.report.tail.is_clean());
+    }
+
+    #[test]
+    fn a_missing_directory_recovers_empty_and_opens_fresh() {
+        let dir = tmp_dir("missing").join("not-yet");
+        let recovery = recover(&dir).unwrap();
+        assert!(recovery.commands.is_empty());
+        assert_eq!((recovery.report.segments, recovery.report.records), (0, 0));
+        assert!(recovery.report.tail.is_clean());
+        let mut wal = Wal::open(WalConfig::new(&dir), &recovery).unwrap();
+        assert_eq!((wal.records(), wal.segment_index()), (0, 0));
+        wal.append(&tick(2.0)).unwrap();
+        drop(wal);
+        assert_eq!(recover(&dir).unwrap().commands, vec![tick(2.0)]);
+    }
+
+    #[test]
+    fn a_verified_payload_that_is_no_command_fails_recovery() {
+        let dir = tmp_dir("foreign");
+        let mut bytes = WAL_MAGIC.to_vec();
+        for payload in [
+            serde_json::to_string(&tick(0.0)).unwrap().as_bytes(),
+            serde_json::to_string(&tick(1.0)).unwrap().as_bytes(),
+            &b"{\"Nap\":{}}"[..],
+        ] {
+            write_frame(&mut bytes, payload, None).unwrap();
+        }
+        std::fs::write(segment_path(&dir, 0), &bytes).unwrap();
+        match recover(&dir) {
+            Err(SvcError::UndecodableRecord { index }) => assert_eq!(index, 2),
+            other => panic!("expected an undecodable record, got {other:?}"),
+        }
+        // Nothing was truncated or set aside on the way.
+        assert_eq!(std::fs::read(segment_path(&dir, 0)).unwrap(), bytes);
+    }
+
+    #[test]
+    fn the_last_checkpoint_written_is_the_one_read() {
+        let dir = tmp_dir("ckpt-twice");
+        for records in [3, 9] {
+            let ckpt = Checkpoint {
+                records,
+                fingerprint: records * 1_000,
+            };
+            write_checkpoint(&dir, ckpt).unwrap();
+            assert_eq!(read_checkpoint(&dir), Some(ckpt));
+        }
+        assert!(!dir.join("checkpoint.json.tmp").exists());
+        // A checkpoint file is not a segment: recovery ignores it.
+        assert_eq!(recover(&dir).unwrap().report.segments, 0);
+    }
 }

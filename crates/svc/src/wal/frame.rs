@@ -491,4 +491,128 @@ mod tests {
         );
         assert_eq!(bytes.len(), 2 * FRAME_HEADER_BYTES + 3);
     }
+
+    /// A sink that takes `room` bytes and then fails every write.
+    struct FullDisk {
+        bytes: Vec<u8>,
+        room: usize,
+    }
+
+    impl Write for FullDisk {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.room - self.bytes.len());
+            if n == 0 && !buf.is_empty() {
+                return Err(std::io::Error::new(std::io::ErrorKind::StorageFull, "full"));
+            }
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_errors_and_leaves_a_torn_tail() {
+        let clean = frame_up(&[b"first"]);
+        // Out of room inside the header, then inside the payload.
+        for room in [clean.len() + 3, clean.len() + FRAME_HEADER_BYTES + 2] {
+            let mut disk = FullDisk {
+                bytes: clean.clone(),
+                room,
+            };
+            let err = write_frame(&mut disk, b"second", None).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
+            assert_eq!(disk.bytes.len(), room);
+            let (scan, payloads) = scan_segment(&disk.bytes);
+            assert_eq!(
+                scan.tail,
+                TailStatus::Torn {
+                    valid_bytes: clean.len() as u64
+                },
+                "room={room}"
+            );
+            assert_eq!(payloads, vec![b"first".to_vec()]);
+        }
+    }
+
+    #[test]
+    fn a_length_at_the_limit_is_a_torn_frame_not_a_corrupt_one() {
+        // The limit is inclusive: a header promising exactly 16 MiB is a
+        // frame whose payload never arrived, one byte more is bit rot.
+        for (len, torn) in [(MAX_FRAME_BYTES, true), (MAX_FRAME_BYTES + 1, false)] {
+            let mut bytes = frame_up(&[b"ok"]);
+            let valid_bytes = bytes.len() as u64;
+            bytes.extend_from_slice(&len.to_le_bytes());
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            bytes.extend_from_slice(b"partial");
+            let want = if torn {
+                TailStatus::Torn { valid_bytes }
+            } else {
+                TailStatus::Corrupt { valid_bytes }
+            };
+            assert_eq!(scan_frames(&bytes).tail, want, "len={len}");
+        }
+    }
+
+    #[test]
+    fn damage_in_an_early_frame_distrusts_every_later_one() {
+        let payloads: [&[u8]; 3] = [b"first", b"second", b"third"];
+        let bytes = frame_up(&payloads);
+        let first_end = (WAL_MAGIC.len() + FRAME_HEADER_BYTES + payloads[0].len()) as u64;
+        let mut damaged = bytes.clone();
+        // The first byte of the second payload.
+        damaged[first_end as usize + FRAME_HEADER_BYTES] ^= 0x80;
+        let (scan, kept) = scan_segment(&damaged);
+        assert_eq!(
+            scan.tail,
+            TailStatus::Corrupt {
+                valid_bytes: first_end
+            }
+        );
+        // The third frame still verifies on its own, but follows the
+        // damage, so the scan never reaches it.
+        assert_eq!(kept, vec![b"first".to_vec()]);
+        assert_eq!(scan.valid_bytes(), first_end);
+    }
+
+    #[test]
+    fn only_the_exact_magic_opens_a_segment() {
+        let mut other_version = frame_up(&[b"x"]);
+        other_version[6] = b'2';
+        for bytes in [&b""[..], &WAL_MAGIC[..7], &other_version] {
+            let scan = scan_frames(bytes);
+            assert_eq!(scan.tail, TailStatus::BadMagic, "{bytes:?}");
+            assert!(scan.frames.is_empty());
+        }
+    }
+
+    #[test]
+    fn each_fault_writes_the_bytes_it_names() {
+        let payload = b"payload!";
+        let mut clean = Vec::new();
+        write_frame(&mut clean, payload, None).unwrap();
+
+        let mut short = Vec::new();
+        write_frame(&mut short, payload, Some(AppendFault::ShortHeader)).unwrap();
+        assert_eq!(short, clean[..4].to_vec(), "the length field alone");
+
+        let mut flipped = Vec::new();
+        write_frame(&mut flipped, payload, Some(AppendFault::FlipChecksum)).unwrap();
+        assert_eq!(flipped.len(), clean.len());
+        assert_eq!(flipped[..4], clean[..4]);
+        assert_eq!(
+            u32::from_le_bytes(flipped[4..8].try_into().unwrap()),
+            !crc32(payload)
+        );
+        assert_eq!(flipped[FRAME_HEADER_BYTES..], payload[..]);
+
+        let mut torn = Vec::new();
+        write_frame(&mut torn, payload, Some(AppendFault::TornPayload)).unwrap();
+        assert_eq!(
+            torn,
+            clean[..FRAME_HEADER_BYTES + payload.len() / 2].to_vec()
+        );
+    }
 }

@@ -129,7 +129,8 @@ pub fn write_bandwidth_csv<W: Write>(
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError`] on I/O failure, malformed rows, or an empty
+/// Returns [`TraceIoError`] on I/O failure, malformed rows, a sample
+/// that is not positive and finite, a cadence that is not, or an empty
 /// trace.
 pub fn read_bandwidth_csv<R: Read>(reader: R) -> Result<BandwidthTrace, TraceIoError> {
     let mut times = Vec::new();
@@ -142,6 +143,12 @@ pub fn read_bandwidth_csv<R: Read>(reader: R) -> Result<BandwidthTrace, TraceIoE
         let mut fields = line.split(',');
         let t: f64 = parse_field(fields.next(), idx + 1, "time_s")?;
         let bps: f64 = parse_field(fields.next(), idx + 1, "bps")?;
+        if !(bps.is_finite() && bps > 0.0) {
+            return Err(TraceIoError::Parse {
+                line: idx + 1,
+                message: format!("`bps` must be positive and finite, got {bps}"),
+            });
+        }
         times.push(t);
         samples.push(bps);
     }
@@ -156,6 +163,12 @@ pub fn read_bandwidth_csv<R: Read>(reader: R) -> Result<BandwidthTrace, TraceIoE
     } else {
         1.0
     };
+    if !(dt.is_finite() && dt > 0.0) {
+        return Err(TraceIoError::Parse {
+            line: 3,
+            message: format!("the first two `time_s` values must increase, got a step of {dt}"),
+        });
+    }
     Ok(BandwidthTrace::new(dt, samples))
 }
 
@@ -483,5 +496,117 @@ mod tests {
         let data = "time_s,local_port,remote_port,direction,length\n1.0,1,2,sideways,3\n";
         let err = read_capture_csv(data.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("sideways"));
+    }
+
+    /// The line and message of a parse error, or a panic for any other
+    /// outcome.
+    fn parse_error<T: std::fmt::Debug>(result: Result<T, TraceIoError>) -> (usize, String) {
+        match result {
+            Err(TraceIoError::Parse { line, message }) => (line, message),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_short_row_names_the_missing_field_and_its_line() {
+        assert_eq!(
+            parse_error(read_packets_csv(
+                "id,app,arrival_s,size_bytes\n0,0,1.5\n".as_bytes()
+            )),
+            (2, "missing field `size_bytes`".to_owned())
+        );
+        assert_eq!(
+            parse_error(read_heartbeats_csv(
+                "train,time_s,size_bytes\n0\n".as_bytes()
+            )),
+            (2, "missing field `time_s`".to_owned())
+        );
+        assert_eq!(
+            parse_error(read_user_csv(
+                "user_id,behavior,time_s,size_bytes\n7\n".as_bytes()
+            )),
+            (2, "missing field `behavior`".to_owned())
+        );
+        assert_eq!(
+            parse_error(read_capture_csv(
+                "time_s,local_port,remote_port,direction,length\n1.0,1,2\n".as_bytes()
+            )),
+            (2, "missing field `direction`".to_owned())
+        );
+    }
+
+    #[test]
+    fn blank_lines_are_skipped_but_keep_their_line_numbers() {
+        let data = "train,time_s,size_bytes\n0,1.0,74\n\n   \n1,2.0,74\n1,soon,74\n";
+        assert_eq!(
+            parse_error(read_heartbeats_csv(data.as_bytes())),
+            (6, "invalid `time_s`: \"soon\"".to_owned())
+        );
+        let ok = "train,time_s,size_bytes\n\n0,1.0,74\n\n1,2.0,80\n";
+        let beats = read_heartbeats_csv(ok.as_bytes()).unwrap();
+        assert_eq!(beats.len(), 2);
+        assert_eq!((beats[1].train, beats[1].size_bytes), (TrainAppId(1), 80));
+    }
+
+    #[test]
+    fn fields_may_carry_spaces_around_them() {
+        let packets =
+            read_packets_csv("id,app,arrival_s,size_bytes\n 4 , 2 , 2.5 , 100 \n".as_bytes())
+                .unwrap();
+        assert_eq!(
+            packets,
+            vec![Packet {
+                id: 4,
+                app: CargoAppId(2),
+                arrival_s: 2.5,
+                size_bytes: 100,
+            }]
+        );
+        let records =
+            read_user_csv("user_id,behavior,time_s,size_bytes\n1, browse ,3.0,0\n".as_bytes())
+                .unwrap();
+        assert_eq!(records[0].behavior, BehaviorType::Browse);
+    }
+
+    #[test]
+    fn a_single_row_bandwidth_trace_steps_one_second() {
+        let trace = read_bandwidth_csv("time_s,bps\n0,250000\n".as_bytes()).unwrap();
+        assert_eq!(trace.dt_s(), 1.0);
+        assert_eq!(trace.samples_bps(), &[250_000.0]);
+        let trace = read_bandwidth_csv("time_s,bps\n10,1\n10.5,2\n".as_bytes()).unwrap();
+        assert_eq!(trace.dt_s(), 0.5);
+    }
+
+    #[test]
+    fn an_unusable_bandwidth_trace_is_an_error_not_a_panic() {
+        for (data, line) in [
+            ("time_s,bps\n0,100\n0,200\n", 3),
+            ("time_s,bps\n5,100\n4,200\n", 3),
+            ("time_s,bps\n0,100\n1,0\n", 3),
+            ("time_s,bps\n0,-5\n", 2),
+            ("time_s,bps\n0,NaN\n", 2),
+            ("time_s,bps\n0,100\n1,100\n2,inf\n", 4),
+        ] {
+            let (at, message) = parse_error(read_bandwidth_csv(data.as_bytes()));
+            assert_eq!(at, line, "{data:?}: {message}");
+        }
+    }
+
+    #[test]
+    fn only_io_and_json_errors_carry_a_source() {
+        use std::error::Error;
+        let json = read_json::<Vec<TrainAppSpec>, _>("[{".as_bytes()).unwrap_err();
+        assert!(matches!(json, TraceIoError::Json(_)));
+        assert!(json.source().is_some());
+        assert!(json.to_string().starts_with("trace json failed: "));
+        let parse = read_packets_csv("h\nx\n".as_bytes()).unwrap_err();
+        assert!(parse.source().is_none());
+        assert_eq!(
+            parse.to_string(),
+            "trace parse failed at line 2: invalid `id`: \"x\""
+        );
+        let io = TraceIoError::from(std::io::Error::other("disk"));
+        assert!(io.source().is_some());
+        assert_eq!(io.to_string(), "trace i/o failed: disk");
     }
 }
