@@ -98,7 +98,9 @@ pub fn plan_polling(
         .collect();
     let polls_with_news: std::collections::BTreeSet<u64> = updates
         .iter()
-        .map(|u| next_poll_after(u.available_s).round() as u64)
+        .map(|u| next_poll_after(u.available_s))
+        .filter(|&next_poll| next_poll < horizon_s)
+        .map(|next_poll| next_poll.round() as u64)
         .collect();
     FetchPlan {
         empty_fetches: packets.len().saturating_sub(polls_with_news.len()),
@@ -249,5 +251,15 @@ mod tests {
         assert_eq!(plan.empty_fetches, 7, "one poll of eight carried news");
         let ids: Vec<u64> = plan.packets.iter().map(|p| p.id).collect();
         assert_eq!(ids, (0..8).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn an_update_after_the_last_poll_leaves_every_poll_empty() {
+        let updates = [ContentUpdate { available_s: 990.0 }];
+        let plan = plan_polling(&updates, 120.0, 0.0, 20_000, 1000.0, CargoAppId(0));
+        // Polls at 120, ..., 960; the update's poll would be at 1080 s.
+        assert_eq!(plan.packets.len(), 8);
+        assert_eq!(plan.empty_fetches, 8);
+        assert_eq!(plan.mean_staleness_s, 0.0);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! FoundationDB-style simulation testing for the reproduction: every run
 //! is a pure function of its seed, so chaos here means *seeded breadth*,
-//! not nondeterminism. The crate has three pillars:
+//! not nondeterminism. The crate has two pillars:
 //!
 //! - [`run_campaign`] — a seeded campaign driver: randomized scenario
 //!   plans ([`ChaosCase`], built on the conformance generator's
@@ -14,19 +14,12 @@
 //!   (dropping packets, heartbeats and fault windows, halving the
 //!   horizon, simplifying knobs) while re-running after every edit,
 //!   emitting a minimal serialized [`ReproCase`] replayable via the
-//!   `chaos --repro <file>` bench binary;
-//! - [`run_supervisor`] — a *process-level* crash harness: it spawns the
-//!   real `etrain-svcd` daemon, SIGKILLs it at seeded points (including
-//!   mid-append via the `ETRAIN_WAL_FAULT` hook), restarts it, and
-//!   asserts the WAL-recovered state matches a never-killed in-process
-//!   reference fingerprint-for-fingerprint ([`run_recovery_kill_trial`]
-//!   kills a restart while it is still recovering), with [`run_wal_selftest`]
-//!   proving the WAL checksum path detects torn, truncated, and
-//!   bit-flipped segment tails ([`WalCorruption`]).
+//!   `chaos --repro <file>` bench binary.
 //!
 //! The oracle itself is self-tested through [`Corruption`]: deliberate
 //! post-run output corruptions that the audit must catch — and that the
-//! shrinker must reduce to a handful of events.
+//! shrinker must reduce to a handful of events. [`daemon_binary`]
+//! locates a built `etrain-svcd` for the repository benchmark.
 //!
 //! # Example
 //!
@@ -44,13 +37,30 @@
 mod campaign;
 mod case;
 mod shrink;
-mod supervisor;
 
 pub use campaign::{campaign_cases, run_campaign, CampaignReport, Finding};
 pub use case::{violation_name, CaseFailure, ChaosCase, Corruption};
 pub use shrink::{shrink, ReproCase};
-pub use supervisor::{
-    daemon_binary, run_fault_trial, run_recovery_kill_trial, run_sigkill_trials, run_supervisor,
-    run_wal_selftest, SupervisorReport, SupervisorTrial, WalCorruption, WalSelfTest,
-    RECOVERY_KILL_STEPS,
-};
+
+use std::path::PathBuf;
+
+/// Locates the `etrain-svcd` binary: the `ETRAIN_SVCD_BIN` override if
+/// set, otherwise a sibling of the current executable (test binaries
+/// live in `target/<profile>/deps`, the daemon one directory up).
+/// Returns `None` when nothing exists at either location. The repository
+/// benchmark's `daemon` and `daemon_recovery` workloads find the daemon
+/// through it; the daemon's own process tests spawn the binary cargo
+/// builds for them instead.
+pub fn daemon_binary() -> Option<PathBuf> {
+    if let Ok(path) = std::env::var("ETRAIN_SVCD_BIN") {
+        let path = PathBuf::from(path);
+        return path.exists().then_some(path);
+    }
+    let exe = std::env::current_exe().ok()?;
+    let mut dir = exe.parent()?.to_path_buf();
+    if dir.file_name().is_some_and(|n| n == "deps") {
+        dir.pop();
+    }
+    let candidate = dir.join("etrain-svcd");
+    candidate.exists().then_some(candidate)
+}

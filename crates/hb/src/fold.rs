@@ -86,9 +86,11 @@ pub fn estimate_period(times_s: &[f64]) -> Option<f64> {
     // a true period p implies about span/p + 1 events; a subharmonic p/k
     // implies k times as many, so its coverage collapses toward 1/k.
     // Among candidates that fold tightly, pick the one whose implied
-    // event count best matches the observed count.
+    // event count best matches the observed count. Count distinct times,
+    // as the gaps do: a repeated timestamp is one beat seen twice, and
+    // counting it again would halve the chosen period.
     let span = sorted.last().expect("non-empty") - sorted.first().expect("non-empty");
-    let n = sorted.len() as f64;
+    let n = (gaps.len() + 1) as f64;
     let coverage = |p: f64| n / (span / p + 1.0);
     let tight: Vec<f64> = candidates
         .iter()
@@ -215,5 +217,15 @@ mod tests {
                 "phase {phase}: {shifted} vs {base}"
             );
         }
+    }
+
+    #[test]
+    fn repeated_timestamps_do_not_halve_the_period() {
+        let mut times = periodic(0.0, 240.0, 8);
+        let clean = estimate_period(&times).unwrap();
+        times.extend([480.0, 480.0, 960.0]);
+        let repeated = estimate_period(&times).unwrap();
+        assert!((clean - 240.0).abs() < 1e-6, "{clean}");
+        assert!((repeated - 240.0).abs() < 1e-6, "{repeated}");
     }
 }

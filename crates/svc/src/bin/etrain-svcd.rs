@@ -7,7 +7,7 @@
 //!
 //! Exit codes follow the repo's binary conventions: `2` for invalid
 //! environment knobs (fail fast, never guess), `42` when the armed
-//! `ETRAIN_WAL_FAULT` hook fires mid-append (the chaos supervisor's
+//! `ETRAIN_WAL_FAULT` hook fires mid-append (the process tests'
 //! stand-in for a SIGKILL during `write`), `1` for recovery failures.
 
 use std::io::Write;

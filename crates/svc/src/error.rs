@@ -12,6 +12,9 @@ pub enum SvcError {
     Core(CoreError),
     /// A write-ahead-log I/O operation failed.
     Io(std::io::Error),
+    /// A protocol line did not parse as a request. It was refused before
+    /// the journal append, so it changed nothing.
+    BadRequest(String),
     /// The WAL fault hook fired on this append: the log tail is now
     /// damaged by construction and the process must crash (the daemon
     /// exits; in-process harnesses drop the service), exactly like a
@@ -75,6 +78,7 @@ impl std::fmt::Display for SvcError {
         match self {
             SvcError::Core(e) => write!(f, "core rejected command: {e}"),
             SvcError::Io(e) => write!(f, "WAL I/O error: {e}"),
+            SvcError::BadRequest(msg) => write!(f, "bad request: {msg}"),
             SvcError::FaultInjected { at_record } => {
                 write!(f, "WAL fault hook fired at record {at_record}; crashing")
             }

@@ -39,11 +39,11 @@
 //!   its queue is unbounded too and no reply is ever `EVICTED`, `FLUSHED`
 //!   or `REJECTED`.
 //! * **Fault hook** ([`WalFault`], `ETRAIN_WAL_FAULT`): deterministic
-//!   torn/short/corrupt append injection so the chaos supervisor can
-//!   prove the recovery path detects and truncates damaged tails. The
-//!   frame format itself ([`write_frame`], [`scan_frames`], [`WAL_MAGIC`])
-//!   is public so the chaos harness and the tests can write and read
-//!   segment bytes directly.
+//!   torn/short/corrupt append injection so the daemon's process tests
+//!   can prove the recovery path detects and truncates damaged tails.
+//!   The frame format itself ([`write_frame`], [`scan_frames`],
+//!   [`WAL_MAGIC`]) is public so the tests can write and read segment
+//!   bytes directly.
 //!
 //! The write-ahead discipline means a crash can leave the journal
 //! *ahead* of what any client observed (an appended-but-unacked

@@ -4,8 +4,8 @@
 //! `line` a harness sends the real daemon, and as the [`SvcCommand`] an
 //! in-process reference [`ServiceState`](crate::ServiceState) applies.
 //! Both sides are pure functions of the seed, which is what lets the
-//! chaos supervisor compare a SIGKILLed-and-recovered daemon against a
-//! never-killed reference fingerprint-for-fingerprint.
+//! daemon's process tests compare a SIGKILLed-and-recovered daemon
+//! against a never-killed reference fingerprint-for-fingerprint.
 //!
 //! The generator is intentionally self-contained (a splitmix64 walk, no
 //! RNG dependency) so the exact same scripts are reproducible from any

@@ -1,8 +1,8 @@
 //! A minimal std-TCP line-protocol front end for [`DurableService`].
 //!
 //! One request per line, one response per line, plain text — no
-//! heavyweight dependencies, trivially driven from `nc`, a test, or the
-//! chaos supervisor. Every state-changing verb carries an **explicit
+//! heavyweight dependencies, trivially driven from `nc` or a test.
+//! Every state-changing verb carries an **explicit
 //! timestamp** supplied by the client, mirroring the sans-IO core: the
 //! daemon has no clock of its own, so a command stream replayed against
 //! a recovered daemon lands on bit-for-bit the same state no matter how
@@ -285,7 +285,7 @@ fn lock(service: &Mutex<DurableService>) -> std::sync::MutexGuard<'_, DurableSer
 /// Executes one protocol line against the service, returning the
 /// response line (without the trailing newline).
 ///
-/// Public so tests and the chaos harness can drive the protocol without
+/// Public so tests can drive the protocol without
 /// a socket; the daemon's fault-crash behaviour (exiting with
 /// [`FAULT_EXIT_CODE`]) lives here so a mid-append fault kills the
 /// process no matter which connection carried the triggering command.
@@ -306,17 +306,13 @@ pub fn execute_line(request: &str, service: &Mutex<DurableService>) -> String {
 fn parse_f64(token: &str, what: &str) -> Result<f64, SvcError> {
     token
         .parse::<f64>()
-        .map_err(|_| bad_request(format!("{what} {token:?} is not a number")))
+        .map_err(|_| SvcError::BadRequest(format!("{what} {token:?} is not a number")))
 }
 
 fn parse_u64(token: &str, what: &str) -> Result<u64, SvcError> {
-    token
-        .parse::<u64>()
-        .map_err(|_| bad_request(format!("{what} {token:?} is not a non-negative integer")))
-}
-
-fn bad_request(msg: String) -> SvcError {
-    SvcError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
+    token.parse::<u64>().map_err(|_| {
+        SvcError::BadRequest(format!("{what} {token:?} is not a non-negative integer"))
+    })
 }
 
 /// One protocol line, parsed: a journaled command or a verb served
@@ -333,7 +329,7 @@ enum Request {
 fn parse(request: &str) -> Result<Request, SvcError> {
     let tokens: Vec<&str> = request.split_whitespace().collect();
     let Some((verb, args)) = tokens.split_first() else {
-        return Err(bad_request("empty request".into()));
+        return Err(SvcError::BadRequest("empty request".into()));
     };
     let verb = verb.to_ascii_uppercase();
     let command = match (verb.as_str(), args) {
@@ -348,7 +344,7 @@ fn parse(request: &str) -> Result<Request, SvcError> {
         ("REGCARGO", [name, kind, deadline]) => {
             let deadline_s = parse_f64(deadline, "deadline")?;
             if !(deadline_s.is_finite() && deadline_s > 0.0) {
-                return Err(bad_request(format!(
+                return Err(SvcError::BadRequest(format!(
                     "deadline {deadline:?} must be positive"
                 )));
             }
@@ -357,7 +353,7 @@ fn parse(request: &str) -> Result<Request, SvcError> {
                 "weibo" => CostProfile::weibo(deadline_s),
                 "cloud" => CostProfile::cloud(deadline_s),
                 other => {
-                    return Err(bad_request(format!(
+                    return Err(SvcError::BadRequest(format!(
                         "unknown profile {other:?} (expected mail, weibo, or cloud)"
                     )))
                 }
@@ -374,7 +370,7 @@ fn parse(request: &str) -> Result<Request, SvcError> {
                 "up" => TransmitRequest::upload(size_bytes),
                 "down" => TransmitRequest::download(size_bytes),
                 other => {
-                    return Err(bad_request(format!(
+                    return Err(SvcError::BadRequest(format!(
                         "unknown direction {other:?} (expected up or down)"
                     )))
                 }
@@ -403,7 +399,7 @@ fn parse(request: &str) -> Result<Request, SvcError> {
                 "ok" => TxResult::Delivered,
                 "fail" => TxResult::Failed,
                 other => {
-                    return Err(bad_request(format!(
+                    return Err(SvcError::BadRequest(format!(
                         "unknown result {other:?} (expected ok or fail)"
                     )))
                 }
@@ -418,7 +414,11 @@ fn parse(request: &str) -> Result<Request, SvcError> {
             request: RequestId(parse_u64(request_id, "request")?),
         }),
         ("DRAIN", []) => SvcCommand::Core(CoreCommand::Drain),
-        _ => return Err(bad_request(format!("unrecognized request {request:?}"))),
+        _ => {
+            return Err(SvcError::BadRequest(format!(
+                "unrecognized request {request:?}"
+            )))
+        }
     };
     Ok(Request::Apply(command))
 }
@@ -595,7 +595,7 @@ mod tests {
             ("   ", "empty request"),
         ] {
             let out = execute_line(line, &svc);
-            assert!(out.starts_with("ERR"), "{line} -> {out}");
+            assert!(out.starts_with("ERR bad request: "), "{line} -> {out}");
             assert!(out.contains(needle), "{line} -> {out}");
         }
         // Unknown train: journaled core rejection, still an ERR line.

@@ -17,7 +17,7 @@
 //!
 //! Fault injection is built in rather than bolted on: [`write_frame`]
 //! with an [`AppendFault`] produces exactly the damaged tails the fault
-//! hook and the chaos harness need (short header, torn payload, flipped
+//! hook and the recovery tests need (short header, torn payload, flipped
 //! checksum), so the detection path is exercised by the same code that
 //! writes real segments.
 

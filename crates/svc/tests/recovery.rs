@@ -2,9 +2,11 @@
 //! of non-finite times and cost profiles before they reach the journal,
 //! a replay that must choose a capped burst as the live service did,
 //! cold drops and reopens at sixteen points of one journal, a restart
-//! over a journal shaped like the repository benchmark's, and
+//! over a journal shaped like the repository benchmark's,
 //! the streamed open (scan and replay on two threads) held to `recover`
-//! followed by a serial replay over journals of dozens of segments.
+//! followed by a serial replay over journals of dozens of segments, and
+//! segment files damaged by byte surgery (a torn tail, a truncation, a
+//! flipped bit) that recovery must detect and cut away.
 //!
 //! The benchmark-shaped test is `#[ignore]`d: it writes 90k records and
 //! is meant for release builds
@@ -19,7 +21,7 @@ use etrain_svc::script::script;
 use etrain_svc::{
     decode_canonical, execute_line, recover, scan_frames, write_checkpoint, write_frame,
     AppendFault, Checkpoint, DurableService, RecoverySummary, ServiceState, SvcCommand, SvcError,
-    SvcHealthConfig, Wal, WalConfig, WalFault, WAL_MAGIC,
+    SvcHealthConfig, TailStatus, Wal, WalConfig, WalFault, FRAME_HEADER_BYTES, WAL_MAGIC,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -40,8 +42,8 @@ fn open(dir: &Path) -> (DurableService, RecoverySummary) {
         .expect("journal opens")
 }
 
-/// Every verified payload of every segment in `dir`, in journal order.
-fn payloads(dir: &Path) -> Vec<Vec<u8>> {
+/// The segment files in `dir`, in journal order.
+fn segments(dir: &Path) -> Vec<PathBuf> {
     let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("WAL directory")
         .map(|entry| entry.expect("directory entry").path())
@@ -49,6 +51,11 @@ fn payloads(dir: &Path) -> Vec<Vec<u8>> {
         .collect();
     segments.sort();
     segments
+}
+
+/// Every verified payload of every segment in `dir`, in journal order.
+fn payloads(dir: &Path) -> Vec<Vec<u8>> {
+    segments(dir)
         .iter()
         .flat_map(|path| {
             let bytes = std::fs::read(path).expect("segment");
@@ -396,13 +403,7 @@ fn small_segment_journal(dir: &Path, steps: usize, fault: Option<WalFault>) {
 
 /// The records of each segment in `dir`, in journal order.
 fn records_per_segment(dir: &Path) -> Vec<u64> {
-    let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("WAL directory")
-        .map(|entry| entry.expect("directory entry").path())
-        .filter(|path| path.extension().is_some_and(|ext| ext == "seg"))
-        .collect();
-    segments.sort();
-    segments
+    segments(dir)
         .iter()
         .map(|path| {
             scan_frames(&std::fs::read(path).expect("segment"))
@@ -613,4 +614,121 @@ fn a_streamed_open_truncates_a_torn_tail_once_and_resumes_where_recover_does() {
     assert_eq!(again.replayed, 61);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&reference);
+}
+
+/// A deliberate on-disk damage to the last segment of a journal.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// A torn write: a frame header promising 80 payload bytes, of which
+    /// only 40 landed (SIGKILL mid-`write`).
+    TornTail,
+    /// The segment loses its last 5 bytes, cutting into its final frame
+    /// (a filesystem rollback after power loss).
+    TruncatedSegment,
+    /// A flipped bit in the final frame's payload: the length is intact
+    /// and the checksum is wrong (bit rot, a torn sector rewrite).
+    FlippedChecksum,
+}
+
+/// Applies `damage` to the last segment in `dir` by byte surgery and
+/// returns that segment's bytes before and after.
+fn damage_last_segment(dir: &Path, damage: Damage) -> (Vec<u8>, Vec<u8>) {
+    let segment = segments(dir).pop().expect("a segment to damage");
+    let mut bytes = std::fs::read(&segment).expect("segment");
+    let before = bytes.clone();
+    match damage {
+        Damage::TornTail => {
+            write_frame(&mut bytes, &[0xab; 80], Some(AppendFault::TornPayload)).unwrap();
+        }
+        Damage::TruncatedSegment => bytes.truncate(bytes.len() - 5),
+        Damage::FlippedChecksum => *bytes.last_mut().expect("a frame") ^= 0x40,
+    }
+    std::fs::write(&segment, &bytes).expect("damaged segment");
+    (before, bytes)
+}
+
+#[test]
+fn wal_corruptions_are_detected_and_the_prefix_survives() {
+    let steps = script(17, 60);
+    for damage in [
+        Damage::TornTail,
+        Damage::TruncatedSegment,
+        Damage::FlippedChecksum,
+    ] {
+        let dir = tmp_dir("corruption");
+        let mut wal = WalConfig::new(&dir);
+        wal.fsync = false;
+        wal.segment_bytes = 2048; // recovery walks several segments
+        let reopen = || {
+            DurableService::open(
+                wal.clone(),
+                CoreConfig::default(),
+                SvcHealthConfig::default(),
+            )
+            .expect("journal opens")
+        };
+        let (mut service, _) = reopen();
+        for step in &steps {
+            let _ = service.apply(step.command.clone());
+        }
+        let records = service.records();
+        drop(service);
+        assert!(
+            segments(&dir).len() > 2,
+            "the script spans several segments"
+        );
+        // A stray file is neither damaged nor read as a segment.
+        std::fs::write(dir.join("notes.txt"), b"not a segment").unwrap();
+
+        // The checksum path finds exactly the damage: every frame before
+        // it still verifies, and at most the final record is lost.
+        let (before, after) = damage_last_segment(&dir, damage);
+        let frames = scan_frames(&before).frames;
+        let last_frame = (frames.last().expect("a frame").start - FRAME_HEADER_BYTES) as u64;
+        let (tail, lost) = match damage {
+            Damage::TornTail => {
+                assert_eq!(after[..before.len()], before[..]);
+                assert_eq!(after.len(), before.len() + FRAME_HEADER_BYTES + 40);
+                let valid_bytes = before.len() as u64;
+                (TailStatus::Torn { valid_bytes }, 0)
+            }
+            Damage::TruncatedSegment => (
+                TailStatus::Torn {
+                    valid_bytes: last_frame,
+                },
+                1,
+            ),
+            Damage::FlippedChecksum => (
+                TailStatus::Corrupt {
+                    valid_bytes: last_frame,
+                },
+                1,
+            ),
+        };
+        let scan = scan_frames(&after);
+        assert_eq!(scan.tail, tail, "{damage:?}");
+        assert_eq!(scan.frames[..], frames[..frames.len() - lost], "{damage:?}");
+
+        let (recovered, summary) = reopen();
+        assert!(
+            summary.wal.truncated_bytes > 0,
+            "{damage:?} went undetected"
+        );
+        assert_eq!(summary.wal.records + lost as u64, records, "{damage:?}");
+        let mut reference = ServiceState::new(CoreConfig::default(), SvcHealthConfig::default());
+        for step in &steps[..summary.wal.records as usize] {
+            let _ = reference.apply(&step.command);
+        }
+        assert_eq!(
+            recovered.fingerprint(),
+            reference.fingerprint(),
+            "{damage:?}"
+        );
+        assert_eq!(
+            std::fs::read(dir.join("notes.txt")).unwrap(),
+            b"not a segment"
+        );
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
