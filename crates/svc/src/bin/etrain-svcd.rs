@@ -8,47 +8,62 @@
 //! Exit codes follow the repo's binary conventions: `2` for invalid
 //! environment knobs (fail fast, never guess), `42` when the armed
 //! `ETRAIN_WAL_FAULT` hook fires mid-append (the process tests'
-//! stand-in for a SIGKILL during `write`), `1` for recovery failures.
+//! stand-in for a SIGKILL during `write`), `1` for recovery and bind
+//! failures.
 
 use std::io::Write;
+use std::net::SocketAddr;
+use std::path::PathBuf;
 
 use etrain_core::CoreConfig;
-use etrain_svc::{
-    try_addr_from_env, try_wal_dir_from_env, DurableService, Server, ServerConfig, SvcHealthConfig,
-    WalConfig, WalFault,
-};
+use etrain_svc::{DurableService, Server, SvcHealthConfig, WalConfig, WalFault};
+
+/// Reads the environment knob `name`: `None` when it is unset, blank or
+/// not Unicode, else `parse` of its trimmed value. A value `parse`
+/// refuses ends the process with exit code 2.
+// The one environment read of the crate; its library reads none.
+#[allow(clippy::disallowed_methods)]
+fn knob<T>(name: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> Option<T> {
+    let raw = std::env::var(name).ok()?;
+    let value = raw.trim();
+    if value.is_empty() {
+        return None;
+    }
+    match parse(value) {
+        Ok(parsed) => Some(parsed),
+        Err(reason) => {
+            eprintln!("etrain-svcd: {reason}");
+            std::process::exit(2);
+        }
+    }
+}
 
 fn main() {
-    let wal_dir = match try_wal_dir_from_env() {
-        Ok(Some(dir)) => dir,
-        Ok(None) => std::path::PathBuf::from("etrain-wal"),
-        Err(reason) => {
-            eprintln!("etrain-svcd: {reason}");
-            std::process::exit(2);
+    let wal_dir = knob("ETRAIN_WAL", |value| {
+        let path = PathBuf::from(value);
+        if path.exists() && !path.is_dir() {
+            Err(format!(
+                "invalid ETRAIN_WAL {value:?} (exists but is not a directory)"
+            ))
+        } else {
+            Ok(path)
         }
-    };
-    let addr = match try_addr_from_env() {
-        Ok(Some(addr)) => addr,
-        Ok(None) => match "127.0.0.1:0".parse() {
-            Ok(addr) => addr,
-            Err(_) => unreachable!("literal address parses"),
-        },
-        Err(reason) => {
-            eprintln!("etrain-svcd: {reason}");
-            std::process::exit(2);
-        }
-    };
-    let fault = match WalFault::try_from_env() {
-        Ok(fault) => fault,
-        Err(reason) => {
-            eprintln!("etrain-svcd: {reason}");
-            std::process::exit(2);
-        }
-    };
+    })
+    .unwrap_or_else(|| PathBuf::from("etrain-wal"));
+    let addr = knob("ETRAIN_SVC_ADDR", |value| {
+        value
+            .parse()
+            .map_err(|_| format!("invalid ETRAIN_SVC_ADDR {value:?} (expected host:port)"))
+    })
+    .unwrap_or(SocketAddr::from(([127, 0, 0, 1], 0)));
+    let fault = knob("ETRAIN_WAL_FAULT", |value| {
+        WalFault::parse(value).map_err(|e| format!("invalid ETRAIN_WAL_FAULT: {e}"))
+    });
 
-    let mut wal_cfg = WalConfig::new(wal_dir);
-    wal_cfg.fault = fault;
-
+    let wal_cfg = WalConfig {
+        fault,
+        ..WalConfig::new(wal_dir)
+    };
     let (service, recovery) =
         match DurableService::open(wal_cfg, CoreConfig::default(), SvcHealthConfig::default()) {
             Ok(opened) => opened,
@@ -71,13 +86,7 @@ fn main() {
         recovery.fingerprint,
     );
 
-    let server = match Server::bind(
-        ServerConfig {
-            addr,
-            ..ServerConfig::default()
-        },
-        service,
-    ) {
+    let server = match Server::bind(addr, service) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("etrain-svcd: bind {addr} failed: {e}");
@@ -93,8 +102,5 @@ fn main() {
     }
     let _ = std::io::stdout().flush();
 
-    if let Err(e) = server.run() {
-        eprintln!("etrain-svcd: accept loop failed: {e}");
-        std::process::exit(1);
-    }
+    server.run()
 }

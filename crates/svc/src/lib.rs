@@ -33,14 +33,15 @@
 //!   answered from the WAL-rebuilt dedup table without a second append,
 //!   so a client that crashed between send and ack can safely resend.
 //! * **Line-protocol server** ([`Server`]): a std-TCP front end with
-//!   per-connection timeouts and a bounded connection count. `SUBMIT`
+//!   10 s per-connection timeouts, at most 32 connections at once, and an
+//!   accept loop that a failed `accept` pauses but never ends. `SUBMIT`
 //!   replies carry the core's typed `Admission`; `etrain-svcd` opens the
 //!   core with `CoreConfig::default()`, whose admission is unbounded, so
 //!   its queue is unbounded too and no reply is ever `EVICTED`, `FLUSHED`
 //!   or `REJECTED`.
-//! * **Fault hook** ([`WalFault`], `ETRAIN_WAL_FAULT`): deterministic
-//!   torn/short/corrupt append injection so the daemon's process tests
-//!   can prove the recovery path detects and truncates damaged tails.
+//! * **Fault hook** ([`WalFault`]): deterministic torn/short/corrupt
+//!   append injection so the daemon's process tests can prove the
+//!   recovery path detects and truncates damaged tails.
 //!   The frame format itself ([`write_frame`], [`scan_frames`],
 //!   [`WAL_MAGIC`]) is public so the tests can write and read segment
 //!   bytes directly.
@@ -50,6 +51,12 @@
 //! command), never behind: replay applies it, and the idempotent submit
 //! path resolves the client's ambiguity. That one-sided error bar is
 //! what the chaos campaign's zero-loss oracle checks.
+//!
+//! The library takes every setting as a parameter and reads no
+//! environment (the crate's `clippy.toml` disallows the `std::env`
+//! readers). The `etrain-svcd` binary reads `ETRAIN_WAL`,
+//! `ETRAIN_SVC_ADDR` and `ETRAIN_WAL_FAULT`, and exits with code 2 on a
+//! value it cannot use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,42 +71,17 @@ pub mod script;
 mod server;
 mod service;
 mod state;
+#[cfg(test)]
+mod test_dir;
 mod wal;
 
 pub use error::SvcError;
 pub use record::decode_canonical;
-pub use server::{
-    execute_line, try_addr_from_env, Server, ServerConfig, FAULT_EXIT_CODE, SVC_ADDR_ENV,
-};
+pub use server::{execute_line, Server, FAULT_EXIT_CODE};
 pub use service::{DurableService, RecoverySummary};
 pub use state::{ServiceState, SvcCommand, SvcHealthConfig, SvcOutcome};
 pub use wal::{
-    read_checkpoint, recover, scan_frames, write_checkpoint, write_frame, Append, AppendFault,
-    Checkpoint, TailStatus, Wal, WalConfig, WalFault, WalRecovery, WalRecoveryReport,
-    FRAME_HEADER_BYTES, WAL_ENV, WAL_FAULT_ENV, WAL_MAGIC,
+    read_checkpoint, recover, scan_frames, write_checkpoint, write_frame, AppendFault, Checkpoint,
+    TailStatus, Wal, WalConfig, WalFault, WalRecovery, WalRecoveryReport, FRAME_HEADER_BYTES,
+    WAL_MAGIC,
 };
-
-/// Strict `ETRAIN_WAL` reader: `Ok(None)` when unset or empty, the
-/// journal directory otherwise, `Err` when the value names an existing
-/// non-directory.
-///
-/// # Errors
-///
-/// Returns a description of the unusable path.
-pub fn try_wal_dir_from_env() -> Result<Option<std::path::PathBuf>, String> {
-    match std::env::var(WAL_ENV) {
-        Err(_) => Ok(None),
-        Ok(raw) if raw.trim().is_empty() => Ok(None),
-        Ok(raw) => {
-            let path = std::path::PathBuf::from(raw.trim());
-            if path.exists() && !path.is_dir() {
-                Err(format!(
-                    "invalid {WAL_ENV} {:?} (exists but is not a directory)",
-                    path.display().to_string()
-                ))
-            } else {
-                Ok(Some(path))
-            }
-        }
-    }
-}

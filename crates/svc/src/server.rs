@@ -29,10 +29,12 @@
 //! original outcome and no journal append, which is what makes
 //! crash-retry ambiguity safe for clients.
 //!
-//! Overload posture: at most [`ServerConfig::max_connections`]
-//! concurrent connections (excess get one `BUSY` line and a close — the
-//! accept backlog is bounded) and per-connection read/write timeouts so a
-//! stalled client cannot pin a handler thread. Queue pressure is the
+//! Overload posture: at most 32 concurrent connections (excess get one
+//! `BUSY` line and a close — the accept backlog is bounded), 10 s
+//! per-connection read and write timeouts so a stalled client cannot pin
+//! a handler thread, and an accept loop that outlives a failed `accept`
+//! (out of file descriptors, say) by pausing and trying again, so the
+//! held connections keep their daemon. Queue pressure is the
 //! core's `AdmissionConfig` shed policy, reported through the typed
 //! `SUBMIT` responses (`EVICTED`, `FLUSHED`, `REJECTED`). `etrain-svcd`
 //! opens the core with `CoreConfig::default()`, whose admission is
@@ -41,7 +43,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -66,79 +68,43 @@ pub const FAULT_EXIT_CODE: i32 = 42;
 /// client that never sends `\n` cannot grow the read buffer without bound.
 const MAX_LINE_BYTES: usize = 4096;
 
-/// Environment variable naming the listen address.
-pub const SVC_ADDR_ENV: &str = "ETRAIN_SVC_ADDR";
+/// Per-connection read and write timeout.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Strict [`SVC_ADDR_ENV`] reader: `Ok(None)` when unset or empty, the
-/// parsed socket address otherwise, `Err` for an unparseable value.
-///
-/// # Errors
-///
-/// Returns a description of the malformed address.
-pub fn try_addr_from_env() -> Result<Option<SocketAddr>, String> {
-    match std::env::var(SVC_ADDR_ENV) {
-        Err(_) => Ok(None),
-        Ok(raw) if raw.trim().is_empty() => Ok(None),
-        Ok(raw) => raw
-            .trim()
-            .parse::<SocketAddr>()
-            .map(Some)
-            .map_err(|_| format!("invalid {SVC_ADDR_ENV} {raw:?} (expected host:port)")),
-    }
-}
+/// Concurrent connections served; connection `MAX_CONNECTIONS + 1` is
+/// told `BUSY` and closed.
+const MAX_CONNECTIONS: usize = 32;
 
-/// Tuning of the TCP front end.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Listen address; port 0 binds an ephemeral port (the bound
-    /// address is reported by [`Server::local_addr`]).
-    pub addr: SocketAddr,
-    /// Per-connection read timeout.
-    pub read_timeout: Duration,
-    /// Per-connection write timeout.
-    pub write_timeout: Duration,
-    /// Concurrent-connection bound; connection `max + 1` is told `BUSY`
-    /// and closed.
-    pub max_connections: usize,
-}
+/// The pause after a failed `accept`, doubled after each further failure
+/// up to [`MAX_ACCEPT_PAUSE`] and reset by a successful one. A failure
+/// such as `EMFILE` lasts until a connection closes; retrying at once
+/// would spin, and a long pause would keep the next client waiting.
+const MIN_ACCEPT_PAUSE: Duration = Duration::from_millis(5);
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            addr: "127.0.0.1:0".parse().unwrap_or_else(|_| {
-                SocketAddr::from(([127, 0, 0, 1], 0)) // unreachable: literal parses
-            }),
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            max_connections: 32,
-        }
-    }
-}
+/// The longest pause between two `accept` attempts.
+const MAX_ACCEPT_PAUSE: Duration = Duration::from_millis(500);
 
 /// The accept loop: owns the listener and the shared service.
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
-    cfg: ServerConfig,
     service: Arc<Mutex<DurableService>>,
     active: Arc<AtomicUsize>,
-    shutdown: Arc<AtomicBool>,
 }
 
 impl Server {
-    /// Binds the listener and wraps the service for shared access.
+    /// Binds the listener on `addr` (port 0 binds an ephemeral port,
+    /// reported by [`Server::local_addr`]) and wraps the service for
+    /// shared access.
     ///
     /// # Errors
     ///
     /// Propagates bind failures.
-    pub fn bind(cfg: ServerConfig, service: DurableService) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(cfg.addr)?;
+    pub fn bind(addr: SocketAddr, service: DurableService) -> std::io::Result<Self> {
         Ok(Server {
-            listener,
-            cfg,
+            listener: TcpListener::bind(addr)?,
             service: Arc::new(Mutex::new(service)),
             active: Arc::new(AtomicUsize::new(0)),
-            shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
 
@@ -151,51 +117,40 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// A flag that makes [`Server::run`] return at the next accept poll
-    /// (used by in-process tests; the daemon runs until killed).
-    pub fn shutdown_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
-    /// Accepts connections until the shutdown flag is raised, spawning
-    /// one handler thread per accepted connection (bounded by
-    /// [`ServerConfig::max_connections`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates unexpected accept failures.
-    pub fn run(&self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+    /// Accepts connections for as long as the process lives, spawning one
+    /// handler thread per accepted connection (at most 32 at once). A
+    /// failed `accept` is reported on stderr and retried after a pause;
+    /// it never ends the loop.
+    pub fn run(&self) -> ! {
+        let mut pause = MIN_ACCEPT_PAUSE;
         loop {
-            if self.shutdown.load(Ordering::Relaxed) {
-                return Ok(());
-            }
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    if self.active.load(Ordering::Relaxed) >= self.cfg.max_connections {
-                        let _ = reject_busy(stream, self.cfg.write_timeout);
+                    pause = MIN_ACCEPT_PAUSE;
+                    if self.active.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
+                        let _ = reject_busy(stream);
                         continue;
                     }
                     let slot = ConnectionSlot::take(&self.active);
                     let service = Arc::clone(&self.service);
-                    let cfg = self.cfg.clone();
                     std::thread::spawn(move || {
                         let _slot = slot;
-                        let _ = handle_connection(&stream, &service, &cfg);
+                        let _ = handle_connection(&stream, &service);
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
+                Err(e) => {
+                    eprintln!("etrain-svcd: accept failed, retrying in {pause:?}: {e}");
+                    std::thread::sleep(pause);
+                    pause = (pause * 2).min(MAX_ACCEPT_PAUSE);
                 }
-                Err(e) => return Err(e),
             }
         }
     }
 }
 
-/// One of the [`ServerConfig::max_connections`] slots, held by a handler
-/// thread and given back when dropped — on unwind too, so a handler that
-/// panics cannot leak its slot and leave every later client `BUSY`.
+/// One of the [`MAX_CONNECTIONS`] slots, held by a handler thread and
+/// given back when dropped — on unwind too, so a handler that panics
+/// cannot leak its slot and leave every later client `BUSY`.
 struct ConnectionSlot(Arc<AtomicUsize>);
 
 impl ConnectionSlot {
@@ -211,9 +166,9 @@ impl Drop for ConnectionSlot {
     }
 }
 
-fn reject_busy(stream: TcpStream, write_timeout: Duration) -> std::io::Result<()> {
+fn reject_busy(stream: TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(write_timeout))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     (&stream).write_all(b"BUSY\n")
 }
 
@@ -226,15 +181,10 @@ fn reject_busy(stream: TcpStream, write_timeout: Duration) -> std::io::Result<()
 /// delayed ACK, about 40 ms per request on a long session. A reply is
 /// written only after [`execute_line`] returns, so a `SUBMIT` is still
 /// acked after its journal append and fsync.
-fn handle_connection(
-    stream: &TcpStream,
-    service: &Mutex<DurableService>,
-    cfg: &ServerConfig,
-) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
+fn handle_connection(stream: &TcpStream, service: &Mutex<DurableService>) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(cfg.read_timeout))?;
-    stream.set_write_timeout(Some(cfg.write_timeout))?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream);
     let mut writer = stream;
     let mut line = Vec::new();
@@ -513,25 +463,17 @@ mod tests {
     use super::*;
     use crate::service::DurableService;
     use crate::state::SvcHealthConfig;
+    use crate::test_dir::{tmp_dir, TestDir};
     use crate::wal::WalConfig;
     use etrain_core::CoreConfig;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
-    use std::path::PathBuf;
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "etrain-server-test-{}-{tag}-{n}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn service(tag: &str) -> DurableService {
-        let mut cfg = WalConfig::new(tmp_dir(tag));
+    /// A service journaling into a fresh directory, which lives as long
+    /// as the returned guard.
+    fn service(tag: &str) -> (TestDir, DurableService) {
+        let dir = tmp_dir(tag);
+        let mut cfg = WalConfig::new(&dir);
         cfg.fsync = false;
         let (svc, _) = DurableService::open(
             cfg,
@@ -542,7 +484,7 @@ mod tests {
             SvcHealthConfig::default(),
         )
         .unwrap();
-        svc
+        (dir, svc)
     }
 
     fn roundtrip(lines: &[&str], svc: &Mutex<DurableService>) -> Vec<String> {
@@ -551,7 +493,8 @@ mod tests {
 
     #[test]
     fn protocol_walkthrough_without_sockets() {
-        let svc = Mutex::new(service("proto"));
+        let (_dir, svc) = service("proto");
+        let svc = Mutex::new(svc);
         let out = roundtrip(
             &[
                 "PING",
@@ -581,7 +524,8 @@ mod tests {
 
     #[test]
     fn malformed_requests_are_typed_errors() {
-        let svc = Mutex::new(service("badreq"));
+        let (_dir, svc) = service("badreq");
+        let svc = Mutex::new(svc);
         for (line, needle) in [
             ("NONSENSE", "unrecognized"),
             ("SUBMIT", "unrecognized"),
@@ -605,7 +549,8 @@ mod tests {
 
     #[test]
     fn report_verb_renders_each_verdict() {
-        let svc = Mutex::new(service("report"));
+        let (_dir, svc) = service("report");
+        let svc = Mutex::new(svc);
         let setup = ["REGTRAIN QQ", "REGCARGO Mail mail 300", "HB 0 0.0"];
         roundtrip(&setup, &svc);
         let submits = ["SUBMIT c-0 0 up 100 1.0", "SUBMIT c-1 0 up 100 1.0"];
@@ -620,7 +565,8 @@ mod tests {
 
     #[test]
     fn cancel_and_drain_verbs_settle_the_queue() {
-        let svc = Mutex::new(service("cancel"));
+        let (_dir, svc) = service("cancel");
+        let svc = Mutex::new(svc);
         let setup = ["REGTRAIN QQ", "REGCARGO Mail mail 300", "HB 0 0.0"];
         roundtrip(&setup, &svc);
         let submits = ["SUBMIT c-0 0 up 100 1.0", "SUBMIT c-1 0 up 200 1.0"];
@@ -639,7 +585,8 @@ mod tests {
 
     #[test]
     fn checkpoint_verb_reports_the_journal_position_and_fingerprint() {
-        let svc = Mutex::new(service("ckpt"));
+        let (_dir, svc) = service("ckpt");
+        let svc = Mutex::new(svc);
         roundtrip(&["REGTRAIN QQ", "HB 0 0.0"], &svc);
         let fprint = execute_line("FPRINT", &svc);
         let fingerprint = fprint.strip_prefix("OK FPRINT ").unwrap();
@@ -647,64 +594,71 @@ mod tests {
         assert_eq!(execute_line("CHECKPOINT", &svc), expected);
     }
 
+    /// A server on an ephemeral port, accepting on a thread the test
+    /// leaves running, over a journal that lives as long as the guard.
+    fn serve(tag: &str) -> (TestDir, SocketAddr) {
+        let (dir, svc) = service(tag);
+        let server = Server::bind(SocketAddr::from(([127, 0, 0, 1], 0)), svc).unwrap();
+        let addr = server.local_addr().unwrap();
+        std::thread::spawn(move || server.run());
+        (dir, addr)
+    }
+
+    /// A connection to `addr` that waits at most 5 s for a reply.
+    fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
+        let client = TcpStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        BufReader::new(client)
+    }
+
+    fn next_line(client: &mut BufReader<TcpStream>) -> std::io::Result<String> {
+        let mut line = String::new();
+        client.read_line(&mut line)?;
+        Ok(line)
+    }
+
     #[test]
     fn tcp_server_serves_and_bounds_connections() {
-        let svc = service("tcp");
-        let server = Server::bind(
-            ServerConfig {
-                max_connections: 1,
-                read_timeout: Duration::from_millis(2_000),
-                write_timeout: Duration::from_millis(2_000),
-                ..ServerConfig::default()
-            },
-            svc,
-        )
-        .unwrap();
-        let addr = server.local_addr().unwrap();
-        let shutdown = server.shutdown_handle();
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        let (_dir, addr) = serve("tcp");
+        // Every slot taken by a connection that has been served.
+        let mut held = Vec::new();
+        for i in 0..MAX_CONNECTIONS {
+            let mut client = connect(addr);
+            client.get_mut().write_all(b"PING\n").unwrap();
+            assert_eq!(next_line(&mut client).unwrap(), "OK PONG\n", "client {i}");
+            held.push(client);
+        }
 
-        let mut first = TcpStream::connect(addr).unwrap();
-        first.write_all(b"PING\n").unwrap();
-        let mut reader = BufReader::new(first.try_clone().unwrap());
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "OK PONG");
+        // The next one is shed before it asks anything.
+        assert_eq!(next_line(&mut connect(addr)).unwrap(), "BUSY\n");
 
-        // While the first connection is held open, a second one is shed.
-        let second = TcpStream::connect(addr).unwrap();
-        let mut second_reader = BufReader::new(second);
-        let mut busy = String::new();
-        second_reader.read_line(&mut busy).unwrap();
-        assert_eq!(busy.trim(), "BUSY");
-
-        first.write_all(b"QUIT\n").unwrap();
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "OK BYE");
-        drop(reader);
-        drop(first);
-
-        // After the slot frees, new connections are served again.
-        std::thread::sleep(Duration::from_millis(50));
-        let mut third = TcpStream::connect(addr).unwrap();
-        third.write_all(b"PING\nQUIT\n").unwrap();
-        let mut third_reader = BufReader::new(third);
-        let mut pong = String::new();
-        third_reader.read_line(&mut pong).unwrap();
-        assert_eq!(pong.trim(), "OK PONG");
-
-        shutdown.store(true, Ordering::Relaxed);
-        handle.join().unwrap();
+        // Once one client quits, its slot serves a new one. The handler
+        // gives the slot back just after `OK BYE` leaves, so until then a
+        // new client may still be shed: it reads `BUSY`, or a reset when
+        // its `PING` reached the closed socket first.
+        let mut quitter = held.pop().unwrap();
+        quitter.get_mut().write_all(b"QUIT\n").unwrap();
+        assert_eq!(next_line(&mut quitter).unwrap(), "OK BYE\n");
+        drop(quitter);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let mut client = connect(addr);
+            let _ = client.get_mut().write_all(b"PING\n");
+            match next_line(&mut client) {
+                Ok(line) if line == "OK PONG\n" => break,
+                Ok(line) => assert_eq!(line, "BUSY\n"),
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+            }
+            assert!(std::time::Instant::now() < deadline, "the slot never freed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
     fn long_session_replies_are_one_line_each_without_nagle_stalls() {
-        let server = Server::bind(ServerConfig::default(), service("nagle")).unwrap();
-        let addr = server.local_addr().unwrap();
-        let shutdown = server.shutdown_handle();
-        let handle = std::thread::spawn(move || server.run().unwrap());
-
+        let (_dir, addr) = serve("nagle");
         let client = TcpStream::connect(addr).unwrap();
         client.set_nodelay(true).unwrap();
         client
@@ -741,20 +695,6 @@ mod tests {
         let mut rest = String::new();
         std::io::Read::read_to_string(&mut reader, &mut rest).unwrap();
         assert_eq!(rest, "OK BYE\n");
-
-        shutdown.store(true, Ordering::Relaxed);
-        handle.join().unwrap();
-    }
-
-    fn serve(tag: &str) -> (SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
-        let server = Server::bind(ServerConfig::default(), service(tag)).unwrap();
-        let addr = server.local_addr().unwrap();
-        let shutdown = server.shutdown_handle();
-        (
-            addr,
-            shutdown,
-            std::thread::spawn(move || server.run().unwrap()),
-        )
     }
 
     /// Sends `requests` on a fresh connection, half-closes it, and reads
@@ -774,7 +714,7 @@ mod tests {
 
     #[test]
     fn an_oversized_line_is_refused_and_closed_without_touching_the_wal() {
-        let (addr, shutdown, handle) = serve("longline");
+        let (_dir, addr) = serve("longline");
         let before = exchange(addr, "REGCARGO Mail mail 300\nFPRINT\nHEALTH\n");
         assert_eq!(before[0], "OK CARGO 0");
 
@@ -788,33 +728,25 @@ mod tests {
         let after = exchange(addr, "PING\nFPRINT\nHEALTH\n");
         assert_eq!(after[0], "OK PONG");
         assert_eq!(after[1..], before[1..]);
-        shutdown.store(true, Ordering::Relaxed);
-        handle.join().unwrap();
     }
 
     #[test]
     fn a_line_of_exactly_the_limit_is_served() {
-        let (addr, shutdown, handle) = serve("atlimit");
+        let (_dir, addr) = serve("atlimit");
         let padded = format!("{:<width$}\n", "PING", width = MAX_LINE_BYTES - 1);
         assert_eq!(exchange(addr, &padded), ["OK PONG"]);
-        shutdown.store(true, Ordering::Relaxed);
-        handle.join().unwrap();
     }
 
     #[test]
     fn a_last_line_without_a_newline_is_still_served() {
-        let (addr, shutdown, handle) = serve("eof");
+        let (_dir, addr) = serve("eof");
         assert_eq!(exchange(addr, "PING\nPING"), ["OK PONG", "OK PONG"]);
-        shutdown.store(true, Ordering::Relaxed);
-        handle.join().unwrap();
     }
 
     #[test]
     fn quit_ends_the_session_before_later_lines() {
-        let (addr, shutdown, handle) = serve("quit");
+        let (_dir, addr) = serve("quit");
         assert_eq!(exchange(addr, "PING\nQUIT\nPING\n"), ["OK PONG", "OK BYE"]);
-        shutdown.store(true, Ordering::Relaxed);
-        handle.join().unwrap();
     }
 
     #[test]
@@ -828,13 +760,5 @@ mod tests {
         });
         assert!(handler.join().is_err());
         assert_eq!(active.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn addr_env_knob_parses_strictly() {
-        // No env manipulation (tests run in parallel); exercise the
-        // parser the knob delegates to.
-        assert!("127.0.0.1:7070".parse::<SocketAddr>().is_ok());
-        assert!("not-an-addr".parse::<SocketAddr>().is_err());
     }
 }

@@ -30,7 +30,7 @@ use etrain_core::CoreConfig;
 use crate::error::SvcError;
 use crate::state::{ServiceState, SvcCommand, SvcHealthConfig, SvcOutcome};
 use crate::wal::{
-    read_checkpoint, write_checkpoint, Append, Checkpoint, Scan, Wal, WalConfig, WalRecovery,
+    read_checkpoint, write_checkpoint, Checkpoint, Scan, Wal, WalConfig, WalRecovery,
     WalRecoveryReport,
 };
 
@@ -141,14 +141,7 @@ impl DurableService {
                 return Ok(SvcOutcome::Duplicate { admission });
             }
         }
-        match self.wal.append(&command)? {
-            Append::Ok => {}
-            Append::FaultInjected => {
-                return Err(SvcError::FaultInjected {
-                    at_record: self.wal.records(),
-                })
-            }
-        }
+        self.wal.append(&command)?;
         self.state.apply(&command)
     }
 
@@ -300,20 +293,12 @@ impl Replay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::tmp_dir;
     use crate::wal::{AppendFault, WalFault};
     use etrain_core::{CoreCommand, TransmitRequest};
     use etrain_sched::{AppProfile, CostProfile};
     use etrain_trace::{CargoAppId, TrainAppId};
     use std::path::Path;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("etrain-svc-test-{}-{tag}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn fast_core() -> CoreConfig {
         CoreConfig {

@@ -20,10 +20,11 @@
 //! at a time, so `DurableService::open` replays a segment while the next
 //! one is read.
 //!
-//! The fault hook ([`WalFault`], env `ETRAIN_WAL_FAULT=torn@N|short@N|crc@N`)
-//! makes the writer damage its own tail at a chosen record index — the
-//! deterministic stand-in for SIGKILL landing mid-`write` that the chaos
-//! harness kills processes with.
+//! The fault hook ([`WalFault`], which `etrain-svcd` arms from
+//! `ETRAIN_WAL_FAULT=torn@N|short@N|crc@N`) makes the writer damage its
+//! own tail at a chosen record index — the deterministic stand-in for a
+//! SIGKILL landing mid-`write`, which the daemon's process tests use to
+//! reach the one crash window that kill timing cannot hit reliably.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -39,16 +40,9 @@ mod frame;
 
 pub use frame::{scan_frames, write_frame, AppendFault, TailStatus, FRAME_HEADER_BYTES, WAL_MAGIC};
 
-/// Environment variable naming the WAL directory.
-pub const WAL_ENV: &str = "ETRAIN_WAL";
-
-/// Environment variable arming the append fault hook
-/// (`torn@N`, `short@N`, or `crc@N`).
-pub const WAL_FAULT_ENV: &str = "ETRAIN_WAL_FAULT";
-
 /// An armed append fault: damage the frame of record `at_record`
 /// (zero-based over the WAL's lifetime) instead of writing it cleanly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalFault {
     /// Zero-based record index the hook fires on.
     pub at_record: u64,
@@ -57,8 +51,7 @@ pub struct WalFault {
 }
 
 impl WalFault {
-    /// Parses the `ETRAIN_WAL_FAULT` syntax: `torn@N`, `short@N`, or
-    /// `crc@N`.
+    /// Parses a fault spec: `torn@N`, `short@N`, or `crc@N`.
     ///
     /// # Errors
     ///
@@ -82,22 +75,6 @@ impl WalFault {
             .parse()
             .map_err(|_| format!("fault record index {at_s:?} is not a non-negative integer"))?;
         Ok(WalFault { at_record, kind })
-    }
-
-    /// Strict [`WAL_FAULT_ENV`] reader: `Ok(None)` when unset or empty,
-    /// the parsed fault otherwise, `Err` for a malformed value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed spec.
-    pub fn try_from_env() -> Result<Option<Self>, String> {
-        match std::env::var(WAL_FAULT_ENV) {
-            Err(_) => Ok(None),
-            Ok(raw) if raw.trim().is_empty() => Ok(None),
-            Ok(raw) => WalFault::parse(&raw)
-                .map(Some)
-                .map_err(|e| format!("invalid {WAL_FAULT_ENV}: {e}")),
-        }
     }
 }
 
@@ -127,16 +104,6 @@ impl WalConfig {
             fault: None,
         }
     }
-}
-
-/// Result of one append.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Append {
-    /// The record is durably framed.
-    Ok,
-    /// The fault hook fired: the tail is damaged and the process must
-    /// now crash.
-    FaultInjected,
 }
 
 /// What recovery found and repaired in a WAL directory.
@@ -367,16 +334,16 @@ impl Wal {
     }
 
     /// Appends one command, rotating the segment first if the current
-    /// one is at the size threshold. When the armed fault hook matches
-    /// this record index, the frame is damaged on purpose and
-    /// [`Append::FaultInjected`] returned — the caller must then crash
-    /// without applying the command.
+    /// one is at the size threshold.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; after an I/O error the tail must be
-    /// assumed torn (recovery handles exactly that).
-    pub fn append(&mut self, command: &SvcCommand) -> Result<Append, SvcError> {
+    /// [`SvcError::FaultInjected`] when the armed fault hook matches this
+    /// record index: the frame was damaged on purpose, and the caller
+    /// must crash without applying the command. I/O failures otherwise;
+    /// after an I/O error the tail must be assumed torn (recovery handles
+    /// exactly that).
+    pub fn append(&mut self, command: &SvcCommand) -> Result<(), SvcError> {
         let payload = serde_json::to_string(command)
             .map_err(|e| SvcError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))?;
         // A segment holding no frame yet is never closed, however small
@@ -392,13 +359,15 @@ impl Wal {
         self.bytes += write_frame(&mut self.file, payload.as_bytes(), fault)?;
         if fault.is_some() {
             self.sync()?;
-            return Ok(Append::FaultInjected);
+            return Err(SvcError::FaultInjected {
+                at_record: self.records,
+            });
         }
         if self.cfg.fsync {
             self.sync()?;
         }
         self.records += 1;
-        Ok(Append::Ok)
+        Ok(())
     }
 
     fn rotate(&mut self) -> Result<(), SvcError> {
@@ -479,17 +448,8 @@ pub fn read_checkpoint(dir: &Path) -> Option<Checkpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::tmp_dir;
     use etrain_core::CoreCommand;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("etrain-wal-test-{}-{tag}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn tick(now_s: f64) -> SvcCommand {
         SvcCommand::Core(CoreCommand::Tick { now_s })
@@ -505,7 +465,7 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let mut wal = open_fresh(&dir, WalConfig::new(&dir));
         for i in 0..5 {
-            assert_eq!(wal.append(&tick(i as f64)).unwrap(), Append::Ok);
+            wal.append(&tick(i as f64)).unwrap();
         }
         drop(wal);
         let recovery = recover(&dir).unwrap();
@@ -569,7 +529,10 @@ mod tests {
             let mut wal = open_fresh(&dir, cfg);
             wal.append(&tick(0.0)).unwrap();
             wal.append(&tick(1.0)).unwrap();
-            assert_eq!(wal.append(&tick(2.0)).unwrap(), Append::FaultInjected);
+            assert!(matches!(
+                wal.append(&tick(2.0)),
+                Err(SvcError::FaultInjected { at_record: 2 })
+            ));
             drop(wal); // the simulated crash
             let recovery = recover(&dir).unwrap();
             assert_eq!(
@@ -601,9 +564,12 @@ mod tests {
         cfg.fault = Some(WalFault::parse("crc@3").unwrap());
         let mut wal = open_fresh(&dir, cfg);
         for i in 0..3 {
-            assert_eq!(wal.append(&tick(i as f64)).unwrap(), Append::Ok, "{i}");
+            wal.append(&tick(i as f64)).unwrap();
         }
-        assert_eq!(wal.append(&tick(3.0)).unwrap(), Append::FaultInjected);
+        assert!(matches!(
+            wal.append(&tick(3.0)),
+            Err(SvcError::FaultInjected { at_record: 3 })
+        ));
         assert_eq!(wal.records(), 3, "the damaged record is not counted");
         drop(wal);
         assert_eq!(recover(&dir).unwrap().report.records, 3);
@@ -616,7 +582,10 @@ mod tests {
         cfg.fault = Some(WalFault::parse("torn@1").unwrap());
         let mut wal = open_fresh(&dir, cfg);
         wal.append(&tick(0.0)).unwrap();
-        assert_eq!(wal.append(&tick(1.0)).unwrap(), Append::FaultInjected);
+        assert!(matches!(
+            wal.append(&tick(1.0)),
+            Err(SvcError::FaultInjected { at_record: 1 })
+        ));
         drop(wal);
         let payload_len = serde_json::to_string(&tick(1.0)).unwrap().len();
         let recovery = recover(&dir).unwrap();
@@ -751,7 +720,8 @@ mod tests {
 
     #[test]
     fn a_missing_directory_recovers_empty_and_opens_fresh() {
-        let dir = tmp_dir("missing").join("not-yet");
+        let root = tmp_dir("missing");
+        let dir = root.join("not-yet");
         let recovery = recover(&dir).unwrap();
         assert!(recovery.commands.is_empty());
         assert_eq!((recovery.report.segments, recovery.report.records), (0, 0));

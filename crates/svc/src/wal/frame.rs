@@ -104,7 +104,7 @@ fn crc32(bytes: &[u8]) -> u32 {
 /// (short), and a payload whose stored checksum no longer matches (bit
 /// rot, misdirected write). [`write_frame`] realizes them byte-exactly
 /// so tests can assert the reader's verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppendFault {
     /// Write the header and only the first half of the payload bytes
     /// (rounded down) — the classic torn append of a SIGKILL mid-`write`.

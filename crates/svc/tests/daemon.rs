@@ -22,7 +22,7 @@ use etrain_core::CoreConfig;
 use etrain_svc::script::script;
 use etrain_svc::{
     AppendFault, DurableService, ServiceState, SvcError, SvcHealthConfig, WalConfig, WalFault,
-    FAULT_EXIT_CODE, WAL_ENV, WAL_FAULT_ENV,
+    FAULT_EXIT_CODE,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -39,14 +39,22 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// The daemon on `wal_dir`, bound to a free port, with its stdout piped
 /// and the fault hook armed with `fault` or cleared.
 fn daemon_command(wal_dir: &Path, fault: Option<&str>) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_etrain-svcd"));
-    cmd.env(WAL_ENV, wal_dir)
+    daemon_env(
+        Command::new(env!("CARGO_BIN_EXE_etrain-svcd")),
+        wal_dir,
+        fault,
+    )
+}
+
+/// `cmd`, which runs the daemon, set up as [`daemon_command`] describes.
+fn daemon_env(mut cmd: Command, wal_dir: &Path, fault: Option<&str>) -> Command {
+    cmd.env("ETRAIN_WAL", wal_dir)
         .env("ETRAIN_SVC_ADDR", "127.0.0.1:0")
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
     match fault {
-        Some(spec) => cmd.env(WAL_FAULT_ENV, spec),
-        None => cmd.env_remove(WAL_FAULT_ENV),
+        Some(spec) => cmd.env("ETRAIN_WAL_FAULT", spec),
+        None => cmd.env_remove("ETRAIN_WAL_FAULT"),
     };
     cmd
 }
@@ -62,9 +70,13 @@ struct Daemon {
 impl Daemon {
     /// Starts the daemon and connects once it prints `READY`.
     fn spawn(wal_dir: &Path, fault: Option<&str>) -> Daemon {
-        let mut child = daemon_command(wal_dir, fault)
-            .spawn()
-            .expect("spawn etrain-svcd");
+        Daemon::start(daemon_command(wal_dir, fault))
+    }
+
+    /// Runs `cmd`, a [`daemon_command`] or a wrapper of one, and
+    /// connects once it prints `READY`.
+    fn start(mut cmd: Command) -> Daemon {
+        let mut child = cmd.spawn().expect("spawn etrain-svcd");
         let stdout = child.stdout.take().expect("captured stdout");
         let mut lines = BufReader::new(stdout);
         let mut recovered_line = String::new();
@@ -393,18 +405,84 @@ fn a_kill_during_recovery_restarts_to_the_reference() {
 
 #[test]
 fn invalid_env_knobs_exit_2() {
+    let regular_file = tmp_dir("env-file");
+    std::fs::write(&regular_file, b"not a journal directory").expect("write a regular file");
+    let regular_file = regular_file.to_str().expect("a Unicode temp path");
     for (key, value) in [
         ("ETRAIN_SVC_ADDR", "not-an-addr"),
-        (WAL_FAULT_ENV, "maybe@later"),
+        ("ETRAIN_WAL_FAULT", "maybe@later"),
+        ("ETRAIN_WAL", regular_file),
     ] {
-        let status = Command::new(env!("CARGO_BIN_EXE_etrain-svcd"))
-            .env(WAL_ENV, tmp_dir("env"))
+        let output = Command::new(env!("CARGO_BIN_EXE_etrain-svcd"))
+            .env("ETRAIN_WAL", tmp_dir("env"))
             .env("ETRAIN_SVC_ADDR", "127.0.0.1:0")
             .env(key, value)
             .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .status()
+            .stderr(Stdio::piped())
+            .output()
             .expect("run etrain-svcd");
-        assert_eq!(status.code(), Some(2), "{key}={value}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{key}={value}: {stderr}");
+        assert!(stderr.contains(key), "{key}={value}: {stderr}");
     }
+    let _ = std::fs::remove_file(regular_file);
+}
+
+#[test]
+fn running_out_of_file_descriptors_does_not_end_the_daemon() {
+    // Under a limit of 16 descriptors the daemon serves about ten
+    // connections; `accept` then fails with EMFILE until one closes.
+    let wal_dir = tmp_dir("nofile");
+    let mut shell = Command::new("sh");
+    shell.args([
+        "-c",
+        "ulimit -n 16; exec \"$0\"",
+        env!("CARGO_BIN_EXE_etrain-svcd"),
+    ]);
+    let mut daemon = Daemon::start(daemon_env(shell, &wal_dir, None));
+
+    let addr = daemon.writer.peer_addr().expect("daemon address");
+    let connect = || {
+        let client = TcpStream::connect(addr).expect("connect to daemon");
+        client
+            .set_read_timeout(Some(Duration::from_millis(500)))
+            .expect("read timeout");
+        client
+    };
+    // Connections are served until one is left waiting in the backlog,
+    // while the daemon's accept fails and is retried.
+    let mut held = Vec::new();
+    loop {
+        assert!(held.len() < 16, "the descriptor limit never bit");
+        let mut client = connect();
+        client.write_all(b"PING\n").expect("send PING");
+        let mut reply = String::new();
+        let _ = BufReader::new(&client).read_line(&mut reply);
+        held.push(client);
+        if reply != "OK PONG\n" {
+            break;
+        }
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(
+        daemon.child.try_wait().expect("poll the daemon").is_none(),
+        "the daemon exited when accept failed, with {} connections open",
+        held.len()
+    );
+
+    // Freed descriptors let the daemon accept again.
+    drop(held);
+    let mut client = connect();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    client.write_all(b"PING\nQUIT\n").expect("send PING");
+    let mut reply = String::new();
+    BufReader::new(&client)
+        .read_line(&mut reply)
+        .expect("read PING reply");
+    assert_eq!(reply, "OK PONG\n");
+    assert_eq!(daemon.roundtrip("PING"), "OK PONG");
+    daemon.sigkill();
+    let _ = std::fs::remove_dir_all(&wal_dir);
 }
