@@ -7,15 +7,16 @@
 //! - `--start-seed S` — first seed (default 0; CI passes a date-derived
 //!   value so every night sweeps fresh cases);
 //! - `--quick` — cap scenario horizons at 600 s for fast wide sweeps;
-//! - `--jobs N` — campaign worker count (default: the machine's
-//!   available parallelism);
+//! - `--jobs N` — campaign worker count, a positive integer (default:
+//!   the machine's available parallelism);
 //! - `--out DIR` — where repro artifacts and the JSON report go
 //!   (default `BENCH_chaos_repros`);
 //! - `--repro FILE` — replay a repro artifact instead of running the
 //!   campaign; exits 0 iff the recorded failure reproduces.
 //!
-//! Any other argument prints the usage and exits with status 2. Nothing
-//! is read from the environment: the campaign pins its own oracle mode.
+//! Any other argument, or a numeric flag whose value does not parse,
+//! prints the usage and exits with status 2. Nothing is read from the
+//! environment: the campaign pins its own oracle mode.
 //!
 //! Every campaign finding is shrunk to a minimal [`ReproCase`] and
 //! written to `<out>/repro_seed<seed>.json`; the machine-readable
@@ -23,17 +24,28 @@
 //! The exit code is non-zero when either tier found a problem, so CI can
 //! gate on it directly.
 
+use std::num::NonZeroUsize;
+
 use etrain_chaos::{campaign_cases, run_campaign, shrink, ChaosCase, Corruption, ReproCase};
 use etrain_sim::{CasePlan, EngineKind, SchedulerKind};
 
 const USAGE: &str = "usage: chaos [--seeds N] [--start-seed S] [--quick] [--jobs N] [--out DIR]
        chaos --repro FILE";
 
-fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    etrain_bench::flag_value(args, flag).map(|raw| {
-        raw.parse()
-            .unwrap_or_else(|_| panic!("{flag} {raw:?}: expected a number"))
-    })
+/// Prints `problem` and the usage, and exits with status 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("error: {problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The parsed value of a numeric `flag`; exits with status 2 when it does
+/// not parse.
+fn numeric_flag<T>(args: &[String], flag: &str) -> Option<T>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    etrain_bench::parse_flag(args, flag).unwrap_or_else(|problem| usage_error(&problem))
 }
 
 fn main() {
@@ -43,16 +55,16 @@ fn main() {
         &["--seeds", "--start-seed", "--jobs", "--out", "--repro"],
         &["--quick"],
     ) {
-        eprintln!("error: {problem}\n{USAGE}");
-        std::process::exit(2);
+        usage_error(&problem);
     }
+    let seeds: u64 = numeric_flag(&args, "--seeds").unwrap_or(100);
+    let start_seed: u64 = numeric_flag(&args, "--start-seed").unwrap_or(0);
+    let jobs = numeric_flag(&args, "--jobs").map(NonZeroUsize::get);
 
     if let Some(path) = etrain_bench::flag_value(&args, "--repro") {
         std::process::exit(replay(&path));
     }
 
-    let seeds: u64 = numeric_flag(&args, "--seeds").unwrap_or(100);
-    let start_seed: u64 = numeric_flag(&args, "--start-seed").unwrap_or(0);
     let quick = args.iter().any(|a| a == "--quick");
     let out_dir =
         etrain_bench::flag_value(&args, "--out").unwrap_or_else(|| "BENCH_chaos_repros".to_owned());
@@ -62,7 +74,7 @@ fn main() {
 
     // Tier 1: the campaign.
     let cases = campaign_cases(start_seed, seeds, quick);
-    let jobs = etrain_sim::resolve_workers(numeric_flag(&args, "--jobs"), cases.len());
+    let jobs = etrain_sim::resolve_workers(jobs, cases.len());
     eprintln!(
         "# campaign: {seeds} seeds from {start_seed} on {jobs} worker(s){}",
         if quick { " (quick)" } else { "" }

@@ -12,9 +12,11 @@
 //! ```
 //!
 //! `--quick` shrinks horizons/sweeps for CI-speed smoke runs; the shapes
-//! remain, the absolute numbers lose precision. That tier and the oracle
-//! and observability modes reach every experiment as one [`Settings`]
-//! value: no experiment reads the environment.
+//! remain, the absolute numbers lose precision. That tier and the
+//! observability mode reach every experiment as one [`Settings`] value:
+//! no experiment reads the environment. The simulation oracle audits
+//! every paper-default scenario strictly, so a violated invariant fails
+//! its experiment instead of reaching a table.
 //!
 //! Every experiment returns an [`ExperimentResult`]: the printable tables
 //! plus the headline metrics that `repro_all` collects — concurrently,
@@ -31,23 +33,22 @@ use std::time::Instant;
 use etrain_sim::{Journal, ObsMode, OracleMode, Scenario, Table};
 use serde::{Deserialize, Serialize};
 
-/// What an experiment's `run` is told: the fidelity tier, and the oracle
-/// and observability modes of the paper-default scenarios it builds.
+/// What an experiment's `run` is told: the fidelity tier, and the
+/// observability mode of the paper-default scenarios it builds.
 /// `repro_all` runs every experiment under one value; experiments that
-/// pin a mode of their own (`explain` journals, `robustness` audits
-/// strictly, the fleet runs neither) keep it.
+/// pin a mode of their own (`explain` journals, `robustness` runs the
+/// chaos campaign, the fleet runs neither the oracle nor the journal)
+/// keep it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Settings {
     /// Reduced horizons and sweeps for a CI-speed smoke run.
     pub quick: bool,
-    /// The oracle mode of every paper-default scenario.
-    pub oracle: OracleMode,
     /// The observability mode of every paper-default scenario.
     pub obs: ObsMode,
 }
 
 impl Settings {
-    /// The quick tier, with the oracle and journaling off.
+    /// The quick tier, with journaling off.
     pub fn quick() -> Self {
         Settings {
             quick: true,
@@ -55,10 +56,13 @@ impl Settings {
         }
     }
 
-    /// [`Scenario::paper_default`] under these oracle and observability
-    /// modes.
+    /// [`Scenario::paper_default`] under the strict oracle and these
+    /// settings' observability mode: a violated invariant fails the run
+    /// with [`etrain_sim::ScenarioError::OracleViolation`].
     pub fn paper_default(self) -> Scenario {
-        Scenario::paper_default().oracle(self.oracle).obs(self.obs)
+        Scenario::paper_default()
+            .oracle(OracleMode::Strict)
+            .obs(self.obs)
     }
 }
 
@@ -385,6 +389,29 @@ pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
     })
 }
 
+/// The value following `flag` in a binary's `args`, parsed as a `T`, if
+/// the flag is given.
+///
+/// # Errors
+///
+/// Names the flag, the value and why it does not parse.
+///
+/// # Panics
+///
+/// Panics if `flag` is the last argument, as [`flag_value`] does.
+pub fn parse_flag<T>(args: &[String], flag: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    flag_value(args, flag)
+        .map(|raw| {
+            raw.parse()
+                .map_err(|error| format!("{flag} {raw:?}: {error}"))
+        })
+        .transpose()
+}
+
 /// Runs `experiments` on [`etrain_sim::run_pool`] and returns the finished
 /// runs **in input order**, regardless of which worker finished first.
 /// `jobs` overrides the worker count; `None` uses the machine's available
@@ -423,84 +450,23 @@ fn run_timed(experiment: &Experiment, settings: Settings) -> ReproRun {
     }
 }
 
-/// The simulation-oracle tallies of one `repro_all` invocation, recorded
-/// at the top of `BENCH_repro.json` so reproduction logs show how much
-/// auditing backed the numbers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OracleSummary {
-    /// The oracle mode the suite ran under (`off`, `record` or
-    /// `strict`).
-    pub mode: String,
-    /// Invariant checks performed across all experiments.
-    pub checks: u64,
-    /// Violations found (must be 0 on a healthy build).
-    pub violations: u64,
-}
-
-/// The process-wide oracle tallies of a suite run under `mode`, for the
-/// report.
-pub fn oracle_summary(mode: OracleMode) -> OracleSummary {
-    let counters = etrain_sim::oracle::counters();
-    OracleSummary {
-        mode: mode.to_string(),
-        checks: counters.checks,
-        violations: counters.violations,
-    }
-}
-
-/// The observability tallies of one `repro_all` invocation, recorded next
-/// to the oracle's so reproduction logs show whether (and how much) event
-/// journaling backed the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ObsSummary {
-    /// The observability mode the suite ran under (`off` or `jsonl`).
-    ///
-    /// The `explain` experiment journals its own run regardless, so
-    /// `events_recorded` is non-zero even when the mode is `off`.
-    pub mode: String,
-    /// Journal events recorded across all experiments.
-    pub events_recorded: u64,
-    /// Parallel-run journal merges performed.
-    pub journals_merged: u64,
-    /// Metrics snapshots frozen into reports.
-    pub snapshots_taken: u64,
-}
-
-/// The process-wide observability tallies of a suite run under `mode`.
-pub fn obs_summary(mode: ObsMode) -> ObsSummary {
-    let counters = etrain_obs::counters();
-    ObsSummary {
-        mode: mode.to_string(),
-        events_recorded: counters.events_recorded,
-        journals_merged: counters.journals_merged,
-        snapshots_taken: counters.snapshots_taken,
-    }
-}
-
-/// The body of `BENCH_repro.json`: the oracle and observability tallies
-/// and one record per experiment in registry order.
+/// The body of `BENCH_repro.json`: one record per experiment in registry
+/// order.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReproReport {
-    /// Simulation-oracle mode and tallies for the whole suite.
-    pub oracle: OracleSummary,
-    /// Observability mode and tallies for the whole suite.
-    pub obs: ObsSummary,
     /// Per-experiment records.
     pub experiments: Vec<ReproRecord>,
 }
 
-/// Serializes the records of finished runs, plus the current oracle and
-/// observability tallies under `settings`' modes, as the pretty-printed
-/// JSON body of `BENCH_repro.json`.
+/// Serializes the records of finished runs as the pretty-printed JSON
+/// body of `BENCH_repro.json`.
 ///
 /// # Panics
 ///
 /// Panics if serialization fails (the record types are plain data, so it
 /// cannot).
-pub fn repro_report_json(runs: &[ReproRun], settings: Settings) -> String {
+pub fn repro_report_json(runs: &[ReproRun]) -> String {
     let report = ReproReport {
-        oracle: oracle_summary(settings.oracle),
-        obs: obs_summary(settings.obs),
         experiments: runs.iter().map(|r| r.record.clone()).collect(),
     };
     serde_json::to_string_pretty(&report).expect("plain-data records serialize")
@@ -559,15 +525,14 @@ mod tests {
     #[test]
     fn settings_reach_the_paper_default_scenarios() {
         let off = Settings::quick().paper_default();
-        assert_eq!(off.oracle_mode(), OracleMode::Off);
+        assert_eq!(off.oracle_mode(), OracleMode::Strict);
         assert_eq!(off.obs_mode(), ObsMode::Off);
         let settings = Settings {
             quick: true,
-            oracle: OracleMode::Record,
             obs: ObsMode::Jsonl,
         };
         for scenario in [settings.paper_default(), experiments::paper_base(settings)] {
-            assert_eq!(scenario.oracle_mode(), OracleMode::Record);
+            assert_eq!(scenario.oracle_mode(), OracleMode::Strict);
             assert_eq!(scenario.obs_mode(), ObsMode::Jsonl);
         }
     }
@@ -644,6 +609,28 @@ mod tests {
     }
 
     #[test]
+    fn parse_flag_names_the_flag_and_value_it_cannot_parse() {
+        let args: Vec<String> = [
+            "chaos",
+            "--seeds",
+            "abc",
+            "--jobs",
+            "0",
+            "--start-seed",
+            "7",
+        ]
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+        assert_eq!(parse_flag::<u64>(&args, "--start-seed"), Ok(Some(7)));
+        assert_eq!(parse_flag::<u64>(&args, "--quick"), Ok(None));
+        let seeds = parse_flag::<u64>(&args, "--seeds").unwrap_err();
+        assert!(seeds.starts_with("--seeds \"abc\": "), "{seeds}");
+        let jobs = parse_flag::<std::num::NonZeroUsize>(&args, "--jobs").unwrap_err();
+        assert!(jobs.starts_with("--jobs \"0\": "), "{jobs}");
+    }
+
+    #[test]
     #[should_panic(expected = "--csv needs a value")]
     fn flag_value_panics_when_the_value_is_missing() {
         let args = vec!["repro_all".to_string(), "--csv".to_string()];
@@ -651,25 +638,22 @@ mod tests {
     }
 
     #[test]
-    fn json_report_has_tallies_then_one_record_per_run() {
+    fn json_report_has_one_record_per_run() {
         let cheap = [
             find("fig2").expect("registered"),
             find("fig6").expect("registered"),
         ];
         let runs = run_experiments(&cheap, Settings::quick(), Some(1));
-        let json = repro_report_json(&runs, Settings::quick());
-        // Top-level keys, in order, and nothing else: the report carries
-        // no trajectory or timing baseline beside the per-run `wall_s`.
-        let top: Vec<usize> = ["\n  \"oracle\"", "\n  \"obs\"", "\n  \"experiments\""]
-            .iter()
-            .map(|key| json.find(key).unwrap_or_else(|| panic!("missing {key}")))
-            .collect();
-        assert!(top.windows(2).all(|w| w[0] < w[1]), "{json}");
-        assert_eq!(json.matches("\n  \"").count(), 3, "{json}");
+        let json = repro_report_json(&runs);
+        // One top-level key and nothing else: the report carries no
+        // tallies, trajectory or timing baseline beside the per-run
+        // `wall_s`.
+        assert!(json.starts_with("{\n  \"experiments\": ["), "{json}");
+        assert_eq!(json.matches("\n  \"").count(), 1, "{json}");
         assert!(!json.contains("trajectory"));
         let fig2 = json.find("\"fig2\"").expect("fig2 record");
         let fig6 = json.find("\"fig6\"").expect("fig6 record");
-        assert!(top[2] < fig2 && fig2 < fig6);
+        assert!(fig2 < fig6);
         assert_eq!(json.matches("\"wall_s\"").count(), 2);
     }
 
@@ -694,35 +678,12 @@ mod tests {
     }
 
     #[test]
-    fn json_report_names_the_modes_it_ran_under() {
-        let cheap = [find("fig6").expect("registered")];
-        let runs = run_experiments(&cheap, Settings::quick(), Some(1));
-        let block = |name: &str, mode: &str| format!("\"{name}\": {{\n    \"mode\": \"{mode}\"");
-        let off = repro_report_json(&runs, Settings::quick());
-        assert!(off.contains(&block("oracle", "off")), "{off}");
-        assert!(off.contains(&block("obs", "off")), "{off}");
-        let settings = Settings {
-            quick: true,
-            oracle: OracleMode::Record,
-            obs: ObsMode::Jsonl,
-        };
-        let on = repro_report_json(&runs, settings);
-        assert!(on.contains(&block("oracle", "record")), "{on}");
-        assert!(on.contains(&block("obs", "jsonl")), "{on}");
-    }
-
-    #[test]
     fn json_report_carries_names_and_headlines() {
         let cheap = [find("fig6").expect("registered")];
         let runs = run_experiments(&cheap, Settings::quick(), Some(1));
-        let json = repro_report_json(&runs, Settings::quick());
+        let json = repro_report_json(&runs);
         assert!(json.contains("\"fig6\""));
         assert!(json.contains("wall_s"));
         assert!(json.contains("f3_at_3x_deadline"));
-        // The report leads with the oracle and observability tallies.
-        assert!(json.contains("\"oracle\""));
-        assert!(json.contains("\"violations\""));
-        assert!(json.contains("\"obs\""));
-        assert!(json.contains("\"events_recorded\""));
     }
 }

@@ -252,7 +252,6 @@ impl Journal {
             event,
         });
         self.next_seq += 1;
-        crate::bump_events(1);
     }
 
     /// The records in their current order.
@@ -302,7 +301,6 @@ impl Journal {
             }
         }
         merged.next_seq = 0;
-        crate::bump_merges();
         merged
     }
 

@@ -22,11 +22,14 @@
 //! 2. **Metrics registry** ([`MetricsRegistry`], [`MetricsSnapshot`]) —
 //!    typed counters, gauges, and histograms (energy per RRC state, tail
 //!    utilization, queue depth, decision counts) snapshotted into
-//!    `RunReport` and `BENCH_repro.json`.
+//!    `RunReport`.
 //!
 //! Everything here is simulated-time and deterministic; nothing reads a
 //! wall clock. Where the time goes is measured from outside, by the
-//! repository's `benchmark/` package.
+//! repository's `benchmark/` package. The crate keeps no process-wide
+//! state: what a run records lives in its own [`Journal`] and
+//! [`MetricsSnapshot`], so parallel workers share nothing while they
+//! record.
 //!
 //! The whole layer is **zero-cost when off**: the [`ObsMode`] a caller
 //! sets (`Scenario::obs`, `RunGrid::obs`, `repro_all --journal`) defaults
@@ -48,53 +51,3 @@ pub use event::{Event, EventRecord, Journal};
 pub use fnv::Fnv1a;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use mode::ObsMode;
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static EVENTS_RECORDED: AtomicU64 = AtomicU64::new(0);
-static JOURNALS_MERGED: AtomicU64 = AtomicU64::new(0);
-static SNAPSHOTS_TAKEN: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide observability tallies, mirroring `oracle::counters()`.
-///
-/// These are *reporting* counters for `BENCH_repro.json` summaries — they
-/// are monotone across a process lifetime (modulo [`reset_counters`]) and
-/// deliberately carry no per-run detail; per-run detail lives in the
-/// [`Journal`] and [`MetricsSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ObsCounters {
-    /// Events pushed into any [`Journal`] in this process.
-    pub events_recorded: u64,
-    /// Journal merge operations performed (one per grid run).
-    pub journals_merged: u64,
-    /// Metrics snapshots taken from a [`MetricsRegistry`].
-    pub snapshots_taken: u64,
-}
-
-/// Reads the process-wide observability tallies.
-pub fn counters() -> ObsCounters {
-    ObsCounters {
-        events_recorded: EVENTS_RECORDED.load(Ordering::Relaxed),
-        journals_merged: JOURNALS_MERGED.load(Ordering::Relaxed),
-        snapshots_taken: SNAPSHOTS_TAKEN.load(Ordering::Relaxed),
-    }
-}
-
-/// Resets the process-wide observability tallies to zero (test hygiene).
-pub fn reset_counters() {
-    EVENTS_RECORDED.store(0, Ordering::Relaxed);
-    JOURNALS_MERGED.store(0, Ordering::Relaxed);
-    SNAPSHOTS_TAKEN.store(0, Ordering::Relaxed);
-}
-
-pub(crate) fn bump_events(n: u64) {
-    EVENTS_RECORDED.fetch_add(n, Ordering::Relaxed);
-}
-
-pub(crate) fn bump_merges() {
-    JOURNALS_MERGED.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn bump_snapshots() {
-    SNAPSHOTS_TAKEN.fetch_add(1, Ordering::Relaxed);
-}

@@ -202,7 +202,6 @@ impl MetricsRegistry {
 
     /// Freezes the registry into a serializable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        crate::bump_snapshots();
         MetricsSnapshot {
             heartbeats: self.heartbeats.get(),
             tx_starts: self.tx_starts.get(),

@@ -60,8 +60,7 @@ pub use engine::{AbandonedPacket, CompletedPacket, Engine, EngineKind, EngineOut
 pub use fuzz::{conformance_kinds, CasePlan, TrainSet};
 pub use metrics::{AppReport, RunReport};
 pub use oracle::{
-    audit_scheduler_ordering, OracleCounters, OracleMode, OracleOutcome, OracleViolation,
-    OrderingAudit,
+    audit_scheduler_ordering, OracleMode, OracleOutcome, OracleViolation, OrderingAudit,
 };
 pub use replicate::{replicate, Percentiles, ReplicatedReport, Stat};
 pub use report::{fmt_f, Table};

@@ -38,17 +38,18 @@
 //! [`crate::RunGrid`] and the checked engine entry points:
 //!
 //! - `Off` — no auditing at all (zero overhead, the default);
-//! - `Record` — audit every run, attach the [`OracleOutcome`] to the
-//!   report and bump the process-wide [`counters`];
+//! - `Record` — audit every run and attach the [`OracleOutcome`] to the
+//!   report;
 //! - `Strict` — like `Record`, but a violation turns the run into a typed
 //!   error ([`ScenarioError::OracleViolation`](crate::ScenarioError)).
 //!
 //! Every run starts `Off`; a caller opts in per scenario or per grid.
-//! `repro_all` hands `Record` to every registry experiment through its
-//! run settings, and nothing reads the mode from the environment.
+//! The bench registry's paper-default scenarios run `Strict`, so a
+//! violation in any of them fails its experiment. The oracle keeps no
+//! state between runs: each outcome lives only in its report, and
+//! nothing reads the mode from the environment.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use etrain_radio::merge_busy_periods;
 use etrain_sched::{AppProfile, OfflineProblem};
@@ -334,39 +335,6 @@ impl OracleOutcome {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
-}
-
-/// Process-wide audit tallies, for end-of-batch summaries (`repro_all`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OracleCounters {
-    /// Individual invariant checks performed since process start (or the
-    /// last [`reset_counters`]).
-    pub checks: u64,
-    /// Violations found in the same window.
-    pub violations: u64,
-}
-
-static CHECKS_TOTAL: AtomicU64 = AtomicU64::new(0);
-static VIOLATIONS_TOTAL: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the process-wide audit tallies.
-pub fn counters() -> OracleCounters {
-    OracleCounters {
-        checks: CHECKS_TOTAL.load(Ordering::Relaxed),
-        violations: VIOLATIONS_TOTAL.load(Ordering::Relaxed),
-    }
-}
-
-/// Resets the process-wide audit tallies to zero.
-pub fn reset_counters() {
-    CHECKS_TOTAL.store(0, Ordering::Relaxed);
-    VIOLATIONS_TOTAL.store(0, Ordering::Relaxed);
-}
-
-/// Adds an outcome to the process-wide tallies.
-pub fn record_outcome(outcome: &OracleOutcome) {
-    CHECKS_TOTAL.fetch_add(outcome.checks, Ordering::Relaxed);
-    VIOLATIONS_TOTAL.fetch_add(outcome.violations.len() as u64, Ordering::Relaxed);
 }
 
 /// Per-event float budget for energy comparisons: the online radio and
@@ -822,7 +790,7 @@ pub fn audit_report(
 }
 
 /// Full per-run audit: engine invariants plus report consistency, tagged
-/// with `mode` and added to the process-wide [`counters`].
+/// with `mode`.
 #[allow(clippy::too_many_arguments)]
 pub fn audit_run(
     report: &RunReport,
@@ -835,7 +803,7 @@ pub fn audit_run(
 ) -> OracleOutcome {
     let engine = audit_engine(output, packets, heartbeats, plan);
     let rep = audit_report(report, output, profiles);
-    let outcome = OracleOutcome {
+    OracleOutcome {
         mode,
         checks: engine.checks + rep.checks,
         violations: engine
@@ -843,9 +811,7 @@ pub fn audit_run(
             .into_iter()
             .chain(rep.violations)
             .collect(),
-    };
-    record_outcome(&outcome);
-    outcome
+    }
 }
 
 /// Result of a scheduler-ordering audit on one controlled instance.
@@ -971,20 +937,6 @@ mod tests {
             relation: "above-baseline".to_string(),
         };
         assert!(v.to_string().contains("above-baseline"), "{v}");
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let before = counters();
-        let outcome = OracleOutcome {
-            mode: OracleMode::Record,
-            checks: 5,
-            violations: vec![OracleViolation::UnknownPacket { packet_id: 1 }],
-        };
-        record_outcome(&outcome);
-        let after = counters();
-        assert_eq!(after.checks, before.checks + 5);
-        assert_eq!(after.violations, before.violations + 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::{Engine, EngineKind, EngineOutput};
 use crate::metrics::RunReport;
-use crate::oracle::{self, OracleMode, OracleViolation};
+use crate::oracle::{self, OracleMode, OracleOutcome, OracleViolation};
 
 /// A scenario that cannot run, detected by [`Scenario::validate`] before
 /// any simulation work starts.
@@ -676,7 +676,7 @@ impl Scenario {
             report.metrics = Some(collect_metrics(&output, &timeline, &self.radio, journal));
         }
         if self.oracle.is_enabled() {
-            let outcome = oracle::audit_run(
+            report.oracle = Some(strict_gate(oracle::audit_run(
                 &report,
                 &output,
                 &traces.packets,
@@ -684,17 +684,21 @@ impl Scenario {
                 &self.faults,
                 &self.profiles,
                 self.oracle,
-            );
-            if self.oracle == OracleMode::Strict {
-                if let Some(first) = outcome.violations.first() {
-                    return Err(ScenarioError::OracleViolation {
-                        violation: first.clone(),
-                    });
-                }
-            }
-            report.oracle = Some(outcome);
+            ))?);
         }
         Ok((report, output, journal))
+    }
+}
+
+/// Passes an audit outcome through, unless it was audited under
+/// [`OracleMode::Strict`] and found a violation: then the first violation
+/// fails the run.
+fn strict_gate(outcome: OracleOutcome) -> Result<OracleOutcome, ScenarioError> {
+    match outcome.violations.first() {
+        Some(first) if outcome.mode == OracleMode::Strict => Err(ScenarioError::OracleViolation {
+            violation: first.clone(),
+        }),
+        _ => Ok(outcome),
     }
 }
 
@@ -1058,5 +1062,33 @@ mod tests {
             .obs(ObsMode::Jsonl);
         assert_eq!(s.oracle_mode(), OracleMode::Strict);
         assert_eq!(s.obs_mode(), ObsMode::Jsonl);
+    }
+
+    #[test]
+    fn strict_gate_turns_a_violation_into_a_scenario_error() {
+        let report = Scenario::paper_default()
+            .oracle(OracleMode::Strict)
+            .duration_secs(600)
+            .seed(11)
+            .try_run()
+            .expect("a clean run passes the strict oracle");
+        let clean = report.oracle.expect("an audited run carries its outcome");
+        assert_eq!(strict_gate(clean.clone()), Ok(clean.clone()));
+
+        let violation = OracleViolation::UnknownPacket { packet_id: 7 };
+        let mut tampered = clean;
+        tampered.violations = vec![
+            violation.clone(),
+            OracleViolation::UnknownPacket { packet_id: 8 },
+        ];
+        assert_eq!(
+            strict_gate(tampered.clone()),
+            Err(ScenarioError::OracleViolation {
+                violation: violation.clone()
+            })
+        );
+        // Record keeps the violations on the report instead.
+        tampered.mode = OracleMode::Record;
+        assert_eq!(strict_gate(tampered.clone()), Ok(tampered));
     }
 }

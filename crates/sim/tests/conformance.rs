@@ -542,12 +542,11 @@ fn report_audit_catches_a_negative_energy_and_a_ratio_above_one() {
 }
 
 #[test]
-fn strict_mode_surfaces_violations_as_scenario_errors() {
-    // Drive the checked engine entry point directly with a tampered
-    // output is impossible (it runs the engine itself), so exercise the
-    // Strict plumbing on a clean run: it must succeed, attach a clean
-    // outcome, and count checks in the process-wide tallies.
-    let before = oracle::counters();
+fn strict_mode_passes_a_clean_run_and_attaches_its_outcome() {
+    // A run cannot be handed a tampered output (it runs the engine
+    // itself), so the violation path is unit-tested on the gate in
+    // `scenario.rs`; here a clean run must succeed under Strict and carry
+    // its clean outcome.
     let report = Scenario::paper_default()
         .oracle(OracleMode::Strict)
         .duration_secs(600)
@@ -557,8 +556,7 @@ fn strict_mode_surfaces_violations_as_scenario_errors() {
     let outcome = report.oracle.expect("strict attaches outcome");
     assert_eq!(outcome.mode, OracleMode::Strict);
     assert!(outcome.is_clean());
-    let after = oracle::counters();
-    assert!(after.checks >= before.checks + outcome.checks);
+    assert!(outcome.checks > 0);
 }
 
 #[test]
