@@ -6,7 +6,7 @@
 //! Flags:
 //! - `--only NAME[,NAME...]` — run just the named experiments (see
 //!   `etrain_bench::registry`); an unknown name exits with status 2. A
-//!   partial run writes no JSON report or artifact;
+//!   partial run writes no JSON report;
 //! - `--quick` — reduced horizons/sweeps for a CI-speed smoke run;
 //! - `--csv DIR` — also write each table as `DIR/<experiment>_<index>.csv`
 //!   for plotting;
@@ -14,10 +14,13 @@
 //!   machine's available parallelism);
 //! - `--json PATH` — where to write the report (default
 //!   `BENCH_repro.json`); `--no-json` skips it;
-//! - `--journal` — journal every scenario the suite runs and export the
-//!   `explain` experiment's raw journal as `BENCH_explain.jsonl` next to
-//!   the report. Observability never changes the numbers: headlines are
-//!   bit-for-bit identical either way.
+//! - `--journal` — journal every scenario the suite runs and, when
+//!   `explain` ran (also under `--only`), export its raw journal as
+//!   `BENCH_explain.jsonl` in the working directory, unless `--no-json`
+//!   is given. The file holds only `explain`'s own deterministic run, so
+//!   a partial run writes the same bytes as a full one. Observability
+//!   never changes the numbers: headlines are bit-for-bit identical
+//!   either way.
 //!
 //! Any other argument, or a `--jobs` value that is not a positive
 //! integer, prints the usage and exits with status 2. Nothing is read
@@ -90,8 +93,9 @@ fn main() {
         },
     };
     let only = etrain_bench::flag_value(&args, "--only");
+    let no_json = args.iter().any(|a| a == "--no-json");
     // A partial run must never overwrite the full report.
-    let no_json = only.is_some() || args.iter().any(|a| a == "--no-json");
+    let write_report = !no_json && only.is_none();
     let csv_dir = etrain_bench::flag_value(&args, "--csv");
     let json_path =
         etrain_bench::flag_value(&args, "--json").unwrap_or_else(|| "BENCH_repro.json".to_owned());
@@ -141,12 +145,14 @@ fn main() {
          (sum of experiment times: {serial_s:.2} s)"
     );
 
-    if !no_json {
+    if write_report {
         std::fs::write(&json_path, etrain_bench::repro_report_json(&runs))
             .expect("writing the JSON report");
         eprintln!("# wrote {json_path}");
-        // `explain` kept the journal of its run in the suite.
-        if let Some(journal) = runs.iter().find_map(|run| run.result.journal.as_ref()) {
+    }
+    // `explain` kept the journal of its run when `--journal` asked for it.
+    if let Some(journal) = runs.iter().find_map(|run| run.result.journal.as_ref()) {
+        if !no_json {
             std::fs::write("BENCH_explain.jsonl", journal.to_jsonl())
                 .expect("writing the explain journal");
             eprintln!("# wrote BENCH_explain.jsonl");

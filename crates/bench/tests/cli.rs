@@ -130,3 +130,54 @@ fn repro_all_journal_switch_journals_without_moving_a_headline() {
     assert!(!headlines(&plain).is_empty());
     assert_eq!(headlines(&plain), headlines(&journaled));
 }
+
+/// A fresh, empty directory under the system temp dir, removed on drop.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let path = std::env::temp_dir().join(format!("etrain-cli-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path).expect("creating a temp dir");
+        TempDir(path)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn repro_all_journal_switch_writes_the_explain_journal_from_a_partial_run() {
+    let explain_journal = |extra: &[&str]| {
+        let dir = TempDir::new(&format!("journal{}", extra.len()));
+        let mut args = vec!["--only", "explain", "--quick"];
+        args.extend_from_slice(extra);
+        let output = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+            .args(&args)
+            .current_dir(&dir.0)
+            .output()
+            .expect("spawning repro_all");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{stderr}");
+        assert!(
+            !dir.0.join("BENCH_repro.json").exists(),
+            "a partial run writes no report"
+        );
+        std::fs::read_to_string(dir.0.join("BENCH_explain.jsonl")).ok()
+    };
+    assert_eq!(explain_journal(&[]), None, "no journal without --journal");
+    assert_eq!(
+        explain_journal(&["--journal", "--no-json"]),
+        None,
+        "--no-json suppresses the journal"
+    );
+    let journal = explain_journal(&["--journal"]).expect("--journal writes the journal");
+    assert!(!journal.is_empty());
+    for line in journal.lines() {
+        serde_json::from_str::<etrain_obs::EventRecord>(line)
+            .unwrap_or_else(|e| panic!("not an etrain-journal-v1 record ({e}): {line}"));
+    }
+}

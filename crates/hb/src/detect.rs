@@ -181,16 +181,13 @@ impl CycleDetector {
     /// prediction never *misses* a train — it at worst announces one early).
     pub fn predict_next(&self) -> Option<f64> {
         let last = self.last_observation_s()?;
-        let gaps = self.gaps_s();
-        if gaps.is_empty() {
-            return None;
-        }
+        let &last_gap = self.gaps_s().last()?;
         let step = match self.detect() {
             DetectedPattern::Fixed { cycle_s, .. } => cycle_s,
             DetectedPattern::Adaptive {
                 current_level_s, ..
             } => current_level_s,
-            DetectedPattern::Unknown => *gaps.last().expect("gaps checked non-empty"),
+            DetectedPattern::Unknown => last_gap,
         };
         Some(last + step)
     }

@@ -89,7 +89,10 @@ pub fn estimate_period(times_s: &[f64]) -> Option<f64> {
     // event count best matches the observed count. Count distinct times,
     // as the gaps do: a repeated timestamp is one beat seen twice, and
     // counting it again would halve the chosen period.
-    let span = sorted.last().expect("non-empty") - sorted.first().expect("non-empty");
+    let (Some(first), Some(last)) = (sorted.first(), sorted.last()) else {
+        return None;
+    };
+    let span = last - first;
     let n = (gaps.len() + 1) as f64;
     let coverage = |p: f64| n / (span / p + 1.0);
     let tight: Vec<f64> = candidates
@@ -97,22 +100,17 @@ pub fn estimate_period(times_s: &[f64]) -> Option<f64> {
         .copied()
         .filter(|&c| fold_score(&sorted, c) <= c * 0.05 && coverage(c) <= 1.1)
         .collect();
-    let best = if tight.is_empty() {
-        candidates
+    let best = match tight.into_iter().min_by(|&a, &b| {
+        (coverage(a) - 1.0)
+            .abs()
+            .total_cmp(&(coverage(b) - 1.0).abs())
+    }) {
+        Some(chosen) => (chosen, fold_score(&sorted, chosen)),
+        None => candidates
             .iter()
             .copied()
             .map(|c| (c, fold_score(&sorted, c)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))?
-    } else {
-        let chosen = tight
-            .into_iter()
-            .min_by(|&a, &b| {
-                (coverage(a) - 1.0)
-                    .abs()
-                    .total_cmp(&(coverage(b) - 1.0).abs())
-            })
-            .expect("tight set checked non-empty");
-        (chosen, fold_score(&sorted, chosen))
+            .min_by(|a, b| a.1.total_cmp(&b.1))?,
     };
 
     // Local refinement around the best candidate (golden-section search on

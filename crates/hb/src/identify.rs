@@ -89,9 +89,10 @@ pub fn identify_heartbeat_flows(capture: &Capture, config: &IdentifyConfig) -> V
         if packets.len() < config.min_beats {
             continue;
         }
-        let first = packets.first().expect("non-empty").time_s;
-        let last = packets.last().expect("non-empty").time_s;
-        if (last - first) < config.min_span_fraction * capture.duration_s {
+        let (Some(first), Some(last)) = (packets.first(), packets.last()) else {
+            continue;
+        };
+        if (last.time_s - first.time_s) < config.min_span_fraction * capture.duration_s {
             continue;
         }
         let mean_size = packets.iter().map(|p| p.length as f64).sum::<f64>() / packets.len() as f64;

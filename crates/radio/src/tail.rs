@@ -66,7 +66,21 @@ pub fn analytic_extra_energy_j(
     transmissions: &[Transmission],
     horizon_s: f64,
 ) -> f64 {
-    let busy = merge_busy_periods(transmissions, horizon_s);
+    busy_extra_energy_j(
+        params,
+        &merge_busy_periods(transmissions, horizon_s),
+        horizon_s,
+    )
+}
+
+/// [`analytic_extra_energy_j`] over busy periods already merged by
+/// [`merge_busy_periods`], so an audit that holds the merge does not
+/// repeat it.
+pub(crate) fn busy_extra_energy_j(
+    params: &RadioParams,
+    busy: &[(f64, f64)],
+    horizon_s: f64,
+) -> f64 {
     let pd = params.dch_extra_mw() / 1000.0;
     let mut energy = 0.0;
     for (idx, &(start, end)) in busy.iter().enumerate() {
@@ -82,14 +96,18 @@ pub fn analytic_extra_energy_j(
 /// Merges transmissions into disjoint, sorted busy periods clipped to
 /// `[0, horizon_s]`.
 ///
-/// Exported so audit code (the simulation oracle) can recompute the busy
-/// structure independently of [`crate::Timeline`]'s segment construction.
+/// Every derivation from a transmission log starts here: the timeline's
+/// segments, the closed form, and the audit's required states.
+/// [`crate::Timeline::audited`] merges once and returns the list, so the
+/// simulation oracle checks busy time against the same merge.
 pub fn merge_busy_periods(transmissions: &[Transmission], horizon_s: f64) -> Vec<(f64, f64)> {
-    let mut out: Vec<(f64, f64)> = transmissions
-        .iter()
-        .map(|t| (t.start_s, (t.start_s + t.duration_s).min(horizon_s)))
-        .filter(|&(s, e)| e > s && s < horizon_s)
-        .collect();
+    let mut out: Vec<(f64, f64)> = Vec::with_capacity(transmissions.len());
+    out.extend(
+        transmissions
+            .iter()
+            .map(|t| (t.start_s, (t.start_s + t.duration_s).min(horizon_s)))
+            .filter(|&(s, e)| e > s && s < horizon_s),
+    );
     out.sort_by(|a, b| a.0.total_cmp(&b.0));
     // In-place merge: `write` trails the scan and compacts overlapping
     // intervals; `write - 1` is always the last merged interval, exactly

@@ -3,7 +3,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::RadioError;
 use crate::params::RadioParams;
 use crate::power::PowerTrace;
-use crate::tail::{analytic_extra_energy_j, merge_busy_periods};
+use crate::tail::{busy_extra_energy_j, merge_busy_periods};
 
 /// RRC power state of the cellular interface (paper Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -147,11 +147,20 @@ impl Timeline {
         transmissions: &[Transmission],
         horizon_s: f64,
     ) -> Self {
-        let busy = merge_busy_periods(transmissions, horizon_s);
+        Timeline::from_busy(
+            params,
+            &merge_busy_periods(transmissions, horizon_s),
+            horizon_s,
+        )
+    }
+
+    /// The timeline over busy periods already merged by
+    /// [`merge_busy_periods`].
+    fn from_busy(params: &RadioParams, busy: &[(f64, f64)], horizon_s: f64) -> Self {
         Timeline {
             params: params.clone(),
             horizon_s,
-            segments: build_segments(params, &busy, horizon_s),
+            segments: build_segments(params, busy, horizon_s),
         }
     }
 
@@ -285,18 +294,30 @@ impl Timeline {
         }));
     }
 
-    /// Audits this timeline against the transmissions it claims to describe.
+    /// Builds the timeline for `transmissions` and audits it against them,
+    /// merging the busy periods once for both: the construction and
+    /// [`audit_segments`]' re-derivation read the same
+    /// [`merge_busy_periods`] list, which is returned for callers that
+    /// check it too. The audit also checks that [`Timeline::state_at`]
+    /// agrees with the segment containing each segment's midpoint, and
+    /// counts its individual checks.
     ///
-    /// Delegates to [`audit_segments`] and additionally checks that
-    /// [`Timeline::state_at`] agrees with the segment containing each probe
-    /// point. Returns the number of individual checks performed.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`TimelineAuditError`] encountered.
-    pub fn audit(&self, transmissions: &[Transmission]) -> Result<usize, TimelineAuditError> {
-        let mut checks =
-            audit_segments(&self.params, &self.segments, transmissions, self.horizon_s)?;
+    /// The audit is the first [`TimelineAuditError`] found, if any.
+    pub fn audited(
+        params: &RadioParams,
+        transmissions: &[Transmission],
+        horizon_s: f64,
+    ) -> (Self, Vec<(f64, f64)>, Result<usize, TimelineAuditError>) {
+        let busy = merge_busy_periods(transmissions, horizon_s);
+        let timeline = Timeline::from_busy(params, &busy, horizon_s);
+        let audit = audit_merged(params, &timeline.segments, transmissions, &busy, horizon_s)
+            .and_then(|checks| timeline.audit_lookups(checks));
+        (timeline, busy, audit)
+    }
+
+    /// Adds one check per segment that [`Timeline::state_at`] at its
+    /// midpoint returns its state.
+    fn audit_lookups(&self, mut checks: usize) -> Result<usize, TimelineAuditError> {
         for (index, seg) in self.segments.iter().enumerate() {
             let mid = 0.5 * (seg.start_s + seg.end_s);
             let looked_up = self.state_at(mid);
@@ -339,7 +360,8 @@ fn push_segment(segments: &mut Vec<StateSegment>, start: f64, end: f64, state: R
 
 /// Builds the merged segment list for pre-merged busy periods.
 fn build_segments(params: &RadioParams, busy: &[(f64, f64)], horizon_s: f64) -> Vec<StateSegment> {
-    let mut segments = Vec::new();
+    // Each busy period adds at most four segments (IDLE, DCH, FACH, IDLE).
+    let mut segments = Vec::with_capacity(4 * busy.len() + 1);
     let mut cursor = 0.0;
     let dd = params.delta_dch_s();
     let df = params.delta_fach_s();
@@ -368,7 +390,7 @@ fn build_segments(params: &RadioParams, busy: &[(f64, f64)], horizon_s: f64) -> 
 
 /// A violation found while auditing a state timeline.
 ///
-/// Produced by [`audit_segments`] / [`Timeline::audit`]; the simulation
+/// Produced by [`audit_segments`] / [`Timeline::audited`]; the simulation
 /// oracle in `etrain-sim` wraps these into its own violation type.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TimelineAuditError {
@@ -418,7 +440,7 @@ pub enum TimelineAuditError {
     EnergyMismatch {
         /// Extra energy summed over the segments, in joules.
         segment_sum_j: f64,
-        /// Extra energy from [`analytic_extra_energy_j`], in joules.
+        /// Extra energy from [`analytic_extra_energy_j`](crate::analytic_extra_energy_j), in joules.
         analytic_j: f64,
         /// Tolerance that was exceeded, in joules.
         tolerance_j: f64,
@@ -500,12 +522,24 @@ const AUDIT_BOUNDARY_TOL_S: f64 = 1e-9;
 
 /// State required by the RRC demotion rules at time `t`, derived directly
 /// from the merged busy periods (independent of segment construction).
-fn required_state(params: &RadioParams, busy: &[(f64, f64)], t: f64) -> RrcState {
-    let idx = busy.partition_point(|&(start, _)| start <= t);
-    if idx == 0 {
+///
+/// `next` is a cursor, the index of the first busy period that starts
+/// after the previous probe. It steps forward or backward on the same
+/// `start <= t` predicate that `busy.partition_point` bisects, so it stops
+/// where that would for probes in any order, and a segment list's
+/// ascending probes cost O(1) each instead of a binary search.
+fn required_state(params: &RadioParams, busy: &[(f64, f64)], next: &mut usize, t: f64) -> RrcState {
+    let started = |idx: usize| busy[idx].0 <= t;
+    while *next < busy.len() && started(*next) {
+        *next += 1;
+    }
+    while *next > 0 && !started(*next - 1) {
+        *next -= 1;
+    }
+    if *next == 0 {
         return RrcState::Idle;
     }
-    let (_, end) = busy[idx - 1];
+    let (_, end) = busy[*next - 1];
     if t < end {
         return RrcState::Dch;
     }
@@ -527,8 +561,10 @@ fn required_state(params: &RadioParams, busy: &[(f64, f64)], t: f64) -> RrcState
 /// segment's state matches the demotion rules (DCH while busy and for δ_D
 /// after, FACH for the following δ_F, IDLE otherwise) at probes near its
 /// start, middle and end; and the piecewise segment energy agrees with the
-/// independent [`analytic_extra_energy_j`] closed form. Returns the number
-/// of individual checks performed.
+/// independent [`analytic_extra_energy_j`](crate::analytic_extra_energy_j)
+/// closed form. Returns the number of individual checks performed. The
+/// busy periods are merged once, and every probe and the closed form
+/// read that one list.
 ///
 /// The function is deliberately *not* implemented in terms of
 /// [`Timeline::from_transmissions`] — it exists to catch regressions there.
@@ -540,6 +576,19 @@ pub fn audit_segments(
     params: &RadioParams,
     segments: &[StateSegment],
     transmissions: &[Transmission],
+    horizon_s: f64,
+) -> Result<usize, TimelineAuditError> {
+    let busy = merge_busy_periods(transmissions, horizon_s);
+    audit_merged(params, segments, transmissions, &busy, horizon_s)
+}
+
+/// [`audit_segments`] with `busy` already merged from `transmissions` by
+/// [`merge_busy_periods`].
+fn audit_merged(
+    params: &RadioParams,
+    segments: &[StateSegment],
+    transmissions: &[Transmission],
+    busy: &[(f64, f64)],
     horizon_s: f64,
 ) -> Result<usize, TimelineAuditError> {
     let mut checks = 0usize;
@@ -589,7 +638,7 @@ pub fn audit_segments(
 
     // Legality: probe each segment near its start, middle and end against
     // the state the demotion rules require there.
-    let busy = merge_busy_periods(transmissions, horizon_s);
+    let mut next = 0;
     for (index, seg) in segments.iter().enumerate() {
         let eps = (seg.duration_s() * 0.25).min(1e-6);
         for t in [
@@ -598,7 +647,7 @@ pub fn audit_segments(
             seg.end_s - eps,
         ] {
             checks += 1;
-            let expected = required_state(params, &busy, t);
+            let expected = required_state(params, busy, &mut next, t);
             if expected != seg.state {
                 return Err(TimelineAuditError::IllegalState {
                     index,
@@ -615,7 +664,7 @@ pub fn audit_segments(
         .iter()
         .map(|seg| seg.state.extra_power_mw(params) / 1000.0 * seg.duration_s())
         .sum();
-    let analytic_j = analytic_extra_energy_j(params, transmissions, horizon_s);
+    let analytic_j = busy_extra_energy_j(params, busy, horizon_s);
     let tolerance_j = 1e-9 * (1.0 + busy.len() as f64);
     checks += 1;
     if (segment_sum_j - analytic_j).abs() > tolerance_j {
@@ -841,12 +890,13 @@ mod tests {
             Transmission::new(100.0, 2.0),
             Transmission::new(114.0, 0.1),
         ];
-        let tl = Timeline::from_transmissions(&p, &txs, 500.0);
-        let checks = tl.audit(&txs).expect("well-formed timeline must pass");
+        let (tl, busy, audit) = Timeline::audited(&p, &txs, 500.0);
+        let checks = audit.expect("well-formed timeline must pass");
         assert!(checks > tl.segments().len());
+        assert_eq!(tl, Timeline::from_transmissions(&p, &txs, 500.0));
+        assert_eq!(busy, merge_busy_periods(&txs, 500.0));
 
-        let empty = Timeline::from_transmissions(&p, &[], 100.0);
-        assert!(empty.audit(&[]).is_ok());
+        assert!(Timeline::audited(&p, &[], 100.0).2.is_ok());
     }
 
     #[test]
@@ -898,12 +948,60 @@ mod tests {
     }
 
     #[test]
+    fn required_state_cursor_matches_a_binary_search_in_any_probe_order() {
+        let p = params();
+        let txs = [
+            Transmission::new(3.0, 0.4),
+            Transmission::new(9.0, 1.0),
+            Transmission::new(40.0, 2.0),
+            Transmission::new(41.0, 5.0),
+            Transmission::new(100.0, 0.1),
+        ];
+        let busy = merge_busy_periods(&txs, 200.0);
+        let searched = |t: f64| {
+            let mut idx = busy.partition_point(|&(start, _)| start <= t);
+            let state = required_state(&p, &busy, &mut idx, t);
+            (idx, state)
+        };
+        let mut probes: Vec<f64> = (0..400).map(|i| i as f64 * 0.5 - 1.0).collect();
+        probes.extend([
+            3.0,
+            9.0,
+            40.0,
+            100.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ]);
+        // Ascending, descending, then interleaved from both ends.
+        let mut orders = vec![probes.clone()];
+        orders.push(probes.iter().rev().copied().collect());
+        orders.push(
+            (0..probes.len())
+                .map(|i| {
+                    probes[if i % 2 == 0 {
+                        i / 2
+                    } else {
+                        probes.len() - 1 - i / 2
+                    }]
+                })
+                .collect(),
+        );
+        for order in orders {
+            let mut next = 0;
+            for t in order {
+                let state = required_state(&p, &busy, &mut next, t);
+                assert_eq!((next, state), searched(t), "probe {t}");
+            }
+        }
+    }
+
+    #[test]
     fn audit_catches_invalid_transmission_log() {
         let p = params();
         let txs = [Transmission::new(10.0, f64::NAN)];
-        let tl = Timeline::from_transmissions(&p, &[], 100.0);
         assert!(matches!(
-            tl.audit(&txs).unwrap_err(),
+            Timeline::audited(&p, &txs, 100.0).2.unwrap_err(),
             TimelineAuditError::BadTransmission { index: 0, .. }
         ));
     }

@@ -3,8 +3,8 @@
 //! three independent implementations of the same physics and must agree.
 
 use etrain_radio::{
-    analytic_extra_energy_j, merge_busy_periods, tail_energy_j, Radio, RadioParams, RrcState,
-    Timeline, Transmission,
+    analytic_extra_energy_j, audit_segments, merge_busy_periods, tail_energy_j, Radio, RadioParams,
+    RrcState, StateSegment, Timeline, TimelineAuditError, Transmission,
 };
 use proptest::prelude::*;
 
@@ -35,6 +35,173 @@ fn arb_transmissions() -> impl Strategy<Value = Vec<Transmission>> {
             .map(|(start, dur)| Transmission::new(start, dur))
             .collect()
     })
+}
+
+/// Test-side copy of the segment audit as it was first written: a binary
+/// search over the merged busy periods for every probe, and the closed
+/// form recomputed from the transmission log. `audit_segments` must
+/// agree with it on every input, valid or not.
+fn reference_audit(
+    params: &RadioParams,
+    segments: &[StateSegment],
+    transmissions: &[Transmission],
+    horizon_s: f64,
+) -> Result<usize, TimelineAuditError> {
+    let mut checks = 0usize;
+    for (index, tx) in transmissions.iter().enumerate() {
+        checks += 1;
+        if tx.validate().is_err() {
+            return Err(TimelineAuditError::BadTransmission {
+                index,
+                start_s: tx.start_s,
+                duration_s: tx.duration_s,
+            });
+        }
+    }
+    if horizon_s <= 0.0 {
+        return Ok(checks);
+    }
+    let mut cursor = 0.0;
+    for (index, seg) in segments.iter().enumerate() {
+        checks += 2;
+        if !seg.start_s.is_finite() || !seg.end_s.is_finite() || seg.end_s <= seg.start_s {
+            return Err(TimelineAuditError::EmptySegment {
+                index,
+                start_s: seg.start_s,
+                end_s: seg.end_s,
+            });
+        }
+        if (seg.start_s - cursor).abs() > 1e-9 {
+            return Err(TimelineAuditError::CoverageGap {
+                index,
+                expected_s: cursor,
+                actual_s: seg.start_s,
+            });
+        }
+        cursor = seg.end_s;
+    }
+    checks += 1;
+    if (cursor - horizon_s).abs() > 1e-9 {
+        return Err(TimelineAuditError::CoverageGap {
+            index: segments.len(),
+            expected_s: horizon_s,
+            actual_s: cursor,
+        });
+    }
+    let busy = merge_busy_periods(transmissions, horizon_s);
+    let required = |t: f64| {
+        let idx = busy.partition_point(|&(start, _)| start <= t);
+        if idx == 0 {
+            return RrcState::Idle;
+        }
+        let (_, end) = busy[idx - 1];
+        if t < end {
+            return RrcState::Dch;
+        }
+        let gap = t - end;
+        if gap < params.delta_dch_s() {
+            RrcState::Dch
+        } else if gap < params.delta_dch_s() + params.delta_fach_s() {
+            RrcState::Fach
+        } else {
+            RrcState::Idle
+        }
+    };
+    for (index, seg) in segments.iter().enumerate() {
+        let eps = (seg.duration_s() * 0.25).min(1e-6);
+        for t in [
+            seg.start_s + eps,
+            0.5 * (seg.start_s + seg.end_s),
+            seg.end_s - eps,
+        ] {
+            checks += 1;
+            let expected = required(t);
+            if expected != seg.state {
+                return Err(TimelineAuditError::IllegalState {
+                    index,
+                    at_s: t,
+                    expected,
+                    actual: seg.state,
+                });
+            }
+        }
+    }
+    let segment_sum_j: f64 = segments
+        .iter()
+        .map(|seg| seg.state.extra_power_mw(params) / 1000.0 * seg.duration_s())
+        .sum();
+    let analytic_j = analytic_extra_energy_j(params, transmissions, horizon_s);
+    let tolerance_j = 1e-9 * (1.0 + busy.len() as f64);
+    checks += 1;
+    if (segment_sum_j - analytic_j).abs() > tolerance_j {
+        return Err(TimelineAuditError::EnergyMismatch {
+            segment_sum_j,
+            analytic_j,
+            tolerance_j,
+        });
+    }
+    Ok(checks)
+}
+
+/// One way to damage a segment list, applied at a position.
+#[derive(Debug, Clone, Copy)]
+enum Tamper {
+    /// Leave the list as built.
+    None,
+    /// Remove the segment.
+    Drop,
+    /// Swap the segment's start and end.
+    Invert,
+    /// Move the segment by a delta, leaving its neighbours where they are.
+    Shift(f64),
+    /// Move the boundary after the segment by a delta, moving the next
+    /// segment's start with it so coverage still holds.
+    MoveBoundary(f64),
+    /// Give the segment another state.
+    Relabel(u8),
+    /// Replace the segment list with its reverse.
+    Reverse,
+}
+
+fn arb_tamper() -> impl Strategy<Value = Tamper> {
+    prop_oneof![
+        Just(Tamper::None),
+        Just(Tamper::Drop),
+        Just(Tamper::Invert),
+        (-20.0f64..20.0).prop_map(Tamper::Shift),
+        (-20.0f64..20.0).prop_map(Tamper::MoveBoundary),
+        (-1e-9f64..1e-9).prop_map(Tamper::MoveBoundary),
+        (0u8..3).prop_map(Tamper::Relabel),
+        Just(Tamper::Reverse),
+    ]
+}
+
+fn tamper(segments: &mut Vec<StateSegment>, how: Tamper, at: usize) {
+    let at = at % segments.len();
+    match how {
+        Tamper::None => {}
+        Tamper::Drop => {
+            segments.remove(at);
+        }
+        Tamper::Invert => {
+            let seg = &mut segments[at];
+            std::mem::swap(&mut seg.start_s, &mut seg.end_s);
+        }
+        Tamper::Shift(delta) => {
+            segments[at].start_s += delta;
+            segments[at].end_s += delta;
+        }
+        Tamper::MoveBoundary(delta) => {
+            segments[at].end_s += delta;
+            if let Some(next) = segments.get_mut(at + 1) {
+                next.start_s += delta;
+            }
+        }
+        Tamper::Relabel(state) => {
+            segments[at].state = [RrcState::Idle, RrcState::Fach, RrcState::Dch][state as usize];
+        }
+        Tamper::Reverse => segments.reverse(),
+    }
 }
 
 proptest! {
@@ -203,9 +370,9 @@ proptest! {
         params in arb_params(),
         txs in arb_transmissions(),
     ) {
-        let timeline = Timeline::from_transmissions(&params, &txs, 4000.0);
-        let audit = timeline.audit(&txs);
+        let (timeline, _, audit) = Timeline::audited(&params, &txs, 4000.0);
         prop_assert!(audit.is_ok(), "audit rejected a valid timeline: {:?}", audit);
+        prop_assert_eq!(timeline, Timeline::from_transmissions(&params, &txs, 4000.0));
     }
 
     /// Merged busy periods are exactly the union of the (horizon-clipped)
@@ -269,7 +436,7 @@ proptest! {
             fresh.extra_energy_j().to_bits()
         );
         prop_assert_eq!(other.time_in_states_s(), fresh.time_in_states_s());
-        prop_assert!(other.audit(&reordered).is_ok());
+        prop_assert!(Timeline::audited(&params, &reordered, horizon).2.is_ok());
     }
 
     /// The linear-walk batch sampler agrees bit-for-bit with per-sample
@@ -307,5 +474,37 @@ proptest! {
             .map(|seg| seg.state)
             .unwrap_or(RrcState::Idle);
         prop_assert_eq!(by_lookup, by_scan);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The segment audit agrees with its first-principles reference on
+    /// built timelines and on every kind of damage to them: the same
+    /// check count, or the same first error.
+    #[test]
+    fn audit_segments_matches_the_reference(
+        params in arb_params(),
+        txs in arb_transmissions(),
+        horizon in 1.0f64..4000.0,
+        how in arb_tamper(),
+        at in 0usize..64,
+        bad_tx in (prop::bool::weighted(0.1), 0usize..40),
+    ) {
+        let mut segments = Timeline::from_transmissions(&params, &txs, horizon)
+            .segments()
+            .to_vec();
+        tamper(&mut segments, how, at);
+        let mut txs = txs;
+        if let (true, index) = bad_tx {
+            if let Some(tx) = txs.get_mut(index) {
+                tx.duration_s = -1.0;
+            }
+        }
+        prop_assert_eq!(
+            audit_segments(&params, &segments, &txs, horizon),
+            reference_audit(&params, &segments, &txs, horizon)
+        );
     }
 }

@@ -48,10 +48,18 @@
 //! violation in any of them fails its experiment. The oracle keeps no
 //! state between runs: each outcome lives only in its report, and
 //! nothing reads the mode from the environment.
+//!
+//! # Cost
+//!
+//! One audit does each piece of work once: [`Timeline::audited`] merges
+//! the log's busy periods a single time and feeds that list to the
+//! rebuilt timeline, the RRC re-derivation and the busy-time check, and
+//! packet ids are counted through a sorted copy instead of a hash map.
+//! On `paper_grid`'s runs that is 70–77 µs per [`audit_run`], against
+//! 213–222 µs when each check rebuilt its own timeline and merge
+//! (DESIGN.md §12).
 
-use std::collections::HashMap;
-
-use etrain_radio::merge_busy_periods;
+use etrain_radio::{Timeline, TimelineAuditError};
 use etrain_sched::{AppProfile, OfflineProblem};
 use etrain_trace::faults::FaultPlan;
 use etrain_trace::heartbeats::Heartbeat;
@@ -387,8 +395,15 @@ pub fn audit_engine(
     plan: &FaultPlan,
 ) -> OracleOutcome {
     let mut audit = Audit::new();
-    audit_energy(&mut audit, output);
-    audit_rrc(&mut audit, output);
+    // One merge of the log's busy periods feeds the rebuilt timeline, the
+    // RRC re-derivation and the busy-time check.
+    let (timeline, busy, rrc) = Timeline::audited(
+        &output.radio_params,
+        &output.transmissions,
+        output.horizon_s,
+    );
+    audit_energy(&mut audit, output, &timeline, &busy);
+    audit_rrc(&mut audit, output, rrc);
     audit_packets(&mut audit, output, packets, plan);
     audit_heartbeats(&mut audit, output, heartbeats, plan);
     audit.finish(OracleMode::Record)
@@ -396,7 +411,13 @@ pub fn audit_engine(
 
 /// Invariant 1: the energy ledger balances across three independent
 /// accounting paths (online radio, offline timeline, analytic model).
-fn audit_energy(audit: &mut Audit, output: &EngineOutput) {
+/// `timeline` and `busy` are rebuilt from the output's transmission log.
+fn audit_energy(
+    audit: &mut Audit,
+    output: &EngineOutput,
+    timeline: &Timeline,
+    busy: &[(f64, f64)],
+) {
     for (field, value) in [
         ("transmission_energy_j", output.transmission_energy_j),
         ("tail_energy_j", output.tail_energy_j),
@@ -415,7 +436,7 @@ fn audit_energy(audit: &mut Audit, output: &EngineOutput) {
 
     let tol = energy_tolerance_j(output.transmissions.len());
     let ledger_j = output.transmission_energy_j + output.tail_energy_j;
-    let timeline_j = output.timeline().extra_energy_j();
+    let timeline_j = timeline.extra_energy_j();
     audit.check((timeline_j - ledger_j).abs() <= tol, || {
         OracleViolation::EnergyImbalance {
             timeline_j,
@@ -453,8 +474,7 @@ fn audit_energy(audit: &mut Audit, output: &EngineOutput) {
     );
 
     // Busy time equals the merged busy periods of the log.
-    let merged = merge_busy_periods(&output.transmissions, output.horizon_s);
-    let merged_busy_s: f64 = merged.iter().map(|&(s, e)| e - s).sum();
+    let merged_busy_s: f64 = busy.iter().map(|&(s, e)| e - s).sum();
     audit.check((output.busy_time_s - merged_busy_s).abs() <= tol, || {
         OracleViolation::MetricsMismatch {
             metric: "busy_time_s".to_string(),
@@ -465,10 +485,10 @@ fn audit_energy(audit: &mut Audit, output: &EngineOutput) {
 }
 
 /// Invariant 2: the rebuilt timeline obeys the RRC demotion rules and the
-/// transmission log is a legal single-radio schedule.
-fn audit_rrc(audit: &mut Audit, output: &EngineOutput) {
-    let timeline = output.timeline();
-    match timeline.audit(&output.transmissions) {
+/// transmission log is a legal single-radio schedule. `rrc` is the
+/// radio-layer audit of the rebuilt timeline.
+fn audit_rrc(audit: &mut Audit, output: &EngineOutput, rrc: Result<usize, TimelineAuditError>) {
+    match rrc {
         Ok(radio_checks) => audit.checks += radio_checks as u64,
         Err(err) => {
             audit.checks += 1;
@@ -496,11 +516,16 @@ fn audit_rrc(audit: &mut Audit, output: &EngineOutput) {
 fn audit_packets(audit: &mut Audit, output: &EngineOutput, packets: &[Packet], plan: &FaultPlan) {
     // Multiset accounting: every generated packet id must be consumed by
     // exactly one terminal state, and the leftover must match the
-    // scheduler's deferred count.
-    let mut remaining: HashMap<u64, usize> = HashMap::new();
-    for p in packets {
-        *remaining.entry(p.id).or_insert(0) += 1;
-    }
+    // scheduler's deferred count. The ids are sorted (a linear pass for a
+    // generated trace, which comes in id order); a terminal id takes the
+    // first untaken copy of its run of equal ids, and `taken[first]`
+    // counts the copies its run has given out. Terminal states come out
+    // roughly in id order, so each search starts from the last answer.
+    let mut ids: Vec<u64> = packets.iter().map(|p| p.id).collect();
+    ids.sort_unstable();
+    let mut taken = vec![0usize; ids.len()];
+    let mut consumed = 0usize;
+    let mut first = 0usize;
     let terminal_ids = output
         .completed
         .iter()
@@ -509,18 +534,20 @@ fn audit_packets(audit: &mut Audit, output: &EngineOutput, packets: &[Packet], p
         .chain(output.in_flight.iter().map(|p| p.id))
         .chain(output.shed.iter().map(|p| p.id));
     for id in terminal_ids {
-        match remaining.get_mut(&id) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                audit.checks += 1;
-            }
-            Some(_) => audit.check(false, || OracleViolation::DuplicateTerminalState {
+        first = first_at_least(&ids, id, first);
+        if ids.get(first) != Some(&id) {
+            audit.check(false, || OracleViolation::UnknownPacket { packet_id: id });
+        } else if ids.get(first + taken[first]) == Some(&id) {
+            taken[first] += 1;
+            consumed += 1;
+            audit.checks += 1;
+        } else {
+            audit.check(false, || OracleViolation::DuplicateTerminalState {
                 packet_id: id,
-            }),
-            None => audit.check(false, || OracleViolation::UnknownPacket { packet_id: id }),
+            });
         }
     }
-    let leftover: usize = remaining.values().sum();
+    let leftover = ids.len() - consumed;
     audit.check(
         leftover == output.still_deferred
             && output.completed.len()
@@ -604,6 +631,46 @@ fn audit_packets(audit: &mut Audit, output: &EngineOutput, packets: &[Packet], p
             upper,
         }
     });
+}
+
+/// `ids.partition_point(|&x| x < id)` for a sorted `ids`, found by
+/// galloping from `hint` toward the answer in doubling steps and then
+/// bisecting the last step: O(log d) comparisons for an answer `d`
+/// places from the hint, so O(1) when the hint is next to it.
+fn first_at_least(ids: &[u64], id: u64, hint: usize) -> usize {
+    let hint = hint.min(ids.len());
+    let below = |i: usize| ids[i] < id;
+    // Every index below `lo` holds a smaller id, and none from `hi` on.
+    let mut step = 1;
+    let (lo, hi) = if hint < ids.len() && below(hint) {
+        let mut lo = hint + 1;
+        let hi = loop {
+            let probe = lo + step - 1;
+            if probe >= ids.len() {
+                break ids.len();
+            }
+            if !below(probe) {
+                break probe;
+            }
+            lo = probe + 1;
+            step *= 2;
+        };
+        (lo, hi)
+    } else {
+        let mut hi = hint;
+        let lo = loop {
+            let Some(probe) = hi.checked_sub(step) else {
+                break 0;
+            };
+            if below(probe) {
+                break probe + 1;
+            }
+            hi = probe;
+            step *= 2;
+        };
+        (lo, hi)
+    };
+    lo + ids[lo..hi].partition_point(|&x| x < id)
 }
 
 /// Heartbeat conservation: the engine sends exactly the plan-filtered
@@ -937,6 +1004,36 @@ mod tests {
             relation: "above-baseline".to_string(),
         };
         assert!(v.to_string().contains("above-baseline"), "{v}");
+    }
+
+    #[test]
+    fn first_at_least_matches_a_bisection_from_any_hint() {
+        let ids: Vec<u64> = vec![0, 1, 1, 1, 4, 5, 9, 9, 12, 40, 41, 1 << 40, u64::MAX];
+        for sorted in [&ids[..], &ids[..1], &[]] {
+            for id in [
+                0,
+                1,
+                2,
+                4,
+                9,
+                10,
+                40,
+                41,
+                42,
+                1 << 40,
+                u64::MAX - 1,
+                u64::MAX,
+            ] {
+                let want = sorted.partition_point(|&x| x < id);
+                for hint in 0..=sorted.len() + 2 {
+                    assert_eq!(
+                        first_at_least(sorted, id, hint),
+                        want,
+                        "id {id} hint {hint}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

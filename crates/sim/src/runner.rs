@@ -151,9 +151,45 @@ type JobOutput = (RunReport, Option<Journal>);
 /// synthesize the same key concurrently; the first insert wins and —
 /// because generation is deterministic — both candidates are
 /// bit-identical, so the race never affects results.
+///
+/// A cache made with [`TraceCache::new`] holds every bundle until it is
+/// dropped. A grid's own cache knows how many of its jobs take each key,
+/// and drops a bundle when the last of them has taken it, so a grid over
+/// many seeds holds only the bundles of the jobs still to start.
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    entries: Mutex<HashMap<u64, TraceBundle>>,
+    entries: Mutex<Entries>,
+}
+
+#[derive(Debug, Default)]
+struct Entries {
+    /// Bundles generated and not yet dropped.
+    held: HashMap<u64, TraceBundle>,
+    /// For a grid's cache, the takes each key has left; a key absent here
+    /// is never dropped.
+    takes_left: HashMap<u64, usize>,
+    /// Distinct keys generated so far.
+    generated: usize,
+}
+
+impl Entries {
+    /// The bundle for `key`, if held, counted as one take: the last take
+    /// moves it out of the cache.
+    fn take(&mut self, key: u64) -> Option<TraceBundle> {
+        let last = match self.takes_left.get_mut(&key) {
+            Some(left) if self.held.contains_key(&key) => {
+                *left -= 1;
+                *left == 0
+            }
+            _ => false,
+        };
+        if last {
+            self.takes_left.remove(&key);
+            self.held.remove(&key)
+        } else {
+            self.held.get(&key).cloned()
+        }
+    }
 }
 
 impl TraceCache {
@@ -162,28 +198,52 @@ impl TraceCache {
         TraceCache::default()
     }
 
+    /// An empty cache for jobs that take these trace keys, one each.
+    fn for_keys(keys: &[u64]) -> Self {
+        let mut takes_left = HashMap::new();
+        for &key in keys {
+            *takes_left.entry(key).or_insert(0) += 1;
+        }
+        TraceCache {
+            entries: Mutex::new(Entries {
+                takes_left,
+                ..Entries::default()
+            }),
+        }
+    }
+
     /// Returns the bundle for `scenario`'s trace key, generating and
     /// memoizing it on first use.
     pub fn get_or_generate(&self, scenario: &Scenario) -> TraceBundle {
-        let key = scenario.trace_key();
-        if let Some(bundle) = self.lock().get(&key) {
-            return bundle.clone();
+        self.fetch(scenario.trace_key(), scenario)
+    }
+
+    /// [`TraceCache::get_or_generate`] for `scenario`'s already computed
+    /// trace `key`.
+    fn fetch(&self, key: u64, scenario: &Scenario) -> TraceBundle {
+        if let Some(bundle) = self.lock().take(key) {
+            return bundle;
         }
         let fresh = scenario.generate_traces();
-        self.lock().entry(key).or_insert(fresh).clone()
+        let mut entries = self.lock();
+        if !entries.held.contains_key(&key) {
+            entries.generated += 1;
+            entries.held.insert(key, fresh.clone());
+        }
+        entries.take(key).unwrap_or(fresh)
     }
 
     /// Number of distinct trace keys generated so far.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().generated
     }
 
     /// Whether nothing has been generated yet.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.len() == 0
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, TraceBundle>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Entries> {
         self.entries
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -336,7 +396,8 @@ impl RunGrid {
     /// its report, or its validation failure or isolated panic. One
     /// failing job neither stops nor hides the others.
     pub fn run_each(&self) -> Vec<Result<RunReport, RunError>> {
-        self.run_all(&TraceCache::new())
+        self.run_all()
+            .0
             .into_iter()
             .map(|outcome| outcome.map(|(report, _)| report))
             .collect()
@@ -356,10 +417,7 @@ impl RunGrid {
     ///
     /// Returns what [`RunGrid::try_run`] returns.
     pub fn try_run_journaled(&self) -> Result<(Vec<RunReport>, Journal), RunError> {
-        let outputs: Vec<JobOutput> = self
-            .run_all(&TraceCache::new())
-            .into_iter()
-            .collect::<Result<_, _>>()?;
+        let outputs: Vec<JobOutput> = self.run_all().0.into_iter().collect::<Result<_, _>>()?;
         let (reports, journals): (Vec<RunReport>, Vec<Journal>) = outputs
             .into_iter()
             .map(|(report, journal)| (report, journal.unwrap_or_default()))
@@ -367,15 +425,23 @@ impl RunGrid {
         Ok((reports, Journal::merge(journals)))
     }
 
-    /// The one execution path: runs every job against `cache` on
-    /// [`run_pool`] and returns the outcomes in job-index order.
-    fn run_all(&self, cache: &TraceCache) -> Vec<Result<JobOutput, RunError>> {
+    /// The one execution path: runs every job on [`run_pool`] against a
+    /// trace cache that drops each bundle once its last job has taken it,
+    /// and returns the outcomes in job-index order, with the cache.
+    fn run_all(&self) -> (Vec<Result<JobOutput, RunError>>, TraceCache) {
+        let keys: Vec<u64> = self
+            .specs
+            .iter()
+            .map(|spec| spec.scenario.trace_key())
+            .collect();
+        let cache = TraceCache::for_keys(&keys);
         let indices: Vec<usize> = (0..self.specs.len()).collect();
-        run_pool(
+        let outcomes = run_pool(
             &indices,
             resolve_workers(self.jobs, indices.len()),
-            |&index| run_job(index, &self.specs[index], cache),
-        )
+            |&index| run_job(index, &self.specs[index], keys[index], &cache),
+        );
+        (outcomes, cache)
     }
 }
 
@@ -394,11 +460,16 @@ impl Default for RunGrid {
 /// `AssertUnwindSafe` is sound here because a panicking job's only shared
 /// state is the [`TraceCache`], which is itself poison-tolerant and only
 /// ever holds fully generated bundles.
-fn run_job(index: usize, spec: &RunSpec, cache: &TraceCache) -> Result<JobOutput, RunError> {
+fn run_job(
+    index: usize,
+    spec: &RunSpec,
+    key: u64,
+    cache: &TraceCache,
+) -> Result<JobOutput, RunError> {
     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<JobOutput, ScenarioError> {
             spec.scenario.validate()?;
-            let traces = cache.get_or_generate(&spec.scenario);
+            let traces = cache.fetch(key, &spec.scenario);
             let (report, _, journal) = spec.scenario.try_run_journaled_on(&traces)?;
             Ok((report, journal))
         },
@@ -543,21 +614,60 @@ mod tests {
 
     #[test]
     fn grid_over_one_seed_generates_traces_once() {
-        let cache = TraceCache::new();
-        let grid = theta_grid(2);
-        assert!(grid.run_all(&cache).iter().all(Result::is_ok));
+        let (outcomes, cache) = theta_grid(2).run_all();
+        assert!(outcomes.iter().all(Result::is_ok));
         assert_eq!(cache.len(), 1, "same workload+seed must share one bundle");
     }
 
     #[test]
     fn distinct_seeds_get_distinct_bundles() {
-        let cache = TraceCache::new();
         let base = Scenario::paper_default().duration_secs(600);
-        let outcomes = RunGrid::over_seeds(&base, &[1, 2, 3])
-            .jobs(2)
-            .run_all(&cache);
+        let (outcomes, cache) = RunGrid::over_seeds(&base, &[1, 2, 3]).jobs(2).run_all();
         assert!(outcomes.iter().all(Result::is_ok));
         assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
+    fn a_finished_grid_holds_no_bundle_and_generated_each_key_once() {
+        let base = Scenario::paper_default().duration_secs(600);
+        // Two seeds shared by three schedulers each, plus one seed alone.
+        let specs: Vec<RunSpec> = [1, 2]
+            .iter()
+            .flat_map(|&seed| {
+                RunGrid::over_schedulers(
+                    &base.clone().seed(seed),
+                    &[
+                        SchedulerKind::Baseline,
+                        SchedulerKind::ETrain {
+                            theta: 0.2,
+                            k: None,
+                        },
+                        SchedulerKind::PerEs { omega: 0.2 },
+                    ],
+                )
+                .specs
+            })
+            .chain(RunGrid::over_seeds(&base, &[3]).specs)
+            .collect();
+        for jobs in [1, 3] {
+            let (outcomes, cache) = RunGrid::from_specs(specs.clone()).jobs(jobs).run_all();
+            assert!(outcomes.iter().all(Result::is_ok));
+            assert_eq!(cache.len(), 3, "each key generated once ({jobs} workers)");
+            let entries = cache.lock();
+            assert!(entries.held.is_empty(), "{jobs} workers");
+            assert!(entries.takes_left.is_empty(), "{jobs} workers");
+        }
+    }
+
+    #[test]
+    fn an_open_ended_cache_keeps_every_bundle() {
+        let cache = TraceCache::new();
+        let base = Scenario::paper_default().duration_secs(600);
+        for seed in [1, 2, 1] {
+            cache.get_or_generate(&base.clone().seed(seed));
+        }
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.lock().held.len(), 2);
     }
 
     #[test]

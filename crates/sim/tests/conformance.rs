@@ -7,6 +7,7 @@
 //! the exhaustive ≥200-scenario sweep is `#[ignore]`d and executed by the
 //! CI `conformance` job (`cargo test -q -- --ignored`).
 
+use etrain_radio::Transmission;
 use etrain_sim::oracle::{self, OracleMode, OracleViolation};
 use etrain_sim::{
     audit_scheduler_ordering, conformance_kinds, AdmissionConfig, CasePlan, EngineKind,
@@ -586,4 +587,189 @@ fn empty_workload_passes_strict_oracle_end_to_end() {
     assert_eq!(report.normalized_delay_s, 0.0);
     assert_eq!(report.deadline_violation_ratio, 0.0);
     assert!(report.oracle.expect("outcome attached").is_clean());
+}
+
+/// The oracle's outcome for one paper-default run: every check counted
+/// and every violation found, under `Record` so a violation would show
+/// instead of failing the run.
+fn paper_default_outcome(lambda: f64, kind: SchedulerKind) -> oracle::OracleOutcome {
+    Scenario::paper_default()
+        .oracle(OracleMode::Record)
+        .lambda(lambda)
+        .scheduler(kind)
+        .seed(5)
+        .try_run()
+        .expect("paper-default scenario is valid")
+        .oracle
+        .expect("record attaches outcome")
+}
+
+/// An audited outcome with exactly `checks` checks and `violations`.
+fn outcome(checks: u64, violations: Vec<OracleViolation>) -> oracle::OracleOutcome {
+    oracle::OracleOutcome {
+        mode: OracleMode::Record,
+        checks,
+        violations,
+    }
+}
+
+/// The oracle's exact outcomes — check counts included — on full-length
+/// paper-default runs at a light and a heavy load, so a change to how
+/// the audit computes can be seen to change nothing it reports.
+#[test]
+fn oracle_outcomes_of_paper_default_runs_are_pinned() {
+    let kinds = [
+        SchedulerKind::Baseline,
+        SchedulerKind::ETrain {
+            theta: 0.2,
+            k: None,
+        },
+        SchedulerKind::PerEs { omega: 0.2 },
+    ];
+    for (lambda, checks) in [(0.04, [4693, 4465, 4405]), (0.32, [10455, 10749, 12921])] {
+        for (kind, checks) in kinds.into_iter().zip(checks) {
+            assert_eq!(
+                paper_default_outcome(lambda, kind),
+                outcome(checks, Vec::new()),
+                "λ={lambda} {kind}"
+            );
+        }
+    }
+}
+
+#[test]
+fn oracle_outcome_of_a_lossy_run_is_pinned() {
+    let report = Scenario::paper_default()
+        .oracle(OracleMode::Record)
+        .lambda(0.16)
+        .faults(FaultPlan::seeded(9).with_loss(0.2))
+        .seed(6)
+        .try_run()
+        .expect("lossy scenario is valid");
+    assert!(report.retries > 0, "the plan lost transmissions");
+    assert_eq!(report.oracle, Some(outcome(8272, Vec::new())));
+}
+
+/// Packets whose ids are sparse (up to `u64::MAX`) and repeated: ids 7
+/// and 2⁴⁰ are each carried by several packets.
+fn sparse_repeated_packets() -> Vec<Packet> {
+    let ids = [7, 1 << 40, 7, u64::MAX, 123_456_789, 1 << 40, 7, 0];
+    (0..48)
+        .map(|i| Packet {
+            id: ids[i % ids.len()] ^ ((i / ids.len()) as u64 * 3),
+            app: CargoAppId(i % 3),
+            arrival_s: 5.0 + i as f64 * 17.5,
+            size_bytes: 1_500 + (i as u64 * 397) % 6_000,
+        })
+        .collect()
+}
+
+#[test]
+fn oracle_outcome_of_an_override_trace_with_sparse_repeated_ids_is_pinned() {
+    let packets = sparse_repeated_packets();
+    let scenario = Scenario::paper_default()
+        .oracle(OracleMode::Off)
+        .duration_secs(1200)
+        .packets(packets.clone())
+        .scheduler(SchedulerKind::ETrain {
+            theta: 0.2,
+            k: None,
+        });
+    let traces = scenario.generate_traces();
+    let (_, mut output, _) = scenario
+        .try_run_journaled_on(&traces)
+        .expect("override scenario is valid");
+    let heartbeats = traces.heartbeats.to_vec();
+    assert_eq!(
+        oracle::audit_engine(&output, &packets, &heartbeats, &FaultPlan::none()),
+        outcome(736, Vec::new())
+    );
+
+    // Three more terminal states for id 7, which three packets carry, and
+    // one for id 5, which no packet carries.
+    let repeated = *output
+        .completed
+        .iter()
+        .find(|c| c.packet.id == 7)
+        .expect("a packet with id 7 completed");
+    for _ in 0..3 {
+        output.completed.push(repeated);
+    }
+    let mut stranger = repeated;
+    stranger.packet.id = 5;
+    output.completed.push(stranger);
+    assert_eq!(
+        oracle::audit_engine(&output, &packets, &heartbeats, &FaultPlan::none()),
+        outcome(
+            744,
+            vec![
+                OracleViolation::DuplicateTerminalState { packet_id: 7 },
+                OracleViolation::DuplicateTerminalState { packet_id: 7 },
+                OracleViolation::DuplicateTerminalState { packet_id: 7 },
+                OracleViolation::UnknownPacket { packet_id: 5 },
+                OracleViolation::PacketConservation {
+                    generated: 48,
+                    completed: 52,
+                    abandoned: 0,
+                    in_flight: 0,
+                    still_deferred: 0,
+                    shed: 0,
+                },
+            ]
+        )
+    );
+}
+
+#[test]
+fn oracle_outcomes_of_tampered_logs_are_pinned() {
+    let tampered = |tamper: fn(&mut Vec<Transmission>)| {
+        let (mut output, packets, heartbeats) = reference_run();
+        tamper(&mut output.transmissions);
+        oracle::audit_engine(&output, &packets, &heartbeats, &FaultPlan::none())
+    };
+    let busy_time = |recomputed| OracleViolation::MetricsMismatch {
+        metric: "busy_time_s".to_string(),
+        reported: 30.78932693137734,
+        recomputed,
+    };
+    assert_eq!(
+        tampered(|log| log.last_mut().expect("has transmissions").duration_s *= 0.5),
+        outcome(840, vec![busy_time(30.76587059317172)])
+    );
+    assert_eq!(
+        tampered(|log| log.push(log[0])),
+        outcome(
+            842,
+            vec![
+                OracleViolation::OverlappingTransmissions {
+                    index: 81,
+                    end_s: 899.8567036902552,
+                    next_start_s: 0.0,
+                },
+                OracleViolation::TransmissionCount {
+                    logged: 83,
+                    lower: 71,
+                    upper: 82,
+                },
+            ]
+        )
+    );
+    assert_eq!(
+        tampered(|log| log[3].duration_s = -1.0),
+        outcome(
+            241,
+            vec![
+                OracleViolation::EnergyImbalance {
+                    timeline_j: 454.8474775300908,
+                    ledger_j: 454.84771730612624,
+                    tolerance_j: 8.3e-8,
+                },
+                busy_time(30.78898439418375),
+                OracleViolation::IllegalTimeline {
+                    detail: "transmission #3 has invalid timing (start 20.016794702400894 s, duration -1 s)"
+                        .to_string(),
+                },
+            ]
+        )
+    );
 }
