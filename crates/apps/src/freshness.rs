@@ -262,4 +262,13 @@ mod tests {
         assert_eq!(plan.empty_fetches, 8);
         assert_eq!(plan.mean_staleness_s, 0.0);
     }
+
+    #[test]
+    fn updates_are_seeded_and_stop_before_the_horizon() {
+        assert!(generate_updates(300.0, 0.0, 4).is_empty());
+        let a = generate_updates(50.0, 1_000.0, 9);
+        assert_eq!(a, generate_updates(50.0, 1_000.0, 9));
+        assert_ne!(a, generate_updates(50.0, 1_000.0, 10));
+        assert!(a.iter().all(|u| (0.0..1_000.0).contains(&u.available_s)));
+    }
 }

@@ -30,7 +30,8 @@
 //!     &CargoAppModel::weibo(),
 //!     &TrainAppSpec::paper_trio(),
 //!     CoreConfig::default(),
-//! );
+//! )
+//! .expect("a generated trace starts at 0 s");
 //! // Every upload is eventually decided (trains keep coming).
 //! assert_eq!(outcome.undelivered, 0);
 //! assert!(outcome.piggyback_ratio > 0.0);
@@ -38,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod freshness;
 mod model;

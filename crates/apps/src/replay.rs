@@ -12,7 +12,7 @@
 //!   energy of the replay can be measured by `etrain-sim` (used by the
 //!   Fig. 11 reproduction).
 
-use etrain_core::{CoreConfig, ETrainCore, TransmitDecision, TransmitRequest};
+use etrain_core::{CoreConfig, CoreError, ETrainCore, TransmitDecision, TransmitRequest};
 use etrain_trace::heartbeats::TrainAppSpec;
 use etrain_trace::packets::Packet;
 use etrain_trace::user::{AppUseTrace, BehaviorType};
@@ -44,12 +44,18 @@ pub struct ReplayOutcome {
 /// Browse records carry no uplink data and are skipped, matching the
 /// paper's replay ("replays the user traces ... record the energy
 /// consumption").
+///
+/// # Errors
+///
+/// Returns the core's [`CoreError::TimeWentBackwards`] when an upload
+/// record or a train departure comes before the core's clock, which starts
+/// at 0 s (a record with a negative `time_s`, say).
 pub fn replay_through_core(
     trace: &AppUseTrace,
     model: &CargoAppModel,
     trains: &[TrainAppSpec],
     config: CoreConfig,
-) -> ReplayOutcome {
+) -> Result<ReplayOutcome, CoreError> {
     let mut core = ETrainCore::new(config);
     let train_ids: Vec<_> = trains
         .iter()
@@ -78,22 +84,19 @@ pub fn replay_through_core(
     let mut next_tick = 0.0f64;
     for (t, event) in events {
         while next_tick < t {
-            decisions.extend(core.tick(next_tick).expect("monotone ticks"));
+            decisions.extend(core.tick(next_tick)?);
             next_tick += 1.0;
         }
         match event {
-            Event::Heartbeat(id) => {
-                decisions.extend(core.on_heartbeat(id, t).expect("registered train"));
-            }
+            Event::Heartbeat(id) => decisions.extend(core.on_heartbeat(id, t)?),
             Event::Upload(size) => {
                 submitted += 1;
-                core.submit(app, TransmitRequest::upload(size.max(1)), t)
-                    .expect("registered cargo app");
+                core.submit(app, TransmitRequest::upload(size.max(1)), t)?;
             }
         }
     }
     while next_tick <= horizon {
-        decisions.extend(core.tick(next_tick).expect("monotone ticks"));
+        decisions.extend(core.tick(next_tick)?);
         next_tick += 1.0;
     }
 
@@ -117,7 +120,7 @@ pub fn replay_through_core(
             }
         }
         let Some((t, id)) = next else { break };
-        decisions.extend(core.on_heartbeat(id, t).expect("registered train"));
+        decisions.extend(core.on_heartbeat(id, t)?);
         drained_heartbeats += 1;
         t_cursor = t;
     }
@@ -137,7 +140,7 @@ pub fn replay_through_core(
         .map(|spec| spec.pattern.departure_times(spec.phase_s, horizon).len())
         .sum::<usize>()
         + drained_heartbeats;
-    ReplayOutcome {
+    Ok(ReplayOutcome {
         piggyback_ratio: if decided > 0 {
             piggybacked as f64 / decided as f64
         } else {
@@ -147,7 +150,7 @@ pub fn replay_through_core(
         mean_delay_s,
         decisions,
         heartbeats,
-    }
+    })
 }
 
 enum Event {
@@ -179,7 +182,7 @@ pub fn to_packets(trace: &AppUseTrace, app: CargoAppId) -> Vec<Packet> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etrain_trace::user::{generate_app_use, Activeness};
+    use etrain_trace::user::{generate_app_use, Activeness, UserBehaviorRecord};
 
     fn trace() -> AppUseTrace {
         generate_app_use(1, Activeness::Moderate, 9).normalized_to(600.0)
@@ -192,7 +195,8 @@ mod tests {
             &CargoAppModel::weibo(),
             &TrainAppSpec::paper_trio(),
             CoreConfig::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(outcome.undelivered, 0);
         assert_eq!(
             outcome.decisions.len(),
@@ -213,7 +217,8 @@ mod tests {
             &CargoAppModel::weibo(),
             &TrainAppSpec::paper_trio(),
             config,
-        );
+        )
+        .unwrap();
         assert_eq!(outcome.undelivered, 0);
         assert!(
             outcome.piggyback_ratio > 0.9,
@@ -230,7 +235,8 @@ mod tests {
             &CargoAppModel::weibo(),
             &[],
             CoreConfig::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(outcome.undelivered, 0);
         assert_eq!(outcome.piggyback_ratio, 0.0);
         assert!(outcome.mean_delay_s < 2.0);
@@ -259,7 +265,128 @@ mod tests {
                 &TrainAppSpec::paper_trio(),
                 CoreConfig::default(),
             )
+            .unwrap()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn an_upload_before_the_core_clock_is_an_error_not_a_panic() {
+        let mut early = trace();
+        let mut upload = *early
+            .records
+            .iter()
+            .find(|r| r.behavior == BehaviorType::Upload)
+            .unwrap();
+        upload.time_s = -5.0;
+        early.records.insert(0, upload);
+        let err = replay_through_core(
+            &early,
+            &CargoAppModel::weibo(),
+            &TrainAppSpec::paper_trio(),
+            CoreConfig::default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::TimeWentBackwards {
+                now_s: 0.0,
+                supplied_s: -5.0
+            }
+        );
+    }
+
+    /// A hand-made trace of `duration_s` seconds with the given records.
+    fn handmade(duration_s: f64, records: &[(BehaviorType, f64, u64)]) -> AppUseTrace {
+        AppUseTrace {
+            user_id: 0,
+            activeness: Activeness::Moderate,
+            records: records
+                .iter()
+                .map(|&(behavior, time_s, size_bytes)| UserBehaviorRecord {
+                    user_id: 0,
+                    behavior,
+                    time_s,
+                    size_bytes,
+                })
+                .collect(),
+            duration_s,
+        }
+    }
+
+    #[test]
+    fn a_train_departing_before_the_core_clock_is_an_error_not_a_panic() {
+        let early_train = TrainAppSpec::qq().with_phase(-10.0);
+        let err = replay_through_core(
+            &trace(),
+            &CargoAppModel::weibo(),
+            &[early_train],
+            CoreConfig::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, CoreError::TimeWentBackwards { supplied_s, .. } if supplied_s == -10.0),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn browse_records_replay_to_no_requests() {
+        let browsing = handmade(
+            600.0,
+            &[
+                (BehaviorType::Browse, 5.0, 0),
+                (BehaviorType::Browse, 90.0, 0),
+            ],
+        );
+        let outcome = replay_through_core(
+            &browsing,
+            &CargoAppModel::weibo(),
+            &[TrainAppSpec::qq()],
+            CoreConfig::default(),
+        )
+        .unwrap();
+        assert!(outcome.decisions.is_empty());
+        assert_eq!(outcome.undelivered, 0);
+        assert_eq!((outcome.mean_delay_s, outcome.piggyback_ratio), (0.0, 0.0));
+        // QQ departs at 0 s and 300 s within the 600 s horizon.
+        assert_eq!(outcome.heartbeats, 2);
+    }
+
+    #[test]
+    fn an_upload_after_the_last_train_rides_the_next_departure_past_the_horizon() {
+        let late = handmade(600.0, &[(BehaviorType::Upload, 590.0, 400)]);
+        let outcome = replay_through_core(
+            &late,
+            &CargoAppModel::mail(),
+            &[TrainAppSpec::qq()],
+            CoreConfig {
+                theta: 1e9,
+                ..CoreConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(outcome.undelivered, 0);
+        let [decision] = outcome.decisions.as_slice() else {
+            panic!("{:?}", outcome.decisions);
+        };
+        assert_eq!(decision.decided_at_s, 900.0);
+        assert_eq!(decision.size_bytes, 400);
+        assert!(decision.piggybacked_on.is_some());
+        assert_eq!(outcome.piggyback_ratio, 1.0);
+        assert_eq!(outcome.mean_delay_s, 310.0);
+        // Two departures inside the horizon plus the one drained past it.
+        assert_eq!(outcome.heartbeats, 3);
+    }
+
+    #[test]
+    fn a_zero_byte_upload_is_sent_as_one_byte() {
+        let empty = handmade(600.0, &[(BehaviorType::Upload, 10.0, 0)]);
+        let outcome =
+            replay_through_core(&empty, &CargoAppModel::weibo(), &[], CoreConfig::default())
+                .unwrap();
+        assert_eq!(outcome.decisions.len(), 1);
+        assert_eq!(outcome.decisions[0].size_bytes, 1);
+        assert_eq!(to_packets(&empty, CargoAppId(0))[0].size_bytes, 1);
     }
 }

@@ -303,17 +303,6 @@ impl ETrainCore {
         self.pending.len()
     }
 
-    /// Number of decided requests whose transmission outcome has not been
-    /// reported yet (via [`ETrainCore::report_result`]).
-    pub fn awaiting_results(&self) -> usize {
-        self.awaiting.len()
-    }
-
-    /// Number of failed requests currently waiting out a retry backoff.
-    pub fn backing_off(&self) -> usize {
-        self.backoffs.len()
-    }
-
     /// Cumulative operational counters since startup.
     pub fn stats(&self) -> CoreStats {
         self.stats
@@ -1121,7 +1110,7 @@ mod tests {
         core.submit(mail, TransmitRequest::upload(200), 4.0)
             .unwrap();
         assert!(core.tick(10.0).unwrap().is_empty());
-        assert_eq!(core.backing_off(), 0, "the retry is queued again");
+        assert_eq!(core.backoffs.len(), 0, "the retry is queued again");
         core.register_cargo(AppProfile::new("Weibo", CostProfile::weibo(120.0)));
         let decisions = core.on_heartbeat(train, 20.0).unwrap();
         let riding: Vec<(RequestId, f64)> = decisions
@@ -1294,7 +1283,7 @@ mod tests {
             .unwrap();
         let decisions = core.on_heartbeat(train, 270.0).unwrap();
         assert_eq!(decisions.len(), 1);
-        assert_eq!(core.awaiting_results(), 1);
+        assert_eq!(core.awaiting.len(), 1);
 
         // The transfer fails: a backed-off retry is scheduled.
         let verdict = core.report_result(id, TxResult::Failed, 271.0).unwrap();
@@ -1305,17 +1294,17 @@ mod tests {
             resume_at_s > 271.0 && resume_at_s < 275.0,
             "~2 s base backoff, got resume at {resume_at_s}"
         );
-        assert_eq!(core.backing_off(), 1);
-        assert_eq!(core.awaiting_results(), 0);
+        assert_eq!(core.backoffs.len(), 1);
+        assert_eq!(core.awaiting.len(), 0);
 
         // Before the backoff elapses nothing re-enters the scheduler.
         assert!(core.tick(271.2).unwrap().is_empty());
-        assert_eq!(core.backing_off(), 1);
+        assert_eq!(core.backoffs.len(), 1);
 
         // After it elapses the request is re-admitted (and defers again —
         // Θ is high in this fixture — until the next train).
         assert!(core.tick(resume_at_s + 0.1).unwrap().is_empty());
-        assert_eq!(core.backing_off(), 0);
+        assert_eq!(core.backoffs.len(), 0);
         assert_eq!(core.pending_requests(), 1);
         let decisions = core.on_heartbeat(train, 540.0).unwrap();
         assert_eq!(decisions.len(), 1);
@@ -1369,7 +1358,7 @@ mod tests {
         let verdict = core.report_result(id, TxResult::Failed, 541.0).unwrap();
         assert_eq!(verdict, RetryVerdict::Abandoned);
         assert_eq!(core.stats().abandoned, 1);
-        assert_eq!(core.backing_off(), 0);
+        assert_eq!(core.backoffs.len(), 0);
         assert_eq!(core.pending_requests(), 0);
     }
 
@@ -1426,10 +1415,10 @@ mod tests {
             .unwrap();
         core.on_heartbeat(train, 270.0).unwrap();
         core.report_result(id, TxResult::Failed, 271.0).unwrap();
-        assert_eq!(core.backing_off(), 1);
+        assert_eq!(core.backoffs.len(), 1);
         assert!(core.cancel_backoff(id));
         assert!(!core.cancel_backoff(id), "second cancel is a no-op");
-        assert_eq!(core.backing_off(), 0);
+        assert_eq!(core.backoffs.len(), 0);
         assert_eq!(core.stats().cancelled, 1);
         // The request never comes back.
         assert!(core.tick(400.0).unwrap().is_empty());
@@ -1500,7 +1489,7 @@ mod tests {
         assert!(core.cancel(cancelled));
         // The backoff elapses: R is pending again, with its override.
         assert!(core.tick(7.0).unwrap().is_empty());
-        assert_eq!(core.backing_off(), 0);
+        assert_eq!(core.backoffs.len(), 0);
         let doomed = id(core.submit(cargo, with(15.0), 8.0).unwrap());
         // Full: the youngest, cheapest request (the 15 s one) is evicted.
         let admission = core
@@ -1606,7 +1595,7 @@ mod tests {
         assert_eq!(stats.forced_flushes, 1);
         assert_eq!(stats.decided, 1);
         // The flushed decision is awaiting a result like any other.
-        assert_eq!(core.awaiting_results(), 1);
+        assert_eq!(core.awaiting.len(), 1);
         assert_eq!(
             core.report_result(oldest, TxResult::Delivered, 4.0)
                 .unwrap(),
@@ -1630,7 +1619,8 @@ mod tests {
         assert!(core
             .submit(mail, TransmitRequest::upload(1), 1.0)
             .unwrap()
-            .is_admitted());
+            .id()
+            .is_some());
         assert_eq!(
             core.submit(mail, TransmitRequest::upload(1), 2.0).unwrap(),
             Admission::Rejected,
@@ -1639,7 +1629,8 @@ mod tests {
         assert!(
             core.submit(weibo, TransmitRequest::upload(1), 3.0)
                 .unwrap()
-                .is_admitted(),
+                .id()
+                .is_some(),
             "weibo has its own budget"
         );
     }
@@ -1663,7 +1654,7 @@ mod tests {
         assert_eq!(decisions.len(), 2);
         core.report_result(failing, TxResult::Failed, 271.0)
             .unwrap();
-        assert_eq!(core.backing_off(), 1);
+        assert_eq!(core.backoffs.len(), 1);
         // Re-queue another request that will still be waiting.
         assert_eq!(
             core.report_result(queued, TxResult::Delivered, 272.0)
@@ -1680,7 +1671,7 @@ mod tests {
         drained.sort();
         assert_eq!(drained, vec![failing, waiting]);
         assert_eq!(core.pending_requests(), 0);
-        assert_eq!(core.backing_off(), 0);
+        assert_eq!(core.backoffs.len(), 0);
         assert!(core.drain().is_empty(), "drain is idempotent");
     }
 
@@ -1790,7 +1781,10 @@ mod tests {
             k: Some(12),
             slot_s: 0.5,
             startup_grace_s: 120.0,
-            retry: RetryPolicy::for_deadline(90.0),
+            retry: RetryPolicy {
+                give_up_age_s: 270.0,
+                ..RetryPolicy::default()
+            },
             admission: AdmissionConfig::unbounded()
                 .with_global_capacity(64)
                 .with_policy(ShedPolicy::DropLowestValue),

@@ -75,3 +75,80 @@ pub fn write_admission(out: &mut String, admission: &Admission) {
     }
     out.push_str("}}");
 }
+
+#[cfg(test)]
+mod tests {
+    use etrain_trace::{CargoAppId, TrainAppId};
+
+    use super::*;
+
+    fn written(write: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        write(&mut out);
+        out
+    }
+
+    fn decision(piggybacked_on: Option<TrainAppId>) -> TransmitDecision {
+        TransmitDecision {
+            request: RequestId(7),
+            app: CargoAppId(2),
+            size_bytes: 1_500,
+            decided_at_s: 12.0,
+            submitted_at_s: 3.25,
+            piggybacked_on,
+        }
+    }
+
+    /// Checkpoints hash these bytes, so they are pinned literally, not
+    /// only against the serde rendering.
+    #[test]
+    fn decisions_and_packets_have_pinned_bytes() {
+        assert_eq!(
+            written(|out| write_decision(out, &decision(Some(TrainAppId(1))))),
+            r#"{"request":7,"app":2,"size_bytes":1500,"decided_at_s":12.0,"submitted_at_s":3.25,"piggybacked_on":1}"#
+        );
+        assert_eq!(
+            written(|out| write_decision(out, &decision(None))),
+            r#"{"request":7,"app":2,"size_bytes":1500,"decided_at_s":12.0,"submitted_at_s":3.25,"piggybacked_on":null}"#
+        );
+        let packet = Packet {
+            id: 9,
+            app: CargoAppId(0),
+            arrival_s: -0.5,
+            size_bytes: 1,
+        };
+        assert_eq!(
+            written(|out| write_packet(out, &packet)),
+            r#"{"id":9,"app":0,"arrival_s":-0.5,"size_bytes":1}"#
+        );
+    }
+
+    #[test]
+    fn each_admission_variant_has_pinned_bytes() {
+        let (id, evicted) = (RequestId(4), RequestId(u64::MAX));
+        let cases = [
+            (
+                Admission::Admitted { id },
+                r#"{"Admitted":{"id":4}}"#.to_owned(),
+            ),
+            (
+                Admission::AdmittedWithEviction { id, evicted },
+                r#"{"AdmittedWithEviction":{"id":4,"evicted":18446744073709551615}}"#.to_owned(),
+            ),
+            (
+                Admission::AdmittedWithFlush {
+                    id,
+                    flushed: decision(None),
+                },
+                format!(
+                    r#"{{"AdmittedWithFlush":{{"id":4,"flushed":{}}}}}"#,
+                    written(|out| write_decision(out, &decision(None)))
+                ),
+            ),
+            (Admission::Rejected, r#""Rejected""#.to_owned()),
+        ];
+        for (admission, bytes) in cases {
+            assert_eq!(written(|out| write_admission(out, &admission)), bytes);
+        }
+    }
+}

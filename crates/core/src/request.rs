@@ -143,12 +143,6 @@ impl Admission {
             Admission::Rejected => None,
         }
     }
-
-    /// Whether the request entered the system (possibly at another
-    /// request's expense).
-    pub fn is_admitted(&self) -> bool {
-        self.id().is_some()
-    }
 }
 
 /// Outcome of a transmission attempt, reported back by the cargo app (or
@@ -227,9 +221,7 @@ mod tests {
             Admission::AdmittedWithFlush { id, flushed },
         ] {
             assert_eq!(admitted.id(), Some(id));
-            assert!(admitted.is_admitted());
         }
         assert_eq!(Admission::Rejected.id(), None);
-        assert!(!Admission::Rejected.is_admitted());
     }
 }

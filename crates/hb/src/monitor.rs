@@ -133,25 +133,6 @@ impl HeartbeatMonitor {
             })
             .min_by(|a, b| a.1.total_cmp(&b.1))
     }
-
-    /// All predicted departures in `(after_s, until_s]`, merged across live
-    /// train apps and time-sorted. This is the set `H` of paper Sec. III-C
-    /// restricted to the lookahead window.
-    pub fn departures_between(&self, after_s: f64, until_s: f64) -> Vec<(TrainAppId, f64)> {
-        let mut out: Vec<(TrainAppId, f64)> = self
-            .detectors
-            .iter()
-            .filter(|&(&train, _)| self.status(train, after_s) != TrainStatus::Dead)
-            .flat_map(|(&train, detector)| {
-                detector
-                    .predict_until(after_s, until_s)
-                    .into_iter()
-                    .map(move |t| (train, t))
-            })
-            .collect();
-        out.sort_by(|a, b| a.1.total_cmp(&b.1));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -186,13 +167,21 @@ mod tests {
     }
 
     #[test]
-    fn departures_between_merges_and_sorts() {
+    fn next_departure_walks_the_merged_departures_in_order() {
         let m = fed_monitor();
-        let deps = m.departures_between(1200.0, 2000.0);
-        assert!(!deps.is_empty());
-        assert!(deps.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert!(deps.iter().any(|&(train, _)| train == TrainAppId(0)));
-        assert!(deps.iter().any(|&(train, _)| train == TrainAppId(1)));
+        // Querying from each departure yields the next one across both
+        // apps: WhatsApp at 1220 and 1460, then QQ at 1500.
+        let mut now = 1_200.0;
+        let mut seen = Vec::new();
+        while let Some((train, at)) = m.next_departure(now) {
+            if at > 1_600.0 {
+                break;
+            }
+            assert!(at > now, "{at} after {now}");
+            seen.push(train);
+            now = at;
+        }
+        assert_eq!(seen, [TrainAppId(1), TrainAppId(1), TrainAppId(0)]);
     }
 
     #[test]
@@ -211,8 +200,9 @@ mod tests {
             m.observe(TrainAppId(0), j as f64 * 300.0); // dies after 1200
             m.observe(TrainAppId(1), j as f64 * 240.0 + 5000.0); // active later
         }
-        let deps = m.departures_between(6000.0, 7000.0);
-        assert!(deps.iter().all(|&(train, _)| train == TrainAppId(1)));
+        let (train, at) = m.next_departure(6000.0).unwrap();
+        assert_eq!(train, TrainAppId(1));
+        assert!((at - 6_200.0).abs() < 1.0, "{at}");
     }
 
     #[test]
@@ -260,13 +250,26 @@ mod tests {
         assert_eq!(m.pattern(TrainAppId(5)), DetectedPattern::Unknown);
         assert_eq!(m.status(TrainAppId(5), 1_300.0), TrainStatus::Undetermined);
         assert!(m
-            .departures_between(1_200.0, 5_000.0)
-            .iter()
-            .all(|&(train, _)| train != TrainAppId(5)));
+            .next_departure(1_200.0)
+            .is_some_and(|(train, _)| train != TrainAppId(5)));
         assert!(matches!(
             m.pattern(TrainAppId(0)),
             DetectedPattern::Fixed { .. }
         ));
         assert!(HeartbeatMonitor::new().next_departure(0.0).is_none());
+    }
+
+    #[test]
+    fn a_removed_train_no_longer_carries_departures() {
+        let mut m = fed_monitor();
+        assert_eq!(
+            m.next_departure(1_200.0).map(|(train, _)| train),
+            Some(TrainAppId(1))
+        );
+        assert!(m.remove(TrainAppId(1)));
+        let (train, at) = m.next_departure(1_200.0).unwrap();
+        assert_eq!(train, TrainAppId(0));
+        assert!((at - 1_500.0).abs() < 1.0, "{at}");
+        assert_eq!(m.status(TrainAppId(1), 1_200.0), TrainStatus::Undetermined);
     }
 }

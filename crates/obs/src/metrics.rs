@@ -275,20 +275,6 @@ pub struct MetricsSnapshot {
     pub max_queue_depth: Option<f64>,
 }
 
-impl MetricsSnapshot {
-    /// Sum of the per-RRC-state energy gauges, or `None` if none of them
-    /// was measured. Cross-checked against `RunReport::total_energy_j` by
-    /// the conformance tests.
-    pub fn energy_total_j(&self) -> Option<f64> {
-        match (self.energy_idle_j, self.energy_fach_j, self.energy_dch_j) {
-            (None, None, None) => None,
-            (idle, fach, dch) => {
-                Some(idle.unwrap_or(0.0) + fach.unwrap_or(0.0) + dch.unwrap_or(0.0))
-            }
-        }
-    }
-}
-
 // Hand-written so that `None` fields are omitted from the object rather
 // than encoded as `null` (the vendored serde_derive has no
 // `skip_serializing_if`); pairs with the derived `Deserialize`, which
@@ -388,7 +374,7 @@ mod tests {
         registry.queue_depth.observe(2.0);
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.tail_utilization, Some(0.75));
-        assert_eq!(snapshot.energy_total_j(), Some(4.0));
+        assert_eq!(snapshot.energy_fach_j, Some(0.0));
         let json = serde_json::to_string(&snapshot).unwrap();
         assert!(json.contains("\"energy_fach_j\":0"), "{json}");
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
@@ -398,7 +384,9 @@ mod tests {
     #[test]
     fn energy_total_absent_when_unmeasured() {
         let snapshot = MetricsRegistry::new().snapshot();
-        assert_eq!(snapshot.energy_total_j(), None);
+        assert_eq!(snapshot.energy_idle_j, None);
+        assert_eq!(snapshot.energy_fach_j, None);
+        assert_eq!(snapshot.energy_dch_j, None);
     }
 
     #[test]

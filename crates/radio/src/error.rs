@@ -62,3 +62,65 @@ impl fmt::Display for RadioError {
 }
 
 impl Error for RadioError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Transmission;
+
+    #[test]
+    fn parameter_errors_name_the_parameter_and_its_value() {
+        let power = RadioError::InvalidPower {
+            name: "dch_mw",
+            value_mw: -1.0,
+        };
+        assert_eq!(
+            power.to_string(),
+            "power parameter `dch_mw` is invalid: -1 mW"
+        );
+        let duration = RadioError::InvalidDuration {
+            name: "t1_s",
+            value_s: f64::NAN,
+        };
+        assert_eq!(
+            duration.to_string(),
+            "duration parameter `t1_s` is invalid: NaN s"
+        );
+    }
+
+    #[test]
+    fn an_ordering_error_lists_all_three_power_levels() {
+        let err = RadioError::PowerOrdering {
+            idle_mw: 20.0,
+            fach_mw: 700.0,
+            dch_mw: 500.0,
+        };
+        assert_eq!(
+            err.to_string(),
+            "power ordering violated: need idle (20 mW) <= fach (700 mW) <= dch (500 mW)"
+        );
+    }
+
+    #[test]
+    fn a_transmission_outside_time_fails_validation_with_its_timing() {
+        assert_eq!(Transmission::new(0.0, 0.0).validate(), Ok(()));
+        for (start_s, duration_s) in [(-1.0, 2.0), (1.0, -0.5), (f64::INFINITY, 1.0)] {
+            let err = Transmission::new(start_s, duration_s)
+                .validate()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                RadioError::InvalidTransmission {
+                    start_s,
+                    duration_s
+                }
+            );
+            assert!(
+                err.to_string().contains(&format!("{duration_s} s")),
+                "{err}"
+            );
+        }
+        let nan = Transmission::new(1.0, f64::NAN).validate();
+        assert!(matches!(nan, Err(RadioError::InvalidTransmission { .. })));
+    }
+}

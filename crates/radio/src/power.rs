@@ -64,17 +64,6 @@ impl PowerTrace {
         self.samples_mw.iter().sum::<f64>() * self.dt_s / 1000.0
     }
 
-    /// Integrated energy above the given baseline power, clamped at zero per
-    /// sample, in joules. Used to separate radio energy from standby energy.
-    pub fn energy_above_j(&self, baseline_mw: f64) -> f64 {
-        self.samples_mw
-            .iter()
-            .map(|&p| (p - baseline_mw).max(0.0))
-            .sum::<f64>()
-            * self.dt_s
-            / 1000.0
-    }
-
     /// Iterates over `(time_s, power_mw)` pairs, one per sample.
     pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         self.samples_mw
@@ -83,8 +72,10 @@ impl PowerTrace {
             .map(move |(i, &p)| (i as f64 * self.dt_s, p))
     }
 
-    /// Downsamples the trace by averaging blocks of `factor` samples,
-    /// keeping total energy (useful for plotting long captures).
+    /// Downsamples the trace by averaging blocks of `factor` samples
+    /// (useful for plotting long captures). Each bucket keeps its mean
+    /// power, so total energy is kept when `factor` divides the sample
+    /// count; a shorter last block is averaged over its own samples.
     ///
     /// # Panics
     ///
@@ -111,18 +102,10 @@ mod tests {
     }
 
     #[test]
-    fn energy_above_baseline_clamps() {
-        let trace = PowerTrace::new(1.0, vec![10.0, 30.0, 50.0]);
-        // Above 20 mW: 0 + 10 + 30 = 40 mW·s = 0.04 J.
-        assert!((trace.energy_above_j(20.0) - 0.04).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_trace_statistics() {
         let trace = PowerTrace::new(0.1, vec![]);
         assert!(trace.is_empty());
         assert_eq!(trace.energy_j(), 0.0);
-        assert_eq!(trace.energy_above_j(10.0), 0.0);
         assert_eq!(trace.duration_s(), 0.0);
     }
 
@@ -139,11 +122,21 @@ mod tests {
         let down = trace.downsample(10);
         assert_eq!(down.len(), 10);
         assert!((down.energy_j() - trace.energy_j()).abs() < 1e-9);
+        assert_eq!(trace.downsample(1), trace);
     }
 
     #[test]
     #[should_panic(expected = "sampling interval must be positive")]
     fn zero_dt_panics() {
         let _ = PowerTrace::new(0.0, vec![]);
+    }
+
+    #[test]
+    fn downsample_averages_a_partial_last_block() {
+        let trace = PowerTrace::new(0.5, vec![100.0, 300.0, 50.0]);
+        let down = trace.downsample(2);
+        assert_eq!(down.dt_s(), 1.0);
+        // The last bucket holds one sample; its mean is that sample.
+        assert_eq!(down.samples_mw(), [200.0, 50.0]);
     }
 }

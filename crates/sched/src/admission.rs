@@ -248,6 +248,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "per-app capacity must be at least 1")]
+    fn zero_per_app_capacity_panics() {
+        let _ = AdmissionConfig::unbounded().with_per_app_capacity(0);
+    }
+
+    #[test]
     fn policy_display_and_serde() {
         assert_eq!(ShedPolicy::RejectNew.to_string(), "reject-new");
         assert_eq!(ShedPolicy::DropLowestValue.to_string(), "drop-lowest-value");

@@ -209,4 +209,94 @@ mod tests {
             "packet references unregistered cargo app cargo#3"
         );
     }
+
+    /// A scheduler that implements only the required methods: it holds
+    /// every packet until a heartbeat slot.
+    #[derive(Debug, Default)]
+    struct Hold {
+        queue: Vec<Packet>,
+        arrivals: Vec<f64>,
+    }
+
+    impl Scheduler for Hold {
+        fn name(&self) -> &'static str {
+            "Hold"
+        }
+
+        fn on_arrival(
+            &mut self,
+            packet: Packet,
+            now_s: f64,
+        ) -> Result<Vec<Packet>, SchedulerError> {
+            if packet.app != CargoAppId(0) {
+                return Err(SchedulerError::UnknownApp { app: packet.app });
+            }
+            self.arrivals.push(now_s);
+            self.queue.push(packet);
+            Ok(Vec::new())
+        }
+
+        fn on_slot(&mut self, ctx: &SlotContext) -> Vec<Packet> {
+            if ctx.heartbeat_departing {
+                std::mem::take(&mut self.queue)
+            } else {
+                Vec::new()
+            }
+        }
+
+        fn pending(&self) -> usize {
+            self.queue.len()
+        }
+
+        fn pending_bytes(&self) -> u64 {
+            self.queue.iter().map(|p| p.size_bytes).sum()
+        }
+    }
+
+    fn packet(app: usize) -> Packet {
+        Packet {
+            id: 1,
+            app: CargoAppId(app),
+            arrival_s: 2.0,
+            size_bytes: 300,
+        }
+    }
+
+    #[test]
+    fn a_failed_transmission_is_offered_again_as_an_arrival_by_default() {
+        let mut s = Hold::default();
+        assert_eq!(s.on_tx_failure(packet(0), 9.0), Ok(Vec::new()));
+        assert_eq!(s.arrivals, [9.0]);
+        assert_eq!((s.pending(), s.pending_bytes()), (1, 300));
+        assert_eq!(
+            s.on_tx_failure(packet(4), 10.0),
+            Err(SchedulerError::UnknownApp { app: CargoAppId(4) })
+        );
+    }
+
+    #[test]
+    fn by_default_no_slot_is_quiescent_at_any_time() {
+        let s = Hold::default();
+        for trains_alive in [false, true] {
+            assert!(!s.slot_quiescent(trains_alive));
+            for at_s in [0.0, 1.0, 1e9] {
+                assert!(!s.quiet_through(at_s, trains_alive));
+            }
+        }
+    }
+
+    #[test]
+    fn by_default_a_scheduler_reports_no_health_shedding_flushes_or_events() {
+        let mut s = Hold::default();
+        s.set_obs_enabled(true);
+        s.set_reference_decisions(true);
+        s.on_oracle_violation(5.0);
+        s.on_arrival(packet(0), 1.0).unwrap();
+        assert_eq!(s.slot_s(), 1.0);
+        assert!(s.health_transitions().is_empty());
+        assert!(s.take_shed().is_empty());
+        assert_eq!(s.forced_flushes(), 0);
+        assert!(s.take_obs_events().is_empty());
+        assert_eq!(s.pending(), 1, "the alarm changed nothing");
+    }
 }

@@ -62,16 +62,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The default policy with `give_up_age_s` tied to an application
-    /// deadline: give up once retrying can no longer beat `3 × deadline_s`
-    /// of total age (by then the delay cost dwarfs any energy saving).
-    pub fn for_deadline(deadline_s: f64) -> Self {
-        RetryPolicy {
-            give_up_age_s: 3.0 * deadline_s,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Checks the policy's invariants, returning a description of the
     /// first violation.
     ///
@@ -164,8 +154,6 @@ mod tests {
     #[test]
     fn default_validates() {
         RetryPolicy::default().validate().unwrap();
-        RetryPolicy::for_deadline(120.0).validate().unwrap();
-        assert_eq!(RetryPolicy::for_deadline(120.0).give_up_age_s, 360.0);
     }
 
     #[test]
@@ -244,7 +232,10 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let policy = RetryPolicy::for_deadline(90.0);
+        let policy = RetryPolicy {
+            give_up_age_s: 270.0,
+            ..RetryPolicy::default()
+        };
         let json = serde_json::to_string(&policy).unwrap();
         let back: RetryPolicy = serde_json::from_str(&json).unwrap();
         assert_eq!(policy, back);

@@ -46,7 +46,7 @@ use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 
 use etrain_obs::{Event, Journal};
-use etrain_radio::{PowerTrace, Radio, RadioParams, Timeline, Transmission};
+use etrain_radio::{Radio, RadioParams, Timeline, Transmission};
 use etrain_sched::{HealthTransition, RetryDecision, RetryPolicy, Scheduler, SlotContext};
 use etrain_trace::bandwidth::BandwidthTrace;
 use etrain_trace::faults::{hash_unit, FaultPlan};
@@ -207,17 +207,6 @@ impl EngineOutput {
     /// the radio did, suitable for exact re-integration or plotting.
     pub fn timeline(&self) -> Timeline {
         Timeline::from_transmissions(&self.radio_params, &self.transmissions, self.horizon_s)
-    }
-
-    /// Samples the run's device power every `dt_s` seconds — the software
-    /// analogue of the paper's Monsoon power-monitor capture (Sec. VI-D
-    /// samples at 0.1 s).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt_s` is not strictly positive.
-    pub fn power_trace(&self, dt_s: f64) -> PowerTrace {
-        self.timeline().sample(dt_s)
     }
 }
 
@@ -1163,8 +1152,10 @@ mod tests {
             (timeline_energy - online_energy).abs() < 1e-6,
             "timeline {timeline_energy} vs online {online_energy}"
         );
-        // And the sampled power trace approximates the same total.
-        let sampled = out.power_trace(0.1).energy_above_j(20.0);
+        // And the sampled power trace approximates the same total above
+        // the 20 mW idle floor.
+        let trace = out.timeline().sample(0.1);
+        let sampled = trace.energy_j() - 20.0 * trace.duration_s() / 1000.0;
         assert!((sampled - online_energy).abs() / online_energy < 0.02);
     }
 

@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod compare;
 mod engine;
 pub mod fuzz;
 mod metrics;
@@ -55,7 +54,6 @@ pub mod runner;
 mod scenario;
 pub mod sweep;
 
-pub use compare::Comparison;
 pub use engine::{AbandonedPacket, CompletedPacket, Engine, EngineKind, EngineOutput};
 pub use fuzz::{conformance_kinds, CasePlan, TrainSet};
 pub use metrics::{AppReport, RunReport};

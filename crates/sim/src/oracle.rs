@@ -1050,4 +1050,375 @@ mod tests {
         let back: OracleOutcome = serde_json::from_str(&json).unwrap();
         assert_eq!(outcome, back);
     }
+
+    /// A short paper-default run: its input traces and its raw output.
+    fn sample_run() -> (crate::TraceBundle, EngineOutput) {
+        let scenario = Scenario::paper_default().duration_secs(900).seed(3);
+        let traces = scenario.generate_traces();
+        let (_, output, _) = scenario.try_run_journaled_on(&traces).unwrap();
+        (traces, output)
+    }
+
+    fn engine_audit(traces: &crate::TraceBundle, output: &EngineOutput) -> OracleOutcome {
+        audit_engine(
+            output,
+            &traces.packets,
+            &traces.heartbeats,
+            &FaultPlan::none(),
+        )
+    }
+
+    #[test]
+    fn a_clean_run_passes_every_engine_check() {
+        let (traces, output) = sample_run();
+        assert!(output.transmissions.len() > 10, "the run transmits");
+        let outcome = engine_audit(&traces, &output);
+        assert_eq!(outcome.mode, OracleMode::Record);
+        assert!(outcome.checks > output.transmissions.len() as u64);
+        assert!(outcome.is_clean(), "{:?}", outcome.violations);
+    }
+
+    #[test]
+    fn a_negative_tail_ledger_is_both_non_finite_and_unbalanced() {
+        let (traces, mut output) = sample_run();
+        output.tail_energy_j = -1.0;
+        let outcome = engine_audit(&traces, &output);
+        assert!(!outcome.is_clean());
+        assert!(outcome
+            .violations
+            .contains(&OracleViolation::NonFiniteQuantity {
+                field: "tail_energy_j".to_string(),
+                value: -1.0,
+            }));
+        assert!(outcome
+            .violations
+            .iter()
+            .any(|v| matches!(v, OracleViolation::EnergyImbalance { .. })));
+    }
+
+    #[test]
+    fn idle_energy_off_its_closed_form_is_a_metrics_mismatch() {
+        let (traces, mut output) = sample_run();
+        output.idle_energy_j += 1.0;
+        let outcome = engine_audit(&traces, &output);
+        assert!(
+            matches!(
+                outcome.violations.as_slice(),
+                [OracleViolation::MetricsMismatch { metric, .. }] if metric == "idle_energy_j"
+            ),
+            "{:?}",
+            outcome.violations
+        );
+    }
+
+    #[test]
+    fn a_heartbeat_the_engine_never_sent_breaks_the_count() {
+        let (traces, output) = sample_run();
+        let mut heartbeats = traces.heartbeats.to_vec();
+        let mut extra = heartbeats[heartbeats.len() - 1];
+        extra.time_s += 1.0;
+        heartbeats.push(extra);
+        let outcome = audit_engine(&output, &traces.packets, &heartbeats, &FaultPlan::none());
+        assert!(
+            outcome
+                .violations
+                .contains(&OracleViolation::HeartbeatCount {
+                    expected: output.heartbeats_sent + 1,
+                    sent: output.heartbeats_sent,
+                }),
+            "{:?}",
+            outcome.violations
+        );
+    }
+
+    #[test]
+    fn overlapping_transmissions_are_caught_at_their_index() {
+        let (traces, mut output) = sample_run();
+        let end_s = output.transmissions[0].end_s();
+        output.transmissions[1].start_s = end_s - 0.5;
+        let outcome = engine_audit(&traces, &output);
+        assert!(
+            outcome
+                .violations
+                .contains(&OracleViolation::OverlappingTransmissions {
+                    index: 0,
+                    end_s,
+                    next_start_s: end_s - 0.5,
+                }),
+            "{:?}",
+            outcome.violations
+        );
+    }
+
+    #[test]
+    fn a_terminal_packet_missing_from_the_input_trace_is_caught() {
+        let (traces, output) = sample_run();
+        let delivered = output.completed[0].packet.id;
+        let packets: Vec<Packet> = traces
+            .packets
+            .iter()
+            .filter(|p| p.id != delivered)
+            .copied()
+            .collect();
+        let outcome = audit_engine(&output, &packets, &traces.heartbeats, &FaultPlan::none());
+        assert!(!outcome.is_clean());
+        assert!(
+            outcome.violations.iter().any(|v| matches!(
+                v,
+                OracleViolation::UnknownPacket { packet_id } if *packet_id == delivered
+            ) || matches!(
+                v,
+                OracleViolation::PacketConservation { .. }
+            )),
+            "{:?}",
+            outcome.violations
+        );
+    }
+
+    #[test]
+    fn fault_artifacts_are_flagged_only_without_a_lossy_plan() {
+        let (traces, mut output) = sample_run();
+        output.retries = 1;
+        let artifacts = |plan: &FaultPlan| -> Vec<OracleViolation> {
+            audit_engine(&output, &traces.packets, &traces.heartbeats, plan)
+                .violations
+                .into_iter()
+                .filter(|v| matches!(v, OracleViolation::UnexpectedFaultArtifact { .. }))
+                .collect()
+        };
+        assert_eq!(
+            artifacts(&FaultPlan::none()),
+            [OracleViolation::UnexpectedFaultArtifact {
+                detail: "1 retries".to_string()
+            }]
+        );
+        assert!(artifacts(&FaultPlan::seeded(1).with_loss(0.1)).is_empty());
+    }
+
+    #[test]
+    fn a_packet_completed_twice_is_a_duplicate_terminal_state() {
+        let (traces, mut output) = sample_run();
+        let twice = output.completed[0];
+        output.completed.push(twice);
+        let outcome = engine_audit(&traces, &output);
+        assert!(
+            outcome
+                .violations
+                .contains(&OracleViolation::DuplicateTerminalState {
+                    packet_id: twice.packet.id
+                }),
+            "{:?}",
+            outcome.violations
+        );
+    }
+
+    #[test]
+    fn a_completion_released_before_it_arrived_is_acausal() {
+        let (traces, mut output) = sample_run();
+        let early = &mut output.completed[0];
+        early.release_s = early.packet.arrival_s - 10.0;
+        let c = *early;
+        let outcome = engine_audit(&traces, &output);
+        assert_eq!(
+            outcome.violations,
+            [OracleViolation::CausalityViolation {
+                packet_id: c.packet.id,
+                arrival_s: c.packet.arrival_s,
+                release_s: c.release_s,
+                tx_start_s: c.tx_start_s,
+                tx_end_s: c.tx_end_s,
+            }]
+        );
+    }
+
+    /// [`sample_run`] with its report.
+    fn sample_report() -> (crate::TraceBundle, RunReport, EngineOutput) {
+        let scenario = Scenario::paper_default().duration_secs(900).seed(3);
+        let traces = scenario.generate_traces();
+        let (report, output, _) = scenario.try_run_journaled_on(&traces).unwrap();
+        (traces, report, output)
+    }
+
+    #[test]
+    fn audit_run_adds_the_report_checks_to_the_engine_checks_under_its_mode() {
+        let (traces, report, output) = sample_report();
+        let profiles = AppProfile::paper_defaults();
+        let engine = engine_audit(&traces, &output);
+        let rep = audit_report(&report, &output, &profiles);
+        let run = audit_run(
+            &report,
+            &output,
+            &traces.packets,
+            &traces.heartbeats,
+            &FaultPlan::none(),
+            &profiles,
+            OracleMode::Strict,
+        );
+        assert_eq!(run.mode, OracleMode::Strict);
+        assert_eq!(run.checks, engine.checks + rep.checks);
+        assert!(run.is_clean() && rep.is_clean(), "{:?}", run.violations);
+    }
+
+    #[test]
+    fn a_reported_delay_off_its_completions_is_a_metrics_mismatch() {
+        let (_, mut report, output) = sample_report();
+        let honest = report.normalized_delay_s;
+        report.normalized_delay_s += 1.0;
+        let outcome = audit_report(&report, &output, &AppProfile::paper_defaults());
+        // The recomputation sums in completion order, the report per app,
+        // so the two may differ in the last place.
+        let [OracleViolation::MetricsMismatch {
+            metric,
+            reported,
+            recomputed,
+        }] = outcome.violations.as_slice()
+        else {
+            panic!("{:?}", outcome.violations);
+        };
+        assert_eq!(metric, "normalized_delay_s");
+        assert_eq!(*reported, honest + 1.0);
+        assert!(
+            (recomputed - honest).abs() < 1e-9,
+            "{recomputed} vs {honest}"
+        );
+    }
+
+    #[test]
+    fn a_violation_ratio_above_one_is_both_wrong_and_out_of_range() {
+        let (_, mut report, output) = sample_report();
+        report.deadline_violation_ratio = 1.5;
+        let outcome = audit_report(&report, &output, &AppProfile::paper_defaults());
+        let names: Vec<String> = outcome
+            .violations
+            .iter()
+            .map(|v| match v {
+                OracleViolation::MetricsMismatch { metric, .. } => metric.clone(),
+                OracleViolation::NonFiniteQuantity { field, .. } => field.clone(),
+                other => other.to_string(),
+            })
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "deadline_violation_ratio",
+                "deadline_violation_ratio outside [0, 1]"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_count_the_report_does_not_carry_over_verbatim_is_caught() {
+        let (_, mut report, output) = sample_report();
+        report.promotions += 1;
+        report.heartbeats_sent -= 1;
+        let outcome = audit_report(&report, &output, &AppProfile::paper_defaults());
+        let metrics: Vec<&str> = outcome
+            .violations
+            .iter()
+            .filter_map(|v| match v {
+                OracleViolation::MetricsMismatch { metric, .. } => Some(metric.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(metrics, ["heartbeats_sent", "promotions"]);
+    }
+
+    #[test]
+    fn every_violation_renders_the_numbers_it_carries() {
+        let cases = [
+            (
+                OracleViolation::TransmitEnergyMismatch {
+                    ledger_j: 1.5,
+                    busy_derived_j: 2.5,
+                    tolerance_j: 0.25,
+                },
+                vec!["1.5 J", "2.5 J", "0.25 J"],
+            ),
+            (
+                OracleViolation::NonFiniteQuantity {
+                    field: "tail_energy_j".into(),
+                    value: f64::NAN,
+                },
+                vec!["tail_energy_j", "NaN"],
+            ),
+            (
+                OracleViolation::IllegalTimeline {
+                    detail: "FACH after IDLE".into(),
+                },
+                vec!["FACH after IDLE"],
+            ),
+            (
+                OracleViolation::OverlappingTransmissions {
+                    index: 3,
+                    end_s: 7.5,
+                    next_start_s: 7.0,
+                },
+                vec!["#3", "7.5 s", "7 s"],
+            ),
+            (
+                OracleViolation::PacketConservation {
+                    generated: 10,
+                    completed: 6,
+                    abandoned: 1,
+                    in_flight: 1,
+                    still_deferred: 1,
+                    shed: 2,
+                },
+                vec!["10 generated", "6 completed", "1 abandoned", "2 shed"],
+            ),
+            (
+                OracleViolation::DuplicateTerminalState { packet_id: 44 },
+                vec!["packet 44", "two terminal states"],
+            ),
+            (
+                OracleViolation::UnknownPacket { packet_id: 45 },
+                vec!["packet 45 was never generated"],
+            ),
+            (
+                OracleViolation::CausalityViolation {
+                    packet_id: 46,
+                    arrival_s: 9.0,
+                    release_s: 8.0,
+                    tx_start_s: 8.5,
+                    tx_end_s: 9.5,
+                },
+                vec!["packet 46", "arrival 9 s", "release 8 s", "[8.5, 9.5]"],
+            ),
+            (
+                OracleViolation::UnexpectedFaultArtifact {
+                    detail: "2 retries".into(),
+                },
+                vec!["2 retries"],
+            ),
+            (
+                OracleViolation::HeartbeatCount {
+                    expected: 12,
+                    sent: 11,
+                },
+                vec!["expects 12", "sent 11"],
+            ),
+            (
+                OracleViolation::TransmissionCount {
+                    logged: 5,
+                    lower: 6,
+                    upper: 9,
+                },
+                vec!["length 5", "[6, 9]"],
+            ),
+            (
+                OracleViolation::MetricsMismatch {
+                    metric: "promotions".into(),
+                    reported: 3.0,
+                    recomputed: 4.0,
+                },
+                vec!["promotions", "as 3", "to 4"],
+            ),
+        ];
+        for (violation, needles) in cases {
+            let text = violation.to_string();
+            for needle in needles {
+                assert!(text.contains(needle), "{needle:?} not in {text:?}");
+            }
+        }
+    }
 }

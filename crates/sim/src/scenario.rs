@@ -455,11 +455,6 @@ impl Scenario {
         self
     }
 
-    /// The observability mode this scenario runs under.
-    pub fn obs_mode(&self) -> ObsMode {
-        self.obs
-    }
-
     /// Sets the simulation kernel for this scenario's runs.
     /// [`Scenario::paper_default`] uses [`EngineKind::Event`];
     /// [`EngineKind::Slot`] is the differential reference the conformance
@@ -1058,10 +1053,15 @@ mod tests {
     #[test]
     fn oracle_and_obs_knobs_read_back() {
         let s = Scenario::paper_default()
+            .duration_secs(120)
             .oracle(OracleMode::Strict)
             .obs(ObsMode::Jsonl);
         assert_eq!(s.oracle_mode(), OracleMode::Strict);
-        assert_eq!(s.obs_mode(), ObsMode::Jsonl);
+        // The obs mode reads back through the run: a journal and metrics.
+        let (report, _, journal) = s.try_run_journaled_on(&s.generate_traces()).unwrap();
+        assert!(journal.is_some());
+        assert!(report.metrics.is_some());
+        assert!(report.oracle.is_some());
     }
 
     #[test]

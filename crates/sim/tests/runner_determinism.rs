@@ -3,9 +3,7 @@
 //! fully serial `jobs = 1` path — across every scheduler kind, with and
 //! without fault injection, and independent of the worker count.
 
-use etrain_sim::{
-    replicate, Comparison, FaultPlan, RunGrid, RunReport, RunSpec, Scenario, SchedulerKind,
-};
+use etrain_sim::{replicate, FaultPlan, RunGrid, RunReport, RunSpec, Scenario, SchedulerKind};
 
 fn all_kinds() -> [SchedulerKind; 4] {
     [
@@ -84,11 +82,12 @@ fn grid_matches_direct_scenario_runs() {
 
 #[test]
 fn comparison_and_replication_are_worker_count_invariant() {
-    // The public wrappers run on the default worker count (machine/env
-    // dependent); their output must equal explicit serial runs.
+    // A scheduler comparison and a replication run on the default worker
+    // count (machine dependent); their output must equal explicit serial
+    // runs.
     let base = Scenario::paper_default().duration_secs(900).seed(6);
-    let comparison = Comparison::run(&base, &all_kinds());
-    for (kind, report) in all_kinds().iter().zip(&comparison.reports) {
+    let comparison = RunGrid::over_schedulers(&base, &all_kinds()).run();
+    for (kind, report) in all_kinds().iter().zip(&comparison) {
         assert_eq!(&base.clone().scheduler(*kind).run(), report);
     }
 

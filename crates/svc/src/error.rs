@@ -130,3 +130,103 @@ impl From<std::io::Error> for SvcError {
         SvcError::Io(e)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::error::Error;
+
+    use super::*;
+
+    #[test]
+    fn core_and_io_errors_convert_and_keep_their_source() {
+        let core: SvcError = CoreError::TimeWentBackwards {
+            now_s: 5.0,
+            supplied_s: 4.0,
+        }
+        .into();
+        assert!(matches!(core, SvcError::Core(_)));
+        assert!(core.to_string().starts_with("core rejected command: "));
+        assert!(core.source().is_some());
+
+        let io: SvcError = std::io::Error::other("disk gone").into();
+        assert!(matches!(io, SvcError::Io(_)));
+        assert_eq!(io.to_string(), "WAL I/O error: disk gone");
+        assert_eq!(io.source().unwrap().to_string(), "disk gone");
+    }
+
+    #[test]
+    fn errors_raised_by_the_service_itself_have_no_source() {
+        let own = [
+            SvcError::BadRequest("PING now".into()),
+            SvcError::FaultInjected { at_record: 3 },
+            SvcError::CheckpointAhead {
+                records: 9,
+                replayed: 4,
+            },
+            SvcError::NonFiniteTime {
+                field: "time",
+                value: f64::NAN,
+            },
+            SvcError::UndecodableRecord { index: 0 },
+        ];
+        for err in own {
+            assert!(err.source().is_none(), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_mismatch_renders_both_fingerprints_as_16_hex_digits() {
+        let err = SvcError::CheckpointMismatch {
+            records: 12,
+            expected: 0xab,
+            actual: 0x1_0000_0000,
+        };
+        assert_eq!(
+            err.to_string(),
+            "checkpoint over 12 records expected fingerprint 00000000000000ab \
+             but replay produced 0000000100000000"
+        );
+    }
+
+    #[test]
+    fn refusals_name_what_was_refused() {
+        let cases = [
+            (
+                SvcError::BadRequest("empty request".into()),
+                "bad request: empty request",
+            ),
+            (
+                SvcError::FaultInjected { at_record: 7 },
+                "WAL fault hook fired at record 7; crashing",
+            ),
+            (
+                SvcError::CheckpointAhead {
+                    records: 9,
+                    replayed: 4,
+                },
+                "checkpoint covers 9 records but the journal only replayed 4",
+            ),
+            (
+                SvcError::NonFiniteTime {
+                    field: "deadline",
+                    value: f64::INFINITY,
+                },
+                "deadline inf is not a finite number",
+            ),
+            (
+                SvcError::NonFiniteProfile {
+                    field: "steepness",
+                    value: f64::NEG_INFINITY,
+                },
+                "cost profile steepness -inf is not a finite number",
+            ),
+            (
+                SvcError::UndecodableRecord { index: 41 },
+                "journal record 41 verified but did not decode",
+            ),
+        ];
+        for (err, text) in cases {
+            assert_eq!(err.to_string(), text);
+        }
+    }
+}

@@ -310,11 +310,6 @@ impl ServiceState {
         &self.core
     }
 
-    /// Number of distinct idempotency keys recorded.
-    pub fn dedup_len(&self) -> usize {
-        self.dedup.len()
-    }
-
     /// A deterministic FNV-1a fingerprint over the *entire* recoverable
     /// state: the core fingerprint, the dedup table (in key order), the
     /// health rung with both streak counters, every recorded transition,
@@ -396,7 +391,7 @@ mod tests {
         };
         assert_eq!(cached.id(), Some(id));
         assert_eq!(s.fingerprint(), before, "a duplicate must not change state");
-        assert_eq!(s.dedup_len(), 1);
+        assert_eq!(s.dedup.len(), 1);
     }
 
     #[test]
@@ -657,7 +652,7 @@ mod tests {
         let early = submit("c-1", 1.0);
         assert!(matches!(s.apply(&early), Err(SvcError::Core(_))));
         assert!(s.cached_submission("c-1").is_none());
-        assert_eq!(s.dedup_len(), 0);
+        assert_eq!(s.dedup.len(), 0);
         // Once the app exists, the same key submits for the first time.
         s.apply(&SvcCommand::Core(CoreCommand::RegisterCargo {
             profile: AppProfile::new("Mail", CostProfile::mail(300.0)),
@@ -668,7 +663,7 @@ mod tests {
             s.apply(&later).unwrap(),
             SvcOutcome::Submitted { .. }
         ));
-        assert_eq!(s.dedup_len(), 1);
+        assert_eq!(s.dedup.len(), 1);
     }
 
     #[test]

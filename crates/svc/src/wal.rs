@@ -470,7 +470,7 @@ mod tests {
         drop(wal);
         let recovery = recover(&dir).unwrap();
         assert_eq!(recovery.report.records, 5);
-        assert!(recovery.report.tail.is_clean());
+        assert_eq!(recovery.report.tail, TailStatus::Clean);
         assert_eq!(recovery.commands.len(), 5);
         assert_eq!(recovery.commands[3], tick(3.0));
     }
@@ -552,7 +552,7 @@ mod tests {
             drop(wal);
             let again = recover(&dir).unwrap();
             assert_eq!(again.report.records, 3);
-            assert!(again.report.tail.is_clean());
+            assert_eq!(again.report.tail, TailStatus::Clean);
             assert_eq!(again.report.truncated_bytes, 0);
         }
     }
@@ -715,7 +715,7 @@ mod tests {
         }
         let recovery = recover(&dir).unwrap();
         assert_eq!(recovery.commands, vec![tick(0.0)]);
-        assert!(recovery.report.tail.is_clean());
+        assert_eq!(recovery.report.tail, TailStatus::Clean);
     }
 
     #[test]
@@ -725,7 +725,7 @@ mod tests {
         let recovery = recover(&dir).unwrap();
         assert!(recovery.commands.is_empty());
         assert_eq!((recovery.report.segments, recovery.report.records), (0, 0));
-        assert!(recovery.report.tail.is_clean());
+        assert_eq!(recovery.report.tail, TailStatus::Clean);
         let mut wal = Wal::open(WalConfig::new(&dir), &recovery).unwrap();
         assert_eq!((wal.records(), wal.segment_index()), (0, 0));
         wal.append(&tick(2.0)).unwrap();

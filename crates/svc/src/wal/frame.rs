@@ -173,13 +173,6 @@ pub enum TailStatus {
     },
 }
 
-impl TailStatus {
-    /// Whether the whole segment verified.
-    pub fn is_clean(&self) -> bool {
-        matches!(self, TailStatus::Clean)
-    }
-}
-
 /// Result of scanning one segment without copying it: where each
 /// verified payload lies in the scanned bytes, and the verdict on the
 /// tail.

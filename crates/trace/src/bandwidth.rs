@@ -101,19 +101,6 @@ impl BandwidthTrace {
         self.samples_bps.iter().sum::<f64>() / self.samples_bps.len() as f64
     }
 
-    /// Minimum sample in bits per second.
-    pub fn min_bps(&self) -> f64 {
-        self.samples_bps
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Maximum sample in bits per second.
-    pub fn max_bps(&self) -> f64 {
-        self.samples_bps.iter().copied().fold(0.0, f64::max)
-    }
-
     /// Time needed to push `size_bytes` bytes starting at `start_s`,
     /// integrating the piecewise-constant bandwidth, in seconds.
     ///
@@ -280,8 +267,14 @@ mod tests {
     #[test]
     fn transfer_time_extrapolates_past_end() {
         let t = BandwidthTrace::new(1.0, vec![8_000.0]);
-        // 10 kB at 1 kB/s = 10 s, even though the trace is 1 s long.
-        assert!((t.transfer_time_s(0.0, 10_000) - 10.0).abs() < 1e-9);
+        // 10 kB at 1 kB/s = 10 s, even though the trace is 1 s long, and
+        // from any start, before the trace or far past it.
+        for start_s in [-5.0, 0.0, 0.5, 1e6] {
+            assert!(
+                (t.transfer_time_s(start_s, 10_000) - 10.0).abs() < 1e-9,
+                "from {start_s}"
+            );
+        }
     }
 
     #[test]
@@ -307,7 +300,7 @@ mod tests {
             second_half > first_half,
             "campus regime ({second_half}) should outpace bus regime ({first_half})"
         );
-        assert!(trace.min_bps() >= 8_000.0);
+        assert!(trace.samples_bps().iter().all(|&b| b >= 8_000.0));
     }
 
     #[test]
@@ -362,7 +355,21 @@ mod tests {
     fn statistics_of_a_stepped_trace() {
         let trace = BandwidthTrace::new(1.0, vec![100.0, 300.0, 200.0]);
         assert_eq!(trace.mean_bps(), 200.0);
-        assert_eq!(trace.min_bps(), 100.0);
-        assert_eq!(trace.max_bps(), 300.0);
+        assert_eq!(trace.duration_s(), 3.0);
+        assert_eq!(trace.bandwidth_at(1.5), 300.0);
+    }
+
+    #[test]
+    fn transfer_time_for_bits_is_the_fractional_core_of_transfer_time_s() {
+        let trace = wuhan_drive_synthetic(2);
+        for (start_s, bytes) in [(0.0, 1u64), (17.3, 4_096), (3_599.9, 250_000)] {
+            assert_eq!(
+                trace.transfer_time_for_bits(start_s, bytes as f64 * 8.0),
+                trace.transfer_time_s(start_s, bytes)
+            );
+        }
+        // Fractions of a byte: 4 bits at 8 bit/s take half a second.
+        let slow = BandwidthTrace::constant(8.0);
+        assert!((slow.transfer_time_for_bits(0.0, 4.0) - 0.5).abs() < 1e-12);
     }
 }

@@ -209,4 +209,16 @@ mod tests {
             assert!(p.rate_multiplier(minute as f64 * 60.0) <= p.peak_multiplier());
         }
     }
+
+    #[test]
+    fn the_multiplier_repeats_every_day_and_bottoms_out_twelve_hours_after_the_peak() {
+        let profile = DiurnalProfile::new(6.0, 0.5);
+        for t_s in [0.0, 3_600.0, 50_000.0] {
+            let today = profile.rate_multiplier(t_s);
+            let tomorrow = profile.rate_multiplier(t_s + DAY_S);
+            assert!((today - tomorrow).abs() < 1e-12, "{today} vs {tomorrow}");
+        }
+        assert!((profile.rate_multiplier(6.0 * 3_600.0) - 1.5).abs() < 1e-12);
+        assert!((profile.rate_multiplier(18.0 * 3_600.0) - 0.5).abs() < 1e-12);
+    }
 }

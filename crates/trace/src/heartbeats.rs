@@ -323,8 +323,14 @@ mod tests {
 
     #[test]
     fn phase_offsets_first_departure() {
-        let times = CyclePattern::Fixed { cycle_s: 100.0 }.departure_times(25.0, 300.0);
-        assert_eq!(times, vec![25.0, 125.0, 225.0]);
+        let pattern = CyclePattern::Fixed { cycle_s: 100.0 };
+        assert_eq!(
+            pattern.departure_times(25.0, 300.0),
+            vec![25.0, 125.0, 225.0]
+        );
+        // The horizon is exclusive, and a phase past it yields nothing.
+        assert_eq!(pattern.departure_times(25.0, 225.0), vec![25.0, 125.0]);
+        assert!(pattern.departure_times(400.0, 300.0).is_empty());
     }
 
     #[test]
@@ -437,5 +443,23 @@ mod tests {
         spec.generate_into(TrainAppId(1), 600.0, &mut seeded(1), &mut out);
         assert_eq!(out.len(), 2 * before);
         assert!(out[before..].iter().all(|h| h.train == TrainAppId(1)));
+    }
+
+    #[test]
+    fn the_measured_non_trio_apps_match_their_figures() {
+        let renren = TrainAppSpec::renren();
+        assert_eq!(renren.pattern, CyclePattern::Fixed { cycle_s: 300.0 });
+        assert_eq!((renren.heartbeat_size_bytes, renren.phase_s), (150, 30.0));
+        let apns = TrainAppSpec::ios_apns();
+        assert_eq!(apns.pattern, CyclePattern::Fixed { cycle_s: 1_800.0 });
+        assert_eq!(apns.name, "APNS");
+        assert_eq!(
+            TrainAppSpec::netease().pattern,
+            CyclePattern::Doubling {
+                initial_s: 60.0,
+                beats_per_level: 6,
+                max_s: 480.0,
+            }
+        );
     }
 }

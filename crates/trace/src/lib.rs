@@ -16,8 +16,9 @@
 //! - [`user`] — user behaviour records `(user id, behavior, time, size)`
 //!   for active / moderate / inactive users (paper Sec. VI-D-4, Fig. 11).
 //!
-//! Supporting modules: [`rng`] (seeded distributions) and [`io`] (CSV/JSON
-//! persistence so traces can be saved, inspected and replayed).
+//! Supporting modules: [`rng`] (seeded distributions), [`capture`]
+//! (packet-capture records and heartbeat extraction), [`diurnal`]
+//! (time-of-day rate modulation) and [`faults`] (seeded fault plans).
 //!
 //! # Example
 //!
@@ -45,10 +46,8 @@ pub mod capture;
 pub mod diurnal;
 pub mod faults;
 pub mod heartbeats;
-pub mod io;
 pub mod packets;
 pub mod rng;
-pub mod summary;
 pub mod user;
 
 mod ids;

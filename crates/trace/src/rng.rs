@@ -195,4 +195,17 @@ mod tests {
             assert_eq!(dist.sample(&mut a), dist.sample(&mut b));
         }
     }
+
+    #[test]
+    fn the_paper_parameterization_puts_the_minimum_two_deviations_below_the_mean() {
+        let sizes = TruncatedNormal::from_mean_min(5_000.0, 1_000.0);
+        assert_eq!(
+            (sizes.mean(), sizes.std_dev(), sizes.min()),
+            (5_000.0, 2_000.0, 1_000.0)
+        );
+        // A minimum equal to the mean leaves a point mass.
+        let point = TruncatedNormal::from_mean_min(300.0, 300.0);
+        assert_eq!(point.std_dev(), 0.0);
+        assert_eq!(point.sample(&mut seeded(1)), 300.0);
+    }
 }

@@ -260,20 +260,6 @@ pub fn upload_packets_into(
     }
 }
 
-/// Generates a cohort of users: `per_category` users in each activeness
-/// category, each with one app use, ids assigned densely from 0.
-pub fn generate_cohort(per_category: u32, seed: u64) -> Vec<AppUseTrace> {
-    let mut traces = Vec::new();
-    let mut user_id = 0;
-    for category in Activeness::all() {
-        for _ in 0..per_category {
-            traces.push(generate_app_use(user_id, category, seed));
-            user_id += 1;
-        }
-    }
-    traces
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,15 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn cohort_has_unique_user_ids() {
-        use std::collections::HashSet;
-        let cohort = generate_cohort(10, 4);
-        assert_eq!(cohort.len(), 30);
-        let ids: HashSet<u32> = cohort.iter().map(|t| t.user_id).collect();
-        assert_eq!(ids.len(), 30);
-    }
-
-    #[test]
     fn display_names() {
         assert_eq!(Activeness::Active.to_string(), "active");
         assert_eq!(BehaviorType::Upload.to_string(), "upload");
@@ -420,5 +397,25 @@ mod tests {
             duration_s: 60.0,
         };
         assert_eq!(trace.upload_count(), 2);
+    }
+
+    #[test]
+    fn normalization_drops_a_record_at_the_target_time() {
+        let record = |time_s| UserBehaviorRecord {
+            user_id: 0,
+            behavior: BehaviorType::Upload,
+            time_s,
+            size_bytes: 10,
+        };
+        let trace = AppUseTrace {
+            user_id: 0,
+            activeness: Activeness::Inactive,
+            records: vec![record(10.0), record(99.9), record(100.0)],
+            duration_s: 400.0,
+        };
+        let cut = trace.normalized_to(100.0);
+        let times: Vec<f64> = cut.records.iter().map(|r| r.time_s).collect();
+        assert_eq!(times, [10.0, 99.9]);
+        assert_eq!(cut.duration_s, 100.0);
     }
 }

@@ -7,11 +7,11 @@
 //! ```
 
 use etrain::apps::{replay, CargoAppModel};
-use etrain::core::CoreConfig;
+use etrain::core::{CoreConfig, CoreError};
 use etrain::trace::heartbeats::TrainAppSpec;
 use etrain::trace::user::{generate_app_use, Activeness};
 
-fn main() {
+fn main() -> Result<(), CoreError> {
     let trains = TrainAppSpec::paper_trio();
     let weibo = CargoAppModel::weibo().with_deadline(30.0);
     let config = CoreConfig {
@@ -31,7 +31,7 @@ fn main() {
         let users = 5;
         for user in 0..users {
             let trace = generate_app_use(user, category, 7).normalized_to(600.0);
-            let outcome = replay::replay_through_core(&trace, &weibo, &trains, config);
+            let outcome = replay::replay_through_core(&trace, &weibo, &trains, config)?;
             uploads += outcome.decisions.len();
             // Uploads arriving after the window's last train would ride the
             // *next* heartbeat, beyond the 10-minute measurement window.
@@ -52,4 +52,5 @@ fn main() {
         "\nActive users generate more cargo per app use, so more of their\n\
          traffic rides heartbeat tails — the mechanism behind Fig. 11."
     );
+    Ok(())
 }

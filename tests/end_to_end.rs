@@ -5,7 +5,7 @@ use etrain::apps::{replay, CargoAppModel};
 use etrain::core::{CoreConfig, TransmitRequest};
 use etrain::radio::RadioParams;
 use etrain::sched::{AppProfile, CostProfile};
-use etrain::sim::{BandwidthSource, Scenario, SchedulerKind};
+use etrain::sim::{BandwidthSource, RunGrid, Scenario, SchedulerKind};
 use etrain::trace::heartbeats::TrainAppSpec;
 use etrain::trace::packets::CargoWorkload;
 use etrain::trace::user::{generate_app_use, Activeness};
@@ -89,35 +89,91 @@ fn reports_are_bitwise_reproducible() {
 }
 
 #[test]
-fn trace_io_roundtrip_feeds_identical_simulation() {
-    use etrain::trace::io;
+fn generated_traces_fed_back_as_overrides_reproduce_the_run() {
+    // A scenario's own packets and heartbeats, handed back through the
+    // trace overrides, must give the very report of the run that
+    // generates them, for every scheduler and on the synthetic channel.
+    let base = Scenario::paper_default().duration_secs(1800).seed(5);
+    let traces = base.generate_traces();
+    let kinds = [
+        SchedulerKind::Baseline,
+        SchedulerKind::ETrain {
+            theta: 1.0,
+            k: None,
+        },
+        SchedulerKind::ETrain {
+            theta: 0.2,
+            k: Some(20),
+        },
+        SchedulerKind::PerEs { omega: 0.5 },
+        SchedulerKind::ETime { v_bytes: 20_000.0 },
+    ];
+    for kind in kinds {
+        let generated = base.clone().scheduler(kind).run();
+        let replayed = base
+            .clone()
+            .scheduler(kind)
+            .packets(traces.packets.to_vec())
+            .heartbeats(traces.heartbeats.to_vec())
+            .run();
+        assert!(generated.packets_completed > 0, "{kind}");
+        assert_eq!(generated, replayed, "{kind}");
+    }
+}
 
-    // Persist a workload and a heartbeat trace, reload them, and verify
-    // the simulation outcome is identical to the in-memory original.
-    let packets = CargoWorkload::paper_default(0.08).generate(1800.0, 5);
-    let heartbeats = etrain::trace::heartbeats::synthesize(&TrainAppSpec::paper_trio(), 1800.0, 5);
+#[test]
+fn a_scheduler_comparison_runs_every_contender_on_one_workload() {
+    // The paper's Sec. VI-C comparison: the same packets, heartbeats and
+    // channel for every contender; only the scheduler differs.
+    let base = Scenario::paper_default().duration_secs(1800).seed(7);
+    let kinds = [
+        SchedulerKind::Baseline,
+        SchedulerKind::ETrain {
+            theta: 2.0,
+            k: None,
+        },
+        SchedulerKind::PerEs { omega: 0.5 },
+        SchedulerKind::ETime { v_bytes: 20_000.0 },
+    ];
+    let reports = RunGrid::over_schedulers(&base, &kinds).run();
+    let names: Vec<&str> = reports.iter().map(|r| r.scheduler.as_str()).collect();
+    assert_eq!(names, ["Baseline", "eTrain", "PerES", "eTime"]);
+    let baseline = &reports[0];
+    for report in &reports[1..] {
+        assert_eq!(report.heartbeats_sent, baseline.heartbeats_sent);
+        assert_eq!(
+            report.packets_completed + report.packets_unfinished,
+            baseline.packets_completed + baseline.packets_unfinished,
+            "{}",
+            report.scheduler
+        );
+        assert!(
+            report.extra_energy_j < baseline.extra_energy_j,
+            "{} spent {} J, the baseline {} J",
+            report.scheduler,
+            report.extra_energy_j,
+            baseline.extra_energy_j
+        );
+    }
+}
 
-    let mut pbuf = Vec::new();
-    io::write_packets_csv(&packets, &mut pbuf).expect("write packets");
-    let mut hbuf = Vec::new();
-    io::write_heartbeats_csv(&heartbeats, &mut hbuf).expect("write heartbeats");
-    let packets2 = io::read_packets_csv(pbuf.as_slice()).expect("read packets");
-    let heartbeats2 = io::read_heartbeats_csv(hbuf.as_slice()).expect("read heartbeats");
-
-    let run = |p: Vec<etrain::trace::packets::Packet>,
-               h: Vec<etrain::trace::heartbeats::Heartbeat>| {
+#[test]
+fn trace_overrides_take_the_place_of_the_seeded_traces() {
+    // Another seed's packets and heartbeats, handed to a scenario, replace
+    // what its own seed would generate: the run equals the other seed's.
+    let on_seed = |seed| {
         Scenario::paper_default()
-            .duration_secs(1800)
-            .packets(p)
-            .heartbeats(h)
+            .duration_secs(1200)
             .bandwidth(BandwidthSource::Constant(500_000.0))
-            .scheduler(SchedulerKind::ETrain {
-                theta: 1.0,
-                k: None,
-            })
-            .run()
+            .seed(seed)
     };
-    assert_eq!(run(packets, heartbeats), run(packets2, heartbeats2));
+    let donor = on_seed(5).generate_traces();
+    let borrowed = on_seed(6)
+        .packets(donor.packets.to_vec())
+        .heartbeats(donor.heartbeats.to_vec())
+        .run();
+    assert_eq!(borrowed, on_seed(5).run());
+    assert_ne!(borrowed, on_seed(6).run());
 }
 
 #[test]
@@ -277,7 +333,8 @@ fn replay_pipeline_through_live_core_matches_counts() {
             startup_grace_s: 600.0,
             ..CoreConfig::default()
         },
-    );
+    )
+    .expect("a generated trace starts at 0 s");
     assert_eq!(outcome.undelivered, 0);
     assert_eq!(outcome.decisions.len(), trace.upload_count());
     // Decisions must respect causality.
@@ -286,4 +343,28 @@ fn replay_pipeline_through_live_core_matches_counts() {
     }
     // Deep batching: a large share rides heartbeats at Θ = 20.
     assert!(outcome.piggyback_ratio > 0.3, "{}", outcome.piggyback_ratio);
+}
+
+#[test]
+fn both_replay_paths_see_the_same_uploads() {
+    // The core replay and the simulator conversion of one user trace must
+    // carry the same uploads: the core decides each once, and the packet
+    // trace holds each once, with the same sizes.
+    let trace = generate_app_use(5, Activeness::Moderate, 8).normalized_to(600.0);
+    let outcome = replay::replay_through_core(
+        &trace,
+        &CargoAppModel::weibo(),
+        &TrainAppSpec::paper_trio(),
+        CoreConfig::default(),
+    )
+    .expect("a generated trace starts at 0 s");
+    let mut decided: Vec<u64> = outcome.decisions.iter().map(|d| d.size_bytes).collect();
+    let mut converted: Vec<u64> = replay::to_packets(&trace, etrain::trace::CargoAppId(0))
+        .iter()
+        .map(|p| p.size_bytes)
+        .collect();
+    decided.sort_unstable();
+    converted.sort_unstable();
+    assert!(!converted.is_empty());
+    assert_eq!(decided, converted);
 }

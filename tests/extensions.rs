@@ -82,9 +82,11 @@ fn raw_output_exposes_a_power_monitor_view() {
     let (report, output, _) = scenario
         .try_run_journaled_on(&scenario.generate_traces())
         .expect("valid scenario");
-    // The sampled power trace integrates to the reported energy.
-    let trace = output.power_trace(0.1);
-    let sampled_extra = trace.energy_above_j(RadioParams::galaxy_s4_3g().idle_mw());
+    // The sampled power trace, less the idle floor, integrates to the
+    // reported energy.
+    let trace = output.timeline().sample(0.1);
+    let idle_j = RadioParams::galaxy_s4_3g().idle_mw() * trace.duration_s() / 1000.0;
+    let sampled_extra = trace.energy_j() - idle_j;
     assert!(
         (sampled_extra - report.extra_energy_j).abs() / report.extra_energy_j < 0.02,
         "sampled {sampled_extra} vs reported {}",

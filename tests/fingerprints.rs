@@ -157,15 +157,15 @@ fn run_per_request_script(policy: ShedPolicy) -> (Vec<u64>, Reached) {
     let mut reached = Reached::default();
     let mut prints = Vec::new();
     for command in per_request_script() {
-        let (pending, awaiting) = (
+        let (pending, decided) = (
             state.core().pending_requests(),
-            state.core().awaiting_results(),
+            state.core().stats().decided,
         );
         if let Ok(SvcOutcome::Submitted { admission }) = state.apply(&command) {
-            // A submission released on arrival goes straight to the
-            // awaiting set, through the stash.
+            // A submission released on arrival is decided at once and goes
+            // straight to the awaiting set, through the stash.
             reached.stashed |= state.core().pending_requests() == pending
-                && state.core().awaiting_results() == awaiting + 1;
+                && state.core().stats().decided == decided + 1;
             match admission {
                 Admission::AdmittedWithEviction { .. } => reached.evicted = true,
                 Admission::AdmittedWithFlush { .. } => reached.flushed = true,
@@ -173,7 +173,8 @@ fn run_per_request_script(policy: ShedPolicy) -> (Vec<u64>, Reached) {
                 Admission::Admitted { .. } => {}
             }
         }
-        reached.backing_off |= state.core().backing_off() > 0;
+        // A scheduled retry waits out its backoff first.
+        reached.backing_off |= state.core().stats().retries > 0;
         reached.degraded |= state.health() != HealthState::Healthy;
         prints.push(state.fingerprint());
     }
