@@ -50,6 +50,8 @@ pub struct ReplayOutcome {
 /// Returns the core's [`CoreError::TimeWentBackwards`] when an upload
 /// record or a train departure comes before the core's clock, which starts
 /// at 0 s (a record with a negative `time_s`, say).
+/// Returns [`CoreError::NonFiniteTime`] for a record whose `time_s` is NaN
+/// or infinite.
 pub fn replay_through_core(
     trace: &AppUseTrace,
     model: &CargoAppModel,
@@ -293,6 +295,29 @@ mod tests {
                 now_s: 0.0,
                 supplied_s: -5.0
             }
+        );
+    }
+
+    #[test]
+    fn an_upload_at_a_nan_time_is_an_error() {
+        let mut odd = trace();
+        let mut upload = *odd
+            .records
+            .iter()
+            .find(|r| r.behavior == BehaviorType::Upload)
+            .unwrap();
+        upload.time_s = f64::NAN;
+        odd.records.push(upload);
+        let err = replay_through_core(
+            &odd,
+            &CargoAppModel::weibo(),
+            &TrainAppSpec::paper_trio(),
+            CoreConfig::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, CoreError::NonFiniteTime { supplied_s } if supplied_s.is_nan()),
+            "{err:?}"
         );
     }
 

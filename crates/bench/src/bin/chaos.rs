@@ -14,8 +14,9 @@
 //! - `--repro FILE` — replay a repro artifact instead of running the
 //!   campaign; exits 0 iff the recorded failure reproduces.
 //!
-//! Any other argument, or a numeric flag whose value does not parse,
-//! prints the usage and exits with status 2. Nothing is read from the
+//! Any other argument, a valued flag with no value (given last, or
+//! followed by another `--` flag), or a numeric flag whose value does not
+//! parse, prints the usage and exits with status 2. Nothing is read from the
 //! environment: the campaign pins its own oracle mode.
 //!
 //! Every campaign finding is shrunk to a minimal [`ReproCase`] and
@@ -40,35 +41,35 @@ fn usage_error(problem: &str) -> ! {
 
 /// The parsed value of a numeric `flag`; exits with status 2 when it does
 /// not parse.
-fn numeric_flag<T>(args: &[String], flag: &str) -> Option<T>
+fn numeric_flag<T>(flags: &etrain_bench::Flags, flag: &str) -> Option<T>
 where
     T: std::str::FromStr,
     T::Err: std::fmt::Display,
 {
-    etrain_bench::parse_flag(args, flag).unwrap_or_else(|problem| usage_error(&problem))
+    flags
+        .parse(flag)
+        .unwrap_or_else(|problem| usage_error(&problem))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if let Err(problem) = etrain_bench::check_flags(
+    let flags = etrain_bench::check_flags(
         &args,
         &["--seeds", "--start-seed", "--jobs", "--out", "--repro"],
         &["--quick"],
-    ) {
-        usage_error(&problem);
-    }
-    let seeds: u64 = numeric_flag(&args, "--seeds").unwrap_or(100);
-    let start_seed: u64 = numeric_flag(&args, "--start-seed").unwrap_or(0);
-    let jobs = numeric_flag(&args, "--jobs").map(NonZeroUsize::get);
+    )
+    .unwrap_or_else(|problem| usage_error(&problem));
+    let seeds: u64 = numeric_flag(&flags, "--seeds").unwrap_or(100);
+    let start_seed: u64 = numeric_flag(&flags, "--start-seed").unwrap_or(0);
+    let jobs = numeric_flag(&flags, "--jobs").map(NonZeroUsize::get);
 
-    if let Some(path) = etrain_bench::flag_value(&args, "--repro") {
-        std::process::exit(replay(&path));
+    if let Some(path) = flags.value("--repro") {
+        std::process::exit(replay(path));
     }
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_dir =
-        etrain_bench::flag_value(&args, "--out").unwrap_or_else(|| "BENCH_chaos_repros".to_owned());
-    std::fs::create_dir_all(&out_dir).expect("creating the output directory");
+    let quick = flags.has("--quick");
+    let out_dir = flags.value("--out").unwrap_or("BENCH_chaos_repros");
+    std::fs::create_dir_all(out_dir).expect("creating the output directory");
 
     let mut problems = 0usize;
 
@@ -91,7 +92,8 @@ fn main() {
         match shrink(&finding.case) {
             Some(repro) => {
                 let path = format!("{out_dir}/repro_seed{}.json", finding.case.plan.seed);
-                std::fs::write(&path, repro.to_json()).expect("writing the repro artifact");
+                let json = repro.to_json().expect("repro cases serialize");
+                std::fs::write(&path, json).expect("writing the repro artifact");
                 println!(
                     "    shrunk to {} events ({}); wrote {path}",
                     repro.events, repro.signature
@@ -126,7 +128,8 @@ fn main() {
                     problems += 1;
                 }
                 let path = format!("{out_dir}/selftest_{corruption:?}.json");
-                std::fs::write(&path, repro.to_json()).expect("writing the repro artifact");
+                let json = repro.to_json().expect("repro cases serialize");
+                std::fs::write(&path, json).expect("writing the repro artifact");
                 println!(
                     "self-test {corruption:?}: caught, shrunk to {} events ({}), wrote {path}{}",
                     repro.events,

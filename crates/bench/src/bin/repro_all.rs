@@ -1,5 +1,5 @@
 //! Runs every reproduction experiment concurrently across a worker pool
-//! and prints all tables in paper (registry) order, then writes the
+//! and prints the tables in paper (registry) order, then writes the
 //! machine-readable `BENCH_repro.json` with per-experiment wall-clock and
 //! headline metrics.
 //!
@@ -22,13 +22,18 @@
 //!   never changes the numbers: headlines are bit-for-bit identical
 //!   either way.
 //!
-//! Any other argument, or a `--jobs` value that is not a positive
-//! integer, prints the usage and exits with status 2. Nothing is read
-//! from the environment: the flags are the whole input.
+//! Any other argument, a valued flag with no value (given last, or
+//! followed by another `--` flag), or a `--jobs` value that is not a
+//! positive integer, prints the usage and exits with status 2. Nothing is
+//! read from the environment: the flags are the whole input.
 //!
 //! Every paper-default scenario is audited by the simulation oracle in
-//! `strict` mode: a violated invariant fails its experiment, and the
-//! run exits non-zero before it writes a report.
+//! `strict` mode: a violated invariant fails its experiment, and so does
+//! a scenario that does not validate. One failed experiment stops no
+//! other: the run prints the tables of every experiment that passed,
+//! writes their records (and the explain journal, if `explain` passed),
+//! names each failed experiment with its error on stderr (a strict-oracle
+//! failure names the first violation), and exits with status 1.
 
 use std::num::NonZeroUsize;
 use std::time::Instant;
@@ -73,34 +78,33 @@ fn usage_error(problem: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if let Err(problem) = etrain_bench::check_flags(
+    let flags = etrain_bench::check_flags(
         &args,
         &["--only", "--csv", "--jobs", "--json"],
         &["--quick", "--no-json", "--journal"],
-    ) {
-        usage_error(&problem);
-    }
-    let jobs = etrain_bench::parse_flag::<NonZeroUsize>(&args, "--jobs")
+    )
+    .unwrap_or_else(|problem| usage_error(&problem));
+    let jobs = flags
+        .parse::<NonZeroUsize>("--jobs")
         .unwrap_or_else(|problem| usage_error(&problem))
         .map(NonZeroUsize::get);
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = flags.has("--quick");
     let settings = etrain_bench::Settings {
         quick,
-        obs: if args.iter().any(|a| a == "--journal") {
+        obs: if flags.has("--journal") {
             ObsMode::Jsonl
         } else {
             ObsMode::Off
         },
     };
-    let only = etrain_bench::flag_value(&args, "--only");
-    let no_json = args.iter().any(|a| a == "--no-json");
+    let only = flags.value("--only");
+    let no_json = flags.has("--no-json");
     // A partial run must never overwrite the full report.
     let write_report = !no_json && only.is_none();
-    let csv_dir = etrain_bench::flag_value(&args, "--csv");
-    let json_path =
-        etrain_bench::flag_value(&args, "--json").unwrap_or_else(|| "BENCH_repro.json".to_owned());
+    let csv_dir = flags.value("--csv");
+    let json_path = flags.value("--json").unwrap_or("BENCH_repro.json");
 
-    let registry = match &only {
+    let registry = match only {
         Some(list) => select(list),
         None => etrain_bench::registry(),
     };
@@ -115,47 +119,66 @@ fn main() {
     let runs = etrain_bench::run_experiments(&registry, settings, Some(jobs));
     let total_s = started.elapsed().as_secs_f64();
 
-    for run in &runs {
-        println!("# {} — {}", run.record.name, run.record.description);
-        for table in &run.result.tables {
+    let passed: Vec<(&etrain_bench::ReproRun, &etrain_bench::ExperimentResult)> = runs
+        .iter()
+        .filter_map(|run| Some((run, run.result.as_ref().ok()?)))
+        .collect();
+    for (run, result) in &passed {
+        println!("# {} — {}", run.name, run.description);
+        for table in &result.tables {
             println!("{table}");
         }
-        for headline in &run.record.headlines {
+        for headline in &result.headlines {
             println!(
                 "# headline {} = {} {}",
                 headline.metric, headline.value, headline.unit
             );
         }
-        println!("# wall-clock: {:.2} s", run.record.wall_s);
+        println!("# wall-clock: {:.2} s", run.wall_s);
         println!();
     }
-    if let Some(dir) = &csv_dir {
+    if let Some(dir) = csv_dir {
         std::fs::create_dir_all(dir).expect("creating the --csv directory");
-        for run in &runs {
-            for (index, table) in run.result.tables.iter().enumerate() {
-                let path = format!("{dir}/{}_{index}.csv", run.record.name);
+        for (run, result) in &passed {
+            for (index, table) in result.tables.iter().enumerate() {
+                let path = format!("{dir}/{}_{index}.csv", run.name);
                 std::fs::write(&path, table.to_csv()).expect("writing the CSV file");
                 eprintln!("# wrote {path}");
             }
         }
     }
-    let serial_s: f64 = runs.iter().map(|r| r.record.wall_s).sum();
+    let serial_s: f64 = runs.iter().map(|r| r.wall_s).sum();
     eprintln!(
         "# suite wall-clock: {total_s:.2} s across {jobs} worker(s) \
          (sum of experiment times: {serial_s:.2} s)"
     );
 
     if write_report {
-        std::fs::write(&json_path, etrain_bench::repro_report_json(&runs))
-            .expect("writing the JSON report");
+        let json = etrain_bench::repro_report_json(&runs).expect("report records serialize");
+        std::fs::write(json_path, json).expect("writing the JSON report");
         eprintln!("# wrote {json_path}");
     }
     // `explain` kept the journal of its run when `--journal` asked for it.
-    if let Some(journal) = runs.iter().find_map(|run| run.result.journal.as_ref()) {
+    if let Some(journal) = passed
+        .iter()
+        .find_map(|(_, result)| result.journal.as_ref())
+    {
         if !no_json {
             std::fs::write("BENCH_explain.jsonl", journal.to_jsonl())
                 .expect("writing the explain journal");
             eprintln!("# wrote BENCH_explain.jsonl");
         }
+    }
+
+    let mut failed = 0;
+    for run in &runs {
+        if let Err(error) = &run.result {
+            failed += 1;
+            eprintln!("error: {} failed: {error}", run.name);
+        }
+    }
+    if failed > 0 {
+        eprintln!("# {failed} of {} experiment(s) failed", runs.len());
+        std::process::exit(1);
     }
 }

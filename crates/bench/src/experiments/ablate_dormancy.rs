@@ -11,14 +11,14 @@
 //! a fast-dormancy baseline (tails cut to 1 s), and eTrain on the normal
 //! radio — reporting both energy and the promotion count.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_radio::RadioParams;
 use etrain_sim::{SchedulerKind, Table};
 
 use super::{j, paper_base, s};
 
 /// Runs the fast-dormancy ablation.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings);
     // Fast dormancy cuts the tail to 1 s but every transmission from IDLE
     // then pays a 2 s DCH promotion — the paper's Sec. VII argument made
@@ -28,7 +28,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
         .delta_fach_s(0.5)
         .promotion_idle_to_dch_s(2.0)
         .build()
-        .expect("valid short-tail radio");
+        .map_err(|error| ExperimentError::Setup(format!("fast-dormancy radio: {error}")))?;
 
     let rows = [
         (
@@ -63,7 +63,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
     );
     for (name, radio, kind) in rows {
         let promo_s = radio.promotion_idle_to_dch_s();
-        let report = base.clone().radio(radio).scheduler(kind).run();
+        let report = base.clone().radio(radio).scheduler(kind).try_run()?;
         table.push_row_strings(vec![
             name.to_owned(),
             j(report.extra_energy_j),
@@ -72,13 +72,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             s(report.normalized_delay_s),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "etrain_energy_j",
         0,
         -1,
         "energy_j",
         "J",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -87,7 +87,7 @@ mod tests {
 
     #[test]
     fn fast_dormancy_saves_energy_but_multiplies_promotions() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let rows: Vec<Vec<String>> = tables[0]
             .to_csv()
             .lines()

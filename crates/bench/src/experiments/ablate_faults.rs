@@ -9,8 +9,8 @@
 //! piggybacking stay ahead of the baseline when attempts can fail — i.e.
 //! is the energy saving robust, or an artifact of a lossless channel?
 
-use crate::{ExperimentResult, Settings};
-use etrain_sim::{FaultPlan, RetryPolicy, Scenario, SchedulerKind, Table};
+use crate::{ExperimentError, ExperimentResult, Settings};
+use etrain_sim::{FaultPlan, RetryPolicy, Scenario, ScenarioError, SchedulerKind, Table};
 
 use super::{j, paper_base, pct, s};
 
@@ -32,7 +32,7 @@ fn scheduler_name(kind: &SchedulerKind) -> &'static str {
 }
 
 /// Runs the fault ablation.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings);
     let horizon_s = if settings.quick { 2400.0 } else { 7200.0 };
     let losses: &[f64] = if settings.quick {
@@ -72,7 +72,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
             for kind in &schedulers {
                 let plan =
                     with_outage_duty(FaultPlan::seeded(0xFA_17).with_loss(loss), duty, horizon_s);
-                let report = run_one(base.clone(), *kind, plan);
+                let report = run_one(base.clone(), *kind, plan)?;
                 table.push_row_strings(vec![
                     format!("{loss:.2}"),
                     format!("{duty:.2}"),
@@ -87,20 +87,24 @@ pub fn run(settings: Settings) -> ExperimentResult {
             }
         }
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "worst_case_retries",
         0,
         -1,
         "retries",
         "count",
-    )
+    ))
 }
 
-fn run_one(base: Scenario, kind: SchedulerKind, plan: FaultPlan) -> etrain_sim::RunReport {
+fn run_one(
+    base: Scenario,
+    kind: SchedulerKind,
+    plan: FaultPlan,
+) -> Result<etrain_sim::RunReport, ScenarioError> {
     base.scheduler(kind)
         .faults(plan)
         .retry_policy(RetryPolicy::default())
-        .run()
+        .try_run()
 }
 
 #[cfg(test)]
@@ -109,7 +113,7 @@ mod tests {
 
     #[test]
     fn faults_cost_energy_and_trigger_retries() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let csv = tables[0].to_csv();
         let rows: Vec<Vec<&str>> = csv
             .lines()

@@ -8,14 +8,14 @@
 //! heartbeat really leaves), moderate jitter should barely matter — the
 //! result quantifies that robustness.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sim::{SchedulerKind, Table};
 use etrain_trace::heartbeats::TrainAppSpec;
 
 use super::{j, paper_base, s};
 
 /// Runs the jitter ablation.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings);
     let jitters: &[f64] = if settings.quick {
         &[0.0, 10.0]
@@ -39,7 +39,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
                 theta: 2.0,
                 k: None,
             })
-            .run();
+            .try_run()?;
         table.push_row_strings(vec![
             format!("{jitter:.0}"),
             j(report.extra_energy_j),
@@ -47,13 +47,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             report.heartbeats_sent.to_string(),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "energy_at_max_jitter",
         0,
         -1,
         "energy_j",
         "J",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -62,7 +62,7 @@ mod tests {
 
     #[test]
     fn moderate_jitter_changes_little() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let energies: Vec<f64> = tables[0]
             .to_csv()
             .lines()

@@ -4,13 +4,13 @@
 //! `k = ∞`. This ablation quantifies the residual-backlog cost of small
 //! `k` at a fixed Θ.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sim::{SchedulerKind, Table};
 
 use super::{j, paper_base, pct, s};
 
 /// Runs the k ablation.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings);
     let theta = 2.0;
     let ks: &[Option<usize>] = if settings.quick {
@@ -27,7 +27,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
         let report = base
             .clone()
             .scheduler(SchedulerKind::ETrain { theta, k })
-            .run();
+            .try_run()?;
         table.push_row_strings(vec![
             k.map_or("inf".to_owned(), |v| v.to_string()),
             j(report.extra_energy_j),
@@ -35,13 +35,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             pct(report.deadline_violation_ratio),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "delay_at_k_inf",
         0,
         -1,
         "delay_s",
         "s",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -50,7 +50,7 @@ mod tests {
 
     #[test]
     fn unbounded_k_never_delays_more_than_k1() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let rows: Vec<Vec<String>> = tables[0]
             .to_csv()
             .lines()

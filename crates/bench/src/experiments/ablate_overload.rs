@@ -8,7 +8,7 @@
 //! load does each policy shed before the queue bound, what does a forced
 //! flush cost in energy, and does the deferral win survive overload?
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sim::{AdmissionConfig, HealthConfig, SchedulerKind, ShedPolicy, Table};
 
 use super::{j, paper_base, pct, s};
@@ -31,7 +31,7 @@ fn policy_label(policy: Option<ShedPolicy>) -> String {
 }
 
 /// Runs the overload ablation.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings);
     let capacity = 32;
     let lambdas: &[f64] = if settings.quick {
@@ -71,7 +71,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
                 .clone()
                 .lambda(lambda)
                 .scheduler(guarded(admission))
-                .run();
+                .try_run()?;
             table.push_row_strings(vec![
                 format!("{lambda:.2}"),
                 policy_label(policy),
@@ -85,13 +85,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
         }
     }
 
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "overload_forced_flushes_max_lambda",
         0,
         -1,
         "forced_flushes",
         "count",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn overload_sheds_only_when_bounded() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let csv = tables[0].to_csv();
         let rows: Vec<Vec<&str>> = csv
             .lines()

@@ -8,14 +8,14 @@
 //! so the gap between the two columns isolates how much each algorithm
 //! loses to prediction error. eTrain's loss should be the smallest.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sim::{BandwidthSource, SchedulerKind, Table};
 use etrain_trace::bandwidth::wuhan_drive_synthetic;
 
 use super::{j, paper_base, pct, s};
 
 /// Runs the prediction ablation.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings);
     // Constant channel with the drive trace's mean: prediction is perfect.
     let mean_bps = wuhan_drive_synthetic(9).mean_bps();
@@ -41,12 +41,12 @@ pub fn run(settings: Settings) -> ExperimentResult {
         ],
     );
     for kind in algorithms {
-        let stochastic = base.clone().scheduler(kind).run();
+        let stochastic = base.clone().scheduler(kind).try_run()?;
         let oracle = base
             .clone()
             .scheduler(kind)
             .bandwidth(BandwidthSource::Constant(mean_bps))
-            .run();
+            .try_run()?;
         let delta = stochastic.extra_energy_j - oracle.extra_energy_j;
         table.push_row_strings(vec![
             kind.name().to_owned(),
@@ -58,13 +58,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             pct(delta / oracle.extra_energy_j.max(f64::MIN_POSITIVE)),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "etrain_loss_to_prediction",
         0,
         0,
         "loss_to_prediction",
         "%",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn table_covers_all_three_algorithms() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let csv = tables[0].to_csv();
         for name in ["eTrain", "PerES", "eTime"] {
             assert!(csv.contains(name), "{name} missing");

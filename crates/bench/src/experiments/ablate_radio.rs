@@ -5,14 +5,14 @@
 //! re-use, so eTrain's advantage over the baseline should nearly vanish —
 //! confirming the mechanism rather than some artifact.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_radio::RadioParams;
 use etrain_sim::{SchedulerKind, Table};
 
 use super::{j, paper_base, pct};
 
 /// Runs the radio ablation.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings);
     let radios = [
         ("3G (Galaxy S4)", RadioParams::galaxy_s4_3g()),
@@ -27,7 +27,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
             .clone()
             .radio(params.clone())
             .scheduler(SchedulerKind::Baseline)
-            .run();
+            .try_run()?;
         let etrain = base
             .clone()
             .radio(params)
@@ -35,7 +35,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
                 theta: 2.0,
                 k: None,
             })
-            .run();
+            .try_run()?;
         table.push_row_strings(vec![
             name.to_owned(),
             j(baseline.extra_energy_j),
@@ -43,13 +43,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             pct(1.0 - etrain.extra_energy_j / baseline.extra_energy_j),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "wifi_like_saving",
         0,
         -1,
         "saving",
         "%",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -58,7 +58,7 @@ mod tests {
 
     #[test]
     fn saving_shrinks_with_short_tails() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let savings: Vec<f64> = tables[0]
             .to_csv()
             .lines()

@@ -8,7 +8,7 @@
 //! and compare against the capture's ground truth — reporting precision,
 //! recall and per-flow cycle error.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_hb::{identify_heartbeat_flows, IdentifyConfig};
 use etrain_sim::Table;
 use etrain_trace::capture::{synthesize_capture, synthesize_ios_capture, CaptureConfig};
@@ -17,7 +17,7 @@ use etrain_trace::heartbeats::{CyclePattern, TrainAppSpec};
 use super::s;
 
 /// Runs the capture-study experiment.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let duration = if settings.quick { 3600.0 } else { 2.0 * 3600.0 };
     let mut per_flow = Table::new(
         "Capture study — identified heartbeat flows (Android, 3 IM apps)",
@@ -43,11 +43,11 @@ pub fn run(settings: Settings) -> ExperimentResult {
         let (name, true_cycle) = match truth {
             Some((_, name)) => {
                 hits += 1;
-                let spec = config
-                    .trains
-                    .iter()
-                    .find(|t| t.name == *name)
-                    .expect("truth names a configured train");
+                let Some(spec) = config.trains.iter().find(|t| t.name == *name) else {
+                    return Err(ExperimentError::Setup(format!(
+                        "the capture's truth names {name}, which is not a configured train"
+                    )));
+                };
                 let cycle = match spec.pattern {
                     CyclePattern::Fixed { cycle_s } => cycle_s,
                     _ => f64::NAN,
@@ -111,12 +111,14 @@ pub fn run(settings: Settings) -> ExperimentResult {
             .join(" "),
     ]);
 
-    ExperimentResult::from_tables(vec![per_flow, summary]).headline_cell(
-        "precision",
-        1,
-        0,
-        "value",
-        "ratio",
+    Ok(
+        ExperimentResult::from_tables(vec![per_flow, summary]).headline_cell(
+            "precision",
+            1,
+            0,
+            "value",
+            "ratio",
+        ),
     )
 }
 
@@ -126,7 +128,7 @@ mod tests {
 
     #[test]
     fn perfect_precision_and_recall_on_default_capture() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let csv = tables[1].to_csv();
         let value = |metric: &str| -> f64 {
             csv.lines()
@@ -141,7 +143,7 @@ mod tests {
 
     #[test]
     fn no_false_positive_rows() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         assert!(!tables[0].to_csv().contains("FALSE POSITIVE"));
     }
 }

@@ -14,12 +14,12 @@
 //! scale with date-derived seeds and writes repro artifacts; this
 //! experiment keeps a smoke-sized slice of it in the default suite.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_chaos::{campaign_cases, run_campaign, shrink, ChaosCase, Corruption};
 use etrain_sim::{CasePlan, EngineKind, SchedulerKind, Table};
 
 /// Runs the chaos experiment.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     // Tier 1: the campaign. Jobs = 1 because the repro suite already
     // parallelizes across experiments.
     let case_count = if settings.quick { 16 } else { 80 };
@@ -70,22 +70,24 @@ pub fn run(settings: Settings) -> ExperimentResult {
         }
     }
 
-    ExperimentResult::from_tables(vec![campaign_table, selftest_table])
-        .headline(
-            "chaos_campaign_findings",
-            campaign.findings.len() as f64,
-            "count",
-        )
-        .headline(
-            "chaos_selftest_caught",
-            caught as f64,
-            format!("of {}", Corruption::all().len()),
-        )
-        .headline(
-            "chaos_selftest_max_repro_events",
-            max_repro_events as f64,
-            "events",
-        )
+    Ok(
+        ExperimentResult::from_tables(vec![campaign_table, selftest_table])
+            .headline(
+                "chaos_campaign_findings",
+                campaign.findings.len() as f64,
+                "count",
+            )
+            .headline(
+                "chaos_selftest_caught",
+                caught as f64,
+                format!("of {}", Corruption::all().len()),
+            )
+            .headline(
+                "chaos_selftest_max_repro_events",
+                max_repro_events as f64,
+                "events",
+            ),
+    )
 }
 
 #[cfg(test)]
@@ -94,7 +96,7 @@ mod tests {
 
     #[test]
     fn chaos_experiment_is_clean_in_quick_mode() {
-        let result = run(Settings::quick());
+        let result = run(Settings::quick()).unwrap();
         let headline = |metric: &str| {
             result
                 .headlines

@@ -12,7 +12,7 @@
 //! The raw JSONL journal behind the tables is exported by `repro_all`
 //! (as `BENCH_explain.jsonl`) when it runs with `--journal`.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_radio::RrcState;
 use etrain_sim::{Event, ObsMode, Scenario, Table};
 
@@ -32,16 +32,17 @@ fn scenario(settings: Settings) -> Scenario {
 /// Runs the explanation. The result keeps the journal when `settings`
 /// ask for journaling.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the paper-default scenario fails validation (it cannot).
-pub fn run(settings: Settings) -> ExperimentResult {
+/// Returns the scenario's validation or strict-oracle error.
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let scenario = scenario(settings);
-    let (report, output, journal) = scenario
-        .try_run_journaled_on(&scenario.generate_traces())
-        .expect("paper-default scenario is valid");
-    let journal = journal.expect("observability forced on");
-    let metrics = report.metrics.clone().expect("metrics recorded");
+    let (report, output, journal) = scenario.try_run_journaled_on(&scenario.generate_traces())?;
+    let (Some(journal), Some(metrics)) = (journal, report.metrics.clone()) else {
+        return Err(ExperimentError::Setup(
+            "the journaled run returned no journal or no metrics".to_owned(),
+        ));
+    };
 
     // Decision decomposition from the event stream.
     let mut decisions = 0usize;
@@ -136,7 +137,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
     if settings.obs.is_enabled() {
         result.journal = Some(journal);
     }
-    result
+    Ok(result)
 }
 
 fn round1(value: f64) -> f64 {
@@ -152,7 +153,8 @@ mod tests {
         let result = run(Settings {
             obs: ObsMode::Jsonl,
             ..Settings::quick()
-        });
+        })
+        .unwrap();
         let accounted = result
             .headlines
             .iter()

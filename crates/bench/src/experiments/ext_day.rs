@@ -7,7 +7,7 @@
 //! terms of paper Sec. II-D (1700 mAh @ 3.7 V): what fraction of a charge
 //! eTrain returns to the user per day, on 3G and on an LTE-DRX radio.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_radio::{Battery, RadioParams};
 use etrain_sim::{replicate, SchedulerKind, Table};
 use etrain_trace::diurnal::{generate_diurnal, DiurnalProfile, DAY_S};
@@ -16,7 +16,7 @@ use etrain_trace::packets::CargoWorkload;
 use super::pct;
 
 /// Runs the day-scale battery projection.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let horizon = if settings.quick { DAY_S / 4.0 } else { DAY_S };
     let seeds: &[u64] = if settings.quick {
         &[1, 2]
@@ -59,14 +59,14 @@ pub fn run(settings: Settings) -> ExperimentResult {
         let baseline = replicate(
             &base_scenario.clone().scheduler(SchedulerKind::Baseline),
             seeds,
-        );
+        )?;
         let etrain = replicate(
             &base_scenario.scheduler(SchedulerKind::ETrain {
                 theta: 2.0,
                 k: None,
             }),
             seeds,
-        );
+        )?;
         let saved = baseline.extra_energy_j.mean - etrain.extra_energy_j.mean;
         table.push_row_strings(vec![
             name.to_owned(),
@@ -77,7 +77,15 @@ pub fn run(settings: Settings) -> ExperimentResult {
             etrain.normalized_delay_s.display(),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell("saved_j_3g", 0, 0, "saved_j", "J")
+    Ok(
+        ExperimentResult::from_tables(vec![table]).headline_cell(
+            "saved_j_3g",
+            0,
+            0,
+            "saved_j",
+            "J",
+        ),
+    )
 }
 
 #[cfg(test)]
@@ -86,7 +94,7 @@ mod tests {
 
     #[test]
     fn day_scale_savings_are_positive_on_both_radios() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         for row in tables[0].to_csv().lines().skip(1) {
             let cells: Vec<&str> = row.split(',').collect();
             let saved: f64 = cells[3].parse().unwrap();
@@ -96,7 +104,7 @@ mod tests {
 
     #[test]
     fn lte_saves_fewer_joules_than_3g() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let saved: Vec<f64> = tables[0]
             .to_csv()
             .lines()

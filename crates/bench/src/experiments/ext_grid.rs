@@ -8,13 +8,13 @@
 //! monotone in Θ at every λ, so a single conservative Θ is safe — the
 //! knob's effect weakens but never inverts as traffic grows.)
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sim::{RunGrid, RunSpec, SchedulerKind, Table};
 
 use super::{paper_base, pct};
 
 /// Runs the Θ × λ grid.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings);
     let thetas: &[f64] = if settings.quick {
         &[0.5, 2.0, 8.0]
@@ -57,7 +57,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
             ));
         }
     }
-    let reports = grid.run();
+    let reports = grid.try_run()?;
     let (baselines, cells) = reports.split_at(lambdas.len());
 
     for (t, &theta) in thetas.iter().enumerate() {
@@ -68,13 +68,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
         }
         table.push_row_strings(row);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "saving_theta_max_lambda_012",
         0,
         -1,
         "saving@λ=0.12",
         "%",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -86,6 +86,7 @@ mod tests {
             quick,
             ..Settings::default()
         })
+        .unwrap()
         .tables[0]
             .to_csv()
             .lines()

@@ -11,7 +11,7 @@
 //! than fast polling — the quantified justification for the always-on
 //! connection eTrain builds upon.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_apps::freshness::{generate_updates, plan_polling, plan_push_fetch};
 use etrain_sched::{AppProfile, CostProfile};
 use etrain_sim::{BandwidthSource, SchedulerKind, Table};
@@ -24,12 +24,12 @@ use super::{j, s};
 const FETCH_BYTES: u64 = 20_000;
 
 /// Runs the push-vs-poll comparison.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let horizon = if settings.quick { 3600.0 } else { 7200.0 };
     let updates = generate_updates(300.0, horizon, 17);
     let heartbeats = synthesize(&TrainAppSpec::paper_trio(), horizon, 17);
 
-    let energy_of = |packets: Vec<Packet>| -> f64 {
+    let energy_of = |packets: Vec<Packet>| -> Result<f64, ExperimentError> {
         settings
             .paper_default()
             .duration_secs(horizon as u64)
@@ -39,12 +39,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             .bandwidth(BandwidthSource::Constant(450_000.0))
             .scheduler(SchedulerKind::Baseline) // fetches go out on arrival
             .seed(17)
-            .run()
-            .extra_energy_j
+            .try_run()
+            .map(|report| report.extra_energy_j)
+            .map_err(ExperimentError::from)
     };
 
     // Heartbeat-only floor: the connection's fixed cost, paid by every row.
-    let floor = energy_of(Vec::new());
+    let floor = energy_of(Vec::new())?;
 
     let mut table = Table::new(
         format!(
@@ -68,7 +69,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
             format!("poll every {period:.0} s"),
             plan.packets.len().to_string(),
             plan.empty_fetches.to_string(),
-            j(energy_of(plan.packets) - floor),
+            j(energy_of(plan.packets)? - floor),
             s(plan.mean_staleness_s),
         ]);
     }
@@ -77,16 +78,16 @@ pub fn run(settings: Settings) -> ExperimentResult {
         "push over heartbeats".to_owned(),
         push.packets.len().to_string(),
         push.empty_fetches.to_string(),
-        j(energy_of(push.packets) - floor),
+        j(energy_of(push.packets)? - floor),
         s(push.mean_staleness_s),
     ]);
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "push_fetch_energy_j",
         0,
         -1,
         "fetch_energy_j",
         "J",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -94,7 +95,7 @@ mod tests {
     use super::*;
 
     fn rows() -> Vec<Vec<String>> {
-        run(Settings::quick()).tables[0]
+        run(Settings::quick()).unwrap().tables[0]
             .to_csv()
             .lines()
             .skip(1)

@@ -8,7 +8,7 @@
 //! trains is half the delay with 1 train; with no trains all packets go
 //! out on arrival (zero delay).
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sim::{RunGrid, RunSpec, SchedulerKind, Table};
 use etrain_trace::heartbeats::TrainAppSpec;
 use etrain_trace::packets::CargoWorkload;
@@ -16,7 +16,7 @@ use etrain_trace::packets::CargoWorkload;
 use super::{j, paper_base, pct, s};
 
 /// Runs the Fig. 10(a) reproduction.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings);
     let all_trains = TrainAppSpec::paper_trio();
     let etrain = SchedulerKind::ETrain {
@@ -60,20 +60,24 @@ pub fn run(settings: Settings) -> ExperimentResult {
             scenario.scheduler(SchedulerKind::Baseline),
         ));
     }
-    let reports = grid.run();
+    let reports = grid.try_run()?;
     let mut next = reports.iter();
+    let mut take = |what: &str| {
+        next.next()
+            .ok_or_else(|| ExperimentError::Setup(format!("the grid has no {what} report")))
+    };
 
     for n in 0..=all_trains.len() {
         let hb_energy = if n == 0 {
             0.0
         } else {
-            next.next().expect("hb-only report").extra_energy_j
+            take("hb-only")?.extra_energy_j
         };
-        let report = next.next().expect("etrain report");
+        let report = take("etrain")?;
         let cargo_energy = report.extra_energy_j - hb_energy;
 
         // The same trains + cargo under the baseline, for the saving columns.
-        let baseline = next.next().expect("baseline report");
+        let baseline = take("baseline")?;
         let baseline_cargo = baseline.extra_energy_j - hb_energy;
 
         table.push_row_strings(vec![
@@ -90,13 +94,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             pct(1.0 - report.extra_energy_j / baseline.extra_energy_j),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "total_saving_3_trains",
         0,
         -1,
         "total_saving",
         "%",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -108,6 +112,7 @@ mod tests {
             quick,
             ..Settings::default()
         })
+        .unwrap()
         .tables[0]
             .to_csv()
             .lines()

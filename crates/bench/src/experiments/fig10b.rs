@@ -5,21 +5,21 @@
 //! (≈ 30 % reduction) while the average delay grows from 48 s to 62 s
 //! (≈ 30 % increase) — the user picks their point on the tradeoff.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sim::sweep::{lin_space, theta_sweep};
 use etrain_sim::Table;
 
 use super::{j, paper_base, pct, s};
 
 /// Runs the Fig. 10(b) reproduction.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings);
     let thetas = if settings.quick {
         lin_space(0.1, 0.5, 3)
     } else {
         lin_space(0.1, 0.5, 5)
     };
-    let sweep = theta_sweep(&base, &thetas, None);
+    let sweep = theta_sweep(&base, &thetas, None)?;
     let first_energy = sweep[0].1.extra_energy_j;
     let first_delay = sweep[0].1.normalized_delay_s;
 
@@ -42,13 +42,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             pct(report.normalized_delay_s / first_delay.max(f64::MIN_POSITIVE) - 1.0),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "energy_change_at_max_theta",
         0,
         -1,
         "energy_change",
         "%",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -57,7 +57,7 @@ mod tests {
 
     #[test]
     fn theta_reduces_energy_and_raises_delay() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let rows: Vec<Vec<String>> = tables[0]
             .to_csv()
             .lines()

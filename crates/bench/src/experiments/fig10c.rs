@@ -5,14 +5,14 @@
 //! tradeoff similar to Θ's — a larger deadline lets packets wait for more
 //! piggybacking opportunities and saves more energy.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sim::sweep::deadline_sweep;
 use etrain_sim::{SchedulerKind, Table};
 
 use super::{j, paper_base, pct, s};
 
 /// Runs the Fig. 10(c) reproduction.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings).scheduler(SchedulerKind::ETrain {
         theta: 0.2,
         k: None,
@@ -22,7 +22,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
     } else {
         &[10.0, 30.0, 60.0, 90.0, 120.0, 150.0, 180.0]
     };
-    let sweep = deadline_sweep(&base, deadlines);
+    let sweep = deadline_sweep(&base, deadlines)?;
     let first_energy = sweep[0].1.extra_energy_j;
 
     let mut table = Table::new(
@@ -38,13 +38,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             pct(1.0 - report.extra_energy_j / first_energy),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "saving_at_180s_deadline",
         0,
         -1,
         "vs_10s",
         "%",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -53,7 +53,7 @@ mod tests {
 
     #[test]
     fn larger_deadline_saves_energy() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let rows: Vec<Vec<String>> = tables[0]
             .to_csv()
             .lines()

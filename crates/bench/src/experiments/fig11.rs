@@ -7,7 +7,7 @@
 //! users, 134.5 J (19.4 %) for moderate, 63.2 J (13.3 %) for inactive —
 //! more uploads mean more cargo to piggyback.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_apps::replay::to_packets;
 use etrain_sched::{AppProfile, CostProfile};
 use etrain_sim::{BandwidthSource, SchedulerKind, Table};
@@ -17,7 +17,7 @@ use etrain_trace::CargoAppId;
 use super::{j, pct};
 
 /// Runs the Fig. 11 reproduction.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let users_per_category = if settings.quick { 3 } else { 10 };
     // The paper states "Θ = k = 20 (maximum number of packets allowed to
     // piggyback); and the deadline for Weibo is 30 seconds" — we take
@@ -57,11 +57,11 @@ pub fn run(settings: Settings) -> ExperimentResult {
             base_total += scenario
                 .clone()
                 .scheduler(SchedulerKind::Baseline)
-                .run()
+                .try_run()?
                 .extra_energy_j;
             etrain_total += scenario
                 .scheduler(SchedulerKind::ETrain { theta, k: Some(20) })
-                .run()
+                .try_run()?
                 .extra_energy_j;
         }
         let n = f64::from(users_per_category);
@@ -75,13 +75,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             pct(1.0 - etrain_total / base_total),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "active_user_saved_j",
         0,
         0,
         "saved_j",
         "J",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn more_active_users_save_more_joules() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let saved: Vec<f64> = tables[0]
             .to_csv()
             .lines()
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn etrain_never_costs_more() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         for row in tables[0].to_csv().lines().skip(1) {
             let cells: Vec<&str> = row.split(',').collect();
             let without: f64 = cells[3].parse().unwrap();

@@ -5,7 +5,7 @@
 //! phone spends nearly 87 % of its standby energy (≈ 2000 J) on heartbeat
 //! transmissions.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sim::{BandwidthSource, RunGrid, RunSpec, SchedulerKind, Table};
 use etrain_trace::heartbeats::TrainAppSpec;
 use etrain_trace::packets::CargoWorkload;
@@ -13,7 +13,7 @@ use etrain_trace::packets::CargoWorkload;
 use super::{j, pct};
 
 /// Runs the Fig. 1(a) reproduction.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let horizon = if settings.quick { 3600 } else { 4 * 3600 };
     let all_trains = TrainAppSpec::paper_trio();
 
@@ -46,7 +46,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
             })
             .collect(),
     );
-    for (n, report) in grid.run().iter().enumerate() {
+    for (n, report) in grid.try_run()?.iter().enumerate() {
         let hb = report.extra_energy_j;
         let idle = report.idle_energy_j;
         table.push_row_strings(vec![
@@ -58,13 +58,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             pct(hb / (hb + idle).max(f64::MIN_POSITIVE)),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "hb_share_3_trains",
         0,
         -1,
         "hb_share",
         "%",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn three_apps_dominate_standby_budget() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].len(), 4); // 0..=3 apps
         let csv = tables[0].to_csv();

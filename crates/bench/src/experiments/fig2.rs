@@ -5,7 +5,7 @@
 //! onto the second heartbeat saves ≈ 40 % of the transmission energy; the
 //! power trace shows the scattered tails collapsing into one.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_radio::{RadioParams, Timeline, Transmission};
 use etrain_sim::Table;
 
@@ -15,7 +15,7 @@ const EMAIL_BYTES: f64 = 5_000.0;
 const BANDWIDTH_BPS: f64 = 450_000.0;
 
 /// Runs the Fig. 2 reproduction.
-pub fn run(_: Settings) -> ExperimentResult {
+pub fn run(_: Settings) -> Result<ExperimentResult, ExperimentError> {
     let params = RadioParams::galaxy_s4_3g();
     let horizon = 330.0;
     let email_tx_s = EMAIL_BYTES * 8.0 / BANDWIDTH_BPS;
@@ -75,12 +75,14 @@ pub fn run(_: Settings) -> ExperimentResult {
     for ((t, a), (_, b)) in p_without.iter().zip(p_with.iter()) {
         trace.push_row_strings(vec![s(t), format!("{a:.0}"), format!("{b:.0}")]);
     }
-    ExperimentResult::from_tables(vec![summary, trace]).headline_cell(
-        "toy_saving",
-        0,
-        -1,
-        "saving",
-        "%",
+    Ok(
+        ExperimentResult::from_tables(vec![summary, trace]).headline_cell(
+            "toy_saving",
+            0,
+            -1,
+            "saving",
+            "%",
+        ),
     )
 }
 
@@ -90,7 +92,7 @@ mod tests {
 
     #[test]
     fn piggybacking_saves_substantial_energy() {
-        let tables = run(Settings::default()).tables;
+        let tables = run(Settings::default()).unwrap().tables;
         let csv = tables[0].to_csv();
         let rows: Vec<&str> = csv.lines().skip(1).collect();
         let energy = |row: &str| -> f64 { row.split(',').nth(2).unwrap().parse().unwrap() };

@@ -6,7 +6,7 @@
 //! 60 s cycle and doubles after every 6 heartbeats up to 480 s, while
 //! RenRen holds a constant 300 s cycle.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_hb::HeartbeatMonitor;
 use etrain_sim::Table;
 use etrain_trace::heartbeats::{CyclePattern, TrainAppSpec};
@@ -16,7 +16,7 @@ use etrain_trace::TrainAppId;
 use super::s;
 
 /// Runs the Fig. 3 reproduction.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let horizon = if settings.quick { 3600.0 } else { 7200.0 };
     let mut tables = Vec::new();
 
@@ -78,13 +78,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
         ]);
     }
     tables.push(gaps);
-    ExperimentResult::from_tables(tables).headline_cell(
+    Ok(ExperimentResult::from_tables(tables).headline_cell(
         "netease_first_gap_s",
         1,
         0,
         "netease_gap_s",
         "s",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn detected_cycles_match_specs_despite_data() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         for row in tables[0].to_csv().lines().skip(1) {
             assert!(row.ends_with("true"), "cycle affected by data: {row}");
         }
@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn netease_gaps_double_and_cap() {
-        let tables = run(Settings::default()).tables;
+        let tables = run(Settings::default()).unwrap().tables;
         let csv = tables[1].to_csv();
         let gaps: Vec<f64> = csv
             .lines()

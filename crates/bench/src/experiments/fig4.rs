@@ -5,14 +5,14 @@
 //! DCH lingering for δ_D = 10 s after the end; FACH for δ_F = 7.5 s; then
 //! back to IDLE. The tail is `T_tail = 17.5 s`.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_radio::{RadioParams, Timeline, Transmission};
 use etrain_sim::Table;
 
 use super::s;
 
 /// Runs the Fig. 4 reproduction.
-pub fn run(_: Settings) -> ExperimentResult {
+pub fn run(_: Settings) -> Result<ExperimentResult, ExperimentError> {
     let params = RadioParams::galaxy_s4_3g();
     // One WeChat-sized heartbeat at t = 5 s on a 450 kbps uplink.
     let tx = Transmission::new(5.0, 74.0 * 8.0 / 450_000.0);
@@ -58,12 +58,14 @@ pub fn run(_: Settings) -> ExperimentResult {
             params.full_tail_energy_j()
         ),
     ]);
-    ExperimentResult::from_tables(vec![states, trace, constants]).headline_cell(
-        "tail_end_s",
-        0,
-        2,
-        "to_s",
-        "s",
+    Ok(
+        ExperimentResult::from_tables(vec![states, trace, constants]).headline_cell(
+            "tail_end_s",
+            0,
+            2,
+            "to_s",
+            "s",
+        ),
     )
 }
 
@@ -73,7 +75,7 @@ mod tests {
 
     #[test]
     fn state_walk_is_idle_dch_fach_idle() {
-        let tables = run(Settings::default()).tables;
+        let tables = run(Settings::default()).unwrap().tables;
         let states: Vec<String> = tables[0]
             .to_csv()
             .lines()
@@ -85,7 +87,7 @@ mod tests {
 
     #[test]
     fn tail_lengths_match_paper() {
-        let tables = run(Settings::default()).tables;
+        let tables = run(Settings::default()).unwrap().tables;
         let csv = tables[0].to_csv();
         let rows: Vec<Vec<String>> = csv
             .lines()

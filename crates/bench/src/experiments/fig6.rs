@@ -4,13 +4,13 @@
 //! f2 (Weibo): `d/deadline` before the deadline, constant 2 after.
 //! f3 (Cloud): `d/deadline` before, `3·d/deadline − 2` after.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sched::CostProfile;
 use etrain_sim::Table;
 
 /// Runs the Fig. 6 reproduction: the three profiles over d ∈ [0, 3D] in
 /// units of the deadline.
-pub fn run(_: Settings) -> ExperimentResult {
+pub fn run(_: Settings) -> Result<ExperimentResult, ExperimentError> {
     let deadline = 60.0;
     let f1 = CostProfile::mail(deadline);
     let f2 = CostProfile::weibo(deadline);
@@ -29,13 +29,13 @@ pub fn run(_: Settings) -> ExperimentResult {
             format!("{:.3}", f3.cost(d)),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "f3_at_3x_deadline",
         0,
         -1,
         "f3_cloud",
         "cost",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -44,7 +44,7 @@ mod tests {
 
     #[test]
     fn profile_values_at_landmarks() {
-        let tables = run(Settings::default()).tables;
+        let tables = run(Settings::default()).unwrap().tables;
         let rows: Vec<Vec<f64>> = tables[0]
             .to_csv()
             .lines()

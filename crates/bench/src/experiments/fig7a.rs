@@ -5,21 +5,21 @@
 //! ≈ 600 J (≈ 40 % reduction) while average delay grows from 18 s to 70 s
 //! — larger delay buys more energy saving.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sim::sweep::{lin_space, theta_sweep};
 use etrain_sim::Table;
 
 use super::{j, paper_base, pct, s};
 
 /// Runs the Fig. 7(a) reproduction.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings);
     let thetas = if settings.quick {
         lin_space(0.0, 3.0, 4)
     } else {
         lin_space(0.0, 3.0, 16) // step 0.2
     };
-    let sweep = theta_sweep(&base, &thetas, Some(20));
+    let sweep = theta_sweep(&base, &thetas, Some(20))?;
 
     let baseline_energy = sweep
         .first()
@@ -38,9 +38,9 @@ pub fn run(settings: Settings) -> ExperimentResult {
             pct(1.0 - report.extra_energy_j / baseline_energy),
         ]);
     }
-    ExperimentResult::from_tables(vec![table])
+    Ok(ExperimentResult::from_tables(vec![table])
         .headline_cell("energy_at_max_theta", 0, -1, "energy_j", "J")
-        .headline_cell("saving_at_max_theta", 0, -1, "vs_theta0", "%")
+        .headline_cell("saving_at_max_theta", 0, -1, "vs_theta0", "%"))
 }
 
 #[cfg(test)]
@@ -49,7 +49,7 @@ mod tests {
 
     #[test]
     fn theta_trades_delay_for_energy() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let rows: Vec<Vec<String>> = tables[0]
             .to_csv()
             .lines()

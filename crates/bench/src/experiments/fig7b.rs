@@ -5,14 +5,14 @@
 //! more saving at the same delay), with strongly diminishing returns past
 //! k = 8 — which is why the deployed system uses k = ∞.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sim::sweep::{lin_space, theta_sweep};
 use etrain_sim::Table;
 
 use super::{j, paper_base, s};
 
 /// Runs the Fig. 7(b) reproduction.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings);
     let thetas = if settings.quick {
         lin_space(0.5, 3.0, 3)
@@ -26,7 +26,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
         &["k", "theta", "energy_j", "delay_s"],
     );
     for &k in &ks {
-        for (theta, report) in theta_sweep(&base, &thetas, Some(k)) {
+        for (theta, report) in theta_sweep(&base, &thetas, Some(k))? {
             table.push_row_strings(vec![
                 k.to_string(),
                 format!("{theta:.1}"),
@@ -36,7 +36,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
         }
     }
     // The deployed configuration for reference.
-    for (theta, report) in theta_sweep(&base, &thetas, None) {
+    for (theta, report) in theta_sweep(&base, &thetas, None)? {
         table.push_row_strings(vec![
             "inf".to_owned(),
             format!("{theta:.1}"),
@@ -44,13 +44,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             s(report.normalized_delay_s),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "energy_kinf_max_theta",
         0,
         -1,
         "energy_j",
         "J",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -61,7 +61,7 @@ mod tests {
     /// larger k never costs more energy there.
     #[test]
     fn larger_k_dominates_at_matched_delay() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let mut per_k: std::collections::BTreeMap<String, Vec<(f64, f64)>> = Default::default();
         for row in tables[0].to_csv().lines().skip(1) {
             let cells: Vec<&str> = row.split(',').collect();

@@ -5,14 +5,14 @@
 //! spends the least energy; eTime sits between eTrain and PerES; the
 //! baseline is a single point at zero delay and maximum energy.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sim::sweep::{ed_curve, log_space};
 use etrain_sim::{SchedulerKind, Table};
 
 use super::{j, paper_base, s};
 
 /// Runs the Fig. 8(a) reproduction.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings);
     let n = if settings.quick { 3 } else { 8 };
 
@@ -21,7 +21,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
         &["algorithm", "knob", "energy_j", "delay_s"],
     );
 
-    let baseline = base.clone().scheduler(SchedulerKind::Baseline).run();
+    let baseline = base.clone().scheduler(SchedulerKind::Baseline).try_run()?;
     table.push_row_strings(vec![
         "Baseline".to_owned(),
         "-".to_owned(),
@@ -31,7 +31,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
 
     for p in ed_curve(&base, &log_space(0.25, 12.0, n), |theta| {
         SchedulerKind::ETrain { theta, k: None }
-    }) {
+    })? {
         table.push_row_strings(vec![
             "eTrain".to_owned(),
             format!("Θ={:.2}", p.knob),
@@ -41,7 +41,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
     }
     for p in ed_curve(&base, &log_space(0.02, 2.0, n), |omega| {
         SchedulerKind::PerEs { omega }
-    }) {
+    })? {
         table.push_row_strings(vec![
             "PerES".to_owned(),
             format!("Ω={:.2}", p.knob),
@@ -51,7 +51,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
     }
     for p in ed_curve(&base, &log_space(5_000.0, 200_000.0, n), |v_bytes| {
         SchedulerKind::ETime { v_bytes }
-    }) {
+    })? {
         table.push_row_strings(vec![
             "eTime".to_owned(),
             format!("V={:.0}B", p.knob),
@@ -59,13 +59,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             s(p.delay_s),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "baseline_energy_j",
         0,
         0,
         "energy_j",
         "J",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -98,7 +98,7 @@ mod tests {
         // Quick-mode grids are too sparse for the full four-way ordering
         // (see the ignored full-fidelity test below), but eTrain must
         // already dominate PerES and the baseline.
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let t = &tables[0];
         let probe = 55.0;
         let etrain = near(&curve(t, "eTrain"), probe);
@@ -122,7 +122,7 @@ mod tests {
     #[test]
     #[ignore = "full-fidelity run; execute in release mode"]
     fn full_ordering_at_matched_delay() {
-        let tables = run(Settings::default()).tables;
+        let tables = run(Settings::default()).unwrap().tables;
         let t = &tables[0];
         let probe = 55.0;
         let etrain = near(&curve(t, "eTrain"), probe);

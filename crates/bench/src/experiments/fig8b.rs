@@ -7,7 +7,7 @@
 //! the baseline's energy flattens near λ = 0.10 (tails start overlapping);
 //! eTrain saves 628–1650 J vs the baseline; eTime outperforms PerES.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sim::sweep::{log_space, match_delay};
 use etrain_sim::{SchedulerKind, Table};
 
@@ -16,7 +16,7 @@ use super::{j, paper_base, pct, s};
 const TARGET_DELAY_S: f64 = 55.0;
 
 /// Runs the Fig. 8(b) reproduction.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let base = paper_base(settings);
     let lambdas: &[f64] = if settings.quick {
         &[0.04, 0.08, 0.12]
@@ -38,7 +38,10 @@ pub fn run(settings: Settings) -> ExperimentResult {
     );
     for &lambda in lambdas {
         let scenario = base.clone().lambda(lambda);
-        let baseline = scenario.clone().scheduler(SchedulerKind::Baseline).run();
+        let baseline = scenario
+            .clone()
+            .scheduler(SchedulerKind::Baseline)
+            .try_run()?;
         table.push_row_strings(vec![
             format!("{lambda:.2}"),
             "Baseline".to_owned(),
@@ -56,7 +59,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
                     &log_space(0.5, 20.0, n),
                     |theta| SchedulerKind::ETrain { theta, k: None },
                     TARGET_DELAY_S,
-                ),
+                )?,
             ),
             (
                 "PerES",
@@ -65,7 +68,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
                     &log_space(0.02, 2.0, n),
                     |omega| SchedulerKind::PerEs { omega },
                     TARGET_DELAY_S,
-                ),
+                )?,
             ),
             (
                 "eTime",
@@ -74,11 +77,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
                     &log_space(5_000.0, 120_000.0, n),
                     |v_bytes| SchedulerKind::ETime { v_bytes },
                     TARGET_DELAY_S,
-                ),
+                )?,
             ),
         ];
         for (name, result) in matched {
-            let (_, report) = result.expect("non-empty knob scan");
+            let Some((_, report)) = result else {
+                return Err(ExperimentError::Setup(format!("{name}: empty knob scan")));
+            };
             table.push_row_strings(vec![
                 format!("{lambda:.2}"),
                 name.to_owned(),
@@ -89,13 +94,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             ]);
         }
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "etrain_saving_at_max_lambda_j",
         0,
         -3,
         "saving_vs_baseline_j",
         "J",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -104,7 +109,7 @@ mod tests {
 
     #[test]
     fn etrain_saves_most_at_every_lambda() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let csv = tables[0].to_csv();
         let mut by_lambda: std::collections::BTreeMap<String, Vec<(String, f64)>> =
             Default::default();

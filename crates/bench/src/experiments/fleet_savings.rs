@@ -14,7 +14,7 @@
 //! devices, reported in megajoules. Fully deterministic — this experiment
 //! is part of the golden snapshot.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_fleet::{class_label, run_fleet, FleetConfig, FleetResult};
 use etrain_sim::SchedulerKind;
 use etrain_trace::user::Activeness;
@@ -27,7 +27,7 @@ use super::{j, pct, s};
 pub const APP_USES_PER_DAY: f64 = 24.0;
 
 /// Runs the paired baseline/eTrain fleets and tabulates the savings.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let devices = if settings.quick { 300 } else { 30_000 };
     let base_config = FleetConfig::paper_default(devices).seed(42);
     let baseline = run_fleet(&base_config.clone().scheduler(SchedulerKind::Baseline));
@@ -87,7 +87,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
     ]);
 
     let saved_j_per_use = baseline.fleet.mean_extra_j() - etrain.fleet.mean_extra_j();
-    ExperimentResult::from_tables(vec![table])
+    Ok(ExperimentResult::from_tables(vec![table])
         .headline("fleet_saving_pct", fleet_saving * 100.0, "%")
         .headline("fleet_mean_saved_j_per_use", saved_j_per_use, "J")
         .headline(
@@ -101,7 +101,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
             "fleet_etrain_mean_delay_s",
             etrain.fleet.mean_delay_s(),
             "s",
-        )
+        ))
 }
 
 #[cfg(test)]
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn paired_fleets_show_a_positive_saving() {
-        let result = run(Settings::quick());
+        let result = run(Settings::quick()).unwrap();
         assert_eq!(result.tables.len(), 1);
         assert_eq!(
             result.tables[0].len(),

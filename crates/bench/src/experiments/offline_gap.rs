@@ -9,7 +9,7 @@
 //! energy minimum), by the offline greedy heuristic, and by online eTrain
 //! at a high Θ, on the same constant-bandwidth channel.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_sched::{AppProfile, CostProfile, OfflineProblem};
 use etrain_sim::{BandwidthSource, SchedulerKind, Table};
 use etrain_trace::heartbeats::{synthesize, TrainAppSpec};
@@ -22,7 +22,7 @@ const BANDWIDTH_BPS: f64 = 450_000.0;
 const HORIZON_S: f64 = 600.0;
 
 /// Runs the offline-gap experiment.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let instances = if settings.quick { 3 } else { 8 };
     let profiles = vec![AppProfile::new("Weibo", CostProfile::weibo(120.0))];
     let trains = vec![TrainAppSpec::wechat().with_phase(30.0)];
@@ -60,7 +60,11 @@ pub fn run(settings: Settings) -> ExperimentResult {
             horizon_s: HORIZON_S,
             cost_budget: f64::MAX, // pure energy minimum
         };
-        let optimal = problem.solve_exhaustive().expect("instance within limit");
+        let Some(optimal) = problem.solve_exhaustive() else {
+            return Err(ExperimentError::Setup(format!(
+                "instance {seed} is too large for the exhaustive solver"
+            )));
+        };
         let greedy = problem.solve_greedy();
 
         let online = settings
@@ -74,7 +78,7 @@ pub fn run(settings: Settings) -> ExperimentResult {
                 theta: 50.0,
                 k: None,
             })
-            .run();
+            .try_run()?;
 
         table.push_row_strings(vec![
             seed.to_string(),
@@ -88,13 +92,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
             ),
         ]);
     }
-    ExperimentResult::from_tables(vec![table]).headline_cell(
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
         "online_gap_first_instance",
         0,
         0,
         "online_gap",
         "%",
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -103,7 +107,7 @@ mod tests {
 
     #[test]
     fn online_never_beats_the_offline_optimum() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         for row in tables[0].to_csv().lines().skip(1) {
             let cells: Vec<&str> = row.split(',').collect();
             let optimal: f64 = cells[2].parse().unwrap();

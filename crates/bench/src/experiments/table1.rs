@@ -7,14 +7,14 @@
 //! in for measurement noise) and reports what the cycle detector recovers
 //! — the observational equivalent of the paper's Wireshark analysis.
 
-use crate::{ExperimentResult, Settings};
+use crate::{ExperimentError, ExperimentResult, Settings};
 use etrain_hb::{DetectedPattern, HeartbeatMonitor};
 use etrain_sim::Table;
 use etrain_trace::heartbeats::TrainAppSpec;
 use etrain_trace::TrainAppId;
 
 /// Runs the Table 1 reproduction.
-pub fn run(settings: Settings) -> ExperimentResult {
+pub fn run(settings: Settings) -> Result<ExperimentResult, ExperimentError> {
     let horizon = if settings.quick {
         3.0 * 3600.0
     } else {
@@ -56,7 +56,13 @@ pub fn run(settings: Settings) -> ExperimentResult {
         row.push(apns.clone());
     }
     table.push_row_strings(row);
-    ExperimentResult::from_tables(vec![table]).headline_cell("wechat_cycle_s", 0, 0, "WeChat", "s")
+    Ok(ExperimentResult::from_tables(vec![table]).headline_cell(
+        "wechat_cycle_s",
+        0,
+        0,
+        "WeChat",
+        "s",
+    ))
 }
 
 fn detect(spec: &TrainAppSpec, horizon: f64, seed: u64) -> String {
@@ -91,7 +97,7 @@ mod tests {
     fn android_cycles_match_paper() {
         // Jitter stands in for measurement noise, so allow ±3 s on the
         // detected medians.
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let csv = tables[0].to_csv();
         let first_android = csv.lines().nth(1).unwrap();
         let cells: Vec<&str> = first_android.split(',').collect();
@@ -116,7 +122,7 @@ mod tests {
 
     #[test]
     fn ios_shares_one_long_cycle() {
-        let tables = run(Settings::quick()).tables;
+        let tables = run(Settings::quick()).unwrap().tables;
         let csv = tables[0].to_csv();
         let ios = csv.lines().last().unwrap();
         let cell = ios.split(',').nth(1).unwrap();

@@ -16,21 +16,26 @@
 //! observability mode reach every experiment as one [`Settings`] value:
 //! no experiment reads the environment. The simulation oracle audits
 //! every paper-default scenario strictly, so a violated invariant fails
-//! its experiment instead of reaching a table.
+//! its experiment with an [`ExperimentError`] naming the first violation
+//! instead of reaching a table.
 //!
 //! Every experiment returns an [`ExperimentResult`]: the printable tables
 //! plus the headline metrics that `repro_all` collects — concurrently,
 //! across a worker pool — into the machine-readable `BENCH_repro.json`.
+//! [`run_experiments`] returns each experiment's outcome, so one failing
+//! experiment neither stops nor hides the others.
 //!
 //! The mapping from experiment name to paper artifact lives in
 //! `DESIGN.md`; measured-vs-paper numbers are recorded in
 //! `EXPERIMENTS.md`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod experiments;
 
 use std::time::Instant;
 
-use etrain_sim::{Journal, ObsMode, OracleMode, Scenario, Table};
+use etrain_sim::{Journal, ObsMode, OracleMode, RunError, Scenario, ScenarioError, Table};
 use serde::{Deserialize, Serialize};
 
 /// What an experiment's `run` is told: the fidelity tier, and the
@@ -151,6 +156,51 @@ impl ExperimentResult {
     }
 }
 
+/// Why an experiment produced no result.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ExperimentError {
+    /// One of its scenarios failed validation or the strict oracle.
+    Scenario(ScenarioError),
+    /// A job of one of its grids (a sweep point, a seed, a scheduler)
+    /// failed.
+    Run(RunError),
+    /// An input the experiment fixes itself broke an assumption the
+    /// experiment builds on.
+    Setup(String),
+}
+
+impl std::fmt::Display for ExperimentError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExperimentError::Scenario(error) => write!(f, "{error}"),
+            ExperimentError::Run(error) => write!(f, "{error}"),
+            ExperimentError::Setup(reason) => write!(f, "experiment setup: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for ExperimentError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ExperimentError::Scenario(error) => Some(error),
+            ExperimentError::Run(error) => Some(error),
+            ExperimentError::Setup(_) => None,
+        }
+    }
+}
+
+impl From<ScenarioError> for ExperimentError {
+    fn from(error: ScenarioError) -> Self {
+        ExperimentError::Scenario(error)
+    }
+}
+
+impl From<RunError> for ExperimentError {
+    fn from(error: RunError) -> Self {
+        ExperimentError::Run(error)
+    }
+}
+
 /// An experiment that reproduces one paper artifact.
 #[derive(Clone, Copy)]
 pub struct Experiment {
@@ -159,7 +209,7 @@ pub struct Experiment {
     /// The paper artifact it reproduces.
     pub description: &'static str,
     /// Runs the experiment under the given settings.
-    pub run: fn(Settings) -> ExperimentResult,
+    pub run: fn(Settings) -> Result<ExperimentResult, ExperimentError>,
 }
 
 /// All experiments in paper order, followed by the ablations.
@@ -325,7 +375,7 @@ pub fn find(name: &str) -> Option<Experiment> {
     registry().into_iter().find(|e| e.name == name)
 }
 
-/// Everything `repro_all` records about one finished experiment — the
+/// Everything `repro_all` records about one passing experiment — the
 /// machine-readable row of `BENCH_repro.json`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReproRecord {
@@ -343,85 +393,120 @@ pub struct ReproRecord {
     pub headlines: Vec<Headline>,
 }
 
-/// One finished experiment: the record for the JSON report plus the full
-/// result for printing.
+/// One experiment that [`run_experiments`] ran: which one, how long it
+/// took, and its result or its error.
 #[derive(Debug, Clone)]
 pub struct ReproRun {
-    /// The machine-readable summary.
-    pub record: ReproRecord,
-    /// The tables and headlines.
-    pub result: ExperimentResult,
+    /// The experiment name.
+    pub name: &'static str,
+    /// The paper artifact it reproduces.
+    pub description: &'static str,
+    /// Whether the run was in quick (reduced-fidelity) mode.
+    pub quick: bool,
+    /// Wall-clock seconds the experiment took on its worker.
+    pub wall_s: f64,
+    /// The tables and headlines, or why there are none.
+    pub result: Result<ExperimentResult, ExperimentError>,
+}
+
+impl ReproRun {
+    /// The report row of a passing run; `None` for a failed one.
+    pub fn record(&self) -> Option<ReproRecord> {
+        let result = self.result.as_ref().ok()?;
+        Some(ReproRecord {
+            name: self.name.to_owned(),
+            description: self.description.to_owned(),
+            quick: self.quick,
+            wall_s: self.wall_s,
+            tables: result.tables.len(),
+            headlines: result.headlines.clone(),
+        })
+    }
+}
+
+/// A bench binary's arguments, checked by [`check_flags`]: the value of
+/// each valued flag given, and each switch given.
+#[derive(Debug, Default)]
+pub struct Flags {
+    values: Vec<(String, String)>,
+    switches: Vec<String>,
+}
+
+impl Flags {
+    /// The value given after `flag`, if the flag is given (its first
+    /// value, if it is given twice).
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(name, _)| name == flag)
+            .map(|(_, value)| value.as_str())
+    }
+
+    /// The value given after `flag`, parsed as a `T`, if the flag is given.
+    ///
+    /// # Errors
+    ///
+    /// Names the flag, the value and why it does not parse.
+    pub fn parse<T>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        self.value(flag)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|error| format!("{flag} {raw:?}: {error}"))
+            })
+            .transpose()
+    }
+
+    /// Whether the switch `name` is given.
+    pub fn has(&self, name: &str) -> bool {
+        self.switches.iter().any(|given| given == name)
+    }
 }
 
 /// Checks a bench binary's `args` (program name first) against the flags
-/// it knows, so a typo or a retired flag aborts the run instead of being
-/// silently ignored. Each of `valued` takes the argument after it as its
-/// value; each of `switches` stands alone.
+/// it knows, in one pass, so a typo or a retired flag aborts the run
+/// instead of being silently ignored. Each of `valued` takes the argument
+/// after it as its value; each of `switches` stands alone.
 ///
 /// # Errors
 ///
-/// Names the first argument that is neither, or a valued flag given last
-/// with no value.
-pub fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+/// Names the first argument that is neither, or a valued flag with no
+/// value: given last, or followed by another `--` flag.
+pub fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<Flags, String> {
+    let mut flags = Flags::default();
     let mut rest = args.iter().skip(1);
     while let Some(arg) = rest.next() {
         if valued.contains(&arg.as_str()) {
-            if rest.next().is_none() {
-                return Err(format!("{arg} needs a value"));
+            match rest.next() {
+                Some(value) if !value.starts_with("--") => {
+                    flags.values.push((arg.clone(), value.clone()));
+                }
+                _ => return Err(format!("{arg} needs a value")),
             }
-        } else if !switches.contains(&arg.as_str()) {
+        } else if switches.contains(&arg.as_str()) {
+            flags.switches.push(arg.clone());
+        } else {
             return Err(format!("unknown argument {arg:?}"));
         }
     }
-    Ok(())
+    Ok(flags)
 }
 
-/// The value following `flag` in a binary's `args`, if the flag is given.
-///
-/// # Panics
-///
-/// Panics if `flag` is the last argument (it needs a value).
-pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} needs a value"))
-            .clone()
-    })
-}
-
-/// The value following `flag` in a binary's `args`, parsed as a `T`, if
-/// the flag is given.
-///
-/// # Errors
-///
-/// Names the flag, the value and why it does not parse.
-///
-/// # Panics
-///
-/// Panics if `flag` is the last argument, as [`flag_value`] does.
-pub fn parse_flag<T>(args: &[String], flag: &str) -> Result<Option<T>, String>
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    flag_value(args, flag)
-        .map(|raw| {
-            raw.parse()
-                .map_err(|error| format!("{flag} {raw:?}: {error}"))
-        })
-        .transpose()
-}
-
-/// Runs `experiments` on [`etrain_sim::run_pool`] and returns the finished
-/// runs **in input order**, regardless of which worker finished first.
-/// `jobs` overrides the worker count; `None` uses the machine's available
+/// Runs `experiments` on [`etrain_sim::run_pool`] and returns each one's
+/// outcome **in input order**, regardless of which worker finished first:
+/// a failing experiment neither stops nor hides the others. `jobs`
+/// overrides the worker count; `None` uses the machine's available
 /// parallelism ([`etrain_sim::resolve_workers`]). Experiment `run`
 /// functions are deterministic, so the output is bit-for-bit identical to
 /// a serial loop.
 ///
 /// # Panics
 ///
-/// Panics if an experiment panics.
+/// Panics if an experiment panics (a wiring bug, such as a headline cell
+/// that is not numeric); an error an experiment returns is its outcome.
 pub fn run_experiments(
     experiments: &[Experiment],
     settings: Settings,
@@ -438,38 +523,33 @@ fn run_timed(experiment: &Experiment, settings: Settings) -> ReproRun {
     let started = Instant::now();
     let result = (experiment.run)(settings);
     ReproRun {
-        record: ReproRecord {
-            name: experiment.name.to_owned(),
-            description: experiment.description.to_owned(),
-            quick: settings.quick,
-            wall_s: started.elapsed().as_secs_f64(),
-            tables: result.tables.len(),
-            headlines: result.headlines.clone(),
-        },
+        name: experiment.name,
+        description: experiment.description,
+        quick: settings.quick,
+        wall_s: started.elapsed().as_secs_f64(),
         result,
     }
 }
 
-/// The body of `BENCH_repro.json`: one record per experiment in registry
-/// order.
+/// The body of `BENCH_repro.json`: one record per passing experiment in
+/// registry order.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReproReport {
     /// Per-experiment records.
     pub experiments: Vec<ReproRecord>,
 }
 
-/// Serializes the records of finished runs as the pretty-printed JSON
-/// body of `BENCH_repro.json`.
+/// Serializes the records of the passing runs as the pretty-printed JSON
+/// body of `BENCH_repro.json`; failed runs have no record.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if serialization fails (the record types are plain data, so it
-/// cannot).
-pub fn repro_report_json(runs: &[ReproRun]) -> String {
+/// Returns the serializer's error.
+pub fn repro_report_json(runs: &[ReproRun]) -> Result<String, serde_json::Error> {
     let report = ReproReport {
-        experiments: runs.iter().map(|r| r.record.clone()).collect(),
+        experiments: runs.iter().filter_map(ReproRun::record).collect(),
     };
-    serde_json::to_string_pretty(&report).expect("plain-data records serialize")
+    serde_json::to_string_pretty(&report)
 }
 
 #[cfg(test)]
@@ -574,30 +654,36 @@ mod tests {
         assert_eq!(registry.last().map(|e| e.name), Some("fleet_savings"));
     }
 
+    /// `line` split on whitespace, after a program name.
+    fn args(line: &str) -> Vec<String> {
+        std::iter::once("bench")
+            .chain(line.split_whitespace())
+            .map(str::to_string)
+            .collect()
+    }
+
     #[test]
     fn flag_value_returns_the_argument_after_the_flag() {
-        let args: Vec<String> = ["repro_all", "--only", "fig2,fig4", "--csv", "out"]
-            .iter()
-            .map(|a| a.to_string())
-            .collect();
-        assert_eq!(flag_value(&args, "--only").as_deref(), Some("fig2,fig4"));
-        assert_eq!(flag_value(&args, "--csv").as_deref(), Some("out"));
-        assert_eq!(flag_value(&args, "--quick"), None);
+        let flags = check_flags(
+            &args("--only fig2,fig4 --quick --csv out --only fig6"),
+            &["--only", "--csv", "--json"],
+            &["--quick", "--journal"],
+        )
+        .unwrap();
+        assert_eq!(flags.value("--only"), Some("fig2,fig4"), "the first wins");
+        assert_eq!(flags.value("--csv"), Some("out"));
+        assert_eq!(flags.value("--json"), None);
+        assert!(flags.has("--quick"));
+        assert!(!flags.has("--journal"));
     }
 
     #[test]
     fn check_flags_rejects_unknown_and_valueless_flags() {
-        let args = |line: &str| -> Vec<String> {
-            std::iter::once("chaos")
-                .chain(line.split_whitespace())
-                .map(str::to_string)
-                .collect()
-        };
-        let check = |line: &str| check_flags(&args(line), &["--seeds", "--out"], &["--quick"]);
+        let check =
+            |line: &str| check_flags(&args(line), &["--seeds", "--out"], &["--quick"]).map(|_| ());
         assert_eq!(check(""), Ok(()));
         assert_eq!(check("--seeds 100 --quick --out dir"), Ok(()));
-        // A valued flag's value is never itself checked as a flag.
-        assert_eq!(check("--out --quick"), Ok(()));
+        assert_eq!(check("--out -"), Ok(()));
         assert_eq!(
             check("--seeds 100 --self-test"),
             Err("unknown argument \"--self-test\"".to_string())
@@ -617,32 +703,39 @@ mod tests {
     }
 
     #[test]
-    fn parse_flag_names_the_flag_and_value_it_cannot_parse() {
-        let args: Vec<String> = [
-            "chaos",
-            "--seeds",
-            "abc",
-            "--jobs",
-            "0",
-            "--start-seed",
-            "7",
-        ]
-        .iter()
-        .map(|a| a.to_string())
-        .collect();
-        assert_eq!(parse_flag::<u64>(&args, "--start-seed"), Ok(Some(7)));
-        assert_eq!(parse_flag::<u64>(&args, "--quick"), Ok(None));
-        let seeds = parse_flag::<u64>(&args, "--seeds").unwrap_err();
-        assert!(seeds.starts_with("--seeds \"abc\": "), "{seeds}");
-        let jobs = parse_flag::<std::num::NonZeroUsize>(&args, "--jobs").unwrap_err();
-        assert!(jobs.starts_with("--jobs \"0\": "), "{jobs}");
+    fn check_flags_rejects_a_flag_in_place_of_a_value() {
+        let check = |line: &str| {
+            check_flags(
+                &args(line),
+                &["--only", "--csv", "--json"],
+                &["--quick", "--no-json"],
+            )
+            .map(|_| ())
+        };
+        for (line, flag) in [
+            ("--json --only", "--json"),
+            ("--csv --json out.json", "--csv"),
+            ("--only --quick", "--only"),
+            ("--only fig2 --csv --no-json", "--csv"),
+        ] {
+            assert_eq!(check(line), Err(format!("{flag} needs a value")), "{line}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "--csv needs a value")]
-    fn flag_value_panics_when_the_value_is_missing() {
-        let args = vec!["repro_all".to_string(), "--csv".to_string()];
-        let _ = flag_value(&args, "--csv");
+    fn parse_flag_names_the_flag_and_value_it_cannot_parse() {
+        let flags = check_flags(
+            &args("--seeds abc --jobs 0 --start-seed 7"),
+            &["--seeds", "--jobs", "--start-seed"],
+            &["--quick"],
+        )
+        .unwrap();
+        assert_eq!(flags.parse::<u64>("--start-seed"), Ok(Some(7)));
+        assert_eq!(flags.parse::<u64>("--quick"), Ok(None));
+        let seeds = flags.parse::<u64>("--seeds").unwrap_err();
+        assert!(seeds.starts_with("--seeds \"abc\": "), "{seeds}");
+        let jobs = flags.parse::<std::num::NonZeroUsize>("--jobs").unwrap_err();
+        assert!(jobs.starts_with("--jobs \"0\": "), "{jobs}");
     }
 
     #[test]
@@ -652,7 +745,7 @@ mod tests {
             find("fig6").expect("registered"),
         ];
         let runs = run_experiments(&cheap, Settings::quick(), Some(1));
-        let json = repro_report_json(&runs);
+        let json = repro_report_json(&runs).unwrap();
         // One top-level key and nothing else: the report carries no
         // tallies, trajectory or timing baseline beside the per-run
         // `wall_s`.
@@ -675,13 +768,14 @@ mod tests {
             .collect();
         let serial = run_experiments(&cheap, Settings::quick(), Some(1));
         let parallel = run_experiments(&cheap, Settings::quick(), Some(3));
-        let names: Vec<&str> = parallel.iter().map(|r| r.record.name.as_str()).collect();
+        let names: Vec<&str> = parallel.iter().map(|r| r.name).collect();
         assert_eq!(names, vec!["fig2", "fig4", "fig6"]);
         for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.result, b.result, "{} diverged", a.record.name);
-            assert!(b.record.wall_s >= 0.0);
-            assert!(b.record.quick);
-            assert_eq!(b.record.tables, b.result.tables.len());
+            assert_eq!(a.result, b.result, "{} diverged", a.name);
+            assert!(b.wall_s >= 0.0);
+            assert!(b.quick);
+            let record = b.record().expect("a passing run has a record");
+            assert_eq!(Ok(record.tables), b.result.as_ref().map(|r| r.tables.len()));
         }
     }
 
@@ -689,9 +783,45 @@ mod tests {
     fn json_report_carries_names_and_headlines() {
         let cheap = [find("fig6").expect("registered")];
         let runs = run_experiments(&cheap, Settings::quick(), Some(1));
-        let json = repro_report_json(&runs);
+        let json = repro_report_json(&runs).unwrap();
         assert!(json.contains("\"fig6\""));
         assert!(json.contains("wall_s"));
         assert!(json.contains("f3_at_3x_deadline"));
+    }
+
+    #[test]
+    fn a_failing_experiment_is_named_and_the_passing_records_are_kept() {
+        let no_horizon = Experiment {
+            name: "no_horizon",
+            description: "a paper-default scenario with a zero horizon",
+            run: |settings| {
+                let report = settings.paper_default().duration_secs(0).try_run()?;
+                Ok(ExperimentResult::from_tables(Vec::new()).headline(
+                    "energy_j",
+                    report.extra_energy_j,
+                    "J",
+                ))
+            },
+        };
+        let experiments = [find("fig6").expect("registered"), no_horizon];
+        for jobs in [1, 2] {
+            let runs = run_experiments(&experiments, Settings::quick(), Some(jobs));
+            let names: Vec<&str> = runs.iter().map(|r| r.name).collect();
+            assert_eq!(names, ["fig6", "no_horizon"], "jobs={jobs}");
+            assert!(runs[0].result.is_ok(), "jobs={jobs}");
+            let error = runs[1].result.as_ref().unwrap_err();
+            assert!(
+                matches!(
+                    error,
+                    ExperimentError::Scenario(ScenarioError::InvalidDuration { .. })
+                ),
+                "jobs={jobs}: {error:?}"
+            );
+            assert!(error.to_string().contains("duration"), "{error}");
+            assert_eq!(runs[1].record(), None, "jobs={jobs}");
+            let json = repro_report_json(&runs).unwrap();
+            assert!(json.contains("\"fig6\""), "{json}");
+            assert!(!json.contains("no_horizon"), "{json}");
+        }
     }
 }

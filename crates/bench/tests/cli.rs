@@ -32,8 +32,15 @@ fn chaos_rejects_an_unknown_flag_with_usage_and_status_2() {
 
 #[test]
 fn chaos_rejects_a_valued_flag_without_its_value() {
-    let output = run(env!("CARGO_BIN_EXE_chaos"), &["--quick", "--seeds"]);
-    assert_usage_error(&output, "--seeds needs a value");
+    // A flag in the value's place is no value either.
+    for (args, message) in [
+        (&["--quick", "--seeds"][..], "--seeds needs a value"),
+        (&["--out", "--repro"][..], "--out needs a value"),
+        (&["--repro", "--out", "dir"][..], "--repro needs a value"),
+    ] {
+        let output = run(env!("CARGO_BIN_EXE_chaos"), args);
+        assert_usage_error(&output, message);
+    }
 }
 
 #[test]
@@ -61,11 +68,19 @@ fn repro_all_rejects_a_jobs_value_that_is_not_a_positive_integer() {
 
 #[test]
 fn repro_all_rejects_an_unknown_flag_with_usage_and_status_2() {
-    let output = run(
-        env!("CARGO_BIN_EXE_repro_all"),
-        &["--only", "fig2", "--quikc"],
-    );
-    assert_usage_error(&output, "unknown argument \"--quikc\"");
+    for (args, message) in [
+        (
+            &["--only", "fig2", "--quikc"][..],
+            "unknown argument \"--quikc\"",
+        ),
+        // A valued flag followed by another flag has no value.
+        (&["--json", "--only"][..], "--json needs a value"),
+        (&["--csv", "--json"][..], "--csv needs a value"),
+        (&["--only", "fig2", "--csv"][..], "--csv needs a value"),
+    ] {
+        let output = run(env!("CARGO_BIN_EXE_repro_all"), args);
+        assert_usage_error(&output, message);
+    }
 }
 
 #[test]

@@ -32,9 +32,14 @@ fn fixture_path() -> std::path::PathBuf {
 fn current_snapshot() -> Vec<GoldenExperiment> {
     run_experiments(&registry(), Settings::quick(), None)
         .into_iter()
-        .map(|run| GoldenExperiment {
-            name: run.record.name,
-            headlines: run.record.headlines,
+        .map(|run| {
+            let record = run
+                .record()
+                .unwrap_or_else(|| panic!("{} failed: {:?}", run.name, run.result));
+            GoldenExperiment {
+                name: record.name,
+                headlines: record.headlines,
+            }
         })
         .collect()
 }
@@ -106,11 +111,17 @@ fn journaling_changes_no_headline() {
     let off = run_experiments(&experiments, Settings::quick(), None);
     let on = run_experiments(&experiments, journaled, None);
     for (plain, logged) in off.iter().zip(&on) {
-        assert!(!plain.record.headlines.is_empty(), "{}", plain.record.name);
+        let headlines = |run: &etrain_bench::ReproRun| {
+            run.record()
+                .unwrap_or_else(|| panic!("{} failed: {:?}", run.name, run.result))
+                .headlines
+        };
+        assert!(!headlines(plain).is_empty(), "{}", plain.name);
         assert_eq!(
-            plain.record.headlines, logged.record.headlines,
+            headlines(plain),
+            headlines(logged),
             "{}: journaling moved a headline",
-            plain.record.name
+            plain.name
         );
     }
 }

@@ -33,8 +33,12 @@ pub struct ReproCase {
 
 impl ReproCase {
     /// Serializes the repro as pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("repro cases serialize infallibly")
+    ///
+    /// # Errors
+    ///
+    /// Returns the serializer's error.
+    pub fn to_json(&self) -> Result<String, serde_json::Error> {
+        serde_json::to_string_pretty(self)
     }
 
     /// Parses a repro artifact.
@@ -69,7 +73,10 @@ impl ReproCase {
 }
 
 /// Shrinks `case` to a minimal reproduction of its failure. Returns
-/// `None` when the case does not fail in the first place.
+/// `None` when the case does not fail in the first place, or when the
+/// shrunk case no longer fails on its final run (every kept reduction
+/// failed when it was tried, and runs are deterministic, so this is not
+/// expected).
 pub fn shrink(case: &ChaosCase) -> Option<ReproCase> {
     let original = case.run()?;
     let fails = |candidate: &ChaosCase| {
@@ -162,7 +169,7 @@ pub fn shrink(case: &ChaosCase) -> Option<ReproCase> {
         }
     }
 
-    let failure = best.run().expect("every kept reduction still fails");
+    let failure = best.run()?;
     let signature = failure.signature();
     let events = best.plan.event_count();
     Some(ReproCase {
@@ -306,7 +313,7 @@ mod tests {
             let replayed = repro.replay().expect("minimal case replays");
             assert_eq!(replayed, repro.failure);
             // And the artifact itself round-trips and still replays.
-            let back = ReproCase::from_json(&repro.to_json()).unwrap();
+            let back = ReproCase::from_json(&repro.to_json().unwrap()).unwrap();
             assert_eq!(back, repro);
             back.replay().expect("parsed artifact replays");
         }
@@ -338,7 +345,10 @@ mod tests {
             events: case.event_count(),
             case,
         };
-        assert_eq!(ReproCase::from_json(&repro.to_json()), Ok(repro.clone()));
+        assert_eq!(
+            ReproCase::from_json(&repro.to_json().unwrap()),
+            Ok(repro.clone())
+        );
         let case_only = serde_json::to_string(&repro.case).unwrap();
         for text in ["", "{}", "[]", case_only.as_str()] {
             let err = ReproCase::from_json(text).unwrap_err();

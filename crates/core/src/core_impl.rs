@@ -343,9 +343,9 @@ impl ETrainCore {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::UnknownCargoApp`] for unregistered apps and
+    /// Returns [`CoreError::UnknownCargoApp`] for unregistered apps,
     /// [`CoreError::TimeWentBackwards`] if `now_s` precedes the system
-    /// clock.
+    /// clock and [`CoreError::NonFiniteTime`] if it is NaN or infinite.
     pub fn submit(
         &mut self,
         app: CargoAppId,
@@ -456,8 +456,9 @@ impl ETrainCore {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::UnknownTrainApp`] for unregistered trains and
-    /// [`CoreError::TimeWentBackwards`] for non-monotone timestamps.
+    /// Returns [`CoreError::UnknownTrainApp`] for unregistered trains,
+    /// [`CoreError::TimeWentBackwards`] for non-monotone timestamps and
+    /// [`CoreError::NonFiniteTime`] for non-finite ones.
     pub fn on_heartbeat(
         &mut self,
         train: TrainAppId,
@@ -480,7 +481,7 @@ impl ETrainCore {
     /// # Errors
     ///
     /// Returns [`CoreError::TimeWentBackwards`] for non-monotone
-    /// timestamps.
+    /// timestamps and [`CoreError::NonFiniteTime`] for non-finite ones.
     pub fn tick(&mut self, now_s: f64) -> Result<Vec<TransmitDecision>, CoreError> {
         self.advance_clock(now_s)?;
         Ok(self.run_slot(now_s, None))
@@ -537,8 +538,9 @@ impl ETrainCore {
     /// # Errors
     ///
     /// Returns [`CoreError::UnknownRequest`] if `request` is not awaiting
-    /// a result (never decided, already closed, or reported twice) and
-    /// [`CoreError::TimeWentBackwards`] for non-monotone timestamps.
+    /// a result (never decided, already closed, or reported twice),
+    /// [`CoreError::TimeWentBackwards`] for non-monotone timestamps and
+    /// [`CoreError::NonFiniteTime`] for non-finite ones.
     pub fn report_result(
         &mut self,
         request: RequestId,
@@ -626,6 +628,9 @@ impl ETrainCore {
     }
 
     fn advance_clock(&mut self, now_s: f64) -> Result<(), CoreError> {
+        if !now_s.is_finite() {
+            return Err(CoreError::NonFiniteTime { supplied_s: now_s });
+        }
         if now_s < self.now_s {
             return Err(CoreError::TimeWentBackwards {
                 now_s: self.now_s,
@@ -1013,6 +1018,35 @@ mod tests {
             .submit(cargo, TransmitRequest::upload(1), 10.0)
             .unwrap_err();
         assert!(matches!(err, CoreError::TimeWentBackwards { .. }));
+    }
+
+    #[test]
+    fn a_nan_time_is_refused_and_the_clock_stays_monotone() {
+        let (mut core, _, cargo) = core();
+        core.tick(10.0).unwrap();
+        let err = core
+            .submit(cargo, TransmitRequest::upload(1), f64::NAN)
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::NonFiniteTime { supplied_s } if supplied_s.is_nan()),
+            "{err:?}"
+        );
+        assert_eq!(core.now_s(), 10.0);
+        let err = core.tick(5.0).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::TimeWentBackwards {
+                now_s: 10.0,
+                supplied_s: 5.0
+            }
+        );
+        assert_eq!(core.now_s(), 10.0);
+        for time_s in [f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                core.tick(time_s),
+                Err(CoreError::NonFiniteTime { supplied_s: time_s })
+            );
+        }
     }
 
     #[test]

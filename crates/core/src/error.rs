@@ -33,6 +33,11 @@ pub enum CoreError {
         /// The earlier timestamp that was supplied.
         supplied_s: f64,
     },
+    /// A timestamp was NaN or infinite.
+    NonFiniteTime {
+        /// The timestamp that was supplied.
+        supplied_s: f64,
+    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -51,6 +56,9 @@ impl std::fmt::Display for CoreError {
                 f,
                 "time went backwards: system is at {now_s} s, got {supplied_s} s"
             ),
+            CoreError::NonFiniteTime { supplied_s } => {
+                write!(f, "timestamp must be finite, got {supplied_s} s")
+            }
         }
     }
 }
@@ -83,6 +91,12 @@ mod tests {
                     supplied_s: 8.5,
                 },
                 "8.5",
+            ),
+            (
+                CoreError::NonFiniteTime {
+                    supplied_s: f64::NAN,
+                },
+                "NaN",
             ),
         ];
         for (err, needle) in cases {

@@ -89,7 +89,7 @@ fn fleet_of_n_equals_n_independent_single_device_runs() {
 
 fn assert_fleet_matches_independent_runs(config: &FleetConfig) {
     let fleet = run_fleet(config);
-    let independent = reference_grid(config).jobs(2).run();
+    let independent = reference_grid(config).jobs(2).try_run().unwrap();
     assert_eq!(fleet.columns.len(), independent.len());
     for (i, report) in independent.iter().enumerate() {
         assert_eq!(

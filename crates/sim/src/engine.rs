@@ -47,7 +47,9 @@ use std::collections::{HashMap, VecDeque};
 
 use etrain_obs::{Event, Journal};
 use etrain_radio::{Radio, RadioParams, Timeline, Transmission};
-use etrain_sched::{HealthTransition, RetryDecision, RetryPolicy, Scheduler, SlotContext};
+use etrain_sched::{
+    HealthTransition, RetryDecision, RetryPolicy, Scheduler, SchedulerError, SlotContext,
+};
 use etrain_trace::bandwidth::BandwidthTrace;
 use etrain_trace::faults::{hash_unit, FaultPlan};
 use etrain_trace::heartbeats::Heartbeat;
@@ -166,7 +168,9 @@ pub struct EngineOutput {
     pub wasted_retry_energy_j: f64,
     /// Packets still deferred inside the scheduler at the horizon.
     pub still_deferred: usize,
-    /// Packets shed by admission control (terminal state: never released).
+    /// Packets shed by admission control, then packets the scheduler
+    /// refused because their app has no registered profile (terminal
+    /// state: never released).
     pub shed: Vec<Packet>,
     /// Packets released early by the force-flush-oldest shed policy (these
     /// were transmitted; the count is bookkeeping, not a terminal state).
@@ -275,6 +279,8 @@ pub struct Engine<'a> {
     // due time, and each packet's failed-attempt count.
     retryq: Vec<(f64, Packet)>,
     failed_attempts: HashMap<u64, u32>,
+    // Packets the scheduler refused (`SchedulerError::UnknownApp`).
+    refused: Vec<Packet>,
     retries: usize,
     wasted_retry_energy_j: f64,
     // Injected oracle alarms, delivered at the first slot boundary at or
@@ -293,7 +299,8 @@ impl<'a> Engine<'a> {
     ///
     /// `packets` and `heartbeats` must be sorted by time (the generators
     /// in `etrain-trace` produce sorted traces). The run covers
-    /// `[0, horizon_s]`.
+    /// `[0, horizon_s]`. A packet the scheduler refuses (its app is not
+    /// registered) is never released: it ends in [`EngineOutput::shed`].
     ///
     /// # Panics
     ///
@@ -364,6 +371,7 @@ impl<'a> Engine<'a> {
             next_slot_s: 0.0,
             retryq: Vec::new(),
             failed_attempts: HashMap::new(),
+            refused: Vec::new(),
             retries: 0,
             wasted_retry_energy_j: 0.0,
             alarms,
@@ -602,6 +610,21 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Takes the scheduler's answer to offering `packet` at `t`: queues
+    /// what it released, or keeps a packet it refused as shed, so the
+    /// packet is never released.
+    fn enqueue_offered(
+        &mut self,
+        packet: Packet,
+        offered: Result<Vec<Packet>, SchedulerError>,
+        t: f64,
+    ) {
+        match offered {
+            Ok(released) => self.enqueue_released(released, t),
+            Err(SchedulerError::UnknownApp { .. }) => self.refused.push(packet),
+        }
+    }
+
     /// Appends the packets the scheduler released at `t` to `Q_TX`.
     fn enqueue_released(&mut self, released: Vec<Packet>, t: f64) {
         for packet in released {
@@ -677,23 +700,17 @@ impl<'a> Engine<'a> {
             }
             Next::Arrival(packet) => {
                 self.arrival_idx += 1;
-                let released = self
-                    .scheduler
-                    .on_arrival(packet, t)
-                    .expect("workload apps are registered with the scheduler");
+                let offered = self.scheduler.on_arrival(packet, t);
                 self.drain_obs_events();
-                self.enqueue_released(released, t);
+                self.enqueue_offered(packet, offered, t);
             }
             Next::Retry { idx, packet } => {
                 // Re-offer the packet through the scheduler's
                 // failure-feedback hook.
                 self.retryq.remove(idx);
-                let released = self
-                    .scheduler
-                    .on_tx_failure(packet, t)
-                    .expect("retried packets belong to registered apps");
+                let offered = self.scheduler.on_tx_failure(packet, t);
                 self.drain_obs_events();
-                self.enqueue_released(released, t);
+                self.enqueue_offered(packet, offered, t);
             }
         }
 
@@ -769,7 +786,11 @@ impl<'a> Engine<'a> {
             retries: self.retries,
             wasted_retry_energy_j: self.wasted_retry_energy_j,
             still_deferred: self.scheduler.pending(),
-            shed: self.scheduler.take_shed(),
+            shed: {
+                let mut shed = self.scheduler.take_shed();
+                shed.append(&mut self.refused);
+                shed
+            },
             forced_flushes: self.scheduler.forced_flushes(),
             health_events: self.scheduler.health_transitions(),
             heartbeats_sent: self.heartbeats_sent,
@@ -1281,6 +1302,34 @@ mod tests {
             &RadioParams::galaxy_s4_3g(),
             100.0,
         );
+    }
+
+    #[test]
+    fn a_packet_the_scheduler_refuses_is_shed_and_never_released() {
+        let mut packets = mk_packets(&[10.0, 20.0, 30.0]);
+        packets[1].app = CargoAppId(9);
+        for kind in [EngineKind::Slot, EngineKind::Event] {
+            let mut sched = BaselineScheduler::new(profiles());
+            let out = Engine::new(
+                &mut sched,
+                &packets,
+                &[],
+                &BandwidthTrace::constant(1e6),
+                &RadioParams::galaxy_s4_3g(),
+                100.0,
+                &FaultPlan::none(),
+                &RetryPolicy::default(),
+                None,
+            )
+            .with_kind(kind)
+            .run();
+            assert_eq!(out.shed, vec![packets[1]], "{kind}");
+            let done: Vec<u64> = out.completed.iter().map(|c| c.packet.id).collect();
+            assert_eq!(done, [0, 2], "{kind}");
+            // The report indexes profiles only by completed packets.
+            let report = crate::RunReport::from_engine(sched.name(), &out, &profiles());
+            assert_eq!(report.packets_shed, 1, "{kind}");
+        }
     }
 
     // ---- stepwise vs batch ----

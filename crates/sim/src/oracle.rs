@@ -68,7 +68,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::EngineOutput;
 use crate::metrics::RunReport;
-use crate::scenario::{BandwidthSource, Scenario, SchedulerKind};
+use crate::scenario::{BandwidthSource, Scenario, ScenarioError, SchedulerKind};
 
 /// How much auditing a run performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -912,7 +912,9 @@ pub struct OrderingAudit {
 ///
 /// # Errors
 ///
-/// Returns the first [`OracleViolation::SchedulerOrdering`] found.
+/// Returns the first [`OracleViolation::SchedulerOrdering`] found, as a
+/// [`ScenarioError::OracleViolation`], or the error of a comparison run
+/// that cannot run (an invalid instance).
 #[allow(clippy::result_large_err)]
 pub fn audit_scheduler_ordering(
     packets: Vec<Packet>,
@@ -921,7 +923,7 @@ pub fn audit_scheduler_ordering(
     bandwidth_bps: f64,
     horizon_s: f64,
     theta: f64,
-) -> Result<OrderingAudit, OracleViolation> {
+) -> Result<OrderingAudit, ScenarioError> {
     let base = Scenario::paper_default()
         .oracle(OracleMode::Off)
         .duration_secs(horizon_s as u64)
@@ -933,11 +935,11 @@ pub fn audit_scheduler_ordering(
     let baseline = base
         .clone()
         .scheduler(SchedulerKind::Baseline)
-        .run()
+        .try_run()?
         .extra_energy_j;
     let etrain = base
         .scheduler(SchedulerKind::ETrain { theta, k: None })
-        .run()
+        .try_run()?
         .extra_energy_j;
 
     let problem = OfflineProblem {
@@ -952,20 +954,14 @@ pub fn audit_scheduler_ordering(
     let (offline, exact) = problem.solve_best();
 
     if etrain > baseline + 1e-6 {
-        return Err(OracleViolation::SchedulerOrdering {
-            scheduler: "eTrain".to_string(),
-            extra_energy_j: etrain,
-            bound_j: baseline,
-            relation: "above-baseline".to_string(),
-        });
+        return Err(ordering_violation(etrain, baseline, "above-baseline"));
     }
     if exact && etrain < offline.energy_j * 0.98 - 1e-6 {
-        return Err(OracleViolation::SchedulerOrdering {
-            scheduler: "eTrain".to_string(),
-            extra_energy_j: etrain,
-            bound_j: offline.energy_j,
-            relation: "below-offline".to_string(),
-        });
+        return Err(ordering_violation(
+            etrain,
+            offline.energy_j,
+            "below-offline",
+        ));
     }
     Ok(OrderingAudit {
         baseline_extra_j: baseline,
@@ -973,6 +969,19 @@ pub fn audit_scheduler_ordering(
         offline_bound_j: offline.energy_j,
         offline_exact: exact,
     })
+}
+
+/// eTrain's extra energy on the wrong side of `bound_j`, as the error of
+/// [`audit_scheduler_ordering`].
+fn ordering_violation(extra_energy_j: f64, bound_j: f64, relation: &str) -> ScenarioError {
+    ScenarioError::OracleViolation {
+        violation: OracleViolation::SchedulerOrdering {
+            scheduler: "eTrain".to_string(),
+            extra_energy_j,
+            bound_j,
+            relation: relation.to_string(),
+        },
+    }
 }
 
 #[cfg(test)]

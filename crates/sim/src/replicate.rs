@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::RunReport;
-use crate::runner::RunGrid;
+use crate::runner::{RunError, RunGrid};
 use crate::scenario::Scenario;
 
 /// Mean and sample standard deviation of one metric across replications.
@@ -131,6 +131,11 @@ pub struct ReplicatedReport {
 /// deterministic [`RunGrid`] — and aggregates the paper's three metrics.
 /// `runs` is in seed order regardless of worker count.
 ///
+/// # Errors
+///
+/// Returns the lowest-seed-index run that failed, as [`RunGrid::try_run`]
+/// does.
+///
 /// # Panics
 ///
 /// Panics if `seeds` is empty.
@@ -143,24 +148,25 @@ pub struct ReplicatedReport {
 /// let base = Scenario::paper_default()
 ///     .duration_secs(900)
 ///     .scheduler(SchedulerKind::ETrain { theta: 2.0, k: None });
-/// let agg = replicate(&base, &[1, 2, 3]);
+/// let agg = replicate(&base, &[1, 2, 3])?;
 /// assert_eq!(agg.replications, 3);
 /// assert!(agg.extra_energy_j.mean > 0.0);
+/// # Ok::<(), etrain_sim::RunError>(())
 /// ```
-pub fn replicate(scenario: &Scenario, seeds: &[u64]) -> ReplicatedReport {
+pub fn replicate(scenario: &Scenario, seeds: &[u64]) -> Result<ReplicatedReport, RunError> {
     assert!(!seeds.is_empty(), "at least one seed is required");
-    let runs: Vec<RunReport> = RunGrid::over_seeds(scenario, seeds).run();
+    let runs: Vec<RunReport> = RunGrid::over_seeds(scenario, seeds).try_run()?;
     let pick = |f: fn(&RunReport) -> f64| -> Stat {
         Stat::from_samples(&runs.iter().map(f).collect::<Vec<_>>())
     };
-    ReplicatedReport {
+    Ok(ReplicatedReport {
         scheduler: runs[0].scheduler.clone(),
         replications: runs.len(),
         extra_energy_j: pick(|r| r.extra_energy_j),
         normalized_delay_s: pick(|r| r.normalized_delay_s),
         deadline_violation_ratio: pick(|r| r.deadline_violation_ratio),
         runs,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -187,7 +193,7 @@ mod tests {
         let base = Scenario::paper_default()
             .duration_secs(600)
             .scheduler(SchedulerKind::Baseline);
-        let agg = replicate(&base, &[1, 2, 3, 4]);
+        let agg = replicate(&base, &[1, 2, 3, 4]).unwrap();
         assert_eq!(agg.replications, 4);
         assert_eq!(agg.runs.len(), 4);
         // Different seeds produce different energies → non-zero deviation.
@@ -205,7 +211,8 @@ mod tests {
                 .duration_secs(1200)
                 .scheduler(SchedulerKind::Baseline),
             &seeds,
-        );
+        )
+        .unwrap();
         let etrain = replicate(
             &Scenario::paper_default()
                 .duration_secs(1200)
@@ -214,7 +221,8 @@ mod tests {
                     k: None,
                 }),
             &seeds,
-        );
+        )
+        .unwrap();
         assert!(
             etrain.extra_energy_j.mean + etrain.extra_energy_j.std_dev
                 < baseline.extra_energy_j.mean,
@@ -273,7 +281,7 @@ mod tests {
         let base = Scenario::paper_default()
             .duration_secs(600)
             .scheduler(SchedulerKind::Baseline);
-        let parallel = replicate(&base, &[1, 2, 3]);
+        let parallel = replicate(&base, &[1, 2, 3]).unwrap();
         let serial: Vec<RunReport> = [1u64, 2, 3]
             .iter()
             .map(|&seed| base.clone().seed(seed).run())

@@ -271,10 +271,11 @@ impl TraceCache {
 ///         })
 ///         .collect(),
 /// );
-/// let reports = grid.run();
+/// let reports = grid.try_run()?;
 /// assert_eq!(reports.len(), 3);
 /// // Results are in job order no matter how many workers ran them.
-/// assert_eq!(reports, grid.jobs(1).run());
+/// assert_eq!(reports, grid.jobs(1).try_run()?);
+/// # Ok::<(), etrain_sim::RunError>(())
 /// ```
 #[derive(Debug)]
 pub struct RunGrid {
@@ -371,18 +372,9 @@ impl RunGrid {
         &self.specs
     }
 
-    /// Runs every job and returns the reports in job-index order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job fails validation or panics itself (see
-    /// [`RunGrid::try_run`] for the fallible form).
-    pub fn run(&self) -> Vec<RunReport> {
-        self.try_run().expect("invalid grid job")
-    }
-
-    /// Fallible [`RunGrid::run`]: returns the lowest-index failure, if
-    /// any — regardless of worker count or completion order.
+    /// Runs every job and returns the reports in job-index order, or the
+    /// lowest-index failure, if any — regardless of worker count or
+    /// completion order.
     ///
     /// # Errors
     ///
@@ -571,8 +563,6 @@ where
 mod tests {
     use super::*;
     use crate::scenario::BandwidthSource;
-    use etrain_trace::packets::Packet;
-    use etrain_trace::CargoAppId;
 
     fn theta_grid(jobs: usize) -> RunGrid {
         let base = Scenario::paper_default().duration_secs(600).seed(3);
@@ -594,15 +584,15 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
-        let serial = theta_grid(1).run();
-        let parallel = theta_grid(4).run();
+        let serial = theta_grid(1).try_run().unwrap();
+        let parallel = theta_grid(4).try_run().unwrap();
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn results_are_in_job_index_order() {
         let grid = theta_grid(3);
-        let reports = grid.run();
+        let reports = grid.try_run().unwrap();
         for (spec, report) in grid.specs().iter().zip(&reports) {
             assert_eq!(report.scheduler, "eTrain", "{}", spec.label);
         }
@@ -682,7 +672,7 @@ mod tests {
         );
         assert_eq!(grid.specs()[0].label, "Baseline");
         assert_eq!(grid.specs()[1].label, "eTime(V=20000 B)");
-        let reports = grid.run();
+        let reports = grid.try_run().unwrap();
         assert_eq!(reports[0].scheduler, "Baseline");
         assert_eq!(reports[1].scheduler, "eTime");
     }
@@ -707,20 +697,18 @@ mod tests {
         }
     }
 
-    /// A spec that passes `validate()` but panics inside the engine: its
-    /// explicit packet trace references an unregistered app index.
+    /// A spec that passes `validate()` but panics when its scheduler is
+    /// built: eTrain asserts k ≥ 1, which validation does not check.
     fn panicking_spec(label: &str) -> RunSpec {
         RunSpec::new(
             label,
             Scenario::paper_default()
                 .duration_secs(600)
                 .seed(5)
-                .packets(vec![Packet {
-                    id: 0,
-                    app: CargoAppId(99),
-                    arrival_s: 10.0,
-                    size_bytes: 1_000,
-                }]),
+                .scheduler(SchedulerKind::ETrain {
+                    theta: 0.2,
+                    k: Some(0),
+                }),
         )
     }
 
@@ -761,7 +749,7 @@ mod tests {
                 matches!(
                     errors[0],
                     RunError::Panicked { index: 1, payload, .. }
-                        if payload.contains("registered with the scheduler")
+                        if payload.contains("k must be at least 1")
                 ),
                 "jobs={jobs}: {:?}",
                 errors[0]
@@ -802,7 +790,6 @@ mod tests {
                 .collect();
             assert_eq!(each.len(), 4, "jobs={jobs}");
             assert_eq!(each, grid.try_run().unwrap(), "jobs={jobs}");
-            assert_eq!(each, grid.run(), "jobs={jobs}");
         }
     }
 
@@ -826,7 +813,7 @@ mod tests {
 
     #[test]
     fn empty_grid_runs_to_empty() {
-        assert!(RunGrid::new().run().is_empty());
+        assert_eq!(RunGrid::new().try_run(), Ok(Vec::new()));
         assert!(RunGrid::new().run_each().is_empty());
     }
 

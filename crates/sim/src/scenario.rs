@@ -55,6 +55,13 @@ pub enum ScenarioError {
         /// What is wrong with it.
         reason: String,
     },
+    /// An explicit packet or heartbeat trace ([`Scenario::packets`],
+    /// [`Scenario::heartbeats`]) is unsorted, has a time that is negative
+    /// or non-finite, or has a packet of an app with no registered profile.
+    InvalidTrace {
+        /// What is wrong with it.
+        reason: String,
+    },
     /// The run executed but the simulation oracle (in
     /// [`OracleMode::Strict`]) found a violated invariant.
     OracleViolation {
@@ -89,6 +96,9 @@ impl std::fmt::Display for ScenarioError {
             }
             ScenarioError::InvalidScheduler { reason } => {
                 write!(f, "invalid scheduler config: {reason}")
+            }
+            ScenarioError::InvalidTrace { reason } => {
+                write!(f, "invalid trace override: {reason}")
             }
             ScenarioError::OracleViolation { violation } => {
                 write!(f, "oracle violation: {violation}")
@@ -504,8 +514,8 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns the first problem found: non-positive duration, negative
-    /// workload rate, unusable bandwidth source, or an invalid fault plan
-    /// or retry policy.
+    /// workload rate, unusable bandwidth source, an invalid fault plan,
+    /// retry policy or explicit trace.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if !(self.horizon_s.is_finite() && self.horizon_s > 0.0) {
             return Err(ScenarioError::InvalidDuration {
@@ -542,25 +552,48 @@ impl Scenario {
                 .validate()
                 .map_err(|reason| ScenarioError::InvalidScheduler { reason })?;
         }
+        if let Some(packets) = &self.packets_override {
+            check_trace("packet", packets.iter().map(|p| p.arrival_s))?;
+            if let Some(p) = packets
+                .iter()
+                .find(|p| p.app.index() >= self.profiles.len())
+            {
+                return Err(ScenarioError::InvalidTrace {
+                    reason: format!(
+                        "packet {} belongs to {}, which has no registered profile",
+                        p.id, p.app
+                    ),
+                });
+            }
+        }
+        if let Some(heartbeats) = &self.heartbeats_override {
+            check_trace("heartbeat", heartbeats.iter().map(|hb| hb.time_s))?;
+        }
         Ok(())
     }
 
-    /// Runs the scenario and reports the paper's metrics.
+    /// [`Scenario::try_run`] for callers that treat an invalid scenario or
+    /// a strict-oracle violation as a bug: tests, examples and the
+    /// repository benchmark.
     ///
     /// # Panics
     ///
-    /// Panics if [`Scenario::validate`] fails or an explicit packet trace
-    /// references an app index outside the registered profiles.
+    /// Panics with the [`ScenarioError`] that [`Scenario::try_run`] returns.
+    // The repository benchmark (`benchmark/src/fleet.rs`) calls this, so it
+    // stays, the one panicking entry point left in this crate, and goes
+    // with benchmark v2, which should call `try_run`.
+    #[allow(clippy::expect_used)]
     pub fn run(&self) -> RunReport {
         self.try_run().expect("invalid scenario")
     }
 
-    /// Fallible [`Scenario::run`]: validates first, then generates the
-    /// traces and runs [`Scenario::try_run_journaled_on`] on them.
+    /// Validates the scenario, generates its traces and runs
+    /// [`Scenario::try_run_journaled_on`] on them.
     ///
     /// # Errors
     ///
-    /// Returns what [`Scenario::validate`] returns.
+    /// Returns what [`Scenario::validate`] returns, or, under
+    /// [`OracleMode::Strict`], the first oracle violation.
     pub fn try_run(&self) -> Result<RunReport, ScenarioError> {
         self.validate()?;
         let (report, _, _) = self.try_run_journaled_on(&self.generate_traces())?;
@@ -637,7 +670,8 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns what [`Scenario::validate`] returns.
+    /// Returns what [`Scenario::validate`] returns, or, under
+    /// [`OracleMode::Strict`], the first oracle violation.
     pub fn try_run_journaled_on(
         &self,
         traces: &TraceBundle,
@@ -683,6 +717,26 @@ impl Scenario {
         }
         Ok((report, output, journal))
     }
+}
+
+/// Checks that an explicit trace's times are finite, not negative and in
+/// order, as the engine replays them.
+fn check_trace(what: &str, times: impl Iterator<Item = f64>) -> Result<(), ScenarioError> {
+    let mut last = 0.0;
+    for (index, time_s) in times.enumerate() {
+        if !(time_s.is_finite() && time_s >= last) {
+            let problem = if time_s.is_finite() && time_s >= 0.0 {
+                "is earlier than the one before it"
+            } else {
+                "is negative or non-finite"
+            };
+            return Err(ScenarioError::InvalidTrace {
+                reason: format!("{what} #{index} at {time_s} s {problem}"),
+            });
+        }
+        last = time_s;
+    }
+    Ok(())
 }
 
 /// Passes an audit outcome through, unless it was audited under
@@ -1048,6 +1102,67 @@ mod tests {
         assert!(matches!(err, Err(ScenarioError::InvalidRetryPolicy { .. })));
         // Errors render readably.
         assert!(err.unwrap_err().to_string().contains("max_attempts"));
+    }
+
+    #[test]
+    fn validation_rejects_trace_overrides_the_engine_cannot_replay() {
+        let hb = |time_s: f64| Heartbeat {
+            train: etrain_trace::TrainAppId(0),
+            time_s,
+            size_bytes: 100,
+        };
+        let packet = |id: u64, app: usize, arrival_s: f64| Packet {
+            id,
+            app: etrain_trace::CargoAppId(app),
+            arrival_s,
+            size_bytes: 1_000,
+        };
+        let base = || Scenario::paper_default().duration_secs(600).seed(1);
+        let cases = [
+            (
+                "unsorted heartbeats",
+                base().heartbeats(vec![hb(300.0), hb(10.0)]),
+                "heartbeat #1 at 10 s is earlier than the one before it",
+            ),
+            (
+                "a heartbeat before 0 s",
+                base().heartbeats(vec![hb(-50.0), hb(10.0)]),
+                "heartbeat #0 at -50 s is negative or non-finite",
+            ),
+            (
+                "a heartbeat at NaN",
+                base().heartbeats(vec![hb(10.0), hb(f64::NAN)]),
+                "heartbeat #1 at NaN s is negative or non-finite",
+            ),
+            (
+                "a packet of an unregistered app",
+                base().packets(vec![packet(0, 0, 5.0), packet(1, 9, 10.0)]),
+                "packet 1 belongs to cargo#9, which has no registered profile",
+            ),
+            (
+                "unsorted packets",
+                base().packets(vec![packet(0, 0, 50.0), packet(1, 1, 10.0)]),
+                "packet #1 at 10 s is earlier than the one before it",
+            ),
+            (
+                "a packet at infinity",
+                base().packets(vec![packet(0, 0, f64::INFINITY)]),
+                "packet #0 at inf s is negative or non-finite",
+            ),
+        ];
+        for (what, scenario, reason) in cases {
+            match scenario.try_run() {
+                Err(err @ ScenarioError::InvalidTrace { .. }) => {
+                    assert!(err.to_string().contains(reason), "{what}: {err}");
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+        // Sorted overrides at and after 0 s, of registered apps, run.
+        let ok = base()
+            .heartbeats(vec![hb(0.0), hb(10.0), hb(10.0)])
+            .packets(vec![packet(0, 0, 0.0), packet(1, 2, 0.0)]);
+        assert_eq!(ok.validate(), Ok(()));
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! Every sweep is a thin wrapper over the deterministic parallel
 //! [`RunGrid`]: points run concurrently (sharing one trace synthesis per
 //! workload + seed) yet the returned vectors are bit-for-bit identical to
-//! running each point serially in order.
+//! running each point serially in order. A sweep returns what
+//! [`RunGrid::try_run`] returns: the lowest-index point that failed
+//! validation or the strict oracle, if any.
 
 use crate::metrics::RunReport;
-use crate::runner::{RunGrid, RunSpec};
+use crate::runner::{RunError, RunGrid, RunSpec};
 use crate::scenario::{Scenario, SchedulerKind};
 
 /// One point on an energy–delay (E-D) panel.
@@ -47,32 +49,51 @@ fn knob_grid(
 }
 
 /// Runs `base` once per Θ value with the eTrain scheduler (Fig. 7(a)).
-pub fn theta_sweep(base: &Scenario, thetas: &[f64], k: Option<usize>) -> Vec<(f64, RunReport)> {
+///
+/// # Errors
+///
+/// Returns the first failing point, as [`RunGrid::try_run`] does.
+pub fn theta_sweep(
+    base: &Scenario,
+    thetas: &[f64],
+    k: Option<usize>,
+) -> Result<Vec<(f64, RunReport)>, RunError> {
     let grid = knob_grid(base, thetas, |theta, s| {
         s.scheduler(SchedulerKind::ETrain { theta, k })
     });
-    thetas.iter().copied().zip(grid.run()).collect()
+    Ok(thetas.iter().copied().zip(grid.try_run()?).collect())
 }
 
 /// Runs `base` once per shared deadline value (Fig. 10(c)).
-pub fn deadline_sweep(base: &Scenario, deadlines_s: &[f64]) -> Vec<(f64, RunReport)> {
+///
+/// # Errors
+///
+/// Returns the first failing point, as [`RunGrid::try_run`] does.
+pub fn deadline_sweep(
+    base: &Scenario,
+    deadlines_s: &[f64],
+) -> Result<Vec<(f64, RunReport)>, RunError> {
     let grid = knob_grid(base, deadlines_s, |d, s| s.shared_deadline(d));
-    deadlines_s.iter().copied().zip(grid.run()).collect()
+    Ok(deadlines_s.iter().copied().zip(grid.try_run()?).collect())
 }
 
 /// Traces one algorithm's E-D curve by sweeping its knob: each knob value
 /// is mapped to a [`SchedulerKind`] by `make` and run on `base`.
+///
+/// # Errors
+///
+/// Returns the first failing point, as [`RunGrid::try_run`] does.
 pub fn ed_curve(
     base: &Scenario,
     knob_values: &[f64],
     make: impl Fn(f64) -> SchedulerKind,
-) -> Vec<EdPoint> {
+) -> Result<Vec<EdPoint>, RunError> {
     let grid = knob_grid(base, knob_values, |knob, s| s.scheduler(make(knob)));
-    knob_values
+    Ok(knob_values
         .iter()
-        .zip(grid.run())
+        .zip(grid.try_run()?)
         .map(|(&knob, report)| EdPoint::from((knob, &report)))
-        .collect()
+        .collect())
 }
 
 /// Picks the knob value whose run's normalized delay lands closest to
@@ -80,19 +101,27 @@ pub fn ed_curve(
 /// "with the same normalized delay as 55 seconds ... by picking the right
 /// value of Ω, V and Θ").
 ///
-/// Returns `None` if `knob_values` is empty.
+/// Returns `Ok(None)` if `knob_values` is empty.
+///
+/// # Errors
+///
+/// Returns the first failing point, as [`RunGrid::try_run`] does.
 pub fn match_delay(
     base: &Scenario,
     knob_values: &[f64],
     make: impl Fn(f64) -> SchedulerKind,
     target_delay_s: f64,
-) -> Option<(f64, RunReport)> {
+) -> Result<Option<(f64, RunReport)>, RunError> {
     let grid = knob_grid(base, knob_values, |knob, s| s.scheduler(make(knob)));
-    knob_values.iter().copied().zip(grid.run()).min_by(|a, b| {
-        let da = (a.1.normalized_delay_s - target_delay_s).abs();
-        let db = (b.1.normalized_delay_s - target_delay_s).abs();
-        da.total_cmp(&db)
-    })
+    Ok(knob_values
+        .iter()
+        .copied()
+        .zip(grid.try_run()?)
+        .min_by(|a, b| {
+            let da = (a.1.normalized_delay_s - target_delay_s).abs();
+            let db = (b.1.normalized_delay_s - target_delay_s).abs();
+            da.total_cmp(&db)
+        }))
 }
 
 /// Log-spaced values in `[lo, hi]` (inclusive), used for knob scans.
@@ -134,7 +163,7 @@ mod tests {
 
     #[test]
     fn theta_sweep_produces_one_report_per_theta() {
-        let sweep = theta_sweep(&quick_base(), &[0.0, 1.0], None);
+        let sweep = theta_sweep(&quick_base(), &[0.0, 1.0], None).unwrap();
         assert_eq!(sweep.len(), 2);
         assert_eq!(sweep[0].0, 0.0);
         assert_eq!(sweep[1].0, 1.0);
@@ -142,7 +171,7 @@ mod tests {
 
     #[test]
     fn larger_theta_never_reduces_delay() {
-        let sweep = theta_sweep(&quick_base(), &[0.0, 2.0], None);
+        let sweep = theta_sweep(&quick_base(), &[0.0, 2.0], None).unwrap();
         assert!(
             sweep[1].1.normalized_delay_s >= sweep[0].1.normalized_delay_s - 1.0,
             "Θ=2 delay {} vs Θ=0 delay {}",
@@ -155,7 +184,8 @@ mod tests {
     fn ed_curve_tracks_knob() {
         let points = ed_curve(&quick_base(), &[10_000.0, 500_000.0], |v| {
             SchedulerKind::ETime { v_bytes: v }
-        });
+        })
+        .unwrap();
         assert_eq!(points.len(), 2);
         assert!(points[0].knob < points[1].knob);
     }
@@ -167,7 +197,8 @@ mod tests {
             &[0.0, 0.5, 1.5],
             |theta| SchedulerKind::ETrain { theta, k: None },
             30.0,
-        );
+        )
+        .unwrap();
         let (_, report) = result.expect("non-empty knob list");
         // The chosen report must be at least as close as every other knob.
         for theta in [0.0, 0.5, 1.5] {
@@ -189,7 +220,7 @@ mod tests {
             |theta| SchedulerKind::ETrain { theta, k: None },
             30.0,
         );
-        assert!(result.is_none());
+        assert_eq!(result, Ok(None));
     }
 
     #[test]
@@ -209,8 +240,20 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_point_is_the_sweeps_error() {
+        let err = theta_sweep(&quick_base().duration_secs(0), &[0.0, 1.0], None).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                RunError::Scenario { index: 0, label, .. } if label == "knob=0"
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn deadline_sweep_runs_each_shared_deadline() {
-        let sweep = deadline_sweep(&quick_base(), &[10.0, 120.0]);
+        let sweep = deadline_sweep(&quick_base(), &[10.0, 120.0]).unwrap();
         let deadlines: Vec<f64> = sweep.iter().map(|(d, _)| *d).collect();
         assert_eq!(deadlines, [10.0, 120.0]);
         assert_eq!(sweep[1].1, quick_base().shared_deadline(120.0).run());

@@ -136,13 +136,15 @@ fn chaos_run_is_deterministic_across_worker_counts() {
         &[SchedulerKind::Baseline, guarded_kind()],
     )
     .jobs(1)
-    .run();
+    .try_run()
+    .unwrap();
     let parallel = RunGrid::over_schedulers(
         &chaos_scenario(),
         &[SchedulerKind::Baseline, guarded_kind()],
     )
     .jobs(2)
-    .run();
+    .try_run()
+    .unwrap();
     assert_eq!(serial, parallel);
 }
 

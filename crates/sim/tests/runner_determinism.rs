@@ -39,7 +39,7 @@ fn full_grid(base: &Scenario) -> RunGrid {
 }
 
 fn rebuild(base: &Scenario, jobs: usize) -> Vec<RunReport> {
-    full_grid(base).jobs(jobs).run()
+    full_grid(base).jobs(jobs).try_run().unwrap()
 }
 
 #[test]
@@ -74,7 +74,7 @@ fn grid_matches_direct_scenario_runs() {
         .duration_secs(900)
         .faults(non_trivial_faults());
     let grid = full_grid(&base).jobs(4);
-    let reports = grid.run();
+    let reports = grid.try_run().unwrap();
     for (spec, report) in grid.specs().iter().zip(&reports) {
         assert_eq!(&spec.scenario.run(), report, "{} diverged", spec.label);
     }
@@ -86,12 +86,14 @@ fn comparison_and_replication_are_worker_count_invariant() {
     // count (machine dependent); their output must equal explicit serial
     // runs.
     let base = Scenario::paper_default().duration_secs(900).seed(6);
-    let comparison = RunGrid::over_schedulers(&base, &all_kinds()).run();
+    let comparison = RunGrid::over_schedulers(&base, &all_kinds())
+        .try_run()
+        .unwrap();
     for (kind, report) in all_kinds().iter().zip(&comparison) {
         assert_eq!(&base.clone().scheduler(*kind).run(), report);
     }
 
-    let replicated = replicate(&base, &[4, 5, 6]);
+    let replicated = replicate(&base, &[4, 5, 6]).unwrap();
     for (seed, report) in [4u64, 5, 6].iter().zip(&replicated.runs) {
         assert_eq!(&base.clone().seed(*seed).run(), report);
     }

@@ -31,6 +31,8 @@
 //! assert!(report.total_energy_j > 0.0);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub use etrain_apps as apps;
 pub use etrain_core as core;
 pub use etrain_hb as hb;

@@ -135,7 +135,7 @@ fn a_scheduler_comparison_runs_every_contender_on_one_workload() {
         SchedulerKind::PerEs { omega: 0.5 },
         SchedulerKind::ETime { v_bytes: 20_000.0 },
     ];
-    let reports = RunGrid::over_schedulers(&base, &kinds).run();
+    let reports = RunGrid::over_schedulers(&base, &kinds).try_run().unwrap();
     let names: Vec<&str> = reports.iter().map(|r| r.scheduler.as_str()).collect();
     assert_eq!(names, ["Baseline", "eTrain", "PerES", "eTime"]);
     let baseline = &reports[0];

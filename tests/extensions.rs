@@ -25,7 +25,8 @@ fn replication_narrows_the_comparison() {
             .duration_secs(1200)
             .scheduler(SchedulerKind::Baseline),
         &seeds,
-    );
+    )
+    .unwrap();
     let etrain = replicate(
         &Scenario::paper_default()
             .duration_secs(1200)
@@ -34,7 +35,8 @@ fn replication_narrows_the_comparison() {
                 k: None,
             }),
         &seeds,
-    );
+    )
+    .unwrap();
     // The gap must exceed the combined spread — a statistically meaningful
     // win, not a lucky seed.
     let gap = baseline.extra_energy_j.mean - etrain.extra_energy_j.mean;
