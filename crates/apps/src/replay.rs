@@ -47,6 +47,8 @@ pub struct ReplayOutcome {
 ///
 /// # Errors
 ///
+/// Returns [`CoreError::InvalidConfig`] when `config` fails
+/// [`CoreConfig::validate`] (a `k` of `Some(0)`, say).
 /// Returns the core's [`CoreError::TimeWentBackwards`] when an upload
 /// record or a train departure comes before the core's clock, which starts
 /// at 0 s (a record with a negative `time_s`, say).
@@ -58,6 +60,7 @@ pub fn replay_through_core(
     trains: &[TrainAppSpec],
     config: CoreConfig,
 ) -> Result<ReplayOutcome, CoreError> {
+    config.validate()?;
     let mut core = ETrainCore::new(config);
     let train_ids: Vec<_> = trains
         .iter()
@@ -319,6 +322,36 @@ mod tests {
             matches!(err, CoreError::NonFiniteTime { supplied_s } if supplied_s.is_nan()),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn a_config_the_core_would_panic_on_is_an_error() {
+        for config in [
+            CoreConfig {
+                k: Some(0),
+                ..CoreConfig::default()
+            },
+            CoreConfig {
+                theta: f64::NAN,
+                ..CoreConfig::default()
+            },
+            CoreConfig {
+                slot_s: 0.0,
+                ..CoreConfig::default()
+            },
+        ] {
+            let err = replay_through_core(
+                &trace(),
+                &CargoAppModel::weibo(),
+                &TrainAppSpec::paper_trio(),
+                config,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidConfig { .. }),
+                "{config:?}: {err:?}"
+            );
+        }
     }
 
     /// A hand-made trace of `duration_s` seconds with the given records.

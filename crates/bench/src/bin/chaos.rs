@@ -20,15 +20,18 @@
 //! environment: the campaign pins its own oracle mode.
 //!
 //! Every campaign finding is shrunk to a minimal [`ReproCase`] and
-//! written to `<out>/repro_seed<seed>.json`; the machine-readable
-//! summary (campaign, self-test) lands in `<out>/chaos_report.json`.
-//! The exit code is non-zero when either tier found a problem, so CI can
-//! gate on it directly.
+//! written to `<out>/repro_seed<seed>.json`; every self-test repro
+//! ([`self_test`] on seed `S + 6`, horizons capped at 900 s) to
+//! `<out>/selftest_<corruption>.json`; the machine-readable summary
+//! (campaign, self-test) lands in `<out>/chaos_report.json`. The exit
+//! code is non-zero when the [`Verdict`] names a problem in either tier,
+//! so CI can gate on it directly.
 
 use std::num::NonZeroUsize;
 
-use etrain_chaos::{campaign_cases, run_campaign, shrink, ChaosCase, Corruption, ReproCase};
-use etrain_sim::{CasePlan, EngineKind, SchedulerKind};
+use etrain_chaos::{
+    campaign_cases, run_campaign, self_test, shrink, ReproCase, Verdict, MAX_REPRO_EVENTS,
+};
 
 const USAGE: &str = "usage: chaos [--seeds N] [--start-seed S] [--quick] [--jobs N] [--out DIR]
        chaos --repro FILE";
@@ -71,8 +74,6 @@ fn main() {
     let out_dir = flags.value("--out").unwrap_or("BENCH_chaos_repros");
     std::fs::create_dir_all(out_dir).expect("creating the output directory");
 
-    let mut problems = 0usize;
-
     // Tier 1: the campaign.
     let cases = campaign_cases(start_seed, seeds, quick);
     let jobs = etrain_sim::resolve_workers(jobs, cases.len());
@@ -87,13 +88,11 @@ fn main() {
         campaign.findings.len()
     );
     for finding in &campaign.findings {
-        problems += 1;
         println!("  FINDING {}: {}", finding.case.label(), finding.failure);
         match shrink(&finding.case) {
             Some(repro) => {
                 let path = format!("{out_dir}/repro_seed{}.json", finding.case.plan.seed);
-                let json = repro.to_json().expect("repro cases serialize");
-                std::fs::write(&path, json).expect("writing the repro artifact");
+                write_repro(&path, &repro);
                 println!(
                     "    shrunk to {} events ({}); wrote {path}",
                     repro.events, repro.signature
@@ -103,38 +102,25 @@ fn main() {
         }
     }
 
-    // Tier 2: the injected-corruption self-test.
-    let mut plan = CasePlan::from_seed(start_seed.wrapping_add(6), false);
-    plan.horizon_s = plan.horizon_s.min(900);
+    // Tier 2: the injected-corruption self-test, on the start seed's
+    // kernel parity so nightly runs exercise both kernels.
+    let self_test = self_test(start_seed.wrapping_add(6), 900);
     let mut rows = Vec::new();
-    for corruption in Corruption::all() {
-        let case = ChaosCase {
-            plan: plan.clone(),
-            kind: SchedulerKind::Baseline,
-            // Follow the campaign's parity convention so nightly
-            // self-tests exercise both kernels as the start seed
-            // advances.
-            engine: if plan.seed.is_multiple_of(2) {
-                EngineKind::Slot
-            } else {
-                EngineKind::Event
-            },
-            corruption: Some(corruption),
-        };
-        match shrink(&case) {
+    for result in &self_test {
+        let corruption = result.corruption;
+        match &result.repro {
             Some(repro) => {
-                let ok = repro.events <= 10;
-                if !ok {
-                    problems += 1;
-                }
                 let path = format!("{out_dir}/selftest_{corruption:?}.json");
-                let json = repro.to_json().expect("repro cases serialize");
-                std::fs::write(&path, json).expect("writing the repro artifact");
+                write_repro(&path, repro);
                 println!(
                     "self-test {corruption:?}: caught, shrunk to {} events ({}), wrote {path}{}",
                     repro.events,
                     repro.signature,
-                    if ok { "" } else { " — TOO LARGE" }
+                    if repro.events <= MAX_REPRO_EVENTS {
+                        ""
+                    } else {
+                        " — TOO LARGE"
+                    }
                 );
                 rows.push(format!(
                     "{{\"corruption\":\"{corruption:?}\",\"caught\":true,\"events\":{}}}",
@@ -142,7 +128,6 @@ fn main() {
                 ));
             }
             None => {
-                problems += 1;
                 println!("self-test {corruption:?}: NOT CAUGHT");
                 rows.push(format!(
                     "{{\"corruption\":\"{corruption:?}\",\"caught\":false}}"
@@ -160,11 +145,25 @@ fn main() {
     std::fs::write(&report_path, report).expect("writing the chaos report");
     eprintln!("# wrote {report_path}");
 
-    if problems > 0 {
-        eprintln!("# {problems} problem(s) found");
+    let problems = Verdict {
+        campaign,
+        self_test,
+    }
+    .problems();
+    if !problems.is_empty() {
+        for problem in &problems {
+            eprintln!("# problem: {problem}");
+        }
+        eprintln!("# {} problem(s) found", problems.len());
         std::process::exit(1);
     }
     eprintln!("# clean");
+}
+
+/// Writes one repro artifact as pretty JSON.
+fn write_repro(path: &str, repro: &ReproCase) {
+    let json = repro.to_json().expect("repro cases serialize");
+    std::fs::write(path, json).expect("writing the repro artifact");
 }
 
 /// Replays a repro artifact; returns the process exit code.

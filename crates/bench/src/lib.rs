@@ -167,6 +167,9 @@ pub enum ExperimentError {
     /// An input the experiment fixes itself broke an assumption the
     /// experiment builds on.
     Setup(String),
+    /// The chaos campaign or the oracle self-test found a problem (the
+    /// first one its verdict names).
+    Chaos(String),
 }
 
 impl std::fmt::Display for ExperimentError {
@@ -175,6 +178,7 @@ impl std::fmt::Display for ExperimentError {
             ExperimentError::Scenario(error) => write!(f, "{error}"),
             ExperimentError::Run(error) => write!(f, "{error}"),
             ExperimentError::Setup(reason) => write!(f, "experiment setup: {reason}"),
+            ExperimentError::Chaos(problem) => write!(f, "chaos: {problem}"),
         }
     }
 }
@@ -184,7 +188,7 @@ impl std::error::Error for ExperimentError {
         match self {
             ExperimentError::Scenario(error) => Some(error),
             ExperimentError::Run(error) => Some(error),
-            ExperimentError::Setup(_) => None,
+            ExperimentError::Setup(_) | ExperimentError::Chaos(_) => None,
         }
     }
 }

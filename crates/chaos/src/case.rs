@@ -2,12 +2,13 @@
 //! under, and an optional post-run corruption for oracle self-testing.
 //!
 //! A [`ChaosCase`] is the unit the campaign sweeps, the shrinker
-//! minimizes, and a repro artifact replays. Running one yields either
+//! minimizes, and a repro artifact replays, and [`ChaosCase::run`] is the
+//! one place any of them runs and judges it. Running one yields either
 //! `None` (clean) or a [`CaseFailure`] — an oracle violation, a panic, a
 //! scenario that refuses to validate, or a health-ladder anomaly.
 
-use etrain_sim::oracle::{self, OracleViolation};
-use etrain_sim::{CasePlan, EngineKind, EngineOutput, FaultPlan, SchedulerKind};
+use etrain_sim::oracle::{self, OracleMode, OracleViolation};
+use etrain_sim::{CasePlan, EngineKind, EngineOutput, FaultPlan, ScenarioError, SchedulerKind};
 use serde::{Deserialize, Serialize};
 
 /// A deliberate post-run corruption of the engine output, used to prove
@@ -56,73 +57,40 @@ impl Corruption {
     /// smallest run that still *has* the corrupted artifact.
     pub fn apply(&self, output: &mut EngineOutput) -> bool {
         match self {
-            Corruption::TamperTailEnergy => {
-                output.tail_energy_j += 1.0;
-                true
-            }
+            Corruption::TamperTailEnergy => output.tail_energy_j += 1.0,
+            Corruption::PhantomRetry => output.retries += 3,
+            Corruption::InflateHeartbeatCount => output.heartbeats_sent += 1,
+            Corruption::DropCompletion => return output.completed.pop().is_some(),
             Corruption::TruncateTransmission => match output.transmissions.last_mut() {
-                Some(last) => {
-                    last.duration_s *= 0.5;
-                    true
-                }
-                None => false,
+                Some(last) => last.duration_s *= 0.5,
+                None => return false,
             },
-            Corruption::DropCompletion => output.completed.pop().is_some(),
-            Corruption::DuplicateCompletion => match output.completed.first() {
-                Some(first) => {
-                    let dup = *first;
-                    output.completed.push(dup);
-                    true
-                }
-                None => false,
+            Corruption::DuplicateCompletion => match output.completed.first().copied() {
+                Some(first) => output.completed.push(first),
+                None => return false,
             },
-            Corruption::DuplicateTransmission => match output.transmissions.first() {
-                Some(first) => {
-                    let dup = *first;
-                    output.transmissions.push(dup);
-                    true
-                }
-                None => false,
+            Corruption::DuplicateTransmission => match output.transmissions.first().copied() {
+                Some(first) => output.transmissions.push(first),
+                None => return false,
             },
-            Corruption::PhantomRetry => {
-                output.retries += 3;
-                true
-            }
-            Corruption::InflateHeartbeatCount => {
-                output.heartbeats_sent += 1;
-                true
-            }
-            Corruption::SwapTransmissions => {
-                if output.transmissions.len() < 2 {
-                    return false;
-                }
-                output.transmissions.swap(0, 1);
-                true
-            }
+            Corruption::SwapTransmissions if output.transmissions.len() < 2 => return false,
+            Corruption::SwapTransmissions => output.transmissions.swap(0, 1),
         }
+        true
     }
 }
 
-/// The stable variant name of an oracle violation, used as the failure
-/// signature the shrinker preserves ([`OracleViolation`] carries payload
-/// data, so its `Display` output is too specific to survive shrinking).
-pub fn violation_name(violation: &OracleViolation) -> &'static str {
-    match violation {
-        OracleViolation::EnergyImbalance { .. } => "EnergyImbalance",
-        OracleViolation::TransmitEnergyMismatch { .. } => "TransmitEnergyMismatch",
-        OracleViolation::NonFiniteQuantity { .. } => "NonFiniteQuantity",
-        OracleViolation::IllegalTimeline { .. } => "IllegalTimeline",
-        OracleViolation::OverlappingTransmissions { .. } => "OverlappingTransmissions",
-        OracleViolation::PacketConservation { .. } => "PacketConservation",
-        OracleViolation::DuplicateTerminalState { .. } => "DuplicateTerminalState",
-        OracleViolation::UnknownPacket { .. } => "UnknownPacket",
-        OracleViolation::CausalityViolation { .. } => "CausalityViolation",
-        OracleViolation::UnexpectedFaultArtifact { .. } => "UnexpectedFaultArtifact",
-        OracleViolation::HeartbeatCount { .. } => "HeartbeatCount",
-        OracleViolation::TransmissionCount { .. } => "TransmissionCount",
-        OracleViolation::MetricsMismatch { .. } => "MetricsMismatch",
-        OracleViolation::SchedulerOrdering { .. } => "SchedulerOrdering",
-    }
+/// The variant name of an oracle violation (how its derived `Debug`
+/// output starts), used as the failure signature the shrinker preserves
+/// ([`OracleViolation`] carries payload data, so its `Display` output is
+/// too specific to survive shrinking).
+pub fn violation_name(violation: &OracleViolation) -> String {
+    let debug = format!("{violation:?}");
+    debug
+        .split([' ', '{', '('])
+        .next()
+        .unwrap_or_default()
+        .to_owned()
 }
 
 /// Why a chaos case failed.
@@ -225,11 +193,7 @@ impl ChaosCase {
         ChaosCase {
             plan: CasePlan::from_seed(seed, seed % 2 == 1),
             kind: kinds[(seed % kinds.len() as u64) as usize],
-            engine: if seed.is_multiple_of(2) {
-                EngineKind::Slot
-            } else {
-                EngineKind::Event
-            },
+            engine: engine_for_seed(seed),
             corruption: None,
         }
     }
@@ -239,41 +203,30 @@ impl ChaosCase {
         format!("seed={} {}", self.plan.seed, self.kind)
     }
 
-    /// The case's discrete event count (the shrinker's size metric).
-    pub fn event_count(&self) -> usize {
-        self.plan.event_count()
-    }
-
-    /// Runs the case end to end — engine, optional corruption, oracle
-    /// audit, health-ladder audit — isolating panics. `None` means clean.
+    /// Runs the case end to end and judges it: the engine under
+    /// [`OracleMode::Record`], so the clean run's full audit (engine and
+    /// report) reports every violation; then the optional corruption,
+    /// whose output is checked with [`oracle::audit_engine`]; then the
+    /// health-ladder audit. A panic anywhere in building or running the
+    /// scenario is caught and becomes [`CaseFailure::Panicked`]. `None`
+    /// means clean.
     pub fn run(&self) -> Option<CaseFailure> {
-        // Scenario construction itself asserts on degenerate knobs (a NaN
-        // arrival rate, say), so even building the run must be isolated.
-        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.plan
-                .scenario()
-                .scheduler(self.kind)
-                .engine(self.engine)
-        }));
-        let scenario = match built {
-            Ok(scenario) => scenario,
-            Err(payload) => {
-                return Some(CaseFailure::Panicked {
-                    payload: panic_payload(&payload),
-                })
-            }
-        };
-        if let Err(error) = scenario.validate() {
-            return Some(CaseFailure::InvalidScenario {
-                reason: error.to_string(),
-            });
-        }
-        let traces = scenario.generate_traces();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scenario.try_run_journaled_on(&traces)
-        }));
-        let (report, mut output) = match outcome {
-            Ok(Ok((report, output, _))) => (report, output),
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+            || -> Result<_, ScenarioError> {
+                let scenario = self
+                    .plan
+                    .scenario()
+                    .scheduler(self.kind)
+                    .engine(self.engine)
+                    .oracle(OracleMode::Record);
+                scenario.validate()?;
+                let traces = scenario.generate_traces();
+                let (report, output, _) = scenario.try_run_journaled_on(&traces)?;
+                Ok((report, output, traces))
+            },
+        ));
+        let (report, mut output, traces) = match outcome {
+            Ok(Ok(run)) => run,
             Ok(Err(error)) => {
                 return Some(CaseFailure::InvalidScenario {
                     reason: error.to_string(),
@@ -281,44 +234,46 @@ impl ChaosCase {
             }
             Err(payload) => {
                 return Some(CaseFailure::Panicked {
-                    payload: panic_payload(&payload),
+                    payload: etrain_sim::runner::panic_payload_string(payload.as_ref()),
                 })
             }
         };
+        if let Some(audit) = &report.oracle {
+            if let Some(failure) = oracle_failure(&audit.violations) {
+                return Some(failure);
+            }
+        }
         if let Some(corruption) = self.corruption {
             if !corruption.apply(&mut output) {
                 return None;
             }
-        }
-        let faults = self.plan.faults.clone().unwrap_or_else(FaultPlan::none);
-        let audit = oracle::audit_engine(&output, &traces.packets, &traces.heartbeats, &faults);
-        if !audit.violations.is_empty() {
-            return Some(CaseFailure::OracleViolations {
-                kinds: audit
-                    .violations
-                    .iter()
-                    .map(|v| violation_name(v).to_string())
-                    .collect(),
-                rendered: audit.violations.iter().map(|v| v.to_string()).collect(),
-            });
+            let faults = self.plan.faults.clone().unwrap_or_else(FaultPlan::none);
+            let audit = oracle::audit_engine(&output, &traces.packets, &traces.heartbeats, &faults);
+            if let Some(failure) = oracle_failure(&audit.violations) {
+                return Some(failure);
+            }
         }
         let anomalies = etrain_sched::audit_transitions(&report.health_events);
-        if !anomalies.is_empty() {
-            return Some(CaseFailure::HealthAnomalies { anomalies });
-        }
-        None
+        (!anomalies.is_empty()).then_some(CaseFailure::HealthAnomalies { anomalies })
     }
 }
 
-/// Stringifies a caught panic payload.
-pub(crate) fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
+/// The campaign's kernel for `seed`: [`EngineKind::Slot`] on even seeds,
+/// [`EngineKind::Event`] on odd ones, so a sweep runs both.
+pub(crate) fn engine_for_seed(seed: u64) -> EngineKind {
+    if seed.is_multiple_of(2) {
+        EngineKind::Slot
     } else {
-        "non-string panic payload".to_string()
+        EngineKind::Event
     }
+}
+
+/// Every violation of an audit as one failure; `None` when there is none.
+fn oracle_failure(violations: &[OracleViolation]) -> Option<CaseFailure> {
+    (!violations.is_empty()).then(|| CaseFailure::OracleViolations {
+        kinds: violations.iter().map(violation_name).collect(),
+        rendered: violations.iter().map(ToString::to_string).collect(),
+    })
 }
 
 #[cfg(test)]

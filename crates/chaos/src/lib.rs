@@ -2,24 +2,23 @@
 //!
 //! FoundationDB-style simulation testing for the reproduction: every run
 //! is a pure function of its seed, so chaos here means *seeded breadth*,
-//! not nondeterminism. The crate has two pillars:
+//! not nondeterminism. One runner, [`ChaosCase::run`], runs and judges
+//! every case (full oracle audit, health-ladder audit, caught panics):
 //!
-//! - [`run_campaign`] — a seeded campaign driver: randomized scenario
-//!   plans ([`ChaosCase`], built on the conformance generator's
-//!   [`CasePlan`](etrain_sim::CasePlan)) crossed with fault plans and
-//!   scheduler kinds, swept through the production grid runner under the
-//!   strict oracle, collecting every oracle violation, panic, and
-//!   health-ladder anomaly as [`Finding`]s;
-//! - [`shrink`] — an automatic shrinker that delta-debugs a failing case
-//!   (dropping packets, heartbeats and fault windows, halving the
-//!   horizon, simplifying knobs) while re-running after every edit,
-//!   emitting a minimal serialized [`ReproCase`] replayable via the
-//!   `chaos --repro <file>` bench binary.
+//! - [`run_campaign`] — randomized scenario plans ([`ChaosCase`], built
+//!   on the conformance generator's [`CasePlan`](etrain_sim::CasePlan))
+//!   crossed with fault plans and scheduler kinds, run on the worker
+//!   pool, every failure a [`Finding`];
+//! - [`shrink`] — delta-debugs a failing case (dropping packets,
+//!   heartbeats and fault windows, halving the horizon, simplifying
+//!   knobs) to a minimal serialized [`ReproCase`], replayable via the
+//!   `chaos --repro <file>` bench binary;
+//! - [`self_test`] — every [`Corruption`] of a run's output must be caught
+//!   and shrunk to at most [`MAX_REPRO_EVENTS`] events. A [`Verdict`]
+//!   names every problem of a campaign and a self-test.
 //!
-//! The oracle itself is self-tested through [`Corruption`]: deliberate
-//! post-run output corruptions that the audit must catch — and that the
-//! shrinker must reduce to a handful of events. [`daemon_binary`]
-//! locates a built `etrain-svcd` for the repository benchmark.
+//! [`daemon_binary`] locates a built `etrain-svcd` for the repository
+//! benchmark.
 //!
 //! # Example
 //!
@@ -28,7 +27,7 @@
 //!
 //! let cases = campaign_cases(0, 4, true);
 //! let report = run_campaign(&cases, 2);
-//! assert!(report.is_clean(), "findings: {:?}", report.findings);
+//! assert!(report.findings.is_empty(), "findings: {:?}", report.findings);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,7 +38,10 @@ mod campaign;
 mod case;
 mod shrink;
 
-pub use campaign::{campaign_cases, run_campaign, CampaignReport, Finding};
+pub use campaign::{
+    campaign_cases, run_campaign, self_test, CampaignReport, Finding, SelfTestResult, Verdict,
+    MAX_REPRO_EVENTS,
+};
 pub use case::{violation_name, CaseFailure, ChaosCase, Corruption};
 pub use shrink::{shrink, ReproCase};
 

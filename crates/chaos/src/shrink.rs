@@ -183,31 +183,11 @@ pub fn shrink(case: &ChaosCase) -> Option<ReproCase> {
 /// In-place fault-plan reductions; each returns `false` when it has
 /// nothing to remove.
 const FAULT_EDITS: &[fn(&mut etrain_sim::FaultPlan) -> bool] = &[
-    |f| {
-        let had = !f.outages.is_empty();
-        f.outages.clear();
-        had
-    },
-    |f| {
-        let had = !f.train_deaths.is_empty();
-        f.train_deaths.clear();
-        had
-    },
-    |f| {
-        let had = !f.oracle_alarms.is_empty();
-        f.oracle_alarms.clear();
-        had
-    },
-    |f| {
-        let had = f.loss_probability > 0.0;
-        f.loss_probability = 0.0;
-        had
-    },
-    |f| {
-        let had = f.heartbeat_drop_probability > 0.0;
-        f.heartbeat_drop_probability = 0.0;
-        had
-    },
+    |f| !std::mem::take(&mut f.outages).is_empty(),
+    |f| !std::mem::take(&mut f.train_deaths).is_empty(),
+    |f| !std::mem::take(&mut f.oracle_alarms).is_empty(),
+    |f| std::mem::take(&mut f.loss_probability) > 0.0,
+    |f| std::mem::take(&mut f.heartbeat_drop_probability) > 0.0,
 ];
 
 /// Drops explicit events the shrunk horizon can never see.
@@ -307,7 +287,7 @@ mod tests {
                 repro.events
             );
             assert!(
-                repro.events <= case.event_count(),
+                repro.events <= case.plan.event_count(),
                 "shrinking must not grow the case"
             );
             let replayed = repro.replay().expect("minimal case replays");
@@ -327,7 +307,7 @@ mod tests {
                 payload: "boom".into(),
             },
             signature: "panic".into(),
-            events: clean.event_count(),
+            events: clean.plan.event_count(),
             case: clean,
         };
         let err = repro.replay().unwrap_err();
@@ -342,7 +322,7 @@ mod tests {
                 payload: "boom".into(),
             },
             signature: "panic".into(),
-            events: case.event_count(),
+            events: case.plan.event_count(),
             case,
         };
         assert_eq!(

@@ -64,6 +64,24 @@ impl Default for CoreConfig {
     }
 }
 
+impl CoreConfig {
+    fn scheduler_config(&self) -> ETrainConfig {
+        ETrainConfig {
+            theta: self.theta,
+            k: self.k,
+            slot_s: self.slot_s,
+        }
+    }
+
+    /// Checks the scheduler knobs [`ETrainCore::new`] asserts on, with
+    /// [`ETrainConfig::validate`]; the error names the first violation.
+    pub fn validate(&self) -> Result<(), CoreError> {
+        self.scheduler_config()
+            .validate()
+            .map_err(|reason| CoreError::InvalidConfig { reason })
+    }
+}
+
 /// Cumulative counters of a running eTrain core — the operational
 /// statistics a deployment dashboard would chart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -214,16 +232,13 @@ pub struct ETrainCore {
 
 impl ETrainCore {
     /// Creates a core with no registered apps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`CoreConfig::validate`] rejects `config`.
     pub fn new(config: CoreConfig) -> Self {
         ETrainCore {
-            scheduler: ETrainScheduler::new(
-                ETrainConfig {
-                    theta: config.theta,
-                    k: config.k,
-                    slot_s: config.slot_s,
-                },
-                Vec::new(),
-            ),
+            scheduler: ETrainScheduler::new(config.scheduler_config(), Vec::new()),
             config,
             monitor: HeartbeatMonitor::new(),
             trains: Vec::new(),

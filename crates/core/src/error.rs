@@ -38,6 +38,12 @@ pub enum CoreError {
         /// The timestamp that was supplied.
         supplied_s: f64,
     },
+    /// A [`CoreConfig`](crate::CoreConfig) failed
+    /// [`CoreConfig::validate`](crate::CoreConfig::validate).
+    InvalidConfig {
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -59,6 +65,7 @@ impl std::fmt::Display for CoreError {
             CoreError::NonFiniteTime { supplied_s } => {
                 write!(f, "timestamp must be finite, got {supplied_s} s")
             }
+            CoreError::InvalidConfig { reason } => write!(f, "invalid core config: {reason}"),
         }
     }
 }
@@ -97,6 +104,12 @@ mod tests {
                     supplied_s: f64::NAN,
                 },
                 "NaN",
+            ),
+            (
+                CoreError::InvalidConfig {
+                    reason: "k must be at least 1".into(),
+                },
+                "k must be at least 1",
             ),
         ];
         for (err, needle) in cases {

@@ -278,7 +278,8 @@ impl FleetConfig {
     ///
     /// Returns a human-readable reason when the fleet is empty, the class
     /// mix has no nonzero weight, the shard size is zero, the session is
-    /// empty, or the bandwidth is non-positive/non-finite.
+    /// empty, the bandwidth is non-positive/non-finite, or the scheduler
+    /// kind fails [`SchedulerKind::validate`].
     pub fn validate(&self) -> Result<(), String> {
         if self.devices == 0 {
             return Err("fleet must have at least one device".to_owned());
@@ -298,7 +299,7 @@ impl FleetConfig {
                 self.bandwidth_bps
             ));
         }
-        Ok(())
+        self.scheduler.validate()
     }
 }
 
@@ -351,6 +352,11 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = FleetConfig::paper_default(1);
         c.bandwidth_bps = 0.0;
+        assert!(c.validate().is_err());
+        let c = FleetConfig::paper_default(1).scheduler(SchedulerKind::ETrain {
+            theta: 0.2,
+            k: Some(0),
+        });
         assert!(c.validate().is_err());
     }
 

@@ -45,6 +45,17 @@ impl Default for ETimeConfig {
     }
 }
 
+impl ETimeConfig {
+    /// Checks `v_bytes >= 0` and a positive slot; the error names the
+    /// first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        crate::first_failure(&[
+            (self.v_bytes >= 0.0, "v_bytes must be non-negative"),
+            (self.slot_s > 0.0, "slot length must be positive"),
+        ])
+    }
+}
+
 /// The eTime scheduler (see the module-level documentation above).
 #[derive(Debug)]
 pub struct ETimeScheduler {
@@ -59,11 +70,11 @@ impl ETimeScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `v_bytes` is negative or `slot_s` is not strictly
-    /// positive.
+    /// Panics if [`ETimeConfig::validate`] rejects the configuration.
     pub fn new(config: ETimeConfig, profiles: Vec<AppProfile>) -> Self {
-        assert!(config.v_bytes >= 0.0, "v_bytes must be non-negative");
-        assert!(config.slot_s > 0.0, "slot length must be positive");
+        if let Err(msg) = config.validate() {
+            panic!("invalid eTime config: {msg}");
+        }
         ETimeScheduler {
             config,
             queues: WaitingQueues::new(profiles),

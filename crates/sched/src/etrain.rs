@@ -50,22 +50,20 @@ impl Default for ETrainConfig {
 }
 
 impl ETrainConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `theta` is negative/non-finite, `slot_s` is not strictly
-    /// positive, or `k` is `Some(0)`.
-    fn validate(&self) {
-        assert!(
-            self.theta.is_finite() && self.theta >= 0.0,
-            "theta must be finite and non-negative"
-        );
-        assert!(self.slot_s > 0.0, "slot length must be positive");
-        assert!(
-            self.k != Some(0),
-            "k must be at least 1 (or None for infinity)"
-        );
+    /// Checks Θ finite and non-negative, a positive slot and `k` at
+    /// least 1 (or `None`); the error names the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        crate::first_failure(&[
+            (
+                self.theta.is_finite() && self.theta >= 0.0,
+                "theta must be finite and non-negative",
+            ),
+            (self.slot_s > 0.0, "slot length must be positive"),
+            (
+                self.k != Some(0),
+                "k must be at least 1 (or None for infinity)",
+            ),
+        ])
     }
 }
 
@@ -135,9 +133,11 @@ impl ETrainScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see [`ETrainConfig`]).
+    /// Panics if [`ETrainConfig::validate`] rejects the configuration.
     pub fn new(config: ETrainConfig, profiles: Vec<AppProfile>) -> Self {
-        config.validate();
+        if let Err(msg) = config.validate() {
+            panic!("invalid eTrain config: {msg}");
+        }
         let costs_nondecreasing = profiles.iter().all(|p| p.cost.is_nondecreasing());
         ETrainScheduler {
             config,

@@ -67,6 +67,15 @@ mod peres;
 mod queue;
 mod retry;
 
+/// The `validate` of every config here: the message of the first
+/// `(holds, message)` check that does not hold.
+fn first_failure(checks: &[(bool, &str)]) -> Result<(), String> {
+    match checks.iter().find(|(holds, _)| !holds) {
+        Some((_, message)) => Err((*message).to_owned()),
+        None => Ok(()),
+    }
+}
+
 pub use admission::{AdmissionConfig, Room, ShedPolicy};
 pub use api::{Scheduler, SchedulerError, SlotContext};
 pub use baseline::BaselineScheduler;

@@ -69,6 +69,22 @@ impl Default for PerEsConfig {
     }
 }
 
+impl PerEsConfig {
+    /// Checks positive `v_init_bytes`, `slot_s` and `adapt_period_s`, and
+    /// `v_min_bytes <= v_max_bytes`; the error names the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        crate::first_failure(&[
+            (self.v_init_bytes > 0.0, "v_init_bytes must be positive"),
+            (self.slot_s > 0.0, "slot length must be positive"),
+            (self.adapt_period_s > 0.0, "adapt period must be positive"),
+            (
+                self.v_min_bytes <= self.v_max_bytes,
+                "v_min_bytes must not exceed v_max_bytes",
+            ),
+        ])
+    }
+}
+
 /// The PerES scheduler (see the module-level documentation above).
 #[derive(Debug)]
 pub struct PerEsScheduler {
@@ -87,16 +103,11 @@ impl PerEsScheduler {
     ///
     /// # Panics
     ///
-    /// Panics on invalid configuration (non-positive `v_init_bytes`,
-    /// `slot_s` or `adapt_period_s`, or `v_min_bytes > v_max_bytes`).
+    /// Panics if [`PerEsConfig::validate`] rejects the configuration.
     pub fn new(config: PerEsConfig, profiles: Vec<AppProfile>) -> Self {
-        assert!(config.v_init_bytes > 0.0, "v_init_bytes must be positive");
-        assert!(config.slot_s > 0.0, "slot length must be positive");
-        assert!(config.adapt_period_s > 0.0, "adapt period must be positive");
-        assert!(
-            config.v_min_bytes <= config.v_max_bytes,
-            "v_min_bytes must not exceed v_max_bytes"
-        );
+        if let Err(msg) = config.validate() {
+            panic!("invalid PerES config: {msg}");
+        }
         PerEsScheduler {
             v_bytes: config
                 .v_init_bytes

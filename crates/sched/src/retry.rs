@@ -69,40 +69,30 @@ impl RetryPolicy {
     ///
     /// Returns `Err` when any field is non-finite or out of range.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.base_backoff_s.is_finite() && self.base_backoff_s > 0.0) {
-            return Err(format!(
-                "base_backoff_s must be positive and finite, got {}",
-                self.base_backoff_s
-            ));
-        }
-        if !(self.backoff_factor.is_finite() && self.backoff_factor >= 1.0) {
-            return Err(format!(
-                "backoff_factor must be >= 1, got {}",
-                self.backoff_factor
-            ));
-        }
-        if !(self.max_backoff_s.is_finite() && self.max_backoff_s >= self.base_backoff_s) {
-            return Err(format!(
-                "max_backoff_s must be >= base_backoff_s, got {}",
-                self.max_backoff_s
-            ));
-        }
-        if !(self.jitter_frac.is_finite() && (0.0..=1.0).contains(&self.jitter_frac)) {
-            return Err(format!(
-                "jitter_frac must be in [0, 1], got {}",
-                self.jitter_frac
-            ));
-        }
-        if self.max_attempts == 0 {
-            return Err("max_attempts must be at least 1".to_string());
-        }
-        if !(self.give_up_age_s.is_finite() && self.give_up_age_s > 0.0) {
-            return Err(format!(
-                "give_up_age_s must be positive and finite, got {}",
-                self.give_up_age_s
-            ));
-        }
-        Ok(())
+        let finite_at_least = |value: f64, floor: f64| value.is_finite() && value >= floor;
+        crate::first_failure(&[
+            (
+                self.base_backoff_s.is_finite() && self.base_backoff_s > 0.0,
+                "base_backoff_s must be positive and finite",
+            ),
+            (
+                finite_at_least(self.backoff_factor, 1.0),
+                "backoff_factor must be >= 1",
+            ),
+            (
+                finite_at_least(self.max_backoff_s, self.base_backoff_s),
+                "max_backoff_s must be >= base_backoff_s",
+            ),
+            (
+                self.jitter_frac.is_finite() && (0.0..=1.0).contains(&self.jitter_frac),
+                "jitter_frac must be in [0, 1]",
+            ),
+            (self.max_attempts > 0, "max_attempts must be at least 1"),
+            (
+                self.give_up_age_s.is_finite() && self.give_up_age_s > 0.0,
+                "give_up_age_s must be positive and finite",
+            ),
+        ])
     }
 
     /// The undelayed (jitter-free) backoff after `failed_attempts` ≥ 1

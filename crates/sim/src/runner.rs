@@ -26,9 +26,7 @@
 //! Every job runs under [`std::panic::catch_unwind`]: a panicking job
 //! becomes a [`RunError::Panicked`] entry (carrying the panic payload)
 //! instead of killing the worker pool, and every other job still
-//! completes. [`RunGrid::run_each`] returns every job's outcome, so a
-//! caller sees all failures at once; [`RunGrid::try_run`] returns the
-//! lowest-index one.
+//! completes. [`RunGrid::try_run`] returns the lowest-index failure.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -96,22 +94,6 @@ pub enum RunError {
         /// The panic payload, stringified.
         payload: String,
     },
-}
-
-impl RunError {
-    /// Index of the failing job in the grid.
-    pub fn index(&self) -> usize {
-        match self {
-            RunError::Scenario { index, .. } | RunError::Panicked { index, .. } => *index,
-        }
-    }
-
-    /// The failing job's label.
-    pub fn label(&self) -> &str {
-        match self {
-            RunError::Scenario { label, .. } | RunError::Panicked { label, .. } => label,
-        }
-    }
 }
 
 impl std::fmt::Display for RunError {
@@ -325,12 +307,6 @@ impl RunGrid {
         self.specs.push(spec);
     }
 
-    /// Builder: appends a job.
-    pub fn spec(mut self, spec: RunSpec) -> Self {
-        self.specs.push(spec);
-        self
-    }
-
     /// Builder: overrides the worker count (`1` forces in-line serial
     /// execution). Takes precedence over the detected parallelism (see
     /// [`resolve_workers`]); `0` is treated as `1`.
@@ -381,13 +357,6 @@ impl RunGrid {
     /// Returns the first (by job index) scenario-validation failure or
     /// isolated job panic. Every other job still ran to completion first.
     pub fn try_run(&self) -> Result<Vec<RunReport>, RunError> {
-        self.run_each().into_iter().collect()
-    }
-
-    /// Runs every job and returns each job's outcome in job-index order:
-    /// its report, or its validation failure or isolated panic. One
-    /// failing job neither stops nor hides the others.
-    pub fn run_each(&self) -> Vec<Result<RunReport, RunError>> {
         self.run_all()
             .0
             .into_iter()
@@ -446,36 +415,43 @@ impl Default for RunGrid {
 /// Runs one job through [`Scenario::try_run_journaled_on`] on traces from
 /// the shared cache, validating first so an invalid scenario never reaches
 /// trace synthesis.
-///
-/// An unwinding job becomes [`RunError::Panicked`] instead of tearing down
-/// the worker (and, under `std::thread::scope`, the whole grid).
-/// `AssertUnwindSafe` is sound here because a panicking job's only shared
-/// state is the [`TraceCache`], which is itself poison-tolerant and only
-/// ever holds fully generated bundles.
 fn run_job(
     index: usize,
     spec: &RunSpec,
     key: u64,
     cache: &TraceCache,
 ) -> Result<JobOutput, RunError> {
-    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<JobOutput, ScenarioError> {
-            spec.scenario.validate()?;
-            let traces = cache.fetch(key, &spec.scenario);
-            let (report, _, journal) = spec.scenario.try_run_journaled_on(&traces)?;
-            Ok((report, journal))
-        },
-    ));
-    match unwound {
+    isolate(index, &spec.label, || {
+        spec.scenario.validate()?;
+        let traces = cache.fetch(key, &spec.scenario);
+        let (report, _, journal) = spec.scenario.try_run_journaled_on(&traces)?;
+        Ok((report, journal))
+    })
+}
+
+/// Runs grid job `index` (labelled `label`), tagging its error as
+/// [`RunError::Scenario`] and turning an unwind into
+/// [`RunError::Panicked`] instead of tearing down the worker (and, under
+/// `std::thread::scope`, the whole grid).
+///
+/// `AssertUnwindSafe` is sound here because a panicking job's only shared
+/// state is the [`TraceCache`], which is itself poison-tolerant and only
+/// ever holds fully generated bundles.
+fn isolate<T>(
+    index: usize,
+    label: &str,
+    job: impl FnOnce() -> Result<T, ScenarioError>,
+) -> Result<T, RunError> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)) {
         Ok(Ok(output)) => Ok(output),
         Ok(Err(error)) => Err(RunError::Scenario {
             index,
-            label: spec.label.clone(),
+            label: label.to_owned(),
             error,
         }),
         Err(payload) => Err(RunError::Panicked {
             index,
-            label: spec.label.clone(),
+            label: label.to_owned(),
             payload: panic_payload_string(payload.as_ref()),
         }),
     }
@@ -483,7 +459,7 @@ fn run_job(
 
 /// Best-effort stringification of a caught panic payload (`panic!` with a
 /// literal yields `&str`, with formatting yields `String`).
-fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -681,75 +657,74 @@ mod tests {
     fn invalid_job_reports_lowest_index_regardless_of_jobs() {
         for jobs in [1, 4] {
             let base = Scenario::paper_default().duration_secs(600).seed(1);
-            let grid = RunGrid::new()
-                .spec(RunSpec::new("ok", base.clone()))
-                .spec(RunSpec::new(
+            let grid = RunGrid::from_specs(vec![
+                RunSpec::new("ok", base.clone()),
+                RunSpec::new(
                     "bad-bandwidth",
                     base.clone().bandwidth(BandwidthSource::Constant(0.0)),
-                ))
-                .spec(RunSpec::new("bad-duration", base.clone().duration_secs(0)))
-                .jobs(jobs);
+                ),
+                RunSpec::new("bad-duration", base.clone().duration_secs(0)),
+            ])
+            .jobs(jobs);
             let err = grid.try_run().unwrap_err();
-            assert!(matches!(err, RunError::Scenario { .. }), "jobs={jobs}");
-            assert_eq!(err.index(), 1, "jobs={jobs}");
-            assert_eq!(err.label(), "bad-bandwidth");
+            assert!(
+                matches!(&err, RunError::Scenario { index: 1, label, .. } if label == "bad-bandwidth"),
+                "jobs={jobs}: {err:?}"
+            );
             assert!(err.to_string().contains("grid job #1"));
         }
     }
 
-    /// A spec that passes `validate()` but panics when its scheduler is
-    /// built: eTrain asserts k ≥ 1, which validation does not check.
-    fn panicking_spec(label: &str) -> RunSpec {
-        RunSpec::new(
-            label,
-            Scenario::paper_default()
-                .duration_secs(600)
-                .seed(5)
-                .scheduler(SchedulerKind::ETrain {
-                    theta: 0.2,
-                    k: Some(0),
-                }),
-        )
-    }
-
     #[test]
     fn panicking_job_is_isolated_and_reported() {
-        for jobs in [1, 4] {
-            let base = Scenario::paper_default().duration_secs(600).seed(3);
-            let grid = RunGrid::new()
-                .spec(RunSpec::new("ok-0", base.clone()))
-                .spec(panicking_spec("boom"))
-                .spec(RunSpec::new("ok-2", base.clone().seed(4)))
-                .jobs(jobs);
-            let err = grid.try_run().unwrap_err();
-            assert!(matches!(err, RunError::Panicked { .. }), "jobs={jobs}");
-            assert_eq!(err.index(), 1, "jobs={jobs}");
-            assert_eq!(err.label(), "boom");
-            assert!(err.to_string().contains("panicked"), "jobs={jobs}");
-        }
+        let err = isolate::<()>(1, "boom", || panic!("job {} blew up", 1)).unwrap_err();
+        assert!(
+            matches!(&err, RunError::Panicked { index: 1, label, payload }
+                if label == "boom" && payload == "job 1 blew up"),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("panicked"), "{err}");
+        assert_eq!(isolate(2, "ok", || Ok(7)), Ok(7));
+        let err = isolate::<()>(3, "bad", || {
+            Err(ScenarioError::InvalidDuration { horizon_s: 0.0 })
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, RunError::Scenario { index: 3, label, .. } if label == "bad"),
+            "{err:?}"
+        );
     }
 
     #[test]
     fn every_failing_job_is_reported_in_index_order() {
+        let base = Scenario::paper_default().duration_secs(600).seed(3);
+        let grid = RunGrid::from_specs(vec![
+            RunSpec::new("ok-0", base.clone()),
+            RunSpec::new("boom", base.clone().seed(5)),
+            RunSpec::new("ok-2", base.clone().seed(4)),
+            RunSpec::new("bad-duration", base.clone().duration_secs(0)),
+            RunSpec::new("ok-4", base.clone().seed(6)),
+        ]);
+        let indices: Vec<usize> = (0..grid.len()).collect();
         let mut survivors = Vec::new();
         for jobs in [1, 2] {
-            let base = Scenario::paper_default().duration_secs(600).seed(3);
-            let grid = RunGrid::new()
-                .spec(RunSpec::new("ok-0", base.clone()))
-                .spec(panicking_spec("boom"))
-                .spec(RunSpec::new("ok-2", base.clone().seed(4)))
-                .spec(RunSpec::new("bad-duration", base.clone().duration_secs(0)))
-                .spec(RunSpec::new("ok-4", base.clone().seed(6)))
-                .jobs(jobs);
-            let outcomes = grid.run_each();
+            // Job 1 panics mid-run; the pool isolates it like a grid job.
+            let outcomes = run_pool(&indices, jobs, |&index| {
+                let spec = &grid.specs()[index];
+                isolate(index, &spec.label, || {
+                    if index == 1 {
+                        panic!("job {index} blew up");
+                    }
+                    spec.scenario.try_run()
+                })
+            });
             assert_eq!(outcomes.len(), 5, "jobs={jobs}");
             let errors: Vec<&RunError> = outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
             assert_eq!(errors.len(), 2, "jobs={jobs}: {errors:?}");
             assert!(
                 matches!(
                     errors[0],
-                    RunError::Panicked { index: 1, payload, .. }
-                        if payload.contains("k must be at least 1")
+                    RunError::Panicked { index: 1, payload, .. } if payload == "job 1 blew up"
                 ),
                 "jobs={jobs}: {:?}",
                 errors[0]
@@ -762,7 +737,15 @@ mod tests {
                 "jobs={jobs}: {:?}",
                 errors[1]
             );
-            assert_eq!(grid.try_run().unwrap_err().index(), 1, "jobs={jobs}");
+            // The grid itself reports its one failing job.
+            let err = RunGrid::from_specs(grid.specs().to_vec())
+                .jobs(jobs)
+                .try_run()
+                .unwrap_err();
+            assert!(
+                matches!(err, RunError::Scenario { index: 3, .. }),
+                "jobs={jobs}: {err:?}"
+            );
             let ok: Vec<(usize, RunReport)> = outcomes
                 .into_iter()
                 .enumerate()
@@ -780,28 +763,18 @@ mod tests {
     }
 
     #[test]
-    fn run_each_agrees_with_try_run_on_a_clean_grid() {
-        for jobs in [1, 3] {
-            let grid = theta_grid(jobs);
-            let each: Vec<RunReport> = grid
-                .run_each()
-                .into_iter()
-                .map(|outcome| outcome.expect("clean grid"))
-                .collect();
-            assert_eq!(each.len(), 4, "jobs={jobs}");
-            assert_eq!(each, grid.try_run().unwrap(), "jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn journaled_run_reports_the_lowest_index_error() {
         for jobs in [1, 3] {
             let base = Scenario::paper_default().duration_secs(600).seed(3);
-            let grid = RunGrid::new()
-                .spec(RunSpec::new("ok-0", base.clone()))
-                .spec(RunSpec::new("bad-duration", base.clone().duration_secs(0)))
-                .spec(panicking_spec("boom"))
-                .jobs(jobs);
+            let grid = RunGrid::from_specs(vec![
+                RunSpec::new("ok-0", base.clone()),
+                RunSpec::new("bad-duration", base.clone().duration_secs(0)),
+                RunSpec::new(
+                    "bad-bandwidth",
+                    base.clone().bandwidth(BandwidthSource::Constant(0.0)),
+                ),
+            ])
+            .jobs(jobs);
             let err = grid.try_run_journaled().unwrap_err();
             assert!(
                 matches!(&err, RunError::Scenario { index: 1, label, .. } if label == "bad-duration"),
@@ -814,7 +787,12 @@ mod tests {
     #[test]
     fn empty_grid_runs_to_empty() {
         assert_eq!(RunGrid::new().try_run(), Ok(Vec::new()));
-        assert!(RunGrid::new().run_each().is_empty());
+        assert_eq!(
+            RunGrid::new()
+                .try_run_journaled()
+                .map(|(reports, _)| reports),
+            Ok(Vec::new())
+        );
     }
 
     #[test]

@@ -29,10 +29,11 @@ pub enum ScenarioError {
         /// The offending horizon, in seconds.
         horizon_s: f64,
     },
-    /// The workload's total arrival rate is negative or non-finite.
+    /// An app of the workload has an arrival rate that is not positive
+    /// and finite (a [`Scenario::lambda`] that is not, say).
     InvalidWorkload {
-        /// The offending total rate, in pkt/s.
-        total_rate: f64,
+        /// What is wrong with it.
+        reason: String,
     },
     /// The bandwidth source cannot supply a usable trace.
     InvalidBandwidth {
@@ -79,12 +80,10 @@ impl std::fmt::Display for ScenarioError {
                     "scenario duration must be positive and finite, got {horizon_s} s"
                 )
             }
-            ScenarioError::InvalidWorkload { total_rate } => {
-                write!(
-                    f,
-                    "workload total rate must be non-negative and finite, got {total_rate} pkt/s"
-                )
-            }
+            ScenarioError::InvalidWorkload { reason } => write!(
+                f,
+                "invalid workload: {reason}; every app's rate must be positive and finite"
+            ),
             ScenarioError::InvalidBandwidth { reason } => {
                 write!(f, "invalid bandwidth source: {reason}")
             }
@@ -149,50 +148,81 @@ pub enum SchedulerKind {
     },
 }
 
+fn etrain_config(theta: f64, k: Option<usize>) -> ETrainConfig {
+    ETrainConfig {
+        theta,
+        k,
+        slot_s: 1.0,
+    }
+}
+
+fn peres_config(omega: f64) -> PerEsConfig {
+    PerEsConfig {
+        omega,
+        ..PerEsConfig::default()
+    }
+}
+
+fn etime_config(v_bytes: f64) -> ETimeConfig {
+    ETimeConfig {
+        v_bytes,
+        slot_s: 60.0,
+    }
+}
+
 impl SchedulerKind {
     /// Builds the scheduler for the given registered app profiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`SchedulerKind::validate`] rejects the kind.
     pub fn build(&self, profiles: Vec<AppProfile>) -> Box<dyn Scheduler> {
         match *self {
             SchedulerKind::Baseline => Box::new(BaselineScheduler::new(profiles)),
-            SchedulerKind::ETrain { theta, k } => Box::new(ETrainScheduler::new(
-                ETrainConfig {
-                    theta,
-                    k,
-                    slot_s: 1.0,
-                },
-                profiles,
-            )),
-            SchedulerKind::PerEs { omega } => Box::new(PerEsScheduler::new(
-                PerEsConfig {
-                    omega,
-                    ..PerEsConfig::default()
-                },
-                profiles,
-            )),
-            SchedulerKind::ETime { v_bytes } => Box::new(ETimeScheduler::new(
-                ETimeConfig {
-                    v_bytes,
-                    slot_s: 60.0,
-                },
-                profiles,
-            )),
+            SchedulerKind::ETrain { theta, k } => {
+                Box::new(ETrainScheduler::new(etrain_config(theta, k), profiles))
+            }
+            SchedulerKind::PerEs { omega } => {
+                Box::new(PerEsScheduler::new(peres_config(omega), profiles))
+            }
+            SchedulerKind::ETime { v_bytes } => {
+                Box::new(ETimeScheduler::new(etime_config(v_bytes), profiles))
+            }
             SchedulerKind::Guarded {
                 theta,
                 k,
                 health,
                 admission,
             } => Box::new(
-                GuardedScheduler::new(
-                    ETrainConfig {
-                        theta,
-                        k,
-                        slot_s: 1.0,
-                    },
-                    health,
-                    profiles,
-                )
-                .with_admission(admission),
+                GuardedScheduler::new(etrain_config(theta, k), health, profiles)
+                    .with_admission(admission),
             ),
+        }
+    }
+
+    /// Checks the kind's knobs with the predicates its scheduler's
+    /// constructor asserts through, so a kind that passes builds without
+    /// panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated invariant.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            SchedulerKind::Baseline => Ok(()),
+            SchedulerKind::ETrain { theta, k } => etrain_config(theta, k).validate(),
+            SchedulerKind::PerEs { omega } => peres_config(omega).validate(),
+            SchedulerKind::ETime { v_bytes } => etime_config(v_bytes).validate(),
+            SchedulerKind::Guarded {
+                theta,
+                k,
+                health,
+                admission,
+            } => {
+                etrain_config(theta, k).validate()?;
+                health.validate()?;
+                admission.validate()
+            }
         }
     }
 
@@ -365,8 +395,10 @@ impl Scenario {
 
     /// Scales the paper workload to total arrival rate `lambda` (pkt/s),
     /// preserving the 5 : 2 : 10 app proportion (Fig. 8(b)).
+    /// A `lambda` that is not positive and finite fails
+    /// [`Scenario::validate`] with [`ScenarioError::InvalidWorkload`].
     pub fn lambda(mut self, lambda: f64) -> Self {
-        self.workload = CargoWorkload::paper_default(lambda);
+        self.workload = CargoWorkload::paper_scaled(lambda);
         self
     }
 
@@ -513,18 +545,23 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns the first problem found: non-positive duration, negative
-    /// workload rate, unusable bandwidth source, an invalid fault plan,
-    /// retry policy or explicit trace.
+    /// Returns the first problem found: non-positive duration, an app
+    /// rate that is not positive and finite, unusable bandwidth source, an
+    /// invalid fault plan, retry policy, scheduler kind or explicit trace.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if !(self.horizon_s.is_finite() && self.horizon_s > 0.0) {
             return Err(ScenarioError::InvalidDuration {
                 horizon_s: self.horizon_s,
             });
         }
-        let total_rate = self.workload.total_rate();
-        if !(total_rate.is_finite() && total_rate >= 0.0) && self.packets_override.is_none() {
-            return Err(ScenarioError::InvalidWorkload { total_rate });
+        let specs = self.workload.specs();
+        let bad_app = specs
+            .iter()
+            .find(|s| !(s.rate().is_finite() && s.rate() > 0.0));
+        if let (Some(spec), None) = (bad_app, &self.packets_override) {
+            return Err(ScenarioError::InvalidWorkload {
+                reason: format!("{} arrives at {} pkt/s", spec.name, spec.rate()),
+            });
         }
         if let BandwidthSource::Constant(bps) = &self.bandwidth {
             if !(bps.is_finite() && *bps > 0.0) {
@@ -541,17 +578,9 @@ impl Scenario {
         self.retry
             .validate()
             .map_err(|reason| ScenarioError::InvalidRetryPolicy { reason })?;
-        if let SchedulerKind::Guarded {
-            health, admission, ..
-        } = &self.scheduler
-        {
-            health
-                .validate()
-                .map_err(|reason| ScenarioError::InvalidScheduler { reason })?;
-            admission
-                .validate()
-                .map_err(|reason| ScenarioError::InvalidScheduler { reason })?;
-        }
+        self.scheduler
+            .validate()
+            .map_err(|reason| ScenarioError::InvalidScheduler { reason })?;
         if let Some(packets) = &self.packets_override {
             check_trace("packet", packets.iter().map(|p| p.arrival_s))?;
             if let Some(p) = packets
@@ -1102,6 +1131,91 @@ mod tests {
         assert!(matches!(err, Err(ScenarioError::InvalidRetryPolicy { .. })));
         // Errors render readably.
         assert!(err.unwrap_err().to_string().contains("max_attempts"));
+    }
+
+    #[test]
+    fn every_knob_a_constructor_asserts_on_is_a_scenario_error() {
+        let guarded = |k: Option<usize>, health: HealthConfig, admission: AdmissionConfig| {
+            SchedulerKind::Guarded {
+                theta: 0.2,
+                k,
+                health,
+                admission,
+            }
+        };
+        let zero_threshold = HealthConfig {
+            failure_threshold: 0,
+            ..HealthConfig::default()
+        };
+        let zero_capacity = AdmissionConfig {
+            global_capacity: Some(0),
+            ..AdmissionConfig::unbounded()
+        };
+        let unbounded = AdmissionConfig::unbounded;
+        let kinds = [
+            (
+                SchedulerKind::ETrain {
+                    theta: 0.2,
+                    k: Some(0),
+                },
+                "k must be at least 1",
+            ),
+            (
+                SchedulerKind::ETrain {
+                    theta: -1.0,
+                    k: None,
+                },
+                "theta must be finite",
+            ),
+            (
+                SchedulerKind::ETrain {
+                    theta: f64::NAN,
+                    k: None,
+                },
+                "theta must be finite",
+            ),
+            (SchedulerKind::ETime { v_bytes: -1.0 }, "v_bytes"),
+            (SchedulerKind::ETime { v_bytes: f64::NAN }, "v_bytes"),
+            (
+                guarded(Some(0), HealthConfig::default(), unbounded()),
+                "k must be at least 1",
+            ),
+            (
+                guarded(None, zero_threshold, unbounded()),
+                "failure threshold",
+            ),
+            (
+                guarded(None, HealthConfig::default(), zero_capacity),
+                "global capacity",
+            ),
+        ];
+        for (kind, needle) in kinds {
+            let err = Scenario::paper_default()
+                .duration_secs(600)
+                .scheduler(kind)
+                .try_run()
+                .unwrap_err();
+            assert!(
+                matches!(&err, ScenarioError::InvalidScheduler { reason } if reason.contains(needle)),
+                "{kind}: {err}"
+            );
+            assert_eq!(kind.validate().map_err(|_| ()), Err(()), "{kind}");
+        }
+        for lambda in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = Scenario::paper_default()
+                .duration_secs(600)
+                .lambda(lambda)
+                .try_run()
+                .unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::InvalidWorkload { .. }),
+                "λ={lambda}: {err}"
+            );
+        }
+        // A valid λ builds the workload `CargoWorkload::paper_default` does.
+        let scaled = Scenario::paper_default().lambda(0.04);
+        let reference = Scenario::paper_default().workload(CargoWorkload::paper_default(0.04));
+        assert_eq!(scaled.trace_key(), reference.trace_key());
     }
 
     #[test]
