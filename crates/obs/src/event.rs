@@ -113,8 +113,10 @@ impl Event {
 ///
 /// `run` is the job index inside a `RunGrid` (0 for standalone runs);
 /// `seq` orders events that share a timestamp. Together `(run, time_s,
-/// seq)` is a total order, which is what makes parallel journal merging
-/// deterministic.
+/// seq)` is a total order, so a grid's journal lines are the same bytes
+/// whether [`Journal::merge`] concatenates its runs or each worker renders
+/// its own run, tagged with its job index, and the lines are joined in job
+/// order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EventRecord {
     /// Grid job index this event came from (0 outside a grid).
@@ -228,8 +230,10 @@ impl EventRecord {
 /// Events are pushed in engine order; [`Journal::canonicalize`] stable-
 /// sorts by time and renumbers `seq` so late-appended derived events
 /// (e.g. RRC transitions reconstructed from the timeline) interleave at
-/// their chronological position. [`Journal::merge`] combines per-worker
-/// journals from a parallel grid into one deterministic stream.
+/// their chronological position. [`Journal::set_run`] tags a run's
+/// records with its grid job index, and [`Journal::merge`] combines
+/// per-run journals into one deterministic stream: the reference a grid's
+/// per-worker rendering (`RunGrid::try_run_journaled`) must reproduce.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Journal {
     next_seq: u64,
@@ -284,23 +288,30 @@ impl Journal {
         self.next_seq = self.records.len() as u64;
     }
 
+    /// Tags every record with `run`, the job index of the grid run this
+    /// journal belongs to.
+    pub fn set_run(&mut self, run: usize) {
+        for record in &mut self.records {
+            record.run = run;
+        }
+    }
+
     /// Merges per-run journals (in grid job-index order) into one stream.
     ///
-    /// Each part is re-tagged with its index as the run id and
-    /// canonicalized, then the parts are concatenated. Because the input
-    /// order is the job-index order — not the completion order — a serial
-    /// and a parallel execution of the same grid yield byte-identical
-    /// merged journals.
+    /// Each part is canonicalized and tagged with its index as the run id
+    /// ([`Journal::set_run`]), then the parts are concatenated. Because
+    /// the input order is the job-index order — not the completion order —
+    /// a serial and a parallel execution of the same grid yield
+    /// byte-identical merged journals. A grid renders each run's part on
+    /// the worker that ran it instead; this is the reference those lines
+    /// must equal byte for byte.
     pub fn merge(parts: Vec<Journal>) -> Journal {
         let mut merged = Journal::new();
         for (run, mut part) in parts.into_iter().enumerate() {
             part.canonicalize();
-            for mut record in part.records {
-                record.run = run;
-                merged.records.push(record);
-            }
+            part.set_run(run);
+            merged.records.extend(part.records);
         }
-        merged.next_seq = 0;
         merged
     }
 
@@ -479,6 +490,20 @@ mod tests {
         assert_eq!(order, vec![Some(0), Some(1), Some(2), None]);
         let seqs: Vec<u64> = journal.records().iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn set_run_tags_every_record_and_keeps_its_place() {
+        let mut journal = Journal::new();
+        journal.push(2.0, hb());
+        journal.push(1.0, hb());
+        journal.set_run(7);
+        let tags: Vec<(usize, u64, f64)> = journal
+            .records()
+            .iter()
+            .map(|r| (r.run, r.seq, r.time_s))
+            .collect();
+        assert_eq!(tags, vec![(7, 0, 2.0), (7, 1, 1.0)]);
     }
 
     #[test]

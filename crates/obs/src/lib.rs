@@ -11,10 +11,12 @@
 //!    decision the system makes: heartbeats firing, tails being re-used,
 //!    piggyback decisions with their Lyapunov drift terms and Θ
 //!    comparison, RRC transitions, shed/forced-flush actions, health
-//!    ladder transitions, and retry attempts. Journals from parallel
-//!    `RunGrid` workers merge deterministically by `(run, time, seq)`, so
-//!    a serial and a parallel execution of the same grid produce
-//!    byte-identical JSON Lines output. [`Journal::to_jsonl`] writes
+//!    ladder transitions, and retry attempts. A `RunGrid` worker tags its
+//!    run's journal with the job index ([`Journal::set_run`]) and renders
+//!    it; the grid joins those lines in job order, which is the same bytes
+//!    as [`Journal::merge`] by `(run, time, seq)`, so a serial and a
+//!    parallel execution of the same grid produce byte-identical JSON
+//!    Lines output. [`Journal::to_jsonl`] writes
 //!    that output (`etrain-journal-v1`) with a hand-written encoder: it
 //!    does not go through the serde shim, though it matches the shim's
 //!    rendering byte for byte. Its scalars come from [`json`], which the

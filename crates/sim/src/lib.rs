@@ -63,7 +63,7 @@ pub use oracle::{
 };
 pub use replicate::{replicate, Percentiles, ReplicatedReport, Stat};
 pub use report::{fmt_f, Table};
-pub use runner::{resolve_workers, run_pool, RunError, RunGrid, RunSpec, TraceCache};
+pub use runner::{resolve_workers, run_pool, JournalLines, RunError, RunGrid, RunSpec, TraceCache};
 pub use scenario::{BandwidthSource, Scenario, ScenarioError, SchedulerKind, TraceBundle};
 
 // Re-exported so fault-injection experiments can be described with this

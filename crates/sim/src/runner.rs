@@ -10,8 +10,9 @@
 //! - each job is an independent, deterministic function of its
 //!   [`RunSpec`] (the engine holds no global state, and per-run RNG
 //!   streams are derived from the scenario seed);
-//! - jobs complete out of order, but [`run_pool`] returns their results
-//!   in job-index order;
+//! - jobs complete out of order, but the pool hands their results to the
+//!   calling thread in job-index order, each as soon as every earlier one
+//!   is in;
 //! - trace synthesis is shared through a [`TraceCache`] keyed by
 //!   [`Scenario::trace_key`], which never changes what is generated —
 //!   only how often.
@@ -28,7 +29,7 @@
 //! instead of killing the worker pool, and every other job still
 //! completes. [`RunGrid::try_run`] returns the lowest-index failure.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -125,6 +126,28 @@ impl std::error::Error for RunError {
 /// What one grid job produces: its report plus, when the job's scenario
 /// has observability on, its journal.
 type JobOutput = (RunReport, Option<Journal>);
+
+/// A journaled grid's event journal as `etrain-journal-v1` JSON Lines
+/// (DESIGN.md §14.4): each run's canonical records, tagged with its job
+/// index, runs in job order. These are the bytes [`Journal::to_jsonl`]
+/// renders for [`Journal::merge`] of the per-run journals, at any worker
+/// count.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct JournalLines {
+    text: String,
+}
+
+impl JournalLines {
+    /// The lines, each ending in `\n`.
+    pub fn to_jsonl(&self) -> &str {
+        &self.text
+    }
+
+    /// Whether no run recorded an event.
+    pub fn is_empty(&self) -> bool {
+        self.text.is_empty()
+    }
+}
 
 /// A concurrent trace-artifact cache: [`TraceBundle`]s keyed by
 /// [`Scenario::trace_key`].
@@ -357,39 +380,57 @@ impl RunGrid {
     /// Returns the first (by job index) scenario-validation failure or
     /// isolated job panic. Every other job still ran to completion first.
     pub fn try_run(&self) -> Result<Vec<RunReport>, RunError> {
-        self.run_all()
-            .0
-            .into_iter()
-            .map(|outcome| outcome.map(|(report, _)| report))
-            .collect()
+        let mut reports = Vec::with_capacity(self.len());
+        self.run_all(|_, (report, _)| report, |report| reports.push(report))
+            .0?;
+        Ok(reports)
     }
 
-    /// [`RunGrid::try_run`] that additionally returns the grid's merged
-    /// event journal, built with [`Journal::merge`].
+    /// [`RunGrid::try_run`] that additionally returns the grid's event
+    /// journal as JSON Lines.
     ///
-    /// The merge is **deterministic**: per-run journals are concatenated
-    /// in job-index order (not completion order), with each record's
-    /// `run` field retagged to its job index — so the merged journal is
+    /// Each worker tags the journal of the run it just finished with the
+    /// job index and renders it, and the calling thread appends each run's
+    /// lines as soon as every earlier job's are in. The lines are
+    /// therefore in job-index order (not completion order) and
     /// byte-for-byte identical no matter how many workers ran the grid.
-    /// Jobs whose scenario has observability off contribute an empty
-    /// journal, keeping run indices aligned with job indices.
+    /// Jobs whose scenario has observability off contribute no lines but
+    /// keep their job index, so run tags stay aligned with job indices.
     ///
     /// # Errors
     ///
     /// Returns what [`RunGrid::try_run`] returns.
-    pub fn try_run_journaled(&self) -> Result<(Vec<RunReport>, Journal), RunError> {
-        let outputs: Vec<JobOutput> = self.run_all().0.into_iter().collect::<Result<_, _>>()?;
-        let (reports, journals): (Vec<RunReport>, Vec<Journal>) = outputs
-            .into_iter()
-            .map(|(report, journal)| (report, journal.unwrap_or_default()))
-            .unzip();
-        Ok((reports, Journal::merge(journals)))
+    pub fn try_run_journaled(&self) -> Result<(Vec<RunReport>, JournalLines), RunError> {
+        let mut reports = Vec::with_capacity(self.len());
+        let mut text = String::new();
+        self.run_all(
+            |index, (report, journal)| {
+                let lines = journal.map_or_else(String::new, |mut journal| {
+                    journal.set_run(index);
+                    journal.to_jsonl()
+                });
+                (report, lines)
+            },
+            |(report, lines)| {
+                reports.push(report);
+                text.push_str(&lines);
+            },
+        )
+        .0?;
+        Ok((reports, JournalLines { text }))
     }
 
-    /// The one execution path: runs every job on [`run_pool`] against a
-    /// trace cache that drops each bundle once its last job has taken it,
-    /// and returns the outcomes in job-index order, with the cache.
-    fn run_all(&self) -> (Vec<Result<JobOutput, RunError>>, TraceCache) {
+    /// The one execution path: runs every job on the worker pool against
+    /// a trace cache that drops each bundle once its last job has taken
+    /// it. On the worker, `finish` turns the output of job `index` into
+    /// what the calling thread receives; `deliver` receives those in
+    /// job-index order up to the first failure, which is returned, with
+    /// the cache, once every job has run.
+    fn run_all<R: Send>(
+        &self,
+        finish: impl Fn(usize, JobOutput) -> R + Sync,
+        mut deliver: impl FnMut(R),
+    ) -> (Result<(), RunError>, TraceCache) {
         let keys: Vec<u64> = self
             .specs
             .iter()
@@ -397,12 +438,23 @@ impl RunGrid {
             .collect();
         let cache = TraceCache::for_keys(&keys);
         let indices: Vec<usize> = (0..self.specs.len()).collect();
-        let outcomes = run_pool(
+        let mut failure = None;
+        stream_pool(
             &indices,
             resolve_workers(self.jobs, indices.len()),
-            |&index| run_job(index, &self.specs[index], keys[index], &cache),
+            |&index| {
+                run_job(index, &self.specs[index], keys[index], &cache)
+                    .map(|output| finish(index, output))
+            },
+            |outcome| match outcome {
+                Ok(output) if failure.is_none() => deliver(output),
+                Ok(_) => {}
+                Err(error) => {
+                    failure.get_or_insert(error);
+                }
+            },
         );
-        (outcomes, cache)
+        (failure.map_or(Ok(()), Err), cache)
     }
 }
 
@@ -483,13 +535,12 @@ pub fn resolve_workers(explicit: Option<usize>, items: usize) -> usize {
 }
 
 /// Runs `job` on every item across up to `workers` scoped threads and
-/// returns the results in item order.
+/// returns the results in item order: the stream of results the worker
+/// pool hands the calling thread, collected.
 ///
-/// Workers take items in index order and finish them in any order; each
-/// worker keeps its `(index, result)` pairs and the calling thread sorts
-/// them back into item order once every worker is done. With one worker,
-/// or at most one item, every job runs in line, in index order, and no
-/// thread is spawned.
+/// Workers take items in index order and finish them in any order. With
+/// one worker, or at most one item, every job runs in line, in index
+/// order, and no thread is spawned.
 ///
 /// # Panics
 ///
@@ -502,37 +553,70 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    let mut results = Vec::with_capacity(items.len());
+    stream_pool(items, workers, job, |result| results.push(result));
+    results
+}
+
+/// The worker pool behind [`run_pool`]: hands each result to `deliver`
+/// on the calling thread, in item order, as soon as it and every earlier
+/// result are in.
+///
+/// Each worker sends its results to the calling thread, which holds a
+/// result that arrives ahead of an earlier one until that one is
+/// delivered.
+///
+/// # Panics
+///
+/// As [`run_pool`]; no result after the panicking item is delivered.
+fn stream_pool<T, R, F>(items: &[T], workers: usize, job: F, mut deliver: impl FnMut(R))
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
     let workers = workers.min(items.len());
     if workers <= 1 {
-        return items.iter().map(job).collect();
+        items.iter().map(job).for_each(deliver);
+        return;
     }
     let next = AtomicUsize::new(0);
-    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+    let (send, receive) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let (next, job) = (&next, &job);
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(index) else {
-                            return done;
-                        };
-                        done.push((index, job(item)));
+                let (next, job, send) = (&next, &job, send.clone());
+                scope.spawn(move || loop {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(index) else {
+                        return;
+                    };
+                    // Fails only if the calling thread is unwinding.
+                    if send.send((index, job(item))).is_err() {
+                        return;
                     }
                 })
             })
             .collect();
-        // Join every worker before re-raising a panic, so the survivors
-        // finish their items first.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        joined
-            .into_iter()
-            .flat_map(|worker| worker.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
+        drop(send);
+        let mut early = BTreeMap::new();
+        let mut due = 0;
+        // The channel closes once every worker is done, a panicked one
+        // included, so the survivors finish their items before a panic
+        // is re-raised below.
+        for (index, result) in receive {
+            early.insert(index, result);
+            while let Some(result) = early.remove(&due) {
+                deliver(result);
+                due += 1;
+            }
+        }
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
-    done.sort_unstable_by_key(|&(index, _)| index);
-    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -558,6 +642,14 @@ mod tests {
         .jobs(jobs)
     }
 
+    /// Runs every job of `grid`, which must all succeed, and returns the
+    /// grid's trace cache.
+    fn cache_after_run(grid: &RunGrid) -> TraceCache {
+        let (outcome, cache) = grid.run_all(|_, _| (), |()| {});
+        assert_eq!(outcome, Ok(()));
+        cache
+    }
+
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
         let serial = theta_grid(1).try_run().unwrap();
@@ -580,16 +672,14 @@ mod tests {
 
     #[test]
     fn grid_over_one_seed_generates_traces_once() {
-        let (outcomes, cache) = theta_grid(2).run_all();
-        assert!(outcomes.iter().all(Result::is_ok));
+        let cache = cache_after_run(&theta_grid(2));
         assert_eq!(cache.len(), 1, "same workload+seed must share one bundle");
     }
 
     #[test]
     fn distinct_seeds_get_distinct_bundles() {
         let base = Scenario::paper_default().duration_secs(600);
-        let (outcomes, cache) = RunGrid::over_seeds(&base, &[1, 2, 3]).jobs(2).run_all();
-        assert!(outcomes.iter().all(Result::is_ok));
+        let cache = cache_after_run(&RunGrid::over_seeds(&base, &[1, 2, 3]).jobs(2));
         assert_eq!(cache.len(), 3);
     }
 
@@ -616,8 +706,7 @@ mod tests {
             .chain(RunGrid::over_seeds(&base, &[3]).specs)
             .collect();
         for jobs in [1, 3] {
-            let (outcomes, cache) = RunGrid::from_specs(specs.clone()).jobs(jobs).run_all();
-            assert!(outcomes.iter().all(Result::is_ok));
+            let cache = cache_after_run(&RunGrid::from_specs(specs.clone()).jobs(jobs));
             assert_eq!(cache.len(), 3, "each key generated once ({jobs} workers)");
             let entries = cache.lock();
             assert!(entries.held.is_empty(), "{jobs} workers");
@@ -879,6 +968,61 @@ mod tests {
             let order = finish_order.into_inner().unwrap();
             let in_order = order.windows(2).all(|w| w[0] < w[1]);
             assert_eq!(in_order, workers == 1, "workers={workers}: {order:?}");
+        }
+    }
+
+    #[test]
+    fn pool_streams_results_in_item_order_when_later_items_finish_first() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let items: Vec<usize> = (0..8).collect();
+        let last = items.len() - 1;
+        for workers in [2, 3] {
+            let finished = AtomicUsize::new(0);
+            let delivered = AtomicUsize::new(0);
+            let streamed = AtomicBool::new(false);
+            let finish_order = Mutex::new(Vec::new());
+            let mut delivery_order = Vec::new();
+            stream_pool(
+                &items,
+                workers,
+                |&i| {
+                    // Item 0 finishes after every item but the last.
+                    while i == 0 && finished.load(Ordering::SeqCst) < last - 1 {
+                        std::thread::yield_now();
+                    }
+                    // The last item waits, for a while, until every
+                    // earlier result has reached the calling thread.
+                    if i == last {
+                        let start = Instant::now();
+                        while delivered.load(Ordering::SeqCst) < last
+                            && start.elapsed() < Duration::from_secs(10)
+                        {
+                            std::thread::yield_now();
+                        }
+                        streamed.store(delivered.load(Ordering::SeqCst) == last, Ordering::SeqCst);
+                    }
+                    finish_order.lock().unwrap().push(i);
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    i * 10
+                },
+                |result| {
+                    delivery_order.push(result / 10);
+                    delivered.fetch_add(1, Ordering::SeqCst);
+                },
+            );
+            let finish_order = finish_order.into_inner().unwrap();
+            let zero_at = finish_order.iter().position(|&i| i == 0);
+            assert_eq!(
+                zero_at,
+                Some(last - 1),
+                "workers={workers}: {finish_order:?}"
+            );
+            assert_eq!(delivery_order, items, "workers={workers}");
+            assert!(
+                streamed.load(Ordering::SeqCst),
+                "workers={workers}: results were held until the pool finished"
+            );
         }
     }
 

@@ -1,9 +1,13 @@
-//! Integration tests for the observability layer: deterministic journal
-//! merging across worker counts, the journal encoder against the serde
-//! rendering on a real run, and conformance of the metrics
-//! registry's energy decomposition against the report's energy ledger.
+//! Integration tests for the observability layer: a grid's journal lines,
+//! rendered on the workers, against `Journal::merge` across worker counts,
+//! the journal encoder against the serde rendering on a real run, and
+//! conformance of the metrics registry's energy decomposition against the
+//! report's energy ledger.
 
-use etrain_sim::{Event, MetricsSnapshot, ObsMode, RunGrid, RunSpec, Scenario, SchedulerKind};
+use etrain_sim::{
+    Event, EventRecord, Journal, MetricsSnapshot, ObsMode, RunGrid, RunSpec, Scenario,
+    SchedulerKind,
+};
 use proptest::prelude::*;
 
 /// The sum of the per-RRC-state energy gauges, each of which a journaled
@@ -73,18 +77,68 @@ fn journal_encoding_equals_the_serde_rendering_on_real_traffic() {
 }
 
 #[test]
+fn grid_lines_equal_the_merge_of_the_per_run_journals() {
+    // Observability off in the middle and at the end: those jobs record
+    // nothing but still take up their run index.
+    let base = Scenario::paper_default().duration_secs(900).seed(4);
+    let specs: Vec<RunSpec> = [
+        ObsMode::Jsonl,
+        ObsMode::Jsonl,
+        ObsMode::Off,
+        ObsMode::Jsonl,
+        ObsMode::Off,
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, obs)| {
+        let theta = i as f64 * 0.5;
+        RunSpec::new(
+            format!("Θ={theta} {obs:?}"),
+            base.clone()
+                .scheduler(SchedulerKind::ETrain { theta, k: None })
+                .obs(obs),
+        )
+    })
+    .collect();
+    let parts: Vec<Journal> = specs
+        .iter()
+        .map(|spec| {
+            let scenario = &spec.scenario;
+            let (_, _, journal) = scenario
+                .try_run_journaled_on(&scenario.generate_traces())
+                .unwrap();
+            journal.unwrap_or_default()
+        })
+        .collect();
+    assert!(parts[2].is_empty() && parts[4].is_empty());
+    let reference = Journal::merge(parts).to_jsonl();
+    assert!(reference.contains("{\"run\":3,"));
+    for jobs in [1, 2, 4] {
+        let (_, lines) = RunGrid::from_specs(specs.clone())
+            .jobs(jobs)
+            .try_run_journaled()
+            .unwrap();
+        assert_eq!(lines.to_jsonl(), reference, "jobs={jobs}");
+    }
+}
+
+#[test]
 fn merged_journal_tags_records_with_job_indices() {
     let grid = journaled_grid(2);
-    let (reports, journal) = grid.try_run_journaled().unwrap();
-    let runs: Vec<usize> = journal.records().iter().map(|r| r.run).collect();
-    // Concatenated in job-index order: run tags are non-decreasing and
-    // cover every job.
+    let (reports, lines) = grid.try_run_journaled().unwrap();
+    let records: Vec<EventRecord> = lines
+        .to_jsonl()
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .collect();
+    let runs: Vec<usize> = records.iter().map(|r| r.run).collect();
+    // Joined in job-index order: run tags are non-decreasing and cover
+    // every job.
     assert!(runs.windows(2).all(|w| w[0] <= w[1]), "{runs:?}");
     assert_eq!(*runs.last().unwrap(), reports.len() - 1);
     // Per-run heartbeat events agree with the per-run report counter.
     for (index, report) in reports.iter().enumerate() {
-        let fired = journal
-            .records()
+        let fired = records
             .iter()
             .filter(|r| r.run == index && matches!(r.event, Event::HeartbeatFired { .. }))
             .count();

@@ -13,6 +13,7 @@
 //! health ladder come back bit-for-bit — verified by
 //! [`ServiceState::fingerprint`] against the last clean checkpoint.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use etrain_core::json::write_admission;
@@ -191,13 +192,20 @@ impl ServiceState {
                 request,
                 now_s,
             } => {
-                if let Some(cached) = self.dedup.get(client_id) {
+                let slot = match self.dedup.entry(client_id.clone()) {
                     // Replay safety: the journal never holds a duplicate,
                     // but apply() stays total over arbitrary streams.
-                    return Ok(SvcOutcome::Duplicate { admission: *cached });
-                }
+                    Entry::Occupied(cached) => {
+                        return Ok(SvcOutcome::Duplicate {
+                            admission: *cached.get(),
+                        })
+                    }
+                    Entry::Vacant(slot) => slot,
+                };
+                // A refused submit drops the vacant slot, so it is not
+                // cached.
                 let admission = self.core.submit(*app, *request, *now_s)?;
-                self.dedup.insert(client_id.clone(), admission);
+                slot.insert(admission);
                 SvcOutcome::Submitted { admission }
             }
         };
