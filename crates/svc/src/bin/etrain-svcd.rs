@@ -6,17 +6,17 @@
 //! port by default), prints `READY <addr>`, and serves until killed.
 //!
 //! Exit codes follow the repo's binary conventions: `2` for invalid
-//! environment knobs (fail fast, never guess), `42` when the armed
-//! `ETRAIN_WAL_FAULT` hook fires mid-append (the process tests'
-//! stand-in for a SIGKILL during `write`), `1` for recovery and bind
-//! failures.
+//! environment knobs (fail fast, never guess), `1` for recovery and bind
+//! failures. A failed journal write does not end the process: the
+//! journal stops, journaling requests get `ERR` while reads are still
+//! served, and a restart recovers.
 
 use std::io::Write;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 
 use etrain_core::CoreConfig;
-use etrain_svc::{DurableService, Server, SvcHealthConfig, WalConfig, WalFault};
+use etrain_svc::{DurableService, Server, SvcHealthConfig, WalConfig};
 
 /// Reads the environment knob `name`: `None` when it is unset, blank or
 /// not Unicode, else `parse` of its trimmed value. A value `parse`
@@ -56,22 +56,18 @@ fn main() {
             .map_err(|_| format!("invalid ETRAIN_SVC_ADDR {value:?} (expected host:port)"))
     })
     .unwrap_or(SocketAddr::from(([127, 0, 0, 1], 0)));
-    let fault = knob("ETRAIN_WAL_FAULT", |value| {
-        WalFault::parse(value).map_err(|e| format!("invalid ETRAIN_WAL_FAULT: {e}"))
-    });
 
-    let wal_cfg = WalConfig {
-        fault,
-        ..WalConfig::new(wal_dir)
+    let (service, recovery) = match DurableService::open(
+        WalConfig::new(wal_dir),
+        CoreConfig::default(),
+        SvcHealthConfig::default(),
+    ) {
+        Ok(opened) => opened,
+        Err(e) => {
+            eprintln!("etrain-svcd: recovery failed: {e}");
+            std::process::exit(1);
+        }
     };
-    let (service, recovery) =
-        match DurableService::open(wal_cfg, CoreConfig::default(), SvcHealthConfig::default()) {
-            Ok(opened) => opened,
-            Err(e) => {
-                eprintln!("etrain-svcd: recovery failed: {e}");
-                std::process::exit(1);
-            }
-        };
     println!(
         "RECOVERED records={} replayed={} replay_errors={} truncated_bytes={} \
          set_aside={} checkpoint_verified={} fingerprint={:016x}",

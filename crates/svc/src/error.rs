@@ -15,12 +15,14 @@ pub enum SvcError {
     /// A protocol line did not parse as a request. It was refused before
     /// the journal append, so it changed nothing.
     BadRequest(String),
-    /// The WAL fault hook fired on this append: the log tail is now
-    /// damaged by construction and the process must crash (the daemon
-    /// exits; in-process harnesses drop the service), exactly like a
-    /// SIGKILL mid-`write`.
-    FaultInjected {
-        /// The record index the fault hook targeted.
+    /// An earlier write, sync or segment rotation of the journal failed,
+    /// so its tail may be torn and it takes no more appends or syncs:
+    /// recovery truncates at the first damage, so a record written behind
+    /// it would be lost. The command was neither journaled nor applied. A
+    /// restart (reopening the service) truncates the damage and resumes.
+    WalFailed {
+        /// Records the journal held when it stopped: the index of the
+        /// record whose append failed.
         at_record: u64,
     },
     /// After replaying the journal prefix the checkpoint covers, the
@@ -79,9 +81,10 @@ impl std::fmt::Display for SvcError {
             SvcError::Core(e) => write!(f, "core rejected command: {e}"),
             SvcError::Io(e) => write!(f, "WAL I/O error: {e}"),
             SvcError::BadRequest(msg) => write!(f, "bad request: {msg}"),
-            SvcError::FaultInjected { at_record } => {
-                write!(f, "WAL fault hook fired at record {at_record}; crashing")
-            }
+            SvcError::WalFailed { at_record } => write!(
+                f,
+                "WAL stopped by a failed write at record {at_record}; a restart recovers it"
+            ),
             SvcError::CheckpointMismatch {
                 records,
                 expected,
@@ -158,7 +161,7 @@ mod tests {
     fn errors_raised_by_the_service_itself_have_no_source() {
         let own = [
             SvcError::BadRequest("PING now".into()),
-            SvcError::FaultInjected { at_record: 3 },
+            SvcError::WalFailed { at_record: 3 },
             SvcError::CheckpointAhead {
                 records: 9,
                 replayed: 4,
@@ -196,8 +199,8 @@ mod tests {
                 "bad request: empty request",
             ),
             (
-                SvcError::FaultInjected { at_record: 7 },
-                "WAL fault hook fired at record 7; crashing",
+                SvcError::WalFailed { at_record: 7 },
+                "WAL stopped by a failed write at record 7; a restart recovers it",
             ),
             (
                 SvcError::CheckpointAhead {

@@ -39,12 +39,14 @@
 //!   core with `CoreConfig::default()`, whose admission is unbounded, so
 //!   its queue is unbounded too and no reply is ever `EVICTED`, `FLUSHED`
 //!   or `REJECTED`.
-//! * **Fault hook** ([`WalFault`]): deterministic torn/short/corrupt
-//!   append injection so the daemon's process tests can prove the
-//!   recovery path detects and truncates damaged tails.
-//!   The frame format itself ([`write_frame`], [`scan_frames`],
-//!   [`WAL_MAGIC`]) is public so the tests can write and read segment
-//!   bytes directly.
+//! * **Fail-stop journal**: once a segment write, sync or rotation
+//!   fails, the [`Wal`] refuses every later append and sync
+//!   ([`SvcError::WalFailed`]), so `CHECKPOINT` and every journaling verb
+//!   get `ERR` while the read-only verbs keep answering, and no record is
+//!   acked behind a tail that recovery will cut away. A restart recovers.
+//!   The frame format ([`write_frame`], [`scan_frames`], [`WAL_MAGIC`]) is
+//!   public so the tests can write, damage and read segment bytes
+//!   directly.
 //!
 //! The write-ahead discipline means a crash can leave the journal
 //! *ahead* of what any client observed (an appended-but-unacked
@@ -54,9 +56,8 @@
 //!
 //! The library takes every setting as a parameter and reads no
 //! environment (the crate's `clippy.toml` disallows the `std::env`
-//! readers). The `etrain-svcd` binary reads `ETRAIN_WAL`,
-//! `ETRAIN_SVC_ADDR` and `ETRAIN_WAL_FAULT`, and exits with code 2 on a
-//! value it cannot use.
+//! readers). The `etrain-svcd` binary reads `ETRAIN_WAL` and
+//! `ETRAIN_SVC_ADDR`, and exits with code 2 on a value it cannot use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -77,11 +78,10 @@ mod wal;
 
 pub use error::SvcError;
 pub use record::decode_canonical;
-pub use server::{execute_line, Server, FAULT_EXIT_CODE};
+pub use server::{execute_line, Server};
 pub use service::{DurableService, RecoverySummary};
 pub use state::{ServiceState, SvcCommand, SvcHealthConfig, SvcOutcome};
 pub use wal::{
-    read_checkpoint, recover, scan_frames, write_checkpoint, write_frame, AppendFault, Checkpoint,
-    TailStatus, Wal, WalConfig, WalFault, WalRecovery, WalRecoveryReport, FRAME_HEADER_BYTES,
-    WAL_MAGIC,
+    read_checkpoint, recover, scan_frames, write_checkpoint, write_frame, Checkpoint, TailStatus,
+    Wal, WalConfig, WalRecovery, WalRecoveryReport, FRAME_HEADER_BYTES, WAL_MAGIC,
 };

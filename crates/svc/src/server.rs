@@ -57,11 +57,6 @@ use crate::error::SvcError;
 use crate::service::DurableService;
 use crate::state::{SvcCommand, SvcOutcome};
 
-/// Process exit code the daemon uses when the armed WAL fault hook
-/// fires: the tail is damaged by design and continuing would apply a
-/// command that was never durably journaled.
-pub const FAULT_EXIT_CODE: i32 = 42;
-
 /// Longest request line the server reads, its `\n` included. The
 /// protocol's own clients send lines under 100 bytes. A longer line is
 /// answered with one `ERR` and the connection is closed unexecuted, so a
@@ -233,22 +228,11 @@ fn lock(service: &Mutex<DurableService>) -> std::sync::MutexGuard<'_, DurableSer
 }
 
 /// Executes one protocol line against the service, returning the
-/// response line (without the trailing newline).
-///
-/// Public so tests can drive the protocol without
-/// a socket; the daemon's fault-crash behaviour (exiting with
-/// [`FAULT_EXIT_CODE`]) lives here so a mid-append fault kills the
-/// process no matter which connection carried the triggering command.
+/// response line (without the trailing newline). Public so tests can
+/// drive the protocol without a socket.
 pub fn execute_line(request: &str, service: &Mutex<DurableService>) -> String {
     match dispatch(request, service) {
         Ok(response) => response,
-        Err(SvcError::FaultInjected { at_record }) => {
-            // The WAL tail is damaged by design; applying (or answering)
-            // would invent un-journaled state. Crash like the SIGKILL
-            // this hook stands in for.
-            eprintln!("etrain-svcd: WAL fault hook fired at record {at_record}; crashing");
-            std::process::exit(FAULT_EXIT_CODE);
-        }
         Err(e) => format!("ERR {e}"),
     }
 }

@@ -20,7 +20,10 @@
 //! never behind — and the idempotent submit path lets the client resend
 //! safely to find out what happened. A crash *during* 2 leaves a torn
 //! tail that recovery truncates; the command never happened, matching
-//! the client's timeout.
+//! the client's timeout. A failed append leaves the same tail without a
+//! crash: its command is not applied, and the journal stops
+//! ([`SvcError::WalFailed`]) instead of acking records behind the damage
+//! that the next recovery would cut away with it.
 
 use std::path::PathBuf;
 use std::sync::mpsc::sync_channel;
@@ -127,11 +130,11 @@ impl DurableService {
     /// [`SvcError::NonFiniteTime`] for a time or deadline that is `inf`
     /// or `NaN`, and [`SvcError::NonFiniteProfile`] for such a cost
     /// profile parameter (both refused before the append, so nothing is
-    /// journaled),
-    /// [`SvcError::FaultInjected`] when the armed fault hook fired (the
-    /// state was *not* mutated; the caller must crash), I/O failures,
-    /// and deterministic core rejections (which *are* journaled — replay
-    /// repeats them identically).
+    /// journaled), the I/O error of a failed append, after which the
+    /// journal is stopped and every later command that would be journaled
+    /// gets [`SvcError::WalFailed`] (neither is applied; a restart
+    /// recovers), and deterministic core rejections (which *are*
+    /// journaled — replay repeats them identically).
     pub fn apply(&mut self, command: SvcCommand) -> Result<SvcOutcome, SvcError> {
         if let Some(refusal) = command.non_finite() {
             return Err(refusal);
@@ -150,7 +153,9 @@ impl DurableService {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures.
+    /// [`SvcError::WalFailed`] once the journal has stopped; otherwise
+    /// I/O failures. A failed sync stops the journal; a failed checkpoint
+    /// write leaves the previous checkpoint in place and does not.
     pub fn checkpoint(&mut self) -> Result<Checkpoint, SvcError> {
         self.wal.sync()?;
         let checkpoint = Checkpoint {
@@ -293,8 +298,9 @@ impl Replay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::script;
     use crate::test_dir::tmp_dir;
-    use crate::wal::{AppendFault, WalFault};
+    use crate::wal::{damage_segment, Damage};
     use etrain_core::{CoreCommand, TransmitRequest};
     use etrain_sched::{AppProfile, CostProfile};
     use etrain_trace::{CargoAppId, TrainAppId};
@@ -463,26 +469,67 @@ mod tests {
     #[test]
     fn fault_injection_crashes_before_apply_and_recovery_truncates() {
         let dir = tmp_dir("fault");
-        let mut cfg = WalConfig::new(&dir);
-        cfg.fsync = false;
-        cfg.fault = Some(WalFault {
-            at_record: 2,
-            kind: AppendFault::TornPayload,
-        });
-        let (mut svc, _) =
-            DurableService::open(cfg, fast_core(), SvcHealthConfig::default()).unwrap();
+        let (mut svc, _) = open(&dir);
         register(&mut svc);
         let fp_before = svc.fingerprint();
-        let err = svc
-            .apply(SvcCommand::Core(CoreCommand::Tick { now_s: 1.0 }))
-            .unwrap_err();
-        assert!(matches!(err, SvcError::FaultInjected { .. }), "{err}");
-        assert_eq!(svc.fingerprint(), fp_before, "faulted append never applies");
-        drop(svc); // crash
+        drop(svc); // crash mid-append of the next command, before its apply
+        let torn = SvcCommand::Core(CoreCommand::Tick { now_s: 1.0 });
+        damage_segment(&dir, 0, Damage::TornPayload, &torn);
         let (recovered, summary) = open(&dir);
         assert_eq!(summary.replayed, 2, "only the clean prefix replays");
         assert!(summary.wal.truncated_bytes > 0);
         assert_eq!(recovered.fingerprint(), fp_before);
+    }
+
+    #[test]
+    fn a_failed_rotation_stops_the_journal_and_a_reopen_recovers_every_acked_record() {
+        let dir = tmp_dir("rotation");
+        let mut cfg = WalConfig::new(&dir);
+        cfg.fsync = false;
+        cfg.segment_bytes = 512;
+        let (mut svc, _) = DurableService::open(
+            cfg.clone(),
+            CoreConfig::default(),
+            SvcHealthConfig::default(),
+        )
+        .unwrap();
+        let steps = script(5, 200);
+        let (early, late) = steps.split_at(40);
+        for step in early {
+            let _ = svc.apply(step.command.clone());
+        }
+        // An entry already at the next segment's path: creating it fails.
+        let index = svc.wal.segment_index();
+        let next = dir.join(format!("wal-{:06}.seg", index + 1));
+        std::fs::write(next, b"not a segment").unwrap();
+        let mut stopped_at = None;
+        for step in late {
+            match (svc.apply(step.command.clone()), stopped_at) {
+                (Ok(_) | Err(SvcError::Core(_)), None) => {}
+                (Err(SvcError::Io(e)), None) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::AlreadyExists);
+                    stopped_at = Some(svc.records());
+                }
+                (Err(SvcError::WalFailed { at_record }), Some(at)) => assert_eq!(at_record, at),
+                (other, _) => panic!("{}: {other:?}", step.line),
+            }
+        }
+        assert!(stopped_at.is_some(), "no rotation failed");
+        assert_eq!(
+            svc.wal.segment_index(),
+            index,
+            "the index names a segment that exists"
+        );
+        assert!(matches!(svc.checkpoint(), Err(SvcError::WalFailed { .. })));
+        let (acked, live) = (svc.records(), svc.fingerprint());
+        drop(svc);
+
+        let (reopened, summary) =
+            DurableService::open(cfg, CoreConfig::default(), SvcHealthConfig::default()).unwrap();
+        assert_eq!(summary.wal.records, acked, "every acked record is back");
+        assert_eq!(summary.wal.segments_set_aside, 1, "only the stray entry");
+        assert_eq!(summary.fingerprint, live);
+        assert_eq!(reopened.fingerprint(), live);
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //! at a time, so `DurableService::open` replays a segment while the next
 //! one is read.
 //!
-//! The fault hook ([`WalFault`], which `etrain-svcd` arms from
-//! `ETRAIN_WAL_FAULT=torn@N|short@N|crc@N`) makes the writer damage its
-//! own tail at a chosen record index — the deterministic stand-in for a
-//! SIGKILL landing mid-`write`, which the daemon's process tests use to
-//! reach the one crash window that kill timing cannot hit reliably.
+//! The writer is fail-stop. Once a segment write, `sync_data` or
+//! rotation fails, the tail may be torn, and recovery cuts away
+//! everything behind the first damage; so the [`Wal`] refuses every
+//! later append and sync with [`SvcError::WalFailed`] instead of
+//! acknowledging records that the next recovery would lose.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -38,45 +38,7 @@ use crate::state::SvcCommand;
 
 mod frame;
 
-pub use frame::{scan_frames, write_frame, AppendFault, TailStatus, FRAME_HEADER_BYTES, WAL_MAGIC};
-
-/// An armed append fault: damage the frame of record `at_record`
-/// (zero-based over the WAL's lifetime) instead of writing it cleanly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalFault {
-    /// Zero-based record index the hook fires on.
-    pub at_record: u64,
-    /// What damage to inject (a torn append keeps half the payload).
-    pub kind: AppendFault,
-}
-
-impl WalFault {
-    /// Parses a fault spec: `torn@N`, `short@N`, or `crc@N`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed spec.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let (kind_s, at_s) = spec
-            .trim()
-            .split_once('@')
-            .ok_or_else(|| format!("fault spec {spec:?} is not of the form kind@record"))?;
-        let kind = match kind_s.to_ascii_lowercase().as_str() {
-            "torn" => AppendFault::TornPayload,
-            "short" => AppendFault::ShortHeader,
-            "crc" => AppendFault::FlipChecksum,
-            other => {
-                return Err(format!(
-                    "unknown fault kind {other:?} (expected torn, short, or crc)"
-                ))
-            }
-        };
-        let at_record: u64 = at_s
-            .parse()
-            .map_err(|_| format!("fault record index {at_s:?} is not a non-negative integer"))?;
-        Ok(WalFault { at_record, kind })
-    }
-}
+pub use frame::{scan_frames, write_frame, TailStatus, FRAME_HEADER_BYTES, WAL_MAGIC};
 
 /// Configuration of a [`Wal`].
 #[derive(Debug, Clone)]
@@ -90,18 +52,15 @@ pub struct WalConfig {
     /// daemon keeps this on; in-process harnesses may trade durability
     /// for speed.
     pub fsync: bool,
-    /// The armed fault hook, if any.
-    pub fault: Option<WalFault>,
 }
 
 impl WalConfig {
-    /// A config rooted at `dir` with 1 MiB segments, fsync on, no fault.
+    /// A config rooted at `dir` with 1 MiB segments and fsync on.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         WalConfig {
             dir: dir.into(),
             segment_bytes: 1024 * 1024,
             fsync: true,
-            fault: None,
         }
     }
 }
@@ -290,9 +249,12 @@ pub struct Wal {
     bytes: u64,
     segment_index: u64,
     /// Records ever appended across all segments (continues the
-    /// recovered count, so the fault hook's `at_record` is an absolute
-    /// index into the journal's lifetime).
+    /// recovered count, so it is an absolute index into the journal's
+    /// lifetime).
     records: u64,
+    /// The index of the record whose write, sync or rotation failed, once
+    /// one has: from then on nothing more is written.
+    failed_at: Option<u64>,
 }
 
 /// Creates segment `index` under `dir`, which must not exist yet, and
@@ -330,6 +292,7 @@ impl Wal {
             bytes,
             segment_index,
             records: recovery.report.records,
+            failed_at: None,
         })
     }
 
@@ -338,42 +301,45 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// [`SvcError::FaultInjected`] when the armed fault hook matches this
-    /// record index: the frame was damaged on purpose, and the caller
-    /// must crash without applying the command. I/O failures otherwise;
-    /// after an I/O error the tail must be assumed torn (recovery handles
-    /// exactly that).
+    /// [`SvcError::WalFailed`], touching nothing, once an earlier write,
+    /// sync or rotation has failed. Otherwise the I/O error of a failing
+    /// write, sync or rotation, which stops the WAL: the tail may now be
+    /// torn, and recovery truncates at that damage, so a record written
+    /// behind it would be lost however it was acknowledged. A command
+    /// that does not serialize is refused before any byte is written and
+    /// does not stop it.
     pub fn append(&mut self, command: &SvcCommand) -> Result<(), SvcError> {
+        self.check_running()?;
         let payload = serde_json::to_string(command)
             .map_err(|e| SvcError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))?;
+        let written = self.write(payload.as_bytes());
+        self.stop_on_error(written)?;
+        self.records += 1;
+        Ok(())
+    }
+
+    /// Writes one frame of `payload`, after a rotation if one is due, and
+    /// syncs it if the config asks to.
+    fn write(&mut self, payload: &[u8]) -> std::io::Result<()> {
         // A segment holding no frame yet is never closed, however small
         // the threshold.
         if self.bytes >= self.cfg.segment_bytes && self.bytes > WAL_MAGIC.len() as u64 {
             self.rotate()?;
         }
-        let fault = self
-            .cfg
-            .fault
-            .filter(|fault| fault.at_record == self.records)
-            .map(|fault| fault.kind);
-        self.bytes += write_frame(&mut self.file, payload.as_bytes(), fault)?;
-        if fault.is_some() {
-            self.sync()?;
-            return Err(SvcError::FaultInjected {
-                at_record: self.records,
-            });
-        }
+        self.bytes += write_frame(&mut self.file, payload)?;
         if self.cfg.fsync {
-            self.sync()?;
+            self.file.sync_data()?;
         }
-        self.records += 1;
         Ok(())
     }
 
-    fn rotate(&mut self) -> Result<(), SvcError> {
-        self.sync()?;
-        self.segment_index += 1;
-        self.file = create_segment(&self.cfg.dir, self.segment_index)?;
+    /// Closes the current segment and starts the next; the segment index
+    /// moves only once the new segment exists.
+    fn rotate(&mut self) -> std::io::Result<()> {
+        self.file.sync_data()?;
+        let next = self.segment_index + 1;
+        self.file = create_segment(&self.cfg.dir, next)?;
+        self.segment_index = next;
         self.bytes = WAL_MAGIC.len() as u64;
         Ok(())
     }
@@ -382,10 +348,28 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures.
+    /// [`SvcError::WalFailed`] once an earlier write, sync or rotation
+    /// has failed; otherwise the I/O error of a failing sync, which stops
+    /// the WAL as a failed append does.
     pub fn sync(&mut self) -> Result<(), SvcError> {
-        self.file.sync_data()?;
-        Ok(())
+        self.check_running()?;
+        let synced = self.file.sync_data();
+        self.stop_on_error(synced)
+    }
+
+    fn check_running(&self) -> Result<(), SvcError> {
+        match self.failed_at {
+            Some(at_record) => Err(SvcError::WalFailed { at_record }),
+            None => Ok(()),
+        }
+    }
+
+    /// Stops the WAL at the current record if `result` is an error.
+    fn stop_on_error(&mut self, result: std::io::Result<()>) -> Result<(), SvcError> {
+        result.map_err(|e| {
+            self.failed_at = Some(self.records);
+            SvcError::Io(e)
+        })
     }
 
     /// Records durably appended over the WAL's lifetime.
@@ -444,6 +428,23 @@ pub fn read_checkpoint(dir: &Path) -> Option<Checkpoint> {
     let raw = std::fs::read_to_string(dir.join(CHECKPOINT_FILE)).ok()?;
     serde_json::from_str(&raw).ok()
 }
+
+/// The frame of `command` with `damage` done to it, appended to segment
+/// `index` of `dir`: what a crash mid-append, or damage after it, leaves.
+#[cfg(test)]
+pub(crate) fn damage_segment(dir: &Path, index: u64, damage: Damage, command: &SvcCommand) {
+    let payload = serde_json::to_string(command).expect("a command serializes");
+    let mut segment = OpenOptions::new()
+        .append(true)
+        .open(segment_path(dir, index))
+        .expect("the segment exists");
+    segment
+        .write_all(&damage.frame(payload.as_bytes()))
+        .expect("the damage is written");
+}
+
+#[cfg(test)]
+pub(crate) use frame::Damage;
 
 #[cfg(test)]
 mod tests {
@@ -517,33 +518,28 @@ mod tests {
     }
 
     #[test]
-    fn fault_hook_damages_tail_and_recovery_truncates_it() {
-        for (kind, expect_torn) in [
-            (AppendFault::TornPayload, true),
-            (AppendFault::ShortHeader, true),
-            (AppendFault::FlipChecksum, false),
+    fn damage_on_disk_is_truncated_and_appends_resume_after_it() {
+        for (damage, expect_torn) in [
+            (Damage::TornPayload, true),
+            (Damage::ShortHeader, true),
+            (Damage::FlipChecksum, false),
         ] {
-            let dir = tmp_dir("fault");
-            let mut cfg = WalConfig::new(&dir);
-            cfg.fault = Some(WalFault { at_record: 2, kind });
-            let mut wal = open_fresh(&dir, cfg);
+            let dir = tmp_dir("damage");
+            let mut wal = open_fresh(&dir, WalConfig::new(&dir));
             wal.append(&tick(0.0)).unwrap();
             wal.append(&tick(1.0)).unwrap();
-            assert!(matches!(
-                wal.append(&tick(2.0)),
-                Err(SvcError::FaultInjected { at_record: 2 })
-            ));
-            drop(wal); // the simulated crash
+            drop(wal); // the crash
+            damage_segment(&dir, 0, damage, &tick(2.0));
             let recovery = recover(&dir).unwrap();
             assert_eq!(
                 recovery.report.records, 2,
-                "{kind:?}: damaged record must not replay"
+                "{damage:?}: damaged record must not replay"
             );
-            assert!(recovery.report.truncated_bytes > 0, "{kind:?}");
+            assert!(recovery.report.truncated_bytes > 0, "{damage:?}");
             match recovery.report.tail {
-                TailStatus::Torn { .. } => assert!(expect_torn, "{kind:?}"),
-                TailStatus::Corrupt { .. } => assert!(!expect_torn, "{kind:?}"),
-                other => panic!("{kind:?}: unexpected tail {other:?}"),
+                TailStatus::Torn { .. } => assert!(expect_torn, "{damage:?}"),
+                TailStatus::Corrupt { .. } => assert!(!expect_torn, "{damage:?}"),
+                other => panic!("{damage:?}: unexpected tail {other:?}"),
             }
             // After truncation the directory is clean again and appends
             // continue from the repaired tail.
@@ -558,35 +554,54 @@ mod tests {
     }
 
     #[test]
-    fn fault_hook_fires_only_on_its_record_index() {
-        let dir = tmp_dir("fault-index");
+    fn a_failed_rotation_stops_the_wal_at_its_record_index() {
+        let dir = tmp_dir("failed-rotation");
         let mut cfg = WalConfig::new(&dir);
-        cfg.fault = Some(WalFault::parse("crc@3").unwrap());
+        cfg.segment_bytes = 1; // every append after the first rotates
         let mut wal = open_fresh(&dir, cfg);
+        // An entry already at segment 3's path: creating it fails.
+        std::fs::write(segment_path(&dir, 3), b"not a segment").unwrap();
         for i in 0..3 {
             wal.append(&tick(i as f64)).unwrap();
         }
-        assert!(matches!(
-            wal.append(&tick(3.0)),
-            Err(SvcError::FaultInjected { at_record: 3 })
-        ));
-        assert_eq!(wal.records(), 3, "the damaged record is not counted");
+        match wal.append(&tick(3.0)) {
+            Err(SvcError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::AlreadyExists),
+            other => panic!("expected the rotation's AlreadyExists, got {other:?}"),
+        }
+        assert_eq!(wal.records(), 3, "the failed record is not counted");
+        assert_eq!(
+            wal.segment_index(),
+            2,
+            "the index names a segment that exists"
+        );
+        let last = std::fs::read(segment_path(&dir, 2)).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(
+                wal.append(&tick(4.0)),
+                Err(SvcError::WalFailed { at_record: 3 })
+            ));
+            assert!(matches!(
+                wal.sync(),
+                Err(SvcError::WalFailed { at_record: 3 })
+            ));
+        }
+        assert_eq!(wal.records(), 3);
+        assert_eq!(std::fs::read(segment_path(&dir, 2)).unwrap(), last);
+        assert!(!segment_path(&dir, 4).exists(), "nothing written after");
         drop(wal);
-        assert_eq!(recover(&dir).unwrap().report.records, 3);
+        let recovery = recover(&dir).unwrap();
+        let acked: Vec<SvcCommand> = (0..3).map(|i| tick(i as f64)).collect();
+        assert_eq!(recovery.commands, acked);
+        assert_eq!(recovery.report.segments_set_aside, 1);
     }
 
     #[test]
     fn torn_fault_leaves_a_header_and_half_the_record() {
-        let dir = tmp_dir("fault-torn");
-        let mut cfg = WalConfig::new(&dir);
-        cfg.fault = Some(WalFault::parse("torn@1").unwrap());
-        let mut wal = open_fresh(&dir, cfg);
+        let dir = tmp_dir("torn");
+        let mut wal = open_fresh(&dir, WalConfig::new(&dir));
         wal.append(&tick(0.0)).unwrap();
-        assert!(matches!(
-            wal.append(&tick(1.0)),
-            Err(SvcError::FaultInjected { at_record: 1 })
-        ));
         drop(wal);
+        damage_segment(&dir, 0, Damage::TornPayload, &tick(1.0));
         let payload_len = serde_json::to_string(&tick(1.0)).unwrap().len();
         let recovery = recover(&dir).unwrap();
         assert_eq!(recovery.report.records, 1);
@@ -659,28 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_spec_parsing() {
-        assert_eq!(
-            WalFault::parse("torn@7").unwrap(),
-            WalFault {
-                at_record: 7,
-                kind: AppendFault::TornPayload
-            }
-        );
-        assert_eq!(
-            WalFault::parse(" CRC@0 ").unwrap().kind,
-            AppendFault::FlipChecksum
-        );
-        assert_eq!(
-            WalFault::parse("short@12").unwrap().kind,
-            AppendFault::ShortHeader
-        );
-        assert!(WalFault::parse("torn").is_err());
-        assert!(WalFault::parse("melt@3").is_err());
-        assert!(WalFault::parse("torn@x").is_err());
-    }
-
-    #[test]
     fn a_tiny_threshold_still_puts_one_record_in_every_segment() {
         let dir = tmp_dir("tiny");
         let mut cfg = WalConfig::new(&dir);
@@ -742,7 +735,7 @@ mod tests {
             serde_json::to_string(&tick(1.0)).unwrap().as_bytes(),
             &b"{\"Nap\":{}}"[..],
         ] {
-            write_frame(&mut bytes, payload, None).unwrap();
+            write_frame(&mut bytes, payload).unwrap();
         }
         std::fs::write(segment_path(&dir, 0), &bytes).unwrap();
         match recover(&dir) {

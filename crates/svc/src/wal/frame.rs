@@ -15,11 +15,10 @@
 //! frame whose checksum verifies. Recovery never trusts bytes past that
 //! point.
 //!
-//! Fault injection is built in rather than bolted on: [`write_frame`]
-//! with an [`AppendFault`] produces exactly the damaged tails the fault
-//! hook and the recovery tests need (short header, torn payload, flipped
-//! checksum), so the detection path is exercised by the same code that
-//! writes real segments.
+//! The writer only ever writes whole frames. The damaged tails the
+//! reader must classify (a short header, a torn payload, a flipped
+//! checksum) are made by the tests themselves, as byte surgery on
+//! segments the writer produced.
 
 use std::io::Write;
 use std::ops::Range;
@@ -97,59 +96,22 @@ fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// A deliberately damaged append, for crash and corruption testing.
-///
-/// Each variant models one real failure the recovery path must survive:
-/// a process killed mid-`write` (torn), a header that never finished
-/// (short), and a payload whose stored checksum no longer matches (bit
-/// rot, misdirected write). [`write_frame`] realizes them byte-exactly
-/// so tests can assert the reader's verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AppendFault {
-    /// Write the header and only the first half of the payload bytes
-    /// (rounded down) — the classic torn append of a SIGKILL mid-`write`.
-    TornPayload,
-    /// Write only the first 4 header bytes (the length field) and stop:
-    /// the crash landed inside the header itself.
-    ShortHeader,
-    /// Write the full frame but with the checksum bitwise-inverted:
-    /// the payload is present yet provably untrustworthy.
-    FlipChecksum,
-}
-
-/// Writes one frame of `payload` to `sink` — header and payload through
-/// one `write_all` each — or, with a `fault`, the damaged part of a frame
-/// that it names (a short header writes no payload).
-/// Returns the bytes written, so a caller can track a segment's size.
-/// Durability (fsync) is the caller's policy, and so is the segment's
-/// leading [`WAL_MAGIC`].
+/// Writes one frame of `payload` to `sink`: header and payload through
+/// one `write_all` each. Returns the bytes written, so a caller can track
+/// a segment's size. Durability (fsync) is the caller's policy, and so is
+/// the segment's leading [`WAL_MAGIC`].
 ///
 /// # Errors
 ///
 /// Propagates the sink's write error; after one the segment tail must be
 /// considered torn.
-pub fn write_frame(
-    sink: &mut impl Write,
-    payload: &[u8],
-    fault: Option<AppendFault>,
-) -> std::io::Result<u64> {
+pub fn write_frame(sink: &mut impl Write, payload: &[u8]) -> std::io::Result<u64> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    let (header, payload): (&[u8], &[u8]) = match fault {
-        None => (&header, payload),
-        Some(AppendFault::TornPayload) => (&header, &payload[..payload.len() / 2]),
-        Some(AppendFault::ShortHeader) => (&header[..4], &[]),
-        Some(AppendFault::FlipChecksum) => {
-            for b in &mut header[4..] {
-                *b = !*b;
-            }
-            (&header, payload)
-        }
-    };
-    sink.write_all(header)?;
+    sink.write_all(&header)?;
     sink.write_all(payload)?;
-    Ok((header.len() + payload.len()) as u64)
+    Ok((FRAME_HEADER_BYTES + payload.len()) as u64)
 }
 
 /// Verdict on the tail of a scanned segment.
@@ -242,6 +204,41 @@ pub fn scan_frames(bytes: &[u8]) -> FrameScan {
     FrameScan { frames, tail }
 }
 
+/// A damaged tail for the tests to write: the part of one frame that a
+/// failure mid-append, or damage after it, leaves on disk.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Damage {
+    /// The header and the first half of the payload (rounded down): a
+    /// process killed mid-`write`.
+    TornPayload,
+    /// The first 4 header bytes (the length field) alone: the cut landed
+    /// inside the header.
+    ShortHeader,
+    /// The whole frame with its checksum bitwise inverted: the payload is
+    /// there but provably untrustworthy (bit rot, a misdirected write).
+    FlipChecksum,
+}
+
+#[cfg(test)]
+impl Damage {
+    /// The bytes of a frame of `payload` with this damage done to it.
+    pub(crate) fn frame(self, payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, payload).expect("a Vec takes every write");
+        match self {
+            Damage::TornPayload => frame.truncate(FRAME_HEADER_BYTES + payload.len() / 2),
+            Damage::ShortHeader => frame.truncate(4),
+            Damage::FlipChecksum => {
+                for b in &mut frame[4..FRAME_HEADER_BYTES] {
+                    *b = !*b;
+                }
+            }
+        }
+        frame
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,7 +258,7 @@ mod tests {
     fn frame_up(payloads: &[&[u8]]) -> Vec<u8> {
         let mut bytes = WAL_MAGIC.to_vec();
         for p in payloads {
-            write_frame(&mut bytes, p, None).unwrap();
+            write_frame(&mut bytes, p).unwrap();
         }
         bytes
     }
@@ -302,7 +299,7 @@ mod tests {
     #[test]
     fn frame_scan_ranges_locate_the_payloads_in_place() {
         let mut bytes = frame_up(&[b"alpha", b"", b"gamma"]);
-        write_frame(&mut bytes, b"delta", Some(AppendFault::TornPayload)).unwrap();
+        bytes.extend(Damage::TornPayload.frame(b"delta"));
         let scan = scan_frames(&bytes);
         let payloads: Vec<&[u8]> = scan.frames.iter().map(|r| &bytes[r.clone()]).collect();
         assert_eq!(payloads, vec![&b"alpha"[..], b"", b"gamma"]);
@@ -374,12 +371,7 @@ mod tests {
     fn torn_payload_truncates_at_last_valid_frame() {
         let mut bytes = frame_up(&[b"first"]);
         let valid = bytes.len() as u64;
-        write_frame(
-            &mut bytes,
-            b"second-payload",
-            Some(AppendFault::TornPayload),
-        )
-        .unwrap();
+        bytes.extend(Damage::TornPayload.frame(b"second-payload"));
         let (scan, payloads) = scan_segment(&bytes);
         assert_eq!(scan.tail, TailStatus::Torn { valid_bytes: valid });
         assert_eq!(payloads, vec![b"first".to_vec()]);
@@ -392,7 +384,7 @@ mod tests {
             let payload = vec![0x5a; len];
             let mut bytes = frame_up(&[b"first"]);
             let valid = bytes.len();
-            write_frame(&mut bytes, &payload, Some(AppendFault::TornPayload)).unwrap();
+            bytes.extend(Damage::TornPayload.frame(&payload));
             assert_eq!(
                 bytes.len(),
                 valid + FRAME_HEADER_BYTES + len / 2,
@@ -407,16 +399,17 @@ mod tests {
 
     #[test]
     fn faulty_writes_return_their_bytes_but_add_no_frame() {
-        for fault in [
-            AppendFault::TornPayload,
-            AppendFault::ShortHeader,
-            AppendFault::FlipChecksum,
+        for damage in [
+            Damage::TornPayload,
+            Damage::ShortHeader,
+            Damage::FlipChecksum,
         ] {
             let mut bytes = frame_up(&[b"first"]);
             let before = bytes.len() as u64;
-            let written = write_frame(&mut bytes, b"second-payload", Some(fault)).unwrap();
-            assert_eq!(scan_frames(&bytes).frames.len(), 1, "{fault:?}");
-            assert_eq!(before + written, bytes.len() as u64, "{fault:?}");
+            bytes.extend(damage.frame(b"second-payload"));
+            let scan = scan_frames(&bytes);
+            assert_eq!(scan.frames.len(), 1, "{damage:?}");
+            assert_eq!(scan.valid_bytes(), before, "{damage:?}");
         }
     }
 
@@ -424,7 +417,7 @@ mod tests {
     fn short_header_is_torn() {
         let mut bytes = frame_up(&[b"first"]);
         let valid = bytes.len() as u64;
-        write_frame(&mut bytes, b"second", Some(AppendFault::ShortHeader)).unwrap();
+        bytes.extend(Damage::ShortHeader.frame(b"second"));
         let (scan, payloads) = scan_segment(&bytes);
         assert_eq!(scan.tail, TailStatus::Torn { valid_bytes: valid });
         assert_eq!(payloads.len(), 1);
@@ -434,7 +427,7 @@ mod tests {
     fn flipped_checksum_is_corrupt() {
         let mut bytes = frame_up(&[b"first"]);
         let valid = bytes.len() as u64;
-        write_frame(&mut bytes, b"second", Some(AppendFault::FlipChecksum)).unwrap();
+        bytes.extend(Damage::FlipChecksum.frame(b"second"));
         let (scan, payloads) = scan_segment(&bytes);
         assert_eq!(scan.tail, TailStatus::Corrupt { valid_bytes: valid });
         assert_eq!(payloads, vec![b"first".to_vec()]);
@@ -465,7 +458,7 @@ mod tests {
     fn writing_into_a_scanned_segment_continues_it() {
         let mut bytes = frame_up(&[b"one"]);
         assert_eq!(scan_frames(&bytes).valid_bytes(), bytes.len() as u64);
-        write_frame(&mut bytes, b"two", None).unwrap();
+        write_frame(&mut bytes, b"two").unwrap();
         let (scan, payloads) = scan_segment(&bytes);
         assert_eq!(scan.tail, TailStatus::Clean);
         assert_eq!(payloads, vec![b"one".to_vec(), b"two".to_vec()]);
@@ -475,11 +468,11 @@ mod tests {
     fn a_clean_write_returns_the_frame_length() {
         let mut bytes = Vec::new();
         assert_eq!(
-            write_frame(&mut bytes, b"abc", None).unwrap(),
+            write_frame(&mut bytes, b"abc").unwrap(),
             (FRAME_HEADER_BYTES + 3) as u64
         );
         assert_eq!(
-            write_frame(&mut bytes, b"", None).unwrap(),
+            write_frame(&mut bytes, b"").unwrap(),
             FRAME_HEADER_BYTES as u64
         );
         assert_eq!(bytes.len(), 2 * FRAME_HEADER_BYTES + 3);
@@ -515,7 +508,7 @@ mod tests {
                 bytes: clean.clone(),
                 room,
             };
-            let err = write_frame(&mut disk, b"second", None).unwrap_err();
+            let err = write_frame(&mut disk, b"second").unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
             assert_eq!(disk.bytes.len(), room);
             let (scan, payloads) = scan_segment(&disk.bytes);
@@ -585,14 +578,12 @@ mod tests {
     fn each_fault_writes_the_bytes_it_names() {
         let payload = b"payload!";
         let mut clean = Vec::new();
-        write_frame(&mut clean, payload, None).unwrap();
+        write_frame(&mut clean, payload).unwrap();
 
-        let mut short = Vec::new();
-        write_frame(&mut short, payload, Some(AppendFault::ShortHeader)).unwrap();
+        let short = Damage::ShortHeader.frame(payload);
         assert_eq!(short, clean[..4].to_vec(), "the length field alone");
 
-        let mut flipped = Vec::new();
-        write_frame(&mut flipped, payload, Some(AppendFault::FlipChecksum)).unwrap();
+        let flipped = Damage::FlipChecksum.frame(payload);
         assert_eq!(flipped.len(), clean.len());
         assert_eq!(flipped[..4], clean[..4]);
         assert_eq!(
@@ -601,8 +592,7 @@ mod tests {
         );
         assert_eq!(flipped[FRAME_HEADER_BYTES..], payload[..]);
 
-        let mut torn = Vec::new();
-        write_frame(&mut torn, payload, Some(AppendFault::TornPayload)).unwrap();
+        let torn = Damage::TornPayload.frame(payload);
         assert_eq!(
             torn,
             clean[..FRAME_HEADER_BYTES + payload.len() / 2].to_vec()

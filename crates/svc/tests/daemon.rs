@@ -6,24 +6,28 @@
 //! [`etrain_svc::script`], crashes it, restarts it against the same WAL
 //! directory, and compares the recovered fingerprint with a never-killed
 //! in-process [`ServiceState`] fed the same commands. The crashes are
-//! SIGKILLs between acked commands; mid-append faults armed through
-//! `ETRAIN_WAL_FAULT` (a torn frame, a short header, a flipped checksum),
-//! after which the daemon dies unacked and recovery must truncate the
-//! damage; and a SIGKILL of a restart that is still recovering. Every
-//! seed and kill point is fixed here: the harness reads no environment.
+//! SIGKILLs between acked commands; SIGKILLs mid-append, made on disk by
+//! appending the unacked command's damaged frame (a torn payload, a short
+//! header, a flipped checksum) to the journal of a killed daemon, which
+//! recovery must truncate; a SIGKILL of a restart that is still
+//! recovering; and a real append failing under a file size limit, after
+//! which the daemon refuses to journal until it is restarted. Every seed
+//! and kill point is fixed here: the harness reads no environment.
 
+use std::fs::OpenOptions;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use etrain_core::CoreConfig;
+use etrain_core::{CoreConfig, TransmitRequest};
 use etrain_svc::script::script;
 use etrain_svc::{
-    AppendFault, DurableService, ServiceState, SvcError, SvcHealthConfig, WalConfig, WalFault,
-    FAULT_EXIT_CODE,
+    write_frame, DurableService, ServiceState, SvcCommand, SvcHealthConfig, WalConfig,
+    FRAME_HEADER_BYTES,
 };
+use etrain_trace::CargoAppId;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -36,27 +40,70 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The daemon on `wal_dir`, bound to a free port, with its stdout piped
-/// and the fault hook armed with `fault` or cleared.
-fn daemon_command(wal_dir: &Path, fault: Option<&str>) -> Command {
-    daemon_env(
-        Command::new(env!("CARGO_BIN_EXE_etrain-svcd")),
-        wal_dir,
-        fault,
-    )
+/// The daemon on `wal_dir`, bound to a free port, with its stdout piped.
+fn daemon_command(wal_dir: &Path) -> Command {
+    daemon_env(Command::new(env!("CARGO_BIN_EXE_etrain-svcd")), wal_dir)
 }
 
 /// `cmd`, which runs the daemon, set up as [`daemon_command`] describes.
-fn daemon_env(mut cmd: Command, wal_dir: &Path, fault: Option<&str>) -> Command {
+fn daemon_env(mut cmd: Command, wal_dir: &Path) -> Command {
     cmd.env("ETRAIN_WAL", wal_dir)
         .env("ETRAIN_SVC_ADDR", "127.0.0.1:0")
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
-    match fault {
-        Some(spec) => cmd.env("ETRAIN_WAL_FAULT", spec),
-        None => cmd.env_remove("ETRAIN_WAL_FAULT"),
-    };
     cmd
+}
+
+/// The daemon on `wal_dir` run through `sh -c`, after `setup` has set the
+/// shell's limits and signal dispositions, which the daemon inherits.
+fn daemon_under(setup: &str, wal_dir: &Path) -> Command {
+    let mut shell = Command::new("sh");
+    shell.args([
+        "-c",
+        &format!("{setup}; exec \"$0\""),
+        env!("CARGO_BIN_EXE_etrain-svcd"),
+    ]);
+    daemon_env(shell, wal_dir)
+}
+
+/// What a crash mid-append leaves of a command's frame.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// The header and the first half of the payload (rounded down).
+    TornPayload,
+    /// The first 4 header bytes, the length field, alone.
+    ShortHeader,
+    /// The whole frame with its checksum bitwise inverted.
+    FlipChecksum,
+}
+
+/// Appends `command`'s frame with `damage` done to it to the last segment
+/// in `wal_dir`: the journal of a daemon killed while appending `command`.
+fn damage_last_segment(wal_dir: &Path, command: &SvcCommand, damage: Damage) {
+    let payload = serde_json::to_string(command).expect("a command serializes");
+    let mut frame = Vec::new();
+    write_frame(&mut frame, payload.as_bytes()).expect("a Vec takes every write");
+    match damage {
+        Damage::TornPayload => frame.truncate(FRAME_HEADER_BYTES + payload.len() / 2),
+        Damage::ShortHeader => frame.truncate(4),
+        Damage::FlipChecksum => {
+            for b in &mut frame[4..FRAME_HEADER_BYTES] {
+                *b = !*b;
+            }
+        }
+    }
+    let last = std::fs::read_dir(wal_dir)
+        .expect("journal directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "seg"))
+        .max()
+        .expect("a segment");
+    OpenOptions::new()
+        .append(true)
+        .open(last)
+        .expect("open the last segment")
+        .write_all(&frame)
+        .expect("append the damage");
 }
 
 /// A running daemon plus one protocol connection to it.
@@ -69,8 +116,8 @@ struct Daemon {
 
 impl Daemon {
     /// Starts the daemon and connects once it prints `READY`.
-    fn spawn(wal_dir: &Path, fault: Option<&str>) -> Daemon {
-        Daemon::start(daemon_command(wal_dir, fault))
+    fn spawn(wal_dir: &Path) -> Daemon {
+        Daemon::start(daemon_command(wal_dir))
     }
 
     /// Runs `cmd`, a [`daemon_command`] or a wrapper of one, and
@@ -117,16 +164,6 @@ impl Daemon {
         response.trim().to_string()
     }
 
-    /// Sends a request expected to kill the daemon (armed fault hook):
-    /// the connection drops without a response.
-    fn send_expecting_crash(&mut self, line: &str) {
-        let _ = self.writer.write_all(format!("{line}\n").as_bytes());
-        let mut response = String::new();
-        // EOF or reset either way: the daemon died before answering.
-        let got = self.reader.read_line(&mut response).unwrap_or(0);
-        assert_eq!(got, 0, "daemon answered {response:?} instead of crashing");
-    }
-
     fn fingerprint(&mut self) -> u64 {
         let response = self.roundtrip("FPRINT");
         let hex = response
@@ -138,11 +175,6 @@ impl Daemon {
     fn sigkill(mut self) {
         self.child.kill().expect("SIGKILL daemon");
         let _ = self.child.wait();
-    }
-
-    fn wait_exit_code(mut self) -> i32 {
-        let status = self.child.wait().expect("wait for daemon");
-        status.code().unwrap_or(-1)
     }
 }
 
@@ -163,7 +195,7 @@ fn daemon_survives_seeded_kills_bit_for_bit() {
     let wal_dir = tmp_dir("kills");
     let mut reference = reference();
     let mut applied = 0usize;
-    let mut daemon = Daemon::spawn(&wal_dir, None);
+    let mut daemon = Daemon::spawn(&wal_dir);
     // Seven SIGKILLs spread evenly over the 52 seeded steps, each right
     // after the ack of step `k·52/8` arrives.
     for kill_no in 1..=7 {
@@ -187,7 +219,7 @@ fn daemon_survives_seeded_kills_bit_for_bit() {
         );
         daemon.sigkill();
 
-        daemon = Daemon::spawn(&wal_dir, None);
+        daemon = Daemon::spawn(&wal_dir);
         assert_eq!(
             daemon.fingerprint(),
             reference.fingerprint(),
@@ -209,7 +241,7 @@ fn daemon_survives_seeded_kills_bit_for_bit() {
 #[test]
 fn duplicate_submit_after_kill_is_not_double_applied() {
     let wal_dir = tmp_dir("dup");
-    let mut daemon = Daemon::spawn(&wal_dir, None);
+    let mut daemon = Daemon::spawn(&wal_dir);
     assert_eq!(daemon.roundtrip("REGTRAIN WeChat"), "OK TRAIN 0");
     assert_eq!(daemon.roundtrip("REGCARGO Mail mail 300"), "OK CARGO 0");
     assert_eq!(
@@ -221,7 +253,7 @@ fn duplicate_submit_after_kill_is_not_double_applied() {
     // The ack arrived before the kill, so the submit is durable: the
     // retry must be answered from the recovered dedup table, not
     // admitted a second time.
-    let mut daemon = Daemon::spawn(&wal_dir, None);
+    let mut daemon = Daemon::spawn(&wal_dir);
     assert_eq!(
         daemon.roundtrip("SUBMIT once 0 up 4096 2.0"),
         "OK DUP SUBMITTED 0"
@@ -236,21 +268,25 @@ fn duplicate_submit_after_kill_is_not_double_applied() {
 }
 
 #[test]
-fn armed_fault_hook_tears_tail_and_recovery_truncates() {
-    let wal_dir = tmp_dir("fault");
-    // Records: 0 REGTRAIN, 1 REGCARGO, 2 first SUBMIT; the fault fires
-    // on record 3 — the second SUBMIT's append is torn mid-payload and
-    // the daemon must die with the dedicated exit code.
-    let mut daemon = Daemon::spawn(&wal_dir, Some("torn@3"));
+fn a_torn_submit_after_a_kill_is_truncated_and_admitted_when_resent() {
+    let wal_dir = tmp_dir("torn");
+    // Records: 0 REGTRAIN, 1 REGCARGO, 2 first SUBMIT. The kill lands
+    // mid-append of record 3, the second SUBMIT, tearing its payload.
+    let mut daemon = Daemon::spawn(&wal_dir);
     assert_eq!(daemon.roundtrip("REGTRAIN WeChat"), "OK TRAIN 0");
     assert_eq!(daemon.roundtrip("REGCARGO Mail mail 300"), "OK CARGO 0");
     assert_eq!(daemon.roundtrip("SUBMIT a 0 up 1000 1.0"), "OK SUBMITTED 0");
-    daemon.send_expecting_crash("SUBMIT b 0 up 2000 2.0");
-    assert_eq!(daemon.wait_exit_code(), FAULT_EXIT_CODE);
+    daemon.sigkill();
+    let second = SvcCommand::SubmitIdem {
+        client_id: "b".into(),
+        app: CargoAppId(0),
+        request: TransmitRequest::upload(2000),
+        now_s: 2.0,
+    };
+    damage_last_segment(&wal_dir, &second, Damage::TornPayload);
 
-    // Restart without the fault: recovery truncates the torn frame and
-    // keeps the three acked records.
-    let mut daemon = Daemon::spawn(&wal_dir, None);
+    // Recovery truncates the torn frame and keeps the three acked records.
+    let mut daemon = Daemon::spawn(&wal_dir);
     let recovered = daemon.recovered_line.clone();
     assert!(
         recovered.contains("records=3") && !recovered.contains("truncated_bytes=0"),
@@ -263,17 +299,17 @@ fn armed_fault_hook_tears_tail_and_recovery_truncates() {
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
-/// Arms `kind@at_record` on a fresh journal and sends seeded script
-/// steps until the hook fires. Records and script steps are 1:1, so the
-/// first `at_record` steps are acked and the next one dies mid-append,
-/// unacked. A clean restart must truncate the damage, recover exactly the
-/// acked prefix, and take the faulted command afresh when it is resent.
-fn mid_append_fault_recovers_the_acked_prefix(kind: &str, at_record: usize, seed: u64) {
+/// Sends the first `at_record` seeded script steps, all acked, then
+/// SIGKILLs the daemon mid-append of the next one: its frame, with
+/// `damage` done to it, ends the journal. Records and script steps are
+/// 1:1. A restart must truncate the damage, recover exactly the acked
+/// prefix, and take the unacked command afresh when it is resent.
+fn mid_append_kill_recovers_the_acked_prefix(damage: Damage, at_record: usize, seed: u64) {
     let steps = script(seed, at_record);
-    let spec = format!("{kind}@{at_record}");
-    let wal_dir = tmp_dir(kind);
+    let spec = format!("{damage:?} at record {at_record}");
+    let wal_dir = tmp_dir("mid-append");
     let mut reference = reference();
-    let mut daemon = Daemon::spawn(&wal_dir, Some(&spec));
+    let mut daemon = Daemon::spawn(&wal_dir);
     for step in &steps[..at_record] {
         let response = daemon.roundtrip(&step.line);
         assert!(
@@ -283,11 +319,11 @@ fn mid_append_fault_recovers_the_acked_prefix(kind: &str, at_record: usize, seed
         );
         let _ = reference.apply(&step.command);
     }
-    let faulted = &steps[at_record];
-    daemon.send_expecting_crash(&faulted.line);
-    assert_eq!(daemon.wait_exit_code(), FAULT_EXIT_CODE, "{spec}");
+    daemon.sigkill();
+    let unacked = &steps[at_record];
+    damage_last_segment(&wal_dir, &unacked.command, damage);
 
-    let mut daemon = Daemon::spawn(&wal_dir, None);
+    let mut daemon = Daemon::spawn(&wal_dir);
     let recovered = daemon.recovered_line.clone();
     assert!(
         recovered.contains(&format!("records={at_record} "))
@@ -295,14 +331,14 @@ fn mid_append_fault_recovers_the_acked_prefix(kind: &str, at_record: usize, seed
         "{spec}: expected {at_record} records and a truncated tail: {recovered}"
     );
     assert_eq!(daemon.fingerprint(), reference.fingerprint(), "{spec}");
-    let response = daemon.roundtrip(&faulted.line);
-    if faulted.line.starts_with("SUBMIT ") {
+    let response = daemon.roundtrip(&unacked.line);
+    if unacked.line.starts_with("SUBMIT ") {
         assert!(
             response.starts_with("OK SUBMITTED"),
             "{spec}: the unacked submit was a fresh admission, not {response}"
         );
     }
-    let _ = reference.apply(&faulted.command);
+    let _ = reference.apply(&unacked.command);
     assert_eq!(daemon.fingerprint(), reference.fingerprint(), "{spec}");
     daemon.sigkill();
     let _ = std::fs::remove_dir_all(&wal_dir);
@@ -310,17 +346,17 @@ fn mid_append_fault_recovers_the_acked_prefix(kind: &str, at_record: usize, seed
 
 #[test]
 fn a_torn_payload_at_record_5_recovers_the_acked_prefix() {
-    mid_append_fault_recovers_the_acked_prefix("torn", 5, 17);
+    mid_append_kill_recovers_the_acked_prefix(Damage::TornPayload, 5, 17);
 }
 
 #[test]
 fn a_short_header_at_record_7_recovers_the_acked_prefix() {
-    mid_append_fault_recovers_the_acked_prefix("short", 7, 18);
+    mid_append_kill_recovers_the_acked_prefix(Damage::ShortHeader, 7, 18);
 }
 
 #[test]
 fn a_flipped_checksum_at_record_9_recovers_the_acked_prefix() {
-    mid_append_fault_recovers_the_acked_prefix("crc", 9, 19);
+    mid_append_kill_recovers_the_acked_prefix(Damage::FlipChecksum, 9, 19);
 }
 
 /// Copies the files of `from` into a fresh directory `to`.
@@ -334,19 +370,16 @@ fn copy_dir(from: &Path, to: &Path) {
 
 #[test]
 fn a_kill_during_recovery_restarts_to_the_reference() {
-    // 12,000 steps journaled in process, in 64 KiB segments, the last one
-    // torn by the fault hook: a restart spends several milliseconds
-    // scanning and replaying them, then truncates the torn tail.
+    // 12,000 steps journaled in process, in 64 KiB segments, and the
+    // next one's frame torn at the end, as a kill mid-append leaves it: a
+    // restart spends several milliseconds scanning and replaying them,
+    // then truncates the torn tail.
     let steps = script(17, 12_000);
     let (torn, acked) = steps.split_last().expect("a non-empty script");
     let wal_dir = tmp_dir("recovery-kill");
     let mut wal = WalConfig::new(&wal_dir);
     wal.fsync = false;
     wal.segment_bytes = 64 * 1024;
-    wal.fault = Some(WalFault {
-        at_record: acked.len() as u64,
-        kind: AppendFault::TornPayload,
-    });
     let (mut service, _) =
         DurableService::open(wal, CoreConfig::default(), SvcHealthConfig::default())
             .expect("journal opens");
@@ -354,11 +387,8 @@ fn a_kill_during_recovery_restarts_to_the_reference() {
         let _ = service.apply(step.command.clone());
     }
     let reference_fingerprint = service.fingerprint();
-    assert!(matches!(
-        service.apply(torn.command.clone()),
-        Err(SvcError::FaultInjected { .. })
-    ));
     drop(service);
+    damage_last_segment(&wal_dir, &torn.command, Damage::TornPayload);
 
     // Time a restart on a copy, so the kill lands before `READY` whatever
     // the build's speed, then SIGKILL a restart of the original at 37.9%
@@ -366,13 +396,11 @@ fn a_kill_during_recovery_restarts_to_the_reference() {
     let copy = tmp_dir("recovery-kill-copy");
     copy_dir(&wal_dir, &copy);
     let started = Instant::now();
-    Daemon::spawn(&copy, None).sigkill();
+    Daemon::spawn(&copy).sigkill();
     let delay = started.elapsed().mul_f64(0.379);
     let _ = std::fs::remove_dir_all(&copy);
 
-    let mut child = daemon_command(&wal_dir, None)
-        .spawn()
-        .expect("spawn etrain-svcd");
+    let mut child = daemon_command(&wal_dir).spawn().expect("spawn etrain-svcd");
     std::thread::sleep(delay);
     child.kill().expect("SIGKILL daemon");
     let _ = child.wait();
@@ -392,7 +420,7 @@ fn a_kill_during_recovery_restarts_to_the_reference() {
 
     // Wherever the kill landed, a clean restart reaches the state before
     // the torn record.
-    let mut daemon = Daemon::spawn(&wal_dir, None);
+    let mut daemon = Daemon::spawn(&wal_dir);
     assert_eq!(
         daemon.fingerprint(),
         reference_fingerprint,
@@ -410,7 +438,6 @@ fn invalid_env_knobs_exit_2() {
     let regular_file = regular_file.to_str().expect("a Unicode temp path");
     for (key, value) in [
         ("ETRAIN_SVC_ADDR", "not-an-addr"),
-        ("ETRAIN_WAL_FAULT", "maybe@later"),
         ("ETRAIN_WAL", regular_file),
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_etrain-svcd"))
@@ -433,13 +460,7 @@ fn running_out_of_file_descriptors_does_not_end_the_daemon() {
     // Under a limit of 16 descriptors the daemon serves about ten
     // connections; `accept` then fails with EMFILE until one closes.
     let wal_dir = tmp_dir("nofile");
-    let mut shell = Command::new("sh");
-    shell.args([
-        "-c",
-        "ulimit -n 16; exec \"$0\"",
-        env!("CARGO_BIN_EXE_etrain-svcd"),
-    ]);
-    let mut daemon = Daemon::start(daemon_env(shell, &wal_dir, None));
+    let mut daemon = Daemon::start(daemon_under("ulimit -n 16", &wal_dir));
 
     let addr = daemon.writer.peer_addr().expect("daemon address");
     let connect = || {
@@ -483,6 +504,79 @@ fn running_out_of_file_descriptors_does_not_end_the_daemon() {
         .expect("read PING reply");
     assert_eq!(reply, "OK PONG\n");
     assert_eq!(daemon.roundtrip("PING"), "OK PONG");
+    daemon.sigkill();
+    let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
+#[test]
+fn a_failed_append_stops_the_journal_until_a_restart_recovers_the_acked_prefix() {
+    // Under a 4-block file size limit, with SIGXFSZ ignored, the write
+    // that crosses the limit is cut short there and the next one fails
+    // with EFBIG: that append tears the segment's tail and gets `ERR`.
+    let steps = script(23, 60);
+    let wal_dir = tmp_dir("fsize");
+    let mut daemon = Daemon::start(daemon_under("ulimit -S -f 4; trap '' XFSZ", &wal_dir));
+    let mut reference = reference();
+    let mut acked = 0;
+    let mut steps = steps.iter();
+    let failed = loop {
+        let step = steps.next().expect("the file size limit never bit");
+        let response = daemon.roundtrip(&step.line);
+        if response.starts_with("ERR WAL I/O error") {
+            break step;
+        }
+        assert!(
+            response.starts_with("OK") || response.starts_with("ERR core rejected"),
+            "{} -> {response}",
+            step.line
+        );
+        let _ = reference.apply(&step.command);
+        acked += 1;
+    };
+
+    // Every later journaling line is refused, and nothing more is written.
+    let segment = wal_dir.join("wal-000000.seg");
+    let size = std::fs::metadata(&segment).expect("the segment").len();
+    let refusal = format!("ERR WAL stopped by a failed write at record {acked}; ");
+    for step in steps.take(10).chain([failed]) {
+        let response = daemon.roundtrip(&step.line);
+        assert!(
+            response.starts_with(&refusal),
+            "{} -> {response}",
+            step.line
+        );
+    }
+    let response = daemon.roundtrip("CHECKPOINT");
+    assert!(response.starts_with(&refusal), "CHECKPOINT -> {response}");
+    assert_eq!(
+        std::fs::metadata(&segment).expect("the segment").len(),
+        size
+    );
+    // The read-only verbs still answer, from the acked state.
+    assert_eq!(daemon.roundtrip("PING"), "OK PONG");
+    assert_eq!(daemon.fingerprint(), reference.fingerprint());
+    let health = daemon.roundtrip("HEALTH");
+    assert!(health.ends_with(&format!(" records={acked}")), "{health}");
+    daemon.sigkill();
+
+    // A restart without the limit truncates the torn tail, recovers the
+    // acked prefix, and takes the failed command afresh.
+    let mut daemon = Daemon::spawn(&wal_dir);
+    let recovered = daemon.recovered_line.clone();
+    assert!(
+        recovered.contains(&format!("records={acked} "))
+            && !recovered.contains("truncated_bytes=0"),
+        "expected {acked} records and a truncated tail: {recovered}"
+    );
+    assert_eq!(daemon.fingerprint(), reference.fingerprint());
+    let response = daemon.roundtrip(&failed.line);
+    assert!(
+        response.starts_with("OK SUBMITTED"),
+        "{} -> {response}",
+        failed.line
+    );
+    let _ = reference.apply(&failed.command);
+    assert_eq!(daemon.fingerprint(), reference.fingerprint());
     daemon.sigkill();
     let _ = std::fs::remove_dir_all(&wal_dir);
 }

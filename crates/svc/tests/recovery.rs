@@ -12,6 +12,8 @@
 //! is meant for release builds
 //! (`cargo test --release -p etrain-svc -- --include-ignored`).
 
+use std::fs::OpenOptions;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -20,8 +22,8 @@ use etrain_sched::{AppProfile, CostProfile};
 use etrain_svc::script::script;
 use etrain_svc::{
     decode_canonical, execute_line, recover, scan_frames, write_checkpoint, write_frame,
-    AppendFault, Checkpoint, DurableService, RecoverySummary, ServiceState, SvcCommand, SvcError,
-    SvcHealthConfig, TailStatus, Wal, WalConfig, WalFault, FRAME_HEADER_BYTES, WAL_MAGIC,
+    Checkpoint, DurableService, RecoverySummary, ServiceState, SvcCommand, SvcError,
+    SvcHealthConfig, TailStatus, Wal, WalConfig, FRAME_HEADER_BYTES, WAL_MAGIC,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -92,7 +94,7 @@ fn wal_v1_fixture_replays_to_its_pinned_state() {
     std::fs::create_dir_all(&dir).unwrap();
     let mut segment = WAL_MAGIC.to_vec();
     for line in &lines {
-        write_frame(&mut segment, line.as_bytes(), None).unwrap();
+        write_frame(&mut segment, line.as_bytes()).unwrap();
     }
     std::fs::write(dir.join("wal-000000.seg"), segment).unwrap();
 
@@ -393,20 +395,26 @@ fn small_segments(dir: &Path) -> WalConfig {
 }
 
 /// Journals the prologue and `steps` seeded script steps in 64-byte
-/// segments, stopping at the armed `fault` if one is given.
-fn small_segment_journal(dir: &Path, steps: usize, fault: Option<WalFault>) {
-    let wal = WalConfig {
-        fault,
-        ..small_segments(dir)
-    };
-    let (mut service, _) =
-        DurableService::open(wal, CoreConfig::default(), SvcHealthConfig::default())
-            .expect("journal opens");
+/// segments.
+fn small_segment_journal(dir: &Path, steps: usize) {
+    let (mut service, _) = DurableService::open(
+        small_segments(dir),
+        CoreConfig::default(),
+        SvcHealthConfig::default(),
+    )
+    .expect("journal opens");
     for step in script(5, steps) {
-        if let Err(SvcError::FaultInjected { .. }) = service.apply(step.command) {
-            return;
-        }
+        let _ = service.apply(step.command);
     }
+}
+
+/// A frame of `payload` of which only the header and the first half of
+/// the payload (rounded down) landed: a SIGKILL mid-`write`.
+fn torn_frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_frame(&mut frame, payload).unwrap();
+    frame.truncate(FRAME_HEADER_BYTES + payload.len() / 2);
+    frame
 }
 
 /// The records of each segment in `dir`, in journal order.
@@ -457,7 +465,7 @@ fn prefix_fingerprint(dir: &Path, records: u64) -> u64 {
 #[test]
 fn a_streamed_open_checks_the_checkpoint_wherever_it_falls() {
     let dir = tmp_dir("streamed-checkpoint");
-    small_segment_journal(&dir, 80, None);
+    small_segment_journal(&dir, 80);
     let per_segment = records_per_segment(&dir);
     assert!(per_segment.len() > 40, "{} segments", per_segment.len());
     let starts: Vec<u64> = per_segment
@@ -518,7 +526,7 @@ fn open_error(dir: &Path) -> SvcError {
 #[test]
 fn an_undecodable_record_after_a_checkpoint_mismatch_is_the_error() {
     let dir = tmp_dir("streamed-mismatch");
-    small_segment_journal(&dir, 80, None);
+    small_segment_journal(&dir, 80);
     let total: u64 = records_per_segment(&dir).iter().sum();
     write_checkpoint(
         &dir,
@@ -536,7 +544,7 @@ fn an_undecodable_record_after_a_checkpoint_mismatch_is_the_error() {
     // dozens of segments after the checkpoint.
     let last = records_per_segment(&dir).len();
     let mut segment = WAL_MAGIC.to_vec();
-    write_frame(&mut segment, b"not a command", None).unwrap();
+    write_frame(&mut segment, b"not a command").unwrap();
     std::fs::write(dir.join(format!("wal-{last:06}.seg")), segment).unwrap();
     let err = open_error(&dir);
     assert!(
@@ -549,7 +557,7 @@ fn an_undecodable_record_after_a_checkpoint_mismatch_is_the_error() {
 #[test]
 fn a_checkpoint_ahead_of_a_streamed_journal_counts_every_record() {
     let dir = tmp_dir("streamed-ahead");
-    small_segment_journal(&dir, 80, None);
+    small_segment_journal(&dir, 80);
     let total: u64 = records_per_segment(&dir).iter().sum();
     write_checkpoint(
         &dir,
@@ -583,14 +591,19 @@ fn directory_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
 
 #[test]
 fn a_streamed_open_truncates_a_torn_tail_once_and_resumes_where_recover_does() {
-    let fault = WalFault {
-        at_record: 60,
-        kind: AppendFault::TornPayload,
+    // 60 records, and the 61st torn at the end of the last segment, as a
+    // kill mid-append leaves it.
+    let torn = serde_json::to_string(&script(5, 58)[60].command).unwrap();
+    let torn_journal = |dir: &Path| {
+        small_segment_journal(dir, 57);
+        let last = segments(dir).pop().expect("a segment");
+        let mut segment = OpenOptions::new().append(true).open(last).unwrap();
+        segment.write_all(&torn_frame(torn.as_bytes())).unwrap();
     };
     let next = SvcCommand::Core(CoreCommand::Tick { now_s: 1e6 });
     // The reference: `recover`, then a `Wal` opened over its outcome.
     let reference = tmp_dir("streamed-torn-reference");
-    small_segment_journal(&reference, 80, Some(fault));
+    torn_journal(&reference);
     let recovery = recover(&reference).unwrap();
     assert!(recovery.report.truncated_bytes > 0);
     let mut wal = Wal::open(small_segments(&reference), &recovery).unwrap();
@@ -598,7 +611,7 @@ fn a_streamed_open_truncates_a_torn_tail_once_and_resumes_where_recover_does() {
     drop(wal);
 
     let dir = tmp_dir("streamed-torn");
-    small_segment_journal(&dir, 80, Some(fault));
+    torn_journal(&dir);
     let (mut service, summary) = DurableService::open(
         small_segments(&dir),
         CoreConfig::default(),
@@ -645,9 +658,7 @@ fn damage_last_segment(dir: &Path, damage: Damage) -> (Vec<u8>, Vec<u8>) {
     let mut bytes = std::fs::read(&segment).expect("segment");
     let before = bytes.clone();
     match damage {
-        Damage::TornTail => {
-            write_frame(&mut bytes, &[0xab; 80], Some(AppendFault::TornPayload)).unwrap();
-        }
+        Damage::TornTail => bytes.extend(torn_frame(&[0xab; 80])),
         Damage::TruncatedSegment => bytes.truncate(bytes.len() - 5),
         Damage::FlippedChecksum => *bytes.last_mut().expect("a frame") ^= 0x40,
     }
