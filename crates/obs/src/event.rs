@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::json::{push_bool, push_f64, push_str, push_u64};
+use crate::json::{push_bool, push_f64, push_str, push_u64, push_u64_or_null};
 
 /// One observable decision or state change in the eTrain system.
 ///
@@ -133,26 +133,26 @@ impl EventRecord {
     /// Appends the record as one `etrain-journal-v1` object (DESIGN.md
     /// §14.4), without a line terminator: the bytes the serde shim would
     /// render, written directly instead of through a `Value` tree.
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"run\":");
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"run\":");
         push_u64(out, self.run as u64);
-        out.push_str(",\"seq\":");
+        out.extend_from_slice(b",\"seq\":");
         push_u64(out, self.seq);
-        out.push_str(",\"time_s\":");
+        out.extend_from_slice(b",\"time_s\":");
         push_f64(out, self.time_s);
-        out.push_str(",\"event\":{");
+        out.extend_from_slice(b",\"event\":{");
         match &self.event {
             Event::HeartbeatFired { size_bytes } => {
-                out.push_str("\"HeartbeatFired\":{\"size_bytes\":");
+                out.extend_from_slice(b"\"HeartbeatFired\":{\"size_bytes\":");
                 push_u64(out, *size_bytes);
             }
             Event::TailReuse {
                 from_state,
                 size_bytes,
             } => {
-                out.push_str("\"TailReuse\":{\"from_state\":");
+                out.extend_from_slice(b"\"TailReuse\":{\"from_state\":");
                 push_str(out, from_state);
-                out.push_str(",\"size_bytes\":");
+                out.extend_from_slice(b",\"size_bytes\":");
                 push_u64(out, *size_bytes);
             }
             Event::PiggybackDecision {
@@ -164,48 +164,45 @@ impl EventRecord {
                 budget_k,
                 released,
             } => {
-                out.push_str("\"PiggybackDecision\":{\"total_cost\":");
+                out.extend_from_slice(b"\"PiggybackDecision\":{\"total_cost\":");
                 push_f64(out, *total_cost);
-                out.push_str(",\"theta\":");
+                out.extend_from_slice(b",\"theta\":");
                 push_f64(out, *theta);
-                out.push_str(",\"heartbeat_departing\":");
+                out.extend_from_slice(b",\"heartbeat_departing\":");
                 push_bool(out, *heartbeat_departing);
-                out.push_str(",\"queued\":");
+                out.extend_from_slice(b",\"queued\":");
                 push_u64(out, *queued as u64);
-                out.push_str(",\"queued_bytes\":");
+                out.extend_from_slice(b",\"queued_bytes\":");
                 push_u64(out, *queued_bytes);
-                out.push_str(",\"budget_k\":");
-                match budget_k {
-                    Some(k) => push_u64(out, *k as u64),
-                    None => out.push_str("null"),
-                }
-                out.push_str(",\"released\":");
+                out.extend_from_slice(b",\"budget_k\":");
+                push_u64_or_null(out, budget_k.map(|k| k as u64));
+                out.extend_from_slice(b",\"released\":");
                 push_u64(out, *released as u64);
             }
             Event::RrcTransition { from, to } => {
-                out.push_str("\"RrcTransition\":{\"from\":");
+                out.extend_from_slice(b"\"RrcTransition\":{\"from\":");
                 push_str(out, from);
-                out.push_str(",\"to\":");
+                out.extend_from_slice(b",\"to\":");
                 push_str(out, to);
             }
             Event::Shed { packet_id, app } => {
-                out.push_str("\"Shed\":{\"packet_id\":");
+                out.extend_from_slice(b"\"Shed\":{\"packet_id\":");
                 push_u64(out, *packet_id);
-                out.push_str(",\"app\":");
+                out.extend_from_slice(b",\"app\":");
                 push_u64(out, *app as u64);
             }
             Event::ForcedFlush { packet_id, app } => {
-                out.push_str("\"ForcedFlush\":{\"packet_id\":");
+                out.extend_from_slice(b"\"ForcedFlush\":{\"packet_id\":");
                 push_u64(out, *packet_id);
-                out.push_str(",\"app\":");
+                out.extend_from_slice(b",\"app\":");
                 push_u64(out, *app as u64);
             }
             Event::HealthTransition { from, to, cause } => {
-                out.push_str("\"HealthTransition\":{\"from\":");
+                out.extend_from_slice(b"\"HealthTransition\":{\"from\":");
                 push_str(out, from);
-                out.push_str(",\"to\":");
+                out.extend_from_slice(b",\"to\":");
                 push_str(out, to);
-                out.push_str(",\"cause\":");
+                out.extend_from_slice(b",\"cause\":");
                 push_str(out, cause);
             }
             Event::RetryAttempt {
@@ -213,15 +210,15 @@ impl EventRecord {
                 attempt,
                 abandoned,
             } => {
-                out.push_str("\"RetryAttempt\":{\"packet_id\":");
+                out.extend_from_slice(b"\"RetryAttempt\":{\"packet_id\":");
                 push_u64(out, *packet_id);
-                out.push_str(",\"attempt\":");
+                out.extend_from_slice(b",\"attempt\":");
                 push_u64(out, u64::from(*attempt));
-                out.push_str(",\"abandoned\":");
+                out.extend_from_slice(b",\"abandoned\":");
                 push_bool(out, *abandoned);
             }
         }
-        out.push_str("}}}");
+        out.extend_from_slice(b"}}}");
     }
 }
 
@@ -338,11 +335,12 @@ impl Journal {
         // allocator's sliding mmap threshold keeps later, smaller buffers
         // on the heap.
         let mut out = String::new();
-        let mut line = String::new();
+        let mut line = Vec::new();
         for record in &self.records {
             line.clear();
             record.write_json(&mut line);
-            out.push_str(&line);
+            // Every writer appends whole UTF-8, so the check always passes.
+            out.push_str(std::str::from_utf8(&line).unwrap_or_default());
             out.push('\n');
         }
         out
@@ -459,9 +457,9 @@ mod tests {
             time_s: -0.0,
             event: hb(),
         };
-        let mut line = String::new();
+        let mut line = Vec::new();
         record.write_json(&mut line);
-        assert_eq!(line, serde_json::to_string(&record).unwrap());
+        assert_eq!(line, serde_json::to_string(&record).unwrap().into_bytes());
     }
 
     #[test]

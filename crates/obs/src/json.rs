@@ -5,8 +5,27 @@
 //! writes. Three persisted formats are made of them: the
 //! `etrain-journal-v1` event journal, the per-request sections of the
 //! state fingerprints that WAL checkpoints store, and the daemon's WAL
-//! records. The `push_*` writers append those bytes to a `String`
-//! directly, without building a `Value` tree first.
+//! records. The `push_*` writers append those bytes to a [`Sink`] (a
+//! `String`, or a byte line checked as UTF-8 once) directly, without
+//! building a `Value` tree or going through `std::fmt`, and allocate
+//! nothing into a buffer with room.
+//!
+//! The spelling is a contract:
+//!
+//! - an integer is its decimal digits, without sign or leading zero;
+//! - a finite float is its shortest round-trip decimal digits (of two
+//!   equally near candidates, an exact tie, the larger in magnitude:
+//!   `1658206780088562.25` is `1658206780088562.3`), preceded by `-`
+//!   when its sign bit is set (`-0.0` included), never in exponent form
+//!   (`1e21` is `1000000000000000000000.0`, `5e-324` is `0.` then 323
+//!   zeros then `5`), with `.0` appended when no fraction remains;
+//! - a NaN or an infinity is `null`;
+//! - a string is quoted, with `"`, `\\`, `\n`, `\r`, `\t`, backspace and
+//!   form feed escaped by name, other control characters as `\u00xx` in
+//!   lowercase hex, everything else raw UTF-8.
+//!
+//! The float digits come from an in-crate Ryū (Adams, PLDI 2018) that
+//! rounds ties up instead of to even.
 //!
 //! [`Reader`] goes the other way for hand-written record readers. It
 //! accepts only the canonical spelling of each scalar and answers `None`
@@ -15,89 +34,177 @@
 //! `serde_json::from_str`, which accepts every spelling; whatever the
 //! reader does accept, it decodes to the value serde would.
 
-use std::fmt::Write;
+use crate::ryu;
+
+/// A buffer the writers append to: a `String`, or the bytes of a line a
+/// caller turns into one with a single UTF-8 check (every writer appends
+/// whole UTF-8, so a valid buffer stays valid).
+pub trait Sink {
+    /// Appends `s`.
+    fn push_text(&mut self, s: &str);
+    /// Appends `bytes`, which are ASCII.
+    fn push_ascii(&mut self, bytes: &[u8]);
+}
+
+impl Sink for String {
+    fn push_text(&mut self, s: &str) {
+        self.push_str(s);
+    }
+
+    fn push_ascii(&mut self, bytes: &[u8]) {
+        // ASCII, so the check always passes.
+        self.push_str(std::str::from_utf8(bytes).unwrap_or_default());
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn push_text(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
+    }
+
+    fn push_ascii(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
 
 /// Appends `true` or `false`.
-pub fn push_bool(out: &mut String, value: bool) {
-    out.push_str(if value { "true" } else { "false" });
+pub fn push_bool(out: &mut impl Sink, value: bool) {
+    out.push_text(if value { "true" } else { "false" });
 }
 
 /// Appends `n` in decimal.
-pub fn push_u64(out: &mut String, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    for &digit in &digits[start..] {
-        out.push(char::from(digit));
-    }
+pub fn push_u64(out: &mut impl Sink, n: u64) {
+    let mut buf = [0; 20];
+    out.push_ascii(decimal(n, &mut buf));
 }
 
 /// Appends `n` in decimal, or `null` for `None`.
-pub fn push_u64_or_null(out: &mut String, n: Option<u64>) {
+pub fn push_u64_or_null(out: &mut impl Sink, n: Option<u64>) {
     match n {
         Some(n) => push_u64(out, n),
-        None => out.push_str("null"),
+        None => out.push_text("null"),
     }
 }
 
-/// Appends a float as its shortest round-trip digits, never in exponent
-/// form, with `.0` added when no fraction remains; non-finite values are
-/// `null`.
-pub fn push_f64(out: &mut String, value: f64) {
+/// Appends a float as its shortest round-trip digits (exact ties rounded
+/// up), never in exponent form, with `.0` added when no fraction remains;
+/// non-finite values are `null`.
+pub fn push_f64(out: &mut impl Sink, value: f64) {
     if !value.is_finite() {
-        out.push_str("null");
+        out.push_text("null");
         return;
     }
+    if value.is_sign_negative() {
+        out.push_text("-");
+    }
+    let value = value.abs();
+    let mut buf = [0; 20];
     // Below 2^53 every integral float is an exact integer whose shortest
     // digits are its decimal digits; most persisted times are whole.
-    if value.fract() == 0.0 && value.abs() < TWO_POW_53 {
-        if value.is_sign_negative() {
-            out.push('-');
-        }
-        push_u64(out, value.abs() as u64);
-        out.push_str(".0");
+    if value < TWO_POW_53 && (value as u64) as f64 == value {
+        out.push_ascii(decimal(value as u64, &mut buf));
+        out.push_text(".0");
         return;
     }
-    let start = out.len();
-    // Formatting into a `String` cannot fail.
-    let _ = write!(out, "{value}");
-    if !out[start..].contains('.') {
-        out.push_str(".0");
+    let (mantissa, exponent) = ryu::shortest(value);
+    let digits = decimal(mantissa, &mut buf);
+    // Digits before the decimal point.
+    let point = digits.len() as i32 + exponent;
+    if exponent >= 0 {
+        out.push_ascii(digits);
+        push_zeros(out, exponent as usize);
+        out.push_text(".0");
+    } else if point > 0 {
+        let (whole, fraction) = digits.split_at(point as usize);
+        out.push_ascii(whole);
+        out.push_text(".");
+        out.push_ascii(fraction);
+    } else {
+        out.push_text("0.");
+        push_zeros(out, point.unsigned_abs() as usize);
+        out.push_ascii(digits);
     }
 }
 
 /// Appends `s` as a quoted JSON string: `"`, `\\`, `\n`, `\r`, `\t`,
 /// backspace and form feed escaped by name, other control characters as
 /// `\u00xx`, everything else as raw UTF-8.
-pub fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
+pub fn push_str(out: &mut impl Sink, s: &str) {
+    out.push_text("\"");
+    // Copy the runs between escapes whole.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0..=0x1F => "",
+            _ => continue,
+        };
+        out.push_text(&s[run..i]);
+        run = i + 1;
+        if named.is_empty() {
+            out.push_text("\\u00");
+            out.push_ascii(&[HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xF)]]);
+        } else {
+            out.push_text(named);
         }
     }
-    out.push('"');
+    out.push_text(&s[run..]);
+    out.push_text("\"");
 }
 
 /// 2^53: below it every integer is exactly representable as an `f64`.
 const TWO_POW_53: f64 = 9_007_199_254_740_992.0;
+
+/// Lowercase hexadecimal digits.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// `"00"`, `"01"`, ..., `"99"`, back to back.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// `n`'s decimal digits, written two at a time into the end of `buf`.
+fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut start = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        start -= 2;
+        buf[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        start -= 2;
+        buf[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        start -= 1;
+        buf[start] = b'0' + n as u8;
+    }
+    &buf[start..]
+}
+
+/// Appends `n` zeros.
+fn push_zeros(out: &mut impl Sink, mut n: usize) {
+    const ZEROS: &str = "0000000000000000000000000000000000000000000000000000000000000000";
+    while n > 0 {
+        let run = n.min(ZEROS.len());
+        out.push_text(&ZEROS[..run]);
+        n -= run;
+    }
+}
 
 /// A cursor over canonical JSON bytes (see the [module docs](self)).
 ///
@@ -317,6 +424,38 @@ mod tests {
             written(|o| push_str(o, &s)),
             serde_json::to_string(&s).unwrap()
         );
+    }
+
+    #[test]
+    fn float_spelling_edges_are_pinned() {
+        let zeros = |n: usize| "0".repeat(n);
+        for (x, text) in [
+            // Exact ties between two shortest candidates round up: these
+            // are 1658206780088562.25 and 233115890514796.125, which a
+            // half-to-even port would print as ...562.2 and ...796.12.
+            (
+                f64::from_bits(0x4317_9085_685d_83c9),
+                "1658206780088562.3".to_string(),
+            ),
+            (
+                f64::from_bits(0x42ea_8090_bb0f_6d84),
+                "233115890514796.13".to_string(),
+            ),
+            (5e-324, format!("0.{}5", zeros(323))),
+            (
+                f64::MIN_POSITIVE,
+                format!("0.{}22250738585072014", zeros(307)),
+            ),
+            (TWO_POW_53, "9007199254740992.0".to_string()),
+            (TWO_POW_53 - 1.0, "9007199254740991.0".to_string()),
+            (TWO_POW_53 + 2.0, "9007199254740994.0".to_string()),
+            // Never exponent form, however large.
+            (1e21, format!("1{}.0", zeros(21))),
+            (1e300, format!("1{}.0", zeros(300))),
+            (-0.0, "-0.0".to_string()),
+        ] {
+            assert_eq!(written(|o| push_f64(o, x)), text, "{:#x}", x.to_bits());
+        }
     }
 
     #[test]

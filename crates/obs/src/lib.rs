@@ -48,6 +48,7 @@ mod fnv;
 pub mod json;
 mod metrics;
 mod mode;
+mod ryu;
 
 pub use event::{Event, EventRecord, Journal};
 pub use fnv::Fnv1a;

@@ -4,9 +4,10 @@
 //! one per line.
 //!
 //! Floats are drawn from raw bit patterns and a list of edge values
-//! (subnormals, `-0.0`, `f64::MAX`, NaN, ±∞, 17-significant-digit
-//! values), integers at 0, at random and at their `MAX`, and strings
-//! from quotes, backslashes, C0 controls and non-ASCII text.
+//! (subnormals, `-0.0`, `f64::MAX`, NaN, ±∞, exact rounding ties, 2^53
+//! and its neighbours, 1e21 and 1e300, 17-significant-digit values),
+//! integers at 0, at random and at their `MAX`, and strings from quotes,
+//! backslashes, C0 controls and non-ASCII text.
 
 use etrain_obs::{Event, Journal};
 use proptest::prelude::*;
@@ -24,6 +25,17 @@ fn float() -> impl Strategy<Value = f64> {
             Just(f64::MIN),
             Just(f64::MIN_POSITIVE),
             Just(5e-324),
+            // Exact ties between two shortest candidates, which round up:
+            // 1658206780088562.25 and 233115890514796.125.
+            Just(f64::from_bits(0x4317_9085_685d_83c9)),
+            Just(f64::from_bits(0x42ea_8090_bb0f_6d84)),
+            // 2^53 and the floats one ulp either side of it.
+            Just(9_007_199_254_740_991.0),
+            Just(9_007_199_254_740_992.0),
+            Just(9_007_199_254_740_994.0),
+            // Large powers of ten, which never take exponent form.
+            Just(1e21),
+            Just(1e300),
             Just(f64::NAN),
             Just(f64::INFINITY),
             Just(f64::NEG_INFINITY),

@@ -8,8 +8,9 @@
 //! Exit codes follow the repo's binary conventions: `2` for invalid
 //! environment knobs (fail fast, never guess), `1` for recovery and bind
 //! failures. A failed journal write does not end the process: the
-//! journal stops, journaling requests get `ERR` while reads are still
-//! served, and a restart recovers.
+//! journal stops, which one stderr line reports and `HEALTH` shows as a
+//! trailing `wal=stopped@<record>`; journaling requests get `ERR` while
+//! reads are still served, and a restart recovers.
 
 use std::io::Write;
 use std::net::SocketAddr;

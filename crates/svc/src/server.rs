@@ -29,6 +29,11 @@
 //! original outcome and no journal append, which is what makes
 //! crash-retry ambiguity safe for clients.
 //!
+//! `HEALTH` answers `OK HEALTH <ladder state> transitions=<n>
+//! records=<n>`. Once a failed journal write has stopped the WAL it adds
+//! ` wal=stopped@<record>`, the index of the record that failed, and the
+//! failure itself is reported once on stderr.
+//!
 //! Overload posture: at most 32 concurrent connections (excess get one
 //! `BUSY` line and a close — the accept backlog is bounded), 10 s
 //! per-connection read and write timeouts so a stalled client cannot pin
@@ -363,7 +368,7 @@ fn dispatch(request: &str, service: &Mutex<DurableService>) -> Result<String, Sv
         Request::Apply(command) => {
             // Release the lock before formatting: the other connections
             // wait on it, and each append already holds it for an fsync.
-            let outcome = lock(service).apply(command)?;
+            let outcome = journaling(service, |svc| svc.apply(command))?;
             reply(&outcome)
         }
         Request::Stats => {
@@ -376,8 +381,11 @@ fn dispatch(request: &str, service: &Mutex<DurableService>) -> Result<String, Sv
             // every SUBMIT behind it, for as long as the probe. `FPRINT`
             // has it.
             let guard = lock(service);
+            let stopped = guard
+                .wal_stopped_at()
+                .map_or_else(String::new, |at| format!(" wal=stopped@{at}"));
             format!(
-                "OK HEALTH {} transitions={} records={}",
+                "OK HEALTH {} transitions={} records={}{stopped}",
                 guard.state().health(),
                 guard.state().transitions().len(),
                 guard.records(),
@@ -385,13 +393,31 @@ fn dispatch(request: &str, service: &Mutex<DurableService>) -> Result<String, Sv
         }
         Request::Fprint => format!("OK FPRINT {:016x}", lock(service).fingerprint()),
         Request::Checkpoint => {
-            let ckpt = lock(service).checkpoint()?;
+            let ckpt = journaling(service, DurableService::checkpoint)?;
             format!(
                 "OK CHECKPOINT records={} fingerprint={:016x}",
                 ckpt.records, ckpt.fingerprint
             )
         }
     })
+}
+
+/// Runs `call`, which may append to or sync the journal, under the lock,
+/// and reports on stderr the failure that stops the journal, once.
+fn journaling<T>(
+    service: &Mutex<DurableService>,
+    call: impl FnOnce(&mut DurableService) -> Result<T, SvcError>,
+) -> Result<T, SvcError> {
+    let mut guard = lock(service);
+    let was_running = guard.wal_stopped_at().is_none();
+    let result = call(&mut guard);
+    if let (true, Some(at), Err(e)) = (was_running, guard.wal_stopped_at(), &result) {
+        eprintln!(
+            "etrain-svcd: journal stopped at record {at}: {e}; \
+             journaling requests get ERR until a restart recovers it"
+        );
+    }
+    result
 }
 
 /// The reply line for what one journaled command produced.

@@ -177,6 +177,12 @@ impl DurableService {
         self.wal.records()
     }
 
+    /// The record index the journal stopped at after a failed write, sync
+    /// or rotation ([`SvcError::WalFailed`]), or `None` while it runs.
+    pub fn wal_stopped_at(&self) -> Option<u64> {
+        self.wal.stopped_at()
+    }
+
     /// The state fingerprint (see [`ServiceState::fingerprint`]).
     pub fn fingerprint(&self) -> u64 {
         self.state.fingerprint()

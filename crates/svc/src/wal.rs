@@ -377,6 +377,12 @@ impl Wal {
         self.records
     }
 
+    /// The index of the record whose write, sync or rotation failed and
+    /// stopped the WAL, or `None` while it is running.
+    pub fn stopped_at(&self) -> Option<u64> {
+        self.failed_at
+    }
+
     /// The segment currently being appended to.
     pub fn segment_index(&self) -> u64 {
         self.segment_index

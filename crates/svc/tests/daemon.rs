@@ -515,7 +515,12 @@ fn a_failed_append_stops_the_journal_until_a_restart_recovers_the_acked_prefix()
     // with EFBIG: that append tears the segment's tail and gets `ERR`.
     let steps = script(23, 60);
     let wal_dir = tmp_dir("fsize");
-    let mut daemon = Daemon::start(daemon_under("ulimit -S -f 4; trap '' XFSZ", &wal_dir));
+    let stderr_dir = tmp_dir("fsize-stderr");
+    std::fs::create_dir_all(&stderr_dir).expect("stderr directory");
+    let stderr_path = stderr_dir.join("etrain-svcd.stderr");
+    let mut cmd = daemon_under("ulimit -S -f 4; trap '' XFSZ", &wal_dir);
+    cmd.stderr(std::fs::File::create(&stderr_path).expect("stderr file"));
+    let mut daemon = Daemon::start(cmd);
     let mut reference = reference();
     let mut acked = 0;
     let mut steps = steps.iter();
@@ -556,8 +561,21 @@ fn a_failed_append_stops_the_journal_until_a_restart_recovers_the_acked_prefix()
     assert_eq!(daemon.roundtrip("PING"), "OK PONG");
     assert_eq!(daemon.fingerprint(), reference.fingerprint());
     let health = daemon.roundtrip("HEALTH");
-    assert!(health.ends_with(&format!(" records={acked}")), "{health}");
+    assert!(
+        health.ends_with(&format!(" records={acked} wal=stopped@{acked}")),
+        "{health}"
+    );
     daemon.sigkill();
+    // The append that stopped the journal is reported once on stderr;
+    // the refusals after it are not.
+    let stderr = std::fs::read_to_string(&stderr_path).expect("the daemon's stderr");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "{stderr}");
+    assert!(
+        lines[0].starts_with(&format!("etrain-svcd: journal stopped at record {acked}: ")),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&stderr_dir);
 
     // A restart without the limit truncates the torn tail, recovers the
     // acked prefix, and takes the failed command afresh.
@@ -569,6 +587,8 @@ fn a_failed_append_stops_the_journal_until_a_restart_recovers_the_acked_prefix()
         "expected {acked} records and a truncated tail: {recovered}"
     );
     assert_eq!(daemon.fingerprint(), reference.fingerprint());
+    let health = daemon.roundtrip("HEALTH");
+    assert!(health.ends_with(&format!(" records={acked}")), "{health}");
     let response = daemon.roundtrip(&failed.line);
     assert!(
         response.starts_with("OK SUBMITTED"),
