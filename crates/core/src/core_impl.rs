@@ -293,13 +293,8 @@ impl ETrainCore {
     /// Moves the scheduler's buffered decision events into the journal
     /// (no-op with journaling off: the scheduler buffers nothing then).
     fn drain_scheduler_events(&mut self) {
-        if self.journal.is_some() {
-            let events = self.scheduler.take_obs_events();
-            if let Some(journal) = self.journal.as_mut() {
-                for (time_s, event) in events {
-                    journal.push(time_s, event);
-                }
-            }
+        if let Some(journal) = self.journal.as_mut() {
+            self.scheduler.drain_obs_events_into(journal);
         }
     }
 

@@ -77,4 +77,4 @@ pub use etrain_sched::{AdmissionConfig, RetryPolicy, ShedPolicy};
 
 // Re-exported so journaling consumers ([`ETrainCore::enable_journal`])
 // can inspect recorded events with this crate alone.
-pub use etrain_obs::{Event, EventRecord, Journal};
+pub use etrain_obs::{Event, EventRecord, Journal, RrcStateName};

@@ -1,8 +1,54 @@
 //! The structured event taxonomy and the journal that accumulates it.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, FromValueError, Serialize, Value};
 
 use crate::json::{push_bool, push_f64, push_str, push_u64, push_u64_or_null};
+
+/// An RRC state as the journal names it: `"idle"`, `"fach"` or `"dch"`.
+///
+/// `Copy`, so recording a tail reuse or a state transition allocates
+/// nothing; it serializes as the same lowercase string a `String` field
+/// held before, and deserializes from nothing else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RrcStateName {
+    /// `"idle"`.
+    Idle,
+    /// `"fach"`.
+    Fach,
+    /// `"dch"`.
+    Dch,
+}
+
+impl RrcStateName {
+    /// The journal spelling.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            RrcStateName::Idle => "idle",
+            RrcStateName::Fach => "fach",
+            RrcStateName::Dch => "dch",
+        }
+    }
+}
+
+impl Serialize for RrcStateName {
+    fn to_value(&self) -> Value {
+        Value::String(self.as_str().to_owned())
+    }
+}
+
+impl Deserialize for RrcStateName {
+    fn from_value(value: &Value) -> Result<Self, FromValueError> {
+        match value.as_str() {
+            Some("idle") => Ok(RrcStateName::Idle),
+            Some("fach") => Ok(RrcStateName::Fach),
+            Some("dch") => Ok(RrcStateName::Dch),
+            _ => Err(FromValueError::expected(
+                "\"idle\", \"fach\" or \"dch\"",
+                value,
+            )),
+        }
+    }
+}
 
 /// One observable decision or state change in the eTrain system.
 ///
@@ -24,7 +70,7 @@ pub enum Event {
     TailReuse {
         /// RRC state the radio was in when the transmission started
         /// (`"dch"` or `"fach"`).
-        from_state: String,
+        from_state: RrcStateName,
         /// Bytes of the transmission that re-used the tail.
         size_bytes: u64,
     },
@@ -52,9 +98,9 @@ pub enum Event {
     /// timeline, so promotions and tail decays both appear).
     RrcTransition {
         /// State being left (`"idle"`, `"fach"`, or `"dch"`).
-        from: String,
+        from: RrcStateName,
         /// State being entered.
-        to: String,
+        to: RrcStateName,
     },
     /// Admission control shed a packet (it was dropped, not transmitted).
     Shed {
@@ -132,8 +178,10 @@ pub struct EventRecord {
 impl EventRecord {
     /// Appends the record as one `etrain-journal-v1` object (DESIGN.md
     /// §14.4), without a line terminator: the bytes the serde shim would
-    /// render, written directly instead of through a `Value` tree.
-    fn write_json(&self, out: &mut Vec<u8>) {
+    /// render, written directly instead of through a `Value` tree. A
+    /// decision's tail comes from `tail`, which re-renders it only when
+    /// it differs from the last decision's.
+    fn write_json(&self, out: &mut Vec<u8>, tail: &mut DecisionTail) {
         out.extend_from_slice(b"{\"run\":");
         push_u64(out, self.run as u64);
         out.extend_from_slice(b",\"seq\":");
@@ -151,11 +199,11 @@ impl EventRecord {
                 size_bytes,
             } => {
                 out.extend_from_slice(b"\"TailReuse\":{\"from_state\":");
-                push_str(out, from_state);
+                push_str(out, from_state.as_str());
                 out.extend_from_slice(b",\"size_bytes\":");
                 push_u64(out, *size_bytes);
             }
-            Event::PiggybackDecision {
+            &Event::PiggybackDecision {
                 total_cost,
                 theta,
                 heartbeat_departing,
@@ -165,25 +213,23 @@ impl EventRecord {
                 released,
             } => {
                 out.extend_from_slice(b"\"PiggybackDecision\":{\"total_cost\":");
-                push_f64(out, *total_cost);
-                out.extend_from_slice(b",\"theta\":");
-                push_f64(out, *theta);
-                out.extend_from_slice(b",\"heartbeat_departing\":");
-                push_bool(out, *heartbeat_departing);
-                out.extend_from_slice(b",\"queued\":");
-                push_u64(out, *queued as u64);
-                out.extend_from_slice(b",\"queued_bytes\":");
-                push_u64(out, *queued_bytes);
-                out.extend_from_slice(b",\"budget_k\":");
-                push_u64_or_null(out, budget_k.map(|k| k as u64));
-                out.extend_from_slice(b",\"released\":");
-                push_u64(out, *released as u64);
+                push_f64(out, total_cost);
+                out.extend_from_slice(tail.render(TailFields {
+                    theta_bits: theta.to_bits(),
+                    heartbeat_departing,
+                    queued,
+                    queued_bytes,
+                    budget_k,
+                    released,
+                }));
+                // The tail closes the record.
+                return;
             }
             Event::RrcTransition { from, to } => {
                 out.extend_from_slice(b"\"RrcTransition\":{\"from\":");
-                push_str(out, from);
+                push_str(out, from.as_str());
                 out.extend_from_slice(b",\"to\":");
-                push_str(out, to);
+                push_str(out, to.as_str());
             }
             Event::Shed { packet_id, app } => {
                 out.extend_from_slice(b"\"Shed\":{\"packet_id\":");
@@ -222,6 +268,54 @@ impl EventRecord {
     }
 }
 
+/// The fields of a `PiggybackDecision` after `total_cost`. Between queue
+/// changes consecutive decisions differ only in `seq`, `time_s` and
+/// `total_cost`, so these repeat. `theta` is kept as its bits: `-0.0`,
+/// `0.0` and each NaN are then different keys, as their spellings may be.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TailFields {
+    theta_bits: u64,
+    heartbeat_departing: bool,
+    queued: usize,
+    queued_bytes: u64,
+    budget_k: Option<usize>,
+    released: usize,
+}
+
+/// The rendered tail of the last decision encoded: its bytes from
+/// `,"theta":` through the record's closing braces.
+#[derive(Debug, Default)]
+struct DecisionTail {
+    fields: Option<TailFields>,
+    bytes: Vec<u8>,
+}
+
+impl DecisionTail {
+    /// The tail bytes for `fields`, rendered only when they differ from
+    /// the last decision's.
+    fn render(&mut self, fields: TailFields) -> &[u8] {
+        if self.fields != Some(fields) {
+            let out = &mut self.bytes;
+            out.clear();
+            out.extend_from_slice(b",\"theta\":");
+            push_f64(out, f64::from_bits(fields.theta_bits));
+            out.extend_from_slice(b",\"heartbeat_departing\":");
+            push_bool(out, fields.heartbeat_departing);
+            out.extend_from_slice(b",\"queued\":");
+            push_u64(out, fields.queued as u64);
+            out.extend_from_slice(b",\"queued_bytes\":");
+            push_u64(out, fields.queued_bytes);
+            out.extend_from_slice(b",\"budget_k\":");
+            push_u64_or_null(out, fields.budget_k.map(|k| k as u64));
+            out.extend_from_slice(b",\"released\":");
+            push_u64(out, fields.released as u64);
+            out.extend_from_slice(b"}}}");
+            self.fields = Some(fields);
+        }
+        &self.bytes
+    }
+}
+
 /// A bounded-growth, append-only journal of [`EventRecord`]s for one run.
 ///
 /// Events are pushed in engine order; [`Journal::canonicalize`] stable-
@@ -253,6 +347,14 @@ impl Journal {
             event,
         });
         self.next_seq += 1;
+    }
+
+    /// Appends `(time_s, event)` pairs in order, as [`Journal::push`]
+    /// would one by one.
+    pub fn push_all(&mut self, events: impl IntoIterator<Item = (f64, Event)>) {
+        for (time_s, event) in events {
+            self.push(time_s, event);
+        }
     }
 
     /// The records in their current order.
@@ -336,9 +438,10 @@ impl Journal {
         // on the heap.
         let mut out = String::new();
         let mut line = Vec::new();
+        let mut tail = DecisionTail::default();
         for record in &self.records {
             line.clear();
-            record.write_json(&mut line);
+            record.write_json(&mut line, &mut tail);
             // Every writer appends whole UTF-8, so the check always passes.
             out.push_str(std::str::from_utf8(&line).unwrap_or_default());
             out.push('\n');
@@ -373,8 +476,8 @@ mod tests {
         journal.push(
             1.0,
             Event::RrcTransition {
-                from: "idle".into(),
-                to: "dch".into(),
+                from: RrcStateName::Idle,
+                to: RrcStateName::Dch,
             },
         );
         journal.canonicalize();
@@ -458,7 +561,7 @@ mod tests {
             event: hb(),
         };
         let mut line = Vec::new();
-        record.write_json(&mut line);
+        record.write_json(&mut line, &mut DecisionTail::default());
         assert_eq!(line, serde_json::to_string(&record).unwrap().into_bytes());
     }
 
@@ -519,7 +622,7 @@ mod tests {
         let events = [
             hb(),
             Event::TailReuse {
-                from_state: "fach".into(),
+                from_state: RrcStateName::Fach,
                 size_bytes: 10,
             },
             Event::PiggybackDecision {
@@ -532,8 +635,8 @@ mod tests {
                 released: 0,
             },
             Event::RrcTransition {
-                from: "idle".into(),
-                to: "dch".into(),
+                from: RrcStateName::Idle,
+                to: RrcStateName::Dch,
             },
             Event::Shed {
                 packet_id: 1,
@@ -562,6 +665,24 @@ mod tests {
             let json = serde_json::to_string(event).unwrap();
             let back: Event = serde_json::from_str(&json).unwrap();
             assert_eq!(&back, event);
+        }
+    }
+
+    #[test]
+    fn state_names_serialize_as_their_lowercase_strings_and_nothing_else() {
+        for (state, text) in [
+            (RrcStateName::Idle, "\"idle\""),
+            (RrcStateName::Fach, "\"fach\""),
+            (RrcStateName::Dch, "\"dch\""),
+        ] {
+            assert_eq!(serde_json::to_string(&state).unwrap(), text);
+            assert_eq!(serde_json::from_str::<RrcStateName>(text).unwrap(), state);
+        }
+        for wrong in ["\"Idle\"", "\"DCH\"", "\"\"", "0", "null"] {
+            assert!(
+                serde_json::from_str::<RrcStateName>(wrong).is_err(),
+                "{wrong}"
+            );
         }
     }
 

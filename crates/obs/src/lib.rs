@@ -50,7 +50,7 @@ mod metrics;
 mod mode;
 mod ryu;
 
-pub use event::{Event, EventRecord, Journal};
+pub use event::{Event, EventRecord, Journal, RrcStateName};
 pub use fnv::Fnv1a;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use mode::ObsMode;

@@ -6,10 +6,15 @@
 //! Floats are drawn from raw bit patterns and a list of edge values
 //! (subnormals, `-0.0`, `f64::MAX`, NaN, ±∞, exact rounding ties, 2^53
 //! and its neighbours, 1e21 and 1e300, 17-significant-digit values),
-//! integers at 0, at random and at their `MAX`, and strings from quotes,
-//! backslashes, C0 controls and non-ASCII text.
+//! integers at 0, at random and at their `MAX`, strings from quotes,
+//! backslashes, C0 controls and non-ASCII text, and RRC state names from
+//! all three.
+//!
+//! A decision's tail (`theta` through `released`) is rendered once and
+//! reused while it repeats, so one more test walks consecutive decisions
+//! that change one tail field at a time.
 
-use etrain_obs::{Event, Journal};
+use etrain_obs::{Event, EventRecord, Journal, RrcStateName};
 use proptest::prelude::*;
 
 fn float() -> impl Strategy<Value = f64> {
@@ -78,11 +83,19 @@ fn text() -> impl Strategy<Value = String> {
     prop::collection::vec(ch, 0..12).prop_map(|chars| chars.into_iter().collect())
 }
 
+fn state() -> impl Strategy<Value = RrcStateName> {
+    prop_oneof![
+        Just(RrcStateName::Idle),
+        Just(RrcStateName::Fach),
+        Just(RrcStateName::Dch),
+    ]
+}
+
 /// One event of each variant, in declaration order.
 fn every_variant() -> impl Strategy<Value = Vec<Event>> {
     let first = (
         u64_value().prop_map(|size_bytes| Event::HeartbeatFired { size_bytes }),
-        (text(), u64_value()).prop_map(|(from_state, size_bytes)| Event::TailReuse {
+        (state(), u64_value()).prop_map(|(from_state, size_bytes)| Event::TailReuse {
             from_state,
             size_bytes,
         }),
@@ -106,7 +119,7 @@ fn every_variant() -> impl Strategy<Value = Vec<Event>> {
                     released,
                 },
             ),
-        (text(), text()).prop_map(|(from, to)| Event::RrcTransition { from, to }),
+        (state(), state()).prop_map(|(from, to)| Event::RrcTransition { from, to }),
     );
     let second = (
         (u64_value(), usize_value()).prop_map(|(packet_id, app)| Event::Shed { packet_id, app }),
@@ -189,4 +202,86 @@ fn every_control_character_escapes_as_serde_does() {
         },
     );
     assert_eq!(journal.to_jsonl(), serde_rendering(&journal));
+}
+
+/// A decision with the given tail and a `total_cost` of its own.
+#[allow(clippy::too_many_arguments)]
+fn decision(
+    total_cost: f64,
+    theta: f64,
+    heartbeat_departing: bool,
+    queued: usize,
+    queued_bytes: u64,
+    budget_k: Option<usize>,
+    released: usize,
+) -> Event {
+    Event::PiggybackDecision {
+        total_cost,
+        theta,
+        heartbeat_departing,
+        queued,
+        queued_bytes,
+        budget_k,
+        released,
+    }
+}
+
+#[test]
+fn a_reused_decision_tail_changes_with_each_of_its_fields() {
+    // Each step changes exactly one tail field of the decision before it,
+    // and repeats it once so the reused bytes are written too.
+    let tails = [
+        (0.2, false, 3, 900, Some(0), 0),
+        (-0.0, false, 3, 900, Some(0), 0),
+        (0.0, false, 3, 900, Some(0), 0),
+        (f64::NAN, false, 3, 900, Some(0), 0),
+        (0.2, false, 3, 900, Some(0), 0),
+        (0.2, true, 3, 900, Some(0), 0),
+        (0.2, false, 3, 900, Some(0), 0),
+        (0.2, false, 4, 900, Some(0), 0),
+        (0.2, false, 4, 1_200, Some(0), 0),
+        (0.2, false, 4, 1_200, None, 0),
+        (0.2, false, 4, 1_200, Some(20), 0),
+        (0.2, false, 4, 1_200, Some(20), 4),
+    ];
+    let mut parts = Vec::new();
+    for half in tails.chunks(6) {
+        let mut part = Journal::new();
+        for (i, &(theta, departing, queued, bytes, k, released)) in half.iter().enumerate() {
+            for repeat in 0..2 {
+                let time_s = (2 * i + repeat) as f64;
+                part.push(
+                    time_s,
+                    decision(0.01 * time_s, theta, departing, queued, bytes, k, released),
+                );
+            }
+        }
+        parts.push(part);
+    }
+    // `merge` tags the second half with run 1 mid-stream.
+    let merged = Journal::merge(parts);
+    let text = merged.to_jsonl();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2 * tails.len());
+    for (line, record) in lines.iter().zip(merged.records()) {
+        assert_eq!(*line, serde_json::to_string(record).unwrap());
+    }
+    assert_eq!(merged.records()[12].run, 1);
+    assert!(lines[2].contains(r#""theta":-0.0,"#), "{}", lines[2]);
+    assert!(lines[4].contains(r#""theta":0.0,"#), "{}", lines[4]);
+    assert!(lines[6].contains(r#""theta":null,"#), "{}", lines[6]);
+
+    // A decision after another event still takes its tail from the last
+    // decision.
+    let mut journal = Journal::new();
+    journal.push(1.0, decision(0.5, 0.2, false, 1, 10, Some(0), 0));
+    journal.push(1.0, Event::HeartbeatFired { size_bytes: 74 });
+    journal.push(2.0, decision(0.7, 0.2, false, 1, 10, Some(0), 0));
+    journal.push(3.0, decision(0.9, 0.2, true, 1, 10, None, 1));
+    let expected: Vec<String> = journal
+        .records()
+        .iter()
+        .map(|r: &EventRecord| serde_json::to_string(r).unwrap() + "\n")
+        .collect();
+    assert_eq!(journal.to_jsonl(), expected.concat());
 }

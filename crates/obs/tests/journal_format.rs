@@ -9,7 +9,7 @@
 //! smallest subnormal and the largest finite `f64`, and `u64::MAX` ids.
 //! Any encoder must reproduce these bytes exactly.
 
-use etrain_obs::{Event, EventRecord, Journal};
+use etrain_obs::{Event, EventRecord, Journal, RrcStateName};
 
 const FIXTURE: &str = include_str!("golden/journal_v1.jsonl");
 
@@ -25,7 +25,7 @@ fn journal() -> Journal {
     run0.push(
         20.0,
         Event::TailReuse {
-            from_state: "dch".into(),
+            from_state: RrcStateName::Dch,
             size_bytes: 74,
         },
     );
@@ -44,8 +44,8 @@ fn journal() -> Journal {
     run0.push(
         1e15,
         Event::RrcTransition {
-            from: "dch".into(),
-            to: "fach".into(),
+            from: RrcStateName::Dch,
+            to: RrcStateName::Fach,
         },
     );
 

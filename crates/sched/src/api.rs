@@ -190,6 +190,15 @@ pub trait Scheduler: std::fmt::Debug + Send {
         Vec::new()
     }
 
+    /// Moves the events buffered since the last drain into `journal`, in
+    /// the order [`Scheduler::take_obs_events`] would return them. The
+    /// default goes through `take_obs_events`; a scheduler that buffers an
+    /// event per slot overrides it to keep its buffer's capacity, so a
+    /// journaled slot allocates nothing but the journal's own growth.
+    fn drain_obs_events_into(&mut self, journal: &mut etrain_obs::Journal) {
+        journal.push_all(self.take_obs_events());
+    }
+
     /// Number of packets currently deferred.
     fn pending(&self) -> usize;
 
@@ -297,6 +306,9 @@ mod tests {
         assert!(s.take_shed().is_empty());
         assert_eq!(s.forced_flushes(), 0);
         assert!(s.take_obs_events().is_empty());
+        let mut journal = etrain_obs::Journal::new();
+        s.drain_obs_events_into(&mut journal);
+        assert!(journal.is_empty());
         assert_eq!(s.pending(), 1, "the alarm changed nothing");
     }
 }

@@ -183,6 +183,12 @@ impl ETrainScheduler {
         ));
     }
 
+    /// Moves the buffered events onto the end of `out`, keeping this
+    /// buffer's capacity.
+    pub(crate) fn move_obs_events_to(&mut self, out: &mut Vec<(f64, etrain_obs::Event)>) {
+        out.append(&mut self.obs_events);
+    }
+
     /// Registers one more cargo app, as a cargo app subscribes to the
     /// running eTrain service (paper Sec. V-3). Its queue is appended, so
     /// its id is the number of apps registered before it. Queued packets
@@ -579,6 +585,10 @@ impl Scheduler for ETrainScheduler {
 
     fn take_obs_events(&mut self) -> Vec<(f64, etrain_obs::Event)> {
         std::mem::take(&mut self.obs_events)
+    }
+
+    fn drain_obs_events_into(&mut self, journal: &mut etrain_obs::Journal) {
+        journal.push_all(self.obs_events.drain(..));
     }
 
     fn pending(&self) -> usize {

@@ -426,7 +426,7 @@ impl Scheduler for GuardedScheduler {
             released.extend(self.inner.drain_pending());
         }
         if self.obs_enabled {
-            self.obs_events.extend(self.inner.take_obs_events());
+            self.inner.move_obs_events_to(&mut self.obs_events);
         }
         Ok(released)
     }
@@ -464,7 +464,7 @@ impl Scheduler for GuardedScheduler {
             released.extend(self.inner.drain_pending());
         }
         if self.obs_enabled {
-            self.obs_events.extend(self.inner.take_obs_events());
+            self.inner.move_obs_events_to(&mut self.obs_events);
         }
         released
     }
@@ -511,9 +511,15 @@ impl Scheduler for GuardedScheduler {
         // Catch any inner events not yet folded in (e.g. when the driver
         // drains between calls), then hand over the causally ordered
         // buffer.
-        let stragglers = self.inner.take_obs_events();
-        self.obs_events.extend(stragglers);
+        self.inner.move_obs_events_to(&mut self.obs_events);
         std::mem::take(&mut self.obs_events)
+    }
+
+    fn drain_obs_events_into(&mut self, journal: &mut etrain_obs::Journal) {
+        // The same order as `take_obs_events`: the folded buffer, then any
+        // inner stragglers.
+        journal.push_all(self.obs_events.drain(..));
+        self.inner.drain_obs_events_into(journal);
     }
 
     fn forced_flushes(&self) -> usize {

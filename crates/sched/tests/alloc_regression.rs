@@ -2,10 +2,10 @@
 //! scheduler decisions must not touch the allocator.
 //!
 //! A counting global allocator wraps `System` and counts only the
-//! allocations of the thread that armed it, so the test harness's own
-//! threads (which may still be registering the test or waiting on its
-//! result when the counter is armed) never add to the count. The single
-//! test pins down:
+//! allocations of the thread that armed it, on that thread, so the test
+//! harness's own threads (which may still be registering the test or
+//! waiting on its result when the counter is armed) and the other test
+//! never add to the count. The tests pin down:
 //!
 //! - **zero** allocations across steady-state deferral slots for both
 //!   eTrain (Θ-gated, queues loaded) and the baseline scheduler, and
@@ -13,7 +13,10 @@
 //! - a small constant budget for releasing slots (the returned `Vec` of
 //!   selected packets is the only permitted allocation);
 //! - a small constant budget for arrival slots once the queues have
-//!   reached their high-water capacity.
+//!   reached their high-water capacity;
+//! - for journaled eTrain and guarded schedulers, deferral slots drained
+//!   into one journal allocate only when the journal's records double,
+//!   never once per slot.
 //!
 //! The crate under test `#![forbid(unsafe_code)]`s itself; the `unsafe`
 //! needed to implement `GlobalAlloc` lives here, in the test crate, where
@@ -21,10 +24,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use etrain_obs::Journal;
 use etrain_sched::{
-    AppProfile, BaselineScheduler, ETrainConfig, ETrainScheduler, Scheduler, SlotContext,
+    AppProfile, BaselineScheduler, ETrainConfig, ETrainScheduler, GuardedScheduler, HealthConfig,
+    Scheduler, SlotContext,
 };
 use etrain_trace::packets::Packet;
 use etrain_trace::CargoAppId;
@@ -34,14 +38,16 @@ use etrain_trace::CargoAppId;
 struct CountingAllocator;
 
 thread_local! {
-    // Const-initialised and without `Drop`, so reading it never allocates.
+    // Const-initialised and without `Drop`, so touching them never
+    // allocates. The count is per thread too, so tests running in
+    // parallel never add to each other's counts.
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 fn count_if_armed() {
     if ARMED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|allocs| allocs.set(allocs.get() + 1));
     }
 }
 
@@ -68,11 +74,11 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// allocations it performed. The schedulers are single-threaded, so every
 /// allocation they make happens here.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     ARMED.with(|armed| armed.set(true));
     let out = f();
     ARMED.with(|armed| armed.set(false));
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
+    (ALLOCS.with(Cell::get) - before, out)
 }
 
 fn packet(id: u64, app: usize, arrival_s: f64) -> Packet {
@@ -230,4 +236,71 @@ fn steady_state_decisions_do_not_allocate() {
         "baseline arrivals allocated {baseline_arrival_allocs} times for 63 packets \
          (the returned Vec per arrival plus one-off growth is the budget)"
     );
+}
+
+/// A scheduler with 96 packets queued under a Θ it never reaches, so every
+/// heartbeat-free slot defers and, journaled, records one decision.
+fn loaded(mut scheduler: impl Scheduler) -> impl Scheduler {
+    scheduler.set_obs_enabled(true);
+    for i in 0..96u64 {
+        scheduler
+            .on_arrival(
+                packet(i, (i % 3) as usize, i as f64 * 0.25),
+                i as f64 * 0.25,
+            )
+            .expect("registered app");
+    }
+    scheduler
+}
+
+#[test]
+fn journaled_deferral_slots_allocate_only_for_journal_growth() {
+    let config = ETrainConfig {
+        theta: 1e12,
+        k: Some(4),
+        slot_s: 1.0,
+    };
+    let schedulers: [(&str, Box<dyn Scheduler>); 2] = [
+        (
+            "eTrain",
+            Box::new(loaded(ETrainScheduler::new(
+                config,
+                AppProfile::paper_trio(60.0),
+            ))),
+        ),
+        (
+            "guarded eTrain",
+            Box::new(loaded(GuardedScheduler::new(
+                config,
+                HealthConfig::default(),
+                AppProfile::paper_trio(60.0),
+            ))),
+        ),
+    ];
+    for (name, mut scheduler) in schedulers {
+        let mut journal = Journal::new();
+        // Warm-up: the event buffers reach their one-event capacity.
+        for slot in 0..24u64 {
+            scheduler.on_slot(&slot_ctx(100.0 + slot as f64, false));
+            scheduler.drain_obs_events_into(&mut journal);
+        }
+        let (allocs, released) = allocations_during(|| {
+            let mut total = 0usize;
+            for slot in 0..1_000u64 {
+                total += scheduler
+                    .on_slot(&slot_ctx(124.0 + slot as f64, false))
+                    .len();
+                scheduler.drain_obs_events_into(&mut journal);
+            }
+            total
+        });
+        assert_eq!(released, 0, "{name}: Θ = 1e12 must defer everything");
+        assert_eq!(journal.len(), 1_024, "{name}: one decision per slot");
+        // From 24 records to 1,024 the records double at most 6 times.
+        assert!(
+            allocs <= 6,
+            "{name}: 1,000 journaled deferral slots allocated {allocs} times \
+             (only the journal's doubling is budgeted)"
+        );
+    }
 }

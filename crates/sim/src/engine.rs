@@ -56,6 +56,8 @@ use etrain_trace::heartbeats::Heartbeat;
 use etrain_trace::packets::Packet;
 use serde::{Deserialize, Serialize};
 
+use crate::scenario::state_name;
+
 /// Salt decorrelating retry-jitter draws from the fault plan's loss coins.
 const JITTER_SALT: u64 = 0x6a69_7474_6572_5f75;
 
@@ -604,9 +606,7 @@ impl<'a> Engine<'a> {
     /// Moves the events the scheduler buffered into the journal, if any.
     fn drain_obs_events(&mut self) {
         if let Some(j) = self.journal.as_deref_mut() {
-            for (time_s, event) in self.scheduler.take_obs_events() {
-                j.push(time_s, event);
-            }
+            self.scheduler.drain_obs_events_into(j);
         }
     }
 
@@ -728,16 +728,12 @@ impl<'a> Engine<'a> {
                 if let Some(j) = self.journal.as_deref_mut() {
                     // Starting out of IDLE means the transmission re-used a
                     // promotion or tail some earlier transmission paid for.
-                    let from_state = match self.radio.state() {
-                        etrain_radio::RrcState::Idle => None,
-                        etrain_radio::RrcState::Fach => Some("fach"),
-                        etrain_radio::RrcState::Dch => Some("dch"),
-                    };
-                    if let Some(from_state) = from_state {
+                    let from_state = self.radio.state();
+                    if from_state != etrain_radio::RrcState::Idle {
                         j.push(
                             t,
                             Event::TailReuse {
-                                from_state: from_state.to_string(),
+                                from_state: state_name(from_state),
                                 size_bytes: item.size_bytes(),
                             },
                         );

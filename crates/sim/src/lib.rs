@@ -79,4 +79,6 @@ pub use etrain_sched::{
 
 // Re-exported so observability consumers (journaled runs, metrics
 // snapshots) can be described with this crate alone.
-pub use etrain_obs::{Event, EventRecord, Journal, MetricsRegistry, MetricsSnapshot, ObsMode};
+pub use etrain_obs::{
+    Event, EventRecord, Journal, MetricsRegistry, MetricsSnapshot, ObsMode, RrcStateName,
+};

@@ -31,9 +31,10 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use etrain_obs::{Journal, ObsMode};
+use etrain_trace::bandwidth::{wuhan_drive_synthetic, BandwidthTrace};
 
 use crate::metrics::RunReport;
 use crate::oracle::OracleMode;
@@ -152,47 +153,56 @@ impl JournalLines {
 /// A concurrent trace-artifact cache: [`TraceBundle`]s keyed by
 /// [`Scenario::trace_key`].
 ///
-/// Generation happens outside the lock, so two workers may briefly
-/// synthesize the same key concurrently; the first insert wins and —
-/// because generation is deterministic — both candidates are
-/// bit-identical, so the race never affects results.
+/// Each key is generated once. Its first caller synthesizes the bundle
+/// outside the cache lock, in a once-cell of that key; a caller of the same
+/// key meanwhile waits for it instead of generating a second copy. Keys
+/// whose scenarios draw the synthetic drive trace from the same seed share
+/// one `Arc<BandwidthTrace>`, the bulk of a synthesis, generated once the
+/// same way.
 ///
 /// A cache made with [`TraceCache::new`] holds every bundle until it is
 /// dropped. A grid's own cache knows how many of its jobs take each key,
-/// and drops a bundle when the last of them has taken it, so a grid over
-/// many seeds holds only the bundles of the jobs still to start.
+/// and drops a bundle when the last of them has taken it, and a drive trace
+/// when the last key of its seed has been generated, so a grid over many
+/// seeds holds only the traces of the jobs still to start.
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    entries: Mutex<Entries>,
-}
-
-#[derive(Debug, Default)]
-struct Entries {
-    /// Bundles generated and not yet dropped.
-    held: HashMap<u64, TraceBundle>,
-    /// For a grid's cache, the takes each key has left; a key absent here
-    /// is never dropped.
-    takes_left: HashMap<u64, usize>,
+    bundles: Mutex<OnceCells<TraceBundle>>,
+    drives: Mutex<OnceCells<Arc<BandwidthTrace>>>,
     /// Distinct keys generated so far.
-    generated: usize,
+    generated: AtomicUsize,
 }
 
-impl Entries {
-    /// The bundle for `key`, if held, counted as one take: the last take
-    /// moves it out of the cache.
-    fn take(&mut self, key: u64) -> Option<TraceBundle> {
-        let last = match self.takes_left.get_mut(&key) {
-            Some(left) if self.held.contains_key(&key) => {
-                *left -= 1;
-                *left == 0
-            }
-            _ => false,
-        };
+/// Once-cells by key, each dropped from the map at its last counted take.
+#[derive(Debug)]
+struct OnceCells<T> {
+    cells: HashMap<u64, Arc<OnceLock<T>>>,
+    /// The takes each key has left; a key absent here is never dropped.
+    takes_left: HashMap<u64, usize>,
+}
+
+impl<T> Default for OnceCells<T> {
+    fn default() -> Self {
+        OnceCells {
+            cells: HashMap::new(),
+            takes_left: HashMap::new(),
+        }
+    }
+}
+
+impl<T> OnceCells<T> {
+    /// The cell for `key`, counted as one take: the last take moves it out
+    /// of the map, so the value lives only as long as its takers hold it.
+    fn take(&mut self, key: u64) -> Arc<OnceLock<T>> {
+        let last = self.takes_left.get_mut(&key).is_some_and(|left| {
+            *left -= 1;
+            *left == 0
+        });
         if last {
             self.takes_left.remove(&key);
-            self.held.remove(&key)
+            self.cells.remove(&key).unwrap_or_default()
         } else {
-            self.held.get(&key).cloned()
+            Arc::clone(self.cells.entry(key).or_default())
         }
     }
 }
@@ -203,17 +213,23 @@ impl TraceCache {
         TraceCache::default()
     }
 
-    /// An empty cache for jobs that take these trace keys, one each.
-    fn for_keys(keys: &[u64]) -> Self {
-        let mut takes_left = HashMap::new();
-        for &key in keys {
-            *takes_left.entry(key).or_insert(0) += 1;
+    /// An empty cache for jobs with these trace keys and drive seeds
+    /// ([`Scenario::drive_seed`]), one take per job.
+    fn for_jobs(jobs: impl IntoIterator<Item = (u64, Option<u64>)>) -> Self {
+        let mut bundles = OnceCells::default();
+        let mut drives = OnceCells::default();
+        for (key, drive_seed) in jobs {
+            let takes = bundles.takes_left.entry(key).or_insert(0);
+            *takes += 1;
+            // A drive trace is taken once per distinct key of its seed.
+            if let (1, Some(seed)) = (*takes, drive_seed) {
+                *drives.takes_left.entry(seed).or_insert(0) += 1;
+            }
         }
         TraceCache {
-            entries: Mutex::new(Entries {
-                takes_left,
-                ..Entries::default()
-            }),
+            bundles: Mutex::new(bundles),
+            drives: Mutex::new(drives),
+            generated: AtomicUsize::new(0),
         }
     }
 
@@ -226,33 +242,34 @@ impl TraceCache {
     /// [`TraceCache::get_or_generate`] for `scenario`'s already computed
     /// trace `key`.
     fn fetch(&self, key: u64, scenario: &Scenario) -> TraceBundle {
-        if let Some(bundle) = self.lock().take(key) {
-            return bundle;
-        }
-        let fresh = scenario.generate_traces();
-        let mut entries = self.lock();
-        if !entries.held.contains_key(&key) {
-            entries.generated += 1;
-            entries.held.insert(key, fresh.clone());
-        }
-        entries.take(key).unwrap_or(fresh)
+        let cell = lock(&self.bundles).take(key);
+        let bundle = cell.get_or_init(|| {
+            self.generated.fetch_add(1, Ordering::Relaxed);
+            scenario.generate_traces_sharing(|seed| {
+                let drive = lock(&self.drives).take(seed);
+                let trace = drive.get_or_init(|| Arc::new(wuhan_drive_synthetic(seed)));
+                Arc::clone(trace)
+            })
+        });
+        bundle.clone()
     }
 
     /// Number of distinct trace keys generated so far.
     pub fn len(&self) -> usize {
-        self.lock().generated
+        self.generated.load(Ordering::Relaxed)
     }
 
     /// Whether nothing has been generated yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Entries> {
-        self.entries
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
+/// Locks `mutex`, ignoring poison: a cell map is never left half-updated.
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// A batch of scenario jobs executed with deterministic output order.
@@ -436,7 +453,11 @@ impl RunGrid {
             .iter()
             .map(|spec| spec.scenario.trace_key())
             .collect();
-        let cache = TraceCache::for_keys(&keys);
+        let cache = TraceCache::for_jobs(
+            keys.iter()
+                .zip(&self.specs)
+                .map(|(&key, spec)| (key, spec.scenario.drive_seed())),
+        );
         let indices: Vec<usize> = (0..self.specs.len()).collect();
         let mut failure = None;
         stream_pool(
@@ -708,9 +729,53 @@ mod tests {
         for jobs in [1, 3] {
             let cache = cache_after_run(&RunGrid::from_specs(specs.clone()).jobs(jobs));
             assert_eq!(cache.len(), 3, "each key generated once ({jobs} workers)");
-            let entries = cache.lock();
-            assert!(entries.held.is_empty(), "{jobs} workers");
-            assert!(entries.takes_left.is_empty(), "{jobs} workers");
+            let bundles = lock(&cache.bundles);
+            assert!(bundles.cells.is_empty(), "{jobs} workers");
+            assert!(bundles.takes_left.is_empty(), "{jobs} workers");
+            let drives = lock(&cache.drives);
+            assert!(drives.cells.is_empty(), "{jobs} workers");
+            assert!(drives.takes_left.is_empty(), "{jobs} workers");
+        }
+    }
+
+    #[test]
+    fn keys_of_one_seed_share_its_drive_trace() {
+        let base = Scenario::paper_default().duration_secs(600).seed(4);
+        let cache = TraceCache::new();
+        let bundles: Vec<TraceBundle> = [0.04, 0.08, 0.16]
+            .iter()
+            .map(|&lambda| cache.get_or_generate(&base.clone().lambda(lambda)))
+            .collect();
+        assert_eq!(cache.len(), 3);
+        for bundle in &bundles[1..] {
+            assert!(Arc::ptr_eq(&bundle.bandwidth, &bundles[0].bandwidth));
+            assert!(!Arc::ptr_eq(&bundle.packets, &bundles[0].packets));
+        }
+        // The shared trace is the one the scenario generates alone.
+        assert_eq!(*bundles[0].bandwidth, *base.generate_traces().bandwidth);
+        let other_seed = cache.get_or_generate(&base.clone().seed(5));
+        assert!(!Arc::ptr_eq(&other_seed.bandwidth, &bundles[0].bandwidth));
+    }
+
+    #[test]
+    fn concurrent_callers_of_one_key_wait_for_a_single_synthesis() {
+        let cache = TraceCache::new();
+        let scenario = Scenario::paper_default().duration_secs(600).seed(6);
+        let start = std::sync::Barrier::new(4);
+        let bundles: Vec<TraceBundle> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache.get_or_generate(&scenario)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(cache.len(), 1, "one synthesis for four callers");
+        for bundle in &bundles[1..] {
+            assert!(Arc::ptr_eq(&bundle.packets, &bundles[0].packets));
         }
     }
 
@@ -722,7 +787,8 @@ mod tests {
             cache.get_or_generate(&base.clone().seed(seed));
         }
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.lock().held.len(), 2);
+        assert_eq!(lock(&cache.bundles).cells.len(), 2);
+        assert_eq!(lock(&cache.drives).cells.len(), 2);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 
-use etrain_obs::{Event, Journal, MetricsRegistry, ObsMode};
+use etrain_obs::{Event, Journal, MetricsRegistry, ObsMode, RrcStateName};
 use etrain_radio::{RadioParams, RrcState, Timeline};
 use etrain_sched::{
     AdmissionConfig, AppProfile, BaselineScheduler, ETimeConfig, ETimeScheduler, ETrainConfig,
@@ -658,6 +658,24 @@ impl Scenario {
     /// heartbeat and bandwidth traces this scenario runs on. Deterministic
     /// in the scenario's [`Scenario::trace_key`] inputs.
     pub fn generate_traces(&self) -> TraceBundle {
+        self.generate_traces_sharing(|seed| Arc::new(wuhan_drive_synthetic(seed)))
+    }
+
+    /// The seed [`Scenario::generate_traces_sharing`] synthesizes this
+    /// scenario's drive trace from, if its bandwidth is the synthetic
+    /// drive. The trace depends on nothing else, so scenarios that differ
+    /// in workload or horizon but share this seed share the trace.
+    pub(crate) fn drive_seed(&self) -> Option<u64> {
+        matches!(self.bandwidth, BandwidthSource::SyntheticDrive).then(|| self.seed.wrapping_add(2))
+    }
+
+    /// [`Scenario::generate_traces`], with the synthetic drive trace taken
+    /// from `drive`, which must answer `wuhan_drive_synthetic(seed)` for
+    /// the [`Scenario::drive_seed`] it is given.
+    pub(crate) fn generate_traces_sharing(
+        &self,
+        drive: impl FnOnce(u64) -> Arc<BandwidthTrace>,
+    ) -> TraceBundle {
         let packets = match &self.packets_override {
             Some(p) => p.clone(),
             None => self.workload.generate(self.horizon_s, self.seed),
@@ -667,14 +685,14 @@ impl Scenario {
             None => synthesize(&self.trains, self.horizon_s, self.seed.wrapping_add(1)),
         };
         let bandwidth = match &self.bandwidth {
-            BandwidthSource::SyntheticDrive => wuhan_drive_synthetic(self.seed.wrapping_add(2)),
-            BandwidthSource::Constant(bps) => BandwidthTrace::constant(*bps),
-            BandwidthSource::Trace(trace) => trace.clone(),
+            BandwidthSource::SyntheticDrive => drive(self.seed.wrapping_add(2)),
+            BandwidthSource::Constant(bps) => Arc::new(BandwidthTrace::constant(*bps)),
+            BandwidthSource::Trace(trace) => Arc::new(trace.clone()),
         };
         TraceBundle {
             packets: Arc::new(packets),
             heartbeats: Arc::new(heartbeats),
-            bandwidth: Arc::new(bandwidth),
+            bandwidth,
         }
     }
 
@@ -780,13 +798,12 @@ fn strict_gate(outcome: OracleOutcome) -> Result<OracleOutcome, ScenarioError> {
     }
 }
 
-/// Lowercase label for an RRC state, matching the engine's
-/// `Event::TailReuse { from_state }` convention.
-fn state_label(state: RrcState) -> &'static str {
+/// The journal's name for an RRC state.
+pub(crate) fn state_name(state: RrcState) -> RrcStateName {
     match state {
-        RrcState::Idle => "idle",
-        RrcState::Fach => "fach",
-        RrcState::Dch => "dch",
+        RrcState::Idle => RrcStateName::Idle,
+        RrcState::Fach => RrcStateName::Fach,
+        RrcState::Dch => RrcStateName::Dch,
     }
 }
 
@@ -799,8 +816,8 @@ fn append_rrc_transitions(journal: &mut Journal, timeline: &Timeline) {
             journal.push(
                 pair[1].start_s,
                 Event::RrcTransition {
-                    from: state_label(pair[0].state).to_string(),
-                    to: state_label(pair[1].state).to_string(),
+                    from: state_name(pair[0].state),
+                    to: state_name(pair[1].state),
                 },
             );
         }
